@@ -10,13 +10,18 @@
 #![deny(missing_docs)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Number of worker threads a parallel region should target (the machine's
-/// available parallelism).
+/// available parallelism, read once per process: the query costs tens of
+/// microseconds, and callers ask on every parallel region).
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// A scope in which borrowed-data tasks can be spawned; all tasks complete

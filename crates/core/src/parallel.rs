@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn large_slices_match_serial_reference() {
-        // Big enough to cross MIN_ELEMENTS_PER_WORKER and actually fan out.
+        // Big enough to cross MIN_WORK_PER_WORKER and actually fan out.
         let len = 512 * 1024;
         let mut parallel = vec![0u64; len];
         par_chunks_mut(&mut parallel, 1024, |i, chunk| {

@@ -34,6 +34,16 @@
 //!    their panel, which cannot change any partial sum (see the proof on
 //!    `pad_panels_to`). The sweep takes each panel at its own width, so
 //!    k-padding never inflates a sparse layer's MAC count beyond the step.
+//! 4. **Image-parallel execute.** `T` is laid out as one *slab* per image —
+//!    the image's `C·Hpad·Wrow` elements followed by its own lane-padding
+//!    slack — so every operand span an image's sweeps read stays inside its
+//!    slab. One execute is a single fan-out over images
+//!    ([`shfl_core::parallel::par_chunks_mut_weighted`]): each task owns one
+//!    image's slab, its NCHW output planes (contiguous per image) and its
+//!    slice of the group accumulator, fills and fp16-rounds the slab, then
+//!    sweeps every weight group over it. No element's accumulation order
+//!    depends on the split, so the output is the same bit for bit on any
+//!    thread count. A batch-1 execute runs on one core.
 //!
 //! The retained im2col path stays as the **bit-identical oracle**: the plan
 //! mirrors the stitched [`crate::plan::SpmmPlan`] panel structure (same `V×tk`
@@ -52,7 +62,7 @@ use shfl_core::matrix::DenseMatrix;
 use shfl_core::packed::PackedPanels;
 use shfl_core::parallel;
 use shfl_core::tiling;
-use std::sync::Mutex;
+use std::sync::{Mutex, TryLockError};
 
 /// Widest SIMD lane count any dispatch tier sweeps per step (AVX2, 8×f32).
 /// Row-block widths are rounded up to this so narrow convolution maps never
@@ -90,7 +100,11 @@ pub struct ImplicitConvPlan {
     hpad: usize,
     wrow: usize,
     lphi: usize,
-    t_len: usize,
+    /// Elements of one image's phase-split transform, `C·Hpad·Wrow`.
+    image_len: usize,
+    /// Distance between consecutive image slabs in `T`: `image_len` plus the
+    /// lane-padding slack `block_width_padded − block_width`.
+    image_stride: usize,
     /// Operand columns one row block covers: `OW` per-row, or
     /// `(OH−1)·stride·Wrow + OW` when an image's rows merge into one sweep.
     block_width: usize,
@@ -100,8 +114,8 @@ pub struct ImplicitConvPlan {
     rows_per_block: usize,
     /// `block_width` rounded up to the widest SIMD lane count: narrow output
     /// rows (e.g. `OW = 7` on the last ResNet stage) sweep full vectors whose
-    /// padding lanes read real (over-allocated) `T` memory and are discarded
-    /// at copy-out, instead of running the whole row in the scalar tail.
+    /// padding lanes read the image slab's slack and are discarded at
+    /// copy-out, instead of running the whole row in the scalar tail.
     block_width_padded: usize,
     /// Row blocks per image (`OH` per-row, or `1` when rows merge).
     blocks_per_image: usize,
@@ -148,12 +162,11 @@ impl ImplicitConvPlan {
         let lphi = wpad.div_ceil(p.stride);
         let wrow = p.stride * lphi;
         let plane = hpad * wrow;
-        let t_len = p.batch * p.in_channels * plane;
-        if p.in_channels * plane > u32::MAX as usize {
+        let image_len = p.in_channels * plane;
+        if image_len > u32::MAX as usize {
             return Err(KernelError::ShapeMismatch {
                 context: format!(
-                    "transform image of {} elements exceeds the u32 tap-offset range",
-                    p.in_channels * plane
+                    "transform image of {image_len} elements exceeds the u32 tap-offset range"
                 ),
             });
         }
@@ -213,12 +226,14 @@ impl ImplicitConvPlan {
         } else {
             (ow, 1, oh)
         };
-        // Lane padding: every operand span the kernels touch previously ended
-        // at `base + off + block_width <= t_len`, so growing the sweep width
-        // to the lane-rounded target only needs the same slack appended to
-        // `T`; the slack is zero-initialised and never written by `fill`.
+        // Lane padding: every real operand span of an image ends at
+        // `base + off + block_width <= image_len` within that image, so
+        // growing the sweep width to the lane-rounded target only needs the
+        // same slack appended to each image's slab — no sweep reads another
+        // image's slab, which another task may be filling. The slack is
+        // zero-initialised and never written by `fill_image`.
         let block_width_padded = block_width.div_ceil(SIMD_LANES) * SIMD_LANES;
-        let t_alloc = t_len + (block_width_padded - block_width);
+        let image_stride = image_len + (block_width_padded - block_width);
         Ok(ImplicitConvPlan {
             params: p,
             m,
@@ -234,13 +249,14 @@ impl ImplicitConvPlan {
             hpad,
             wrow,
             lphi,
-            t_len,
+            image_len,
+            image_stride,
             block_width,
             block_width_padded,
             rows_per_block,
             blocks_per_image,
             cascade: RegCascade::for_width(block_width_padded),
-            scratch: Mutex::new(vec![0.0f32; t_alloc]),
+            scratch: Mutex::new(vec![0.0f32; p.batch * image_stride]),
             profile: conv::conv2d_shfl_bw_profile(arch, weights, params),
         })
     }
@@ -278,10 +294,10 @@ impl ImplicitConvPlan {
             + self.t_alloc() * std::mem::size_of::<f32>()
     }
 
-    /// Allocated transform length: the logical phase-split buffer plus the
-    /// lane-padding slack the widened sweeps may read past any operand start.
+    /// Allocated transform length: one slab per image, each the image's
+    /// phase-split buffer plus the lane-padding slack its widened sweeps read.
     fn t_alloc(&self) -> usize {
-        self.t_len + (self.block_width_padded - self.block_width)
+        self.params.batch * self.image_stride
     }
 
     /// Bytes of the phase-split transform buffer one execute reads through the
@@ -299,52 +315,14 @@ impl ImplicitConvPlan {
 
     /// Executes the prepared convolution against one input feature map.
     ///
+    /// One fan-out over images (see the module docs): each task fills and
+    /// sweeps its own image, so a batch-1 call runs on one core.
+    ///
     /// # Errors
     ///
     /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
     /// match the geometry the plan was built for.
     pub fn execute(&self, input: &Tensor4) -> KernelResult<(Tensor4, KernelProfile)> {
-        let p = &self.params;
-        let (oh, ow) = (p.output_h(), p.output_w());
-        let mut out = Tensor4::zeros(p.batch, p.out_channels, oh, ow);
-        let o = p.out_channels;
-        self.sweep(input, out.as_mut_slice(), |orow, b, y| {
-            ((b * o + orow) * oh + y) * ow
-        })?;
-        Ok((out, self.profile.clone()))
-    }
-
-    /// Executes into the flattened `M × N` implicit-GEMM output layout
-    /// (`N = batch·OH·OW`, column `(b·OH + y)·OW + x`) — the shape the
-    /// bucketed im2col serving path produces, kept for bit-identity
-    /// comparisons and flattened-output consumers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
-    /// match the geometry the plan was built for.
-    pub fn execute_matrix(&self, input: &Tensor4) -> KernelResult<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(self.m, self.n);
-        let (n, oh, ow) = (self.n, self.params.output_h(), self.params.output_w());
-        self.sweep(input, out.as_mut_slice(), |orow, b, y| {
-            orow * n + (b * oh + y) * ow
-        })?;
-        Ok(out)
-    }
-
-    /// Shared execute core: stage the transform buffer, then per weight group
-    /// sweep a block-major `V × N` accumulator (one contiguous `V × width`
-    /// slab per row block) through the offset-gather panel microkernel —
-    /// **panels outer, row blocks inner**, so each packed panel and its tap
-    /// row stream from L1 across every block instead of re-streaming the
-    /// whole panel set per block — and scatter its `OW`-long row stripes at
-    /// `dst_base(output_row, image, output_y)`.
-    fn sweep(
-        &self,
-        input: &Tensor4,
-        out: &mut [f32],
-        dst_base: impl Fn(usize, usize, usize) -> usize,
-    ) -> KernelResult<()> {
         let p = &self.params;
         if input.shape() != (p.batch, p.in_channels, p.input_h, p.input_w) {
             return Err(KernelError::ShapeMismatch {
@@ -358,11 +336,20 @@ impl ImplicitConvPlan {
                 ),
             });
         }
-        if self.m == 0 || self.n == 0 {
-            return Ok(());
+        let (oh, ow) = (p.output_h(), p.output_w());
+        let mut out = Tensor4::zeros(p.batch, p.out_channels, oh, ow);
+        if self.m == 0 || self.n == 0 || self.k == 0 {
+            return Ok((out, self.profile.clone()));
         }
         let mut local = Vec::new();
-        let mut guard = self.scratch.try_lock().ok();
+        let mut guard = match self.scratch.try_lock() {
+            Ok(guard) => Some(guard),
+            // A panic inside an earlier execute poisons the lock but leaves
+            // the buffer reusable: `fill_image` rewrites every valid position
+            // and never writes padding or slack.
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
         let t: &mut Vec<f32> = match guard.as_deref_mut() {
             Some(t) => t,
             None => {
@@ -370,18 +357,64 @@ impl ImplicitConvPlan {
                 &mut local
             }
         };
-        self.fill(input, &mut t[..self.t_len]);
+        // The group accumulator is allocated here, once per call, and split
+        // per image: allocating it inside the workers grows peak RSS through
+        // per-thread malloc arenas.
+        let tile_len = self.blocks_per_image * self.v * self.block_width_padded;
+        let mut tile = vec![0.0f32; p.batch * tile_len];
+        let mut jobs: Vec<_> = t
+            .chunks_exact_mut(self.image_stride)
+            .zip(out.as_mut_slice().chunks_exact_mut(self.m * oh * ow))
+            .zip(tile.chunks_exact_mut(tile_len))
+            .collect();
+        // One image's sweep MACs: every packed tap times `V` rows times the
+        // columns its blocks sweep.
+        let work = self.tap_offs.len() * self.v * self.block_width_padded * self.blocks_per_image;
+        parallel::par_chunks_mut_weighted(&mut jobs, 1, work, |b, job| {
+            let ((t, out), tile) = &mut job[0];
+            self.fill_image(input, b, &mut t[..self.image_len]);
+            self.sweep_image(t, out, tile);
+        });
+        Ok((out, self.profile.clone()))
+    }
 
-        let bw = self.block_width;
-        let bwp = self.block_width_padded;
-        let blocks = p.batch * self.blocks_per_image;
+    /// Executes into the flattened `M × N` implicit-GEMM output layout
+    /// (`N = batch·OH·OW`, column `(b·OH + y)·OW + x`) — the shape the
+    /// bucketed im2col serving path produces, kept for bit-identity
+    /// comparisons and flattened-output consumers. It is [`Self::execute`]
+    /// plus a relayout: image `b`'s output plane of channel `o` becomes
+    /// columns `b·OH·OW ..` of row `o`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
+    /// match the geometry the plan was built for.
+    pub fn execute_matrix(&self, input: &Tensor4) -> KernelResult<DenseMatrix> {
+        let (tensor, _) = self.execute(input)?;
+        let mut out = DenseMatrix::zeros(self.m, self.n);
+        let plane = self.params.output_h() * self.params.output_w();
+        for b in 0..self.params.batch {
+            for o in 0..self.m {
+                out.row_mut(o)[b * plane..][..plane]
+                    .copy_from_slice(&tensor.as_slice()[(b * self.m + o) * plane..][..plane]);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Sweeps every weight group over one image's filled slab `t` and copies
+    /// the results into the image's NCHW output planes `out`. Per group, the
+    /// block-major accumulator `tile` holds one contiguous lane-padded
+    /// `V × bwp` slab per row block, so every microkernel call writes one
+    /// dense full-vector tile exactly like the stitched SpMM sweep; copy-out
+    /// takes the first `bw` real columns. **Panels outer, row blocks inner**,
+    /// so each packed panel and its tap row stream from L1 across every block
+    /// instead of re-streaming the whole panel set per block.
+    fn sweep_image(&self, t: &[f32], out: &mut [f32], tile: &mut [f32]) {
+        let p = &self.params;
+        let (oh, ow) = (p.output_h(), p.output_w());
+        let (bw, bwp) = (self.block_width, self.block_width_padded);
         let slab = self.v * bwp;
-        // Block-major group accumulator: row block `b` owns the contiguous
-        // lane-padded `V × bwp` slab at `tile[b·V·bwp ..]`, so every
-        // microkernel call writes one dense full-vector tile exactly like the
-        // stitched SpMM sweep; copy-out takes the first `bw` real columns.
-        let mut tile = vec![0.0f32; blocks * slab];
-        let image = p.in_channels * self.hpad * self.wrow;
         // Operand distance between consecutive output rows of one image.
         let row_step = p.stride * self.wrow;
         let num_groups = self.group_tap_ptr.len() - 1;
@@ -399,15 +432,13 @@ impl ImplicitConvPlan {
                 debug_assert!(kk <= self.tk);
                 let step_taps = &taps[toff..toff + kk];
                 toff += kk;
-                for (block, acc) in tile.chunks_exact_mut(slab).enumerate() {
-                    let base = block / self.blocks_per_image * image
-                        + block % self.blocks_per_image * self.rows_per_block * row_step;
+                for (blk, acc) in tile.chunks_exact_mut(slab).enumerate() {
                     mma_row_block_offset_fused_acc_cascade(
                         values,
                         self.v,
                         kk,
                         t,
-                        base,
+                        blk * self.rows_per_block * row_step,
                         step_taps,
                         acc,
                         bwp,
@@ -415,59 +446,54 @@ impl ImplicitConvPlan {
                     );
                 }
             }
-            let ow = p.output_w();
             for sr in 0..self.v {
                 let orow = self.row_indices[g * self.v + sr] as usize;
-                for block in 0..blocks {
-                    let row = &tile[block * slab + sr * bwp..][..bw];
-                    let (b, blk) = (block / self.blocks_per_image, block % self.blocks_per_image);
+                let plane = &mut out[orow * oh * ow..][..oh * ow];
+                for (blk, acc) in tile.chunks_exact(slab).enumerate() {
+                    let row = &acc[sr * bwp..][..bw];
+                    let y0 = blk * self.rows_per_block;
                     if row_step == ow {
                         // Gap-free merge (`1×1` stride 1): one contiguous copy.
-                        let dst = dst_base(orow, b, blk * self.rows_per_block);
-                        out[dst..dst + bw].copy_from_slice(row);
+                        plane[y0 * ow..][..bw].copy_from_slice(row);
                     } else {
                         for y in 0..self.rows_per_block {
-                            let dst = dst_base(orow, b, blk * self.rows_per_block + y);
-                            out[dst..dst + ow].copy_from_slice(&row[y * row_step..][..ow]);
+                            plane[(y0 + y) * ow..][..ow]
+                                .copy_from_slice(&row[y * row_step..][..ow]);
                         }
                     }
                 }
             }
         }
-        Ok(())
     }
 
-    /// Stages the input into the phase-split transform buffer: zero-padded
-    /// coordinates `(py, px) = (iy + padding, ix + padding)`, fp16-pre-rounded
-    /// values, `px` stored at `(px % stride)·Lφ + px / stride` within its row.
-    /// Padding positions are never written — the buffer arrives zeroed (at
-    /// build for the pooled scratch, at allocation for the fallback) and every
-    /// valid position is overwritten on every call, so no per-call clear is
-    /// needed.
-    fn fill(&self, input: &Tensor4, t: &mut [f32]) {
+    /// Stages image `b` of the input into its phase-split slab `t`
+    /// (`image_len` elements): zero-padded coordinates `(py, px) = (iy +
+    /// padding, ix + padding)`, fp16-pre-rounded values, `px` stored at
+    /// `(px % stride)·Lφ + px / stride` within its row. Padding positions
+    /// (and the slab's slack past `t`) are never written — the buffer arrives
+    /// zeroed (at build for the pooled scratch, at allocation for the
+    /// fallback) and every valid position is overwritten on every call, so
+    /// no per-call clear is needed.
+    fn fill_image(&self, input: &Tensor4, b: usize, t: &mut [f32]) {
         let p = &self.params;
+        if p.stride == 1 && p.padding == 0 {
+            // Gap-free geometry (`hpad = H`, `wrow = W`): the transform is the
+            // identity on the image's contiguous NCHW planes, one fused
+            // copy+round pass.
+            round_to_f16_into(t, &input.as_slice()[b * t.len()..][..t.len()]);
+            return;
+        }
         let (hpad, wrow, lphi, st) = (self.hpad, self.wrow, self.lphi, p.stride);
-        let plane = hpad * wrow;
-        let gap_free = st == 1 && p.padding == 0;
-        parallel::par_chunks_mut(t, plane, |idx, slab| {
-            let (b, c) = (idx / p.in_channels, idx % p.in_channels);
-            if gap_free {
-                // Gap-free geometry (`hpad = H`, `wrow = W`): the transform is
-                // the identity, one fused plane-sized copy+round pass.
-                let len = p.input_h * p.input_w;
-                let src = ((b * p.in_channels + c) * p.input_h) * p.input_w;
-                round_to_f16_into(&mut slab[..len], &input.as_slice()[src..src + len]);
-                return;
-            }
-            let px0 = p.padding;
-            let px1 = (p.padding + p.input_w).min(wrow);
+        let px0 = p.padding;
+        let px1 = (p.padding + p.input_w).min(wrow);
+        for (c, plane) in t.chunks_exact_mut(hpad * wrow).enumerate() {
             for iy in 0..p.input_h {
                 let py = iy + p.padding;
                 if py >= hpad {
                     break; // rows the output never reads are cropped
                 }
                 let in_row = input.plane_row(b, c, iy);
-                let row = &mut slab[py * wrow..(py + 1) * wrow];
+                let row = &mut plane[py * wrow..(py + 1) * wrow];
                 if st == 1 {
                     // Phase-split collapses to the identity at stride 1.
                     row[px0..px1].copy_from_slice(&in_row[..px1 - px0]);
@@ -477,15 +503,12 @@ impl ImplicitConvPlan {
                     }
                 }
             }
-        });
-        // One branchless whole-buffer rounding pass for padded or strided
-        // geometries: long enough to auto-vectorise (per-row rounding of
-        // narrow maps pays the vector prologue every few dozen elements), and
-        // re-rounding the padding zeros is a bit-exact no-op (`±0.0` round to
-        // themselves). Gap-free planes already rounded during their copy.
-        if !gap_free {
-            round_to_f16_slice(t);
         }
+        // One branchless whole-slab rounding pass: long enough to
+        // auto-vectorise (per-row rounding of narrow maps pays the vector
+        // prologue every few dozen elements), and re-rounding the padding
+        // zeros is a bit-exact no-op (`±0.0` round to themselves).
+        round_to_f16_slice(t);
     }
 }
 
@@ -495,6 +518,7 @@ mod tests {
     use crate::plan::ConvPlan;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Barrier;
 
     fn shfl_weights(rng: &mut StdRng, m: usize, k: usize, v: usize, density: f64) -> ShflBwMatrix {
         let groups = m / v;
@@ -578,6 +602,90 @@ mod tests {
         let plan = ImplicitConvPlan::build(&arch, &weights, &p).unwrap();
         let bad = Tensor4::zeros(1, p.in_channels, p.input_h, p.input_w);
         assert!(plan.execute(&bad).is_err());
+    }
+
+    /// A plan sized past the fan-out threshold (batch 3 splits unevenly over
+    /// two workers), its input, and the im2col oracle's output.
+    fn fan_out_case(seed: u64) -> (ImplicitConvPlan, Tensor4, Tensor4) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = Conv2dParams {
+            batch: 3,
+            in_channels: 16,
+            out_channels: 16,
+            input_h: 12,
+            input_w: 12,
+            ..params()
+        };
+        let (m, _, k) = p.implicit_gemm_shape();
+        let weights = shfl_weights(&mut rng, m, k, 4, 0.5);
+        let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
+        let arch = GpuArch::a100();
+        let plan = ImplicitConvPlan::build(&arch, &weights, &p).unwrap();
+        let (want, _) = ConvPlan::shfl_bw(&arch, &weights, &p)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
+        (plan, input, want)
+    }
+
+    fn assert_same_bits(got: &Tensor4, want: &Tensor4) {
+        assert_eq!(got.shape(), want.shape());
+        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    fn scratch_is_untouched(t: &[f32]) -> bool {
+        t.iter().all(|&v| v == 0.0)
+    }
+
+    #[test]
+    fn a_poisoned_scratch_lock_is_recovered_and_reused() {
+        let (plan, input, want) = fan_out_case(41);
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = plan.scratch.lock().unwrap();
+                panic!("poison the scratch lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && plan.scratch.is_poisoned());
+        let (got, _) = plan.execute(&input).unwrap();
+        assert_same_bits(&got, &want);
+        let t = plan.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(!scratch_is_untouched(&t), "execute must reuse the scratch");
+    }
+
+    #[test]
+    fn concurrent_executes_use_the_scratch_and_the_fallback_bit_identically() {
+        let (plan, input, want) = fan_out_case(43);
+        let held = Barrier::new(2);
+        let fallback_done = Barrier::new(2);
+        std::thread::scope(|s| {
+            // The scratch holder executes only after the other thread's
+            // execute has finished on a fresh buffer.
+            let holder = s.spawn(|| {
+                let guard = plan.scratch.lock().unwrap();
+                held.wait();
+                fallback_done.wait();
+                assert!(
+                    scratch_is_untouched(&guard),
+                    "contended execute used the scratch"
+                );
+                drop(guard);
+                plan.execute(&input).unwrap().0
+            });
+            held.wait();
+            let fallback = plan.execute(&input);
+            fallback_done.wait();
+            assert_same_bits(&fallback.unwrap().0, &want);
+            assert_same_bits(&holder.join().unwrap(), &want);
+        });
+        let t = plan.scratch.lock().unwrap();
+        assert!(
+            !scratch_is_untouched(&t),
+            "uncontended execute must use the scratch"
+        );
     }
 
     #[test]

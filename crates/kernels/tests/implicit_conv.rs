@@ -1,7 +1,7 @@
 //! Property tests: the implicit-GEMM conv plan is **bit-identical** to the
 //! retained im2col oracle across stride / padding / dilation / kernel
-//! geometries, including 1×1 (merged-row sweep), non-square inputs and
-//! non-square kernels.
+//! geometries, including 1×1 (merged-row sweep), non-square inputs,
+//! non-square kernels and batches large enough to execute image-parallel.
 
 use gpu_sim::GpuArch;
 use rand::rngs::StdRng;
@@ -115,6 +115,34 @@ fn implicit_conv_matches_oracle_for_1x1_and_non_square_kernels() {
             dilation,
         };
         assert_bit_identical(&p, 0.5, 200 + i as u64);
+    }
+}
+
+#[test]
+fn implicit_conv_matches_oracle_when_images_fan_out() {
+    // Sized past the fan-out threshold, so execute splits the images over
+    // worker threads: batch 3 splits unevenly over two workers, batch 5 runs
+    // a merged gap-free 1×1, and the stride-2 map (OW = 7) sweeps
+    // lane-padded rows that read each image slab's own slack.
+    let cases = [
+        (3, 16, 12, 3, 1, 1),
+        (5, 64, 10, 1, 1, 0),
+        (2, 32, 14, 3, 2, 1),
+    ];
+    for (i, (batch, in_channels, hw, kernel, stride, padding)) in cases.into_iter().enumerate() {
+        let p = Conv2dParams {
+            batch,
+            in_channels,
+            out_channels: 16,
+            input_h: hw,
+            input_w: hw,
+            kernel_h: kernel,
+            kernel_w: kernel,
+            stride,
+            padding,
+            dilation: 1,
+        };
+        assert_bit_identical(&p, 0.5, 400 + i as u64);
     }
 }
 

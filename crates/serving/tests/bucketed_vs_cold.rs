@@ -219,6 +219,14 @@ fn scheduler_fanout_preserves_bit_identity_per_request() {
         assert_eq!(bits(out), bits(oracle), "request {}", resp.id);
     }
     // Mixed widths over a handful of buckets: the trace must be hit-dominated.
+    // A cold lookup that joins another worker's in-flight build of the same
+    // plan counts as a miss, so how many lookups miss depends on the thread
+    // schedule; how many lookups build a plan does not.
     let stats = engine.cache_stats();
-    assert!(stats.hit_rate() > 0.8, "hit rate {:.2}", stats.hit_rate());
+    let built = stats.misses - stats.shared_builds;
+    let lookups = stats.hits + stats.misses;
+    assert!(
+        (built as f64) < 0.2 * lookups as f64,
+        "{built} of {lookups} lookups built a plan"
+    );
 }
