@@ -43,7 +43,8 @@
 //!    slice of the group accumulator, fills and fp16-rounds the slab, then
 //!    sweeps every weight group over it. No element's accumulation order
 //!    depends on the split, so the output is the same bit for bit on any
-//!    thread count. A batch-1 execute runs on one core.
+//!    thread count. A batch-1 execute stages its channel planes in parallel
+//!    but sweeps on one core.
 //!
 //! The retained im2col path stays as the **bit-identical oracle**: the plan
 //! mirrors the stitched [`crate::plan::SpmmPlan`] panel structure (same `V×tk`
@@ -316,7 +317,8 @@ impl ImplicitConvPlan {
     /// Executes the prepared convolution against one input feature map.
     ///
     /// One fan-out over images (see the module docs): each task fills and
-    /// sweeps its own image, so a batch-1 call runs on one core.
+    /// sweeps its own image. A batch-1 call fills its channel planes in
+    /// parallel and sweeps on one core.
     ///
     /// # Errors
     ///
@@ -367,14 +369,22 @@ impl ImplicitConvPlan {
             .zip(out.as_mut_slice().chunks_exact_mut(self.m * oh * ow))
             .zip(tile.chunks_exact_mut(tile_len))
             .collect();
-        // One image's sweep MACs: every packed tap times `V` rows times the
-        // columns its blocks sweep.
-        let work = self.tap_offs.len() * self.v * self.block_width_padded * self.blocks_per_image;
-        parallel::par_chunks_mut_weighted(&mut jobs, 1, work, |b, job| {
-            let ((t, out), tile) = &mut job[0];
-            self.fill_image(input, b, &mut t[..self.image_len]);
-            self.sweep_image(t, out, tile);
-        });
+        if let [((t, planes), tile)] = jobs.as_mut_slice() {
+            // A lone image leaves no images to fan out over: its channel
+            // planes are staged in parallel instead, then swept on this core.
+            self.fill_image(input, 0, &mut t[..self.image_len], true);
+            self.sweep_image(t, planes, tile);
+        } else {
+            // One image's sweep MACs: every packed tap times `V` rows times
+            // the columns its blocks sweep.
+            let work =
+                self.tap_offs.len() * self.v * self.block_width_padded * self.blocks_per_image;
+            parallel::par_chunks_mut_weighted(&mut jobs, 1, work, |b, job| {
+                let ((t, planes), tile) = &mut job[0];
+                self.fill_image(input, b, &mut t[..self.image_len], false);
+                self.sweep_image(t, planes, tile);
+            });
+        }
         Ok((out, self.profile.clone()))
     }
 
@@ -474,36 +484,48 @@ impl ImplicitConvPlan {
     /// zeroed (at build for the pooled scratch, at allocation for the
     /// fallback) and every valid position is overwritten on every call, so
     /// no per-call clear is needed.
-    fn fill_image(&self, input: &Tensor4, b: usize, t: &mut [f32]) {
+    ///
+    /// With `split_planes` the channel planes are staged in parallel (a
+    /// batch-1 execute has no other images to spread over the cores);
+    /// otherwise the caller's thread stages the whole slab.
+    fn fill_image(&self, input: &Tensor4, b: usize, t: &mut [f32], split_planes: bool) {
         let p = &self.params;
+        let plane_len = self.hpad * self.wrow;
+        let run = if split_planes { plane_len } else { t.len() };
         if p.stride == 1 && p.padding == 0 {
             // Gap-free geometry (`hpad = H`, `wrow = W`): the transform is the
-            // identity on the image's contiguous NCHW planes, one fused
+            // identity on the image's contiguous NCHW planes, a fused
             // copy+round pass.
-            round_to_f16_into(t, &input.as_slice()[b * t.len()..][..t.len()]);
+            let src = &input.as_slice()[b * t.len()..][..t.len()];
+            parallel::par_chunks_mut(t, run, |i, dst| {
+                round_to_f16_into(dst, &src[i * run..][..dst.len()]);
+            });
             return;
         }
         let (hpad, wrow, lphi, st) = (self.hpad, self.wrow, self.lphi, p.stride);
         let px0 = p.padding;
         let px1 = (p.padding + p.input_w).min(wrow);
-        for (c, plane) in t.chunks_exact_mut(hpad * wrow).enumerate() {
-            for iy in 0..p.input_h {
-                let py = iy + p.padding;
-                if py >= hpad {
-                    break; // rows the output never reads are cropped
-                }
-                let in_row = input.plane_row(b, c, iy);
-                let row = &mut plane[py * wrow..(py + 1) * wrow];
-                if st == 1 {
-                    // Phase-split collapses to the identity at stride 1.
-                    row[px0..px1].copy_from_slice(&in_row[..px1 - px0]);
-                } else {
-                    for px in px0..px1 {
-                        row[px % st * lphi + px / st] = in_row[px - p.padding];
+        parallel::par_chunks_mut(t, run, |i, dst| {
+            let c0 = i * run / plane_len;
+            for (j, plane) in dst.chunks_exact_mut(plane_len).enumerate() {
+                for iy in 0..p.input_h {
+                    let py = iy + p.padding;
+                    if py >= hpad {
+                        break; // rows the output never reads are cropped
+                    }
+                    let in_row = input.plane_row(b, c0 + j, iy);
+                    let row = &mut plane[py * wrow..(py + 1) * wrow];
+                    if st == 1 {
+                        // Phase-split collapses to the identity at stride 1.
+                        row[px0..px1].copy_from_slice(&in_row[..px1 - px0]);
+                    } else {
+                        for px in px0..px1 {
+                            row[px % st * lphi + px / st] = in_row[px - p.padding];
+                        }
                     }
                 }
             }
-        }
+        });
         // One branchless whole-slab rounding pass: long enough to
         // auto-vectorise (per-row rounding of narrow maps pays the vector
         // prologue every few dozen elements), and re-rounding the padding

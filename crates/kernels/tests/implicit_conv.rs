@@ -123,11 +123,15 @@ fn implicit_conv_matches_oracle_when_images_fan_out() {
     // Sized past the fan-out threshold, so execute splits the images over
     // worker threads: batch 3 splits unevenly over two workers, batch 5 runs
     // a merged gap-free 1×1, and the stride-2 map (OW = 7) sweeps
-    // lane-padded rows that read each image slab's own slack.
+    // lane-padded rows that read each image slab's own slack. The batch-1
+    // maps are large enough that their channel planes are staged in
+    // parallel (a padded 3×3 and a gap-free 1×1).
     let cases = [
         (3, 16, 12, 3, 1, 1),
         (5, 64, 10, 1, 1, 0),
         (2, 32, 14, 3, 2, 1),
+        (1, 32, 64, 3, 1, 1),
+        (1, 64, 48, 1, 1, 0),
     ];
     for (i, (batch, in_channels, hw, kernel, stride, padding)) in cases.into_iter().enumerate() {
         let p = Conv2dParams {

@@ -341,8 +341,7 @@ pub struct ServerStats {
     /// Per-completion records in completion order — the source of the
     /// per-class percentiles. A sliding window of the most recent
     /// completions (capped at 65536 records), so a long-lived server's
-    /// stats stay bounded; the counters above remain exact forever. A
-    /// response's record is logged before its ticket resolves.
+    /// stats stay bounded; the counters above remain exact forever.
     pub completions: Vec<Completion>,
     /// The replica tier's aggregate stats plane — per-replica health and
     /// load plus the set-wide failover/hedging/shedding counters. `None`
@@ -629,12 +628,14 @@ struct Recorder {
 }
 
 impl Recorder {
-    /// Appends one response's record to the sliding completion window.
-    fn log_completion(&mut self, completion: Completion) {
+    /// Counts one delivered response and appends its record to the sliding
+    /// completion window.
+    fn record_completion(&mut self, completion: Completion) {
         if self.completions.len() == COMPLETION_LOG_CAP {
             self.completions.pop_front();
         }
         self.completions.push_back(completion);
+        self.completed += 1;
     }
 }
 
@@ -1306,23 +1307,19 @@ impl ServerCore {
                 }
             })
             .collect();
-        // Log the records **before** fulfilling the tickets, so a caller
-        // that reads `stats()` once its ticket resolves finds its record.
-        {
-            let mut rec = self.recorder.lock().expect("recorder poisoned");
-            for record in records {
-                rec.log_completion(record);
-            }
-        }
         // Fulfil the tickets **before** advancing `completed`: `drain`
         // treats `completed == submitted` as "every ticket delivered", so a
         // concurrent worker's increment must never let a drain return while
         // this group's responses are still undelivered.
-        let delivered = members.len() as u64;
         for (pending, response) in members.into_iter().zip(responses) {
             pending.slot.fulfil(response);
         }
-        self.recorder.lock().expect("recorder poisoned").completed += delivered;
+        {
+            let mut rec = self.recorder.lock().expect("recorder poisoned");
+            for record in records {
+                rec.record_completion(record);
+            }
+        }
         self.idle_cv.notify_all();
     }
 

@@ -92,9 +92,6 @@ fn staggered_submissions_are_bit_identical_to_direct_execution() {
             let want_bits: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(got_bits, want_bits, "seed {seed} request {}", response.id);
             assert!(response.service_ms >= 0.0);
-            // A resolved ticket's completion record is already logged.
-            let logged = server.stats().completions;
-            assert!(logged.iter().any(|c| c.id == response.id));
         }
         // Counters advance after ticket delivery; drain waits for them.
         server.drain();
