@@ -227,5 +227,9 @@ fn scheduler_fanout_preserves_bit_identity_per_request() {
     // two depends on the thread schedule; the number of builds does not.
     let stats = engine.cache_stats();
     assert_eq!(stats.hits + stats.misses, 20, "one lookup per request");
-    assert_eq!(stats.misses - stats.shared_builds, 3, "plans built: {stats:?}");
+    assert_eq!(
+        stats.misses - stats.shared_builds,
+        3,
+        "plans built: {stats:?}"
+    );
 }
