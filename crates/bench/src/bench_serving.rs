@@ -160,7 +160,7 @@ pub struct ServingBenchResult {
 }
 
 /// Numbers of the decode-session sub-trace: many concurrent autoregressive
-/// sequences decoded through [`shfl_serving::SessionManager`]'s
+/// sequences decoded through [`shfl_serving::session::SessionManager`]'s
 /// iteration-level interleave loop (every live sequence contributes one
 /// column per round; same-stage columns coalesce into one fused sweep),
 /// with mid-trace eviction pressure and resumption, against a serial

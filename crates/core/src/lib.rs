@@ -17,7 +17,7 @@
 //!   tile-transposed weight packing consumed by the prepared kernel plans in
 //!   `shfl-kernels` (the plan/execute split's static operand),
 //! * [`tiling`] — threadblock tile configurations shared with the simulated kernels,
-//! * [`f16`] — the software fp16 rounding shared by the MMA model and the
+//! * [`f16`](mod@f16) — the software fp16 rounding shared by the MMA model and the
 //!   [`matrix::DenseMatrix::as_f16_rounded`] whole-matrix pre-pass,
 //! * [`parallel`] — the fork-join chunk helper the blocked kernels use to spread
 //!   output row-tiles across cores (gated on the default `parallel` feature).

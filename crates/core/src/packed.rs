@@ -4,16 +4,16 @@
 //! and amortise that work across every inference call (EIE's compressed weight
 //! layout, NVIDIA's pre-transformed 2:4 metadata). [`PackedPanels`] is that
 //! one-time product for the simulated kernels in `shfl-kernels`: the weight
-//! operand is rounded through fp16, transposed into the exact tile layout the
-//! blocked fragment engine stages per call, and laid out contiguously in
-//! execution order. A prepared kernel plan then walks the panels with zero
-//! per-call gathering, transposition or rounding of the static operand.
+//! operand is rounded through fp16, transposed into the tile layout the panel
+//! sweep reads, and laid out contiguously in execution order. A prepared
+//! kernel plan then walks the panels with zero per-call gathering,
+//! transposition or rounding of the static operand.
 //!
 //! Three packings cover every kernel family:
 //!
 //! * [`PackedPanels::pack_dense_rows`] — dense row-panels for the tensor-core
 //!   GEMM (and conv im2col weights): per output row-tile, per reduction slice,
-//!   the `rows × kk` A-fragment the blocked engine would stage.
+//!   the `rows × kk` A-fragment of one MMA step.
 //! * [`PackedPanels::pack_vector_wise`] — pre-stitched `V × tk` group panels
 //!   for the vector-wise / Shfl-BW / balanced-style stitched kernels: the
 //!   transposed weight tile of every `T_K` step of every row group.
@@ -51,8 +51,7 @@ pub struct PackedPanels {
 impl PackedPanels {
     /// Packs a dense weight matrix into row-panels: per row-tile of
     /// `tile_rows` rows, per reduction slice of `tile_k` columns, one
-    /// `rows × kk` fragment (shortened at the boundary, exactly like the
-    /// blocked engine's staging).
+    /// `rows × kk` fragment (shortened at the boundary).
     ///
     /// # Panics
     ///
@@ -195,66 +194,6 @@ impl PackedPanels {
             packed.chunk_ptr.push(packed.panel_ptr.len() - 1);
         }
         packed
-    }
-
-    /// Pads every panel narrower than `tk` reduction columns out to exactly
-    /// `tk`, in place, with zero-valued weight columns — the *k-padding to
-    /// tile targets* of the implicit-GEMM conv plans, which want every panel
-    /// step at the full tile depth so one tap-offset table stride covers the
-    /// whole sweep. Returns the number of panels that were widened.
-    ///
-    /// Padding with **zero weights is bit-identical** to stopping the sweep
-    /// at the original `kk`, provided the caller points the padded taps at
-    /// any in-bounds, finite operand values (offset 0 is conventional): the
-    /// fused kernels reduce each output partial from `+0.0` in ascending
-    /// `k`, a `+0.0` weight times any finite operand is `±0.0`, and adding
-    /// `±0.0` to the running partial never changes its bits — the partial
-    /// can never itself be `-0.0` (it starts at `+0.0`, and IEEE-754
-    /// round-to-nearest-even exact cancellation yields `+0.0`), and
-    /// `x + ±0.0 == x` bitwise for every other value.
-    ///
-    /// Panel indices, chunk boundaries and panel row counts are unchanged;
-    /// only the padded panels' `kk` (and the value buffer layout) change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tk` is zero.
-    pub fn pad_panels_to(&mut self, tk: usize) -> usize {
-        assert!(tk > 0, "tk must be non-zero");
-        if self.panel_dims.iter().all(|&(_, kk)| kk as usize >= tk) {
-            return 0;
-        }
-        let mut data = Vec::with_capacity(
-            self.panel_dims
-                .iter()
-                .map(|&(rows, kk)| rows as usize * (kk as usize).max(tk))
-                .sum(),
-        );
-        let mut panel_ptr = Vec::with_capacity(self.panel_ptr.len());
-        panel_ptr.push(0);
-        let mut panel_dims = Vec::with_capacity(self.panel_dims.len());
-        let mut widened = 0;
-        for panel in 0..self.num_panels() {
-            let (values, rows, kk) = self.panel(panel);
-            if kk >= tk {
-                data.extend_from_slice(values);
-                panel_dims.push((rows as u32, kk as u32));
-            } else {
-                let base = data.len();
-                data.resize(base + rows * tk, 0.0);
-                for r in 0..rows {
-                    data[base + r * tk..base + r * tk + kk]
-                        .copy_from_slice(&values[r * kk..(r + 1) * kk]);
-                }
-                panel_dims.push((rows as u32, tk as u32));
-                widened += 1;
-            }
-            panel_ptr.push(data.len());
-        }
-        self.data = data;
-        self.panel_ptr = panel_ptr;
-        self.panel_dims = panel_dims;
-        widened
     }
 
     fn with_panel_rows(panel_rows: usize) -> Self {
@@ -404,47 +343,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn k_padding_widens_short_panels_with_zero_columns_only() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let dense = DenseMatrix::from_fn(12, 22, |r, c| {
-            if (c + r / 4) % 3 == 0 {
-                rng.gen_range(-1.0f32..1.0)
-            } else {
-                0.0
-            }
-        });
-        let vw = VectorWiseMatrix::from_dense(&dense, 4).unwrap();
-        let tk = 16;
-        let original = PackedPanels::pack_vector_wise(&vw, tk);
-        let mut padded = original.clone();
-        let widened = padded.pad_panels_to(tk);
-        assert!(
-            widened > 0,
-            "a 22-col pattern must leave a short tail panel"
-        );
-        assert_eq!(padded.num_panels(), original.num_panels());
-        assert_eq!(padded.num_chunks(), original.num_chunks());
-        for panel in 0..original.num_panels() {
-            let (orig_values, orig_rows, orig_kk) = original.panel(panel);
-            let (pad_values, pad_rows, pad_kk) = padded.panel(panel);
-            assert_eq!(pad_rows, orig_rows);
-            assert_eq!(pad_kk, tk, "every panel must reach the tile depth");
-            for r in 0..orig_rows {
-                // Original columns preserved bit-for-bit, tail exactly +0.0.
-                assert_eq!(
-                    &pad_values[r * pad_kk..r * pad_kk + orig_kk],
-                    &orig_values[r * orig_kk..(r + 1) * orig_kk]
-                );
-                for &pad in &pad_values[r * pad_kk + orig_kk..(r + 1) * pad_kk] {
-                    assert_eq!(pad.to_bits(), 0.0f32.to_bits());
-                }
-            }
-        }
-        // Idempotent once everything is at depth.
-        assert_eq!(padded.pad_panels_to(tk), 0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod stats;
 pub mod timing;
 
 pub use arch::{GpuArch, GpuGeneration};
-pub use mma::{MmaShape, RegCascade};
+pub use mma::MmaShape;
 pub use pipeline::{PipelineConfig, PipelineModel};
 pub use simd::SimdTier;
 pub use stats::{ComputeUnit, KernelStats};

@@ -2,44 +2,33 @@
 //!
 //! The paper's kernels are built around the Volta/Turing/Ampere half-precision MMA
 //! instruction with granularity `M/N/K = 16/8/16` (§2.1). This module provides the
-//! fragment shapes and the warp-level MMA building blocks used by the simulated
-//! kernels in `shfl-kernels`. Operands are stored as `f32` in the simulator but can
-//! be rounded through fp16 on the way in to mimic half-precision inputs with fp32
-//! accumulation.
+//! fragment shapes and the two MMA entry points of the simulated kernels in
+//! `shfl-kernels`. Operands are stored as `f32` in the simulator but can be rounded
+//! through fp16 on the way in to mimic half-precision inputs with fp32 accumulation.
 //!
-//! The execution model is split the way the blocked kernels consume it:
+//! * [`warp_mma`] — one complete, padded fragment MMA with optional fp16 rounding:
+//!   the building block of the naive oracles in `shfl_kernels::reference`.
+//!   Rounding is hoisted out of the `m·n·k` inner loop by pre-rounding each
+//!   operand fragment once — bit-identical to rounding every element at its point
+//!   of use, because the conversion is element-wise.
+//! * [`mma_sweep`] — the one production panel sweep every prepared plan runs: a
+//!   packed `rows × kk` weight panel times the `kk` operand rows its metadata
+//!   names, accumulated into full-width output rows over a list of column
+//!   [`SegmentSpan`]s. Reduction step `p` reads the operand row that starts at
+//!   `offs[p]·scale`, which covers every kernel: consecutive rows (dense and
+//!   block panels), gathered rows (the stitched vector-wise / Shfl-BW panels and
+//!   CSR rows) and per-tap element offsets into a padded input transform (the
+//!   implicit-GEMM convolution, `scale = 1`). It dispatches to the active
+//!   [`crate::simd`] tier.
 //!
-//! * [`warp_mma`] — the boundary-tolerant entry point: complete, padded fragments
-//!   with optional fp16 rounding. Rounding is hoisted out of the `m·n·k` inner loop
-//!   by pre-rounding each operand fragment once — bit-identical to rounding every
-//!   element at its point of use, because the conversion is element-wise.
-//! * [`warp_mma_prerounded`] — the same arithmetic for operands that were already
-//!   rounded (e.g. by [`shfl_core::matrix::DenseMatrix::as_f16_rounded`]); no
-//!   rounding, no padding logic.
-//! * [`mma_row_block`] — the interior fast path: a staged `rows×kk` A-fragment
-//!   times `kk` full-width rows of a pre-rounded B, accumulated into full-width
-//!   output rows via contiguous-slice AXPY sweeps. No padding checks, no rounding,
-//!   and the innermost loop runs over whole rows so it vectorises.
-//! * [`mma_row_block_reg`] / [`mma_row_block_fused_acc`] — the prepared-plan
-//!   microkernels: the same arithmetic with output chunks held in vector
-//!   registers across the whole panel reduction (and, for the fused variant,
-//!   the partial-tile zero/add sweeps of the stitched kernels folded in).
-//!   Bit-identical to their cold counterparts; the packed panel layout of
-//!   `shfl-kernels`' plans is what makes the whole reduction available per call.
-//! * [`mma_row_block_reg_segments`] / [`mma_row_block_fused_acc_segments`] /
-//!   [`mma_row_block_gather_fused_acc_segments`] — the fused multi-segment
-//!   sweeps: one A-panel applied to several output-column [`SegmentSpan`]s of
-//!   a full-width operand in a single call, so a serving engine that splits a
-//!   wide request into bucket segments reads each packed weight panel **once**
-//!   instead of once per segment. Each element's `k` contributions still
-//!   arrive in ascending order, so the fused sweep is bit-identical to the
-//!   per-segment calls.
-//!
-//! All three accumulate each output element in ascending-`k` order with a single
-//! `f32` accumulator, so any decomposition of a GEMM into these calls that visits
-//! `k` in ascending order produces bit-identical results.
+//! Both accumulate each output element in ascending-`k` order with a single `f32`
+//! accumulator, so any decomposition of a GEMM into these calls that visits `k` in
+//! ascending order produces bit-identical results.
 
 pub use shfl_core::f16::round_to_f16;
+
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{x86, SimdTier};
 
 /// Tensor-core MMA instruction shapes relevant to the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,7 +103,7 @@ const MAX_FRAGMENT: usize = 16 * 16;
 /// Performs one warp-level MMA: `c[m×n] += a[m×k] · b[k×n]`, all row-major dense
 /// fragments, with operands optionally rounded through fp16 and accumulation in f32.
 ///
-/// This is the boundary-path entry point of the functional kernels: callers stage
+/// This is the entry point of the naive reference kernels: callers stage
 /// complete (zero-padded) fragments and invoke it per `mma.sync`. When
 /// `round_operands_to_f16` is set, each operand fragment is pre-rounded once into a
 /// stack buffer before the multiply loops — the fp16 conversion is element-wise, so
@@ -147,20 +136,6 @@ pub fn warp_mma(shape: MmaShape, a: &[f32], b: &[f32], c: &mut [f32], round_oper
     }
 }
 
-/// Warp-level MMA on operands that are already fp16-rounded (or intentionally kept
-/// in f32): `c[m×n] += a[m×k] · b[k×n]` with f32 accumulation and no rounding.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the fragment dimensions.
-pub fn warp_mma_prerounded(shape: MmaShape, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let (m, n, k) = (shape.m(), shape.n(), shape.k());
-    assert_eq!(a.len(), m * k, "A fragment must be m*k elements");
-    assert_eq!(b.len(), k * n, "B fragment must be k*n elements");
-    assert_eq!(c.len(), m * n, "C fragment must be m*n elements");
-    mma_loops(a, b, c, m, n, k);
-}
-
 /// The shared multiply-accumulate loops: ascending-`k` accumulation per output
 /// element, one f32 accumulator each.
 #[inline]
@@ -176,57 +151,155 @@ fn mma_loops(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) 
     }
 }
 
-/// Interior fast path of the blocked kernels: multiplies a staged, pre-rounded
-/// `rows × kk` A-fragment by `kk` consecutive full-width rows of a pre-rounded B
-/// operand, accumulating into `rows` full-width output rows:
-/// `c[rows×width] += a[rows×kk] · b[kk×width]`.
+/// One output-column span of a sweep: columns `start .. start + width` of the
+/// output and operand rows, which are stored with the sweep's row stride.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentSpan {
+    /// First column of the span inside the full-width rows.
+    pub start: usize,
+    /// Number of columns the span covers.
+    pub width: usize,
+}
+
+impl SegmentSpan {
+    /// First column past the span.
+    fn end(&self) -> usize {
+        self.start + self.width
+    }
+}
+
+/// The panel sweep of every prepared kernel: one `rows × kk` weight panel `a`
+/// (row-major, `kk = offs.len()`) applied to the columns `j` of every span in
+/// `spans`, for every output row `r`:
 ///
-/// There are no padding checks and no rounding — boundary tiles simply pass
-/// shortened `rows`/`kk` (zero-padding a fragment and running the full loops adds
-/// only exact zeros, so both conventions are bit-identical). The innermost loop is
-/// a contiguous-slice AXPY over `width` elements, which the compiler vectorises;
-/// per output element the `k` contributions still arrive in ascending order, so a
-/// k-ascending sequence of `mma_row_block` calls matches [`warp_mma`] bit for bit.
+/// `c[r·stride + j] ⊕= Σₚ a[r·kk + p] · b[offs[p]·scale + j]`
+///
+/// Reduction step `p` reads the operand row that starts at `offs[p]·scale`.
+/// Dense and block panels pass ascending row numbers and stitched panels and
+/// CSR rows pass their kept column indices, all with `scale` equal to the
+/// operand's row stride; the implicit-GEMM convolution passes per-tap element
+/// offsets with `scale = 1` into a `b` that starts at its output block.
+///
+/// `LOAD_C` selects the accumulate mode. With `LOAD_C = true` each element
+/// starts from its value in `c` and takes the products one by one; with
+/// `LOAD_C = false` the products are summed from `+0.0` and the finished
+/// partial is added to `c` once (the stitched kernels' per-step partial tile).
+/// The two round differently. Either way an element's `kk` products arrive in
+/// ascending `p` order through one `f32` with a separate multiply and add, so
+/// every SIMD tier, chunk width and span split gives the same bits. Spans are
+/// swept one after another, so each span's operand columns stay cache-resident
+/// across all `rows` output rows. A call with `kk = 0` leaves `c` untouched.
 ///
 /// # Panics
 ///
-/// Panics if the slices do not match the stated dimensions
-/// (`a.len() == rows*kk`, `b.len() == kk*width`, `c.len() == rows*width`).
-pub fn mma_row_block(a: &[f32], rows: usize, kk: usize, b: &[f32], c: &mut [f32], width: usize) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b.len(), kk * width, "B block must be kk*width elements");
-    assert_eq!(c.len(), rows * width, "C block must be rows*width elements");
-    if rows == 0 || kk == 0 || width == 0 {
+/// Panics if `a.len() != rows·kk` or `c.len() != rows·stride`, if a span
+/// reaches past `stride`, or if an operand row a span reads reaches past `b`.
+/// These checks are what make the vector tiers' unchecked reads sound.
+#[allow(clippy::too_many_arguments)] // a panel, its operand rows and its output spans
+pub fn mma_sweep<const LOAD_C: bool>(
+    a: &[f32],
+    rows: usize,
+    b: &[f32],
+    offs: &[u32],
+    scale: usize,
+    c: &mut [f32],
+    stride: usize,
+    spans: &[SegmentSpan],
+) {
+    let kk = offs.len();
+    assert_eq!(a.len(), rows * kk, "A panel must be rows*kk elements");
+    assert_eq!(
+        c.len(),
+        rows * stride,
+        "C block must be rows*stride elements"
+    );
+    let mut reach = 0;
+    for span in spans {
+        assert!(
+            span.end() <= stride,
+            "span {}..{} exceeds the row stride {stride}",
+            span.start,
+            span.end()
+        );
+        reach = reach.max(span.end());
+    }
+    if rows == 0 || kk == 0 || reach == 0 {
         return;
     }
-    for (a_row, c_row) in a.chunks_exact(kk).zip(c.chunks_exact_mut(width)) {
-        for (p, &av) in a_row.iter().enumerate() {
-            let b_row = &b[p * width..(p + 1) * width];
-            for (o, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *o += av * bv;
+    for &off in offs {
+        let row_end = (off as usize)
+            .checked_mul(scale)
+            .and_then(|start| start.checked_add(reach));
+        assert!(
+            row_end.is_some_and(|end| end <= b.len()),
+            "operand row at offset {off} (scale {scale}) reaches past the operand"
+        );
+    }
+    let tier = crate::simd::active_tier();
+    for span in spans {
+        let (start, end) = (span.start, span.end());
+        for (a_row, c_row) in a.chunks_exact(kk).zip(c.chunks_exact_mut(stride)) {
+            match tier {
+                // SAFETY: checked above: every operand row a span reads ends at
+                // `offs[p]·scale + end <= b.len()`, `end <= stride ==
+                // c_row.len()` and `a_row.len() == offs.len()`; the tier is only
+                // returned when the CPU supports its feature.
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx2 => unsafe {
+                    x86::span_avx2::<LOAD_C>(a_row, b, offs, scale, c_row, start, end)
+                },
+                // SAFETY: same bounds; SSE2 is baseline on x86-64.
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Sse2 => unsafe {
+                    x86::span_sse2::<LOAD_C>(a_row, b, offs, scale, c_row, start, end)
+                },
+                _ => span_scalar::<LOAD_C>(a_row, b, offs, scale, c_row, start, end),
             }
         }
     }
 }
 
-/// Processes all full `BLK`-wide output chunks of one row for the
-/// register-blocked microkernels, covering columns `j0 .. end` of a row whose
-/// memory stride is `stride` (the single-segment kernels pass
-/// `stride == end == width`; the multi-segment kernels sweep one segment's
-/// column span of a wider row). Returns the first unprocessed column. The
-/// chunk is held in vector registers across the whole `kk` reduction (wide
-/// chunks give the superscalar units several independent accumulation
-/// chains), loaded once and stored once. `LOAD_C` selects whether the chunk
-/// starts from the existing `c` values (direct accumulation,
-/// [`mma_row_block_reg`]) or from `+0.0` with one add into `c` at the end (the
-/// fused partial of [`mma_row_block_fused_acc`]). Per output element the `kk`
-/// products are applied in ascending order either way.
-#[inline]
-fn reg_row_chunks<const BLK: usize, const LOAD_C: bool>(
+/// The scalar tier of [`mma_sweep`] for columns `start .. end` of one output
+/// row (and the bit-identity oracle of the vector tiers): register chunks of
+/// 64, 32, 16 and 8 columns, then a per-column tail.
+fn span_scalar<const LOAD_C: bool>(
     a_row: &[f32],
     b: &[f32],
+    offs: &[u32],
+    scale: usize,
     c_row: &mut [f32],
-    stride: usize,
+    start: usize,
+    end: usize,
+) {
+    let mut j0 = start;
+    j0 = chunks::<64, LOAD_C>(a_row, b, offs, scale, c_row, end, j0);
+    j0 = chunks::<32, LOAD_C>(a_row, b, offs, scale, c_row, end, j0);
+    j0 = chunks::<16, LOAD_C>(a_row, b, offs, scale, c_row, end, j0);
+    j0 = chunks::<8, LOAD_C>(a_row, b, offs, scale, c_row, end, j0);
+    for j in j0..end {
+        let mut part = if LOAD_C { c_row[j] } else { 0.0 };
+        for (&av, &off) in a_row.iter().zip(offs) {
+            part += av * b[off as usize * scale + j];
+        }
+        if LOAD_C {
+            c_row[j] = part;
+        } else {
+            c_row[j] += part;
+        }
+    }
+}
+
+/// Sweeps every full `BLK`-wide chunk of columns `j0 .. end`, holding the
+/// chunk in registers across the whole reduction (wide chunks give the
+/// superscalar units several independent accumulation chains), loaded or
+/// zeroed once and stored once. Returns the first column left over.
+#[inline]
+fn chunks<const BLK: usize, const LOAD_C: bool>(
+    a_row: &[f32],
+    b: &[f32],
+    offs: &[u32],
+    scale: usize,
+    c_row: &mut [f32],
     end: usize,
     mut j0: usize,
 ) -> usize {
@@ -235,9 +308,9 @@ fn reg_row_chunks<const BLK: usize, const LOAD_C: bool>(
         if LOAD_C {
             part.copy_from_slice(&c_row[j0..j0 + BLK]);
         }
-        for (p, &av) in a_row.iter().enumerate() {
-            let bs = &b[p * stride + j0..p * stride + j0 + BLK];
-            for (o, &bv) in part.iter_mut().zip(bs.iter()) {
+        for (&av, &off) in a_row.iter().zip(offs) {
+            let at = off as usize * scale + j0;
+            for (o, &bv) in part.iter_mut().zip(&b[at..at + BLK]) {
                 *o += av * bv;
             }
         }
@@ -245,754 +318,13 @@ fn reg_row_chunks<const BLK: usize, const LOAD_C: bool>(
         if LOAD_C {
             dst.copy_from_slice(&part);
         } else {
-            for (o, &p) in dst.iter_mut().zip(part.iter()) {
+            for (o, &p) in dst.iter_mut().zip(&part) {
                 *o += p;
             }
         }
         j0 += BLK;
     }
     j0
-}
-
-/// The register-block chunk cascade of the prepared microkernels: the widest
-/// output chunk the per-row sweep starts from, descending by halves to 8 and
-/// then a scalar tail.
-///
-/// Historically the cascade was a global 64 → 32 → 16 → 8 constant; the
-/// prepared kernel plans now select it **per N-bucket**
-/// ([`RegCascade::for_width`]), the same way they resolve their
-/// `LaunchConfig`: a plan serving a narrow bucket starts its sweep at the
-/// chunk width that can actually fill, instead of walking the failed
-/// wider-chunk guards on every row. The cascade only changes how output
-/// columns are grouped into register chunks — per output element the `kk`
-/// products still accumulate in ascending order through one `f32` — so every
-/// cascade is **bit-identical** (asserted by the unit tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegCascade {
-    /// Widest chunk tried (64, 32, 16 or 8).
-    largest: usize,
-}
-
-impl RegCascade {
-    /// The full 64 → 32 → 16 → 8 cascade (the historical global default).
-    pub const FULL: RegCascade = RegCascade { largest: 64 };
-
-    /// The cascade suited to operands of `width` columns: the widest chunk
-    /// that `width` can fill, floored at 8 so narrow tails still vectorise.
-    pub fn for_width(width: usize) -> Self {
-        let largest = match width {
-            w if w >= 64 => 64,
-            w if w >= 32 => 32,
-            w if w >= 16 => 16,
-            _ => 8,
-        };
-        RegCascade { largest }
-    }
-
-    /// The widest chunk this cascade starts from.
-    pub fn largest_chunk(&self) -> usize {
-        self.largest
-    }
-}
-
-impl Default for RegCascade {
-    fn default() -> Self {
-        RegCascade::FULL
-    }
-}
-
-/// One register-blocked column span of one row, dispatched to the active
-/// [`SimdTier`](crate::simd::SimdTier): the explicit AVX2 / SSE2 sweeps when
-/// the CPU supports them, the scalar cascade below otherwise. Covers columns
-/// `start .. end` of a row stored with memory stride `stride`. Every tier is
-/// bit-identical (the vector tiers only regroup independent output columns;
-/// per element the `kk` products still accumulate in ascending order with
-/// separate multiply and add), so the dispatch never changes a result.
-#[inline]
-fn reg_row_span<const LOAD_C: bool>(
-    a_row: &[f32],
-    b: &[f32],
-    c_row: &mut [f32],
-    stride: usize,
-    start: usize,
-    end: usize,
-    cascade: RegCascade,
-) {
-    match crate::simd::active_tier() {
-        // SAFETY: every caller guarantees `p * stride + end <= b.len()` for
-        // all `p < a_row.len()` and `end <= c_row.len()` (asserted by the
-        // public kernels); the tier is only returned when the CPU supports
-        // the feature.
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdTier::Avx2 => unsafe {
-            crate::simd::x86::plain_span_avx2::<LOAD_C>(a_row, b, stride, c_row, start, end)
-        },
-        // SAFETY: same bounds contract; SSE2 is baseline on x86-64.
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdTier::Sse2 => unsafe {
-            crate::simd::x86::plain_span_sse2::<LOAD_C>(a_row, b, stride, c_row, start, end)
-        },
-        _ => reg_row_span_scalar::<LOAD_C>(a_row, b, c_row, stride, start, end, cascade),
-    }
-}
-
-/// The scalar tier of [`reg_row_span`] (and the bit-identity oracle for the
-/// vector tiers): the cascade of chunk widths (starting at
-/// `cascade.largest_chunk()`, halving down to 8) followed by a scalar tail,
-/// so narrow operands still vectorise.
-#[inline]
-fn reg_row_span_scalar<const LOAD_C: bool>(
-    a_row: &[f32],
-    b: &[f32],
-    c_row: &mut [f32],
-    stride: usize,
-    start: usize,
-    end: usize,
-    cascade: RegCascade,
-) {
-    let mut j0 = start;
-    if cascade.largest >= 64 {
-        j0 = reg_row_chunks::<64, LOAD_C>(a_row, b, c_row, stride, end, j0);
-    }
-    if cascade.largest >= 32 {
-        j0 = reg_row_chunks::<32, LOAD_C>(a_row, b, c_row, stride, end, j0);
-    }
-    if cascade.largest >= 16 {
-        j0 = reg_row_chunks::<16, LOAD_C>(a_row, b, c_row, stride, end, j0);
-    }
-    j0 = reg_row_chunks::<8, LOAD_C>(a_row, b, c_row, stride, end, j0);
-    for (j, o) in c_row[..end].iter_mut().enumerate().skip(j0) {
-        let mut part = if LOAD_C { *o } else { 0.0 };
-        for (p, &av) in a_row.iter().enumerate() {
-            part += av * b[p * stride + j];
-        }
-        if LOAD_C {
-            *o = part;
-        } else {
-            *o += part;
-        }
-    }
-}
-
-/// One full register-blocked row (`stride == width`, the single-segment
-/// layout of [`mma_row_block_reg`] and [`mma_row_block_fused_acc`]).
-#[inline]
-fn reg_row<const LOAD_C: bool>(
-    a_row: &[f32],
-    b: &[f32],
-    c_row: &mut [f32],
-    width: usize,
-    cascade: RegCascade,
-) {
-    reg_row_span::<LOAD_C>(a_row, b, c_row, width, 0, width, cascade);
-}
-
-/// Register-blocked variant of [`mma_row_block`] for prepared plans:
-/// `c[rows×width] += a[rows×kk] · b[kk×width]` with each `REG_BLOCK`-wide
-/// output chunk loaded once, updated in registers across all `kk` reduction
-/// steps (ascending `k`, exactly like [`mma_row_block`]), and stored once.
-///
-/// Per output element the sequence of additions is identical to
-/// [`mma_row_block`] — only the memory traffic changes — so the two are
-/// bit-identical; the prepared plans use this one because their packed panels
-/// make the whole reduction of a tile available in one call.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions
-/// (`a.len() == rows*kk`, `b.len() == kk*width`, `c.len() == rows*width`).
-pub fn mma_row_block_reg(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    c: &mut [f32],
-    width: usize,
-) {
-    mma_row_block_reg_cascade(a, rows, kk, b, c, width, RegCascade::FULL);
-}
-
-/// [`mma_row_block_reg`] with an explicit per-bucket [`RegCascade`] (selected
-/// by the kernel plans alongside their launch configuration); bit-identical
-/// for every cascade.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions.
-pub fn mma_row_block_reg_cascade(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    c: &mut [f32],
-    width: usize,
-    cascade: RegCascade,
-) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b.len(), kk * width, "B block must be kk*width elements");
-    assert_eq!(c.len(), rows * width, "C block must be rows*width elements");
-    if rows == 0 || kk == 0 || width == 0 {
-        return;
-    }
-    for (a_row, c_row) in a.chunks_exact(kk).zip(c.chunks_exact_mut(width)) {
-        reg_row::<true>(a_row, b, c_row, width, cascade);
-    }
-}
-
-/// Fused stitched-step MMA for prepared plans: computes one step's partial
-/// product in register blocks — starting from `+0.0`, reducing ascending `k` —
-/// and adds each finished element into the group accumulator:
-/// `acc[rows×width] += (a[rows×kk] · b[kk×width])`.
-///
-/// This is bit-identical to the cold stitched kernels' three-sweep sequence
-/// (zero a partial tile, [`mma_row_block`] into it, add the tile into the
-/// accumulator): per output element the partial still accumulates its `kk`
-/// products in ascending order from `+0.0` and is then added to the
-/// accumulator exactly once. The fusion removes two full sweeps of memory
-/// traffic per step, which the prepared plans can exploit because their packed
-/// panels deliver the whole step in one call.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions
-/// (`a.len() == rows*kk`, `b.len() == kk*width`, `acc.len() == rows*width`).
-pub fn mma_row_block_fused_acc(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    acc: &mut [f32],
-    width: usize,
-) {
-    mma_row_block_fused_acc_cascade(a, rows, kk, b, acc, width, RegCascade::FULL);
-}
-
-/// [`mma_row_block_fused_acc`] with an explicit per-bucket [`RegCascade`];
-/// bit-identical for every cascade.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions.
-pub fn mma_row_block_fused_acc_cascade(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    acc: &mut [f32],
-    width: usize,
-    cascade: RegCascade,
-) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b.len(), kk * width, "B block must be kk*width elements");
-    assert_eq!(
-        acc.len(),
-        rows * width,
-        "acc block must be rows*width elements"
-    );
-    if rows == 0 || kk == 0 || width == 0 {
-        return;
-    }
-    for (a_row, acc_row) in a.chunks_exact(kk).zip(acc.chunks_exact_mut(width)) {
-        reg_row::<false>(a_row, b, acc_row, width, cascade);
-    }
-}
-
-/// Gather chunk sweep for [`mma_row_block_gather_fused_acc`]: like
-/// [`reg_row_chunks`] with `LOAD_C = false`, but the `kk` operand rows of `b`
-/// are addressed by index (`b_rows[p]`) instead of being consecutive. Covers
-/// columns `j0 .. end` of a row stored with memory stride `stride`.
-#[inline]
-fn reg_row_gather_chunks<const BLK: usize>(
-    a_row: &[f32],
-    b: &[f32],
-    b_rows: &[u32],
-    acc_row: &mut [f32],
-    stride: usize,
-    end: usize,
-    mut j0: usize,
-) -> usize {
-    while j0 + BLK <= end {
-        let mut part = [0.0f32; BLK];
-        for (&av, &col) in a_row.iter().zip(b_rows.iter()) {
-            let off = col as usize * stride + j0;
-            let bs = &b[off..off + BLK];
-            for (o, &bv) in part.iter_mut().zip(bs.iter()) {
-                *o += av * bv;
-            }
-        }
-        for (o, &p) in acc_row[j0..j0 + BLK].iter_mut().zip(part.iter()) {
-            *o += p;
-        }
-        j0 += BLK;
-    }
-    j0
-}
-
-/// One gathered register-blocked column span of one row (`reg_row_span` for
-/// the gather kernels), dispatched to the active SIMD tier exactly like
-/// [`reg_row_span`]; every tier is bit-identical.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the gather kernel + span bounds
-fn reg_row_gather_span(
-    a_row: &[f32],
-    b: &[f32],
-    b_rows: &[u32],
-    acc_row: &mut [f32],
-    stride: usize,
-    start: usize,
-    end: usize,
-    cascade: RegCascade,
-) {
-    match crate::simd::active_tier() {
-        // SAFETY: the public gather kernels assert
-        // `b_rows[p] as usize * stride + end <= b.len()` for every step and
-        // `end <= acc_row.len()`; the tier is only returned when the CPU
-        // supports the feature.
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdTier::Avx2 => unsafe {
-            crate::simd::x86::gather_span_avx2(a_row, b, b_rows, stride, acc_row, start, end)
-        },
-        // SAFETY: same bounds contract; SSE2 is baseline on x86-64.
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdTier::Sse2 => unsafe {
-            crate::simd::x86::gather_span_sse2(a_row, b, b_rows, stride, acc_row, start, end)
-        },
-        _ => reg_row_gather_span_scalar(a_row, b, b_rows, acc_row, stride, start, end, cascade),
-    }
-}
-
-/// The scalar tier of [`reg_row_gather_span`]: chunk cascade plus scalar
-/// tail over `start .. end`.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the gather kernel + span bounds
-fn reg_row_gather_span_scalar(
-    a_row: &[f32],
-    b: &[f32],
-    b_rows: &[u32],
-    acc_row: &mut [f32],
-    stride: usize,
-    start: usize,
-    end: usize,
-    cascade: RegCascade,
-) {
-    let mut j0 = start;
-    if cascade.largest >= 64 {
-        j0 = reg_row_gather_chunks::<64>(a_row, b, b_rows, acc_row, stride, end, j0);
-    }
-    if cascade.largest >= 32 {
-        j0 = reg_row_gather_chunks::<32>(a_row, b, b_rows, acc_row, stride, end, j0);
-    }
-    if cascade.largest >= 16 {
-        j0 = reg_row_gather_chunks::<16>(a_row, b, b_rows, acc_row, stride, end, j0);
-    }
-    j0 = reg_row_gather_chunks::<8>(a_row, b, b_rows, acc_row, stride, end, j0);
-    for (j, o) in acc_row[..end].iter_mut().enumerate().skip(j0) {
-        let mut part = 0.0f32;
-        for (&av, &col) in a_row.iter().zip(b_rows.iter()) {
-            part += av * b[col as usize * stride + j];
-        }
-        *o += part;
-    }
-}
-
-/// Gather variant of [`mma_row_block_fused_acc`] for the prepared stitched
-/// plans: the `kk` activation rows are read **in place** from a pre-rounded
-/// `width`-column row-major buffer, addressed by `b_rows[p]`, instead of first
-/// being copied into a contiguous stitched tile:
-/// `acc[rows×width] += a[rows×kk] · B[b_rows[0..kk], :]`.
-///
-/// Reading `B[b_rows[p]]` directly is value-for-value the same operand
-/// sequence as staging those rows into a `kk×width` tile and calling
-/// [`mma_row_block_fused_acc`], so the two are bit-identical — this path just
-/// skips the per-step stitching copies the cold kernel pays.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions
-/// (`a.len() == rows*kk`, `b_rows.len() == kk`, `acc.len() == rows*width`) or
-/// a row index reaches past `b`.
-pub fn mma_row_block_gather_fused_acc(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    b_rows: &[u32],
-    acc: &mut [f32],
-    width: usize,
-) {
-    mma_row_block_gather_fused_acc_cascade(a, rows, kk, b, b_rows, acc, width, RegCascade::FULL);
-}
-
-/// [`mma_row_block_gather_fused_acc`] with an explicit per-bucket
-/// [`RegCascade`]; bit-identical for every cascade.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions or a row index
-/// reaches past `b`.
-#[allow(clippy::too_many_arguments)] // mirrors the gather kernel + cascade
-pub fn mma_row_block_gather_fused_acc_cascade(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    b_rows: &[u32],
-    acc: &mut [f32],
-    width: usize,
-    cascade: RegCascade,
-) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b_rows.len(), kk, "one B row index per reduction step");
-    assert_eq!(
-        acc.len(),
-        rows * width,
-        "acc block must be rows*width elements"
-    );
-    if rows == 0 || kk == 0 || width == 0 {
-        return;
-    }
-    for &col in b_rows {
-        assert!(
-            (col as usize + 1) * width <= b.len(),
-            "B row index {col} reaches past the operand"
-        );
-    }
-    for (a_row, acc_row) in a.chunks_exact(kk).zip(acc.chunks_exact_mut(width)) {
-        reg_row_gather_span(a_row, b, b_rows, acc_row, width, 0, width, cascade);
-    }
-}
-
-/// Offset-gather variant of [`mma_row_block_gather_fused_acc_cascade`] for
-/// the implicit-GEMM convolution plans: reduction step `p` reads its operand
-/// elements **at per-tap element offsets** instead of whole indexed rows —
-/// the operand element of step `p`, column `j` is
-/// `b[b_base + b_offs[p] + j]`. This is what lets a conv plan walk a padded,
-/// pre-rounded input transform in place: `b_base` locates one output block
-/// (a batch row of the output image), `b_offs[p]` locates the `(channel,
-/// kernel-row, kernel-col)` tap inside it, and consecutive output columns
-/// read consecutive transform elements.
-///
-/// Semantics match the fused kernels: one step's partial product per output
-/// element, reduced from `+0.0` in ascending `k`, added into `acc` exactly
-/// once. Reading `b` at `b_base + b_offs[p] + j` is value-for-value the same
-/// operand sequence as staging those elements into a `kk×width` tile and
-/// calling [`mma_row_block_fused_acc_cascade`], so the two are bit-identical.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions
-/// (`a.len() == rows*kk`, `b_offs.len() == kk`, `acc.len() == rows*width`)
-/// or a tap's span `b_base + b_offs[p] .. + width` reaches past `b`.
-#[allow(clippy::too_many_arguments)] // mirrors the gather kernel + cascade
-pub fn mma_row_block_offset_fused_acc_cascade(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    b_base: usize,
-    b_offs: &[u32],
-    acc: &mut [f32],
-    width: usize,
-    cascade: RegCascade,
-) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b_offs.len(), kk, "one B element offset per reduction step");
-    assert_eq!(
-        acc.len(),
-        rows * width,
-        "acc block must be rows*width elements"
-    );
-    if rows == 0 || kk == 0 || width == 0 {
-        return;
-    }
-    for &off in b_offs {
-        assert!(
-            b_base + off as usize + width <= b.len(),
-            "B offset {off} (base {b_base}) reaches past the operand"
-        );
-    }
-    for (a_row, acc_row) in a.chunks_exact(kk).zip(acc.chunks_exact_mut(width)) {
-        reg_row_offset_span(a_row, b, b_base, b_offs, acc_row, 0, width, cascade);
-    }
-}
-
-/// Offset chunk sweep for [`mma_row_block_offset_fused_acc_cascade`]: like
-/// [`reg_row_gather_chunks`], but step `p`'s operand starts at element
-/// `b_base + b_offs[p]` instead of row `b_rows[p]`.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the offset kernel + span bounds
-fn reg_row_offset_chunks<const BLK: usize>(
-    a_row: &[f32],
-    b: &[f32],
-    b_base: usize,
-    b_offs: &[u32],
-    acc_row: &mut [f32],
-    end: usize,
-    mut j0: usize,
-) -> usize {
-    while j0 + BLK <= end {
-        let mut part = [0.0f32; BLK];
-        for (&av, &off) in a_row.iter().zip(b_offs.iter()) {
-            let at = b_base + off as usize + j0;
-            let bs = &b[at..at + BLK];
-            for (o, &bv) in part.iter_mut().zip(bs.iter()) {
-                *o += av * bv;
-            }
-        }
-        for (o, &p) in acc_row[j0..j0 + BLK].iter_mut().zip(part.iter()) {
-            *o += p;
-        }
-        j0 += BLK;
-    }
-    j0
-}
-
-/// One offset register-blocked column span of one row, dispatched to the
-/// active SIMD tier exactly like [`reg_row_gather_span`]; every tier is
-/// bit-identical.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the offset kernel + span bounds
-fn reg_row_offset_span(
-    a_row: &[f32],
-    b: &[f32],
-    b_base: usize,
-    b_offs: &[u32],
-    acc_row: &mut [f32],
-    start: usize,
-    end: usize,
-    cascade: RegCascade,
-) {
-    match crate::simd::active_tier() {
-        // SAFETY: the public offset kernel asserts
-        // `b_base + b_offs[p] as usize + end <= b.len()` for every step and
-        // `end <= acc_row.len()`; the tier is only returned when the CPU
-        // supports the feature.
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdTier::Avx2 => unsafe {
-            crate::simd::x86::offset_span_avx2(a_row, b, b_base, b_offs, acc_row, start, end)
-        },
-        // SAFETY: same bounds contract; SSE2 is baseline on x86-64.
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdTier::Sse2 => unsafe {
-            crate::simd::x86::offset_span_sse2(a_row, b, b_base, b_offs, acc_row, start, end)
-        },
-        _ => reg_row_offset_span_scalar(a_row, b, b_base, b_offs, acc_row, start, end, cascade),
-    }
-}
-
-/// The scalar tier of [`reg_row_offset_span`]: chunk cascade plus scalar
-/// tail over `start .. end`.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the offset kernel + span bounds
-fn reg_row_offset_span_scalar(
-    a_row: &[f32],
-    b: &[f32],
-    b_base: usize,
-    b_offs: &[u32],
-    acc_row: &mut [f32],
-    start: usize,
-    end: usize,
-    cascade: RegCascade,
-) {
-    let mut j0 = start;
-    if cascade.largest >= 64 {
-        j0 = reg_row_offset_chunks::<64>(a_row, b, b_base, b_offs, acc_row, end, j0);
-    }
-    if cascade.largest >= 32 {
-        j0 = reg_row_offset_chunks::<32>(a_row, b, b_base, b_offs, acc_row, end, j0);
-    }
-    if cascade.largest >= 16 {
-        j0 = reg_row_offset_chunks::<16>(a_row, b, b_base, b_offs, acc_row, end, j0);
-    }
-    j0 = reg_row_offset_chunks::<8>(a_row, b, b_base, b_offs, acc_row, end, j0);
-    for (j, o) in acc_row[..end].iter_mut().enumerate().skip(j0) {
-        let mut part = 0.0f32;
-        for (&av, &off) in a_row.iter().zip(b_offs.iter()) {
-            part += av * b[b_base + off as usize + j];
-        }
-        *o += part;
-    }
-}
-
-/// One output-column segment of a fused multi-segment sweep: columns
-/// `start .. start + width` of operand/accumulator rows whose memory stride
-/// is the full multi-segment width, swept with this segment's register-block
-/// cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentSpan {
-    /// First column of the segment inside the full-width rows.
-    pub start: usize,
-    /// Number of columns the segment covers.
-    pub width: usize,
-    /// Register-block cascade this segment's columns are swept with (only the
-    /// column-to-chunk grouping changes with the cascade, never the result).
-    pub cascade: RegCascade,
-}
-
-impl SegmentSpan {
-    /// First column past the segment.
-    fn end(&self) -> usize {
-        self.start + self.width
-    }
-}
-
-/// Validates the shared slice/segment contract of the multi-segment kernels.
-fn check_segments(segments: &[SegmentSpan], stride: usize) {
-    for seg in segments {
-        assert!(
-            seg.end() <= stride,
-            "segment {}..{} exceeds the row stride {stride}",
-            seg.start,
-            seg.end()
-        );
-    }
-}
-
-/// Multi-segment variant of [`mma_row_block_reg_cascade`]: one staged
-/// `rows × kk` A-fragment applied to **several** output-column segments of a
-/// full-width operand in a single call —
-/// `c[r, s.start..s.end] += a[r, :] · b[:, s.start..s.end]` for every
-/// segment `s`. `b` (`kk × stride`) and `c` (`rows × stride`) are full-width
-/// row-major buffers. The A-fragment is read from memory once per call and
-/// stays cache-hot across every segment's sweep, which is what makes a fused
-/// panel sweep read each packed panel once instead of once per segment.
-///
-/// The segment loop is **outermost** (segment-major): each segment's
-/// `kk × width` slice of `b` and `rows × width` slice of `c` are swept to
-/// completion before the next segment, so the per-segment working set is as
-/// small as the single-segment kernels' — a row-major loop over a very wide
-/// fused operand would re-stream every segment's B rows once per output row
-/// instead of keeping them L1-resident.
-///
-/// Per output element (every element belongs to exactly one segment) the `kk`
-/// products still accumulate in ascending order through one `f32`, so the
-/// call is **bit-identical** to invoking [`mma_row_block_reg_cascade`] once
-/// per segment on that segment's extracted columns, in either loop order.
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions
-/// (`a.len() == rows*kk`, `b.len() == kk*stride`, `c.len() == rows*stride`)
-/// or a segment reaches past `stride`.
-pub fn mma_row_block_reg_segments(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    c: &mut [f32],
-    stride: usize,
-    segments: &[SegmentSpan],
-) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b.len(), kk * stride, "B block must be kk*stride elements");
-    assert_eq!(
-        c.len(),
-        rows * stride,
-        "C block must be rows*stride elements"
-    );
-    check_segments(segments, stride);
-    if rows == 0 || kk == 0 || stride == 0 {
-        return;
-    }
-    for seg in segments {
-        for (a_row, c_row) in a.chunks_exact(kk).zip(c.chunks_exact_mut(stride)) {
-            reg_row_span::<true>(a_row, b, c_row, stride, seg.start, seg.end(), seg.cascade);
-        }
-    }
-}
-
-/// Multi-segment variant of [`mma_row_block_fused_acc_cascade`]: one step's
-/// partial product computed per segment in register blocks (from `+0.0`,
-/// ascending `k`) and added into the full-width group accumulator, for every
-/// segment of the sweep in one call. Bit-identical to the per-segment
-/// invocation for the same reason as [`mma_row_block_reg_segments`].
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions or a segment
-/// reaches past `stride`.
-pub fn mma_row_block_fused_acc_segments(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    acc: &mut [f32],
-    stride: usize,
-    segments: &[SegmentSpan],
-) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b.len(), kk * stride, "B block must be kk*stride elements");
-    assert_eq!(
-        acc.len(),
-        rows * stride,
-        "acc block must be rows*stride elements"
-    );
-    check_segments(segments, stride);
-    if rows == 0 || kk == 0 || stride == 0 {
-        return;
-    }
-    for seg in segments {
-        for (a_row, acc_row) in a.chunks_exact(kk).zip(acc.chunks_exact_mut(stride)) {
-            reg_row_span::<false>(a_row, b, acc_row, stride, seg.start, seg.end(), seg.cascade);
-        }
-    }
-}
-
-/// Multi-segment variant of [`mma_row_block_gather_fused_acc_cascade`]: the
-/// `kk` activation rows are read in place from a full-width pre-rounded
-/// buffer (stride `stride`, rows addressed by `b_rows[p]`), and one panel's
-/// partial product is accumulated into every output segment in a single
-/// sweep. Bit-identical to the per-segment invocation for the same reason as
-/// [`mma_row_block_reg_segments`].
-///
-/// # Panics
-///
-/// Panics if the slices do not match the stated dimensions
-/// (`a.len() == rows*kk`, `b_rows.len() == kk`,
-/// `acc.len() == rows*stride`), a segment reaches past `stride`, or a row
-/// index reaches past `b`.
-#[allow(clippy::too_many_arguments)] // mirrors the single-segment gather kernel
-pub fn mma_row_block_gather_fused_acc_segments(
-    a: &[f32],
-    rows: usize,
-    kk: usize,
-    b: &[f32],
-    b_rows: &[u32],
-    acc: &mut [f32],
-    stride: usize,
-    segments: &[SegmentSpan],
-) {
-    assert_eq!(a.len(), rows * kk, "A fragment must be rows*kk elements");
-    assert_eq!(b_rows.len(), kk, "one B row index per reduction step");
-    assert_eq!(
-        acc.len(),
-        rows * stride,
-        "acc block must be rows*stride elements"
-    );
-    check_segments(segments, stride);
-    if rows == 0 || kk == 0 || stride == 0 {
-        return;
-    }
-    for &col in b_rows {
-        assert!(
-            (col as usize + 1) * stride <= b.len(),
-            "B row index {col} reaches past the operand"
-        );
-    }
-    for seg in segments {
-        for (a_row, acc_row) in a.chunks_exact(kk).zip(acc.chunks_exact_mut(stride)) {
-            reg_row_gather_span(
-                a_row,
-                b,
-                b_rows,
-                acc_row,
-                stride,
-                seg.start,
-                seg.end(),
-                seg.cascade,
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1148,43 +480,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prerounded_matches_warp_mma_on_rounded_operands() {
-        let shape = MmaShape::M16N8K8;
-        let (m, n, k) = (shape.m(), shape.n(), shape.k());
-        let a: Vec<f32> = (0..m * k).map(|i| round_to_f16((i as f32).cos())).collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| round_to_f16(0.01 * i as f32 - 0.3))
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Ascending operand row numbers `0..kk`: consecutive-row addressing.
+    fn ascending(kk: usize) -> Vec<u32> {
+        (0..kk as u32).collect()
+    }
+
+    /// One span over all `width` columns.
+    fn full(width: usize) -> [SegmentSpan; 1] {
+        [SegmentSpan { start: 0, width }]
+    }
+
+    /// Deterministic fp16-exact values, about half of them negative.
+    fn values(len: usize, phase: f32) -> Vec<f32> {
+        (0..len)
+            .map(|i| round_to_f16((i as f32 * 0.31 + phase).sin()))
+            .collect()
+    }
+
+    /// A `rows × kk` panel, `kk` consecutive `width`-wide operand rows and a
+    /// `rows × width` accumulator holding prior partials.
+    fn reg_case(rows: usize, kk: usize, width: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let c = (0..rows * width)
+            .map(|i| (i % 11) as f32 * 0.125 - 0.5)
             .collect();
-        let mut via_flag = vec![0.0f32; m * n];
-        warp_mma(shape, &a, &b, &mut via_flag, true);
-        let mut via_prerounded = vec![0.0f32; m * n];
-        warp_mma_prerounded(shape, &a, &b, &mut via_prerounded);
-        assert_eq!(
-            via_flag.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            via_prerounded
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
+        (values(rows * kk, 0.0), values(kk * width, 1.3), c)
+    }
+
+    /// Copies the operand rows a sweep step reads into a contiguous
+    /// `kk × width` tile — the staging an in-place sweep avoids.
+    fn staged(b: &[f32], offs: &[u32], scale: usize, width: usize) -> Vec<f32> {
+        offs.iter()
+            .flat_map(|&off| &b[off as usize * scale..][..width])
+            .copied()
+            .collect()
     }
 
     #[test]
     fn row_block_matches_fragmented_warp_mma() {
-        // One 16-row tile times a 40-wide B, reduced over 16: the row-block fast
-        // path must equal zero-padded warp_mma fragments stitched over j0.
+        // One 16-row tile times a 40-wide B, reduced over 16: the sweep must
+        // equal zero-padded warp_mma fragments stitched over j0.
         let shape = MmaShape::M16N8K16;
         let (m, k) = (shape.m(), shape.k());
         let n = 40;
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| round_to_f16((i as f32 * 0.11).sin()))
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| round_to_f16((i as f32 * 0.07).cos()))
-            .collect();
+        let a = values(m * k, 0.5);
+        let b = values(k * n, 2.0);
 
         let mut fast = vec![0.0f32; m * n];
-        mma_row_block(&a, m, k, &b, &mut fast, n);
+        mma_sweep::<true>(&a, m, &b, &ascending(k), n, &mut fast, n, &full(n));
 
         let fn_ = shape.n();
         let mut reference = vec![0.0f32; m * n];
@@ -1197,7 +543,7 @@ mod tests {
                     b_frag[p * fn_ + j] = if j0 + j < n { b[p * n + j0 + j] } else { 0.0 };
                 }
             }
-            warp_mma_prerounded(shape, &a, &b_frag, &mut c_frag);
+            warp_mma(shape, &a, &b_frag, &mut c_frag, false);
             for i in 0..m {
                 for j in 0..fn_ {
                     if j0 + j < n {
@@ -1206,61 +552,33 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    /// Pseudo-random but deterministic operand data covering widths around the
-    /// register block (tails included).
-    fn reg_case(rows: usize, kk: usize, width: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let a: Vec<f32> = (0..rows * kk)
-            .map(|i| round_to_f16((i as f32 * 0.31).sin()))
-            .collect();
-        let b: Vec<f32> = (0..kk * width)
-            .map(|i| round_to_f16((i as f32 * 0.07).cos() - 0.2))
-            .collect();
-        let c: Vec<f32> = (0..rows * width)
-            .map(|i| (i % 11) as f32 * 0.125 - 0.5)
-            .collect();
-        (a, b, c)
-    }
-
-    #[test]
-    fn row_block_reg_is_bit_identical_to_row_block() {
-        for (rows, kk, width) in [(5, 4, 19), (16, 16, 32), (3, 7, 77), (1, 1, 1), (2, 3, 31)] {
-            let (a, b, c_init) = reg_case(rows, kk, width);
-            let mut plain = c_init.clone();
-            mma_row_block(&a, rows, kk, &b, &mut plain, width);
-            let mut reg = c_init.clone();
-            mma_row_block_reg(&a, rows, kk, &b, &mut reg, width);
-            assert_eq!(
-                plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reg.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{rows}x{kk}x{width}"
-            );
-        }
+        assert_eq!(bits(&fast), bits(&reference));
     }
 
     #[test]
     fn row_block_fused_acc_is_bit_identical_to_zero_mma_add() {
         for (rows, kk, width) in [(5, 4, 19), (16, 16, 32), (3, 7, 77), (1, 1, 1), (8, 2, 33)] {
             let (a, b, acc_init) = reg_case(rows, kk, width);
-            // Cold sequence: zero a partial, mma into it, add into acc.
+            let offs = ascending(kk);
+            // Cold sequence: zero a partial, accumulate into it, add into acc.
             let mut partial = vec![0.0f32; rows * width];
+            mma_sweep::<true>(
+                &a,
+                rows,
+                &b,
+                &offs,
+                width,
+                &mut partial,
+                width,
+                &full(width),
+            );
             let mut cold = acc_init.clone();
-            mma_row_block(&a, rows, kk, &b, &mut partial, width);
-            for (o, p) in cold.iter_mut().zip(partial.iter()) {
+            for (o, p) in cold.iter_mut().zip(&partial) {
                 *o += p;
             }
             let mut fused = acc_init.clone();
-            mma_row_block_fused_acc(&a, rows, kk, &b, &mut fused, width);
-            assert_eq!(
-                cold.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{rows}x{kk}x{width}"
-            );
+            mma_sweep::<false>(&a, rows, &b, &offs, width, &mut fused, width, &full(width));
+            assert_eq!(bits(&cold), bits(&fused), "{rows}x{kk}x{width}");
         }
     }
 
@@ -1268,87 +586,72 @@ mod tests {
     fn gather_fused_acc_is_bit_identical_to_staged_fused_acc() {
         for (rows, kk, width, b_height) in [(5, 4, 19, 11), (16, 16, 32, 40), (3, 7, 77, 9)] {
             let (a, _, acc_init) = reg_case(rows, kk, width);
-            let b: Vec<f32> = (0..b_height * width)
-                .map(|i| round_to_f16((i as f32 * 0.13).sin()))
-                .collect();
+            let b = values(b_height * width, 0.7);
             let b_rows: Vec<u32> = (0..kk).map(|p| ((p * 5 + 2) % b_height) as u32).collect();
-            // Staged reference: copy the referenced rows into a tile first.
-            let mut b_tile = vec![0.0f32; kk * width];
-            for (j, col) in b_rows.iter().enumerate() {
-                let off = *col as usize * width;
-                b_tile[j * width..(j + 1) * width].copy_from_slice(&b[off..off + width]);
-            }
-            let mut staged = acc_init.clone();
-            mma_row_block_fused_acc(&a, rows, kk, &b_tile, &mut staged, width);
-            let mut gathered = acc_init.clone();
-            mma_row_block_gather_fused_acc(&a, rows, kk, &b, &b_rows, &mut gathered, width);
-            assert_eq!(
-                staged.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                gathered.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{rows}x{kk}x{width}"
+            let tile = staged(&b, &b_rows, width, width);
+            let mut staged_acc = acc_init.clone();
+            mma_sweep::<false>(
+                &a,
+                rows,
+                &tile,
+                &ascending(kk),
+                width,
+                &mut staged_acc,
+                width,
+                &full(width),
             );
+            let mut gathered = acc_init.clone();
+            mma_sweep::<false>(
+                &a,
+                rows,
+                &b,
+                &b_rows,
+                width,
+                &mut gathered,
+                width,
+                &full(width),
+            );
+            assert_eq!(bits(&staged_acc), bits(&gathered), "{rows}x{kk}x{width}");
         }
     }
 
     #[test]
-    fn every_cascade_is_bit_identical() {
-        for (rows, kk, width, b_height) in [
-            (5, 4, 19, 11),
-            (16, 16, 70, 80),
-            (3, 7, 77, 9),
-            (2, 3, 9, 5),
-        ] {
-            let (a, b, c_init) = reg_case(rows, kk, width);
-            let mut full = c_init.clone();
-            mma_row_block_reg(&a, rows, kk, &b, &mut full, width);
-            let gather_b: Vec<f32> = (0..b_height * width)
-                .map(|i| round_to_f16((i as f32 * 0.13).sin()))
+    fn offset_fused_acc_is_bit_identical_to_staged_fused_acc() {
+        for (rows, kk, width, slab) in [(5, 4, 19, 512), (16, 16, 32, 1024), (3, 7, 77, 700)] {
+            let (a, _, acc_init) = reg_case(rows, kk, width);
+            let b = values(slab, 0.7);
+            let base = 37usize;
+            let taps: Vec<u32> = (0..kk)
+                .map(|p| ((p * 53 + 11) % (slab - base - width)) as u32)
                 .collect();
-            let b_rows: Vec<u32> = (0..kk).map(|p| ((p * 5 + 2) % b_height) as u32).collect();
-            let mut gather_full = c_init.clone();
-            mma_row_block_gather_fused_acc(
+            let tile = staged(&b[base..], &taps, 1, width);
+            let mut staged_acc = acc_init.clone();
+            mma_sweep::<false>(
                 &a,
                 rows,
-                kk,
-                &gather_b,
-                &b_rows,
-                &mut gather_full,
+                &tile,
+                &ascending(kk),
                 width,
+                &mut staged_acc,
+                width,
+                &full(width),
             );
-            let mut fused_full = c_init.clone();
-            mma_row_block_fused_acc(&a, rows, kk, &b, &mut fused_full, width);
-            for largest in [8usize, 16, 32, 64] {
-                let cascade = RegCascade::for_width(largest);
-                assert_eq!(cascade.largest_chunk(), largest);
-                let mut c = c_init.clone();
-                mma_row_block_reg_cascade(&a, rows, kk, &b, &mut c, width, cascade);
-                assert_eq!(
-                    c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    full.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "reg cascade {largest} on {rows}x{kk}x{width}"
-                );
-                let mut c = c_init.clone();
-                mma_row_block_fused_acc_cascade(&a, rows, kk, &b, &mut c, width, cascade);
-                assert_eq!(
-                    c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    fused_full.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "fused cascade {largest} on {rows}x{kk}x{width}"
-                );
-                let mut c = c_init.clone();
-                mma_row_block_gather_fused_acc_cascade(
-                    &a, rows, kk, &gather_b, &b_rows, &mut c, width, cascade,
-                );
-                assert_eq!(
-                    c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    gather_full.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "gather cascade {largest} on {rows}x{kk}x{width}"
-                );
-            }
+            let mut offset = acc_init.clone();
+            mma_sweep::<false>(
+                &a,
+                rows,
+                &b[base..],
+                &taps,
+                1,
+                &mut offset,
+                width,
+                &full(width),
+            );
+            assert_eq!(bits(&staged_acc), bits(&offset), "{rows}x{kk}x{width}");
         }
     }
 
-    /// Splits `total` into spans at the given cut points, each with the
-    /// cascade its own width selects (what the kernel plans do per bucket).
+    /// Spans between consecutive cut points of `0..total`.
     fn spans(total: usize, cuts: &[usize]) -> Vec<SegmentSpan> {
         let mut edges = vec![0];
         edges.extend_from_slice(cuts);
@@ -1358,35 +661,16 @@ mod tests {
             .map(|w| SegmentSpan {
                 start: w[0],
                 width: w[1] - w[0],
-                cascade: RegCascade::for_width(w[1] - w[0]),
             })
             .collect()
     }
 
-    /// Extracts segment columns `start..start+width` of a `rows × stride`
-    /// row-major buffer into a dense `rows × width` buffer.
+    /// Columns `start..start + width` of a `rows × stride` buffer, densely.
     fn extract(src: &[f32], rows: usize, stride: usize, start: usize, width: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(rows * width);
-        for r in 0..rows {
-            out.extend_from_slice(&src[r * stride + start..r * stride + start + width]);
-        }
-        out
-    }
-
-    /// Writes a dense `rows × width` buffer back into segment columns of a
-    /// `rows × stride` row-major buffer.
-    fn scatter(
-        dst: &mut [f32],
-        seg: &[f32],
-        rows: usize,
-        stride: usize,
-        start: usize,
-        width: usize,
-    ) {
-        for r in 0..rows {
-            dst[r * stride + start..r * stride + start + width]
-                .copy_from_slice(&seg[r * width..(r + 1) * width]);
-        }
+        (0..rows)
+            .flat_map(|r| &src[r * stride + start..][..width])
+            .copied()
+            .collect()
     }
 
     #[test]
@@ -1397,253 +681,209 @@ mod tests {
             (3, 7, 9, &[1, 2, 8][..]),
             (2, 3, 33, &[][..]), // a single segment covering everything
         ] {
-            let (a, b, c_init) = reg_case(rows, kk, total);
-            let segs = spans(total, cuts);
-
-            // Direct-accumulation variant vs per-segment extract/sweep/scatter.
-            let mut fused = c_init.clone();
-            mma_row_block_reg_segments(&a, rows, kk, &b, &mut fused, total, &segs);
-            let mut reference = c_init.clone();
-            for s in &segs {
-                let b_seg = extract(&b, kk, total, s.start, s.width);
-                let mut c_seg = extract(&reference, rows, total, s.start, s.width);
-                mma_row_block_reg_cascade(&a, rows, kk, &b_seg, &mut c_seg, s.width, s.cascade);
-                scatter(&mut reference, &c_seg, rows, total, s.start, s.width);
-            }
-            assert_eq!(
-                fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "reg segments {rows}x{kk}x{total} cuts {cuts:?}"
-            );
-
-            // Fused-partial variant.
-            let mut fused = c_init.clone();
-            mma_row_block_fused_acc_segments(&a, rows, kk, &b, &mut fused, total, &segs);
-            let mut reference = c_init.clone();
-            for s in &segs {
-                let b_seg = extract(&b, kk, total, s.start, s.width);
-                let mut c_seg = extract(&reference, rows, total, s.start, s.width);
-                mma_row_block_fused_acc_cascade(
-                    &a, rows, kk, &b_seg, &mut c_seg, s.width, s.cascade,
-                );
-                scatter(&mut reference, &c_seg, rows, total, s.start, s.width);
-            }
-            assert_eq!(
-                fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "fused segments {rows}x{kk}x{total} cuts {cuts:?}"
-            );
-
-            // Gather variant (indexed activation rows).
+            let (a, _, c_init) = reg_case(rows, kk, total);
             let b_height = kk * 3 + 1;
-            let gather_b: Vec<f32> = (0..b_height * total)
-                .map(|i| round_to_f16((i as f32 * 0.13).sin()))
-                .collect();
+            let b = values(b_height * total, 0.7);
             let b_rows: Vec<u32> = (0..kk).map(|p| ((p * 5 + 2) % b_height) as u32).collect();
-            let mut fused = c_init.clone();
-            mma_row_block_gather_fused_acc_segments(
-                &a, rows, kk, &gather_b, &b_rows, &mut fused, total, &segs,
-            );
-            let mut reference = c_init.clone();
-            for s in &segs {
-                let b_seg = extract(&gather_b, b_height, total, s.start, s.width);
-                let mut c_seg = extract(&reference, rows, total, s.start, s.width);
-                mma_row_block_gather_fused_acc_cascade(
-                    &a, rows, kk, &b_seg, &b_rows, &mut c_seg, s.width, s.cascade,
+            let segs = spans(total, cuts);
+            let check = |fused: &[f32], per_segment: &[f32], mode: &str| {
+                assert_eq!(
+                    bits(fused),
+                    bits(per_segment),
+                    "{mode} {rows}x{kk}x{total} cuts {cuts:?}"
                 );
-                scatter(&mut reference, &c_seg, rows, total, s.start, s.width);
+            };
+            // One call over every segment vs one call per extracted segment.
+            let mut fused = c_init.clone();
+            mma_sweep::<true>(&a, rows, &b, &b_rows, total, &mut fused, total, &segs);
+            let mut fused_acc = c_init.clone();
+            mma_sweep::<false>(&a, rows, &b, &b_rows, total, &mut fused_acc, total, &segs);
+            let (mut reference, mut reference_acc) = (c_init.clone(), c_init.clone());
+            for s in &segs {
+                let b_seg = extract(&b, b_height, total, s.start, s.width);
+                let mut c_seg = extract(&c_init, rows, total, s.start, s.width);
+                let mut acc_seg = c_seg.clone();
+                let one = full(s.width);
+                mma_sweep::<true>(
+                    &a, rows, &b_seg, &b_rows, s.width, &mut c_seg, s.width, &one,
+                );
+                mma_sweep::<false>(
+                    &a,
+                    rows,
+                    &b_seg,
+                    &b_rows,
+                    s.width,
+                    &mut acc_seg,
+                    s.width,
+                    &one,
+                );
+                for r in 0..rows {
+                    let dst = r * total + s.start..r * total + s.end();
+                    reference[dst.clone()].copy_from_slice(&c_seg[r * s.width..][..s.width]);
+                    reference_acc[dst].copy_from_slice(&acc_seg[r * s.width..][..s.width]);
+                }
             }
-            assert_eq!(
-                fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "gather segments {rows}x{kk}x{total} cuts {cuts:?}"
-            );
+            check(&fused, &reference, "direct");
+            check(&fused_acc, &reference_acc, "fused-partial");
         }
     }
 
     #[test]
     fn multi_segment_kernels_handle_empty_segment_lists_and_degenerate_dims() {
         let mut c = vec![1.0f32; 6];
-        mma_row_block_reg_segments(&[0.0; 6], 3, 2, &[0.0; 4], &mut c, 2, &[]);
-        mma_row_block_fused_acc_segments(&[], 3, 0, &[], &mut c, 2, &[]);
+        mma_sweep::<true>(&[0.0; 6], 3, &[0.0; 4], &[0, 1], 2, &mut c, 2, &[]);
+        mma_sweep::<false>(&[0.0; 6], 3, &[0.0; 4], &[0, 1], 2, &mut c, 2, &[]);
+        mma_sweep::<false>(&[], 3, &[], &[], 2, &mut c, 2, &full(2));
         assert_eq!(c, vec![1.0f32; 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the row stride")]
-    fn multi_segment_kernels_reject_out_of_range_segments() {
-        let mut c = vec![0.0f32; 4];
-        let seg = SegmentSpan {
-            start: 1,
-            width: 2,
-            cascade: RegCascade::FULL,
-        };
-        mma_row_block_reg_segments(&[0.0; 2], 2, 1, &[0.0; 2], &mut c, 2, &[seg]);
-    }
-
-    #[test]
-    fn cascade_selection_matches_width_classes() {
-        assert_eq!(RegCascade::for_width(1).largest_chunk(), 8);
-        assert_eq!(RegCascade::for_width(8).largest_chunk(), 8);
-        assert_eq!(RegCascade::for_width(15).largest_chunk(), 8);
-        assert_eq!(RegCascade::for_width(16).largest_chunk(), 16);
-        assert_eq!(RegCascade::for_width(32).largest_chunk(), 32);
-        assert_eq!(RegCascade::for_width(63).largest_chunk(), 32);
-        assert_eq!(RegCascade::for_width(64).largest_chunk(), 64);
-        assert_eq!(RegCascade::for_width(4096).largest_chunk(), 64);
-        assert_eq!(RegCascade::default(), RegCascade::FULL);
-    }
-
-    #[test]
-    fn reg_kernels_handle_degenerate_dimensions() {
-        let mut c = vec![1.0f32; 6];
-        mma_row_block_reg(&[], 3, 0, &[], &mut c, 2);
-        mma_row_block_fused_acc(&[], 3, 0, &[], &mut c, 2);
-        assert_eq!(c, vec![1.0f32; 6]);
-        let mut empty: Vec<f32> = vec![];
-        mma_row_block_reg(&[0.0; 4], 2, 2, &[], &mut empty, 0);
-        mma_row_block_fused_acc(&[0.0; 4], 2, 2, &[], &mut empty, 0);
-    }
-
-    #[test]
-    fn offset_fused_acc_is_bit_identical_to_staged_fused_acc() {
-        for (rows, kk, width, slab) in [(5, 4, 19, 512), (16, 16, 32, 1024), (3, 7, 77, 700)] {
-            let (a, _, acc_init) = reg_case(rows, kk, width);
-            let b: Vec<f32> = (0..slab)
-                .map(|i| round_to_f16((i as f32 * 0.13).sin()))
-                .collect();
-            let b_base = 37usize;
-            let b_offs: Vec<u32> = (0..kk)
-                .map(|p| ((p * 53 + 11) % (slab - b_base - width)) as u32)
-                .collect();
-            // Staged reference: copy each tap's span into a contiguous tile.
-            let mut b_tile = vec![0.0f32; kk * width];
-            for (p, off) in b_offs.iter().enumerate() {
-                let at = b_base + *off as usize;
-                b_tile[p * width..(p + 1) * width].copy_from_slice(&b[at..at + width]);
-            }
-            let mut staged = acc_init.clone();
-            mma_row_block_fused_acc(&a, rows, kk, &b_tile, &mut staged, width);
-            let mut offset = acc_init.clone();
-            mma_row_block_offset_fused_acc_cascade(
-                &a,
-                rows,
-                kk,
-                &b,
-                b_base,
-                &b_offs,
-                &mut offset,
-                width,
-                RegCascade::for_width(width),
-            );
-            assert_eq!(
-                staged.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                offset.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{rows}x{kk}x{width}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "reaches past the operand")]
-    fn offset_kernel_rejects_out_of_range_offsets() {
-        let a = vec![1.0f32; 2 * 2];
-        let b = vec![0.5f32; 16];
-        let mut acc = vec![0.0f32; 2 * 8];
-        mma_row_block_offset_fused_acc_cascade(
-            &a,
-            2,
-            2,
-            &b,
-            4,
-            &[0, 8], // 4 + 8 + 8 > 16
-            &mut acc,
-            8,
-            RegCascade::for_width(8),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "reaches past the operand")]
-    fn gather_kernel_rejects_out_of_range_row_indices() {
-        let a = vec![1.0f32; 2 * 2];
-        let b = vec![0.5f32; 16];
-        let mut acc = vec![0.0f32; 2 * 8];
-        mma_row_block_gather_fused_acc(&a, 2, 2, &b, &[0, 2], &mut acc, 8);
-    }
-
-    /// Sweeps every runtime-dispatchable SIMD tier over every register-blocked
-    /// kernel family and asserts bit-identity with the forced-scalar tier —
-    /// the contract that makes the runtime dispatch (and `SHFL_SIMD`
-    /// overrides) invisible to every consumer.
-    #[test]
-    fn simd_tiers_are_bit_identical_across_all_kernels() {
-        use crate::simd::{self, SimdTier};
-
-        // Shapes chosen to hit every chunk width (256-bit, 128-bit, scalar
-        // tail) including narrow conv-like widths (7) and wide buckets.
-        let shapes = [(5, 4, 19), (16, 16, 130), (3, 7, 77), (4, 16, 7), (2, 3, 4)];
-        let run_all = |tier: Option<SimdTier>| -> Vec<Vec<u32>> {
-            simd::force_tier(tier);
-            let mut outs = Vec::new();
-            for &(rows, kk, width) in &shapes {
-                let (a, b, c_init) = reg_case(rows, kk, width);
-                let mut reg = c_init.clone();
-                mma_row_block_reg(&a, rows, kk, &b, &mut reg, width);
-                let mut fused = c_init.clone();
-                mma_row_block_fused_acc(&a, rows, kk, &b, &mut fused, width);
-                let slab = kk * width + 64;
-                let gb: Vec<f32> = (0..slab)
-                    .map(|i| round_to_f16((i as f32 * 0.13).sin()))
-                    .collect();
-                let b_rows: Vec<u32> = (0..kk).map(|p| ((p * 3 + 1) % kk) as u32).collect();
-                let mut gather = c_init.clone();
-                mma_row_block_gather_fused_acc(
-                    &a,
-                    rows,
-                    kk,
-                    &gb[..kk * width],
-                    &b_rows,
-                    &mut gather,
-                    width,
-                );
-                let b_offs: Vec<u32> = (0..kk).map(|p| ((p * 29 + 3) % 64) as u32).collect();
-                let mut offset = c_init.clone();
-                mma_row_block_offset_fused_acc_cascade(
-                    &a,
-                    rows,
-                    kk,
-                    &gb,
-                    0,
-                    &b_offs,
-                    &mut offset,
-                    width,
-                    RegCascade::for_width(width),
-                );
-                let segs = spans(width, &[width / 3, 2 * width / 3]);
-                let mut seg_acc = c_init.clone();
-                mma_row_block_fused_acc_segments(&a, rows, kk, &b, &mut seg_acc, width, &segs);
-                for out in [reg, fused, gather, offset, seg_acc] {
-                    outs.push(out.iter().map(|v| v.to_bits()).collect());
-                }
-            }
-            outs
-        };
-
-        let scalar = run_all(Some(SimdTier::Scalar));
-        for tier in simd::available_tiers() {
-            let tiered = run_all(Some(tier));
-            assert_eq!(scalar, tiered, "tier {} diverged from scalar", tier.label());
-        }
-        simd::force_tier(None);
     }
 
     #[test]
     fn row_block_handles_degenerate_dimensions() {
         let mut c = vec![1.0f32; 0];
-        mma_row_block(&[], 0, 4, &[0.0; 8], &mut c, 2);
-        let mut c = vec![1.0f32; 6];
-        mma_row_block(&[], 3, 0, &[], &mut c, 2);
-        assert_eq!(c, vec![1.0f32; 6]);
+        mma_sweep::<true>(&[], 0, &[0.0; 8], &[0, 1], 2, &mut c, 2, &full(2));
+        let mut c = vec![-0.0f32; 6];
+        // No reduction steps: even `-0.0` survives the fused-partial mode.
+        mma_sweep::<false>(&[], 3, &[], &[], 2, &mut c, 2, &full(2));
+        assert_eq!(bits(&c), bits(&[-0.0f32; 6]));
+        let mut empty: Vec<f32> = vec![];
+        mma_sweep::<true>(&[0.0; 4], 2, &[], &[0, 1], 0, &mut empty, 0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the row stride")]
+    fn multi_segment_kernels_reject_out_of_range_segments() {
+        let mut c = [0.0f32; 4];
+        let seg = SegmentSpan { start: 1, width: 2 };
+        mma_sweep::<true>(&[0.0; 2], 2, &[0.0; 2], &[0], 2, &mut c, 2, &[seg]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the operand")]
+    fn offset_kernel_rejects_out_of_range_offsets() {
+        let b = [0.5f32; 16];
+        let mut acc = [0.0f32; 2 * 8];
+        // Base 4, taps 0 and 8: 4 + 8 + 8 > 16.
+        mma_sweep::<false>(&[1.0; 4], 2, &b[4..], &[0, 8], 1, &mut acc, 8, &full(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the operand")]
+    fn gather_kernel_rejects_out_of_range_row_indices() {
+        let b = [0.5f32; 16];
+        let mut acc = [0.0f32; 2 * 8];
+        // Row 2 of an 8-wide operand starts at element 16 of 16.
+        mma_sweep::<false>(&[1.0; 4], 2, &b, &[0, 2], 8, &mut acc, 8, &full(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "A panel must be rows*kk elements")]
+    fn sweep_rejects_a_mis_sized_panel() {
+        let mut c = vec![0.0f32; 2 * 8];
+        mma_sweep::<true>(&[1.0; 3], 2, &[0.5; 16], &[0, 1], 8, &mut c, 8, &full(8));
+    }
+
+    /// The sweep as a plain scalar loop: every span column of every row takes
+    /// its `kk` products in ascending order, from `c` (`load_c`) or from
+    /// `+0.0` with one add into `c`.
+    #[allow(clippy::too_many_arguments)] // mirrors `mma_sweep`
+    fn scalar_loop(
+        load_c: bool,
+        a: &[f32],
+        rows: usize,
+        b: &[f32],
+        offs: &[u32],
+        scale: usize,
+        c: &mut [f32],
+        stride: usize,
+        spans: &[SegmentSpan],
+    ) {
+        let kk = offs.len();
+        if kk == 0 {
+            return;
+        }
+        for s in spans {
+            for r in 0..rows {
+                for j in s.start..s.end() {
+                    let o = &mut c[r * stride + j];
+                    let mut part = if load_c { *o } else { 0.0 };
+                    for p in 0..kk {
+                        part += a[r * kk + p] * b[offs[p] as usize * scale + j];
+                    }
+                    *o = if load_c { part } else { *o + part };
+                }
+            }
+        }
+    }
+
+    /// The one sweep against [`scalar_loop`] on every SIMD tier, for the three
+    /// addressings (consecutive rows, gathered rows, base + taps at scale 1),
+    /// both accumulate modes, span lists whose edges fall off the 8- and
+    /// 4-lane grid (columns outside every span must stay untouched), and
+    /// reduction depths 0, 1, 3 and 17.
+    #[test]
+    fn simd_tiers_are_bit_identical_across_all_kernels() {
+        use crate::simd;
+        let _guard = simd::tier_test_lock();
+        let layouts: [(usize, &[(usize, usize)]); 6] = [
+            (45, &[(0, 45)]),
+            (45, &[(3, 10), (13, 25)]),
+            (45, &[(0, 1), (1, 5), (6, 38)]),
+            (150, &[(5, 137)]),
+            (150, &[(0, 75), (75, 75)]),
+            (10, &[]),
+        ];
+        let rows = 5;
+        let mut checked = 0;
+        for tier in simd::available_tiers() {
+            simd::force_tier(Some(tier));
+            for &(stride, layout) in &layouts {
+                let spans: Vec<SegmentSpan> = layout
+                    .iter()
+                    .map(|&(start, width)| SegmentSpan { start, width })
+                    .collect();
+                for kk in [0usize, 1, 3, 17] {
+                    let a = values(rows * kk, 0.2);
+                    let height = 2 * kk + 3;
+                    let base = 37;
+                    // (operand, first element, step offsets, scale) per addressing.
+                    let addressings = [
+                        (values(kk * stride, 1.1), 0, ascending(kk), stride),
+                        (
+                            values(height * stride, 2.3),
+                            0,
+                            (0..kk).map(|p| ((p * 5 + 2) % height) as u32).collect(),
+                            stride,
+                        ),
+                        (
+                            values(base + 97 + stride, 3.7),
+                            base,
+                            (0..kk).map(|p| ((p * 53 + 11) % 97) as u32).collect(),
+                            1,
+                        ),
+                    ];
+                    for (b, start, offs, scale) in &addressings {
+                        let b = &b[*start..];
+                        let c_init: Vec<f32> = values(rows * stride, 4.9);
+                        let what = format!(
+                            "tier {} stride {stride} spans {layout:?} kk {kk} scale {scale}",
+                            tier.label()
+                        );
+                        let mut got = c_init.clone();
+                        mma_sweep::<true>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
+                        let mut want = c_init.clone();
+                        scalar_loop(true, &a, rows, b, offs, *scale, &mut want, stride, &spans);
+                        assert_eq!(bits(&got), bits(&want), "LOAD_C {what}");
+                        let mut got = c_init.clone();
+                        mma_sweep::<false>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
+                        let mut want = c_init;
+                        scalar_loop(false, &a, rows, b, offs, *scale, &mut want, stride, &spans);
+                        assert_eq!(bits(&got), bits(&want), "fused partial {what}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        simd::force_tier(None);
+        assert_eq!(checked, simd::available_tiers().len() * 6 * 4 * 3);
     }
 }

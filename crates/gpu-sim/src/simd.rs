@@ -1,20 +1,19 @@
-//! Runtime-dispatched explicit-SIMD tiers for the register-blocked
-//! microkernels in [`crate::mma`].
+//! Runtime-dispatched explicit-SIMD tiers for the panel sweep
+//! [`crate::mma::mma_sweep`].
 //!
-//! The prepared-plan sweeps (`reg_row_span` and friends) were historically
-//! plain scalar loops that the compiler autovectorised — which made the
-//! workspace's `-C target-cpu=native` flag load-bearing: built for a generic
-//! x86-64 target, the hot panel sweeps silently dropped to 128-bit codegen.
-//! This module lifts those loops to explicit `std::arch` intrinsics behind a
-//! **runtime** CPU-feature dispatch, so one generic binary runs the widest
-//! tier the executing machine supports:
+//! Left to the autovectoriser, the sweep's width would depend on the
+//! workspace's `-C target-cpu=native` flag: built for a generic x86-64
+//! target, it would drop to 128-bit codegen. This module writes the sweep
+//! with explicit `std::arch` intrinsics behind a **runtime** CPU-feature
+//! dispatch, so one generic binary runs the widest tier the executing machine
+//! supports:
 //!
 //! * [`SimdTier::Avx2`] — 256-bit `__m256` chunks (8 lanes), selected when
 //!   `avx2` is detected at runtime,
 //! * [`SimdTier::Sse2`] — 128-bit `__m128` chunks (4 lanes), the x86-64
 //!   baseline (always available there),
-//! * [`SimdTier::Scalar`] — the original autovectorisable scalar loops, the
-//!   portable fallback and the bit-identity oracle for the other tiers.
+//! * [`SimdTier::Scalar`] — autovectorisable scalar loops, the portable
+//!   fallback and the bit-identity oracle for the other tiers.
 //!
 //! **Every tier is bit-identical.** The vector tiers widen the sweep across
 //! *independent output columns* only: each output element still accumulates
@@ -22,9 +21,8 @@
 //! separate IEEE-754 multiply and add per step (deliberately **no FMA** — a
 //! fused multiply-add skips the intermediate rounding and would diverge from
 //! the scalar oracle in the last bit). How columns are grouped into register
-//! chunks never changes a result (the same argument that makes every
-//! [`crate::mma::RegCascade`] bit-identical), so the dispatch decision — even
-//! one racing a concurrent [`force_tier`] — can never change an output.
+//! chunks never changes a result, so the dispatch decision — even one racing
+//! a concurrent [`force_tier`] — can never change an output.
 //!
 //! The active tier is resolved once from CPUID (overridable with the
 //! `SHFL_SIMD` environment variable: `scalar`, `sse2` or `avx2`, clamped to
@@ -208,31 +206,30 @@ pub fn available_tiers() -> Vec<SimdTier> {
     tiers
 }
 
-/// The x86-64 vector implementations of the span sweeps dispatched from
-/// [`crate::mma`]. Each function covers columns `start .. end` of one output
-/// row with the same semantics as its scalar counterpart; the reduction rows
-/// of the `b` operand are located by a per-step base closure (consecutive
-/// rows, gathered rows, or per-tap element offsets).
+/// The x86-64 vector tiers of [`crate::mma::mma_sweep`]: one AVX2 and one
+/// SSE2 entry, each covering columns `start .. end` of one output row with
+/// the arithmetic of the scalar tier.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
-    /// Sweeps all full `NV·8`-wide column chunks from `j0`, holding the chunk
-    /// in `NV` `__m256` accumulators across the whole reduction. Returns the
-    /// first unprocessed column. `LOAD_C` mirrors the scalar
-    /// `reg_row_chunks`: start the chunk from `c` (direct accumulate) or from
-    /// `+0.0` with one add into `c` at the end (fused partial).
+    /// Sweeps every full `NV·8`-wide chunk of columns `j0 .. end`, holding
+    /// the chunk in `NV` `__m256` accumulators across the whole reduction.
+    /// Returns the first column left over. `LOAD_C` selects the accumulate
+    /// mode of `mma_sweep`: start the chunk from `c`, or from `+0.0` with one
+    /// add into `c` at the end.
     ///
     /// # Safety
     ///
-    /// For every reduction step `p < a_row.len()`:
-    /// `row_base(p) + end <= b len` and `c_row` must be valid for `end`
-    /// elements. Caller must ensure AVX2 is available.
+    /// For every step `p`: `offs[p]·scale + end` must not exceed the length
+    /// of the slice `b` points into, `c_row` must be valid for `end`
+    /// elements, and the CPU must support AVX2.
     #[inline(always)]
     unsafe fn chunks256<const NV: usize, const LOAD_C: bool>(
         a_row: &[f32],
         b: *const f32,
-        row_base: &impl Fn(usize) -> usize,
+        offs: &[u32],
+        scale: usize,
         c_row: *mut f32,
         end: usize,
         mut j0: usize,
@@ -245,11 +242,11 @@ pub(crate) mod x86 {
                     *acc = _mm256_loadu_ps(c_row.add(j0 + v * 8) as *const f32);
                 }
             }
-            for (p, &av) in a_row.iter().enumerate() {
+            for (&av, &off) in a_row.iter().zip(offs) {
                 let avv = _mm256_set1_ps(av);
-                let base = b.add(row_base(p) + j0);
+                let row = b.add(off as usize * scale + j0);
                 for (v, acc) in part.iter_mut().enumerate() {
-                    let bv = _mm256_loadu_ps(base.add(v * 8));
+                    let bv = _mm256_loadu_ps(row.add(v * 8));
                     // Separate mul + add: an FMA would skip the intermediate
                     // rounding and break bit-identity with the scalar tier.
                     *acc = _mm256_add_ps(*acc, _mm256_mul_ps(avv, bv));
@@ -269,7 +266,7 @@ pub(crate) mod x86 {
         j0
     }
 
-    /// [`chunks256`] at 128-bit width: all full `NV·4`-wide chunks in `NV`
+    /// [`chunks256`] at 128-bit width: every full `NV·4`-wide chunk in `NV`
     /// `__m128` accumulators.
     ///
     /// # Safety
@@ -279,7 +276,8 @@ pub(crate) mod x86 {
     unsafe fn chunks128<const NV: usize, const LOAD_C: bool>(
         a_row: &[f32],
         b: *const f32,
-        row_base: &impl Fn(usize) -> usize,
+        offs: &[u32],
+        scale: usize,
         c_row: *mut f32,
         end: usize,
         mut j0: usize,
@@ -292,11 +290,11 @@ pub(crate) mod x86 {
                     *acc = _mm_loadu_ps(c_row.add(j0 + v * 4) as *const f32);
                 }
             }
-            for (p, &av) in a_row.iter().enumerate() {
+            for (&av, &off) in a_row.iter().zip(offs) {
                 let avv = _mm_set1_ps(av);
-                let base = b.add(row_base(p) + j0);
+                let row = b.add(off as usize * scale + j0);
                 for (v, acc) in part.iter_mut().enumerate() {
-                    let bv = _mm_loadu_ps(base.add(v * 4));
+                    let bv = _mm_loadu_ps(row.add(v * 4));
                     *acc = _mm_add_ps(*acc, _mm_mul_ps(avv, bv));
                 }
             }
@@ -314,8 +312,8 @@ pub(crate) mod x86 {
         j0
     }
 
-    /// Scalar remainder columns `j0 .. end`, arithmetic identical to the
-    /// scalar span tails in `crate::mma`.
+    /// Remainder columns `j0 .. end`, one at a time, with the arithmetic of
+    /// the scalar tier's tail.
     ///
     /// # Safety
     ///
@@ -324,7 +322,8 @@ pub(crate) mod x86 {
     unsafe fn scalar_tail<const LOAD_C: bool>(
         a_row: &[f32],
         b: *const f32,
-        row_base: &impl Fn(usize) -> usize,
+        offs: &[u32],
+        scale: usize,
         c_row: *mut f32,
         end: usize,
         j0: usize,
@@ -332,8 +331,8 @@ pub(crate) mod x86 {
         for j in j0..end {
             let o = c_row.add(j);
             let mut part = if LOAD_C { *o } else { 0.0 };
-            for (p, &av) in a_row.iter().enumerate() {
-                part += av * *b.add(row_base(p) + j);
+            for (&av, &off) in a_row.iter().zip(offs) {
+                part += av * *b.add(off as usize * scale + j);
             }
             if LOAD_C {
                 *o = part;
@@ -343,205 +342,55 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Full AVX2 span: 64/32/16/8-wide `__m256` chunks, a 4-wide `__m128`
+    /// The AVX2 tier: 64/32/16/8-wide `__m256` chunks, one 4-wide `__m128`
     /// step, then the scalar tail.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`chunks256`]; caller guarantees AVX2.
-    #[inline(always)]
-    unsafe fn span256<const LOAD_C: bool>(
-        a_row: &[f32],
-        b: *const f32,
-        row_base: impl Fn(usize) -> usize,
-        c_row: *mut f32,
-        start: usize,
-        end: usize,
-    ) {
-        let rb = &row_base;
-        let mut j0 = start;
-        j0 = chunks256::<8, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        j0 = chunks256::<4, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        j0 = chunks256::<2, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        j0 = chunks256::<1, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        j0 = chunks128::<1, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        scalar_tail::<LOAD_C>(a_row, b, rb, c_row, end, j0);
-    }
-
-    /// Full SSE2 span: 32/16/8/4-wide `__m128` chunks, then the scalar tail.
-    ///
-    /// # Safety
-    ///
-    /// Same bounds contract as [`chunks256`].
-    #[inline(always)]
-    unsafe fn span128<const LOAD_C: bool>(
-        a_row: &[f32],
-        b: *const f32,
-        row_base: impl Fn(usize) -> usize,
-        c_row: *mut f32,
-        start: usize,
-        end: usize,
-    ) {
-        let rb = &row_base;
-        let mut j0 = start;
-        j0 = chunks128::<8, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        j0 = chunks128::<4, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        j0 = chunks128::<2, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        j0 = chunks128::<1, LOAD_C>(a_row, b, rb, c_row, end, j0);
-        scalar_tail::<LOAD_C>(a_row, b, rb, c_row, end, j0);
-    }
-
-    /// AVX2 plain span (consecutive `b` rows at memory stride `stride`).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees `p * stride + end <= b.len()` for every
-    /// `p < a_row.len()`, `end <= c_row.len()`, and that AVX2 is available.
+    /// Caller guarantees `offs[p] as usize * scale + end <= b.len()` for
+    /// every `p`, `end <= c_row.len()`, and that the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn plain_span_avx2<const LOAD_C: bool>(
+    pub(crate) unsafe fn span_avx2<const LOAD_C: bool>(
         a_row: &[f32],
         b: &[f32],
-        stride: usize,
+        offs: &[u32],
+        scale: usize,
         c_row: &mut [f32],
         start: usize,
         end: usize,
     ) {
-        span256::<LOAD_C>(
-            a_row,
-            b.as_ptr(),
-            |p| p * stride,
-            c_row.as_mut_ptr(),
-            start,
-            end,
-        );
+        let (b, c) = (b.as_ptr(), c_row.as_mut_ptr());
+        let mut j0 = start;
+        j0 = chunks256::<8, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        j0 = chunks256::<4, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        j0 = chunks256::<2, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        j0 = chunks256::<1, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        j0 = chunks128::<1, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        scalar_tail::<LOAD_C>(a_row, b, offs, scale, c, end, j0);
     }
 
-    /// SSE2 plain span (consecutive `b` rows at memory stride `stride`).
+    /// The SSE2 tier: 32/16/8/4-wide `__m128` chunks, then the scalar tail.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`plain_span_avx2`]; SSE2 is baseline.
-    pub(crate) unsafe fn plain_span_sse2<const LOAD_C: bool>(
+    /// Same bounds contract as [`span_avx2`]; SSE2 is baseline on x86-64.
+    #[target_feature(enable = "sse2")]
+    pub(crate) unsafe fn span_sse2<const LOAD_C: bool>(
         a_row: &[f32],
         b: &[f32],
-        stride: usize,
+        offs: &[u32],
+        scale: usize,
         c_row: &mut [f32],
         start: usize,
         end: usize,
     ) {
-        span128::<LOAD_C>(
-            a_row,
-            b.as_ptr(),
-            |p| p * stride,
-            c_row.as_mut_ptr(),
-            start,
-            end,
-        );
-    }
-
-    /// AVX2 gather span (`b` rows addressed by `b_rows[p]`), fused-partial
-    /// semantics (`LOAD_C = false`).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees `b_rows.len() == a_row.len()`,
-    /// `b_rows[p] as usize * stride + end <= b.len()` for every step,
-    /// `end <= acc_row.len()`, and that AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn gather_span_avx2(
-        a_row: &[f32],
-        b: &[f32],
-        b_rows: &[u32],
-        stride: usize,
-        acc_row: &mut [f32],
-        start: usize,
-        end: usize,
-    ) {
-        span256::<false>(
-            a_row,
-            b.as_ptr(),
-            |p| b_rows[p] as usize * stride,
-            acc_row.as_mut_ptr(),
-            start,
-            end,
-        );
-    }
-
-    /// SSE2 gather span (`b` rows addressed by `b_rows[p]`).
-    ///
-    /// # Safety
-    ///
-    /// Same bounds contract as [`gather_span_avx2`]; SSE2 is baseline.
-    pub(crate) unsafe fn gather_span_sse2(
-        a_row: &[f32],
-        b: &[f32],
-        b_rows: &[u32],
-        stride: usize,
-        acc_row: &mut [f32],
-        start: usize,
-        end: usize,
-    ) {
-        span128::<false>(
-            a_row,
-            b.as_ptr(),
-            |p| b_rows[p] as usize * stride,
-            acc_row.as_mut_ptr(),
-            start,
-            end,
-        );
-    }
-
-    /// AVX2 offset span: reduction step `p` reads `b` at
-    /// `b_base + b_offs[p] + j` (the implicit-GEMM conv addressing), fused-
-    /// partial semantics.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees `b_offs.len() == a_row.len()`,
-    /// `b_base + b_offs[p] as usize + end <= b.len()` for every step,
-    /// `end <= acc_row.len()`, and that AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn offset_span_avx2(
-        a_row: &[f32],
-        b: &[f32],
-        b_base: usize,
-        b_offs: &[u32],
-        acc_row: &mut [f32],
-        start: usize,
-        end: usize,
-    ) {
-        span256::<false>(
-            a_row,
-            b.as_ptr(),
-            |p| b_base + b_offs[p] as usize,
-            acc_row.as_mut_ptr(),
-            start,
-            end,
-        );
-    }
-
-    /// SSE2 offset span (per-tap element offsets into `b`).
-    ///
-    /// # Safety
-    ///
-    /// Same bounds contract as [`offset_span_avx2`]; SSE2 is baseline.
-    pub(crate) unsafe fn offset_span_sse2(
-        a_row: &[f32],
-        b: &[f32],
-        b_base: usize,
-        b_offs: &[u32],
-        acc_row: &mut [f32],
-        start: usize,
-        end: usize,
-    ) {
-        span128::<false>(
-            a_row,
-            b.as_ptr(),
-            |p| b_base + b_offs[p] as usize,
-            acc_row.as_mut_ptr(),
-            start,
-            end,
-        );
+        let (b, c) = (b.as_ptr(), c_row.as_mut_ptr());
+        let mut j0 = start;
+        j0 = chunks128::<8, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        j0 = chunks128::<4, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        j0 = chunks128::<2, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        j0 = chunks128::<1, LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        scalar_tail::<LOAD_C>(a_row, b, offs, scale, c, end, j0);
     }
 }
 

@@ -3,7 +3,7 @@
 //! A serving engine runs many layers, each across a handful of activation
 //! N-buckets ([`shfl_core::bucket::BucketPolicy`]). Building a plan
 //! ([`crate::plan::SpmmPlan`]) is the expensive one-time phase — fp16
-//! rounding, tile transposition, launch / cascade / profile resolution — so
+//! rounding, tile transposition, launch / profile resolution — so
 //! the serving layer keys built plans by `(layer, version, n_bucket)` and
 //! reuses them across every request that lands on the same bucket of the
 //! same weight version. [`PlanCache`] owns

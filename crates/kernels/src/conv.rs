@@ -367,7 +367,7 @@ pub fn conv2d_shfl_bw_profile(
 ///
 /// # Errors
 ///
-/// Returns [`KernelError::ShapeMismatch`] if the flattened filter matrix does not
+/// Returns [`crate::KernelError::ShapeMismatch`] if the flattened filter matrix does not
 /// match the convolution geometry or the input does not match it.
 pub fn conv2d_dense_execute(
     arch: &GpuArch,
@@ -386,7 +386,7 @@ pub fn conv2d_dense_execute(
 ///
 /// # Errors
 ///
-/// Returns [`KernelError::ShapeMismatch`] if the pruned filter matrix does not match
+/// Returns [`crate::KernelError::ShapeMismatch`] if the pruned filter matrix does not match
 /// the convolution geometry or the input does not match it.
 pub fn conv2d_shfl_bw_execute(
     arch: &GpuArch,

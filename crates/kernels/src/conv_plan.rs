@@ -12,28 +12,25 @@
 //!    `R·S×` smaller than im2col). Within a padded row, column `px` lives at
 //!    `(px % stride)·Lφ + px / stride` (`Lφ = ⌈Wpad/stride⌉`, `Wrow =
 //!    stride·Lφ`): all pixels a strided output row touches for a fixed filter
-//!    tap become one *contiguous* run, so the panel-sweep microkernels stream
-//!    them exactly like im2col columns.
+//!    tap become one *contiguous* run, so the panel sweep streams them
+//!    exactly like im2col columns.
 //! 2. **Gather-style segment spans via separable tap offsets.** The implicit
 //!    operand element `B[(c,r,s)][(b,oh,ow)]` sits at `block_base(b, oh) +
 //!    tap_off(c, r, s) + ow` in `T`; the plan resolves one `tap_off` per
 //!    filter tap at build time and sweeps each `(b, oh)` output row as a block
-//!    through [`gpu_sim::mma::mma_row_block_offset_fused_acc_cascade`] — the
-//!    same fused panel-sweep microkernel family (and therefore the same SIMD
-//!    dispatch tiers) the SpMM plans use. Because consecutive output rows sit a
-//!    fixed `stride·Wrow` apart in `T`, an image's row blocks merge into a
-//!    single plane-wide sweep whenever the inter-row gap lanes (discarded at
-//!    copy-out) waste under 25% of the width — exact for `1×1` stride-1, a
-//!    thin halo for stride-1 `R×S`; remaining narrow blocks are lane-padded so
-//!    no sweep falls into the scalar column tail.
-//! 3. **k-padding to the cascade step.** Panels pack at the per-problem tile
-//!    target `tk`, and short stitched tails are widened in place to the
-//!    register cascade's 4-tap step with columns of `+0.0`
-//!    ([`shfl_core::packed::PackedPanels::pad_panels_to`]), paired with tap
-//!    offset `0`; padded MACs contribute exact `±0.0` *after* the real taps of
-//!    their panel, which cannot change any partial sum (see the proof on
-//!    `pad_panels_to`). The sweep takes each panel at its own width, so
-//!    k-padding never inflates a sparse layer's MAC count beyond the step.
+//!    through [`gpu_sim::mma::mma_sweep`] with `scale = 1` — the same panel
+//!    sweep (and therefore the same SIMD dispatch tiers) the SpMM plans use,
+//!    with tap offsets where they pass kept columns. Because consecutive
+//!    output rows sit a fixed `stride·Wrow` apart in `T`, an image's row
+//!    blocks merge into a single plane-wide sweep whenever the inter-row gap
+//!    lanes (discarded at copy-out) waste under 25% of the width — exact for
+//!    `1×1` stride-1, a thin halo for stride-1 `R×S`; remaining narrow blocks
+//!    are lane-padded so no sweep falls into the scalar column tail.
+//! 3. **No k-padding.** Panels pack at the per-problem tile target `tk` and
+//!    the sweep takes each panel at its own width, so a short stitched tail
+//!    costs exactly its taps and reads only the input elements its kept
+//!    channels name: a non-finite value elsewhere in the input cannot leak
+//!    into a group that does not use it.
 //! 4. **Image-parallel execute.** `T` is laid out as one *slab* per image —
 //!    the image's `C·Hpad·Wrow` elements followed by its own lane-padding
 //!    slack — so every operand span an image's sweeps read stays inside its
@@ -55,7 +52,7 @@
 
 use crate::conv::{self, Conv2dParams, Tensor4};
 use crate::profile::{KernelError, KernelProfile, KernelResult};
-use gpu_sim::mma::{mma_row_block_offset_fused_acc_cascade, RegCascade};
+use gpu_sim::mma::{mma_sweep, SegmentSpan};
 use gpu_sim::GpuArch;
 use shfl_core::f16::{round_to_f16_into, round_to_f16_slice};
 use shfl_core::formats::ShflBwMatrix;
@@ -71,12 +68,6 @@ use std::sync::{Mutex, TryLockError};
 /// the padding lanes cannot perturb the real columns' bit patterns.
 const SIMD_LANES: usize = 8;
 
-/// Minimum panel tap count short stitched tails are k-padded to (the register
-/// cascade's smallest step). Padded taps multiply `+0.0` after their panel's
-/// real taps, which cannot change any partial sum — see
-/// [`shfl_core::packed::PackedPanels::pad_panels_to`].
-const PANEL_TAP_STEP: usize = 4;
-
 /// A prepared Shfl-BW implicit-GEMM convolution (see the module docs).
 ///
 /// Built once per `(weights, arch, geometry)` like [`crate::plan::SpmmPlan`];
@@ -90,13 +81,12 @@ pub struct ImplicitConvPlan {
     v: usize,
     tk: usize,
     packed: PackedPanels,
-    /// Per group: one row of operand offsets into `T` per stitched panel,
-    /// sized to the panel's width; k-padded entries = 0.
+    /// Operand offset into `T` of every kept filter tap, group-major in the
+    /// weights' kept-column order (so panel by panel).
     tap_offs: Vec<u32>,
-    /// `group_tap_ptr[g]..group_tap_ptr[g+1]` bounds group `g` in `tap_offs`.
-    group_tap_ptr: Vec<usize>,
+    /// `group_ptr[g]..group_ptr[g+1]` bounds group `g` in `tap_offs`.
+    group_ptr: Vec<usize>,
     row_indices: Vec<u32>,
-    padded_panels: usize,
     // Phase-split transform geometry.
     hpad: usize,
     wrow: usize,
@@ -120,7 +110,6 @@ pub struct ImplicitConvPlan {
     block_width_padded: usize,
     /// Row blocks per image (`OH` per-row, or `1` when rows merge).
     blocks_per_image: usize,
-    cascade: RegCascade,
     /// Reused transform buffer, pre-sized (and pre-zeroed) at build so the
     /// plan's resident bytes are accounted from cache-insert time. Execute
     /// falls back to a fresh buffer if the lock is contended.
@@ -189,28 +178,8 @@ impl ImplicitConvPlan {
         let v = vw.vector_size();
         let tile = tiling::select_vector_wise_tile(v, n);
         let tk = tile.tk;
-        let mut packed = PackedPanels::pack_vector_wise(vw, tk);
-        // k-pad only up to the cascade's 4-tap step, not the full `tk` tile:
-        // the panel sweep takes its tap count per panel, so a short tail panel
-        // costs exactly its width — padding a 3-tap tail of a sparse `1×1`
-        // layer (K = 64 → ~19 taps per group) to 16 would spend over half the
-        // layer's MACs multiplying `+0.0`.
-        let padded_panels = packed.pad_panels_to(PANEL_TAP_STEP);
-        // Padded tap table: one row of offsets per stitched panel, sized to
-        // the panel's (possibly k-padded) width; padded entries pair with
-        // offset 0 — their weight is exactly `+0.0`.
-        let num_groups = vw.num_groups();
-        let mut tap_offs = Vec::new();
-        let mut group_tap_ptr = Vec::with_capacity(num_groups + 1);
-        group_tap_ptr.push(0);
-        for g in 0..num_groups {
-            for (chunk, panel) in vw.group_cols(g).chunks(tk).zip(packed.chunk_panels(g)) {
-                let (_, _, kk) = packed.panel(panel);
-                tap_offs.extend(chunk.iter().map(|&c| tap[c as usize]));
-                tap_offs.resize(tap_offs.len() + (kk - chunk.len()), 0);
-            }
-            group_tap_ptr.push(tap_offs.len());
-        }
+        let packed = PackedPanels::pack_vector_wise(vw, tk);
+        let tap_offs = vw.col_idx().iter().map(|&c| tap[c as usize]).collect();
 
         // Row merging: within one image, output row `y` starts `stride·Wrow`
         // elements after row `y−1` for every tap, so an image's `OH` row
@@ -244,9 +213,8 @@ impl ImplicitConvPlan {
             tk,
             packed,
             tap_offs,
-            group_tap_ptr,
+            group_ptr: vw.group_ptr().to_vec(),
             row_indices: weights.row_indices().to_vec(),
-            padded_panels,
             hpad,
             wrow,
             lphi,
@@ -256,7 +224,6 @@ impl ImplicitConvPlan {
             block_width_padded,
             rows_per_block,
             blocks_per_image,
-            cascade: RegCascade::for_width(block_width_padded),
             scratch: Mutex::new(vec![0.0f32; p.batch * image_stride]),
             profile: conv::conv2d_shfl_bw_profile(arch, weights, params),
         })
@@ -279,18 +246,13 @@ impl ImplicitConvPlan {
         (self.m, self.n, self.k)
     }
 
-    /// Stitched panels widened to the `tk` tile target by k-padding.
-    pub fn padded_panels(&self) -> usize {
-        self.padded_panels
-    }
-
     /// Resident bytes the plan owns: packed panels, tap/group tables, shuffle
     /// row indices, **and** the pre-sized transform scratch — so byte-budget
     /// eviction in [`crate::cache::PlanCache`] sees conv plans at true size.
     pub fn packed_bytes(&self) -> usize {
         self.packed.packed_bytes()
             + self.tap_offs.len() * std::mem::size_of::<u32>()
-            + self.group_tap_ptr.len() * std::mem::size_of::<usize>()
+            + self.group_ptr.len() * std::mem::size_of::<usize>()
             + self.row_indices.len() * std::mem::size_of::<u32>()
             + self.t_alloc() * std::mem::size_of::<f32>()
     }
@@ -415,7 +377,7 @@ impl ImplicitConvPlan {
     /// Sweeps every weight group over one image's filled slab `t` and copies
     /// the results into the image's NCHW output planes `out`. Per group, the
     /// block-major accumulator `tile` holds one contiguous lane-padded
-    /// `V × bwp` slab per row block, so every microkernel call writes one
+    /// `V × bwp` slab per row block, so every sweep call writes one
     /// dense full-vector tile exactly like the stitched SpMM sweep; copy-out
     /// takes the first `bw` real columns. **Panels outer, row blocks inner**,
     /// so each packed panel and its tap row stream from L1 across every block
@@ -427,14 +389,18 @@ impl ImplicitConvPlan {
         let slab = self.v * bwp;
         // Operand distance between consecutive output rows of one image.
         let row_step = p.stride * self.wrow;
-        let num_groups = self.group_tap_ptr.len() - 1;
+        let num_groups = self.group_ptr.len() - 1;
+        let span = [SegmentSpan {
+            start: 0,
+            width: bwp,
+        }];
         for g in 0..num_groups {
             let panels = self.packed.chunk_panels(g);
             if panels.is_empty() {
                 continue; // all-zero group: output rows stay zero
             }
             tile.fill(0.0);
-            let taps = &self.tap_offs[self.group_tap_ptr[g]..self.group_tap_ptr[g + 1]];
+            let taps = &self.tap_offs[self.group_ptr[g]..self.group_ptr[g + 1]];
             let mut toff = 0;
             for panel in panels {
                 let (values, rows, kk) = self.packed.panel(panel);
@@ -443,17 +409,8 @@ impl ImplicitConvPlan {
                 let step_taps = &taps[toff..toff + kk];
                 toff += kk;
                 for (blk, acc) in tile.chunks_exact_mut(slab).enumerate() {
-                    mma_row_block_offset_fused_acc_cascade(
-                        values,
-                        self.v,
-                        kk,
-                        t,
-                        blk * self.rows_per_block * row_step,
-                        step_taps,
-                        acc,
-                        bwp,
-                        self.cascade,
-                    );
+                    let block = &t[blk * self.rows_per_block * row_step..];
+                    mma_sweep::<false>(values, self.v, block, step_taps, 1, acc, bwp, &span);
                 }
             }
             for sr in 0..self.v {

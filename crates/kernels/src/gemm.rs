@@ -6,11 +6,8 @@
 
 use crate::launch::{self, LaunchConfig, FP16_BYTES, OUTPUT_BYTES};
 use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
-use gpu_sim::mma::{mma_row_block, MmaShape};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, KernelStats};
 use shfl_core::matrix::DenseMatrix;
-use shfl_core::parallel;
-use std::cell::RefCell;
 
 /// Compute-throughput fraction a CUDA-core GEMM achieves (well-tuned SGEMM/HGEMM).
 const CUDA_CORE_GEMM_EFFICIENCY: f64 = 0.85;
@@ -119,84 +116,6 @@ pub fn dense_gemm_execute(
     crate::plan::GemmPlan::new(arch, a, b.cols()).execute(b)
 }
 
-thread_local! {
-    /// Reusable per-thread A-fragment staging buffer for the blocked engine.
-    static A_FRAG_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Computes `A·B` with the *unprepared* blocked fragment engine: every call
-/// re-rounds the A operand and re-stages its fragments. Retained as the
-/// plan-less baseline — the prepared [`crate::plan::GemmPlan`] packs the same
-/// fragments once at plan time and must be bit-identical to this function
-/// (asserted by the property tests and timed against it by
-/// `repro --bench-kernels`).
-///
-/// Both operands are fp16-rounded **once** up front
-/// ([`DenseMatrix::as_f16_rounded`]); the main loop then runs over output
-/// row-tiles of `shape.m()` rows, distributed across cores. Per tile, each
-/// `shape.k()`-wide reduction slice of the A operand is staged into a reusable
-/// thread-local fragment buffer via `copy_from_slice` and multiplied against
-/// whole pre-rounded rows of B on the interior fast path
-/// ([`mma_row_block`]) — no per-element bounds checks, no in-loop rounding.
-/// Boundary tiles (last row-tile / last k-slice) take the same path with
-/// shortened dimensions, which is bit-identical to zero-padded fragments.
-///
-/// Every output element accumulates its `k` contributions in ascending order
-/// through one `f32` accumulator, exactly like the retained naive path
-/// ([`crate::reference::fragment_matmul_naive`]), so the two are bit-identical
-/// on every shape — the property tests assert exact equality.
-pub fn fragment_matmul(shape: MmaShape, a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = DenseMatrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
-    let a16 = a.as_f16_rounded();
-    let b16 = b.as_f16_rounded();
-    fragment_matmul_prerounded_into(shape, &a16, &b16, &mut c);
-    c
-}
-
-/// The blocked main loop on pre-rounded operands, accumulating into `c`
-/// (which the caller provides zero-initialised or carrying prior partials).
-pub(crate) fn fragment_matmul_prerounded_into(
-    shape: MmaShape,
-    a16: &DenseMatrix,
-    b16: &DenseMatrix,
-    c: &mut DenseMatrix,
-) {
-    let (m, k) = a16.shape();
-    let n = b16.cols();
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let (fm, fk) = (shape.m(), shape.k());
-    parallel::par_chunks_mut_weighted(c.as_mut_slice(), fm * n, k, |tile, c_chunk| {
-        let i0 = tile * fm;
-        let rows = c_chunk.len() / n;
-        A_FRAG_SCRATCH.with(|scratch| {
-            let mut a_frag = scratch.borrow_mut();
-            a_frag.resize(fm * fk, 0.0);
-            for p0 in (0..k).step_by(fk) {
-                let kk = fk.min(k - p0);
-                // Stage the rows×kk A fragment: one contiguous copy per row.
-                for i in 0..rows {
-                    a_frag[i * kk..(i + 1) * kk].copy_from_slice(&a16.row(i0 + i)[p0..p0 + kk]);
-                }
-                mma_row_block(
-                    &a_frag[..rows * kk],
-                    rows,
-                    kk,
-                    b16.rows_chunk(p0, kk),
-                    c_chunk,
-                    n,
-                );
-            }
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,12 +178,12 @@ mod tests {
     }
 
     #[test]
-    fn fragment_matmul_handles_non_multiple_shapes() {
+    fn execute_handles_non_multiple_shapes() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = DenseMatrix::random(&mut rng, 17, 13);
         let b = DenseMatrix::random(&mut rng, 13, 9);
-        let c = fragment_matmul(MmaShape::M16N8K16, &a, &b);
+        let out = dense_gemm_execute(&GpuArch::v100(), &a, &b).unwrap();
         let reference = a.matmul(&b).unwrap();
-        assert!(c.approx_eq(&reference, 2e-2).unwrap());
+        assert!(out.output.approx_eq(&reference, 2e-2).unwrap());
     }
 }

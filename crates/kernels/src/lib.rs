@@ -26,39 +26,38 @@
 //! | **Shfl-BW SpMM** | the paper's contribution (Algorithm 1) | [`spmm::shfl_bw`] |
 //! | Implicit-GEMM 2-D convolution (dense and Shfl-BW) | cuDNN / the paper's conv kernel | [`conv`] |
 //!
-//! ## The blocked fragment engine (fast path / boundary path)
+//! ## One sweep kernel
 //!
-//! Every functional kernel runs on a shared blocked-fragment core designed the
-//! way real tensor-core kernels keep the MMA pipeline fed with dense,
-//! contiguous fragments:
+//! Every functional kernel — dense GEMM, block-wise, vector-wise / Shfl-BW,
+//! balanced 2:4, CSR and both convolution paths — executes through one panel
+//! sweep, [`gpu_sim::mma::mma_sweep`], the way the paper runs linear and
+//! convolution layers through one stitched MMA loop:
 //!
-//! 1. **Pre-rounding pass.** Each operand matrix is rounded through fp16
-//!    *once* ([`shfl_core::matrix::DenseMatrix::as_f16_rounded`]) before the
-//!    main loop, instead of per element inside the innermost `m·n·k` loop.
-//!    Rounding is element-wise, so this is bit-identical and removes ~`2·m·n·k`
-//!    software fp16 conversions per GEMM.
-//! 2. **Interior fast path.** The output is partitioned into row-tiles of
-//!    `MmaShape::m()` rows. Per tile, each `MmaShape::k()`-wide slice of the A
-//!    operand is staged into a reusable thread-local fragment buffer with one
-//!    `copy_from_slice` per row, then multiplied against whole pre-rounded rows
-//!    of B by [`gpu_sim::mma::mma_row_block`]: contiguous-slice AXPY sweeps
-//!    with no padding checks and no rounding, which the compiler vectorises.
-//! 3. **Boundary path.** The last row-tile and last k-slice run the same code
-//!    with shortened dimensions. Shortening is bit-identical to the zero-padded
-//!    full fragments the naive path used (padded MACs contribute exact zeros);
-//!    fully padded fragments — the only case needing the classic staged
-//!    [`gpu_sim::mma::warp_mma`] — never arise on this decomposition.
-//! 4. **Parallel row-tiles.** Tiles (and SpMM row groups / block rows / CSR
-//!    rows) own disjoint output slices, so they are fanned out across cores by
-//!    [`shfl_core::parallel::par_chunks_mut`] behind the default `parallel`
-//!    feature. Each output element is written by exactly one task, so results
-//!    do not depend on the schedule.
+//! 1. **Pre-rounding pass.** The activation operand is rounded through fp16
+//!    once per call ([`shfl_core::matrix::DenseMatrix::as_f16_rounded`]) and
+//!    the weights once per plan, instead of per element inside the innermost
+//!    `m·n·k` loop. Rounding is element-wise, so this is bit-identical.
+//! 2. **Packed panels times addressed operand rows.** A plan packs its weights
+//!    into `rows × kk` panels ([`shfl_core::packed::PackedPanels`]). The sweep
+//!    multiplies a panel by the `kk` activation rows its metadata names —
+//!    consecutive rows for dense and block panels, the kept columns for
+//!    stitched panels and CSR rows, per-tap offsets into the padded input for
+//!    the implicit-GEMM convolution — in place, with no staging copy, holding
+//!    output chunks in registers across the whole panel. It dispatches at run
+//!    time to AVX2, SSE2 or scalar code ([`gpu_sim::simd`]); every tier is
+//!    bit-identical.
+//! 3. **Parallel chunks.** Row-tiles, SpMM row groups, block rows, CSR rows
+//!    and convolution images own disjoint output slices, so they are fanned
+//!    out across cores by [`shfl_core::parallel::par_chunks_mut_weighted`]
+//!    behind the default `parallel` feature. Each output element is written by
+//!    exactly one task, so results do not depend on the schedule.
 //!
 //! Accumulation per output element is ascending-`k` through a single `f32`
-//! accumulator in both the blocked engine and the retained naive paths, so the
-//! [`reference`] module's kernels are **bit-identical** oracles: the property
-//! tests assert exact equality, and `repro --bench-kernels` times naive vs
-//! blocked in the same run to track the speedup (`BENCH_kernels.json`).
+//! accumulator in both the sweep and the naive paths, so the
+//! [`reference`](mod@reference) module's kernels are **bit-identical**
+//! oracles: the property tests assert exact equality, and
+//! `repro --bench-kernels` times naive vs blocked in the same run to track the
+//! speedup (`BENCH_kernels.json`).
 //!
 //! ## The plan/execute split
 //!

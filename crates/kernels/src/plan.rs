@@ -22,11 +22,13 @@
 //!   [`GemmPlan`] or stitched [`SpmmPlan`] over the flattened filter matrix.
 //!
 //! Every plan owns the packed panels ([`shfl_core::packed::PackedPanels`]),
-//! the resolved launch/tile configuration, the register-block cascade
-//! ([`gpu_sim::mma::RegCascade`], selected per N-bucket the same way the
-//! launch configuration is), and the precomputed analytical
-//! [`KernelProfile`] (cloned into each [`KernelOutput`]). Plans are cached
-//! per `(layer, n_bucket)` by the serving stack ([`crate::cache::PlanCache`]). Activation-side
+//! the resolved launch/tile configuration, and the precomputed analytical
+//! [`KernelProfile`] (cloned into each [`KernelOutput`]). Every tensor-core
+//! plan and the CSR plan execute through the one panel sweep
+//! [`gpu_sim::mma::mma_sweep`], and each plan has one execute body: a
+//! single-width `execute` sweeps the whole width, a fused `execute_segments`
+//! sweeps the segments' spans. Plans are cached per `(layer, n_bucket)` by
+//! the serving stack ([`crate::cache::PlanCache`]). Activation-side
 //! working buffers are deliberately *not* cached on the plan: freshly mapped
 //! pages measured consistently faster than long-lived reused buffers on this
 //! allocator (transparent-huge-page placement), and a buffer-free plan stays
@@ -68,11 +70,7 @@ use crate::gemm;
 use crate::launch::{self, LaunchConfig};
 use crate::profile::{KernelError, KernelOutput, KernelProfile, KernelResult};
 use crate::spmm;
-use gpu_sim::mma::{
-    mma_row_block_fused_acc_cascade, mma_row_block_fused_acc_segments,
-    mma_row_block_gather_fused_acc_cascade, mma_row_block_gather_fused_acc_segments,
-    mma_row_block_reg_cascade, mma_row_block_reg_segments, RegCascade, SegmentSpan,
-};
+use gpu_sim::mma::{mma_sweep, SegmentSpan};
 use gpu_sim::pipeline::PipelineConfig;
 use gpu_sim::GpuArch;
 use shfl_core::bucket::Segment;
@@ -84,42 +82,56 @@ use shfl_core::packed::PackedPanels;
 use shfl_core::parallel;
 use shfl_core::tiling::{self, TileConfig};
 
-/// Validates that an activation operand matches the `(k, n)` bucket a plan was
-/// built for.
-fn check_activations(what: &str, b: &DenseMatrix, k: usize, n: usize) -> KernelResult<()> {
-    if b.shape() != (k, n) {
-        return Err(KernelError::ShapeMismatch {
-            context: format!(
-                "{what} plan was built for {k}x{n} activations but got {:?}",
-                b.shape()
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Widest column span one fused-sweep step processes at a time. A segment
-/// wider than this is subdivided for the sweep (bit-identical — every output
+/// Widest column span one sweep step processes at a time. A wider execute
+/// or segment is subdivided for the sweep (bit-identical — every output
 /// column depends only on its own activation column, and the panel order per
 /// column is unchanged): a `tk × span` pre-rounded activation tile of
 /// `16 × 256 × 4 = 16` KB stays L1-resident across all of a panel's output
-/// rows, where a 1024-wide bucket segment's 64 KB tile would be re-streamed
-/// from L2 per row. Keeps the sweep's cache behaviour identical to the
-/// narrow per-segment plans no matter how wide the layer's bucket ceiling is.
+/// rows, where a 1024-wide tile's 64 KB would be re-streamed from L2 per row.
 const MAX_SWEEP_SPAN: usize = 256;
 
-/// Validates that `segments` tile an activation operand of `k × n` exactly
-/// once, contiguously from column 0, and returns the sweep spans: each
-/// segment swept with the register-block cascade its *bucket* selects (the
-/// same cascade the per-segment bucket plan would use, though every cascade
-/// is bit-identical anyway), subdivided to [`MAX_SWEEP_SPAN`]-wide spans for
-/// cache locality.
-fn check_segment_tiling(
+/// Appends the sweep spans of columns `start .. end`: [`MAX_SWEEP_SPAN`]-wide
+/// pieces, the last one narrower.
+fn push_spans(spans: &mut Vec<SegmentSpan>, start: usize, end: usize) {
+    for s in (start..end).step_by(MAX_SWEEP_SPAN) {
+        spans.push(SegmentSpan {
+            start: s,
+            width: MAX_SWEEP_SPAN.min(end - s),
+        });
+    }
+}
+
+/// The sweep spans of all `n` columns of a single-width operand.
+pub(crate) fn full_width_spans(n: usize) -> Vec<SegmentSpan> {
+    let mut spans = Vec::with_capacity(n.div_ceil(MAX_SWEEP_SPAN));
+    push_spans(&mut spans, 0, n);
+    spans
+}
+
+/// Validates an activation operand and returns the spans one execute sweeps.
+///
+/// A single-width execute (`segments = None`) must match the `(k, n)` bucket
+/// the plan was built for and sweeps all `n` columns. A fused execute's
+/// `segments` must tile the operand's columns exactly once, contiguously
+/// from column 0; each segment is swept on its own spans.
+fn sweep_spans(
     what: &str,
     b: &DenseMatrix,
     k: usize,
-    segments: &[Segment],
+    n: usize,
+    segments: Option<&[Segment]>,
 ) -> KernelResult<Vec<SegmentSpan>> {
+    let Some(segments) = segments else {
+        if b.shape() != (k, n) {
+            return Err(KernelError::ShapeMismatch {
+                context: format!(
+                    "{what} plan was built for {k}x{n} activations but got {:?}",
+                    b.shape()
+                ),
+            });
+        }
+        return Ok(full_width_spans(n));
+    };
     if b.rows() != k {
         return Err(KernelError::ShapeMismatch {
             context: format!(
@@ -140,17 +152,7 @@ fn check_segment_tiling(
                 ),
             });
         }
-        let cascade = RegCascade::for_width(s.bucket);
-        let mut start = s.start;
-        while start < s.end() {
-            let width = MAX_SWEEP_SPAN.min(s.end() - start);
-            spans.push(SegmentSpan {
-                start,
-                width,
-                cascade,
-            });
-            start += width;
-        }
+        push_spans(&mut spans, s.start, s.end());
         expected_start += s.width;
     }
     if expected_start != b.cols() {
@@ -165,66 +167,45 @@ fn check_segment_tiling(
     Ok(spans)
 }
 
-/// The shared prepared dense main loop: packed row-panels times a pre-rounded
-/// activation buffer (`k×n` row-major), accumulated tile-parallel into `c`
-/// with the register-blocked microkernel on the plan's per-bucket cascade.
-/// Identical accumulation order to [`gemm::fragment_matmul`].
-fn execute_packed_dense(
-    packed: &PackedPanels,
-    k: usize,
-    b16: &[f32],
-    c: &mut DenseMatrix,
-    cascade: RegCascade,
-) {
-    let (m, n) = c.shape();
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let fm = packed.panel_rows();
-    parallel::par_chunks_mut_weighted(c.as_mut_slice(), fm * n, k, |tile, c_chunk| {
-        let mut p0 = 0;
-        for panel in packed.chunk_panels(tile) {
-            let (values, rows, kk) = packed.panel(panel);
-            mma_row_block_reg_cascade(
-                values,
-                rows,
-                kk,
-                &b16[p0 * n..(p0 + kk) * n],
-                c_chunk,
-                n,
-                cascade,
-            );
-            p0 += kk;
-        }
-    });
+/// The operand row table of a dense or block packing: row `p` of the
+/// activations is reduction step `p`, so every panel reads a slice of
+/// `0..k`.
+fn ascending_rows(k: usize) -> Vec<u32> {
+    (0..k as u32).collect()
 }
 
-/// The fused multi-segment counterpart of [`execute_packed_dense`]: **one**
-/// sweep over the packed row-panels updates every output segment — each panel
-/// is read once per row-tile instead of once per segment. Bit-identical to
-/// running [`execute_packed_dense`] per extracted segment because every
-/// output element still receives its `k` contributions in ascending order.
-fn execute_packed_dense_segments(
+/// The dense main loop shared by [`GemmPlan`] and the balanced [`SpmmPlan`]:
+/// packed row-panels times the fp16-rounded `k × n` activations,
+/// accumulated tile-parallel into `c`. The panel covering reduction steps
+/// `p0 .. p0 + kk` reads activation rows `rows[p0 .. p0 + kk]`.
+fn sweep_dense(
     packed: &PackedPanels,
-    k: usize,
-    b16: &[f32],
+    rows: &[u32],
+    activations: &DenseMatrix,
     c: &mut DenseMatrix,
     spans: &[SegmentSpan],
 ) {
     let (m, n) = c.shape();
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 || rows.is_empty() {
         return;
     }
+    // Working buffers are allocated per call: freshly mapped pages measured
+    // consistently faster than reusing a long-lived scratch buffer on this
+    // allocator (transparent-huge-page placement), and a scratch-free plan
+    // stays `Sync`.
+    let b16_matrix = activations.as_f16_rounded();
+    let b16 = b16_matrix.as_slice();
     let fm = packed.panel_rows();
-    parallel::par_chunks_mut_weighted(c.as_mut_slice(), fm * n, k, |tile, c_chunk| {
+    parallel::par_chunks_mut_weighted(c.as_mut_slice(), fm * n, rows.len(), |tile, c_chunk| {
         let mut p0 = 0;
         for panel in packed.chunk_panels(tile) {
-            let (values, rows, kk) = packed.panel(panel);
-            mma_row_block_reg_segments(
+            let (values, tile_rows, kk) = packed.panel(panel);
+            mma_sweep::<true>(
                 values,
-                rows,
-                kk,
-                &b16[p0 * n..(p0 + kk) * n],
+                tile_rows,
+                b16,
+                &rows[p0..p0 + kk],
+                n,
                 c_chunk,
                 n,
                 spans,
@@ -242,16 +223,15 @@ pub struct GemmPlan {
     n: usize,
     k: usize,
     packed: PackedPanels,
+    rows: Vec<u32>,
     launch: LaunchConfig,
-    cascade: RegCascade,
     profile: KernelProfile,
 }
 
 impl GemmPlan {
     /// Builds the plan: rounds and packs the weight matrix into `fm×fk`
     /// row-panels (the architecture's MMA fragment shape), resolves the launch
-    /// configuration, the register-block cascade and the analytical profile
-    /// for the `n` bucket.
+    /// configuration and the analytical profile for the `n` bucket.
     pub fn new(arch: &GpuArch, weights: &DenseMatrix, n: usize) -> Self {
         let (m, k) = weights.shape();
         let shape = arch.mma_shape;
@@ -261,8 +241,8 @@ impl GemmPlan {
             n,
             k,
             packed,
+            rows: ascending_rows(k),
             launch: launch::dense_launch(arch, m, n, k),
-            cascade: RegCascade::for_width(n),
             profile: gemm::dense_gemm_profile(arch, m, n, k),
         }
     }
@@ -275,11 +255,6 @@ impl GemmPlan {
     /// The launch configuration resolved at plan time.
     pub fn launch_config(&self) -> &LaunchConfig {
         &self.launch
-    }
-
-    /// The register-block cascade selected for this plan's N-bucket.
-    pub fn cascade(&self) -> RegCascade {
-        self.cascade
     }
 
     /// Size of the packed weight panels in bytes.
@@ -321,15 +296,8 @@ impl GemmPlan {
         activations: &DenseMatrix,
         segments: &[Segment],
     ) -> KernelResult<KernelOutput> {
-        let spans = check_segment_tiling("GEMM", activations, self.k, segments)?;
-        let n = activations.cols();
-        let mut c = DenseMatrix::zeros(self.m, n);
-        if self.m != 0 && n != 0 && self.k != 0 {
-            let b16 = activations.as_f16_rounded();
-            execute_packed_dense_segments(&self.packed, self.k, b16.as_slice(), &mut c, &spans);
-        }
         Ok(KernelOutput {
-            output: c,
+            output: self.execute_output(activations, Some(segments))?,
             profile: self.profile.clone(),
         })
     }
@@ -342,24 +310,21 @@ impl GemmPlan {
     /// `k×n` operand the plan was built for.
     pub fn execute(&self, activations: &DenseMatrix) -> KernelResult<KernelOutput> {
         Ok(KernelOutput {
-            output: self.execute_output(activations)?,
+            output: self.execute_output(activations, None)?,
             profile: self.profile.clone(),
         })
     }
 
-    /// [`GemmPlan::execute`] without the profile clone (used by [`ConvPlan`]).
-    pub(crate) fn execute_output(&self, activations: &DenseMatrix) -> KernelResult<DenseMatrix> {
-        check_activations("GEMM", activations, self.k, self.n)?;
-        let mut c = DenseMatrix::zeros(self.m, self.n);
-        if self.m == 0 || self.n == 0 || self.k == 0 {
-            return Ok(c);
-        }
-        // Working buffers are allocated per call: freshly mapped pages
-        // measured consistently faster than reusing a long-lived scratch
-        // buffer on this allocator (transparent-huge-page placement), and a
-        // scratch-free plan stays `Sync`.
-        let b16 = activations.as_f16_rounded();
-        execute_packed_dense(&self.packed, self.k, b16.as_slice(), &mut c, self.cascade);
+    /// The one execute body: validates the operand (see [`sweep_spans`]) and
+    /// sweeps the packed panels over its spans, without the profile clone.
+    pub(crate) fn execute_output(
+        &self,
+        activations: &DenseMatrix,
+        segments: Option<&[Segment]>,
+    ) -> KernelResult<DenseMatrix> {
+        let spans = sweep_spans("GEMM", activations, self.k, self.n, segments)?;
+        let mut c = DenseMatrix::zeros(self.m, activations.cols());
+        sweep_dense(&self.packed, &self.rows, activations, &mut c, &spans);
         Ok(c)
     }
 }
@@ -391,10 +356,17 @@ enum SpmmPlanKind {
         packed: PackedPanels,
         block_cols: Vec<u32>,
         block_row_ptr: Vec<usize>,
+        /// Ascending activation row table; block column `bc` reads
+        /// `rows[bc·V .. (bc+1)·V]`.
+        rows: Vec<u32>,
         macs_per_element: usize,
     },
     /// Balanced 2:4: the decompressed operand packed like a dense GEMM.
-    Dense { packed: PackedPanels },
+    Dense {
+        packed: PackedPanels,
+        /// Ascending activation row table (see [`sweep_dense`]).
+        rows: Vec<u32>,
+    },
     /// CUDA-core CSR: the kernel performs no fp16 staging, so the compressed
     /// operand itself is the packed form.
     Csr { matrix: CsrMatrix },
@@ -409,7 +381,6 @@ pub struct SpmmPlan {
     k: usize,
     tile: TileConfig,
     launch: LaunchConfig,
-    cascade: RegCascade,
     kind: SpmmPlanKind,
     profile: KernelProfile,
 }
@@ -465,7 +436,6 @@ impl SpmmPlan {
                 v,
                 PipelineConfig::shfl_bw_default().pipe_stages,
             ),
-            cascade: RegCascade::for_width(n),
             kind: SpmmPlanKind::Stitched {
                 v,
                 tk: tile.tk,
@@ -491,12 +461,12 @@ impl SpmmPlan {
             k: weights.cols(),
             tile: profile.tile,
             launch: launch::vector_wise_launch(arch, weights.rows(), n, avg_cols_per_row, v, 2),
-            cascade: RegCascade::for_width(n),
             kind: SpmmPlanKind::Blocks {
                 v,
                 packed: PackedPanels::pack_blocks(weights),
                 block_cols: weights.block_col_idx().to_vec(),
                 block_row_ptr: weights.block_row_ptr().to_vec(),
+                rows: ascending_rows(weights.cols()),
                 macs_per_element: (weights.stored_blocks() * v / weights.block_rows().max(1))
                     .max(1),
             },
@@ -522,9 +492,9 @@ impl SpmmPlan {
             k: weights.cols(),
             tile: profile.tile,
             launch: launch::dense_launch(arch, weights.rows(), n, weights.cols()),
-            cascade: RegCascade::for_width(n),
             kind: SpmmPlanKind::Dense {
                 packed: PackedPanels::pack_dense_rows(&dense, shape.m(), shape.k()),
+                rows: ascending_rows(weights.cols()),
             },
             profile,
         })
@@ -544,7 +514,6 @@ impl SpmmPlan {
             // heuristic still resolves a sensible grid / launch-overhead
             // bookkeeping entry for the scheduler.
             launch: launch::dense_launch(arch, weights.rows(), n, weights.cols()),
-            cascade: RegCascade::for_width(n),
             kind: SpmmPlanKind::Csr {
                 matrix: weights.clone(),
             },
@@ -565,11 +534,6 @@ impl SpmmPlan {
     /// The launch configuration resolved for this plan's N-bucket.
     pub fn launch_config(&self) -> &LaunchConfig {
         &self.launch
-    }
-
-    /// The register-block cascade selected for this plan's N-bucket.
-    pub fn cascade(&self) -> RegCascade {
-        self.cascade
     }
 
     /// The `(m, n, k)` bucket this plan was built for (`n` is the activation
@@ -603,7 +567,7 @@ impl SpmmPlan {
                     + block_cols.len() * std::mem::size_of::<u32>()
                     + block_row_ptr.len() * std::mem::size_of::<usize>()
             }
-            SpmmPlanKind::Dense { packed } => packed.packed_bytes(),
+            SpmmPlanKind::Dense { packed, .. } => packed.packed_bytes(),
             SpmmPlanKind::Csr { matrix, .. } => {
                 (matrix.metadata_bytes() + matrix.nnz() as u64 * 4) as usize
             }
@@ -620,7 +584,7 @@ impl SpmmPlan {
         match &self.kind {
             SpmmPlanKind::Stitched { packed, .. }
             | SpmmPlanKind::Blocks { packed, .. }
-            | SpmmPlanKind::Dense { packed } => {
+            | SpmmPlanKind::Dense { packed, .. } => {
                 (packed.packed_values() * std::mem::size_of::<f32>()) as u64
             }
             SpmmPlanKind::Csr { matrix } => matrix.metadata_bytes() + matrix.nnz() as u64 * 4,
@@ -629,7 +593,7 @@ impl SpmmPlan {
 
     /// Builds a plan for a *same-pattern magnitude update* of the Shfl-BW
     /// weights this plan was prepared from, by delta re-packing: the clone
-    /// keeps every resolved artefact (tile, launch, cascade, column/group
+    /// keeps every resolved artefact (tile, launch, column/group
     /// metadata, write-back indices, analytical profile — all functions of
     /// the unchanged sparsity structure) and only the panel payload bytes are
     /// rewritten with the plan's own `tk`
@@ -689,9 +653,7 @@ impl SpmmPlan {
     /// operand: `segments` tile the operand's columns, and one fused sweep
     /// over the packed panels updates every segment (see
     /// [`GemmPlan::execute_segments`] — same contract, same bit-identity
-    /// argument; the CUDA-core CSR variant reads its compressed operand once
-    /// per call already, so its fused path is simply the full-width scalar
-    /// loop). No padding columns are computed.
+    /// argument). No padding columns are computed.
     ///
     /// # Errors
     ///
@@ -702,14 +664,37 @@ impl SpmmPlan {
         activations: &DenseMatrix,
         segments: &[Segment],
     ) -> KernelResult<KernelOutput> {
-        let spans = check_segment_tiling("SpMM", activations, self.k, segments)?;
+        Ok(KernelOutput {
+            output: self.execute_output(activations, Some(segments))?,
+            profile: self.profile.clone(),
+        })
+    }
+
+    /// Executes the prepared SpMM against one activation matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::ShapeMismatch`] if `activations` is not the
+    /// `k×n` operand the plan was built for.
+    pub fn execute(&self, activations: &DenseMatrix) -> KernelResult<KernelOutput> {
+        Ok(KernelOutput {
+            output: self.execute_output(activations, None)?,
+            profile: self.profile.clone(),
+        })
+    }
+
+    /// The one execute body: validates the operand (see [`sweep_spans`]) and
+    /// sweeps the packed operand over its spans, without the profile clone.
+    pub(crate) fn execute_output(
+        &self,
+        activations: &DenseMatrix,
+        segments: Option<&[Segment]>,
+    ) -> KernelResult<DenseMatrix> {
+        let spans = sweep_spans("SpMM", activations, self.k, self.n, segments)?;
         let n = activations.cols();
         let mut output = DenseMatrix::zeros(self.m, n);
         if self.m == 0 || n == 0 {
-            return Ok(KernelOutput {
-                output,
-                profile: self.profile.clone(),
-            });
+            return Ok(output);
         }
         match &self.kind {
             SpmmPlanKind::Stitched {
@@ -725,6 +710,11 @@ impl SpmmPlan {
                 let (v, tk) = (*v, *tk);
                 let b16_matrix = activations.as_f16_rounded();
                 let b16 = b16_matrix.as_slice();
+                // Group-ordered accumulators. With the identity permutation
+                // (vector-wise plans) group g's accumulator rows *are* output
+                // rows g·V..(g+1)·V, so the output is accumulated in place; a
+                // shuffled plan accumulates into a fresh buffer and resolves
+                // the write-back row indices afterwards.
                 let mut grouped = if *identity_rows {
                     Vec::new()
                 } else {
@@ -736,18 +726,15 @@ impl SpmmPlan {
                     &mut grouped
                 };
                 parallel::par_chunks_mut_weighted(acc_slice, v * n, *macs_per_element, |g, acc| {
-                    let panels = packed.chunk_panels(g);
-                    if panels.is_empty() {
-                        return;
-                    }
                     let group_cols = &cols[group_ptr[g]..group_ptr[g + 1]];
-                    for (step, panel) in panels.enumerate() {
+                    for (step, panel) in packed.chunk_panels(g).enumerate() {
+                        // The packed panel is the stitched weight tile; the
+                        // activation rows its kept columns name are read in
+                        // place.
                         let (values, rows, w) = packed.panel(panel);
                         debug_assert_eq!(rows, v);
                         let step_cols = &group_cols[step * tk..step * tk + w];
-                        mma_row_block_gather_fused_acc_segments(
-                            values, v, w, b16, step_cols, acc, n, &spans,
-                        );
+                        mma_sweep::<false>(values, v, b16, step_cols, n, acc, n, &spans);
                     }
                 });
                 if !*identity_rows {
@@ -763,6 +750,7 @@ impl SpmmPlan {
                 packed,
                 block_cols,
                 block_row_ptr,
+                rows,
                 macs_per_element,
             } => {
                 let v = *v;
@@ -776,160 +764,17 @@ impl SpmmPlan {
                         for (i, panel) in packed.chunk_panels(br).enumerate() {
                             let (values, _, _) = packed.panel(panel);
                             let bc = block_cols[block_row_ptr[br] + i] as usize;
-                            mma_row_block_fused_acc_segments(
-                                values,
-                                v,
-                                v,
-                                &b16[bc * v * n..(bc + 1) * v * n],
-                                out_chunk,
-                                n,
-                                &spans,
-                            );
+                            let block_rows = &rows[bc * v..(bc + 1) * v];
+                            mma_sweep::<false>(values, v, b16, block_rows, n, out_chunk, n, &spans);
                         }
                     },
                 );
             }
-            SpmmPlanKind::Dense { packed } => {
-                let b16 = activations.as_f16_rounded();
-                execute_packed_dense_segments(packed, self.k, b16.as_slice(), &mut output, &spans);
+            SpmmPlanKind::Dense { packed, rows } => {
+                sweep_dense(packed, rows, activations, &mut output, &spans);
             }
             SpmmPlanKind::Csr { matrix } => {
-                spmm::cuda_core::csr_spmm_into(matrix, activations, &mut output);
-            }
-        }
-        Ok(KernelOutput {
-            output,
-            profile: self.profile.clone(),
-        })
-    }
-
-    /// Executes the prepared SpMM against one activation matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if `activations` is not the
-    /// `k×n` operand the plan was built for.
-    pub fn execute(&self, activations: &DenseMatrix) -> KernelResult<KernelOutput> {
-        Ok(KernelOutput {
-            output: self.execute_output(activations)?,
-            profile: self.profile.clone(),
-        })
-    }
-
-    /// [`SpmmPlan::execute`] without the profile clone (used by [`ConvPlan`]).
-    pub(crate) fn execute_output(&self, activations: &DenseMatrix) -> KernelResult<DenseMatrix> {
-        check_activations("SpMM", activations, self.k, self.n)?;
-        let mut output = DenseMatrix::zeros(self.m, self.n);
-        if self.m == 0 || self.n == 0 {
-            return Ok(output);
-        }
-        match &self.kind {
-            SpmmPlanKind::Stitched {
-                v,
-                tk,
-                packed,
-                cols,
-                group_ptr,
-                row_indices,
-                identity_rows,
-                macs_per_element,
-            } => {
-                let (v, tk, n) = (*v, *tk, self.n);
-                let b16_matrix = activations.as_f16_rounded();
-                let b16 = b16_matrix.as_slice();
-                // Group-ordered accumulators, exactly like the cold stitched
-                // path. With the identity permutation (vector-wise plans)
-                // group g's accumulator rows *are* output rows g·V..(g+1)·V,
-                // so the output is accumulated in place; a shuffled plan
-                // accumulates into a fresh buffer and resolves the write-back
-                // row indices afterwards. Fresh per-call buffers measured
-                // faster than reusing a long-lived scratch (huge-page
-                // placement).
-                let mut grouped = if *identity_rows {
-                    Vec::new()
-                } else {
-                    vec![0.0f32; self.m * n]
-                };
-                let acc_slice: &mut [f32] = if *identity_rows {
-                    output.as_mut_slice()
-                } else {
-                    &mut grouped
-                };
-                parallel::par_chunks_mut_weighted(acc_slice, v * n, *macs_per_element, |g, acc| {
-                    let panels = packed.chunk_panels(g);
-                    if panels.is_empty() {
-                        return;
-                    }
-                    let group_cols = &cols[group_ptr[g]..group_ptr[g + 1]];
-                    for (step, panel) in panels.enumerate() {
-                        let (values, rows, w) = packed.panel(panel);
-                        debug_assert_eq!(rows, v);
-                        // The packed panel is already the stitched weight
-                        // tile; the activation rows it references are read
-                        // in place by index. The fused register-blocked
-                        // step is bit-identical to the cold
-                        // stitch/zero/mma/add sequence.
-                        let step_cols = &group_cols[step * tk..step * tk + w];
-                        mma_row_block_gather_fused_acc_cascade(
-                            values,
-                            v,
-                            w,
-                            b16,
-                            step_cols,
-                            acc,
-                            n,
-                            self.cascade,
-                        );
-                    }
-                });
-                if !*identity_rows {
-                    for (stored_row, acc_row) in grouped.chunks_exact(n).enumerate() {
-                        output
-                            .row_mut(row_indices[stored_row] as usize)
-                            .copy_from_slice(acc_row);
-                    }
-                }
-            }
-            SpmmPlanKind::Blocks {
-                v,
-                packed,
-                block_cols,
-                block_row_ptr,
-                macs_per_element,
-            } => {
-                let (v, n) = (*v, self.n);
-                let b16_matrix = activations.as_f16_rounded();
-                let b16 = b16_matrix.as_slice();
-                parallel::par_chunks_mut_weighted(
-                    output.as_mut_slice(),
-                    v * n,
-                    *macs_per_element,
-                    |br, out_chunk| {
-                        for (i, panel) in packed.chunk_panels(br).enumerate() {
-                            let (values, _, _) = packed.panel(panel);
-                            let bc = block_cols[block_row_ptr[br] + i] as usize;
-                            // The activation slice of a block is already
-                            // contiguous; the fused register-blocked step is
-                            // bit-identical to the cold zero/mma/add sequence.
-                            mma_row_block_fused_acc_cascade(
-                                values,
-                                v,
-                                v,
-                                &b16[bc * v * n..(bc + 1) * v * n],
-                                out_chunk,
-                                n,
-                                self.cascade,
-                            );
-                        }
-                    },
-                );
-            }
-            SpmmPlanKind::Dense { packed } => {
-                let b16 = activations.as_f16_rounded();
-                execute_packed_dense(packed, self.k, b16.as_slice(), &mut output, self.cascade);
-            }
-            SpmmPlanKind::Csr { matrix } => {
-                spmm::cuda_core::csr_spmm_into(matrix, activations, &mut output);
+                spmm::cuda_core::csr_spmm_into(matrix, activations, &mut output, &spans);
             }
         }
         Ok(output)
@@ -1047,26 +892,7 @@ impl ConvPlan {
         input: &Tensor4,
         segments: &[Segment],
     ) -> KernelResult<(Tensor4, KernelProfile)> {
-        let p = &self.params;
-        if input.shape() != (p.batch, p.in_channels, p.input_h, p.input_w) {
-            return Err(KernelError::ShapeMismatch {
-                context: format!(
-                    "conv input is {:?} but the plan expects ({}, {}, {}, {})",
-                    input.shape(),
-                    p.batch,
-                    p.in_channels,
-                    p.input_h,
-                    p.input_w
-                ),
-            });
-        }
-        let unfolded = conv::im2col(input, p);
-        let out = match &self.kind {
-            ConvPlanKind::Dense(gemm) => gemm.execute_segments(&unfolded, segments)?.output,
-            ConvPlanKind::ShflBw(spmm) => spmm.execute_segments(&unfolded, segments)?.output,
-        };
-        conv::reclaim_unfolded(unfolded);
-        Ok((conv::col2im_output(&out, p), self.profile.clone()))
+        self.execute_inner(input, Some(segments))
     }
 
     /// Executes the prepared convolution against one input feature map.
@@ -1076,6 +902,16 @@ impl ConvPlan {
     /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
     /// match the geometry the plan was built for.
     pub fn execute(&self, input: &Tensor4) -> KernelResult<(Tensor4, KernelProfile)> {
+        self.execute_inner(input, None)
+    }
+
+    /// The one execute body: validates the input, unfolds it and runs the
+    /// prepared GEMM/SpMM on the whole width or on `segments`.
+    fn execute_inner(
+        &self,
+        input: &Tensor4,
+        segments: Option<&[Segment]>,
+    ) -> KernelResult<(Tensor4, KernelProfile)> {
         let p = &self.params;
         if input.shape() != (p.batch, p.in_channels, p.input_h, p.input_w) {
             return Err(KernelError::ShapeMismatch {
@@ -1091,8 +927,8 @@ impl ConvPlan {
         }
         let unfolded = conv::im2col(input, p);
         let out = match &self.kind {
-            ConvPlanKind::Dense(gemm) => gemm.execute_output(&unfolded)?,
-            ConvPlanKind::ShflBw(spmm) => spmm.execute_output(&unfolded)?,
+            ConvPlanKind::Dense(gemm) => gemm.execute_output(&unfolded, segments)?,
+            ConvPlanKind::ShflBw(spmm) => spmm.execute_output(&unfolded, segments)?,
         };
         conv::reclaim_unfolded(unfolded);
         Ok((conv::col2im_output(&out, p), self.profile.clone()))
@@ -1124,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_plan_matches_unprepared_blocked_path() {
+    fn gemm_plan_matches_the_naive_oracle() {
         let mut rng = StdRng::seed_from_u64(7);
         let arch = GpuArch::v100();
         let a = DenseMatrix::random(&mut rng, 33, 29);
@@ -1132,8 +968,8 @@ mod tests {
         for _ in 0..3 {
             let b = DenseMatrix::random(&mut rng, 29, 21);
             let prepared = plan.execute(&b).unwrap();
-            let blocked = gemm::fragment_matmul(arch.mma_shape, &a, &b);
-            assert_eq!(prepared.output, blocked);
+            let naive = crate::reference::fragment_matmul_naive(arch.mma_shape, &a, &b);
+            assert_eq!(prepared.output, naive);
         }
     }
 

@@ -1,17 +1,19 @@
 //! Naive golden-reference implementations of every functional kernel.
 //!
-//! These are the original scalar execution paths the blocked engine replaced:
+//! These are the original scalar execution paths the prepared plans replaced:
 //! fragments staged one element at a time through bounds-checked
 //! [`DenseMatrix::get`]/[`DenseMatrix::set`], activations gathered per element,
 //! no pre-rounding, no threading. They are retained verbatim for two reasons:
 //!
-//! * **correctness** — the property tests assert the blocked kernels are
-//!   *bit-identical* to these references on every shape (both sides accumulate
-//!   each output element in ascending-`k` order through the same fp16-rounded
-//!   operands, so exact equality is the contract, not a tolerance), and
+//! * **correctness** — the property tests assert the plans and the cold
+//!   `*_execute` kernels built on them are *bit-identical* to these
+//!   references on every shape (both sides accumulate each output element in
+//!   ascending-`k` order through the same fp16-rounded operands, so exact
+//!   equality is the contract, not a tolerance), and
 //! * **performance tracking** — `repro --bench-kernels` times each reference
-//!   against its blocked counterpart in the same run and records the speedup in
-//!   `BENCH_kernels.json`, giving every future PR a wall-clock trajectory.
+//!   against its cold and prepared counterparts in the same run and records
+//!   the speedup in `BENCH_kernels.json`, giving every future PR a
+//!   wall-clock trajectory.
 //!
 //! Nothing here should be called from production paths; use the `*_execute`
 //! kernels instead.
@@ -29,7 +31,7 @@ use shfl_core::tiling;
 
 /// Naive fragment GEMM: sweeps MMA fragments over the operands, staging each
 /// fragment element by element (zero-padded at the boundary) and rounding
-/// operands inside [`warp_mma`]. This is the original `fragment_matmul`.
+/// operands inside [`warp_mma`]. The oracle of [`crate::plan::GemmPlan`].
 pub fn fragment_matmul_naive(shape: MmaShape, a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (m, k) = a.shape();
     let n = b.cols();

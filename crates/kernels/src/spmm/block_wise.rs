@@ -10,12 +10,10 @@
 
 use crate::launch::{self, FP16_BYTES, OUTPUT_BYTES};
 use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
-use gpu_sim::mma::{mma_row_block, round_to_f16};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, GpuGeneration, KernelStats};
 use shfl_core::formats::BlockSparseMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::tiling::TileConfig;
-use std::cell::RefCell;
 
 /// Library (cuSPARSE) compute efficiency per architecture: the source of the
 /// "unstable performance" the paper reports. Tuned so the V100 library kernel is
@@ -90,67 +88,6 @@ pub fn block_wise_spmm_profile(arch: &GpuArch, a: &BlockSparseMatrix, n: usize) 
         timing,
         tile,
     )
-}
-
-thread_local! {
-    /// Reusable per-thread staging buffers: `(rounded block, partial product)`.
-    static BLOCK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// The *unprepared* blocked BSR main loop: the activation matrix is
-/// fp16-rounded once, block rows are distributed across cores (each owns a
-/// disjoint `V×n` output slice), and every stored block is staged — rounded —
-/// into a reusable thread-local buffer and multiplied against the pre-rounded
-/// `V×n` activation row-chunk on the interior fast path ([`mma_row_block`]).
-/// Bit-identical to the retained naive path
-/// ([`crate::reference::block_spmm_naive`]) and to the prepared
-/// [`crate::plan::SpmmPlan::block_wise`], which packs the rounded blocks once.
-pub fn block_spmm_unprepared(a: &BlockSparseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let n = b.cols();
-    let v = a.block_size();
-    let mut output = DenseMatrix::zeros(a.rows(), n);
-    if a.rows() == 0 || n == 0 {
-        return output;
-    }
-    let b16 = b.as_f16_rounded();
-
-    // Per output element the work is one MAC per stored-block column (V MACs
-    // per block) of its block row.
-    let macs_per_element = (a.stored_blocks() * v / a.block_rows().max(1)).max(1);
-    shfl_core::parallel::par_chunks_mut_weighted(
-        output.as_mut_slice(),
-        v * n,
-        macs_per_element,
-        |br, out_chunk| {
-            BLOCK_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                let (block16, partial) = &mut *scratch;
-                block16.resize(v * v, 0.0);
-                partial.resize(v * n, 0.0);
-                for (i, bc) in a.blocks_in_row(br).iter().enumerate() {
-                    // Dense V×V block (rounded at staging time) times the
-                    // pre-rounded V×n slice of B starting at row bc*V.
-                    for (dst, src) in block16.iter_mut().zip(a.block_values(br, i)) {
-                        *dst = round_to_f16(*src);
-                    }
-                    partial.iter_mut().for_each(|x| *x = 0.0);
-                    mma_row_block(
-                        block16,
-                        v,
-                        v,
-                        b16.rows_chunk(*bc as usize * v, v),
-                        partial,
-                        n,
-                    );
-                    for (o, p) in out_chunk.iter_mut().zip(partial.iter()) {
-                        *o += p;
-                    }
-                }
-            });
-        },
-    );
-    output
 }
 
 /// Functionally executes the block-wise SpMM: every stored block multiplies the

@@ -9,6 +9,7 @@
 
 use crate::launch::{self, FP16_BYTES, OUTPUT_BYTES};
 use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
+use gpu_sim::mma::{mma_sweep, SegmentSpan};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, KernelStats};
 use shfl_core::formats::CsrMatrix;
 use shfl_core::matrix::DenseMatrix;
@@ -100,23 +101,21 @@ pub fn cusparse_csr_spmm_profile(arch: &GpuArch, a: &CsrMatrix, n: usize) -> Ker
     csr_profile(arch, a, n, &CUSPARSE)
 }
 
-/// Output-chunk width held in registers across a row's non-zeros (the same
-/// register-blocking idea as `gpu_sim::mma::mma_row_block_reg`, hand-rolled
-/// here because the gathered activation rows are addressed by column index).
-const CSR_REG_BLOCK: usize = 32;
-
-/// The blocked CSR main loop shared by the cold execute and the prepared
+/// The CSR main loop shared by the cold execute and the prepared
 /// [`crate::plan::SpmmPlan`]: output rows are independent, so they are
-/// distributed across cores; each `CSR_REG_BLOCK`-wide output chunk is loaded
-/// once, updated in registers across every stored non-zero of the row
-/// (ascending non-zero order per element, exactly like the original whole-row
-/// AXPY sweeps), and stored once. Bit-identical to the retained naive path
-/// ([`crate::reference::csr_spmm_naive`]); the register blocking is what fixed
-/// the v1 `BENCH_kernels.json` regression where the blocked path trailed the
-/// naive one (0.90x) on store traffic.
-pub(crate) fn csr_spmm_into(a: &CsrMatrix, b: &DenseMatrix, output: &mut DenseMatrix) {
+/// distributed across cores, and each row is one direct-accumulation
+/// [`mma_sweep`] call — its stored values form a `1 × nnz` panel whose
+/// operand rows are the activation rows its column indices name, read
+/// unrounded like the CUDA-core kernel's. Each output element takes the
+/// row's non-zeros in ascending order, so the result is bit-identical to the
+/// retained naive path ([`crate::reference::csr_spmm_naive`]).
+pub(crate) fn csr_spmm_into(
+    a: &CsrMatrix,
+    b: &DenseMatrix,
+    output: &mut DenseMatrix,
+    spans: &[SegmentSpan],
+) {
     let n = b.cols();
-    let b_data = b.as_slice();
     // Per output element the work is one MAC per stored non-zero of its row.
     let macs_per_element = (a.nnz() / a.rows().max(1)).max(1);
     shfl_core::parallel::par_chunks_mut_weighted(
@@ -125,27 +124,7 @@ pub(crate) fn csr_spmm_into(a: &CsrMatrix, b: &DenseMatrix, output: &mut DenseMa
         macs_per_element,
         |row, out_row| {
             let (cols, vals) = a.row_entries(row);
-            let mut j0 = 0;
-            while j0 + CSR_REG_BLOCK <= n {
-                let mut acc = [0.0f32; CSR_REG_BLOCK];
-                acc.copy_from_slice(&out_row[j0..j0 + CSR_REG_BLOCK]);
-                for (col, &value) in cols.iter().zip(vals.iter()) {
-                    let off = *col as usize * n + j0;
-                    let bs = &b_data[off..off + CSR_REG_BLOCK];
-                    for (o, &bv) in acc.iter_mut().zip(bs.iter()) {
-                        *o += value * bv;
-                    }
-                }
-                out_row[j0..j0 + CSR_REG_BLOCK].copy_from_slice(&acc);
-                j0 += CSR_REG_BLOCK;
-            }
-            for (j, o) in out_row.iter_mut().enumerate().skip(j0) {
-                let mut acc = *o;
-                for (col, &value) in cols.iter().zip(vals.iter()) {
-                    acc += value * b_data[*col as usize * n + j];
-                }
-                *o = acc;
-            }
+            mma_sweep::<true>(vals, 1, b.as_slice(), cols, n, out_row, n, spans);
         },
     );
 }
@@ -176,7 +155,7 @@ pub fn cuda_core_spmm_execute(
     let n = b.cols();
     let profile = cuda_core_spmm_profile(arch, a, n);
     let mut output = DenseMatrix::zeros(a.rows(), n);
-    csr_spmm_into(a, b, &mut output);
+    csr_spmm_into(a, b, &mut output, &crate::plan::full_width_spans(n));
     Ok(KernelOutput { output, profile })
 }
 

@@ -14,13 +14,10 @@
 
 use crate::launch::{self, FP16_BYTES, OUTPUT_BYTES};
 use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
-use gpu_sim::mma::mma_row_block;
 use gpu_sim::pipeline::{PipelineConfig, PipelineModel};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, KernelStats};
 use shfl_core::formats::VectorWiseMatrix;
 use shfl_core::matrix::DenseMatrix;
-use shfl_core::tiling;
-use std::cell::RefCell;
 
 /// Tuning knobs of a vector-wise-family SpMM kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +49,7 @@ impl VectorWiseKernelConfig {
         }
     }
 
-    /// VectorSparse [31]: tuned for `V ≤ 8`; the small vector size is what limits it,
+    /// VectorSparse \[31\]: tuned for `V ≤ 8`; the small vector size is what limits it,
     /// not the implementation quality.
     pub fn vector_sparse() -> Self {
         VectorWiseKernelConfig {
@@ -64,7 +61,7 @@ impl VectorWiseKernelConfig {
         }
     }
 
-    /// TileWise [26]: a CUDA multi-stream design whose overhead grows with the number
+    /// TileWise \[26\]: a CUDA multi-stream design whose overhead grows with the number
     /// of streams; the paper notes it cannot exceed the dense baseline on real weight
     /// shapes without additional neuron pruning.
     pub fn tile_wise(streams: usize) -> Self {
@@ -225,107 +222,6 @@ pub fn vector_wise_spmm_execute(
         });
     }
     crate::plan::SpmmPlan::vector_wise(arch, a, b.cols()).execute(b)
-}
-
-thread_local! {
-    /// Reusable per-thread stitching buffers: `(a_tile, b_tile, partial)`.
-    static STITCH_SCRATCH: RefCell<(Vec<f32>, Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-}
-
-/// The *unprepared* stitched SpMM algorithm shared by the vector-wise and Shfl-BW
-/// functional kernels: every call re-gathers and re-rounds the stored vectors into
-/// the `V×w` tiles. `row_indices[stored_row]` gives the output row each stored row
-/// is written to (the reordered write-back); the identity permutation reproduces
-/// plain vector-wise behaviour.
-///
-/// Retained as the plan-less blocked baseline: the prepared
-/// [`crate::plan::SpmmPlan`] packs the same tiles once at plan time and must be
-/// bit-identical to this function (asserted by the property tests), and
-/// `repro --bench-kernels` times the two against each other.
-///
-/// The blocked implementation pre-rounds the activation matrix once, then
-/// processes row groups in parallel (each group accumulates into its own
-/// disjoint `V × N` slice of a group-ordered staging buffer). Per `T_K` step the
-/// weight tile is staged — rounded at staging time — into a reusable
-/// thread-local buffer, the referenced activation rows are stitched in with one
-/// `copy_from_slice` per row, and the dense `V×step×N` product runs on the
-/// interior fast path ([`mma_row_block`]). The epilogue performs the (reordered)
-/// write-back with one row copy per stored row. Accumulation order per output
-/// element is identical to the retained naive path
-/// ([`crate::reference::stitched_spmm_naive`]) for every MMA k-fragmentation,
-/// so results are bit-identical and the function no longer needs the
-/// architecture handle the naive path used for fragment shapes.
-pub fn stitched_spmm(a: &VectorWiseMatrix, b: &DenseMatrix, row_indices: &[u32]) -> DenseMatrix {
-    let v = a.vector_size();
-    let n = b.cols();
-    let tile = tiling::select_vector_wise_tile(v, n);
-    let tk = tile.tk;
-    let mut output = DenseMatrix::zeros(a.rows(), n);
-    if a.rows() == 0 || n == 0 {
-        return output;
-    }
-    let b16 = b.as_f16_rounded();
-
-    // Group-ordered accumulators: group g owns grouped[g*v*n .. (g+1)*v*n].
-    // Per output element the work is one MAC per stitched vector of its group.
-    let macs_per_element = (a.stored_vectors() / a.num_groups().max(1)).max(1);
-    let mut grouped = vec![0.0f32; a.rows() * n];
-    shfl_core::parallel::par_chunks_mut_weighted(
-        &mut grouped,
-        v * n,
-        macs_per_element,
-        |g, acc| {
-            let cols = a.group_cols(g);
-            if cols.is_empty() {
-                return;
-            }
-            STITCH_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                let (a_tile, b_tile, partial) = &mut *scratch;
-                a_tile.resize(v * tk, 0.0);
-                b_tile.resize(tk * n, 0.0);
-                partial.resize(v * n, 0.0);
-                for step_start in (0..cols.len()).step_by(tk) {
-                    let step_cols = &cols[step_start..(step_start + tk).min(cols.len())];
-                    let w = step_cols.len();
-                    // In-buffer stitching: transpose the stored vectors into a dense
-                    // V×w weight tile (rounded once, at staging time) and gather the
-                    // w referenced activation rows with whole-row copies.
-                    for (j, _) in step_cols.iter().enumerate() {
-                        let vals = a.vector_values(g, step_start + j);
-                        for (r, &val) in vals.iter().enumerate() {
-                            a_tile[r * w + j] = gpu_sim::mma::round_to_f16(val);
-                        }
-                    }
-                    for (j, col) in step_cols.iter().enumerate() {
-                        b_tile[j * n..(j + 1) * n].copy_from_slice(b16.row(*col as usize));
-                    }
-                    partial[..v * n].iter_mut().for_each(|x| *x = 0.0);
-                    mma_row_block(
-                        &a_tile[..v * w],
-                        v,
-                        w,
-                        &b_tile[..w * n],
-                        &mut partial[..v * n],
-                        n,
-                    );
-                    for (o, p) in acc.iter_mut().zip(partial.iter()) {
-                        *o += p;
-                    }
-                }
-            });
-        },
-    );
-
-    // (Reordered) write-back: stored row g*v + r goes to output row
-    // row_indices[g*v + r], one contiguous copy per stored row.
-    for (stored_row, acc_row) in grouped.chunks_exact(n).enumerate() {
-        output
-            .row_mut(row_indices[stored_row] as usize)
-            .copy_from_slice(acc_row);
-    }
-    output
 }
 
 #[cfg(test)]

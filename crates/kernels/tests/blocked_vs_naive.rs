@@ -1,12 +1,13 @@
-//! Bit-compatibility property tests: every blocked kernel must produce
+//! Bit-compatibility property tests: every blocked kernel — the cold
+//! `*_execute` entry points and the prepared [`GemmPlan`] — must produce
 //! *exactly* the same output as its retained naive reference.
 //!
 //! Both paths round operands through fp16 identically and accumulate each
 //! output element in ascending-`k` order through a single `f32` accumulator,
 //! so the contract is exact equality (compared bit-for-bit), not a tolerance.
-//! Covered per the blocked-engine design: non-multiple-of-fragment shapes
-//! (e.g. 17×13×9), empty matrices, fully-dense and fully-sparse inputs, and
-//! 1-row/1-column edge cases, for GEMM, conv, and all five SpMM kernels.
+//! Covered: non-multiple-of-fragment shapes (e.g. 17×13×9), empty matrices,
+//! fully-dense and fully-sparse inputs, and 1-row/1-column edge cases, for
+//! GEMM, conv, and all five SpMM kernels.
 
 use gpu_sim::mma::MmaShape;
 use gpu_sim::GpuArch;
@@ -21,7 +22,7 @@ use shfl_kernels::spmm::{
     balanced_spmm_execute, block_wise_spmm_execute, cuda_core_spmm_execute, shfl_bw_spmm_execute,
     vector_wise_spmm_execute,
 };
-use shfl_kernels::{conv, gemm, reference};
+use shfl_kernels::{conv, reference, GemmPlan};
 
 /// Asserts two matrices are identical down to the bit pattern of every element.
 fn assert_bits_eq(blocked: &DenseMatrix, naive: &DenseMatrix, what: &str) {
@@ -52,6 +53,16 @@ fn random_sparse(rng: &mut StdRng, m: usize, k: usize, density: f64) -> DenseMat
 
 const ALL_SHAPES: [MmaShape; 3] = [MmaShape::M16N8K16, MmaShape::M16N8K8, MmaShape::M16N16K16];
 
+/// A [`GemmPlan`] packed for `shape`'s fragments vs the naive fragment oracle
+/// of the same shape.
+fn assert_gemm_matches_naive(shape: MmaShape, a: &DenseMatrix, b: &DenseMatrix, what: &str) {
+    let mut arch = GpuArch::v100();
+    arch.mma_shape = shape;
+    let plan = GemmPlan::new(&arch, a, b.cols()).execute(b).unwrap().output;
+    let naive = reference::fragment_matmul_naive(shape, a, b);
+    assert_bits_eq(&plan, &naive, &format!("{what} {shape:?}"));
+}
+
 fn gemm_case() -> impl Strategy<Value = (usize, usize, usize, f64, u64)> {
     (
         1usize..48,
@@ -71,9 +82,7 @@ proptest! {
         let a = random_sparse(&mut rng, m, k, density);
         let b = DenseMatrix::random(&mut rng, k, n);
         for shape in ALL_SHAPES {
-            let blocked = gemm::fragment_matmul(shape, &a, &b);
-            let naive = reference::fragment_matmul_naive(shape, &a, &b);
-            assert_bits_eq(&blocked, &naive, &format!("gemm {m}x{k}x{n} {shape:?}"));
+            assert_gemm_matches_naive(shape, &a, &b, &format!("gemm {m}x{k}x{n}"));
         }
     }
 
@@ -230,9 +239,7 @@ fn gemm_odd_shape_17x13x9_is_bit_compatible() {
     let a = DenseMatrix::random(&mut rng, 17, 13);
     let b = DenseMatrix::random(&mut rng, 13, 9);
     for shape in ALL_SHAPES {
-        let blocked = gemm::fragment_matmul(shape, &a, &b);
-        let naive = reference::fragment_matmul_naive(shape, &a, &b);
-        assert_bits_eq(&blocked, &naive, &format!("gemm 17x13x9 {shape:?}"));
+        assert_gemm_matches_naive(shape, &a, &b, "gemm 17x13x9");
     }
 }
 
@@ -241,9 +248,12 @@ fn gemm_empty_dimensions_are_bit_compatible() {
     for (m, k, n) in [(0usize, 5usize, 3usize), (4, 0, 3), (4, 5, 0), (0, 0, 0)] {
         let a = DenseMatrix::zeros(m, k);
         let b = DenseMatrix::zeros(k, n);
-        let blocked = gemm::fragment_matmul(MmaShape::M16N8K16, &a, &b);
-        let naive = reference::fragment_matmul_naive(MmaShape::M16N8K16, &a, &b);
-        assert_bits_eq(&blocked, &naive, &format!("gemm empty {m}x{k}x{n}"));
+        assert_gemm_matches_naive(
+            MmaShape::M16N8K16,
+            &a,
+            &b,
+            &format!("gemm empty {m}x{k}x{n}"),
+        );
     }
 }
 
@@ -258,9 +268,7 @@ fn gemm_single_row_and_column_are_bit_compatible() {
     ] {
         let a = DenseMatrix::random(&mut rng, m, k);
         let b = DenseMatrix::random(&mut rng, k, n);
-        let blocked = gemm::fragment_matmul(MmaShape::M16N8K16, &a, &b);
-        let naive = reference::fragment_matmul_naive(MmaShape::M16N8K16, &a, &b);
-        assert_bits_eq(&blocked, &naive, &format!("gemm {m}x{k}x{n}"));
+        assert_gemm_matches_naive(MmaShape::M16N8K16, &a, &b, &format!("gemm {m}x{k}x{n}"));
     }
 }
 
@@ -271,9 +279,7 @@ fn gemm_fully_dense_and_fully_sparse_are_bit_compatible() {
     let sparse = DenseMatrix::zeros(19, 21);
     let b = DenseMatrix::random(&mut rng, 21, 11);
     for a in [&dense, &sparse] {
-        let blocked = gemm::fragment_matmul(MmaShape::M16N8K16, a, &b);
-        let naive = reference::fragment_matmul_naive(MmaShape::M16N8K16, a, &b);
-        assert_bits_eq(&blocked, &naive, "gemm density extremes");
+        assert_gemm_matches_naive(MmaShape::M16N8K16, a, &b, "gemm density extremes");
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property tests: the implicit-GEMM conv plan is **bit-identical** to the
 //! retained im2col oracle across stride / padding / dilation / kernel
 //! geometries, including 1×1 (merged-row sweep), non-square inputs,
-//! non-square kernels and batches large enough to execute image-parallel.
+//! non-square kernels, batches large enough to execute image-parallel, and
+//! non-finite inputs.
 
 use gpu_sim::GpuArch;
 use rand::rngs::StdRng;
@@ -25,18 +26,25 @@ fn shfl_weights(rng: &mut StdRng, m: usize, k: usize, v: usize, density: f64) ->
     ShflBwMatrix::from_dense(&dense, v).unwrap()
 }
 
-fn assert_bit_identical(p: &Conv2dParams, density: f64, seed: u64) {
+/// Random `V = 4` weights at `density` and a random input, checked by
+/// [`assert_bit_identical`].
+fn assert_random_case_bit_identical(p: &Conv2dParams, density: f64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (m, _, k) = p.implicit_gemm_shape();
     let weights = shfl_weights(&mut rng, m, k, 4, density);
     let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
+    assert_bit_identical(p, &weights, &input);
+}
+
+fn assert_bit_identical(p: &Conv2dParams, weights: &ShflBwMatrix, input: &Tensor4) {
+    let (m, _, _) = p.implicit_gemm_shape();
     let arch = GpuArch::a100();
 
-    let implicit = ImplicitConvPlan::build(&arch, &weights, p)
+    let implicit = ImplicitConvPlan::build(&arch, weights, p)
         .unwrap_or_else(|e| panic!("build failed for {p:?}: {e}"));
-    let oracle = ConvPlan::shfl_bw(&arch, &weights, p).unwrap();
-    let (got, _) = implicit.execute(&input).unwrap();
-    let (want, _) = oracle.execute(&input).unwrap();
+    let oracle = ConvPlan::shfl_bw(&arch, weights, p).unwrap();
+    let (got, _) = implicit.execute(input).unwrap();
+    let (want, _) = oracle.execute(input).unwrap();
     assert_eq!(got.shape(), want.shape(), "shape for {p:?}");
     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
         assert_eq!(
@@ -48,9 +56,9 @@ fn assert_bit_identical(p: &Conv2dParams, density: f64, seed: u64) {
 
     // The flattened output matches the raw stitched-SpMM sweep over the
     // materialised im2col operand, element for element.
-    let matrix = implicit.execute_matrix(&input).unwrap();
-    let unfolded = conv::im2col(&input, p);
-    let spmm = SpmmPlan::shfl_bw(&arch, &weights, unfolded.cols());
+    let matrix = implicit.execute_matrix(input).unwrap();
+    let unfolded = conv::im2col(input, p);
+    let spmm = SpmmPlan::shfl_bw(&arch, weights, unfolded.cols());
     let flat = spmm.execute(&unfolded).unwrap().output;
     conv::reclaim_unfolded(unfolded);
     for row in 0..m {
@@ -83,7 +91,7 @@ fn implicit_conv_matches_oracle_across_stride_padding_dilation() {
                     dilation,
                 };
                 seed += 1;
-                assert_bit_identical(&p, 0.4, seed);
+                assert_random_case_bit_identical(&p, 0.4, seed);
             }
         }
     }
@@ -114,7 +122,7 @@ fn implicit_conv_matches_oracle_for_1x1_and_non_square_kernels() {
             padding,
             dilation,
         };
-        assert_bit_identical(&p, 0.5, 200 + i as u64);
+        assert_random_case_bit_identical(&p, 0.5, 200 + i as u64);
     }
 }
 
@@ -146,7 +154,7 @@ fn implicit_conv_matches_oracle_when_images_fan_out() {
             padding,
             dilation: 1,
         };
-        assert_bit_identical(&p, 0.5, 400 + i as u64);
+        assert_random_case_bit_identical(&p, 0.5, 400 + i as u64);
     }
 }
 
@@ -166,5 +174,56 @@ fn implicit_conv_matches_oracle_on_batch_one_and_sparse_groups() {
         padding: 1,
         dilation: 1,
     };
-    assert_bit_identical(&p, 0.08, 300);
+    assert_random_case_bit_identical(&p, 0.08, 300);
+}
+
+#[test]
+fn implicit_conv_keeps_non_finite_inputs_out_of_groups_that_skip_them() {
+    // A 1×1 conv whose first group (output rows 0..4) keeps only channels 1
+    // and 2 — a two-tap panel — while the input holds +inf and NaN in
+    // channel 0, which only the second group reads. The first group's
+    // outputs must stay finite and every output must match the oracle.
+    let p = Conv2dParams {
+        batch: 2,
+        in_channels: 8,
+        out_channels: 8,
+        input_h: 4,
+        input_w: 4,
+        kernel_h: 1,
+        kernel_w: 1,
+        stride: 1,
+        padding: 0,
+        dilation: 1,
+    };
+    let dense = DenseMatrix::from_fn(8, 8, |r, c| {
+        let kept = if r < 4 { c == 1 || c == 2 } else { c % 2 == 0 };
+        if kept {
+            0.125 * (r + c + 1) as f32
+        } else {
+            0.0
+        }
+    });
+    let weights =
+        ShflBwMatrix::from_dense_with_permutation(&dense, &(0..8).collect::<Vec<_>>(), 4).unwrap();
+    let mut rng = StdRng::seed_from_u64(500);
+    let mut input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
+    input.set(0, 0, 0, 0, f32::INFINITY);
+    input.set(1, 0, 2, 3, f32::NAN);
+    assert_bit_identical(&p, &weights, &input);
+    let (out, _) = ImplicitConvPlan::build(&GpuArch::a100(), &weights, &p)
+        .unwrap()
+        .execute(&input)
+        .unwrap();
+    for b in 0..p.batch {
+        for o in 0..4 {
+            for y in 0..p.input_h {
+                for x in 0..p.input_w {
+                    assert!(
+                        out.get(b, o, y, x).is_finite(),
+                        "output ({b}, {o}, {y}, {x})"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,12 +1,11 @@
 //! Bit-compatibility property tests for the plan/execute split: a prepared
-//! plan's execute must produce *exactly* the same output as the unprepared
-//! blocked path and as the naive reference oracles, on every shape, and must
-//! stay bit-identical across repeated executes of the same plan with different
-//! activations.
+//! plan's execute must produce *exactly* the same output as the naive
+//! reference oracles, on every shape, and must stay bit-identical across
+//! repeated executes of the same plan with different activations.
 //!
-//! The packing rounds element-wise exactly where the cold path rounds, and the
-//! prepared microkernels preserve the per-output-element accumulation order,
-//! so the contract is exact equality (compared bit-for-bit), not a tolerance.
+//! The packing rounds element-wise exactly where the oracles round, and the
+//! panel sweep preserves the per-output-element accumulation order, so the
+//! contract is exact equality (compared bit-for-bit), not a tolerance.
 //! Covered per the plan design: empty matrices, 1-row/1-column operands, odd
 //! (non-multiple-of-fragment) shapes, fully-dense and fully-sparse inputs, for
 //! the GEMM, conv, and all five SpMM plans.
@@ -21,9 +20,7 @@ use shfl_core::formats::{
 };
 use shfl_core::matrix::DenseMatrix;
 use shfl_kernels::plan::{ConvPlan, GemmPlan, SpmmPlan};
-use shfl_kernels::spmm::block_wise::block_spmm_unprepared;
-use shfl_kernels::spmm::vector_wise::stitched_spmm;
-use shfl_kernels::{conv, gemm, reference};
+use shfl_kernels::{conv, reference};
 
 /// Asserts two matrices are identical down to the bit pattern of every element.
 fn assert_bits_eq(prepared: &DenseMatrix, oracle: &DenseMatrix, what: &str) {
@@ -55,8 +52,8 @@ fn random_sparse(rng: &mut StdRng, m: usize, k: usize, density: f64) -> DenseMat
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// GEMM: prepared == unprepared blocked == naive fragment oracle, and the
-    /// same plan stays exact across repeated executes with fresh activations.
+    /// GEMM: prepared == naive fragment oracle, and the same plan stays exact
+    /// across repeated executes with fresh activations.
     #[test]
     fn gemm_plan_matches_blocked_and_naive(
         (m, k, n, density, seed) in
@@ -69,15 +66,13 @@ proptest! {
         for round in 0..3 {
             let b = DenseMatrix::random(&mut rng, k, n);
             let prepared = plan.execute(&b).unwrap().output;
-            let blocked = gemm::fragment_matmul(arch.mma_shape, &a, &b);
-            assert_bits_eq(&prepared, &blocked, &format!("gemm {m}x{k}x{n} round {round}"));
             let naive = reference::fragment_matmul_naive(arch.mma_shape, &a, &b);
             assert_bits_eq(&prepared, &naive, &format!("gemm-naive {m}x{k}x{n} round {round}"));
         }
     }
 
-    /// Vector-wise and Shfl-BW: prepared == unprepared stitched == naive
-    /// stitched oracle, across repeated executes.
+    /// Vector-wise and Shfl-BW: prepared == naive stitched oracle, across
+    /// repeated executes.
     #[test]
     fn stitched_plans_match_blocked_and_naive(
         (groups, vi, k, n, density, seed) in
@@ -102,7 +97,6 @@ proptest! {
             let what = format!("{m}x{k}x{n} V={v} round {round}");
 
             let prepared = vw_plan.execute(&b).unwrap().output;
-            assert_bits_eq(&prepared, &stitched_spmm(&vw, &b, &identity), &format!("vw-blocked {what}"));
             assert_bits_eq(
                 &prepared,
                 &reference::stitched_spmm_naive(&arch, &vw, &b, &identity),
@@ -112,18 +106,13 @@ proptest! {
             let prepared = shfl_plan.execute(&b).unwrap().output;
             assert_bits_eq(
                 &prepared,
-                &stitched_spmm(shfl.vector_wise(), &b, shfl.row_indices()),
-                &format!("shfl-blocked {what}"),
-            );
-            assert_bits_eq(
-                &prepared,
                 &reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b, shfl.row_indices()),
                 &format!("shfl-naive {what}"),
             );
         }
     }
 
-    /// Block-wise: prepared == unprepared blocked == naive block oracle.
+    /// Block-wise: prepared == naive block oracle, across repeated executes.
     #[test]
     fn block_plan_matches_blocked_and_naive(
         (brows, bcols, vi, n, density, seed) in
@@ -140,7 +129,6 @@ proptest! {
             let b = DenseMatrix::random(&mut rng, k, n);
             let prepared = plan.execute(&b).unwrap().output;
             let what = format!("block {m}x{k}x{n} V={v} round {round}");
-            assert_bits_eq(&prepared, &block_spmm_unprepared(&a, &b), &format!("{what} blocked"));
             assert_bits_eq(&prepared, &reference::block_spmm_naive(&arch, &a, &b), &format!("{what} naive"));
         }
     }
@@ -264,8 +252,8 @@ fn gemm_plan_edge_shapes_are_bit_compatible() {
         let a = DenseMatrix::random(&mut rng, m, k);
         let b = DenseMatrix::random(&mut rng, k, n);
         let prepared = GemmPlan::new(&arch, &a, n).execute(&b).unwrap().output;
-        let blocked = gemm::fragment_matmul(arch.mma_shape, &a, &b);
-        assert_bits_eq(&prepared, &blocked, &format!("gemm {m}x{k}x{n}"));
+        let naive = reference::fragment_matmul_naive(arch.mma_shape, &a, &b);
+        assert_bits_eq(&prepared, &naive, &format!("gemm {m}x{k}x{n}"));
     }
 }
 
@@ -290,8 +278,8 @@ fn gemm_plan_density_extremes_are_bit_compatible() {
     let b = DenseMatrix::random(&mut rng, 21, 11);
     for a in [&dense, &sparse] {
         let prepared = GemmPlan::new(&arch, a, 11).execute(&b).unwrap().output;
-        let blocked = gemm::fragment_matmul(arch.mma_shape, a, &b);
-        assert_bits_eq(&prepared, &blocked, "gemm density extremes");
+        let naive = reference::fragment_matmul_naive(arch.mma_shape, a, &b);
+        assert_bits_eq(&prepared, &naive, "gemm density extremes");
     }
 }
 
@@ -388,7 +376,7 @@ fn repeated_executes_of_one_plan_are_stable() {
     assert_bits_eq(&first, &again, "same-activations replay");
     assert_bits_eq(
         &other,
-        &stitched_spmm(shfl.vector_wise(), &b2, shfl.row_indices()),
+        &reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b2, shfl.row_indices()),
         "interleaved activations",
     );
 }

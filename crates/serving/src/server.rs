@@ -51,7 +51,7 @@
 //! * **Worker fault containment** — a panic while serving a group fails only
 //!   that group's tickets with [`ServingError::WorkerPanic`]; the worker
 //!   respawns and `drain()` still terminates. With the `chaos` feature, a
-//!   scripted [`crate::chaos::FaultPlan`] drives these paths
+//!   scripted `chaos::FaultPlan` drives these paths
 //!   deterministically in the test suite.
 //!
 //! Per-completion latency records (queue wait, service time, end-to-end,
