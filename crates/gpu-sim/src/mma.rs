@@ -19,11 +19,20 @@
 //!   block panels), gathered rows (the stitched vector-wise / Shfl-BW panels and
 //!   CSR rows) and per-tap element offsets into a padded input transform (the
 //!   implicit-GEMM convolution, `scale = 1`). It dispatches to the active
-//!   [`crate::simd`] tier.
+//!   [`crate::simd`] tier. The vector tiers sweep **four output rows at once**,
+//!   the CPU analogue of an MMA fragment reusing each operand element across
+//!   its rows: a `4 × 16`-column register tile (AVX2; `4 × 8` at SSE2) loads
+//!   each operand vector once per reduction step and multiplies it by four
+//!   broadcast weights. Rows past the last multiple of four, a row's last few
+//!   columns and the scalar tier sweep one row at a time.
 //!
 //! Both accumulate each output element in ascending-`k` order with a single `f32`
 //! accumulator, so any decomposition of a GEMM into these calls that visits `k` in
-//! ascending order produces bit-identical results.
+//! ascending order produces bit-identical results. A register tile only decides
+//! which register lane holds an element while its products arrive: whatever
+//! the tile's shape, the element still takes its `kk` products one by one, in
+//! ascending `p`, through its own lane with a separate multiply and add, so
+//! tile shapes can never change a bit of the output.
 
 pub use shfl_core::f16::round_to_f16;
 
@@ -186,9 +195,11 @@ impl SegmentSpan {
 /// partial is added to `c` once (the stitched kernels' per-step partial tile).
 /// The two round differently. Either way an element's `kk` products arrive in
 /// ascending `p` order through one `f32` with a separate multiply and add, so
-/// every SIMD tier, chunk width and span split gives the same bits. Spans are
-/// swept one after another, so each span's operand columns stay cache-resident
-/// across all `rows` output rows. A call with `kk = 0` leaves `c` untouched.
+/// every SIMD tier, register tile, chunk width and span split gives the same
+/// bits. Spans are swept one after another, so each span's operand columns
+/// stay cache-resident across all `rows` output rows; within a span the
+/// vector tiers sweep four rows per register tile. A call with `kk = 0`
+/// leaves `c` untouched.
 ///
 /// # Panics
 ///
@@ -238,22 +249,28 @@ pub fn mma_sweep<const LOAD_C: bool>(
     let tier = crate::simd::active_tier();
     for span in spans {
         let (start, end) = (span.start, span.end());
-        for (a_row, c_row) in a.chunks_exact(kk).zip(c.chunks_exact_mut(stride)) {
-            match tier {
-                // SAFETY: checked above: every operand row a span reads ends at
-                // `offs[p]·scale + end <= b.len()`, `end <= stride ==
-                // c_row.len()` and `a_row.len() == offs.len()`; the tier is only
-                // returned when the CPU supports its feature.
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx2 => unsafe {
-                    x86::span_avx2::<LOAD_C>(a_row, b, offs, scale, c_row, start, end)
-                },
-                // SAFETY: same bounds; SSE2 is baseline on x86-64.
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Sse2 => unsafe {
-                    x86::span_sse2::<LOAD_C>(a_row, b, offs, scale, c_row, start, end)
-                },
-                _ => span_scalar::<LOAD_C>(a_row, b, offs, scale, c_row, start, end),
+        match tier {
+            // SAFETY: checked above: `kk > 0`, `a.len() == rows·kk`,
+            // `c.len() == rows·stride` and `end <= stride`, so a 4-row tile
+            // starting at row `r0 <= rows − 4` reads weights `a[(r0 + r)·kk +
+            // p]` and touches outputs `c[(r0 + r)·stride + j]` (`r < 4`,
+            // `p < kk`, `j < end`) inside both slices, as does every single
+            // row; every operand row a tile column reads ends at
+            // `offs[p]·scale + end <= b.len()`. The tier is only returned
+            // when the CPU supports its feature.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => unsafe {
+                x86::span_avx2::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
+            },
+            // SAFETY: same bounds; SSE2 is baseline on x86-64.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Sse2 => unsafe {
+                x86::span_sse2::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
+            },
+            _ => {
+                for (a_row, c_row) in a.chunks_exact(kk).zip(c.chunks_exact_mut(stride)) {
+                    span_scalar::<LOAD_C>(a_row, b, offs, scale, c_row, start, end);
+                }
             }
         }
     }
@@ -817,22 +834,28 @@ mod tests {
 
     /// The one sweep against [`scalar_loop`] on every SIMD tier, for the three
     /// addressings (consecutive rows, gathered rows, base + taps at scale 1),
-    /// both accumulate modes, span lists whose edges fall off the 8- and
-    /// 4-lane grid (columns outside every span must stay untouched), and
-    /// reduction depths 0, 1, 3 and 17.
+    /// both accumulate modes, row counts around the 4-row register tile
+    /// (none, exactly one, one plus remainder rows, two), span widths on
+    /// every edge of the 16-, 8- and 4-column tiles and of the one-row
+    /// chunks, span lists whose edges fall off the 8- and 4-lane grid
+    /// (columns outside every span must stay untouched), and reduction
+    /// depths 0, 1, 3 and 17.
     #[test]
     fn simd_tiers_are_bit_identical_across_all_kernels() {
         use crate::simd;
         let _guard = simd::tier_test_lock();
-        let layouts: [(usize, &[(usize, usize)]); 6] = [
+        let layouts: [(usize, &[(usize, usize)]); 9] = [
             (45, &[(0, 45)]),
             (45, &[(3, 10), (13, 25)]),
             (45, &[(0, 1), (1, 5), (6, 38)]),
             (150, &[(5, 137)]),
             (150, &[(0, 75), (75, 75)]),
             (10, &[]),
+            (40, &[(0, 7), (7, 8), (15, 9)]),
+            (64, &[(1, 15), (16, 16), (32, 17)]),
+            (100, &[(0, 31), (31, 32), (63, 33)]),
         ];
-        let rows = 5;
+        let row_counts = [1usize, 3, 4, 5, 8, 9];
         let mut checked = 0;
         for tier in simd::available_tiers() {
             simd::force_tier(Some(tier));
@@ -841,49 +864,54 @@ mod tests {
                     .iter()
                     .map(|&(start, width)| SegmentSpan { start, width })
                     .collect();
-                for kk in [0usize, 1, 3, 17] {
-                    let a = values(rows * kk, 0.2);
-                    let height = 2 * kk + 3;
-                    let base = 37;
-                    // (operand, first element, step offsets, scale) per addressing.
-                    let addressings = [
-                        (values(kk * stride, 1.1), 0, ascending(kk), stride),
-                        (
-                            values(height * stride, 2.3),
-                            0,
-                            (0..kk).map(|p| ((p * 5 + 2) % height) as u32).collect(),
-                            stride,
-                        ),
-                        (
-                            values(base + 97 + stride, 3.7),
-                            base,
-                            (0..kk).map(|p| ((p * 53 + 11) % 97) as u32).collect(),
-                            1,
-                        ),
-                    ];
-                    for (b, start, offs, scale) in &addressings {
-                        let b = &b[*start..];
-                        let c_init: Vec<f32> = values(rows * stride, 4.9);
-                        let what = format!(
-                            "tier {} stride {stride} spans {layout:?} kk {kk} scale {scale}",
-                            tier.label()
-                        );
-                        let mut got = c_init.clone();
-                        mma_sweep::<true>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
-                        let mut want = c_init.clone();
-                        scalar_loop(true, &a, rows, b, offs, *scale, &mut want, stride, &spans);
-                        assert_eq!(bits(&got), bits(&want), "LOAD_C {what}");
-                        let mut got = c_init.clone();
-                        mma_sweep::<false>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
-                        let mut want = c_init;
-                        scalar_loop(false, &a, rows, b, offs, *scale, &mut want, stride, &spans);
-                        assert_eq!(bits(&got), bits(&want), "fused partial {what}");
-                        checked += 1;
+                for rows in row_counts {
+                    for kk in [0usize, 1, 3, 17] {
+                        let a = values(rows * kk, 0.2);
+                        let height = 2 * kk + 3;
+                        let base = 37;
+                        // (operand, first element, step offsets, scale) per addressing.
+                        let addressings = [
+                            (values(kk * stride, 1.1), 0, ascending(kk), stride),
+                            (
+                                values(height * stride, 2.3),
+                                0,
+                                (0..kk).map(|p| ((p * 5 + 2) % height) as u32).collect(),
+                                stride,
+                            ),
+                            (
+                                values(base + 97 + stride, 3.7),
+                                base,
+                                (0..kk).map(|p| ((p * 53 + 11) % 97) as u32).collect(),
+                                1,
+                            ),
+                        ];
+                        for (b, start, offs, scale) in &addressings {
+                            let b = &b[*start..];
+                            let c_init: Vec<f32> = values(rows * stride, 4.9);
+                            let what = format!(
+                                "tier {} rows {rows} stride {stride} spans {layout:?} kk {kk} \
+                                 scale {scale}",
+                                tier.label()
+                            );
+                            let mut got = c_init.clone();
+                            mma_sweep::<true>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
+                            let mut want = c_init.clone();
+                            scalar_loop(true, &a, rows, b, offs, *scale, &mut want, stride, &spans);
+                            assert_eq!(bits(&got), bits(&want), "LOAD_C {what}");
+                            let mut got = c_init.clone();
+                            mma_sweep::<false>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
+                            let mut want = c_init;
+                            scalar_loop(
+                                false, &a, rows, b, offs, *scale, &mut want, stride, &spans,
+                            );
+                            assert_eq!(bits(&got), bits(&want), "fused partial {what}");
+                            checked += 1;
+                        }
                     }
                 }
             }
         }
         simd::force_tier(None);
-        assert_eq!(checked, simd::available_tiers().len() * 6 * 4 * 3);
+        assert_eq!(checked, simd::available_tiers().len() * 9 * 6 * 4 * 3);
     }
 }

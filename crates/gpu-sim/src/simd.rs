@@ -15,14 +15,25 @@
 //! * [`SimdTier::Scalar`] — autovectorisable scalar loops, the portable
 //!   fallback and the bit-identity oracle for the other tiers.
 //!
+//! The vector tiers sweep a **register tile of four output rows**: at each
+//! reduction step the tile loads its operand vectors once and multiplies each
+//! by the four rows' broadcast weights, so one load feeds four rows' worth of
+//! multiply-adds. AVX2 tiles `4 × 16` columns in eight `__m256` accumulators,
+//! then `4 × 8`; SSE2 tiles `4 × 8`, then `4 × 4` in `__m128`. Rows past the
+//! last multiple of four and each row's last few columns run one row at a
+//! time (64- down to 8-column chunks at AVX2, 32 down to 4 at SSE2, then
+//! scalar).
+//!
 //! **Every tier is bit-identical.** The vector tiers widen the sweep across
-//! *independent output columns* only: each output element still accumulates
+//! *independent output elements* only: each output element still accumulates
 //! its `k` contributions in ascending order through one `f32` lane, using a
 //! separate IEEE-754 multiply and add per step (deliberately **no FMA** — a
 //! fused multiply-add skips the intermediate rounding and would diverge from
-//! the scalar oracle in the last bit). How columns are grouped into register
-//! chunks never changes a result, so the dispatch decision — even one racing
-//! a concurrent [`force_tier`] — can never change an output.
+//! the scalar oracle in the last bit). A tile's shape decides which register
+//! lane holds an element, never the order or the rounding of its products, so
+//! how rows and columns are grouped into tiles and chunks never changes a
+//! result, and the dispatch decision — even one racing a concurrent
+//! [`force_tier`] — can never change an output.
 //!
 //! The active tier is resolved once from CPUID (overridable with the
 //! `SHFL_SIMD` environment variable: `scalar`, `sse2` or `avx2`, clamped to
@@ -207,132 +218,164 @@ pub fn available_tiers() -> Vec<SimdTier> {
 }
 
 /// The x86-64 vector tiers of [`crate::mma::mma_sweep`]: one AVX2 and one
-/// SSE2 entry, each covering columns `start .. end` of one output row with
-/// the arithmetic of the scalar tier.
+/// SSE2 entry, each covering columns `start .. end` of every output row of
+/// the panel with the arithmetic of the scalar tier.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
-    /// Sweeps every full `NV·8`-wide chunk of columns `j0 .. end`, holding
-    /// the chunk in `NV` `__m256` accumulators across the whole reduction.
-    /// Returns the first column left over. `LOAD_C` selects the accumulate
-    /// mode of `mma_sweep`: start the chunk from `c`, or from `+0.0` with one
-    /// add into `c` at the end.
+    /// Output rows one register tile covers: every operand vector the tile
+    /// loads is multiplied by this many rows' weights. The `4 × 16` AVX2
+    /// tile's eight accumulators, two operand vectors and one broadcast fit
+    /// the sixteen `ymm` registers; a `4 × 32` tile would not.
+    const TILE_ROWS: usize = 4;
+
+    /// Sweeps every full `NV·8`-wide chunk of columns `j0 .. end` of the `NR`
+    /// consecutive output rows whose weights start at `a` and whose outputs
+    /// start at `c`, holding the `NR × NV·8` tile in `NR·NV` `__m256`
+    /// accumulators across the whole reduction: at step `p` each of the `NV`
+    /// operand vectors is loaded once and multiplied by all `NR` rows'
+    /// broadcast weights. Returns the first column left over. `LOAD_C`
+    /// selects the accumulate mode of `mma_sweep`: start the tile from `c`,
+    /// or from `+0.0` with one add into `c` at the end.
     ///
     /// # Safety
     ///
-    /// For every step `p`: `offs[p]·scale + end` must not exceed the length
-    /// of the slice `b` points into, `c_row` must be valid for `end`
-    /// elements, and the CPU must support AVX2.
+    /// With `kk = offs.len()`: `a` must be valid for `NR·kk` reads, `c` for
+    /// reads and writes at `r·stride + j` for every `r < NR` and `j < end`,
+    /// and for every step `p`, `offs[p]·scale + end` must not exceed the
+    /// length of the slice `b` points into. The CPU must support AVX2.
     #[inline(always)]
-    unsafe fn chunks256<const NV: usize, const LOAD_C: bool>(
-        a_row: &[f32],
+    #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
+    unsafe fn chunks256<const NR: usize, const NV: usize, const LOAD_C: bool>(
+        a: *const f32,
         b: *const f32,
         offs: &[u32],
         scale: usize,
-        c_row: *mut f32,
+        c: *mut f32,
+        stride: usize,
         end: usize,
         mut j0: usize,
     ) -> usize {
-        let blk = NV * 8;
+        let (kk, blk) = (offs.len(), NV * 8);
         while j0 + blk <= end {
-            let mut part = [_mm256_setzero_ps(); NV];
+            let mut part = [[_mm256_setzero_ps(); NV]; NR];
             if LOAD_C {
-                for (v, acc) in part.iter_mut().enumerate() {
-                    *acc = _mm256_loadu_ps(c_row.add(j0 + v * 8) as *const f32);
+                for (r, row) in part.iter_mut().enumerate() {
+                    for (v, acc) in row.iter_mut().enumerate() {
+                        *acc = _mm256_loadu_ps(c.add(r * stride + j0 + v * 8));
+                    }
                 }
             }
-            for (&av, &off) in a_row.iter().zip(offs) {
-                let avv = _mm256_set1_ps(av);
-                let row = b.add(off as usize * scale + j0);
-                for (v, acc) in part.iter_mut().enumerate() {
-                    let bv = _mm256_loadu_ps(row.add(v * 8));
-                    // Separate mul + add: an FMA would skip the intermediate
-                    // rounding and break bit-identity with the scalar tier.
-                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(avv, bv));
+            for (p, &off) in offs.iter().enumerate() {
+                let src = b.add(off as usize * scale + j0);
+                let mut bv = [_mm256_setzero_ps(); NV];
+                for (v, x) in bv.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(src.add(v * 8));
+                }
+                for (r, row) in part.iter_mut().enumerate() {
+                    let avv = _mm256_set1_ps(*a.add(r * kk + p));
+                    for (acc, &x) in row.iter_mut().zip(&bv) {
+                        // Separate mul + add: an FMA would skip the intermediate
+                        // rounding and break bit-identity with the scalar tier.
+                        *acc = _mm256_add_ps(*acc, _mm256_mul_ps(avv, x));
+                    }
                 }
             }
-            for (v, acc) in part.iter().enumerate() {
-                let dst = c_row.add(j0 + v * 8);
-                let out = if LOAD_C {
-                    *acc
-                } else {
-                    _mm256_add_ps(_mm256_loadu_ps(dst as *const f32), *acc)
-                };
-                _mm256_storeu_ps(dst, out);
+            for (r, row) in part.iter().enumerate() {
+                for (v, acc) in row.iter().enumerate() {
+                    let dst = c.add(r * stride + j0 + v * 8);
+                    let out = if LOAD_C {
+                        *acc
+                    } else {
+                        _mm256_add_ps(_mm256_loadu_ps(dst), *acc)
+                    };
+                    _mm256_storeu_ps(dst, out);
+                }
             }
             j0 += blk;
         }
         j0
     }
 
-    /// [`chunks256`] at 128-bit width: every full `NV·4`-wide chunk in `NV`
-    /// `__m128` accumulators.
+    /// [`chunks256`] at 128-bit width: every full `NV·4`-wide chunk of the
+    /// `NR` rows in `NR·NV` `__m128` accumulators.
     ///
     /// # Safety
     ///
     /// Same bounds contract as [`chunks256`]; SSE2 is baseline on x86-64.
     #[inline(always)]
-    unsafe fn chunks128<const NV: usize, const LOAD_C: bool>(
-        a_row: &[f32],
+    #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
+    unsafe fn chunks128<const NR: usize, const NV: usize, const LOAD_C: bool>(
+        a: *const f32,
         b: *const f32,
         offs: &[u32],
         scale: usize,
-        c_row: *mut f32,
+        c: *mut f32,
+        stride: usize,
         end: usize,
         mut j0: usize,
     ) -> usize {
-        let blk = NV * 4;
+        let (kk, blk) = (offs.len(), NV * 4);
         while j0 + blk <= end {
-            let mut part = [_mm_setzero_ps(); NV];
+            let mut part = [[_mm_setzero_ps(); NV]; NR];
             if LOAD_C {
-                for (v, acc) in part.iter_mut().enumerate() {
-                    *acc = _mm_loadu_ps(c_row.add(j0 + v * 4) as *const f32);
+                for (r, row) in part.iter_mut().enumerate() {
+                    for (v, acc) in row.iter_mut().enumerate() {
+                        *acc = _mm_loadu_ps(c.add(r * stride + j0 + v * 4));
+                    }
                 }
             }
-            for (&av, &off) in a_row.iter().zip(offs) {
-                let avv = _mm_set1_ps(av);
-                let row = b.add(off as usize * scale + j0);
-                for (v, acc) in part.iter_mut().enumerate() {
-                    let bv = _mm_loadu_ps(row.add(v * 4));
-                    *acc = _mm_add_ps(*acc, _mm_mul_ps(avv, bv));
+            for (p, &off) in offs.iter().enumerate() {
+                let src = b.add(off as usize * scale + j0);
+                let mut bv = [_mm_setzero_ps(); NV];
+                for (v, x) in bv.iter_mut().enumerate() {
+                    *x = _mm_loadu_ps(src.add(v * 4));
+                }
+                for (r, row) in part.iter_mut().enumerate() {
+                    let avv = _mm_set1_ps(*a.add(r * kk + p));
+                    for (acc, &x) in row.iter_mut().zip(&bv) {
+                        *acc = _mm_add_ps(*acc, _mm_mul_ps(avv, x));
+                    }
                 }
             }
-            for (v, acc) in part.iter().enumerate() {
-                let dst = c_row.add(j0 + v * 4);
-                let out = if LOAD_C {
-                    *acc
-                } else {
-                    _mm_add_ps(_mm_loadu_ps(dst as *const f32), *acc)
-                };
-                _mm_storeu_ps(dst, out);
+            for (r, row) in part.iter().enumerate() {
+                for (v, acc) in row.iter().enumerate() {
+                    let dst = c.add(r * stride + j0 + v * 4);
+                    let out = if LOAD_C {
+                        *acc
+                    } else {
+                        _mm_add_ps(_mm_loadu_ps(dst), *acc)
+                    };
+                    _mm_storeu_ps(dst, out);
+                }
             }
             j0 += blk;
         }
         j0
     }
 
-    /// Remainder columns `j0 .. end`, one at a time, with the arithmetic of
-    /// the scalar tier's tail.
+    /// Remainder columns `j0 .. end` of one output row, one at a time, with
+    /// the arithmetic of the scalar tier's tail.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`chunks256`].
+    /// Same bounds contract as [`chunks256`] with `NR = 1`.
     #[inline(always)]
     unsafe fn scalar_tail<const LOAD_C: bool>(
-        a_row: &[f32],
+        a: *const f32,
         b: *const f32,
         offs: &[u32],
         scale: usize,
-        c_row: *mut f32,
+        c: *mut f32,
         end: usize,
         j0: usize,
     ) {
         for j in j0..end {
-            let o = c_row.add(j);
+            let o = c.add(j);
             let mut part = if LOAD_C { *o } else { 0.0 };
-            for (&av, &off) in a_row.iter().zip(offs) {
-                part += av * *b.add(off as usize * scale + j);
+            for (p, &off) in offs.iter().enumerate() {
+                part += *a.add(p) * *b.add(off as usize * scale + j);
             }
             if LOAD_C {
                 *o = part;
@@ -342,55 +385,106 @@ pub(crate) mod x86 {
         }
     }
 
-    /// The AVX2 tier: 64/32/16/8-wide `__m256` chunks, one 4-wide `__m128`
-    /// step, then the scalar tail.
+    /// The AVX2 tier over columns `start .. end` of every row of a
+    /// `rows × kk` panel. Each full group of [`TILE_ROWS`] rows sweeps
+    /// `4 × 16`, then `4 × 8` `__m256` tiles; each of its rows then finishes
+    /// its last columns (fewer than 8) alone, with one 4-wide `__m128` step
+    /// and the scalar tail. Rows past the last full group take the one-row
+    /// path: 64/32/16/8-wide `__m256` chunks, the `__m128` step, the tail.
     ///
     /// # Safety
     ///
-    /// Caller guarantees `offs[p] as usize * scale + end <= b.len()` for
-    /// every `p`, `end <= c_row.len()`, and that the CPU supports AVX2.
+    /// With `kk = offs.len()`: caller guarantees `kk > 0`,
+    /// `a.len() == rows·kk` and `c.len() == rows·stride` for the same
+    /// `rows`, `end <= stride`, `offs[p] as usize * scale + end <= b.len()`
+    /// for every `p`, and that the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)] // a panel, its operand rows and one span
     pub(crate) unsafe fn span_avx2<const LOAD_C: bool>(
-        a_row: &[f32],
+        a: &[f32],
         b: &[f32],
         offs: &[u32],
         scale: usize,
-        c_row: &mut [f32],
+        c: &mut [f32],
+        stride: usize,
         start: usize,
         end: usize,
     ) {
-        let (b, c) = (b.as_ptr(), c_row.as_mut_ptr());
-        let mut j0 = start;
-        j0 = chunks256::<8, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        j0 = chunks256::<4, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        j0 = chunks256::<2, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        j0 = chunks256::<1, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        j0 = chunks128::<1, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        scalar_tail::<LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        let kk = offs.len();
+        let rows = a.len() / kk;
+        let tiled = rows - rows % TILE_ROWS;
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        // A tile starts at row `r0 <= rows − TILE_ROWS`, so its rows
+        // `r0 + r < rows` read `a[(r0 + r)·kk + p]` with `p < kk` inside
+        // `a.len() == rows·kk` and touch `c[(r0 + r)·stride + j]` with
+        // `j < end <= stride` inside `c.len() == rows·stride`.
+        for r0 in (0..tiled).step_by(TILE_ROWS) {
+            let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
+            let mut j0 = start;
+            j0 = chunks256::<TILE_ROWS, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks256::<TILE_ROWS, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            for r in 0..TILE_ROWS {
+                let (a, c) = (a.add(r * kk), c.add(r * stride));
+                let j = chunks128::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+                scalar_tail::<LOAD_C>(a, b, offs, scale, c, end, j);
+            }
+        }
+        for r in tiled..rows {
+            let (a, c) = (a.add(r * kk), c.add(r * stride));
+            let mut j0 = start;
+            j0 = chunks256::<1, 8, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks256::<1, 4, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks256::<1, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks256::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks128::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            scalar_tail::<LOAD_C>(a, b, offs, scale, c, end, j0);
+        }
     }
 
-    /// The SSE2 tier: 32/16/8/4-wide `__m128` chunks, then the scalar tail.
+    /// The SSE2 tier: [`span_avx2`]'s row tiling at 128-bit width. Each full
+    /// group of [`TILE_ROWS`] rows sweeps `4 × 8`, then `4 × 4` `__m128`
+    /// tiles and finishes each row's last columns (fewer than 4) in the
+    /// scalar tail; the remaining rows take 32/16/8/4-wide `__m128` chunks,
+    /// then the tail.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`span_avx2`]; SSE2 is baseline on x86-64.
+    /// Same contract as [`span_avx2`]; SSE2 is baseline on x86-64.
     #[target_feature(enable = "sse2")]
+    #[allow(clippy::too_many_arguments)] // a panel, its operand rows and one span
     pub(crate) unsafe fn span_sse2<const LOAD_C: bool>(
-        a_row: &[f32],
+        a: &[f32],
         b: &[f32],
         offs: &[u32],
         scale: usize,
-        c_row: &mut [f32],
+        c: &mut [f32],
+        stride: usize,
         start: usize,
         end: usize,
     ) {
-        let (b, c) = (b.as_ptr(), c_row.as_mut_ptr());
-        let mut j0 = start;
-        j0 = chunks128::<8, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        j0 = chunks128::<4, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        j0 = chunks128::<2, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        j0 = chunks128::<1, LOAD_C>(a_row, b, offs, scale, c, end, j0);
-        scalar_tail::<LOAD_C>(a_row, b, offs, scale, c, end, j0);
+        let kk = offs.len();
+        let rows = a.len() / kk;
+        let tiled = rows - rows % TILE_ROWS;
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        // Tiles stay inside `a` and `c` exactly as in `span_avx2`.
+        for r0 in (0..tiled).step_by(TILE_ROWS) {
+            let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
+            let mut j0 = start;
+            j0 = chunks128::<TILE_ROWS, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks128::<TILE_ROWS, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            for r in 0..TILE_ROWS {
+                scalar_tail::<LOAD_C>(a.add(r * kk), b, offs, scale, c.add(r * stride), end, j0);
+            }
+        }
+        for r in tiled..rows {
+            let (a, c) = (a.add(r * kk), c.add(r * stride));
+            let mut j0 = start;
+            j0 = chunks128::<1, 8, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks128::<1, 4, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks128::<1, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks128::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            scalar_tail::<LOAD_C>(a, b, offs, scale, c, end, j0);
+        }
     }
 }
 

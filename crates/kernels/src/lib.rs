@@ -43,8 +43,12 @@
 //!    consecutive rows for dense and block panels, the kept columns for
 //!    stitched panels and CSR rows, per-tap offsets into the padded input for
 //!    the implicit-GEMM convolution — in place, with no staging copy, holding
-//!    output chunks in registers across the whole panel. It dispatches at run
-//!    time to AVX2, SSE2 or scalar code ([`gpu_sim::simd`]); every tier is
+//!    output tiles in registers across the whole panel. The AVX2 and SSE2
+//!    tiers tile four output rows at once, so each activation vector loaded
+//!    at a reduction step feeds four rows, as an MMA fragment reuses each
+//!    operand element across its rows; leftover rows, CSR's one-row panels
+//!    and the scalar tier sweep row by row. It dispatches at run time to
+//!    AVX2, SSE2 or scalar code ([`gpu_sim::simd`]); every tier is
 //!    bit-identical.
 //! 3. **Parallel chunks.** Row-tiles, SpMM row groups, block rows, CSR rows
 //!    and convolution images own disjoint output slices, so they are fanned

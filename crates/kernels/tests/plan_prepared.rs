@@ -15,6 +15,7 @@ use gpu_sim::GpuArch;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use shfl_core::bucket::Segment;
 use shfl_core::formats::{
     BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix,
 };
@@ -379,4 +380,54 @@ fn repeated_executes_of_one_plan_are_stable() {
         &reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b2, shfl.row_indices()),
         "interleaved activations",
     );
+}
+
+/// A Shfl-BW plan whose `V` is not a multiple of the sweep's 4-row register
+/// tile (each 6-row group is one tile plus two single rows) matches the
+/// naive oracle at execute widths on every edge of the 16-, 8- and 4-column
+/// tiles, and over ragged fused segments.
+#[test]
+fn shfl_bw_plan_with_remainder_rows_matches_naive_at_tile_edges() {
+    let arch = GpuArch::t4();
+    let mut rng = StdRng::seed_from_u64(67);
+    let (m, k, v) = (18, 40, 6);
+    let dense_a = random_sparse(&mut rng, m, k, 0.4);
+    let perm: Vec<usize> = (0..m).map(|r| (r * 7) % m).collect();
+    let shfl = ShflBwMatrix::from_dense_with_permutation(&dense_a, &perm, v).unwrap();
+    let oracle = |b: &DenseMatrix| {
+        reference::stitched_spmm_naive(&arch, shfl.vector_wise(), b, shfl.row_indices())
+    };
+
+    for n in [1usize, 7, 8, 9, 17, 33] {
+        let b = DenseMatrix::random(&mut rng, k, n);
+        let prepared = SpmmPlan::shfl_bw(&arch, &shfl, n)
+            .execute(&b)
+            .unwrap()
+            .output;
+        assert_bits_eq(&prepared, &oracle(&b), &format!("V={v} width {n}"));
+    }
+
+    let plan = SpmmPlan::shfl_bw(&arch, &shfl, 64);
+    for widths in [&[1usize, 7, 9][..], &[17, 8, 33], &[33, 1, 16, 15]] {
+        let mut start = 0;
+        let segments: Vec<Segment> = widths
+            .iter()
+            .map(|&width| {
+                let segment = Segment {
+                    start,
+                    width,
+                    bucket: width.next_power_of_two(),
+                };
+                start += width;
+                segment
+            })
+            .collect();
+        let b = DenseMatrix::random(&mut rng, k, start);
+        let prepared = plan.execute_segments(&b, &segments).unwrap().output;
+        assert_bits_eq(
+            &prepared,
+            &oracle(&b),
+            &format!("V={v} segments {widths:?}"),
+        );
+    }
 }

@@ -628,14 +628,14 @@ struct Recorder {
 }
 
 impl Recorder {
-    /// Counts one delivered response and appends its record to the sliding
-    /// completion window.
-    fn record_completion(&mut self, completion: Completion) {
+    /// Appends one response's record to the sliding completion window. The
+    /// caller advances `completed` separately, once the response is
+    /// delivered.
+    fn log_completion(&mut self, completion: Completion) {
         if self.completions.len() == COMPLETION_LOG_CAP {
             self.completions.pop_front();
         }
         self.completions.push_back(completion);
-        self.completed += 1;
     }
 }
 
@@ -1307,19 +1307,23 @@ impl ServerCore {
                 }
             })
             .collect();
+        // Log the records **before** the tickets resolve, so `stats()` read
+        // as soon as a ticket resolves already holds its record.
+        {
+            let mut rec = self.recorder.lock().expect("recorder poisoned");
+            for record in records {
+                rec.log_completion(record);
+            }
+        }
         // Fulfil the tickets **before** advancing `completed`: `drain`
         // treats `completed == submitted` as "every ticket delivered", so a
         // concurrent worker's increment must never let a drain return while
         // this group's responses are still undelivered.
+        let delivered = members.len() as u64;
         for (pending, response) in members.into_iter().zip(responses) {
             pending.slot.fulfil(response);
         }
-        {
-            let mut rec = self.recorder.lock().expect("recorder poisoned");
-            for record in records {
-                rec.record_completion(record);
-            }
-        }
+        self.recorder.lock().expect("recorder poisoned").completed += delivered;
         self.idle_cv.notify_all();
     }
 

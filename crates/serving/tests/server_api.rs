@@ -627,6 +627,35 @@ fn full_queue_evicts_oldest_bulk_for_latency_traffic() {
     server.shutdown();
 }
 
+/// A resolved ticket's completion record is already in the stats: the
+/// server logs a group's records before it resolves the group's tickets.
+#[test]
+fn a_resolved_ticket_always_has_its_completion_record() {
+    let engine = engine_with_layers(2);
+    let server = Server::start(engine, ServerConfig::new().with_workers(2));
+    let mut rng = StdRng::seed_from_u64(53);
+    for id in 0..1000u64 {
+        let request = Request {
+            id,
+            layer: (id % 2) as usize,
+            activations: DenseMatrix::random(&mut rng, 16, 1 + (id % 9) as usize),
+        };
+        let response = server.submit(request).unwrap().wait();
+        assert!(
+            response.result.is_ok(),
+            "request {id}: {:?}",
+            response.result
+        );
+        assert!(
+            server.stats().completions.iter().any(|c| c.id == id),
+            "request {id} resolved without a completion record"
+        );
+    }
+    server.drain();
+    assert_eq!(server.stats().completed, 1000);
+    server.shutdown();
+}
+
 /// Closing the gate is atomic with the drain snapshot: a submission racing
 /// `drain()` is either rejected with `NotAccepting` or fully served — no
 /// accepted ticket is ever stranded or failed with `ShutDown`.
