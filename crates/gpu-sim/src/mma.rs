@@ -23,8 +23,11 @@
 //!   the CPU analogue of an MMA fragment reusing each operand element across
 //!   its rows: a `4 × 16`-column register tile (AVX2; `4 × 8` at SSE2) loads
 //!   each operand vector once per reduction step and multiplies it by four
-//!   broadcast weights. Rows past the last multiple of four, a row's last few
-//!   columns and the scalar tier sweep one row at a time.
+//!   broadcast weights. A tile's last few columns (fewer than one vector) take
+//!   one more vector step that reads and writes only the live lanes, so a
+//!   ragged width costs about one extra vector, as a narrow MMA tile costs
+//!   one padded instruction ([`MmaShape::instructions_for`]). Rows past the
+//!   last multiple of four and the scalar tier sweep one row at a time.
 //!
 //! Both accumulate each output element in ascending-`k` order with a single `f32`
 //! accumulator, so any decomposition of a GEMM into these calls that visits `k` in
@@ -256,13 +259,16 @@ pub fn mma_sweep<const LOAD_C: bool>(
             // p]` and touches outputs `c[(r0 + r)·stride + j]` (`r < 4`,
             // `p < kk`, `j < end`) inside both slices, as does every single
             // row; every operand row a tile column reads ends at
-            // `offs[p]·scale + end <= b.len()`. The tier is only returned
-            // when the CPU supports its feature.
+            // `offs[p]·scale + end <= b.len()`. Every step, the last one
+            // included, touches only columns `start .. end`: the last step's
+            // `vmaskmovps` never accesses a masked-off lane past `end`. The
+            // tier is only returned when the CPU supports its feature.
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => unsafe {
                 x86::span_avx2::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
             },
-            // SAFETY: same bounds; SSE2 is baseline on x86-64.
+            // SAFETY: same bounds; the last step loads and stores only the
+            // live lanes before `end`. SSE2 is baseline on x86-64.
             #[cfg(target_arch = "x86_64")]
             SimdTier::Sse2 => unsafe {
                 x86::span_sse2::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
@@ -837,14 +843,22 @@ mod tests {
     /// both accumulate modes, row counts around the 4-row register tile
     /// (none, exactly one, one plus remainder rows, two), span widths on
     /// every edge of the 16-, 8- and 4-column tiles and of the one-row
-    /// chunks, span lists whose edges fall off the 8- and 4-lane grid
-    /// (columns outside every span must stay untouched), and reduction
-    /// depths 0, 1, 3 and 17.
+    /// chunks, every remainder 1–7 the last (masked) step covers, span lists
+    /// whose edges fall off the 8- and 4-lane grid, and reduction depths 0,
+    /// 1, 3 and 17.
+    ///
+    /// Every output column outside the spans holds NaN, and for the two
+    /// row-addressed operands (`scale = stride`) every operand column outside
+    /// the spans holds ±inf or NaN. The spans' outputs must still match
+    /// bit for bit and the columns outside keep their NaN bits: no lane past
+    /// a span's end is ever stored or feeds a stored element.
     #[test]
     fn simd_tiers_are_bit_identical_across_all_kernels() {
         use crate::simd;
         let _guard = simd::tier_test_lock();
-        let layouts: [(usize, &[(usize, usize)]); 9] = [
+        let nan = f32::from_bits(0x7fc0_5a5a);
+        let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let layouts: [(usize, &[(usize, usize)]); 10] = [
             (45, &[(0, 45)]),
             (45, &[(3, 10), (13, 25)]),
             (45, &[(0, 1), (1, 5), (6, 38)]),
@@ -854,6 +868,7 @@ mod tests {
             (40, &[(0, 7), (7, 8), (15, 9)]),
             (64, &[(1, 15), (16, 16), (32, 17)]),
             (100, &[(0, 31), (31, 32), (63, 33)]),
+            (80, &[(1, 4), (5, 12), (17, 28), (46, 30)]),
         ];
         let row_counts = [1usize, 3, 4, 5, 8, 9];
         let mut checked = 0;
@@ -864,6 +879,19 @@ mod tests {
                     .iter()
                     .map(|&(start, width)| SegmentSpan { start, width })
                     .collect();
+                let live: Vec<bool> = (0..stride)
+                    .map(|j| spans.iter().any(|s| (s.start..s.end()).contains(&j)))
+                    .collect();
+                // Row-addressed operand rows with every column outside the spans
+                // replaced by ±inf or NaN.
+                let poisoned = |mut b: Vec<f32>| {
+                    for (i, x) in b.iter_mut().enumerate() {
+                        if !live[i % stride] {
+                            *x = poison[i % poison.len()];
+                        }
+                    }
+                    b
+                };
                 for rows in row_counts {
                     for kk in [0usize, 1, 3, 17] {
                         let a = values(rows * kk, 0.2);
@@ -871,9 +899,9 @@ mod tests {
                         let base = 37;
                         // (operand, first element, step offsets, scale) per addressing.
                         let addressings = [
-                            (values(kk * stride, 1.1), 0, ascending(kk), stride),
+                            (poisoned(values(kk * stride, 1.1)), 0, ascending(kk), stride),
                             (
-                                values(height * stride, 2.3),
+                                poisoned(values(height * stride, 2.3)),
                                 0,
                                 (0..kk).map(|p| ((p * 5 + 2) % height) as u32).collect(),
                                 stride,
@@ -887,17 +915,28 @@ mod tests {
                         ];
                         for (b, start, offs, scale) in &addressings {
                             let b = &b[*start..];
-                            let c_init: Vec<f32> = values(rows * stride, 4.9);
+                            let mut c_init: Vec<f32> = values(rows * stride, 4.9);
+                            for (i, x) in c_init.iter_mut().enumerate() {
+                                if !live[i % stride] {
+                                    *x = nan;
+                                }
+                            }
                             let what = format!(
                                 "tier {} rows {rows} stride {stride} spans {layout:?} kk {kk} \
                                  scale {scale}",
                                 tier.label()
                             );
+                            let outside_kept = |got: &[f32]| {
+                                got.iter()
+                                    .enumerate()
+                                    .all(|(i, x)| live[i % stride] || x.to_bits() == nan.to_bits())
+                            };
                             let mut got = c_init.clone();
                             mma_sweep::<true>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
                             let mut want = c_init.clone();
                             scalar_loop(true, &a, rows, b, offs, *scale, &mut want, stride, &spans);
                             assert_eq!(bits(&got), bits(&want), "LOAD_C {what}");
+                            assert!(outside_kept(&got), "LOAD_C outside the spans {what}");
                             let mut got = c_init.clone();
                             mma_sweep::<false>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
                             let mut want = c_init;
@@ -905,6 +944,7 @@ mod tests {
                                 false, &a, rows, b, offs, *scale, &mut want, stride, &spans,
                             );
                             assert_eq!(bits(&got), bits(&want), "fused partial {what}");
+                            assert!(outside_kept(&got), "fused partial outside the spans {what}");
                             checked += 1;
                         }
                     }
@@ -912,6 +952,6 @@ mod tests {
             }
         }
         simd::force_tier(None);
-        assert_eq!(checked, simd::available_tiers().len() * 9 * 6 * 4 * 3);
+        assert_eq!(checked, simd::available_tiers().len() * 10 * 6 * 4 * 3);
     }
 }

@@ -19,10 +19,14 @@
 //! reduction step the tile loads its operand vectors once and multiplies each
 //! by the four rows' broadcast weights, so one load feeds four rows' worth of
 //! multiply-adds. AVX2 tiles `4 × 16` columns in eight `__m256` accumulators,
-//! then `4 × 8`; SSE2 tiles `4 × 8`, then `4 × 4` in `__m128`. Rows past the
-//! last multiple of four and each row's last few columns run one row at a
-//! time (64- down to 8-column chunks at AVX2, 32 down to 4 at SSE2, then
-//! scalar).
+//! then `4 × 8`; SSE2 tiles `4 × 8`, then `4 × 4` in `__m128`. The tile's
+//! last columns (fewer than 8 at AVX2, fewer than 4 at SSE2) take one more
+//! `4 × 8` (`4 × 4`) step that reads and writes only the live lanes: AVX2
+//! masks its loads and stores with `vmaskmovps`, and SSE2, which has no
+//! masked load, moves exactly one, two or three lanes (`movss`, `movsd`).
+//! The dead lanes hold zero and are never stored. Rows past the last
+//! multiple of four run one row at a time (64- down to 8-column chunks at
+//! AVX2, 32 down to 4 at SSE2), then the same last step at one row.
 //!
 //! **Every tier is bit-identical.** The vector tiers widen the sweep across
 //! *independent output elements* only: each output element still accumulates
@@ -355,42 +359,134 @@ pub(crate) mod x86 {
         j0
     }
 
-    /// Remainder columns `j0 .. end` of one output row, one at a time, with
-    /// the arithmetic of the scalar tier's tail.
+    /// The last `end − j0` columns (fewer than 8, possibly none) of the `NR`
+    /// rows of [`chunks256`], in one masked `NR × 8` step: every operand row
+    /// is read with `vmaskmovps` under the lane mask `lane < end − j0`, and
+    /// `c` is written the same way. Masked-off lanes are neither read nor
+    /// written; they load as zero and only ever feed other dead lanes, so each
+    /// live column takes exactly the products [`chunks256`] would give it.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`chunks256`] with `NR = 1`.
+    /// Same bounds contract as [`chunks256`], with `end − j0 < 8`. The CPU
+    /// must support AVX2.
     #[inline(always)]
-    unsafe fn scalar_tail<const LOAD_C: bool>(
+    #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
+    unsafe fn remainder256<const NR: usize, const LOAD_C: bool>(
         a: *const f32,
         b: *const f32,
         offs: &[u32],
         scale: usize,
         c: *mut f32,
+        stride: usize,
         end: usize,
         j0: usize,
     ) {
-        for j in j0..end {
-            let o = c.add(j);
-            let mut part = if LOAD_C { *o } else { 0.0 };
-            for (p, &off) in offs.iter().enumerate() {
-                part += *a.add(p) * *b.add(off as usize * scale + j);
+        debug_assert!(end - j0 < 8);
+        if j0 == end {
+            return;
+        }
+        let kk = offs.len();
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((end - j0) as i32), lanes);
+        let mut part = [_mm256_setzero_ps(); NR];
+        if LOAD_C {
+            for (r, acc) in part.iter_mut().enumerate() {
+                *acc = _mm256_maskload_ps(c.add(r * stride + j0), mask);
             }
-            if LOAD_C {
-                *o = part;
+        }
+        for (p, &off) in offs.iter().enumerate() {
+            let x = _mm256_maskload_ps(b.add(off as usize * scale + j0), mask);
+            for (r, acc) in part.iter_mut().enumerate() {
+                let avv = _mm256_set1_ps(*a.add(r * kk + p));
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(avv, x));
+            }
+        }
+        for (r, acc) in part.iter().enumerate() {
+            let dst = c.add(r * stride + j0);
+            let out = if LOAD_C {
+                *acc
             } else {
-                *o += part;
+                _mm256_add_ps(_mm256_maskload_ps(dst, mask), *acc)
+            };
+            _mm256_maskstore_ps(dst, mask, out);
+        }
+    }
+
+    /// [`remainder256`] at 128-bit width: the last `end − j0` columns (fewer
+    /// than 4, possibly none) of the `NR` rows in one `NR × 4` step. SSE2 has
+    /// no masked load, so the step loads and stores exactly the live lanes
+    /// (`movss`, `movsd`, and both for three); lanes past `end` are never
+    /// read or written.
+    ///
+    /// # Safety
+    ///
+    /// Same bounds contract as [`chunks256`], with `end − j0 < 4`; SSE2 is
+    /// baseline on x86-64.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
+    unsafe fn remainder128<const NR: usize, const LOAD_C: bool>(
+        a: *const f32,
+        b: *const f32,
+        offs: &[u32],
+        scale: usize,
+        c: *mut f32,
+        stride: usize,
+        end: usize,
+        j0: usize,
+    ) {
+        debug_assert!(end - j0 < 4);
+        let live = end - j0;
+        if live == 0 {
+            return;
+        }
+        // The first `live` floats at `src` in the low lanes, the rest zero.
+        let load_live = |src: *const f32| match live {
+            1 => _mm_load_ss(src),
+            2 => _mm_castpd_ps(_mm_load_sd(src.cast())),
+            _ => _mm_movelh_ps(
+                _mm_castpd_ps(_mm_load_sd(src.cast())),
+                _mm_load_ss(src.add(2)),
+            ),
+        };
+        let kk = offs.len();
+        let mut part = [_mm_setzero_ps(); NR];
+        if LOAD_C {
+            for (r, acc) in part.iter_mut().enumerate() {
+                *acc = load_live(c.add(r * stride + j0));
+            }
+        }
+        for (p, &off) in offs.iter().enumerate() {
+            let x = load_live(b.add(off as usize * scale + j0));
+            for (r, acc) in part.iter_mut().enumerate() {
+                let avv = _mm_set1_ps(*a.add(r * kk + p));
+                *acc = _mm_add_ps(*acc, _mm_mul_ps(avv, x));
+            }
+        }
+        for (r, acc) in part.iter().enumerate() {
+            let dst = c.add(r * stride + j0);
+            let out = if LOAD_C {
+                *acc
+            } else {
+                _mm_add_ps(load_live(dst), *acc)
+            };
+            match live {
+                1 => _mm_store_ss(dst, out),
+                2 => _mm_store_sd(dst.cast(), _mm_castps_pd(out)),
+                _ => {
+                    _mm_store_sd(dst.cast(), _mm_castps_pd(out));
+                    _mm_store_ss(dst.add(2), _mm_movehl_ps(out, out));
+                }
             }
         }
     }
 
     /// The AVX2 tier over columns `start .. end` of every row of a
     /// `rows × kk` panel. Each full group of [`TILE_ROWS`] rows sweeps
-    /// `4 × 16`, then `4 × 8` `__m256` tiles; each of its rows then finishes
-    /// its last columns (fewer than 8) alone, with one 4-wide `__m128` step
-    /// and the scalar tail. Rows past the last full group take the one-row
-    /// path: 64/32/16/8-wide `__m256` chunks, the `__m128` step, the tail.
+    /// `4 × 16`, then `4 × 8` `__m256` tiles, then its last columns (fewer
+    /// than 8) in one masked `4 × 8` step ([`remainder256`]). Rows past the
+    /// last full group take the one-row path: 64/32/16/8-wide `__m256`
+    /// chunks, then the same masked step at one row.
     ///
     /// # Safety
     ///
@@ -417,17 +513,15 @@ pub(crate) mod x86 {
         // A tile starts at row `r0 <= rows − TILE_ROWS`, so its rows
         // `r0 + r < rows` read `a[(r0 + r)·kk + p]` with `p < kk` inside
         // `a.len() == rows·kk` and touch `c[(r0 + r)·stride + j]` with
-        // `j < end <= stride` inside `c.len() == rows·stride`.
+        // `j < end <= stride` inside `c.len() == rows·stride`. No step reads
+        // or writes a column outside `start .. end`: the masked step's dead
+        // lanes are never accessed.
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
             let mut j0 = start;
             j0 = chunks256::<TILE_ROWS, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
             j0 = chunks256::<TILE_ROWS, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            for r in 0..TILE_ROWS {
-                let (a, c) = (a.add(r * kk), c.add(r * stride));
-                let j = chunks128::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-                scalar_tail::<LOAD_C>(a, b, offs, scale, c, end, j);
-            }
+            remainder256::<TILE_ROWS, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
         }
         for r in tiled..rows {
             let (a, c) = (a.add(r * kk), c.add(r * stride));
@@ -436,16 +530,16 @@ pub(crate) mod x86 {
             j0 = chunks256::<1, 4, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
             j0 = chunks256::<1, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
             j0 = chunks256::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks128::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            scalar_tail::<LOAD_C>(a, b, offs, scale, c, end, j0);
+            remainder256::<1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
         }
     }
 
     /// The SSE2 tier: [`span_avx2`]'s row tiling at 128-bit width. Each full
     /// group of [`TILE_ROWS`] rows sweeps `4 × 8`, then `4 × 4` `__m128`
-    /// tiles and finishes each row's last columns (fewer than 4) in the
-    /// scalar tail; the remaining rows take 32/16/8/4-wide `__m128` chunks,
-    /// then the tail.
+    /// tiles, then its last columns (fewer than 4) in one `4 × 4` step that
+    /// loads and stores only the live lanes ([`remainder128`]); the remaining
+    /// rows take 32/16/8/4-wide `__m128` chunks, then the same step at one
+    /// row.
     ///
     /// # Safety
     ///
@@ -466,15 +560,14 @@ pub(crate) mod x86 {
         let rows = a.len() / kk;
         let tiled = rows - rows % TILE_ROWS;
         let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        // Tiles stay inside `a` and `c` exactly as in `span_avx2`.
+        // Tiles stay inside `a` and `c` exactly as in `span_avx2`, and the
+        // last step touches only the live columns `j0 .. end`.
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
             let mut j0 = start;
             j0 = chunks128::<TILE_ROWS, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
             j0 = chunks128::<TILE_ROWS, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            for r in 0..TILE_ROWS {
-                scalar_tail::<LOAD_C>(a.add(r * kk), b, offs, scale, c.add(r * stride), end, j0);
-            }
+            remainder128::<TILE_ROWS, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
         }
         for r in tiled..rows {
             let (a, c) = (a.add(r * kk), c.add(r * stride));
@@ -483,7 +576,7 @@ pub(crate) mod x86 {
             j0 = chunks128::<1, 4, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
             j0 = chunks128::<1, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
             j0 = chunks128::<1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            scalar_tail::<LOAD_C>(a, b, offs, scale, c, end, j0);
+            remainder128::<1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
         }
     }
 }

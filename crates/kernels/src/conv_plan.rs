@@ -24,24 +24,22 @@
 //!    output rows sit a fixed `stride·Wrow` apart in `T`, an image's row
 //!    blocks merge into a single plane-wide sweep whenever the inter-row gap
 //!    lanes (discarded at copy-out) waste under 25% of the width — exact for
-//!    `1×1` stride-1, a thin halo for stride-1 `R×S`; remaining narrow blocks
-//!    are lane-padded so no sweep falls into the scalar column tail.
+//!    `1×1` stride-1, a thin halo for stride-1 `R×S`.
 //! 3. **No k-padding.** Panels pack at the per-problem tile target `tk` and
 //!    the sweep takes each panel at its own width, so a short stitched tail
 //!    costs exactly its taps and reads only the input elements its kept
 //!    channels name: a non-finite value elsewhere in the input cannot leak
 //!    into a group that does not use it.
-//! 4. **Image-parallel execute.** `T` is laid out as one *slab* per image —
-//!    the image's `C·Hpad·Wrow` elements followed by its own lane-padding
-//!    slack — so every operand span an image's sweeps read stays inside its
-//!    slab. One execute is a single fan-out over images
-//!    ([`shfl_core::parallel::par_chunks_mut_weighted`]): each task owns one
-//!    image's slab, its NCHW output planes (contiguous per image) and its
-//!    slice of the group accumulator, fills and fp16-rounds the slab, then
-//!    sweeps every weight group over it. No element's accumulation order
-//!    depends on the split, so the output is the same bit for bit on any
-//!    thread count. A batch-1 execute stages its channel planes in parallel
-//!    but sweeps on one core.
+//! 4. **Image-parallel execute.** `T` is laid out as one *slab* of
+//!    `C·Hpad·Wrow` elements per image, and every operand span an image's
+//!    sweeps read stays inside its slab. One execute is a single fan-out
+//!    over images ([`shfl_core::parallel::par_chunks_mut_weighted`]): each
+//!    task owns one image's slab, its NCHW output planes (contiguous per
+//!    image) and its slice of the group accumulator, fills and fp16-rounds
+//!    the slab, then sweeps every weight group over it. No element's
+//!    accumulation order depends on the split, so the output is the same
+//!    bit for bit on any thread count. A batch-1 execute stages its channel
+//!    planes in parallel but sweeps on one core.
 //!
 //! The retained im2col path stays as the **bit-identical oracle**: the plan
 //! mirrors the stitched [`crate::plan::SpmmPlan`] panel structure (same `V×tk`
@@ -61,12 +59,6 @@ use shfl_core::packed::PackedPanels;
 use shfl_core::parallel;
 use shfl_core::tiling;
 use std::sync::{Mutex, TryLockError};
-
-/// Widest SIMD lane count any dispatch tier sweeps per step (AVX2, 8×f32).
-/// Row-block widths are rounded up to this so narrow convolution maps never
-/// fall into the scalar column tail; per-lane accumulation is independent, so
-/// the padding lanes cannot perturb the real columns' bit patterns.
-const SIMD_LANES: usize = 8;
 
 /// A prepared Shfl-BW implicit-GEMM convolution (see the module docs).
 ///
@@ -91,11 +83,8 @@ pub struct ImplicitConvPlan {
     hpad: usize,
     wrow: usize,
     lphi: usize,
-    /// Elements of one image's phase-split transform, `C·Hpad·Wrow`.
+    /// Elements of one image's phase-split transform slab, `C·Hpad·Wrow`.
     image_len: usize,
-    /// Distance between consecutive image slabs in `T`: `image_len` plus the
-    /// lane-padding slack `block_width_padded − block_width`.
-    image_stride: usize,
     /// Operand columns one row block covers: `OW` per-row, or
     /// `(OH−1)·stride·Wrow + OW` when an image's rows merge into one sweep.
     block_width: usize,
@@ -103,11 +92,6 @@ pub struct ImplicitConvPlan {
     /// sweeps read the `stride·Wrow − OW` gap columns between consecutive
     /// rows as discarded waste lanes in exchange for wide vector runs.
     rows_per_block: usize,
-    /// `block_width` rounded up to the widest SIMD lane count: narrow output
-    /// rows (e.g. `OW = 7` on the last ResNet stage) sweep full vectors whose
-    /// padding lanes read the image slab's slack and are discarded at
-    /// copy-out, instead of running the whole row in the scalar tail.
-    block_width_padded: usize,
     /// Row blocks per image (`OH` per-row, or `1` when rows merge).
     blocks_per_image: usize,
     /// Reused transform buffer, pre-sized (and pre-zeroed) at build so the
@@ -188,7 +172,10 @@ impl ImplicitConvPlan {
         // whenever the waste stays under 25% — `1×1` stride-1 maps merge with
         // zero waste (the gap is empty), stride-1 `R×S` maps waste only the
         // `(S−1)·dilation` halo columns per row, while strided maps (≥50%
-        // gap) keep lane-padded per-row blocks.
+        // gap) keep per-row blocks. Either way every operand span of an image
+        // ends at `base + off + block_width <= image_len`, inside its own
+        // slab, so no sweep reads another image's slab while another task
+        // fills it.
         let merged_w = (oh - 1) * p.stride * wrow + ow;
         let merge = 3 * merged_w <= 4 * oh * ow;
         let (block_width, rows_per_block, blocks_per_image) = if merge {
@@ -196,14 +183,6 @@ impl ImplicitConvPlan {
         } else {
             (ow, 1, oh)
         };
-        // Lane padding: every real operand span of an image ends at
-        // `base + off + block_width <= image_len` within that image, so
-        // growing the sweep width to the lane-rounded target only needs the
-        // same slack appended to each image's slab — no sweep reads another
-        // image's slab, which another task may be filling. The slack is
-        // zero-initialised and never written by `fill_image`.
-        let block_width_padded = block_width.div_ceil(SIMD_LANES) * SIMD_LANES;
-        let image_stride = image_len + (block_width_padded - block_width);
         Ok(ImplicitConvPlan {
             params: p,
             m,
@@ -219,12 +198,10 @@ impl ImplicitConvPlan {
             wrow,
             lphi,
             image_len,
-            image_stride,
             block_width,
-            block_width_padded,
             rows_per_block,
             blocks_per_image,
-            scratch: Mutex::new(vec![0.0f32; p.batch * image_stride]),
+            scratch: Mutex::new(vec![0.0f32; p.batch * image_len]),
             profile: conv::conv2d_shfl_bw_profile(arch, weights, params),
         })
     }
@@ -257,10 +234,9 @@ impl ImplicitConvPlan {
             + self.t_alloc() * std::mem::size_of::<f32>()
     }
 
-    /// Allocated transform length: one slab per image, each the image's
-    /// phase-split buffer plus the lane-padding slack its widened sweeps read.
+    /// Allocated transform length: one phase-split slab per image.
     fn t_alloc(&self) -> usize {
-        self.params.batch * self.image_stride
+        self.params.batch * self.image_len
     }
 
     /// Bytes of the phase-split transform buffer one execute reads through the
@@ -310,7 +286,7 @@ impl ImplicitConvPlan {
             Ok(guard) => Some(guard),
             // A panic inside an earlier execute poisons the lock but leaves
             // the buffer reusable: `fill_image` rewrites every valid position
-            // and never writes padding or slack.
+            // and never writes padding.
             Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
             Err(TryLockError::WouldBlock) => None,
         };
@@ -324,26 +300,25 @@ impl ImplicitConvPlan {
         // The group accumulator is allocated here, once per call, and split
         // per image: allocating it inside the workers grows peak RSS through
         // per-thread malloc arenas.
-        let tile_len = self.blocks_per_image * self.v * self.block_width_padded;
+        let tile_len = self.blocks_per_image * self.v * self.block_width;
         let mut tile = vec![0.0f32; p.batch * tile_len];
         let mut jobs: Vec<_> = t
-            .chunks_exact_mut(self.image_stride)
+            .chunks_exact_mut(self.image_len)
             .zip(out.as_mut_slice().chunks_exact_mut(self.m * oh * ow))
             .zip(tile.chunks_exact_mut(tile_len))
             .collect();
         if let [((t, planes), tile)] = jobs.as_mut_slice() {
             // A lone image leaves no images to fan out over: its channel
             // planes are staged in parallel instead, then swept on this core.
-            self.fill_image(input, 0, &mut t[..self.image_len], true);
+            self.fill_image(input, 0, t, true);
             self.sweep_image(t, planes, tile);
         } else {
             // One image's sweep MACs: every packed tap times `V` rows times
             // the columns its blocks sweep.
-            let work =
-                self.tap_offs.len() * self.v * self.block_width_padded * self.blocks_per_image;
+            let work = self.tap_offs.len() * self.v * self.block_width * self.blocks_per_image;
             parallel::par_chunks_mut_weighted(&mut jobs, 1, work, |b, job| {
                 let ((t, planes), tile) = &mut job[0];
-                self.fill_image(input, b, &mut t[..self.image_len], false);
+                self.fill_image(input, b, t, false);
                 self.sweep_image(t, planes, tile);
             });
         }
@@ -376,23 +351,22 @@ impl ImplicitConvPlan {
 
     /// Sweeps every weight group over one image's filled slab `t` and copies
     /// the results into the image's NCHW output planes `out`. Per group, the
-    /// block-major accumulator `tile` holds one contiguous lane-padded
-    /// `V × bwp` slab per row block, so every sweep call writes one
-    /// dense full-vector tile exactly like the stitched SpMM sweep; copy-out
-    /// takes the first `bw` real columns. **Panels outer, row blocks inner**,
+    /// block-major accumulator `tile` holds one contiguous `V × bw` slab per
+    /// row block, so every sweep call writes one dense tile exactly like the
+    /// stitched SpMM sweep. **Panels outer, row blocks inner**,
     /// so each packed panel and its tap row stream from L1 across every block
     /// instead of re-streaming the whole panel set per block.
     fn sweep_image(&self, t: &[f32], out: &mut [f32], tile: &mut [f32]) {
         let p = &self.params;
         let (oh, ow) = (p.output_h(), p.output_w());
-        let (bw, bwp) = (self.block_width, self.block_width_padded);
-        let slab = self.v * bwp;
+        let bw = self.block_width;
+        let slab = self.v * bw;
         // Operand distance between consecutive output rows of one image.
         let row_step = p.stride * self.wrow;
         let num_groups = self.group_ptr.len() - 1;
         let span = [SegmentSpan {
             start: 0,
-            width: bwp,
+            width: bw,
         }];
         for g in 0..num_groups {
             let panels = self.packed.chunk_panels(g);
@@ -410,14 +384,14 @@ impl ImplicitConvPlan {
                 toff += kk;
                 for (blk, acc) in tile.chunks_exact_mut(slab).enumerate() {
                     let block = &t[blk * self.rows_per_block * row_step..];
-                    mma_sweep::<false>(values, self.v, block, step_taps, 1, acc, bwp, &span);
+                    mma_sweep::<false>(values, self.v, block, step_taps, 1, acc, bw, &span);
                 }
             }
             for sr in 0..self.v {
                 let orow = self.row_indices[g * self.v + sr] as usize;
                 let plane = &mut out[orow * oh * ow..][..oh * ow];
                 for (blk, acc) in tile.chunks_exact(slab).enumerate() {
-                    let row = &acc[sr * bwp..][..bw];
+                    let row = &acc[sr * bw..][..bw];
                     let y0 = blk * self.rows_per_block;
                     if row_step == ow {
                         // Gap-free merge (`1×1` stride 1): one contiguous copy.
@@ -437,7 +411,7 @@ impl ImplicitConvPlan {
     /// (`image_len` elements): zero-padded coordinates `(py, px) = (iy +
     /// padding, ix + padding)`, fp16-pre-rounded values, `px` stored at
     /// `(px % stride)·Lφ + px / stride` within its row. Padding positions
-    /// (and the slab's slack past `t`) are never written — the buffer arrives
+    /// are never written — the buffer arrives
     /// zeroed (at build for the pooled scratch, at allocation for the
     /// fallback) and every valid position is overwritten on every call, so
     /// no per-call clear is needed.

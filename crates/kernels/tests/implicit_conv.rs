@@ -130,10 +130,11 @@ fn implicit_conv_matches_oracle_for_1x1_and_non_square_kernels() {
 fn implicit_conv_matches_oracle_when_images_fan_out() {
     // Sized past the fan-out threshold, so execute splits the images over
     // worker threads: batch 3 splits unevenly over two workers, batch 5 runs
-    // a merged gap-free 1×1, and the stride-2 map (OW = 7) sweeps
-    // lane-padded rows that read each image slab's own slack. The batch-1
-    // maps are large enough that their channel planes are staged in
-    // parallel (a padded 3×3 and a gap-free 1×1).
+    // a merged gap-free 1×1, and the stride-2 map (OW = 7) sweeps 7-wide
+    // per-row blocks that end in the sweep's last (masked) step, with
+    // operand spans inside each image's own slab. The batch-1 maps are
+    // large enough that their channel planes are staged in parallel (a
+    // padded 3×3 and a gap-free 1×1).
     let cases = [
         (3, 16, 12, 3, 1, 1),
         (5, 64, 10, 1, 1, 0),

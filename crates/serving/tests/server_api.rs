@@ -258,13 +258,19 @@ fn slo_policy_orders_deadline_before_standard_before_bulk() {
             .with_admission_window_us(5_000_000)
             .with_policy(Arc::new(SloAware)),
     );
+    // Both deadlines lie past the 5 s admission window, so neither arrival
+    // triggers the deadline bypass: a bypass would close the window at the
+    // first deadline arrival and race the remaining submits into a second
+    // dispatch round.
     let classes = [
         SloClass::Bulk,
         SloClass::Standard,
         SloClass::Deadline {
-            deadline_us: 900_000,
+            deadline_us: 60_000_000,
         },
-        SloClass::Deadline { deadline_us: 1_000 },
+        SloClass::Deadline {
+            deadline_us: 30_000_000,
+        },
     ];
     let tickets: Vec<_> = classes
         .iter()
