@@ -774,13 +774,7 @@ pub fn to_json(run: &BenchRun) -> String {
                      \"update_swaps\": {}, \"update_swap_p99_ms\": {:.3}, \
                      \"repack_bytes_ratio\": {:.4}, \
                      \"stale_plan_executes\": {}, \
-                     \"update_failed_requests\": {}, \
-                     \"replica_count\": {}, \"replica_requests\": {}, \
-                     \"replica_failovers\": {}, \"failover_p99_ms\": {:.3}, \
-                     \"hedge_wins\": {}, \"degraded_shed_rate\": {:.4}, \
-                     \"replica_failed_requests\": {}, \
-                     \"replica_deadline_p99_ms\": {:.3}, \
-                     \"replica_bulk_p99_ms\": {:.3}}}{decode}}}",
+                     \"update_failed_requests\": {}}}{decode}}}",
                     s.forwards,
                     s.hit_rate,
                     s.p50_ms,
@@ -825,15 +819,6 @@ pub fn to_json(run: &BenchRun) -> String {
                     c.repack_bytes_ratio,
                     c.stale_plan_executes,
                     c.update_failed_requests,
-                    c.replica_count,
-                    c.replica_requests,
-                    c.replica_failovers,
-                    c.failover_p99_ms,
-                    c.hedge_wins,
-                    c.degraded_shed_rate,
-                    c.replica_failed_requests,
-                    c.replica_deadline_p99_ms,
-                    c.replica_bulk_p99_ms,
                 )
             }
             None => String::new(),

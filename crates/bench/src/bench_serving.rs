@@ -61,19 +61,7 @@
 //!    bytes; strictly below 1 by construction), and the stale-plan execute
 //!    count (in-flight snapshots finishing on a superseded version). Gated in
 //!    every mode on swaps never failing a request and on the byte ratio
-//!    landing strictly inside `(0, 1)`, and
-//! 10. **replicated serving** — three data-parallel replicas of the engine
-//!     behind one [`shfl_serving::server::Server`], driven through scripted
-//!     replica loss via the production admin API: the home replica of the
-//!     trace's first layer is killed mid-submission (every group homed there
-//!     fails over in ring order), then two of three replicas go down so Bulk
-//!     sheds under graceful degradation while Deadline and Standard keep
-//!     serving. Hedged dispatch runs on every Deadline group. Gated in every
-//!     mode on zero accepted tickets failing with anything but the typed
-//!     degraded-mode shed (failed-over responses must stay bit-identical to
-//!     the single-engine oracle), at least one failover, and a nonzero
-//!     degraded shed rate; in full mode also on the replicated deadline p99
-//!     staying at or under the bulk p99.
+//!    landing strictly inside `(0, 1)`.
 
 use gpu_sim::GpuArch;
 use rand::rngs::StdRng;
@@ -84,9 +72,8 @@ use shfl_core::slo::{SloClass, SloKind};
 use shfl_models::engine::{EngineConfig, ModelEngine};
 use shfl_models::DnnModel;
 use shfl_serving::policy::{Fifo, SloAware};
-use shfl_serving::replica::{ReplicaConfig, ReplicaSet};
 use shfl_serving::scheduler::{Request, Scheduler};
-use shfl_serving::server::{Server, ServerConfig, SubmitError};
+use shfl_serving::server::{ServerConfig, SubmitError};
 use shfl_serving::{decode_oracle, DecodeToken, ServingError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -286,30 +273,6 @@ pub struct ContinuousBenchResult {
     /// Tickets accepted during the update sub-trace that failed (the
     /// zero-downtime gate: must be 0).
     pub update_failed_requests: u64,
-    /// Data-parallel replicas of the replicated sub-trace (0 when the model
-    /// has no linear layers to serve).
-    pub replica_count: usize,
-    /// Requests submitted across the replicated sub-trace's two phases.
-    pub replica_requests: usize,
-    /// Dispatches that left their home replica after the scripted kill.
-    pub replica_failovers: u64,
-    /// 99th-percentile service time of failed-over dispatches, ms (0 when
-    /// nothing failed over).
-    pub failover_p99_ms: f64,
-    /// Hedged Deadline dispatches whose alternate replica won the race.
-    pub hedge_wins: u64,
-    /// Bulk fraction shed while only one of three replicas was routable
-    /// (graceful degradation; Bulk only).
-    pub degraded_shed_rate: f64,
-    /// Accepted tickets of the replicated sub-trace that failed with
-    /// anything but the typed degraded-mode Bulk shed, or whose response
-    /// mismatched the single-engine oracle bits (the replica-loss gate:
-    /// must be 0).
-    pub replica_failed_requests: u64,
-    /// Deadline-class p99 on the replicated server, ms.
-    pub replica_deadline_p99_ms: f64,
-    /// Bulk-class p99 on the replicated server, ms.
-    pub replica_bulk_p99_ms: f64,
 }
 
 impl ContinuousBenchResult {
@@ -392,14 +355,6 @@ fn trace_batches(model: DnnModel, quick: bool) -> (Vec<usize>, Vec<usize>) {
 /// Runs the serving trace for every model. `quick` shrinks the trace and the
 /// engine configuration (CI smoke mode).
 pub fn run(quick: bool) -> Vec<ServingBenchResult> {
-    run_with_workers(quick, None)
-}
-
-/// Same as [`run`], with an override for the replicated sub-trace's server
-/// worker count (`None` keeps the default of 2) — the `repro --workers`
-/// smoke matrix drives the replicated tier at varied parallelism through
-/// this.
-pub fn run_with_workers(quick: bool, workers: Option<usize>) -> Vec<ServingBenchResult> {
     let arch = GpuArch::v100();
     let cfg = if quick {
         EngineConfig::smoke()
@@ -408,7 +363,7 @@ pub fn run_with_workers(quick: bool, workers: Option<usize>) -> Vec<ServingBench
     };
     DnnModel::all()
         .into_iter()
-        .map(|model| run_model(model, &arch, &cfg, quick, workers))
+        .map(|model| run_model(model, &arch, &cfg, quick))
         .collect()
 }
 
@@ -417,7 +372,6 @@ fn run_model(
     arch: &GpuArch,
     cfg: &EngineConfig,
     quick: bool,
-    workers: Option<usize>,
 ) -> ServingBenchResult {
     let engine = ModelEngine::build(model, arch, cfg).expect("engine builds");
     let seq = cfg.seq_len;
@@ -618,7 +572,7 @@ fn run_model(
         "fused and per-segment probe outputs must be identical"
     );
 
-    let continuous = run_continuous(&engine, model, cfg, quick, workers);
+    let continuous = run_continuous(&engine, model, cfg, quick);
 
     // Decode-session sub-trace on GNMT only: the paper's latency-bound
     // recurrent decode workload, where iteration-level interleaving is the
@@ -876,7 +830,6 @@ fn run_continuous(
     model: DnnModel,
     cfg: &EngineConfig,
     quick: bool,
-    workers: Option<usize>,
 ) -> ContinuousBenchResult {
     let serving = engine.serving();
     let gemm_layers = engine.gemm_layer_indices();
@@ -911,15 +864,6 @@ fn run_continuous(
             repack_bytes_ratio: 0.0,
             stale_plan_executes: 0,
             update_failed_requests: 0,
-            replica_count: 0,
-            replica_requests: 0,
-            replica_failovers: 0,
-            failover_p99_ms: 0.0,
-            hedge_wins: 0,
-            degraded_shed_rate: 0.0,
-            replica_failed_requests: 0,
-            replica_deadline_p99_ms: 0.0,
-            replica_bulk_p99_ms: 0.0,
         };
     }
 
@@ -1228,121 +1172,6 @@ fn run_continuous(
         0.0
     };
 
-    // Replicated sub-trace: three data-parallel replicas of the engine
-    // behind one server, driven through scripted replica loss via the
-    // production admin API (the deterministic face of the chaos
-    // `kill_replica_at` fault point). This runs after the update sub-trace,
-    // whose alternating republish/rollback swaps leave the engine's weights
-    // bit-exactly where they started — so the `expected` oracle above still
-    // holds and the replicas mirror it. Phase 1 submits the mix gap-free
-    // and kills the home replica of the trace's first layer mid-submission:
-    // every group homed there fails over in ring order, and every accepted
-    // ticket must still resolve bit-identically to the single-engine oracle
-    // (a failed-over response is indistinguishable by construction). Phase 2
-    // drops to one routable replica out of three: Bulk sheds with the typed
-    // error (graceful degradation), Deadline and Standard keep serving.
-    // Hedged dispatch is enabled for every Deadline group so the hedge race
-    // runs under real traffic (recorded, not gated).
-    let replica_count = 3usize;
-    let replica_workers = workers.unwrap_or(2);
-    let matches_oracle = |got: &DenseMatrix, want: &DenseMatrix| {
-        got.shape() == want.shape()
-            && got
-                .as_slice()
-                .iter()
-                .zip(want.as_slice().iter())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    };
-    let set = ReplicaSet::replicate(
-        serving,
-        replica_count,
-        ReplicaConfig::new().with_hedge_slack_us(u64::MAX),
-    );
-    // Steady state on every replica, like the single-engine warmup above —
-    // the class percentiles should measure queueing and routing, not
-    // compulsory plan builds.
-    for replica in 0..replica_count {
-        let rep_engine = set.engine(replica);
-        for &layer in &gemm_layers {
-            let policy = rep_engine.layer_policy(layer).expect("registered layer");
-            for bucket in policy.buckets() {
-                rep_engine.warm(layer, bucket).expect("warm plan builds");
-            }
-        }
-    }
-    let rep_server = Server::start_replicated(
-        set,
-        ServerConfig::new()
-            .with_workers(replica_workers)
-            .with_admission_window_us(window_us)
-            .with_queue_depth(requests.len())
-            .with_policy(Arc::new(SloAware)),
-    );
-    let set = rep_server.replica_set();
-    let victim = set.home(specs[0].0);
-    let rep_len = specs.len() * reps.min(2);
-    let kill_at = rep_len / 2;
-    let mut replica_failed_requests = 0u64;
-    let mut rep_tickets = Vec::with_capacity(rep_len);
-    for (i, request) in requests[..rep_len].iter().enumerate() {
-        if i == kill_at {
-            // Scripted replica loss mid-trace. The second half repeats every
-            // spec, so groups homed on the victim are guaranteed to arrive
-            // after the kill and fail over.
-            set.kill_replica(victim);
-        }
-        rep_tickets.push(
-            rep_server
-                .submit_classed(request.clone(), continuous_class(i))
-                .expect("queue sized to the trace"),
-        );
-    }
-    for (ticket, want) in rep_tickets.into_iter().zip(expected.iter()) {
-        match ticket.wait().result {
-            Ok(got) if matches_oracle(&got, want) => {}
-            _ => replica_failed_requests += 1,
-        }
-    }
-    // Phase 2: revive the victim, then drop the other two — one routable
-    // replica of three is below the shed threshold.
-    set.revive_replica(victim);
-    set.kill_replica((victim + 1) % replica_count);
-    set.kill_replica((victim + 2) % replica_count);
-    let mut degraded_bulk = 0u64;
-    let mut degraded_shed = 0u64;
-    let mut degraded_tickets = Vec::new();
-    for (i, request) in requests[..specs.len()].iter().enumerate() {
-        let class = continuous_class(i);
-        if class.kind() == SloKind::Bulk {
-            degraded_bulk += 1;
-        }
-        degraded_tickets.push((
-            i,
-            rep_server
-                .submit_classed(request.clone(), class)
-                .expect("queue sized to the trace"),
-        ));
-    }
-    for (i, ticket) in degraded_tickets {
-        match ticket.wait().result {
-            Ok(got) if matches_oracle(&got, &expected[i]) => {}
-            Err(ServingError::Shed) if continuous_class(i).kind() == SloKind::Bulk => {
-                degraded_shed += 1;
-            }
-            _ => replica_failed_requests += 1,
-        }
-    }
-    for replica in 0..replica_count {
-        set.revive_replica(replica);
-    }
-    let rep_stats = rep_server.stats();
-    rep_server.drain();
-    rep_server.shutdown();
-    let replica_set_stats = rep_stats
-        .replicas
-        .clone()
-        .expect("replicated server reports replica stats");
-
     ContinuousBenchResult {
         layers: gemm_layers.len(),
         requests: requests.len(),
@@ -1389,23 +1218,6 @@ fn run_continuous(
         repack_bytes_ratio,
         stale_plan_executes: update_stats.stale_plan_executes,
         update_failed_requests,
-        replica_count,
-        replica_requests: rep_len + specs.len(),
-        replica_failovers: replica_set_stats.failovers,
-        failover_p99_ms: replica_set_stats.failover_p99_ms().unwrap_or(0.0),
-        hedge_wins: replica_set_stats.hedges_won,
-        degraded_shed_rate: if degraded_bulk > 0 {
-            degraded_shed as f64 / degraded_bulk as f64
-        } else {
-            0.0
-        },
-        replica_failed_requests,
-        replica_deadline_p99_ms: rep_stats
-            .class_percentile_ms(SloKind::Deadline, 0.99)
-            .unwrap_or(0.0),
-        replica_bulk_p99_ms: rep_stats
-            .class_percentile_ms(SloKind::Bulk, 0.99)
-            .unwrap_or(0.0),
     }
 }
 
@@ -1513,27 +1325,6 @@ pub fn to_table(results: &[ServingBenchResult]) -> String {
             c.repack_bytes_ratio,
             c.stale_plan_executes,
             c.update_failed_requests,
-        ));
-    }
-    out.push_str(
-        "\nReplicated serving: scripted replica kill mid-trace, failover + hedged dispatch, degraded-mode shed\n\
-         model        | replicas | reqs | failovers | fo p99 ms | hedge wins | shed rate | dl p99 ms | bulk p99 ms | failed\n\
-         -------------+----------+------+-----------+-----------+------------+-----------+-----------+-------------+-------\n",
-    );
-    for r in results {
-        let c = &r.continuous;
-        out.push_str(&format!(
-            "{:12} | {:8} | {:4} | {:9} | {:9.2} | {:10} | {:8.1}% | {:9.2} | {:11.2} | {:6}\n",
-            r.model,
-            c.replica_count,
-            c.replica_requests,
-            c.replica_failovers,
-            c.failover_p99_ms,
-            c.hedge_wins,
-            c.degraded_shed_rate * 100.0,
-            c.replica_deadline_p99_ms,
-            c.replica_bulk_p99_ms,
-            c.replica_failed_requests,
         ));
     }
     let mut decoded = false;
@@ -1721,15 +1512,6 @@ mod tests {
                 repack_bytes_ratio: 0.125,
                 stale_plan_executes: 2,
                 update_failed_requests: 0,
-                replica_count: 3,
-                replica_requests: 72,
-                replica_failovers: 5,
-                failover_p99_ms: 2.25,
-                hedge_wins: 4,
-                degraded_shed_rate: 1.0,
-                replica_failed_requests: 0,
-                replica_deadline_p99_ms: 11.0,
-                replica_bulk_p99_ms: 28.0,
             },
             decode: Some(DecodeBenchResult {
                 sessions: 32,
@@ -1763,8 +1545,6 @@ mod tests {
         assert!(table.contains("50.0%"));
         assert!(table.contains("Live weight updates"));
         assert!(table.contains("0.125x"));
-        assert!(table.contains("Replicated serving"));
-        assert!(table.contains("100.0%"));
         assert!((results[0].decode.as_ref().unwrap().interleave_speedup() - 4.0).abs() < 1e-12);
         assert!(table.contains("Decode sessions"));
         assert!(table.contains("4.00x"));

@@ -223,18 +223,13 @@ fn run_bench_kernels(output_path: &str, smoke: bool) -> ExitCode {
     }
 }
 
-/// Runs the serving trace and applies the serving gates. `workers`
-/// overrides the replicated sub-trace's server worker count (the CI
-/// `--workers` smoke matrix).
-fn run_bench_serving(smoke: bool, workers: Option<usize>) -> ExitCode {
+/// Runs the serving trace and applies the serving gates.
+fn run_bench_serving(smoke: bool) -> ExitCode {
     println!(
-        "Running the serving benchmark (bucketed plan cache vs cold per-request plans{}{})...",
+        "Running the serving benchmark (bucketed plan cache vs cold per-request plans{})...",
         if smoke { ", smoke shapes" } else { "" },
-        workers
-            .map(|w| format!(", {w} replicated-tier workers"))
-            .unwrap_or_default()
     );
-    let results = bench_serving::run_with_workers(smoke, workers);
+    let results = bench_serving::run(smoke);
     print!("{}", bench_serving::to_table(&results));
 
     let mut ok = true;
@@ -421,61 +416,6 @@ fn run_bench_serving(smoke: bool, workers: Option<usize>) -> ExitCode {
                 ok = false;
             }
         }
-        // Replicated-serving gates — the replica loss is scripted through
-        // the deterministic admin API, so they apply in smoke mode too.
-        if c.replica_count > 0 {
-            if c.replica_count < 2 {
-                eprintln!(
-                    "error: {} replicated sub-trace ran {} replica(s); the \
-                     failover path needs at least 2",
-                    r.model, c.replica_count
-                );
-                ok = false;
-            }
-            // Every accepted ticket must resolve: Ok and bit-identical to
-            // the single-engine oracle, or the typed degraded-mode Bulk
-            // shed. Anything else is a dropped request under replica loss.
-            if c.replica_failed_requests > 0 {
-                eprintln!(
-                    "error: {} replicated trace failed {} accepted requests \
-                     under scripted replica loss (must be 0)",
-                    r.model, c.replica_failed_requests
-                );
-                ok = false;
-            }
-            // The mid-trace kill targets the home replica of a layer the
-            // second half of the trace revisits, so at least one dispatch
-            // must have failed over.
-            if c.replica_failovers == 0 {
-                eprintln!(
-                    "error: {} replicated trace recorded no failovers across \
-                     a scripted home-replica kill",
-                    r.model
-                );
-                ok = false;
-            }
-            // Degraded phase: one routable replica of three is below the
-            // shed threshold, so Bulk must shed.
-            if c.degraded_shed_rate <= 0.0 {
-                eprintln!(
-                    "error: {} degraded fleet shed no bulk work with 1 of {} \
-                     replicas routable",
-                    r.model, c.replica_count
-                );
-                ok = false;
-            }
-            // SLO ordering survives replication: deadline p99 at or under
-            // bulk p99 on the replicated server (multi-layer traces only,
-            // like the other per-class percentile gates).
-            if !smoke && c.layers >= 4 && c.replica_deadline_p99_ms > c.replica_bulk_p99_ms {
-                eprintln!(
-                    "error: {} replicated deadline p99 ({:.2} ms) exceeds \
-                     bulk p99 ({:.2} ms)",
-                    r.model, c.replica_deadline_p99_ms, c.replica_bulk_p99_ms
-                );
-                ok = false;
-            }
-        }
         // Decode-session gates — bit-identity, token accounting, and the
         // scripted eviction/resume cycle are deterministic, so they apply
         // in smoke mode too; only the interleave-throughput ratio needs the
@@ -561,7 +501,6 @@ fn main() -> ExitCode {
     let mut bench_kernels_mode = false;
     let mut bench_serving_mode = false;
     let mut smoke = false;
-    let mut workers: Option<usize> = None;
     let mut bench_output = "BENCH_kernels.json".to_string();
     let mut i = 1;
     while i < args.len() {
@@ -586,20 +525,6 @@ fn main() -> ExitCode {
                 smoke = true;
                 i += 1;
             }
-            "--workers" => {
-                if i + 1 >= args.len() {
-                    eprintln!("error: --workers requires a value");
-                    return ExitCode::FAILURE;
-                }
-                match args[i + 1].parse::<usize>() {
-                    Ok(n) if n > 0 => workers = Some(n),
-                    _ => {
-                        eprintln!("error: --workers requires a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 2;
-            }
             "--bench-output" => {
                 if i + 1 >= args.len() {
                     eprintln!("error: --bench-output requires a value");
@@ -612,7 +537,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: repro [--experiment fig1|fig2|fig6|table1|ablation|analysis|headline|all]\n\
                      \x20      repro --bench-kernels [--smoke] [--bench-output BENCH_kernels.json]\n\
-                     \x20      repro --bench-serving [--smoke] [--workers N]"
+                     \x20      repro --bench-serving [--smoke]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -627,14 +552,10 @@ fn main() -> ExitCode {
         return run_bench_kernels(&bench_output, smoke);
     }
     if bench_serving_mode {
-        return run_bench_serving(smoke, workers);
+        return run_bench_serving(smoke);
     }
     if smoke {
         eprintln!("error: --smoke requires --bench-kernels or --bench-serving");
-        return ExitCode::FAILURE;
-    }
-    if workers.is_some() {
-        eprintln!("error: --workers requires --bench-serving");
         return ExitCode::FAILURE;
     }
 

@@ -334,21 +334,6 @@ pub struct ModelRecord {
     pub serving_cb_stale_plan_executes: Option<f64>,
     /// Accepted tickets that failed during the update sub-trace.
     pub serving_cb_update_failed_requests: Option<f64>,
-    /// Data-parallel replicas of the replicated serving sub-trace (absent
-    /// before the replicated tier existed).
-    pub serving_cb_replica_count: Option<f64>,
-    /// Dispatches that failed over off their killed home replica.
-    pub serving_cb_replica_failovers: Option<f64>,
-    /// p99 service time of failed-over dispatches, ms.
-    pub serving_cb_failover_p99_ms: Option<f64>,
-    /// Hedged Deadline dispatches won by the alternate replica.
-    pub serving_cb_hedge_wins: Option<f64>,
-    /// Bulk fraction shed while the fleet was degraded below the routable
-    /// capacity threshold.
-    pub serving_cb_degraded_shed_rate: Option<f64>,
-    /// Accepted replicated-trace tickets that failed with anything but the
-    /// typed degraded-mode shed (or mismatched the oracle bits).
-    pub serving_cb_replica_failed_requests: Option<f64>,
     /// Aggregate interleaved decode throughput of the decode-session
     /// sub-trace, tokens/s (absent before decode sessions existed, and on
     /// models the sub-trace skips).
@@ -479,12 +464,6 @@ pub fn parse_report(input: &str) -> Option<BenchReport> {
                 serving_cb_repack_bytes_ratio: cb_field("repack_bytes_ratio"),
                 serving_cb_stale_plan_executes: cb_field("stale_plan_executes"),
                 serving_cb_update_failed_requests: cb_field("update_failed_requests"),
-                serving_cb_replica_count: cb_field("replica_count"),
-                serving_cb_replica_failovers: cb_field("replica_failovers"),
-                serving_cb_failover_p99_ms: cb_field("failover_p99_ms"),
-                serving_cb_hedge_wins: cb_field("hedge_wins"),
-                serving_cb_degraded_shed_rate: cb_field("degraded_shed_rate"),
-                serving_cb_replica_failed_requests: cb_field("replica_failed_requests"),
                 serving_decode_tokens_s: decode_field("decode_tokens_s"),
                 serving_decode_token_p50_ms: decode_field("token_p50_ms"),
                 serving_decode_token_p99_ms: decode_field("token_p99_ms"),
@@ -623,15 +602,6 @@ mod tests {
                         repack_bytes_ratio: 0.125,
                         stale_plan_executes: 2,
                         update_failed_requests: 0,
-                        replica_count: 3,
-                        replica_requests: 72,
-                        replica_failovers: 5,
-                        failover_p99_ms: 2.25,
-                        hedge_wins: 4,
-                        degraded_shed_rate: 1.0,
-                        replica_failed_requests: 0,
-                        replica_deadline_p99_ms: 11.0,
-                        replica_bulk_p99_ms: 28.0,
                     },
                     decode: Some(crate::bench_serving::DecodeBenchResult {
                         sessions: 32,
@@ -699,12 +669,6 @@ mod tests {
         assert_eq!(m.serving_cb_repack_bytes_ratio, Some(0.125));
         assert_eq!(m.serving_cb_stale_plan_executes, Some(2.0));
         assert_eq!(m.serving_cb_update_failed_requests, Some(0.0));
-        assert_eq!(m.serving_cb_replica_count, Some(3.0));
-        assert_eq!(m.serving_cb_replica_failovers, Some(5.0));
-        assert_eq!(m.serving_cb_failover_p99_ms, Some(2.25));
-        assert_eq!(m.serving_cb_hedge_wins, Some(4.0));
-        assert_eq!(m.serving_cb_degraded_shed_rate, Some(1.0));
-        assert_eq!(m.serving_cb_replica_failed_requests, Some(0.0));
         assert_eq!(m.serving_decode_tokens_s, Some(5120.0));
         assert_eq!(m.serving_decode_token_p50_ms, Some(5.0));
         assert_eq!(m.serving_decode_token_p99_ms, Some(9.0));
@@ -743,9 +707,6 @@ mod tests {
         assert_eq!(report.models[0].serving_cb_overload_shed_rate, None);
         assert_eq!(report.models[0].serving_cb_update_swaps, None);
         assert_eq!(report.models[0].serving_cb_repack_bytes_ratio, None);
-        assert_eq!(report.models[0].serving_cb_replica_count, None);
-        assert_eq!(report.models[0].serving_cb_replica_failovers, None);
-        assert_eq!(report.models[0].serving_cb_degraded_shed_rate, None);
         assert_eq!(report.models[0].serving_decode_tokens_s, None);
         assert_eq!(report.models[0].serving_decode_bit_identical, None);
         assert_eq!(report.models[0].serving_decode_lost_tokens, None);

@@ -34,23 +34,6 @@
 //!   path must convert the panic into a typed error with the old version
 //!   still serving.
 //!
-//! The replicated serving tier ([`crate::replica::ReplicaSet`]) adds four
-//! replica-scoped fault points, scripted over *replica attempt* and *probe*
-//! sequence numbers (separate counters from the group-execute sequence):
-//!
-//! * **replica kills** ([`FaultPlan::kill_replica_at`]) — at the N-th
-//!   replica attempt, a scripted replica is killed; attempts against it fail
-//!   with a typed error and the dispatch fails over to a survivor.
-//! * **replica revives** ([`FaultPlan::revive_replica_at`]) — at the N-th
-//!   replica attempt, a scripted replica is revived (routable again, warm
-//!   cache intact).
-//! * **slow replicas** ([`FaultPlan::slow_replica`]) — every attempt on a
-//!   scripted replica stalls first, the deterministic trigger for hedged
-//!   dispatch to win on the alternate replica.
-//! * **probe failures** ([`FaultPlan::fail_probe_at`]) — the N-th heartbeat
-//!   probe fails, driving the consecutive-failure health transitions
-//!   (`Healthy` → `Degraded` → `Down`) without any real fault.
-//!
 //! The decode-session tier ([`crate::session::SessionManager`]) adds two
 //! session-scoped fault points, scripted over the *decode step* sequence
 //! number (every ready session's step in one interleave round advances the
@@ -119,17 +102,11 @@ pub struct FaultPlan {
     slow_execs: HashMap<u64, u64>,
     fail_update_builds: Vec<u64>,
     update_panics: Vec<u64>,
-    kill_replicas: HashMap<u64, Vec<usize>>,
-    revive_replicas: HashMap<u64, Vec<usize>>,
-    slow_replicas: HashMap<usize, u64>,
-    fail_probes: Vec<u64>,
     evict_sessions: Vec<u64>,
     panic_steps: Vec<u64>,
     submit_seq: AtomicU64,
     exec_seq: AtomicU64,
     update_seq: AtomicU64,
-    attempt_seq: AtomicU64,
-    probe_seq: AtomicU64,
     step_seq: AtomicU64,
 }
 
@@ -144,20 +121,6 @@ pub(crate) enum StepFault {
     Evict,
     /// Panic mid-step: only this session's ticket fails with a typed error.
     Panic,
-}
-
-/// What a replica-attempt injection point should do (crate internal; the
-/// public surface is [`FaultPlan`]'s builder). Kills and revives are applied
-/// *before* the attempt's liveness check, so a kill scripted at attempt N
-/// deterministically fails attempt N when it targets the killed replica.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReplicaFault {
-    /// Replicas to kill at this attempt index.
-    pub kills: Vec<usize>,
-    /// Replicas to revive at this attempt index.
-    pub revives: Vec<usize>,
-    /// Stall for the attempt's target replica, when it is scripted slow.
-    pub stall: Option<Duration>,
 }
 
 impl FaultPlan {
@@ -213,38 +176,6 @@ impl FaultPlan {
         self
     }
 
-    /// Scripts replica `replica` to be killed at the `idx`-th replica
-    /// attempt (0-based, counted across the replica set's lifetime): dead
-    /// until revived, every attempt against it fails with a typed
-    /// replica-down error and fails over.
-    pub fn kill_replica_at(mut self, idx: u64, replica: usize) -> Self {
-        self.kill_replicas.entry(idx).or_default().push(replica);
-        self
-    }
-
-    /// Scripts replica `replica` to be revived at the `idx`-th replica
-    /// attempt: routable again with its plan cache still warm.
-    pub fn revive_replica_at(mut self, idx: u64, replica: usize) -> Self {
-        self.revive_replicas.entry(idx).or_default().push(replica);
-        self
-    }
-
-    /// Scripts every attempt on replica `replica` to stall for `delay_us`
-    /// microseconds first — the deterministic way to make a hedged dispatch
-    /// win on the alternate replica.
-    pub fn slow_replica(mut self, replica: usize, delay_us: u64) -> Self {
-        self.slow_replicas.insert(replica, delay_us);
-        self
-    }
-
-    /// Scripts the `idx`-th heartbeat probe (0-based, counted across the
-    /// replica set's lifetime) to fail, driving the consecutive-failure
-    /// health transitions without a real fault.
-    pub fn fail_probe_at(mut self, idx: u64) -> Self {
-        self.fail_probes.push(idx);
-        self
-    }
-
     /// Scripts the session whose `idx`-th decode step (0-based, counted
     /// across the session manager's lifetime in session-id order per round)
     /// is reached to be evicted instead of stepped: state snapshotted, a
@@ -272,10 +203,6 @@ impl FaultPlan {
             + self.slow_execs.len()
             + self.fail_update_builds.len()
             + self.update_panics.len()
-            + self.kill_replicas.values().map(Vec::len).sum::<usize>()
-            + self.revive_replicas.values().map(Vec::len).sum::<usize>()
-            + self.slow_replicas.len()
-            + self.fail_probes.len()
             + self.evict_sessions.len()
             + self.panic_steps.len()
     }
@@ -293,18 +220,6 @@ impl FaultPlan {
     /// Number of live weight updates the attached server has counted so far.
     pub fn updates_seen(&self) -> u64 {
         self.update_seq.load(Ordering::SeqCst)
-    }
-
-    /// Number of replica attempts the attached replica set has counted so
-    /// far.
-    pub fn attempts_seen(&self) -> u64 {
-        self.attempt_seq.load(Ordering::SeqCst)
-    }
-
-    /// Number of heartbeat probes the attached replica set has counted so
-    /// far.
-    pub fn probes_seen(&self) -> u64 {
-        self.probe_seq.load(Ordering::SeqCst)
     }
 
     /// Number of decode steps the attached session manager has counted so
@@ -350,28 +265,6 @@ impl FaultPlan {
         } else {
             ExecFault::None
         }
-    }
-
-    /// Advances the replica-attempt counter and returns the kills/revives
-    /// scripted at this attempt index plus the stall scripted for the
-    /// attempt's `target` replica.
-    pub(crate) fn poll_replica_attempt(&self, target: usize) -> ReplicaFault {
-        let idx = self.attempt_seq.fetch_add(1, Ordering::SeqCst);
-        ReplicaFault {
-            kills: self.kill_replicas.get(&idx).cloned().unwrap_or_default(),
-            revives: self.revive_replicas.get(&idx).cloned().unwrap_or_default(),
-            stall: self
-                .slow_replicas
-                .get(&target)
-                .map(|us| Duration::from_micros(*us)),
-        }
-    }
-
-    /// Advances the probe counter and reports whether this probe is
-    /// scripted to fail.
-    pub(crate) fn poll_probe(&self) -> bool {
-        let idx = self.probe_seq.fetch_add(1, Ordering::SeqCst);
-        self.fail_probes.contains(&idx)
     }
 
     /// Advances the decode-step counter and returns the fault to inject at
@@ -436,31 +329,5 @@ mod tests {
         assert_eq!(plan.poll_step(), StepFault::Panic); // step 2
         assert_eq!(plan.poll_step(), StepFault::Evict); // step 3
         assert_eq!(plan.steps_seen(), 4);
-    }
-
-    #[test]
-    fn replica_faults_fire_at_exact_attempt_and_probe_indices() {
-        let plan = FaultPlan::new()
-            .kill_replica_at(1, 2)
-            .revive_replica_at(3, 2)
-            .slow_replica(0, 750)
-            .fail_probe_at(1);
-        assert_eq!(plan.scripted_faults(), 4);
-
-        let fault = plan.poll_replica_attempt(0); // attempt 0: slow target
-        assert!(fault.kills.is_empty() && fault.revives.is_empty());
-        assert_eq!(fault.stall, Some(Duration::from_micros(750)));
-        let fault = plan.poll_replica_attempt(1); // attempt 1: kill replica 2
-        assert_eq!(fault.kills, vec![2]);
-        assert_eq!(fault.stall, None);
-        let fault = plan.poll_replica_attempt(1); // attempt 2: clean
-        assert!(fault.kills.is_empty() && fault.revives.is_empty());
-        let fault = plan.poll_replica_attempt(1); // attempt 3: revive replica 2
-        assert_eq!(fault.revives, vec![2]);
-        assert_eq!(plan.attempts_seen(), 4);
-
-        assert!(!plan.poll_probe()); // probe 0: clean
-        assert!(plan.poll_probe()); // probe 1: scripted failure
-        assert_eq!(plan.probes_seen(), 2);
     }
 }

@@ -52,6 +52,7 @@
 //! and the bytes moved are charged to a [`TrafficCounter`] next to what a
 //! full rebuild would have moved ([`UpdateStats`]).
 
+use crate::server::panic_message;
 use crate::ServingError;
 use gpu_sim::stats::TrafficCounter;
 use gpu_sim::GpuArch;
@@ -159,16 +160,6 @@ pub enum UpdateError {
         /// The layer the rollback targeted.
         layer: usize,
     },
-    /// A cross-replica fan-out ([`crate::replica::ReplicaSet::update_layer_all`])
-    /// was refused because a replica is down. Updates are non-idempotent and
-    /// never retried, so a partial fleet cannot accept one — revive or remove
-    /// the replica first.
-    ReplicaDown {
-        /// The layer the fan-out targeted.
-        layer: usize,
-        /// The dead replica that blocked it.
-        replica: usize,
-    },
 }
 
 impl std::fmt::Display for UpdateError {
@@ -210,11 +201,6 @@ impl std::fmt::Display for UpdateError {
             UpdateError::NoPreviousVersion { layer } => {
                 write!(f, "layer {layer} has no previous version to roll back to")
             }
-            UpdateError::ReplicaDown { layer, replica } => write!(
-                f,
-                "update fan-out for layer {layer} refused: replica {replica} is down \
-                 (updates are never applied to a partial fleet)"
-            ),
         }
     }
 }
@@ -969,12 +955,9 @@ impl ServingEngine {
                 SpmmPlan::shfl_bw(&self.arch, &new_weights, max_bucket)
             }))
             .map_err(|payload| {
-                let context = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                build_err(KernelError::BuildPanicked { context })
+                build_err(KernelError::BuildPanicked {
+                    context: panic_message(payload.as_ref()),
+                })
             })?;
             rebuild_bytes += built.packed_bytes() as u64;
             rebuilt_plans += 1;

@@ -74,16 +74,12 @@
 pub mod chaos;
 pub mod engine;
 pub mod policy;
-pub mod replica;
-pub mod router;
 pub mod scheduler;
 pub mod server;
 pub mod session;
 
 pub use engine::{ServingEngine, ServingStats, UpdateError, UpdateReport, UpdateStats};
 pub use policy::{Fifo, GroupMeta, Lpt, QueuePolicy, ShortestJobFirst, SloAware};
-pub use replica::{ReplicaConfig, ReplicaHealth, ReplicaSet, ReplicaSetStats, ReplicaStats};
-pub use router::HashRing;
 pub use scheduler::{Request, Response, Scheduler};
 pub use server::{Completion, Server, ServerConfig, ServerStats, SubmitError, Ticket};
 pub use session::{
@@ -137,13 +133,6 @@ pub enum ServingError {
     /// The ticket is still live: the response can be collected later with
     /// another wait or [`server::Ticket::try_take`].
     WaitTimeout,
-    /// The request was routed to a dead replica and no surviving replica
-    /// could take the work within the failover retry bounds (see
-    /// [`replica::ReplicaSet`]).
-    ReplicaDown {
-        /// The last replica the dispatch tried.
-        replica: usize,
-    },
     /// The decode session was evicted under capacity pressure (or by an
     /// explicit eviction request). Its state was snapshotted first:
     /// [`server::Server::resume_session`] continues the sequence
@@ -187,10 +176,6 @@ impl fmt::Display for ServingError {
             ServingError::WaitTimeout => {
                 f.write_str("timed out waiting for the response; the ticket is still live")
             }
-            ServingError::ReplicaDown { replica } => write!(
-                f,
-                "replica {replica} is down and no surviving replica could take the request"
-            ),
             ServingError::Evicted { session } => write!(
                 f,
                 "decode session {session} was evicted under pressure; resume_session({session}) continues it bit-identically"

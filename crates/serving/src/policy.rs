@@ -24,13 +24,6 @@
 //! * [`SloAware`] — deadline-class scheduling: class rank first
 //!   ([`SloKind::rank`]), tightest deadline next, arrival order last. The
 //!   policy the SLO benchmarks run.
-//!
-//! Ordering composes orthogonally with **replica routing**: the policy
-//! decides *when* a ready group dispatches, and on a replicated server
-//! ([`crate::replica::ReplicaSet`]) the consistent-hash router then decides
-//! *where* — home replica, steal target, or failover candidate. A policy
-//! never sees replica state and a router never reorders the queue, so any
-//! discipline works unchanged over any replica count.
 
 use shfl_core::slo::SloKind;
 use std::cmp::Ordering;

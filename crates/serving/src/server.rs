@@ -63,26 +63,15 @@
 //! [`Server::update_layer`] / [`Server::rollback_layer`] publish new weights
 //! for a registered layer **while traffic keeps flowing**: the engine
 //! side-builds and probe-validates the candidate version, then swaps the
-//! layer's versioned slot atomically. Because the server makes exactly one
-//! engine call per dispatched group, every request — and every coalesced
-//! group — observes exactly one weight version end to end; in-flight groups
-//! finish bit-identically on their `Arc`-held snapshot. A failed update (or
-//! an update-path fault injected by the chaos plan) surfaces as a typed
-//! [`UpdateError`] with the old version still serving; a panic at the swap
-//! point is contained into the same typed error.
-//!
-//! ## Replicated serving
-//!
-//! [`Server::start_replicated`] runs the same dispatcher/worker machinery
-//! over a [`ReplicaSet`] of data-parallel engines instead of one: groups are
-//! routed to each layer's consistent-hash home replica (plan caches stay
-//! warm), stolen to a lighter replica under queue pressure, failed over with
-//! bounded backoff when a replica dies, and optionally hedged for
-//! deadline-class work about to miss. [`ServerStats::replicas`] carries the
-//! per-replica health/failover plane, and [`Server::update_layer`] fans out
-//! to every replica under a per-layer version barrier so no coalesced group
-//! ever observes two replicas on different weight versions. See
-//! [`crate::replica`] for the routing and health model.
+//! layer's versioned slot atomically. An update never blocks dispatch, not
+//! even of its own layer. Because the server makes exactly one engine call
+//! per dispatched group, every request — and every coalesced group —
+//! observes exactly one weight version end to end; a group that started
+//! before the swap finishes bit-identically on its `Arc`-held snapshot of
+//! the old version. A failed update (or an update-path fault injected by the
+//! chaos plan) surfaces as a typed [`UpdateError`] with the old version
+//! still serving; a panic at the swap point is contained into the same typed
+//! error.
 //!
 //! The old API survives: [`crate::scheduler::Scheduler::serve`] is now a thin
 //! compatibility shim that runs one zero-window server scoped to the call
@@ -90,7 +79,6 @@
 
 use crate::engine::{ServingEngine, UpdateError, UpdateReport};
 use crate::policy::{Fifo, GroupMeta, QueuePolicy};
-use crate::replica::{GroupExecutor, ReplicaSet, ReplicaSetStats};
 use crate::scheduler::{Request, Response};
 use crate::session::{DecodeModel, SessionHandle, SessionManager, SessionStats};
 use crate::ServingError;
@@ -343,12 +331,6 @@ pub struct ServerStats {
     /// completions (capped at 65536 records), so a long-lived server's
     /// stats stay bounded; the counters above remain exact forever.
     pub completions: Vec<Completion>,
-    /// The replica tier's aggregate stats plane — per-replica health and
-    /// load plus the set-wide failover/hedging/shedding counters. `None`
-    /// for single-engine servers ([`Server::scoped`] and the batch shim);
-    /// always `Some` on a server started with [`Server::start`] or
-    /// [`Server::start_replicated`].
-    pub replicas: Option<ReplicaSetStats>,
 }
 
 impl ServerStats {
@@ -911,7 +893,6 @@ impl ServerCore {
             coalesced_groups: rec.coalesced_groups,
             coalesced_requests: rec.coalesced_requests,
             completions: rec.completions.iter().cloned().collect(),
-            replicas: None,
         }
     }
 
@@ -943,9 +924,7 @@ impl ServerCore {
 
     /// The dispatcher: waits for arrivals, holds the admission window,
     /// plans ready groups, and pushes them policy-ordered for the workers.
-    /// `exec` is whatever runs groups — a lone engine, or a [`ReplicaSet`]
-    /// routing across replicas.
-    fn dispatch_loop(&self, exec: &dyn GroupExecutor) {
+    fn dispatch_loop(&self, engine: &ServingEngine) {
         let window = self.cfg.admission_window();
         loop {
             // Phase 1: wait for an arrival and hold its admission window.
@@ -1019,7 +998,7 @@ impl ServerCore {
             if batch.is_empty() {
                 continue;
             }
-            let groups = self.plan_groups(exec.meta(), batch);
+            let groups = self.plan_groups(engine, batch);
             {
                 let mut rec = self.recorder.lock().expect("recorder poisoned");
                 rec.dispatched_groups += groups.len() as u64;
@@ -1214,7 +1193,7 @@ impl ServerCore {
 
     /// One worker: pops policy-ordered ready groups and executes them until
     /// the dispatcher has exited and the queue is dry.
-    fn worker_loop(&self, exec: &dyn GroupExecutor) {
+    fn worker_loop(&self, engine: &ServingEngine) {
         loop {
             let group = {
                 let mut ready = self.ready.lock().expect("ready queue poisoned");
@@ -1233,7 +1212,7 @@ impl ServerCore {
                     ready = self.ready_cv.wait(ready).expect("ready queue poisoned");
                 }
             };
-            self.execute_group(exec, group);
+            self.execute_group(engine, group);
         }
     }
 
@@ -1249,11 +1228,11 @@ impl ServerCore {
     /// the worker supervisor ([`ServerCore::worker_entry`]) respawns the
     /// thread. No lock is held across the engine call, so the unwind cannot
     /// poison the server's mutexes.
-    fn execute_group(&self, exec: &dyn GroupExecutor, group: ReadyGroup) {
+    fn execute_group(&self, engine: &ServingEngine, group: ReadyGroup) {
         let ReadyGroup { meta, members } = group;
         let exec_start = Instant::now();
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.compute_responses(exec, &meta, &members, exec_start)
+            self.compute_responses(engine, &meta, &members, exec_start)
         }));
         let responses = match computed {
             Ok(responses) => responses,
@@ -1327,24 +1306,17 @@ impl ServerCore {
         self.idle_cv.notify_all();
     }
 
-    /// Computes one response per group member: the (possibly fused) routed
-    /// execute plus the per-member scatter. May panic (the executor is
-    /// arbitrary code; the chaos layer injects panics here on purpose) —
-    /// [`ServerCore::execute_group`] contains the unwind. The group's
-    /// remaining deadline slack rides along so a replicated executor can
-    /// hedge deadline-class dispatches that are about to miss.
+    /// Computes one response per group member: the (possibly fused) engine
+    /// execute plus the per-member scatter. May panic (an engine panic, or
+    /// one the chaos layer injects here on purpose) —
+    /// [`ServerCore::execute_group`] contains the unwind.
     fn compute_responses(
         &self,
-        exec: &dyn GroupExecutor,
+        engine: &ServingEngine,
         meta: &GroupMeta,
         members: &[Pending],
         exec_start: Instant,
     ) -> Vec<Response> {
-        // Remaining deadline slack at dispatch time, µs: the group's
-        // earliest absolute deadline minus "now" on the server clock.
-        let slack_us = meta.due_us.map(|due| {
-            due.saturating_sub(exec_start.duration_since(self.started_at).as_micros() as u64)
-        });
         #[cfg(feature = "chaos")]
         if let Some(plan) = &self.cfg.fault_plan {
             let (stall, fault) = plan.poll_exec();
@@ -1375,13 +1347,9 @@ impl ServerCore {
         }
         if members.len() == 1 {
             let pending = &members[0];
-            let (result, modeled_us) = match exec.execute_routed(
-                pending.request.layer,
-                &pending.request.activations,
-                false,
-                meta.kind,
-                slack_us,
-            ) {
+            let (result, modeled_us) = match engine
+                .execute_profiled(pending.request.layer, &pending.request.activations)
+            {
                 Ok((output, us)) => (Ok(output), us),
                 Err(e) => (Err(e), 0.0),
             };
@@ -1398,7 +1366,7 @@ impl ServerCore {
             let total_cols = combined.cols();
             // Pad-free group execution: a partially-filled group runs the
             // exact-width fused sweep instead of padding up to its bucket.
-            let executed = exec.execute_routed(meta.layer, &combined, true, meta.kind, slack_us);
+            let executed = engine.execute_group_profiled(meta.layer, &combined);
             let service_ms = exec_start.elapsed().as_secs_f64() * 1e3;
             match executed {
                 Ok((output, us)) => {
@@ -1490,10 +1458,10 @@ impl ServerCore {
     /// pool therefore never shrinks below the configured size, and a
     /// panicking engine cannot wedge the dispatcher's pacing wait or
     /// `drain()`.
-    fn worker_entry(&self, exec: &dyn GroupExecutor) {
+    fn worker_entry(&self, engine: &ServingEngine) {
         loop {
             let run =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.worker_loop(exec)));
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.worker_loop(engine)));
             if run.is_ok() {
                 break;
             }
@@ -1506,8 +1474,10 @@ impl ServerCore {
 }
 
 /// Best-effort extraction of a panic payload's message (the common `&str` /
-/// `String` payloads; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// `String` payloads; anything else gets a placeholder). The crate's one
+/// panic-payload helper: the server, the session driver and the engine's
+/// update path all render contained panics through it.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -1563,40 +1533,19 @@ impl Drop for StopOnDrop<'_> {
 /// ```
 pub struct Server {
     core: Arc<ServerCore>,
-    replicas: Arc<ReplicaSet>,
+    engine: Arc<ServingEngine>,
     sessions: Arc<SessionManager>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Starts a server over an engine (owned, or shared via
-    /// `Arc<ServingEngine>`): spawns the dispatcher and
-    /// [`ServerConfig::workers`] worker threads and begins accepting
-    /// submissions immediately. Equivalent to [`Server::start_replicated`]
-    /// over a single-replica [`ReplicaSet`] — routing, stealing, and
-    /// hedging are all degenerate with one replica, so the behaviour is
-    /// exactly the historical single-engine server.
+    /// `Arc<ServingEngine>`): spawns the dispatcher,
+    /// [`ServerConfig::workers`] worker threads and the decode-session
+    /// driver, all executing on that one engine, and begins accepting
+    /// submissions immediately.
     pub fn start(engine: impl Into<Arc<ServingEngine>>, config: ServerConfig) -> Self {
-        Self::start_replicated(ReplicaSet::single(engine.into()), config)
-    }
-
-    /// Starts a server over a [`ReplicaSet`] of data-parallel replicas:
-    /// every dispatched group is routed to its layer's consistent-hash home
-    /// replica, with work-stealing, health-checked failover, and (when
-    /// configured) hedged dispatch for deadline-class groups. With the
-    /// `chaos` feature, the config's fault plan is attached to the replica
-    /// set so the replica-scoped fault points (`kill_replica_at`,
-    /// `slow_replica`, …) fire on the set's attempt/probe sequence counters.
-    pub fn start_replicated(replicas: ReplicaSet, config: ServerConfig) -> Self {
-        #[cfg(feature = "chaos")]
-        let replicas = {
-            let mut replicas = replicas;
-            if let Some(plan) = &config.fault_plan {
-                replicas.attach_fault_plan(Arc::clone(plan));
-            }
-            replicas
-        };
-        let replicas = Arc::new(replicas);
+        let engine: Arc<ServingEngine> = engine.into();
         let core = Arc::new(ServerCore::new(config));
         #[allow(unused_mut)]
         let mut sessions =
@@ -1607,24 +1556,22 @@ impl Server {
         let mut threads = Vec::with_capacity(core.cfg.workers + 2);
         for _ in 0..core.cfg.workers.max(1) {
             let core = Arc::clone(&core);
-            let reps = Arc::clone(&replicas);
-            threads.push(std::thread::spawn(move || core.worker_entry(reps.as_ref())));
+            let engine = Arc::clone(&engine);
+            threads.push(std::thread::spawn(move || core.worker_entry(&engine)));
         }
         {
             let core = Arc::clone(&core);
-            let reps = Arc::clone(&replicas);
-            threads.push(std::thread::spawn(move || {
-                core.dispatch_loop(reps.as_ref())
-            }));
+            let engine = Arc::clone(&engine);
+            threads.push(std::thread::spawn(move || core.dispatch_loop(&engine)));
         }
         {
             let sessions = Arc::clone(&sessions);
-            let reps = Arc::clone(&replicas);
-            threads.push(std::thread::spawn(move || sessions.drive(reps.as_ref())));
+            let engine = Arc::clone(&engine);
+            threads.push(std::thread::spawn(move || sessions.drive(&engine)));
         }
         Server {
             core,
-            replicas,
+            engine,
             sessions,
             threads,
         }
@@ -1657,17 +1604,9 @@ impl Server {
         })
     }
 
-    /// The primary replica's engine — the metadata source groups are
-    /// planned against (all replicas mirror the same registered layers).
+    /// The engine this server executes on.
     pub fn engine(&self) -> &ServingEngine {
-        self.replicas.primary()
-    }
-
-    /// The replica set this server routes over: per-replica health, the
-    /// kill/revive admin plane, and probe-driven health transitions. A
-    /// server started with [`Server::start`] has a single-replica set.
-    pub fn replica_set(&self) -> &ReplicaSet {
-        &self.replicas
+        &self.engine
     }
 
     /// The configuration the server was started with.
@@ -1706,47 +1645,39 @@ impl Server {
         self.core.submit_batch(requests, SloClass::Standard)
     }
 
-    /// A snapshot of the server's counters and per-class completion log,
-    /// with the replica tier's aggregate stats plane in
-    /// [`ServerStats::replicas`].
+    /// A snapshot of the server's counters and per-class completion log.
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.core.stats();
-        stats.replicas = Some(self.replicas.stats());
-        stats
+        self.core.stats()
     }
 
     /// Publishes new weights for a registered layer **without stopping
     /// traffic**: in-flight and queued requests are untouched (they finish
     /// on their own version, bit-identically), new arrivals observe the new
     /// version, and a coalesced group never mixes versions because the
-    /// server makes exactly one engine call per group. On a replicated
-    /// server the update fans out to **every** replica under the layer's
-    /// version barrier ([`ReplicaSet::update_layer_all`]): dispatches for
-    /// the layer wait out the fan-out, so no two replicas ever serve
-    /// different weight versions to the same coalesced group. See
+    /// server makes exactly one engine call per group. The update does not
+    /// block dispatch of its layer: a group that starts before the swap
+    /// runs on the old version's snapshot. See
     /// [`ServingEngine::update_layer`] for the validate-then-swap pipeline.
     ///
     /// # Errors
     ///
     /// Any [`UpdateError`] (including chaos-injected update faults) leaves
-    /// the old version serving everywhere; a fan-out with a dead replica is
-    /// refused whole with [`UpdateError::ReplicaDown`] (updates are not
-    /// idempotent and are never retried or partially applied).
+    /// the old version serving. A concurrent update of the same layer that
+    /// publishes first makes this call return [`UpdateError::Conflict`];
+    /// nothing of this call was published, and the caller may retry.
     pub fn update_layer(
         &self,
         layer: usize,
         new_weights: ShflBwMatrix,
     ) -> Result<UpdateReport, UpdateError> {
-        self.core
-            .guarded_update(self.replicas.primary(), layer, || {
-                self.replicas.update_layer_all(layer, new_weights)
-            })
+        self.core.guarded_update(&self.engine, layer, || {
+            self.engine.update_layer(layer, new_weights)
+        })
     }
 
     /// Republishes the layer's previous weights under a fresh version —
-    /// [`ServingEngine::rollback_layer`] fanned out to every replica behind
-    /// the same fault-injection and panic-containment shell as
-    /// [`Server::update_layer`].
+    /// [`ServingEngine::rollback_layer`] behind the same fault-injection and
+    /// panic-containment shell as [`Server::update_layer`].
     ///
     /// # Errors
     ///
@@ -1754,9 +1685,7 @@ impl Server {
     /// [`UpdateError::NoPreviousVersion`] for a never-updated layer.
     pub fn rollback_layer(&self, layer: usize) -> Result<UpdateReport, UpdateError> {
         self.core
-            .guarded_update(self.replicas.primary(), layer, || {
-                self.replicas.rollback_layer_all(layer)
-            })
+            .guarded_update(&self.engine, layer, || self.engine.rollback_layer(layer))
     }
 
     /// Opens a stateful decode session: the session driver steps it every

@@ -40,8 +40,8 @@
 //! The public entry points live on [`Server`](crate::server::Server):
 //! `open_session`, `resume_session`, `evict_session`, `session_stats`.
 
+use crate::engine::ServingEngine;
 use crate::policy::{GroupMeta, QueuePolicy};
-use crate::replica::GroupExecutor;
 use crate::server::SubmitError;
 use crate::ServingError;
 use shfl_core::slo::{SloClass, SloKind};
@@ -165,9 +165,6 @@ pub struct SessionStats {
     /// Total activation columns across all sweeps (`sweep_columns /
     /// sweeps` = mean interleave width).
     pub sweep_columns: u64,
-    /// Sweeps by the home replica of the stage's layer — decode state and
-    /// the warm plan cache co-reside there on a replicated server.
-    pub sweeps_by_replica: HashMap<usize, u64>,
 }
 
 impl SessionStats {
@@ -597,7 +594,7 @@ impl SessionManager {
 
     /// The driver loop (one dedicated thread): sleeps while no session is
     /// live, otherwise runs interleave rounds until stopped.
-    pub(crate) fn drive(&self, exec: &dyn GroupExecutor) {
+    pub(crate) fn drive(&self, engine: &ServingEngine) {
         loop {
             {
                 let mut inner = self.inner.lock().expect("session manager poisoned");
@@ -611,7 +608,7 @@ impl SessionManager {
                     return;
                 }
             }
-            self.run_round(exec);
+            self.run_round(engine);
             std::thread::yield_now();
         }
     }
@@ -668,7 +665,7 @@ impl SessionManager {
     /// chaos step faults, group ready sequences by model, order the sweeps
     /// by the queue policy, and execute each group stage-by-stage with
     /// scatter-back.
-    fn run_round(&self, exec: &dyn GroupExecutor) {
+    fn run_round(&self, engine: &ServingEngine) {
         let mut inner = self.inner.lock().expect("session manager poisoned");
 
         // Reap sessions whose every handle/ticket was dropped (only the
@@ -731,19 +728,19 @@ impl SessionManager {
         }
         let mut ordered: Vec<(GroupMeta, Vec<LiveSession>)> = groups
             .into_iter()
-            .map(|(_, members)| (Self::sweep_meta(exec, &members), members))
+            .map(|(_, members)| (Self::sweep_meta(engine, &members), members))
             .collect();
         ordered.sort_by(|a, b| self.policy.compare(&a.0, &b.0));
 
-        for (meta, members) in ordered {
-            let survivors = Self::process_group(exec, &meta, members, &mut inner.stats);
+        for (_, members) in ordered {
+            let survivors = Self::process_group(engine, members, &mut inner.stats);
             inner.live.extend(survivors);
         }
     }
 
     /// The sweep's scheduling meta: most urgent member's kind, earliest
     /// per-token deadline budget, summed GEMM work, lowest session id.
-    fn sweep_meta(exec: &dyn GroupExecutor, members: &[LiveSession]) -> GroupMeta {
+    fn sweep_meta(engine: &ServingEngine, members: &[LiveSession]) -> GroupMeta {
         let kind = members
             .iter()
             .map(|m| m.class.kind())
@@ -754,7 +751,6 @@ impl SessionManager {
             .iter()
             .filter_map(|m| m.per_token.deadline_us())
             .min();
-        let engine = exec.meta();
         let per_column: u128 = members
             .first()
             .map(|m| {
@@ -783,8 +779,7 @@ impl SessionManager {
     /// execute error fails the whole group's tickets; success streams one
     /// token per member. Returns the members still live after the step.
     fn process_group(
-        exec: &dyn GroupExecutor,
-        meta: &GroupMeta,
+        engine: &ServingEngine,
         mut members: Vec<LiveSession>,
         stats: &mut SessionStats,
     ) -> Vec<LiveSession> {
@@ -792,7 +787,6 @@ impl SessionManager {
         if width == 0 {
             return members;
         }
-        let engine = exec.meta();
         let stages: Vec<DecodeStage> = members[0].model.stages().to_vec();
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(
@@ -813,19 +807,13 @@ impl SessionManager {
                         cols.push(col);
                     }
                     let combined = DenseMatrix::from_fn(k, width, |r, c| cols[c][r]);
-                    let (out, _) = exec.execute_routed(
-                        stage.layer,
-                        &combined,
-                        width > 1,
-                        meta.kind,
-                        meta.due_us,
-                    )?;
+                    let (out, _) = if width > 1 {
+                        engine.execute_group_profiled(stage.layer, &combined)?
+                    } else {
+                        engine.execute_profiled(stage.layer, &combined)?
+                    };
                     stats.sweeps += 1;
                     stats.sweep_columns += width as u64;
-                    *stats
-                        .sweeps_by_replica
-                        .entry(exec.home_replica(stage.layer))
-                        .or_insert(0) += 1;
                     for (c, m) in members.iter_mut().enumerate() {
                         let col: Vec<f32> = (0..out.rows()).map(|r| out.get(r, c)).collect();
                         xs[c] = m.model.post(si, &col, &mut m.state);
@@ -843,7 +831,7 @@ impl SessionManager {
         ));
         match outcome {
             Err(payload) => {
-                let context = crate::replica::panic_text(payload);
+                let context = crate::server::panic_message(payload.as_ref());
                 for m in members {
                     m.shared.fail(ServingError::WorkerPanic {
                         context: context.clone(),
@@ -1105,8 +1093,6 @@ mod tests {
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.tokens, 4 * steps as u64);
         assert!(stats.mean_interleave_width() > 3.9);
-        // A lone engine homes every sweep on replica 0.
-        assert_eq!(stats.sweeps_by_replica.get(&0).copied(), Some(stats.sweeps));
     }
 
     #[test]

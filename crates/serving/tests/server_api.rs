@@ -1,21 +1,24 @@
 //! Behavioural tests of the continuous-batching [`Server`] API: staggered
 //! submissions stay bit-identical to direct engine execution, backpressure
-//! is typed and non-blocking, drain delivers every outstanding ticket, and
-//! the pluggable queue policies order dispatch deterministically.
+//! is typed and non-blocking, drain delivers every outstanding ticket, the
+//! pluggable queue policies order dispatch deterministically, and two
+//! concurrent updates of one layer resolve to one published version each or
+//! a typed conflict.
 
 use gpu_sim::GpuArch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shfl_core::bucket::BucketPolicy;
-use shfl_core::formats::ShflBwMatrix;
+use shfl_core::formats::{ShflBwMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
+use shfl_kernels::plan::SpmmPlan;
 use shfl_serving::policy::{ShortestJobFirst, SloAware};
 use shfl_serving::scheduler::Request;
-use shfl_serving::server::{Server, ServerConfig, SubmitError};
-use shfl_serving::{ServingEngine, ServingError};
+use shfl_serving::server::{Completion, Server, ServerConfig, ServerStats, SubmitError};
+use shfl_serving::{ServingEngine, ServingError, UpdateError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn engine_with_layers(layers: usize) -> ServingEngine {
@@ -33,6 +36,26 @@ fn engine_with_layers(layers: usize) -> ServingEngine {
         engine.register_layer(&format!("layer{l}"), weights);
     }
     engine
+}
+
+fn bits(m: &DenseMatrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A same-pattern magnitude update of `weights` (the delta re-pack payload).
+fn scaled(weights: &ShflBwMatrix, factor: f32) -> ShflBwMatrix {
+    let vw = weights.vector_wise();
+    let values: Vec<f32> = vw.values().iter().map(|x| x * factor).collect();
+    let inner = VectorWiseMatrix::from_parts(
+        vw.rows(),
+        vw.cols(),
+        vw.vector_size(),
+        vw.group_ptr().to_vec(),
+        vw.col_idx().to_vec(),
+        values,
+    )
+    .unwrap();
+    ShflBwMatrix::from_vector_wise(inner, weights.row_indices().to_vec()).unwrap()
 }
 
 /// The tentpole property: a server under random staggered submissions (mixed
@@ -733,4 +756,149 @@ fn dropping_an_undrained_server_fails_queued_tickets() {
         .unwrap();
     drop(server);
     assert_eq!(ticket.wait().result.unwrap_err(), ServingError::ShutDown);
+}
+
+#[test]
+fn wait_timeout_is_typed_and_leaves_the_ticket_live() {
+    let engine = engine_with_layers(1);
+    let mut rng = StdRng::seed_from_u64(2);
+    let acts = DenseMatrix::random(&mut rng, 16, 3);
+    let expected = engine.execute(0, &acts).unwrap();
+    // A long admission window holds the response back past the first wait.
+    let server = Server::start(
+        engine,
+        ServerConfig::new()
+            .with_workers(1)
+            .with_admission_window_us(300_000),
+    );
+    let ticket = server
+        .submit(Request {
+            id: 0,
+            layer: 0,
+            activations: acts,
+        })
+        .unwrap();
+    match ticket.wait_timeout(Duration::from_millis(5)) {
+        Err(ServingError::WaitTimeout) => {}
+        other => panic!("expected WaitTimeout, got {other:?}"),
+    }
+    // The ticket stayed live: a later bounded wait collects the response.
+    let response = ticket
+        .wait_timeout(Duration::from_secs(30))
+        .expect("the request still executes after a timed-out wait");
+    assert_eq!(bits(&response.result.unwrap()), bits(&expected));
+    server.shutdown();
+}
+
+#[test]
+fn class_percentile_is_none_on_empty_and_clamps_the_argument() {
+    let mut stats = ServerStats::default();
+    assert_eq!(stats.class_percentile_ms(SloKind::Standard, 0.99), None);
+
+    for (i, total_ms) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+        stats.completions.push(Completion {
+            id: i as u64,
+            kind: SloKind::Standard,
+            queue_ms: 0.0,
+            service_ms: total_ms,
+            total_ms,
+            deadline_met: None,
+        });
+    }
+    // Out-of-range percentiles clamp instead of indexing out of bounds.
+    assert_eq!(stats.class_percentile_ms(SloKind::Standard, 1.7), Some(4.0));
+    assert_eq!(
+        stats.class_percentile_ms(SloKind::Standard, -0.3),
+        Some(1.0)
+    );
+    assert_eq!(
+        stats.class_percentile_ms(SloKind::Standard, f64::NAN),
+        Some(1.0)
+    );
+    assert_eq!(stats.class_percentile_ms(SloKind::Standard, 0.5), Some(2.0));
+    // A class with no completions stays `None` even when others have data.
+    assert_eq!(stats.class_percentile_ms(SloKind::Bulk, 0.99), None);
+}
+
+/// Two updates of one layer released together: nothing serialises them, so
+/// each either publishes its own version or — when the other published
+/// between its snapshot and its swap — returns the typed `Conflict` with
+/// nothing of it published. The layer's version counts the successes, and
+/// traffic afterwards runs on the weights of the update that published
+/// last.
+#[test]
+fn concurrent_updates_of_one_layer_publish_or_conflict() {
+    const N: usize = 256;
+    const V: usize = 8;
+    let dense = DenseMatrix::from_fn(N, N, |r, c| {
+        if (c + r / V).is_multiple_of(4) {
+            0.25 + ((r * 7 + c * 3) % 11) as f32 * 0.1
+        } else {
+            0.0
+        }
+    });
+    let weights = ShflBwMatrix::from_dense(&dense, V).unwrap();
+    let arch = GpuArch::t4();
+    let mut engine = ServingEngine::new(arch.clone(), BucketPolicy::new(8, 32).unwrap(), 16);
+    assert_eq!(engine.register_layer("w", weights.clone()), 0);
+    let server = Server::start(engine, ServerConfig::new().with_workers(2));
+
+    let candidates = [scaled(&weights, 2.0), scaled(&weights, 3.0)];
+    let start = Barrier::new(candidates.len());
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = candidates
+            .iter()
+            .map(|w| {
+                let (server, start, w) = (&server, &start, w.clone());
+                scope.spawn(move || {
+                    start.wait();
+                    server.update_layer(0, w)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("update thread"))
+            .collect()
+    });
+
+    for result in &results {
+        assert!(
+            matches!(result, Ok(_) | Err(UpdateError::Conflict { layer: 0 })),
+            "got {result:?}"
+        );
+    }
+    let oks = results.iter().filter(|r| r.is_ok()).count();
+    assert!(
+        oks >= 1,
+        "at least one update must publish, got {results:?}"
+    );
+    assert_eq!(server.engine().layer_version(0).unwrap(), oks as u64);
+
+    // The update that published the highest version owns the layer now.
+    let winner = results
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| r.as_ref().ok().map(|report| (report.version, i)))
+        .max()
+        .map(|(_, i)| i)
+        .expect("at least one Ok");
+    let mut rng = StdRng::seed_from_u64(41);
+    let acts = DenseMatrix::random(&mut rng, N, 7);
+    let want = SpmmPlan::shfl_bw(&arch, &candidates[winner], acts.cols())
+        .execute(&acts)
+        .unwrap()
+        .output;
+    let got = server
+        .submit(Request {
+            id: 0,
+            layer: 0,
+            activations: acts,
+        })
+        .unwrap()
+        .wait()
+        .result
+        .expect("the updated layer serves");
+    assert_eq!(bits(&got), bits(&want));
+    server.shutdown();
 }
