@@ -147,7 +147,7 @@ pub struct ModelBenchResult {
     /// Throughput unit: `"tokens/s"` or `"images/s"`.
     pub unit: &'static str,
     /// Mixed-size serving-trace numbers ([`crate::bench_serving`]): hit rate,
-    /// latency percentiles, bucketed-vs-cold throughput.
+    /// latency percentiles, cached-vs-cold throughput.
     pub serving: Option<crate::bench_serving::ServingBenchResult>,
     /// Implicit-GEMM vs materialised-im2col convolution comparison (ResNet-50
     /// only; `None` for models without convolutions).
@@ -581,7 +581,7 @@ fn bench_conv_implicit(
     }
 
     // Bit-identity gate: the implicit per-layer outputs against the cold
-    // materialised-im2col oracle (fresh exact-width plans, no bucketed cache).
+    // materialised-im2col oracle (fresh exact-width plans, no plan cache).
     let implicit_outs = engine.forward_outputs(batch, seq_len).expect("outputs");
     let oracle_outs = engine
         .forward_outputs_cold(batch, seq_len)
@@ -757,7 +757,7 @@ pub fn to_json(run: &BenchRun) -> String {
                      \"bit_identical\": {}, \"mt_workers\": {}, \"mt_requests\": {}, \
                      \"mt_wall_ms\": {:.3}, \"panel_segments\": {}, \
                      \"panel_sweep_bytes\": {}, \"panel_bytes_fused\": {}, \
-                     \"panel_bytes_segmented\": {}, \"coalesced_requests\": {}, \
+                     \"coalesced_requests\": {}, \
                      \"coalesced_wall_ms\": {:.3}, \"coalesced_bit_identical\": {}, \
                      \"continuous\": {{\"layers\": {}, \"requests\": {}, \
                      \"window_us\": {}, \"windowed_wall_ms\": {:.3}, \
@@ -789,7 +789,6 @@ pub fn to_json(run: &BenchRun) -> String {
                     s.panel_segments,
                     s.panel_sweep_bytes,
                     s.panel_bytes_fused,
-                    s.panel_bytes_segmented,
                     s.coalesced_requests,
                     s.coalesced_wall_ms,
                     s.coalesced_bit_identical,

@@ -1,35 +1,33 @@
-//! Wall-clock serving benchmark: bucketed plan-cache serving vs per-request
-//! cold plan builds under mixed request sizes.
+//! Wall-clock serving benchmark: cached-plan serving vs per-request cold plan
+//! builds under mixed request sizes.
 //!
 //! `repro --bench-serving` drives each model's [`ModelEngine`] through a
 //! deterministic **mixed-batch request trace** (the serving reality the
 //! single-bucket engine of PR 2 could not handle):
 //!
 //! 1. **warmup** — each distinct warm batch runs once, populating the plan
-//!    cache with the trace's N-buckets (steady-state serving; compulsory
+//!    cache with every layer's plan (steady-state serving; compulsory
 //!    misses amortise over a server's lifetime and are excluded from the
 //!    timed window),
 //! 2. **timed trace** — forwards at batch sizes the warmup never ran, all
-//!    mapping onto already-cached buckets: per-forward latency percentiles,
+//!    served by already-cached plans: per-forward latency percentiles,
 //!    aggregate tokens-or-images/s, and the steady-state plan-cache hit rate
 //!    (the `--bench-serving` gate fails on a miss-rate regression, which is
 //!    what a plan-keying bug looks like),
 //! 3. **cold trace** — the same forwards with a fresh exact-width plan built
 //!    per layer per request ([`ModelEngine::forward_cold`]) — serving without
-//!    the bucketed cache,
-//! 4. **bit-identity** — bucketed outputs equal the cold exact-width oracle
+//!    the plan cache,
+//! 4. **bit-identity** — served outputs equal the cold exact-width oracle
 //!    bit for bit on a subset of shapes, and
 //! 5. **multi-stream fan-out** — the timed trace's linear-layer requests
 //!    served through [`Scheduler`] worker threads over the shared engine
 //!    (recorded, not gated: on a single-core host the fan-out cannot beat
 //!    sequential service),
-//! 6. **panel re-streaming probe** — a ≥4-segment request served once on the
-//!    fused multi-segment path and once on the per-segment baseline, with
-//!    the engine's packed-panel byte counter read around each: the fused
+//! 6. **panel probe** — a request over four largest-bucket widths wide,
+//!    with the engine's packed-panel byte counter read around it: its one
 //!    sweep must stay within 1.5× of the single-sweep lower bound (it is
-//!    exactly 1.0×) while the baseline pays one sweep per segment — the
-//!    re-streaming reduction this stack exists for, gated deterministically
-//!    in both smoke and full mode, and
+//!    exactly 1.0×), gated deterministically in both smoke and full mode,
+//!    and
 //! 7. **cross-request coalescing** — the fan-out trace served again through
 //!    a coalescing scheduler (same-layer requests column-concatenated into
 //!    shared fused executes): outputs must be bit-identical to the
@@ -100,17 +98,17 @@ pub struct ServingBenchResult {
     pub forwards: usize,
     /// Steady-state plan-cache hit rate over the timed trace.
     pub hit_rate: f64,
-    /// Median per-forward latency (ms) of the bucketed trace.
+    /// Median per-forward latency (ms) of the served trace.
     pub p50_ms: f64,
     /// 95th-percentile per-forward latency (ms).
     pub p95_ms: f64,
     /// 99th-percentile per-forward latency (ms).
     pub p99_ms: f64,
-    /// Aggregate items/s of the bucketed timed trace.
+    /// Aggregate items/s of the served timed trace.
     pub throughput: f64,
     /// Aggregate items/s of the same trace with per-request cold plan builds.
     pub cold_throughput: f64,
-    /// Whether bucketed outputs were bit-identical to the cold exact-width
+    /// Whether served outputs were bit-identical to the cold exact-width
     /// oracle on the checked shapes.
     pub bit_identical: bool,
     /// Worker threads of the multi-stream sub-trace.
@@ -119,17 +117,15 @@ pub struct ServingBenchResult {
     pub mt_requests: usize,
     /// Wall-clock of the fanned sub-trace in ms (0 when no linear layers).
     pub mt_wall_ms: f64,
-    /// Bucket segments of the panel-probe width (≥ 4 by construction).
+    /// Segments the panel-probe width splits into under the engine's bucket
+    /// policy: how many largest-bucket widths the probe spans (≥ 4 by
+    /// construction). The engine serves them in one sweep.
     pub panel_segments: usize,
     /// Packed-panel bytes of **one** sweep over the probe layer's weights —
     /// the lower bound any execution of that layer pays at least once.
     pub panel_sweep_bytes: u64,
-    /// Packed-panel bytes the fused multi-segment execute streamed for the
-    /// probe request (one sweep).
+    /// Packed-panel bytes the probe request's execute streamed (one sweep).
     pub panel_bytes_fused: u64,
-    /// Packed-panel bytes the per-segment baseline streamed for the same
-    /// request (one sweep per segment).
-    pub panel_bytes_segmented: u64,
     /// Requests of the coalesced sub-trace (same requests as `mt_requests`).
     pub coalesced_requests: usize,
     /// Wall-clock of the coalescing scheduler over the fan-out requests, ms.
@@ -296,21 +292,12 @@ impl ContinuousBenchResult {
 }
 
 impl ServingBenchResult {
-    /// Bucketed-over-cold aggregate throughput ratio.
+    /// Served-over-cold aggregate throughput ratio.
     pub fn speedup_vs_cold(&self) -> f64 {
         if self.cold_throughput <= 0.0 {
             return 0.0;
         }
         self.throughput / self.cold_throughput
-    }
-
-    /// Panel re-streaming reduction of the fused sweep: segmented-baseline
-    /// bytes over fused bytes (≈ the segment count).
-    pub fn panel_restream_ratio(&self) -> f64 {
-        if self.panel_bytes_fused == 0 {
-            return 0.0;
-        }
-        self.panel_bytes_segmented as f64 / self.panel_bytes_fused as f64
     }
 
     /// Coalesced-over-uncoalesced wall-clock speedup on the fan-out trace.
@@ -323,30 +310,27 @@ impl ServingBenchResult {
 }
 
 /// The warmup and timed batch mixes of one model's trace. Timed batches are
-/// chosen so every width maps onto a bucket the warmup already cached — but
-/// through *different* widths, so a plan-keying regression (exact-width
-/// keying instead of bucket keying) shows up as a miss-rate spike.
+/// chosen so every timed forward runs on plans the warmup already cached —
+/// but at *different* widths, so a plan-keying regression (keying by width
+/// instead of by layer version) shows up as a miss-rate spike.
 fn trace_batches(model: DnnModel, quick: bool) -> (Vec<usize>, Vec<usize>) {
     match (model, quick) {
         (DnnModel::Transformer, true) => (vec![1, 2, 4], vec![1, 3, 2, 4]),
-        // seq_len 16: timed widths 48/80/96/112 land in the 64- and
-        // 128-buckets warmed by batches 4 and 8.
+        // seq_len 16: timed widths 48/80/96/112 never appear in the warmup.
         (DnnModel::Transformer, false) => (
             vec![1, 2, 4, 8],
             vec![1, 3, 2, 6, 4, 8, 5, 7, 3, 1, 6, 2, 8, 4, 7, 5],
         ),
-        // GNMT serves N = batch directly; 10 and 20 land in the 16- and
-        // 32-buckets warmed by 12 and 24.
+        // GNMT serves N = batch directly; 10 and 20 never appear in the
+        // warmup.
         (DnnModel::Gnmt, true) => (vec![1, 2, 4], vec![1, 3, 2, 4]),
         (DnnModel::Gnmt, false) => (
             vec![1, 2, 4, 8, 12, 24],
             vec![1, 3, 2, 6, 4, 8, 10, 20, 3, 1, 6, 2, 20, 4, 10, 8],
         ),
-        // ResNet's unfolded conv operands are thousands of columns wide —
-        // most lookups are full `max_bucket` segments shared across batches,
-        // but each batch size also leaves a per-layer tail bucket that no
-        // other batch predicts, so the warm set covers every timed batch
-        // (the unseen-width keying regression is caught by the GEMM models).
+        // ResNet's conv plans are keyed per batch size, so the warm set
+        // covers every timed batch (the unseen-width keying regression is
+        // caught by the GEMM models).
         (DnnModel::Resnet50, true) => (vec![1, 2], vec![1, 2]),
         (DnnModel::Resnet50, false) => (vec![1, 2, 3, 4], vec![1, 3, 2, 4, 3, 1, 4, 2]),
     }
@@ -377,30 +361,30 @@ fn run_model(
     let seq = cfg.seq_len;
     let (warm, timed) = trace_batches(model, quick);
 
-    // Warmup: populate the trace's buckets (untimed, excluded from the rate).
+    // Warmup: populate the trace's plans (untimed, excluded from the rate).
     for &batch in &warm {
         engine.forward(batch, seq).expect("warmup forward");
     }
     let warm_stats = engine.cache_stats();
 
-    // Timed bucketed trace vs the cold trace (identical requests, exact-width
+    // Timed served trace vs the cold trace (identical requests, exact-width
     // plan built per layer per forward). The two are compared against each
     // other by the full-mode throughput gate and a shared box drifts by tens
     // of percent between trace sections, so in full mode both run twice,
     // interleaved, keeping each forward's best — the same best-of policy as
     // the kernel benchmarks. The hit-rate window is measured around the first
-    // bucketed pass only (repeats add pure hits and would flatter the rate).
+    // served pass only (repeats add pure hits and would flatter the rate).
     let reps = if quick { 1 } else { 2 };
     let mut latencies = vec![f64::MAX; timed.len()];
     let mut items = 0.0;
-    let mut bucketed_ms = 0.0;
+    let mut served_ms = 0.0;
     let mut cold_ms = 0.0;
     let mut unit = "items/s";
     let mut hit_rate = 1.0;
     for rep in 0..reps {
         let mut pass_ms = 0.0;
         for (i, &batch) in timed.iter().enumerate() {
-            let report = engine.forward(batch, seq).expect("bucketed forward");
+            let report = engine.forward(batch, seq).expect("served forward");
             latencies[i] = latencies[i].min(report.forward_ms);
             pass_ms += report.forward_ms;
             if rep == 0 {
@@ -408,10 +392,10 @@ fn run_model(
             }
             unit = report.unit;
         }
-        bucketed_ms = if rep == 0 {
+        served_ms = if rep == 0 {
             pass_ms
         } else {
-            bucketed_ms.min(pass_ms)
+            served_ms.min(pass_ms)
         };
         if rep == 0 {
             let steady = engine.cache_stats();
@@ -434,18 +418,16 @@ fn run_model(
         };
     }
 
-    // Bit-identity of the bucketed path against the cold exact-width oracle.
+    // Bit-identity of the served path against the cold exact-width oracle.
     let check_batches: &[usize] = if quick { &timed[..1] } else { &timed[..2] };
     let mut bit_identical = true;
     for &batch in check_batches {
-        let bucketed = engine
-            .forward_outputs(batch, seq)
-            .expect("bucketed outputs");
+        let served = engine.forward_outputs(batch, seq).expect("served outputs");
         let cold = engine
             .forward_outputs_cold(batch, seq)
             .expect("cold outputs");
-        bit_identical &= bucketed.len() == cold.len()
-            && bucketed.iter().zip(cold.iter()).all(|(b, c)| {
+        bit_identical &= served.len() == cold.len()
+            && served.iter().zip(cold.iter()).all(|(b, c)| {
                 b.shape() == c.shape()
                     && b.as_slice()
                         .iter()
@@ -490,11 +472,9 @@ fn run_model(
         }
         mt_requests = requests.len();
         coalesced_requests = requests.len();
-        // Steady-state comparison: the fan-out's buckets were warmed by the
-        // timed trace, but the coalesced group widths land on *new* buckets
-        // (a column-concatenated group is wider than any single request) —
-        // warm those untimed too, exactly like the trace warmup excludes
-        // compulsory plan builds from the timed window.
+        // Steady-state comparison: one untimed pass of the coalescing
+        // scheduler first, exactly like the trace warmup excludes compulsory
+        // work from the timed window.
         let warm_responses =
             Scheduler::coalescing(mt_workers).serve(engine.serving(), requests.clone());
         assert!(warm_responses.iter().all(|r| r.result.is_ok()));
@@ -536,9 +516,9 @@ fn run_model(
                 });
     }
 
-    // Panel re-streaming probe: a ≥4-segment request on the cheapest linear
-    // layer, served fused (one panel sweep) and per-segment (one sweep per
-    // segment), with the engine's panel-byte counter read around each.
+    // Panel probe: a request over four largest-bucket widths wide on the
+    // cheapest linear layer, with the engine's panel-byte counter read
+    // around it.
     let serving = engine.serving();
     let probe_layer = gemm_layers
         .iter()
@@ -547,10 +527,8 @@ fn run_model(
             serving.layer_m(l).unwrap_or(usize::MAX) * serving.layer_k(l).unwrap_or(usize::MAX)
         })
         .unwrap_or(0);
-    let probe_policy = serving.layer_policy(probe_layer).expect("registered layer");
-    let probe_n = probe_policy.max_bucket() * 4 + 3;
-    let probe_segments = probe_policy.segments(probe_n);
-    let panel_segments = probe_segments.len();
+    let probe_n = serving.policy().max_bucket() * 4 + 3;
+    let panel_segments = serving.policy().segments(probe_n).len();
     let panel_sweep_bytes = serving
         .layer_panel_sweep_bytes(probe_layer)
         .expect("probe plan builds");
@@ -558,19 +536,10 @@ fn run_model(
     let mut probe_rng = StdRng::seed_from_u64(cfg.seed ^ 0x9a31);
     let probe_acts = DenseMatrix::random(&mut probe_rng, probe_k, probe_n);
     let before = serving.panel_bytes_read();
-    let fused_out = serving
+    serving
         .execute(probe_layer, &probe_acts)
-        .expect("fused probe executes");
+        .expect("probe executes");
     let panel_bytes_fused = serving.panel_bytes_read() - before;
-    let before = serving.panel_bytes_read();
-    let segmented_out = serving
-        .execute_unfused(probe_layer, &probe_acts)
-        .expect("segmented probe executes");
-    let panel_bytes_segmented = serving.panel_bytes_read() - before;
-    assert_eq!(
-        fused_out, segmented_out,
-        "fused and per-segment probe outputs must be identical"
-    );
 
     let continuous = run_continuous(&engine, model, cfg, quick);
 
@@ -594,8 +563,8 @@ fn run_model(
         p50_ms: percentile(&latencies, 0.50),
         p95_ms: percentile(&latencies, 0.95),
         p99_ms: percentile(&latencies, 0.99),
-        throughput: if bucketed_ms > 0.0 {
-            items / (bucketed_ms / 1e3)
+        throughput: if served_ms > 0.0 {
+            items / (served_ms / 1e3)
         } else {
             0.0
         },
@@ -611,7 +580,6 @@ fn run_model(
         panel_segments,
         panel_sweep_bytes,
         panel_bytes_fused,
-        panel_bytes_segmented,
         coalesced_requests,
         coalesced_wall_ms,
         coalesced_bit_identical,
@@ -821,7 +789,7 @@ fn continuous_class(index: usize) -> SloClass {
 /// packed-panel byte counter around the run (the counter-verified proof that
 /// the window coalesced across arrivals). Windowed responses are compared
 /// bit-for-bit against per-request **cold** execution of the same operands
-/// (first repetition; later repetitions against the bucketed path, itself
+/// (first repetition; later repetitions against the served path, itself
 /// gated bit-identical to cold elsewhere in this benchmark). A
 /// coalescing-cap sweep over the same request set (atomic batch, zero
 /// window) logs the best cap for this box in full mode.
@@ -907,18 +875,14 @@ fn run_continuous(
         })
         .collect();
 
-    // Steady state: warm every bucket the trace (or a coalesced group of it)
-    // can land on, like the rest of this benchmark excludes compulsory plan
-    // builds from timed windows.
+    // Steady state: warm every layer's plan, like the rest of this
+    // benchmark excludes compulsory plan builds from timed windows.
     for &layer in &gemm_layers {
-        let policy = serving.layer_policy(layer).expect("registered layer");
-        for bucket in policy.buckets() {
-            serving.warm(layer, bucket).expect("warm plan builds");
-        }
+        serving.warm(layer, default_cap).expect("warm plan builds");
     }
 
     // Expected outputs: per-request cold execution for the first repetition
-    // (fresh exact-width plans — the strongest oracle), the bucketed path
+    // (fresh exact-width plans — the strongest oracle), the served path
     // for later repetitions (itself gated bit-identical to cold).
     let expected: Vec<DenseMatrix> = requests
         .iter()
@@ -1097,9 +1061,6 @@ fn run_continuous(
     // strictly fewer bytes than full rebuilds (the ratio gate). This runs
     // last: the swaps themselves are invisible to the earlier oracles.
     let update_layer = gemm_layers[0];
-    let update_policy = serving
-        .layer_policy(update_layer)
-        .expect("registered layer");
     let update_k = serving.layer_k(update_layer).expect("registered layer");
     let swap_target = 8usize;
     let update_server = engine.server(
@@ -1116,7 +1077,7 @@ fn run_continuous(
         // Land a small mixed-class wave, then swap while it is in flight.
         for j in 0..3usize {
             let i = swap * 3 + j;
-            let n = 1 + (i * 5) % update_policy.max_bucket();
+            let n = 1 + (i * 5) % default_cap;
             update_tickets.push(
                 update_server
                     .submit_classed(
@@ -1224,8 +1185,8 @@ fn run_continuous(
 /// Renders the plain-text serving report table.
 pub fn to_table(results: &[ServingBenchResult]) -> String {
     let mut out = String::from(
-        "Serving trace: bucketed plan-cache vs per-request cold plan builds (mixed batch sizes)\n\
-         model        | fwd | hit-rate | p50 ms  | p95 ms  | p99 ms  | bucketed         | cold             | vs cold | bit-id | mt (reqs @ workers)\n\
+        "Serving trace: cached plans vs per-request cold plan builds (mixed batch sizes)\n\
+         model        | fwd | hit-rate | p50 ms  | p95 ms  | p99 ms  | served           | cold             | vs cold | bit-id | mt (reqs @ workers)\n\
          -------------+-----+----------+---------+---------+---------+------------------+------------------+---------+--------+--------------------\n",
     );
     for r in results {
@@ -1249,18 +1210,17 @@ pub fn to_table(results: &[ServingBenchResult]) -> String {
         ));
     }
     out.push_str(
-        "\nFused panel sweep & cross-request coalescing\n\
-         model        | probe segs | panel fused / 1-sweep | restream cut | coalesced (reqs)    | vs fan-out | coal bit-id\n\
-         -------------+------------+-----------------------+--------------+---------------------+------------+------------\n",
+        "\nPanel sweep & cross-request coalescing\n\
+         model        | probe segs | panel read / 1-sweep  | coalesced (reqs)    | vs fan-out | coal bit-id\n\
+         -------------+------------+-----------------------+---------------------+------------+------------\n",
     );
     for r in results {
         out.push_str(&format!(
-            "{:12} | {:10} | {:9} / {:9} B | {:11.2}x | {:9.1} ms ({:3}) | {:9.2}x | {}\n",
+            "{:12} | {:10} | {:9} / {:9} B | {:9.1} ms ({:3}) | {:9.2}x | {}\n",
             r.model,
             r.panel_segments,
             r.panel_bytes_fused,
             r.panel_sweep_bytes,
-            r.panel_restream_ratio(),
             r.coalesced_wall_ms,
             r.coalesced_requests,
             r.coalescing_speedup(),
@@ -1397,61 +1357,24 @@ mod tests {
 
     #[test]
     fn timed_widths_map_onto_warmed_buckets() {
-        // The trace invariant the hit-rate gate rests on: every timed batch's
-        // activation width lands on a bucket some warm batch already cached.
-        // (The full end-to-end trace runs as the gated CI step
-        // `repro --bench-serving --smoke`; re-running it here would double
-        // the suite's cost in debug mode.)
+        // The trace invariant the hit-rate gate rests on: every timed forward
+        // runs on the plans the warmup built (one per layer), at widths the
+        // warmup never ran, so keying plans by width (the regression the
+        // gate exists for) would miss. (The full end-to-end trace runs as
+        // the gated CI step `repro --bench-serving --smoke`; re-running it
+        // here would double the suite's cost in debug mode.)
         for model in DnnModel::all() {
             for quick in [true, false] {
-                let cfg = if quick {
-                    EngineConfig::smoke()
-                } else {
-                    EngineConfig::paper_default()
-                };
-                let seq = cfg.seq_len;
                 let (warm, timed) = trace_batches(model, quick);
-                // One serving width per (layer, batch): the implicit-GEMM N
-                // of every layer in the inventory, mapped onto the buckets
-                // the engine actually executes on — the single segment's
-                // bucket, or only the layer policy's largest bucket for a
-                // multi-segment width (the fused sweep runs on that one
-                // plan). Layer policies follow EngineConfig::policy_for,
-                // exactly like the engine build.
-                let layer_buckets = |batch: usize| -> Vec<(usize, usize)> {
-                    shfl_models::model_workload(model, batch, seq)
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(idx, layer)| {
-                            let policy = cfg.policy_for(&layer.kind);
-                            let (_, n, _) = layer.kind.gemm_shape();
-                            let segments = policy.segments(n);
-                            let buckets: Vec<usize> = match segments.as_slice() {
-                                [single] => vec![single.bucket],
-                                [] => Vec::new(),
-                                _ => vec![policy.max_bucket()],
-                            };
-                            buckets.into_iter().map(move |b| (idx, b))
-                        })
-                        .collect()
-                };
-                let warmed: std::collections::BTreeSet<(usize, usize)> =
-                    warm.iter().flat_map(|&b| layer_buckets(b)).collect();
-                for &batch in &timed {
-                    for key in layer_buckets(batch) {
-                        assert!(
-                            warmed.contains(&key),
-                            "{model} quick={quick}: timed batch {batch} needs \
-                             un-warmed (layer, bucket) {key:?}"
-                        );
-                    }
-                }
-                // New widths appear in the timed trace, so exact-width plan
-                // keying (the regression the gate exists for) would miss.
-                // Exception: ResNet warms every timed batch (see
-                // `trace_batches`), so the keying regression is the GEMM
-                // models' job to catch.
-                if model != DnnModel::Resnet50 {
+                // Exception: ResNet's conv plans are keyed per batch, so it
+                // warms every timed batch (see `trace_batches`) and the
+                // keying regression is the GEMM models' job to catch.
+                if model == DnnModel::Resnet50 {
+                    assert!(
+                        timed.iter().all(|b| warm.contains(b)),
+                        "{model} quick={quick}: a timed batch needs an unwarmed conv plan"
+                    );
+                } else {
                     assert!(
                         timed.iter().any(|b| !warm.contains(b)),
                         "{model} quick={quick}: trace has no unseen widths"
@@ -1480,7 +1403,6 @@ mod tests {
             panel_segments: 5,
             panel_sweep_bytes: 1000,
             panel_bytes_fused: 1000,
-            panel_bytes_segmented: 5000,
             coalesced_requests: 64,
             coalesced_wall_ms: 61.7,
             coalesced_bit_identical: true,
@@ -1532,14 +1454,13 @@ mod tests {
             }),
         }];
         assert!((results[0].speedup_vs_cold() - 1.4).abs() < 1e-12);
-        assert!((results[0].panel_restream_ratio() - 5.0).abs() < 1e-12);
         assert!((results[0].coalescing_speedup() - 2.0).abs() < 1e-12);
         assert!((results[0].continuous.window_speedup() - 2.0).abs() < 1e-12);
         assert!((results[0].continuous.panel_reduction() - 4.0).abs() < 1e-12);
         let table = to_table(&results);
         assert!(table.contains("Transformer") && table.contains("hit-rate"));
         assert!(table.contains("96.0%"));
-        assert!(table.contains("restream cut"));
+        assert!(table.contains("panel read / 1-sweep"));
         assert!(table.contains("Continuous batching"));
         assert!(table.contains("Overload sub-trace"));
         assert!(table.contains("50.0%"));

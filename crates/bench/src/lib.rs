@@ -20,7 +20,7 @@
 //! three ways — naive reference, cold blocked call, prepared plan — runs the
 //! end-to-end model engines, and emits the `BENCH_kernels.json` v2 performance
 //! trajectory (`repro --bench-kernels`); [`bench_serving`] drives the
-//! bucketed serving stack through mixed-size request traces
+//! serving stack through mixed-size request traces
 //! (`repro --bench-serving`, plan-cache hit rate + latency percentiles);
 //! [`report`] reads the JSON back in both the v1 and v2 schemas so the
 //! trajectory stays comparable across PRs.

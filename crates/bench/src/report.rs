@@ -285,18 +285,16 @@ pub struct ModelRecord {
     /// Steady-state plan-cache hit rate of the serving trace (absent before
     /// the bucketed serving stack).
     pub serving_hit_rate: Option<f64>,
-    /// Aggregate items/s of the bucketed serving trace.
+    /// Aggregate items/s of the served trace.
     pub serving_throughput: Option<f64>,
     /// Aggregate items/s of the per-request cold-plan baseline on the same
     /// trace.
     pub serving_cold_throughput: Option<f64>,
-    /// Whether the bucketed trace was bit-identical to the cold oracle.
+    /// Whether the served trace was bit-identical to the cold oracle.
     pub serving_bit_identical: Option<bool>,
-    /// Panel bytes the fused multi-segment probe streamed (absent before the
+    /// Panel bytes the wide probe request streamed (absent before the
     /// fused-sweep serving path).
     pub serving_panel_bytes_fused: Option<f64>,
-    /// Panel bytes the per-segment baseline streamed on the same probe.
-    pub serving_panel_bytes_segmented: Option<f64>,
     /// Coalesced-scheduler wall-clock on the fan-out trace, ms.
     pub serving_coalesced_wall_ms: Option<f64>,
     /// Uncoalesced fan-out wall-clock on the same trace, ms.
@@ -444,7 +442,6 @@ pub fn parse_report(input: &str) -> Option<BenchReport> {
                     .and_then(|s| s.get("bit_identical"))
                     .and_then(Json::as_bool),
                 serving_panel_bytes_fused: serving_field("panel_bytes_fused"),
-                serving_panel_bytes_segmented: serving_field("panel_bytes_segmented"),
                 serving_coalesced_wall_ms: serving_field("coalesced_wall_ms"),
                 serving_mt_wall_ms: serving_field("mt_wall_ms"),
                 serving_cb_windowed_wall_ms: cb_field("windowed_wall_ms"),
@@ -570,7 +567,6 @@ mod tests {
                     panel_segments: 5,
                     panel_sweep_bytes: 4096,
                     panel_bytes_fused: 4096,
-                    panel_bytes_segmented: 20480,
                     coalesced_requests: 32,
                     coalesced_wall_ms: 60.0,
                     coalesced_bit_identical: true,
@@ -651,7 +647,6 @@ mod tests {
         assert_eq!(m.serving_cold_throughput, Some(40.0));
         assert_eq!(m.serving_bit_identical, Some(true));
         assert_eq!(m.serving_panel_bytes_fused, Some(4096.0));
-        assert_eq!(m.serving_panel_bytes_segmented, Some(20480.0));
         assert_eq!(m.serving_coalesced_wall_ms, Some(60.0));
         assert_eq!(m.serving_mt_wall_ms, Some(120.0));
         assert_eq!(m.serving_cb_windowed_wall_ms, Some(45.0));

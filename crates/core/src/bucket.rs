@@ -1,16 +1,19 @@
 //! N-bucket math for the serving layer.
 //!
-//! A prepared kernel plan is keyed to one activation width `n` — real traffic
-//! arrives at arbitrary widths. [`BucketPolicy`] quantises widths onto a small
-//! set of power-of-two buckets so a handful of plans serve every request:
-//! a request narrower than its bucket is zero-padded
-//! ([`crate::matrix::DenseMatrix::cols_padded`]) and the extra columns are
-//! cropped afterwards; a request wider than the largest bucket is split into
-//! consecutive column [`Segment`]s served independently. Padding and splitting
-//! are both **bit-exact**: every output column of a GEMM/SpMM depends only on
-//! its own activation column, so the real columns of a padded or split
-//! execution equal the un-bucketed execution bit for bit (the serving property
-//! tests assert this, including `n = 1` and `n` just past a bucket boundary).
+//! [`BucketPolicy`] quantises activation widths onto a small set of
+//! power-of-two buckets. The serving engine no longer executes on buckets: it
+//! keeps one plan per layer version and sweeps every request at its exact
+//! width, because the packed panels do not depend on the width. The engine's
+//! policy decides two things only, both through its largest bucket: the
+//! server's default coalescing cap (the widest group it packs), and the
+//! width a weight update's candidate plan is probe-validated at.
+//!
+//! The rest of the bucket math — [`BucketPolicy::segments`], [`Segment`] and
+//! [`BucketPolicy::padded_width`] — describes splitting a request into
+//! power-of-two column segments. The kernels' multi-segment
+//! `execute_segments` form and its tests use it; splitting and zero-padding
+//! are **bit-exact**, because every output column of a GEMM/SpMM depends only
+//! on its own activation column.
 //!
 //! ## Example
 //!
@@ -54,7 +57,8 @@ impl Segment {
     }
 }
 
-/// The power-of-two N-bucket policy of a serving engine.
+/// The power-of-two N-bucket policy of a serving engine (see the module docs
+/// for what it still decides).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketPolicy {
     /// Smallest bucket: requests narrower than this are padded up to it.

@@ -1,20 +1,20 @@
-//! The bucketed plan cache of the serving stack.
+//! The plan cache of the serving stack.
 //!
-//! A serving engine runs many layers, each across a handful of activation
-//! N-buckets ([`shfl_core::bucket::BucketPolicy`]). Building a plan
+//! A serving engine runs many layers. Building a plan
 //! ([`crate::plan::SpmmPlan`]) is the expensive one-time phase — fp16
-//! rounding, tile transposition, launch / profile resolution — so
-//! the serving layer keys built plans by `(layer, version, n_bucket)` and
-//! reuses them across every request that lands on the same bucket of the
-//! same weight version. [`PlanCache`] owns
-//! that mapping:
+//! rounding, tile transposition, launch / profile resolution — so the
+//! serving layer keeps **one** built plan per `(layer, version)` and sweeps
+//! every request of that weight version on it, at any activation width (the
+//! packed panels do not depend on the width). [`PlanCache`] owns that
+//! mapping:
 //!
-//! * **keying** — [`PlanKey`] is `(layer id, layer version, n_bucket)`; the
-//!   layer id is assigned by the caller (the serving engine's registration
-//!   order) and the version is bumped by live weight updates, so plans of
-//!   different weight versions of one layer never alias. Version-keyed slots
-//!   also scope the stampede dedup: a thread waiting on a v1 build can never
-//!   be handed a v2 plan,
+//! * **keying** — [`PlanKey`] is `(layer id, layer version)`, plus the batch
+//!   for implicit-GEMM conv plans ([`PlanKey::conv`]); the layer id is
+//!   assigned by the caller (the serving engine's registration order) and the
+//!   version is bumped by live weight updates, so plans of different weight
+//!   versions of one layer never alias. Version-keyed slots also scope the
+//!   stampede dedup: a thread waiting on a v1 build can never be handed a v2
+//!   plan,
 //! * **invalidation** — a published weight update calls
 //!   [`PlanCache::invalidate_layer_below`] to drop the layer's stale-version
 //!   plans from residency (with exact `resident_bytes` accounting). Eviction
@@ -49,8 +49,8 @@
 //! starts a fresh build. A build that panics resolves the slot with the
 //! typed [`KernelError::BuildPanicked`](crate::KernelError::BuildPanicked)
 //! for the waiters and re-raises the panic on the builder's own thread.
-//! Serving traffic is hit-dominated by design (the whole point of
-//! bucketing), so the lock is held for nanoseconds on the common path.
+//! Serving traffic is hit-dominated by design (one plan per layer version),
+//! so the lock is held for nanoseconds on the common path.
 
 use crate::conv_plan::ImplicitConvPlan;
 use crate::plan::SpmmPlan;
@@ -58,7 +58,8 @@ use crate::profile::{KernelError, KernelResult};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Cache key: one prepared plan per `(layer, version, n_bucket)` triple.
+/// Cache key: a layer's one SpMM plan per weight version, or its
+/// implicit-GEMM conv plan per `(version, batch)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Caller-assigned layer id (registration order in the serving engine).
@@ -67,34 +68,30 @@ pub struct PlanKey {
     /// plans of different versions never alias, and in-flight build slots are
     /// scoped to one version.
     pub version: u64,
-    /// The power-of-two activation bucket the plan was built for.
-    pub n_bucket: usize,
+    /// `Some(batch)` for an implicit-GEMM conv plan, which bakes the batch
+    /// into its transform geometry; `None` for the layer's SpMM plan, which
+    /// serves every activation width.
+    pub conv_batch: Option<usize>,
 }
 
 impl PlanKey {
-    /// High bit of `n_bucket`, set on implicit-conv plan keys so the conv key
-    /// space of a layer never collides with its SpMM bucket keys (real
-    /// N-buckets are far below this bit). Conv keys share the layer/version
-    /// fields, so [`PlanCache::invalidate_layer_below`] covers both kinds.
-    const CONV_MARKER: usize = 1 << (usize::BITS - 1);
-
-    /// Convenience constructor.
-    pub fn new(layer: usize, version: u64, n_bucket: usize) -> Self {
+    /// Key of the one SpMM plan of `layer` at `version`.
+    pub fn new(layer: usize, version: u64) -> Self {
         PlanKey {
             layer,
             version,
-            n_bucket,
+            conv_batch: None,
         }
     }
 
     /// Key for an implicit-GEMM conv plan ([`ImplicitConvPlan`]) of `layer`
-    /// at `batch`: conv plans bake the batch into their transform geometry,
-    /// so the batch takes the role the N-bucket plays for SpMM plans.
+    /// at `batch`. Conv keys share the layer/version fields, so
+    /// [`PlanCache::invalidate_layer_below`] covers both kinds.
     pub fn conv(layer: usize, version: u64, batch: usize) -> Self {
         PlanKey {
             layer,
             version,
-            n_bucket: batch | Self::CONV_MARKER,
+            conv_batch: Some(batch),
         }
     }
 }
@@ -134,8 +131,8 @@ impl PlanCacheStats {
     }
 }
 
-/// A resident plan of either kind: the bucketed SpMM plans the GEMM layers
-/// ride, or the implicit-GEMM conv plans (keyed with
+/// A resident plan of either kind: the SpMM plans the GEMM layers ride, or
+/// the implicit-GEMM conv plans (keyed with
 /// [`PlanKey::conv`]). Both report the resident bytes the byte budget
 /// accounts — for conv plans that includes the pre-sized transform scratch,
 /// so eviction sees them at true size.
@@ -211,8 +208,8 @@ struct CacheInner {
     stats: PlanCacheStats,
 }
 
-/// An LRU cache of prepared [`SpmmPlan`]s keyed by `(layer, version,
-/// n_bucket)`.
+/// An LRU cache of prepared [`SpmmPlan`]s keyed by `(layer, version)` (and
+/// of [`ImplicitConvPlan`]s keyed by `(layer, version, batch)`).
 ///
 /// All methods take `&self`; the cache is internally synchronised so a
 /// `PlanCache` shared behind an `Arc` (or borrowed across scoped worker
@@ -330,7 +327,7 @@ impl PlanCache {
     /// or the byte budget.
     ///
     /// The build runs **outside** the cache lock, so a cold miss never blocks
-    /// concurrent lookups of other `(layer, n_bucket)` keys. Threads missing
+    /// concurrent lookups of other keys. Threads missing
     /// the *same* cold key do not stampede: the first registers an in-flight
     /// build slot and builds, the rest wait on the slot and share the
     /// winner's plan (counted in [`PlanCacheStats::shared_builds`]). If the
@@ -546,11 +543,7 @@ mod tests {
     #[test]
     fn hits_after_first_build() {
         let cache = PlanCache::new(4);
-        let key = PlanKey {
-            layer: 0,
-            version: 0,
-            n_bucket: 16,
-        };
+        let key = PlanKey::new(0, 0);
         let a = cache.get_or_build(key, || tiny_plan(16)).unwrap();
         let b = cache.get_or_build(key, || panic!("must hit")).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -564,11 +557,7 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let cache = PlanCache::new(2);
-        let key = |layer| PlanKey {
-            layer,
-            version: 0,
-            n_bucket: 8,
-        };
+        let key = |layer| PlanKey::new(layer, 0);
         cache.get_or_build(key(0), || tiny_plan(8)).unwrap();
         cache.get_or_build(key(1), || tiny_plan(8)).unwrap();
         // Touch 0 so 1 becomes the LRU, then insert 2.
@@ -584,11 +573,7 @@ mod tests {
     #[test]
     fn build_failure_inserts_nothing() {
         let cache = PlanCache::new(2);
-        let key = PlanKey {
-            layer: 9,
-            version: 0,
-            n_bucket: 8,
-        };
+        let key = PlanKey::new(9, 0);
         let err = cache.get_or_build(key, || {
             Err(crate::KernelError::ShapeMismatch {
                 context: "synthetic".into(),
@@ -616,11 +601,7 @@ mod tests {
         // one.
         let cache = PlanCache::with_byte_budget(64, 8 * small_bytes);
         assert_eq!(cache.byte_budget(), 8 * small_bytes);
-        let key = |layer| PlanKey {
-            layer,
-            version: 0,
-            n_bucket: 8,
-        };
+        let key = |layer| PlanKey::new(layer, 0);
         for layer in 0..4 {
             cache
                 .get_or_build(key(layer), || sized_plan(8, 8, 8))
@@ -650,11 +631,7 @@ mod tests {
     fn cold_miss_stampede_builds_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = PlanCache::new(4);
-        let key = PlanKey {
-            layer: 0,
-            version: 0,
-            n_bucket: 16,
-        };
+        let key = PlanKey::new(0, 0);
         let builds = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -687,11 +664,7 @@ mod tests {
     fn failed_build_broadcasts_the_error_to_every_waiter() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = PlanCache::new(4);
-        let key = PlanKey {
-            layer: 1,
-            version: 0,
-            n_bucket: 8,
-        };
+        let key = PlanKey::new(1, 0);
         let attempts = AtomicUsize::new(0);
         let outcomes: Vec<KernelResult<Arc<SpmmPlan>>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -733,11 +706,7 @@ mod tests {
     fn repeatedly_failing_build_never_livelocks_waiters() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = PlanCache::new(4);
-        let key = PlanKey {
-            layer: 5,
-            version: 0,
-            n_bucket: 8,
-        };
+        let key = PlanKey::new(5, 0);
         let attempts = AtomicUsize::new(0);
         // A build that fails deterministically, every time. Under the old
         // elect-a-retrier scheme each round of waiters spawned another doomed
@@ -771,11 +740,7 @@ mod tests {
     fn panicking_build_fails_waiters_with_a_typed_error() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = PlanCache::new(4);
-        let key = PlanKey {
-            layer: 2,
-            version: 0,
-            n_bucket: 16,
-        };
+        let key = PlanKey::new(2, 0);
         let entered = AtomicUsize::new(0);
         let panics = AtomicUsize::new(0);
         let typed = AtomicUsize::new(0);
@@ -826,44 +791,41 @@ mod tests {
     #[test]
     fn invalidation_drops_only_stale_versions_of_the_layer() {
         let cache = PlanCache::new(16);
-        // Layer 0 at versions 0 and 1 across two buckets, layer 1 at v0.
-        for version in 0..2u64 {
-            for n_bucket in [8, 16] {
-                cache
-                    .get_or_build(PlanKey::new(0, version, n_bucket), || tiny_plan(n_bucket))
-                    .unwrap();
-            }
+        // Layer 0 at versions 0, 1 and 2, layer 1 at v0.
+        for version in 0..3u64 {
+            cache
+                .get_or_build(PlanKey::new(0, version), || tiny_plan(8))
+                .unwrap();
         }
         cache
-            .get_or_build(PlanKey::new(1, 0, 8), || tiny_plan(8))
+            .get_or_build(PlanKey::new(1, 0), || tiny_plan(8))
             .unwrap();
-        assert_eq!(cache.len(), 5);
-        let dropped = cache.invalidate_layer_below(0, 1);
+        assert_eq!(cache.len(), 4);
+        let dropped = cache.invalidate_layer_below(0, 2);
         assert_eq!(dropped, 2);
-        // v0 of layer 0 is gone; v1 and the other layer are untouched.
-        assert!(!cache.contains(PlanKey::new(0, 0, 8)));
-        assert!(!cache.contains(PlanKey::new(0, 0, 16)));
-        assert!(cache.contains(PlanKey::new(0, 1, 8)));
-        assert!(cache.contains(PlanKey::new(0, 1, 16)));
-        assert!(cache.contains(PlanKey::new(1, 0, 8)));
+        // v0 and v1 of layer 0 are gone; v2 and the other layer are untouched.
+        assert!(!cache.contains(PlanKey::new(0, 0)));
+        assert!(!cache.contains(PlanKey::new(0, 1)));
+        assert!(cache.contains(PlanKey::new(0, 2)));
+        assert!(cache.contains(PlanKey::new(1, 0)));
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 2);
         assert_eq!(stats.evictions, 0, "invalidations are not LRU evictions");
-        // Idempotent: nothing stale remains below version 1.
-        assert_eq!(cache.invalidate_layer_below(0, 1), 0);
+        // Idempotent: nothing stale remains below version 2.
+        assert_eq!(cache.invalidate_layer_below(0, 2), 0);
     }
 
     #[test]
     fn invalidation_keeps_resident_bytes_exact() {
         let cache = PlanCache::new(16);
         let stale = cache
-            .get_or_build(PlanKey::new(3, 0, 8), || sized_plan(16, 16, 8))
+            .get_or_build(PlanKey::new(3, 0), || sized_plan(16, 16, 8))
             .unwrap();
         cache
-            .get_or_build(PlanKey::new(3, 1, 8), || sized_plan(16, 16, 8))
+            .get_or_build(PlanKey::new(3, 1), || sized_plan(16, 16, 8))
             .unwrap();
         cache
-            .get_or_build(PlanKey::new(4, 0, 8), || sized_plan(8, 8, 8))
+            .get_or_build(PlanKey::new(4, 0), || sized_plan(8, 8, 8))
             .unwrap();
         let before = cache.resident_bytes();
         assert_eq!(cache.invalidate_layer_below(3, 1), 1);
@@ -886,7 +848,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let cache = Arc::new(PlanCache::new(16));
         let builds = AtomicUsize::new(0);
-        // Concurrent cold misses on the *same layer and bucket* but different
+        // Concurrent cold misses on the *same layer* but different
         // versions must not share a build slot: each version builds its own
         // plan (2 builds), and every waiter receives the plan of the version
         // it asked for.
@@ -898,7 +860,7 @@ mod tests {
                     s.spawn(move || {
                         let n = if version == 1 { 8 } else { 16 };
                         let plan = cache
-                            .get_or_build(PlanKey::new(0, version, 8), || {
+                            .get_or_build(PlanKey::new(0, version), || {
                                 builds.fetch_add(1, Ordering::SeqCst);
                                 std::thread::sleep(std::time::Duration::from_millis(20));
                                 // The two versions build observably different
@@ -929,11 +891,7 @@ mod tests {
     #[test]
     fn concurrent_lookups_share_one_plan() {
         let cache = PlanCache::new(4);
-        let key = PlanKey {
-            layer: 3,
-            version: 0,
-            n_bucket: 32,
-        };
+        let key = PlanKey::new(3, 0);
         cache.get_or_build(key, || tiny_plan(32)).unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -972,7 +930,7 @@ mod tests {
     #[test]
     fn conv_plans_share_residency_with_spmm_plans() {
         let cache = PlanCache::new(4);
-        let spmm_key = PlanKey::new(0, 0, 16);
+        let spmm_key = PlanKey::new(0, 0);
         let conv_key = PlanKey::conv(0, 0, 1);
         assert_ne!(spmm_key, conv_key, "conv keys partition the key space");
         cache.get_or_build(spmm_key, || tiny_plan(16)).unwrap();
@@ -992,7 +950,7 @@ mod tests {
     fn invalidation_covers_conv_plans_of_the_layer() {
         let cache = PlanCache::new(8);
         cache
-            .get_or_build(PlanKey::new(3, 1, 16), || tiny_plan(16))
+            .get_or_build(PlanKey::new(3, 1), || tiny_plan(16))
             .unwrap();
         cache
             .get_or_build_conv(PlanKey::conv(3, 1, 1), tiny_conv_plan)

@@ -27,8 +27,10 @@
 //! plan and the CSR plan execute through the one panel sweep
 //! [`gpu_sim::mma::mma_sweep`], and each plan has one execute body: a
 //! single-width `execute` sweeps the whole width, a fused `execute_segments`
-//! sweeps the segments' spans. Plans are cached per `(layer, n_bucket)` by
-//! the serving stack ([`crate::cache::PlanCache`]). Activation-side
+//! sweeps the segments' spans. The packed panels do not depend on the width
+//! a plan was built for, so the serving stack caches one plan per
+//! `(layer, version)` ([`crate::cache::PlanCache`]) and sweeps every request
+//! on it as one exact-width segment. Activation-side
 //! working buffers are deliberately *not* cached on the plan: freshly mapped
 //! pages measured consistently faster than long-lived reused buffers on this
 //! allocator (transparent-huge-page placement), and a buffer-free plan stays
@@ -1099,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_segment_execution_matches_per_segment_bucket_plans() {
+    fn fused_segment_execution_matches_per_segment_plans() {
         use shfl_core::bucket::BucketPolicy;
         let mut rng = StdRng::seed_from_u64(23);
         let arch = GpuArch::v100();

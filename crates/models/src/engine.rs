@@ -1,23 +1,21 @@
-//! End-to-end model inference on the bucketed serving stack.
+//! End-to-end model inference on the serving stack.
 //!
 //! [`ModelEngine`] is now a thin **model-description layer** over
 //! [`shfl_serving::engine::ServingEngine`]: it walks a model's weight-bearing
 //! layer inventory ([`crate::workload::model_workload`]), synthesises
 //! pattern-conforming Shfl-BW weights directly in compressed form, and
 //! registers each unique layer with the serving engine. No plan is built at
-//! registration — plans materialise lazily per `(layer, n_bucket)` in the
-//! serving engine's LRU [`shfl_kernels::cache::PlanCache`] the first time a
-//! request lands on that bucket, and are shared by every later request
-//! (including forward passes at *different batch sizes*: a batch-3 and a
-//! batch-4 Transformer pass both land on the 64-column bucket at
-//! `seq_len = 16` and share one plan per layer).
+//! registration — each layer's one plan materialises lazily in the serving
+//! engine's LRU [`shfl_kernels::cache::PlanCache`] on the layer's first
+//! request, and every later request shares it, whatever its width
+//! (including forward passes at *different batch sizes*).
 //!
 //! Convolutions ride **implicit-GEMM conv plans**
 //! ([`shfl_kernels::conv_plan::ImplicitConvPlan`], cached per
 //! `(layer, version, batch)` in the same plan cache): the input feature map
 //! is walked in place through gather-style tap offsets — no im2col buffer is
 //! ever materialised. The retained im2col path
-//! ([`shfl_kernels::conv::im2col`] + bucketed SpMM +
+//! ([`shfl_kernels::conv::im2col`] + the served SpMM +
 //! [`shfl_kernels::conv::col2im_output`], reachable via
 //! [`ModelEngine::forward_im2col`] and the cold oracle) stays as the
 //! bit-identical baseline the benchmark compares against.
@@ -26,10 +24,9 @@
 //!
 //! * **wall-clock** — how long the functional simulation actually took on the
 //!   host CPU (the number `repro --bench-kernels` tracks across PRs), and
-//! * **modeled GPU time** — the sum of the bucket launches' analytical
+//! * **modeled GPU time** — the sum of the launches' analytical
 //!   [`shfl_kernels::KernelProfile`] estimates, i.e. what the paper's cost
-//!   model predicts for the bucketed launches on the target GPU (bucket
-//!   padding is charged — serving pays for the columns it multiplies).
+//!   model predicts for exact-width launches on the target GPU.
 //!
 //! External traffic enters through [`ModelEngine::serve_gemm`] /
 //! [`ModelEngine::serve_conv`], which reject malformed activations with a
@@ -53,7 +50,7 @@
 //! let report = engine.run();
 //! assert!(report.forward_ms > 0.0);
 //! assert_eq!(report.unit, "tokens/s");
-//! // A different batch size reuses the same cached bucket plans.
+//! // A different batch size reuses the same cached plans.
 //! let other = engine.forward(2, 4).unwrap();
 //! assert_eq!(other.batch, 2);
 //! ```
@@ -93,15 +90,11 @@ pub struct EngineConfig {
     pub vector_size: usize,
     /// Seed for the deterministic weight/activation synthesis.
     pub seed: u64,
-    /// Largest activation N-bucket (power of two) for **linear** layers;
-    /// wider requests are split (and served in one fused sweep).
+    /// Largest activation N-bucket (rounded up to a power of two): the
+    /// server's default coalescing cap and the width updates are
+    /// probe-validated at. Every width executes as one sweep of the layer's
+    /// one plan, so it does not split or pad requests.
     pub max_n_bucket: usize,
-    /// Largest activation N-bucket for **convolution** layers — the
-    /// per-layer ceiling override: an unfolded conv operand is thousands of
-    /// columns wide even at batch 1 (ResNet's stem unfolds to 12544 columns
-    /// per image), so conv layers get a wide ceiling while decode-style
-    /// GEMMs stay on narrow buckets.
-    pub conv_max_n_bucket: usize,
     /// Plan-cache capacity in plans (LRU beyond this).
     pub plan_cache_capacity: usize,
     /// Optional plan-cache byte budget: resident packed bytes beyond this
@@ -112,7 +105,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The benchmark configuration: 70% sparsity, `V = 64`, a small serving
-    /// batch, buckets 8…256 for GEMMs and 8…1024 for convolutions.
+    /// batch, buckets 8…256.
     pub fn paper_default() -> Self {
         EngineConfig {
             batch: 4,
@@ -121,17 +114,13 @@ impl EngineConfig {
             vector_size: 64,
             seed: 20220711,
             max_n_bucket: 256,
-            conv_max_n_bucket: 1024,
             plan_cache_capacity: 96,
             plan_cache_bytes: None,
         }
     }
 
-    /// A tiny configuration for CI smoke runs and unit tests. The bucket
-    /// ceilings stay at the serving defaults: ResNet's unfolded conv
-    /// operands are thousands of columns wide even at batch 1, and a tiny
-    /// ceiling would shred them into hundreds of segments (the narrow-bucket
-    /// splitting paths are property-tested in `shfl-serving` instead).
+    /// A tiny configuration for CI smoke runs and unit tests (the bucket
+    /// ceiling stays at the serving default).
     pub fn smoke() -> Self {
         EngineConfig {
             batch: 1,
@@ -140,40 +129,23 @@ impl EngineConfig {
             vector_size: 8,
             seed: 7,
             max_n_bucket: 256,
-            conv_max_n_bucket: 1024,
             plan_cache_capacity: 32,
             plan_cache_bytes: None,
         }
     }
 
-    /// The GEMM-layer bucket policy the config implies (smallest bucket
-    /// fixed at 8).
+    /// The serving engine's bucket policy the config implies (smallest
+    /// bucket fixed at 8).
     pub fn bucket_policy(&self) -> BucketPolicy {
         BucketPolicy::new(8, self.max_n_bucket.next_power_of_two().max(8))
             .expect("power-of-two bounds are always valid")
-    }
-
-    /// The convolution-layer bucket policy (the wide-ceiling override).
-    pub fn conv_bucket_policy(&self) -> BucketPolicy {
-        BucketPolicy::new(8, self.conv_max_n_bucket.next_power_of_two().max(8))
-            .expect("power-of-two bounds are always valid")
-    }
-
-    /// The bucket policy a layer of the given kind is registered with — the
-    /// single source of truth shared by the engine build and the serving
-    /// benchmark's trace invariants.
-    pub fn policy_for(&self, kind: &LayerKind) -> BucketPolicy {
-        match kind {
-            LayerKind::Gemm { .. } => self.bucket_policy(),
-            LayerKind::Conv2d { .. } => self.conv_bucket_policy(),
-        }
     }
 }
 
 /// What one registered layer computes (the serving-side metadata; weights
 /// live in the serving engine).
 enum EngineLayerKind {
-    /// A linear layer served directly on the bucketed SpMM path.
+    /// A linear layer served directly on the SpMM path.
     Gemm,
     /// A convolution: the registered weights are the flattened filter matrix;
     /// forwards unfold the input and fold the output. The stored geometry is
@@ -197,10 +169,9 @@ pub struct LayerTiming {
     pub name: String,
     /// Multiplicity of the layer shape in the model.
     pub count: usize,
-    /// Measured wall-clock of one bucketed execute, in milliseconds.
+    /// Measured wall-clock of one served execute, in milliseconds.
     pub ms_per_call: f64,
-    /// Modeled GPU time of one launch (summed over bucket segments), in
-    /// microseconds.
+    /// Modeled GPU time of one exact-width launch, in microseconds.
     pub modeled_us_per_call: f64,
 }
 
@@ -253,7 +224,7 @@ impl EngineReport {
     }
 }
 
-/// A model registered with the bucketed serving stack.
+/// A model registered with the serving stack.
 ///
 /// The serving engine is held behind an `Arc` so the model can also be
 /// served **online**: [`ModelEngine::server`] starts a continuous-batching
@@ -315,7 +286,7 @@ fn synthesize_shfl_bw(
 }
 
 /// Deterministic per-shape activation seed: forwards at the same
-/// `(engine seed, batch, seq_len)` see identical operands, so the bucketed
+/// `(engine seed, batch, seq_len)` see identical operands, so the served
 /// path and the cold oracle can be compared bit for bit.
 fn activation_seed(base: u64, batch: usize, seq_len: usize) -> u64 {
     base ^ (batch as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -325,10 +296,10 @@ fn activation_seed(base: u64, batch: usize, seq_len: usize) -> u64 {
 impl ModelEngine {
     /// The **registration phase**: walks the model's layer inventory,
     /// synthesises a pattern-conforming Shfl-BW weight for every
-    /// weight-bearing layer, and registers it with the bucketed serving
-    /// engine (repeated blocks share a registration and are scaled by their
-    /// multiplicity at run time). Plans are built lazily per N-bucket on
-    /// first use.
+    /// weight-bearing layer, and registers it with the serving engine
+    /// (repeated blocks share a registration and are scaled by their
+    /// multiplicity at run time). Each layer's plan is built lazily on first
+    /// use.
     ///
     /// # Errors
     ///
@@ -374,13 +345,7 @@ impl ModelEngine {
             };
             let v = fit_vector_size(config.vector_size, m);
             let weights = synthesize_shfl_bw(&mut rng, m, k, v, config.density)?;
-            // Conv layers ride a wide per-layer bucket ceiling, GEMM layers
-            // the (narrower) engine default — see EngineConfig::policy_for.
-            let serving_id = serving.register_layer_with_policy(
-                &layer.name,
-                weights,
-                config.policy_for(&layer.kind),
-            );
+            let serving_id = serving.register_layer(&layer.name, weights);
             layers.push(EngineLayer {
                 name: layer.name.clone(),
                 count: layer.count,
@@ -403,7 +368,7 @@ impl ModelEngine {
     }
 
     /// One-time registration cost in milliseconds (plan builds are lazy and
-    /// amortised into the first request per bucket).
+    /// amortised into each layer's first request).
     pub fn build_ms(&self) -> f64 {
         self.build_ms
     }
@@ -413,7 +378,7 @@ impl ModelEngine {
         self.layers.len()
     }
 
-    /// The underlying serving engine (bucket policy, plan cache, stats).
+    /// The underlying serving engine (plan cache, stats).
     pub fn serving(&self) -> &ServingEngine {
         self.serving.as_ref()
     }
@@ -519,7 +484,7 @@ impl ModelEngine {
     }
 
     /// Serves external linear-layer traffic: activations of any width against
-    /// registered layer `layer_index`, through the bucketed plan cache.
+    /// registered layer `layer_index`, through the layer's cached plan.
     ///
     /// # Errors
     ///
@@ -552,7 +517,7 @@ impl ModelEngine {
     /// Returns the layer's cached implicit-GEMM conv plan for this batch,
     /// building it on first use. Keys carry the layer's current weight
     /// version ([`PlanKey::conv`]), so a published weight update invalidates
-    /// conv plans together with the layer's bucketed SpMM plans.
+    /// conv plans together with the layer's SpMM plan.
     fn implicit_conv_plan(
         &self,
         serving_id: usize,
@@ -653,27 +618,26 @@ impl ModelEngine {
     }
 
     /// One forward pass at an arbitrary `(batch, seq_len)` — the
-    /// heterogeneous-traffic API. Activation widths that land on the same
-    /// N-buckets as earlier passes (any batch size) reuse their cached plans;
-    /// nothing is rebuilt per request. Convolutions ride the implicit-GEMM
-    /// conv plans (no im2col materialisation); linear layers the bucketed
-    /// SpMM path.
+    /// heterogeneous-traffic API. Linear layers reuse their cached plan at
+    /// any width; nothing is rebuilt per request. Convolutions ride the
+    /// implicit-GEMM conv plans (no im2col materialisation, one plan per
+    /// batch size); linear layers the served SpMM path.
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError`] if a bucketed execution fails.
+    /// Returns [`ServingError`] if an execution fails.
     pub fn forward(&self, batch: usize, seq_len: usize) -> Result<EngineReport, ServingError> {
         self.forward_inner(batch, seq_len, true)
     }
 
     /// The retained im2col baseline of [`ModelEngine::forward`]:
     /// convolutions materialise the full unfolded operand and ride the
-    /// bucketed SpMM path. Kept for the benchmark's implicit-vs-im2col
+    /// served SpMM path. Kept for the benchmark's implicit-vs-im2col
     /// speedup comparison; outputs are bit-identical to [`ModelEngine::forward`].
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError`] if a bucketed execution fails.
+    /// Returns [`ServingError`] if an execution fails.
     pub fn forward_im2col(
         &self,
         batch: usize,
@@ -760,8 +724,8 @@ impl ModelEngine {
 
     /// The cold baseline of [`ModelEngine::forward`]: the same operands, but
     /// every layer builds a fresh exact-width plan inside the timed region —
-    /// what serving costs without the bucketed cache. Outputs are
-    /// bit-identical to the bucketed pass (asserted by the unit tests and the
+    /// what serving costs without the plan cache. Outputs are
+    /// bit-identical to the served pass (asserted by the unit tests and the
     /// serving benchmark).
     ///
     /// # Errors
@@ -827,7 +791,7 @@ impl ModelEngine {
         })
     }
 
-    /// The per-layer outputs of a bucketed forward pass at `(batch,
+    /// The per-layer outputs of a served forward pass at `(batch,
     /// seq_len)` (convolutions return the flattened `M × N` implicit-GEMM
     /// output before folding). Convolutions run the implicit conv plans, so
     /// comparing against [`ModelEngine::forward_outputs_cold`] gates the
@@ -835,7 +799,7 @@ impl ModelEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError`] if a bucketed execution fails.
+    /// Returns [`ServingError`] if an execution fails.
     pub fn forward_outputs(
         &self,
         batch: usize,
@@ -848,7 +812,7 @@ impl ModelEngine {
 
     /// The cold-oracle counterpart of [`ModelEngine::forward_outputs`]: the
     /// same operands executed on fresh exact-width plans, bypassing the
-    /// bucketed cache — convolutions materialise the full im2col operand.
+    /// plan cache — convolutions materialise the full im2col operand.
     ///
     /// # Errors
     ///
@@ -980,7 +944,7 @@ mod tests {
             assert!(report.throughput_per_s() > 0.0);
             assert!(report.modeled_throughput_per_s() > 0.0);
             assert_eq!(report.layers.len(), engine.num_layers());
-            // The pass went through the bucketed cache.
+            // The pass went through the plan cache.
             assert!(engine.cache_stats().misses > 0);
         }
     }
@@ -1016,40 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn conv_layers_get_the_wide_bucket_ceiling_and_gemms_the_narrow_one() {
-        let engine = shared_smoke(DnnModel::Resnet50);
-        let cfg = EngineConfig::smoke();
-        let conv_idx = 0; // the stem convolution
-        assert_eq!(
-            engine
-                .serving()
-                .layer_policy(engine.layers[conv_idx].serving_id)
-                .unwrap()
-                .max_bucket(),
-            cfg.conv_bucket_policy().max_bucket()
-        );
-        let gemm_idx = engine
-            .layers
-            .iter()
-            .position(|l| matches!(l.kind, EngineLayerKind::Gemm))
-            .expect("resnet has a final linear layer");
-        assert_eq!(
-            engine
-                .serving()
-                .layer_policy(engine.layers[gemm_idx].serving_id)
-                .unwrap()
-                .max_bucket(),
-            cfg.bucket_policy().max_bucket()
-        );
-        // policy_for dispatches on the layer kind.
-        let gemm_kind = LayerKind::Gemm { m: 8, n: 8, k: 8 };
-        assert_eq!(
-            cfg.policy_for(&gemm_kind).max_bucket(),
-            cfg.bucket_policy().max_bucket()
-        );
-    }
-
-    #[test]
     fn plan_cache_byte_budget_caps_resident_bytes() {
         let arch = GpuArch::v100();
         let mut cfg = EngineConfig::smoke();
@@ -1071,14 +1001,15 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_batches_share_bucket_plans() {
+    fn heterogeneous_batches_share_layer_plans() {
         let arch = GpuArch::v100();
         let engine =
             ModelEngine::build(DnnModel::Transformer, &arch, &EngineConfig::smoke()).unwrap();
         // smoke: seq_len = 4, so batches 1 and 2 give n = 4 and n = 8 — both
-        // land on the 8-bucket and share plans.
+        // sweep each layer's one plan.
         engine.forward(1, 4).unwrap();
         let after_first = engine.cache_stats();
+        assert_eq!(engine.serving().cache().len(), engine.num_layers());
         engine.forward(2, 4).unwrap();
         let after_second = engine.cache_stats();
         assert_eq!(
@@ -1090,10 +1021,10 @@ mod tests {
 
     #[test]
     fn bucketed_forward_is_bit_identical_to_cold_forward() {
-        // Transformer covers the padded-GEMM path across two batch sizes,
-        // ResNet-50 covers the split-and-pad conv path; exhaustive width
-        // sweeps (every bucket boundary, N=1) live in the cheaper
-        // `shfl-serving` property tests, so this debug-mode test stays lean.
+        // Transformer covers the GEMM path at two widths, ResNet-50 the
+        // implicit conv plans and its classifier GEMM; exhaustive width
+        // sweeps (every width 0..=300, N=1) live in the cheaper
+        // `shfl-serving` tests, so this debug-mode test stays lean.
         for (model, shapes) in [
             (
                 DnnModel::Transformer,

@@ -1,54 +1,52 @@
-//! The bucketed layer executor: a layer registry over an LRU plan cache.
+//! The layer executor: a layer registry over an LRU plan cache.
 //!
 //! [`ServingEngine`] owns the registered layers' compressed weights and a
-//! [`PlanCache`] keyed by `(layer, n_bucket)`. Executing a request:
+//! [`PlanCache`] holding **one** [`SpmmPlan`] per `(layer, version)`.
+//! Executing a request:
 //!
 //! 1. validate the layer id and the activation row count against the layer's
 //!    packed reduction dimension (typed [`ServingError`], no panics),
-//! 2. split the activation width into power-of-two bucket
-//!    [`Segment`]s ([`BucketPolicy::segments`] — the engine-wide policy, or a
-//!    per-layer override registered with
-//!    [`ServingEngine::register_layer_with_policy`]),
-//! 3. serve the segments in **one fused sweep** over the layer's packed
-//!    weight panels: a multi-segment request executes on the largest-bucket
-//!    plan via [`SpmmPlan::execute_segments`], which updates every output
-//!    segment while reading each packed panel once — instead of the
-//!    historical pad/split loop that re-streamed the full panel set once per
-//!    segment (49 sweeps for ResNet's 12544-column stem at the 256 ceiling).
+//! 2. sweep the layer's plan over exactly the request's `n` columns
+//!    ([`SpmmPlan::execute_segments`] with the one segment `0..n`). A single
+//!    request, a coalesced group and a decode round are all one pad-free
+//!    sweep that reads each packed panel once.
 //!
-//! A request whose width *is* one of the buckets takes a zero-copy fast path
-//! straight through the cached plan; a narrower single-segment request is
-//! zero-padded up to its bucket. Fusing, padding and splitting are all
-//! bit-identical to the un-bucketed execution because every output column of
-//! an SpMM depends only on its own activation column and the packed panel
-//! layout does not depend on the bucket — the property tests in
-//! `tests/bucketed_vs_cold.rs` assert exact bit equality (the historical
-//! per-segment loop survives as [`ServingEngine::execute_unfused`], the
-//! re-streaming baseline those tests compare against).
+//! One plan serves every width because Shfl-BW's packed panels fix the tile
+//! depth `tk`, not the activation width. The result is bit-identical to
+//! [`ServingEngine::execute_cold`], a fresh plan built for the exact width:
+//! every output column of an SpMM depends only on its own activation column,
+//! and each output element sums its panels in the same order either way. The
+//! tests in `tests/bucketed_vs_cold.rs` assert exact bit equality at every
+//! width from 0 to 300 and beyond.
+//!
+//! The engine-wide [`BucketPolicy`] does not shape execution. Its largest
+//! bucket decides two things only: the server's default coalescing cap, and
+//! the width of the probe activation an update is validated on (the width
+//! the layer's plan is built for).
 //!
 //! The engine counts the packed-panel bytes its executions stream through a
 //! [`gpu_sim::stats::TrafficCounter`]
-//! ([`ServingStats::panel_bytes_read`]) — the number `repro --bench-serving`
-//! gates on to keep the fused path honest about weight re-streaming.
+//! ([`ServingStats::panel_bytes_read`]): one plan's
+//! [`SpmmPlan::panel_sweep_bytes`] per execute.
 //!
 //! # Live weight updates
 //!
 //! Each registered layer is a **versioned slot**: an `RwLock` holding an
-//! `Arc` snapshot of the layer's current weights, policy and version number.
-//! Every execute clones exactly one snapshot up front, so a request observes
+//! `Arc` snapshot of the layer's current weights and version number. Every
+//! execute clones exactly one snapshot up front, so a request observes
 //! exactly one weight version end to end — and because the server makes one
 //! engine call per coalesced group, a group never mixes versions either.
 //! [`ServingEngine::update_layer`] builds and **validates** a candidate
 //! version off to the side (smoke-executed against a held-out probe
 //! activation and compared bit-for-bit with a cold oracle of the new
 //! weights), then publishes it with one atomic slot swap; in-flight executes
-//! finish bit-identically on the `Arc`-held old snapshot and old plans while
-//! new arrivals build against the new version's [`PlanKey`]s. A failed build
+//! finish bit-identically on the `Arc`-held old snapshot and old plan while
+//! new arrivals build against the new version's [`PlanKey`]. A failed build
 //! or validation leaves the old version serving and returns a typed
 //! [`UpdateError`]; [`ServingEngine::rollback_layer`] republishes the
 //! previous version's weights. Same-pattern magnitude updates take the
-//! **delta re-pack** path ([`SpmmPlan::repack_shfl_bw`]): resident plans of
-//! the old version are cloned with only their panel payload bytes rewritten,
+//! **delta re-pack** path ([`SpmmPlan::repack_shfl_bw`]): the resident plan
+//! of the old version is cloned with only its panel payload bytes rewritten,
 //! and the bytes moved are charged to a [`TrafficCounter`] next to what a
 //! full rebuild would have moved ([`UpdateStats`]).
 
@@ -61,15 +59,15 @@ use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_kernels::cache::{PlanCache, PlanCacheStats, PlanKey};
 use shfl_kernels::plan::SpmmPlan;
-use shfl_kernels::KernelError;
+use shfl_kernels::{KernelError, KernelResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// One immutable snapshot of a registered layer: the packed Shfl-BW weights,
-/// a display name, the bucket policy its requests are segmented with, and
-/// the weight version the snapshot carries. Executes clone one `Arc` of this
-/// up front and never look back at the slot, so a published update can never
-/// tear a request (or a coalesced group) across versions.
+/// a display name, and the weight version the snapshot carries. Executes
+/// clone one `Arc` of this up front and never look back at the slot, so a
+/// published update can never tear a request (or a coalesced group) across
+/// versions.
 struct LayerState {
     name: String,
     /// Monotone weight version; bumped by every published update (including
@@ -77,7 +75,6 @@ struct LayerState {
     /// version so plan keys stay unambiguous).
     version: u64,
     weights: ShflBwMatrix,
-    policy: BucketPolicy,
     /// The previously published snapshot, kept for [`ServingEngine::rollback_layer`].
     prev: Option<Arc<LayerState>>,
 }
@@ -87,23 +84,18 @@ struct LayerState {
 pub struct ServingStats {
     /// Requests served (one per `execute` call).
     pub requests: u64,
-    /// Bucket segments executed across all requests.
-    pub segments: u64,
     /// Real activation columns multiplied across all requests.
     pub columns: u64,
-    /// Zero padding columns multiplied across all requests (the bucketing
-    /// waste; `columns + padded_columns` is what the plans actually computed).
+    /// Zero padding columns multiplied across all requests. Always 0: every
+    /// execute sweeps exactly its own columns. Kept so readers of the
+    /// padding share (`padded / (columns + padded)`) keep working.
     pub padded_columns: u64,
-    /// Fused exact-width sweeps executed: requests wider than their layer's
-    /// largest bucket, plus pad-free coalesced-group executes
-    /// ([`ServingEngine::execute_group_profiled`]) — each served in one
-    /// panel sweep with no padding columns.
+    /// Pad-free panel sweeps executed: one per execute of at least one
+    /// column, whatever its width.
     pub fused_sweeps: u64,
     /// Packed weight-panel bytes streamed by every execution this engine ran
-    /// (fused, unfused and cold): each full panel sweep charges the plan's
-    /// [`SpmmPlan::panel_sweep_bytes`]. The fused path pays one sweep per
-    /// request where the unfused baseline pays one per segment — this
-    /// counter is how the serving benchmark proves the reduction.
+    /// (served and cold): each panel sweep charges the plan's
+    /// [`SpmmPlan::panel_sweep_bytes`].
     pub panel_bytes_read: u64,
 }
 
@@ -225,15 +217,15 @@ pub struct UpdateReport {
     /// Whether the update took the delta re-pack path (same sparsity
     /// pattern, only magnitudes changed).
     pub delta_repacked: bool,
-    /// Resident old-version plans carried over by rewriting only their panel
-    /// payload bytes.
+    /// 1 when the layer's resident old-version plan was carried over by
+    /// rewriting only its panel payload bytes, else 0.
     pub repacked_plans: u64,
-    /// Plans built from scratch for the new version (always at least the
-    /// largest-bucket plan when nothing could be repacked).
+    /// 1 when the new version's plan was built from scratch (a structural
+    /// update, or no resident plan to re-pack), else 0.
     pub rebuilt_plans: u64,
-    /// Payload bytes the delta re-packs rewrote.
+    /// Payload bytes the delta re-pack rewrote.
     pub repack_bytes: u64,
-    /// Bytes full rebuilds of the same plans moved (for repacked plans, the
+    /// Bytes a full rebuild of the plan moved (for a repacked plan, the
     /// bytes a rebuild *would* have moved).
     pub rebuild_bytes: u64,
     /// Stale-version plans dropped from the cache at publish.
@@ -265,7 +257,8 @@ pub struct UpdateStats {
     pub stale_plan_executes: u64,
 }
 
-/// The bucketed serving engine: layer registry + plan cache + bucket policy.
+/// The serving engine: layer registry + plan cache (one plan per layer
+/// version) + the engine-wide bucket policy.
 ///
 /// `execute` takes `&self` and the engine is `Sync`, so one engine serves any
 /// number of scheduler worker threads concurrently. Layer *registration*
@@ -293,25 +286,26 @@ pub struct ServingEngine {
     /// Serving executes that finished on a superseded snapshot (folded into
     /// [`UpdateStats::stale_plan_executes`] on read).
     stale_executes: AtomicU64,
-    /// Memoised exact-width analytical profiles of fused multi-segment
-    /// executes, keyed by `(layer, version, n)`. Serving traces repeat a
-    /// small set of fused widths per layer (batch sizes × model shapes), so
-    /// the map stays small; entries are a single `f64` each and stale
-    /// versions are pruned at publish.
+    /// Memoised exact-width analytical profiles, keyed by
+    /// `(layer, version, n)`. Serving traces repeat a small set of widths
+    /// per layer (batch sizes × model shapes), so the map stays small;
+    /// entries are a single `f64` each and stale versions are pruned at
+    /// publish.
     fused_profile_us: std::sync::Mutex<std::collections::HashMap<(usize, u64, usize), f64>>,
 }
 
 impl ServingEngine {
     /// Creates an engine for `arch` with the given bucket policy and plan
-    /// cache capacity (in plans; a natural sizing is
-    /// `layers × policy.num_buckets()`).
+    /// cache capacity (in plans; one per registered layer keeps every layer
+    /// warm). The policy's largest bucket is the server's default coalescing
+    /// cap and the update probe width; it does not shape execution.
     pub fn new(arch: GpuArch, policy: BucketPolicy, cache_capacity: usize) -> Self {
         Self::with_cache(arch, policy, PlanCache::new(cache_capacity))
     }
 
     /// Creates an engine over a caller-configured [`PlanCache`] (e.g. a
     /// byte-budgeted one, [`PlanCache::with_byte_budget`], so one huge
-    /// layer's plans cannot crowd out a mixed workload).
+    /// layer's plan cannot crowd out a mixed workload).
     pub fn with_cache(arch: GpuArch, policy: BucketPolicy, cache: PlanCache) -> Self {
         ServingEngine {
             arch,
@@ -328,30 +322,12 @@ impl ServingEngine {
         }
     }
 
-    /// Registers a layer's packed weights under the engine-wide bucket
-    /// policy; returns the layer id requests use.
+    /// Registers a layer's packed weights; returns the layer id requests use.
     pub fn register_layer(&mut self, name: &str, weights: ShflBwMatrix) -> usize {
-        let policy = self.policy;
-        self.register_layer_with_policy(name, weights, policy)
-    }
-
-    /// Registers a layer with its **own** bucket policy — the per-layer
-    /// ceiling override: conv layers whose unfolded operands are thousands
-    /// of columns wide get a wide ceiling (fewer, fatter segments), while
-    /// decode-style GEMM layers that never see more than a few dozen columns
-    /// stay on narrow buckets (less padding, smaller plans). Segmentation,
-    /// warming and fused execution all follow the layer's policy.
-    pub fn register_layer_with_policy(
-        &mut self,
-        name: &str,
-        weights: ShflBwMatrix,
-        policy: BucketPolicy,
-    ) -> usize {
         self.layers.push(RwLock::new(Arc::new(LayerState {
             name: name.to_string(),
             version: 0,
             weights,
-            policy,
             prev: None,
         })));
         self.layers.len() - 1
@@ -362,20 +338,11 @@ impl ServingEngine {
         self.layers.len()
     }
 
-    /// The engine-wide default bucket policy (layers registered with
-    /// [`ServingEngine::register_layer_with_policy`] may override it).
+    /// The engine-wide bucket policy. Its largest bucket is the server's
+    /// default coalescing cap ([`crate::server::ServerConfig::coalesce_cap`])
+    /// and the width updates are probe-validated at.
     pub fn policy(&self) -> BucketPolicy {
         self.policy
-    }
-
-    /// The bucket policy serving a layer's requests (the per-layer override,
-    /// or the engine default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError::UnknownLayer`] for an unregistered id.
-    pub fn layer_policy(&self, layer: usize) -> Result<BucketPolicy, ServingError> {
-        self.layer(layer).map(|l| l.policy)
     }
 
     /// The architecture plans are built for.
@@ -461,7 +428,7 @@ impl ServingEngine {
         &self.cache
     }
 
-    /// Cumulative request / segment / padding / panel-traffic counters.
+    /// Cumulative request / column / sweep / panel-traffic counters.
     pub fn stats(&self) -> ServingStats {
         let mut stats = *self.stats.lock().expect("serving stats poisoned");
         stats.panel_bytes_read = self.panel_traffic.bytes();
@@ -469,7 +436,7 @@ impl ServingEngine {
     }
 
     /// Packed-panel bytes streamed so far by this engine's executions (one
-    /// [`SpmmPlan::panel_sweep_bytes`] charge per full panel sweep).
+    /// [`SpmmPlan::panel_sweep_bytes`] charge per panel sweep).
     pub fn panel_bytes_read(&self) -> u64 {
         self.panel_traffic.bytes()
     }
@@ -484,39 +451,25 @@ impl ServingEngine {
         stats
     }
 
-    /// The bucket(s) an `n`-column request of a layer actually executes on:
-    /// its single segment's bucket, or — for a multi-segment request — only
-    /// the layer's largest bucket, because the fused sweep serves every
-    /// segment on that one plan.
-    fn buckets_used(policy: BucketPolicy, segments: &[Segment]) -> Vec<usize> {
-        match segments {
-            [single] => vec![single.bucket],
-            [] => Vec::new(),
-            _ => vec![policy.max_bucket()],
-        }
-    }
-
-    /// Pre-builds the plans a request of `n` columns would use (warming the
-    /// cache outside the latency path, e.g. at deployment time). A
-    /// multi-segment width warms only the layer's largest bucket — the one
-    /// plan its fused sweep executes on.
+    /// Pre-builds the layer's plan outside the latency path (e.g. at
+    /// deployment time). Every width sweeps the same plan, so the width
+    /// `_n` does not matter: warming one width warms them all.
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError::UnknownLayer`] for an unregistered id.
-    pub fn warm(&self, layer: usize, n: usize) -> Result<(), ServingError> {
+    /// Returns [`ServingError::UnknownLayer`] for an unregistered id,
+    /// [`ServingError::Kernel`] if the plan cannot be built.
+    pub fn warm(&self, layer: usize, _n: usize) -> Result<(), ServingError> {
         let entry = self.layer(layer)?;
-        let segments = entry.policy.segments(n);
-        for bucket in Self::buckets_used(entry.policy, &segments) {
-            self.bucket_plan(layer, &entry, bucket)?;
-        }
-        Ok(())
+        self.layer_plan(layer, &entry)
+            .map(|_| ())
+            .map_err(ServingError::Kernel)
     }
 
-    /// Packed-panel bytes **one** full sweep over a layer's weight panels
-    /// streams — the single-sweep lower bound any execution of that layer
-    /// pays at least once, and the unit the benchmark's re-streaming gate
-    /// compares [`ServingStats::panel_bytes_read`] against.
+    /// Packed-panel bytes **one** sweep over a layer's weight panels streams
+    /// — what every execute of that layer charges to
+    /// [`ServingStats::panel_bytes_read`], and the unit the benchmark's
+    /// panel gate compares against.
     ///
     /// # Errors
     ///
@@ -524,45 +477,37 @@ impl ServingEngine {
     /// [`ServingError::Kernel`] if the layer's plan cannot be built.
     pub fn layer_panel_sweep_bytes(&self, layer: usize) -> Result<u64, ServingError> {
         let entry = self.layer(layer)?;
-        let plan = self.bucket_plan(layer, &entry, entry.policy.max_bucket())?;
+        let plan = self
+            .layer_plan(layer, &entry)
+            .map_err(ServingError::Kernel)?;
         Ok(plan.panel_sweep_bytes())
     }
 
-    /// The cached plan for one `(layer, version, bucket)` triple, built on a
-    /// cold miss against the snapshot's weights. Concurrent cold misses on
-    /// the same key share one build through the cache's in-flight slot —
-    /// keys carry the version, so a waiter on one version can never receive
-    /// another version's plan. A *failed* build surfaces its error to the
-    /// builder **and every waiter** (the cache broadcasts the failure rather
-    /// than electing a retrier, so a deterministically failing build cannot
-    /// livelock the worker pool), and the next fresh request of the bucket
-    /// starts a new build.
-    fn bucket_plan(
-        &self,
-        layer: usize,
-        entry: &LayerState,
-        bucket: usize,
-    ) -> Result<Arc<SpmmPlan>, ServingError> {
-        let key = PlanKey::new(layer, entry.version, bucket);
+    /// The cached plan of one `(layer, version)`, built on a cold miss
+    /// against the snapshot's weights at the probe width. Concurrent cold
+    /// misses on the same key share one build through the cache's in-flight
+    /// slot — keys carry the version, so a waiter on one version can never
+    /// receive another version's plan. A *failed* build surfaces its error
+    /// to the builder **and every waiter** (the cache broadcasts the failure
+    /// rather than electing a retrier, so a deterministically failing build
+    /// cannot livelock the worker pool), and the next fresh request starts a
+    /// new build.
+    fn layer_plan(&self, layer: usize, entry: &LayerState) -> KernelResult<Arc<SpmmPlan>> {
         self.cache
-            .get_or_build(key, || {
-                Ok(SpmmPlan::shfl_bw(&self.arch, &entry.weights, bucket))
+            .get_or_build(PlanKey::new(layer, entry.version), || {
+                Ok(SpmmPlan::shfl_bw(
+                    &self.arch,
+                    &entry.weights,
+                    self.policy.max_bucket(),
+                ))
             })
-            .map_err(ServingError::Kernel)
     }
 
-    /// The honest modeled GPU time (µs) of a **fused multi-segment** execute
-    /// over `n` real activation columns: the analytical profile of one
-    /// exact-width launch — packed weight-panel traffic, metadata and launch
-    /// overhead charged **once** for the single sweep, FLOPs and
-    /// activation/output traffic charged per real column across the
-    /// segments. This replaces the historical estimate (the largest-bucket
-    /// launch scaled linearly by `n / max_bucket`), which re-scaled the
-    /// weight sweep and the launch overhead with the column count and so
-    /// over-charged exactly the wide requests the fused path exists for. It
-    /// also makes the fused estimate consistent with the cold oracle: an
-    /// exact-width cold execute of the same operand reports the same modeled
-    /// time.
+    /// The modeled GPU time (µs) of one execute over `n` activation columns:
+    /// the analytical profile of one exact-width launch — packed
+    /// weight-panel traffic, metadata and launch overhead charged **once**,
+    /// FLOPs and activation/output traffic charged per column. An
+    /// exact-width cold execute of the same operand reports the same time.
     ///
     /// Profiles are memoised per `(layer, version, n)` — the profile walks
     /// the layer's group structure, which is cheap next to the execute
@@ -583,7 +528,7 @@ impl ServingEngine {
     /// After a serving execute completes on `snapshot_version`, records
     /// whether a newer version was published in the meantime — the in-flight
     /// overlap the zero-downtime design allows (the execute still finished
-    /// bit-identically on its own version's plans).
+    /// bit-identically on its own version's plan).
     fn note_completed_execute(&self, layer: usize, snapshot_version: u64) {
         if let Some(slot) = self.layers.get(layer) {
             let current = slot.read().expect("layer slot poisoned").version;
@@ -594,7 +539,7 @@ impl ServingEngine {
     }
 
     /// Validates a request against a layer (the shared admission rules of the
-    /// bucketed path and the cold oracle — keep them identical, or the
+    /// served path and the cold oracle — keep them identical, or the
     /// bit-identity comparison between the two paths silently diverges).
     /// Returns the snapshot the whole request will execute against.
     fn validate(
@@ -614,24 +559,9 @@ impl ServingEngine {
         Ok(entry)
     }
 
-    /// Validates a request against a layer and returns the layer snapshot +
-    /// segments (split under the layer's own bucket policy).
-    fn admit(
-        &self,
-        layer: usize,
-        activations: &DenseMatrix,
-    ) -> Result<(Arc<LayerState>, Vec<Segment>), ServingError> {
-        let entry = self.validate(layer, activations)?;
-        let segments = entry.policy.segments(activations.cols());
-        Ok((entry, segments))
-    }
-
-    /// Serves one request: bucketed execution of `activations` (`k × n`, any
-    /// `n`) against the layer's cached plans. A multi-segment request is
-    /// served in **one fused sweep** over the packed weight panels
-    /// ([`SpmmPlan::execute_segments`] on the largest-bucket plan). The
-    /// result is bit-identical to [`ServingEngine::execute_cold`] and to the
-    /// per-segment [`ServingEngine::execute_unfused`] on the same operand.
+    /// Serves one request: `activations` (`k × n`, any `n`) swept in one
+    /// pad-free pass over the layer's cached plan. The result is
+    /// bit-identical to [`ServingEngine::execute_cold`] on the same operand.
     ///
     /// # Errors
     ///
@@ -647,15 +577,12 @@ impl ServingEngine {
             .map(|(out, _)| out)
     }
 
-    /// [`ServingEngine::execute`] additionally returning the summed modeled
-    /// GPU time (µs) of the bucket launches the request mapped onto. For a
-    /// fused multi-segment request the modeled time is the **exact-width
-    /// analytical profile** of one launch over the request's real columns
-    /// ([`ServingEngine::fused_modeled_us`]): weight-panel traffic and launch
-    /// overhead are charged once, compute and activation traffic per real
-    /// column — the historical linear scaling of the largest-bucket launch
-    /// over-charged wide requests by re-scaling the weight sweep and the
-    /// launch overhead with the column count.
+    /// [`ServingEngine::execute`] additionally returning the modeled GPU
+    /// time (µs) of the request: the exact-width analytical profile of one
+    /// launch over its `n` columns.
+    /// This is the one execute path: single requests, coalesced groups
+    /// (the server's column-concatenated operands) and decode rounds all
+    /// come through here.
     ///
     /// # Errors
     ///
@@ -665,145 +592,39 @@ impl ServingEngine {
         layer: usize,
         activations: &DenseMatrix,
     ) -> Result<(DenseMatrix, f64), ServingError> {
-        let (entry, segments) = self.admit(layer, activations)?;
+        let entry = self.validate(layer, activations)?;
         let n = activations.cols();
-        let mut modeled_us = 0.0;
-        let mut padded_columns = 0u64;
-        let mut fused_sweeps = 0u64;
-
-        let output = if segments.len() <= 1 {
-            if let Some(segment) = segments.first() {
-                let plan = self.bucket_plan(layer, &entry, segment.bucket)?;
-                modeled_us += plan.profile().time_us();
-                self.panel_traffic.add(plan.panel_sweep_bytes());
-                if segment.bucket == n {
-                    // Zero-copy fast path: the width is exactly one bucket.
-                    plan.execute(activations)
-                        .map_err(ServingError::Kernel)?
-                        .output
-                } else {
-                    padded_columns += segment.padding() as u64;
-                    let padded =
-                        activations.cols_padded(segment.start, segment.width, segment.bucket);
-                    let bucket_out = plan.execute(&padded).map_err(ServingError::Kernel)?.output;
-                    let mut output = DenseMatrix::zeros(entry.weights.rows(), n);
-                    output.copy_cols_from(&bucket_out, segment.start, segment.width);
-                    output
-                }
-            } else {
-                DenseMatrix::zeros(entry.weights.rows(), 0)
-            }
+        let (output, modeled_us) = if n == 0 {
+            (DenseMatrix::zeros(entry.weights.rows(), 0), 0.0)
         } else {
-            // Fused multi-segment sweep: one pass over the packed panels
-            // updates every segment, on the largest-bucket plan. No padding
-            // columns are computed at all.
-            let plan = self.bucket_plan(layer, &entry, entry.policy.max_bucket())?;
-            modeled_us += self.fused_modeled_us(layer, &entry, n);
+            let plan = self
+                .layer_plan(layer, &entry)
+                .map_err(ServingError::Kernel)?;
             self.panel_traffic.add(plan.panel_sweep_bytes());
-            fused_sweeps += 1;
-            plan.execute_segments(activations, &segments)
+            let whole = Segment {
+                start: 0,
+                width: n,
+                bucket: n,
+            };
+            let output = plan
+                .execute_segments(activations, &[whole])
                 .map_err(ServingError::Kernel)?
-                .output
+                .output;
+            (output, self.fused_modeled_us(layer, &entry, n))
         };
-
         {
             let mut stats = self.stats.lock().expect("serving stats poisoned");
             stats.requests += 1;
-            stats.segments += segments.len() as u64;
             stats.columns += n as u64;
-            stats.padded_columns += padded_columns;
-            stats.fused_sweeps += fused_sweeps;
+            stats.fused_sweeps += u64::from(n > 0);
         }
         self.note_completed_execute(layer, entry.version);
         Ok((output, modeled_us))
     }
 
-    /// Serves a **coalesced-group** operand pad-free. A bucket-exact width
-    /// keeps the zero-copy cached-plan fast path of
-    /// [`ServingEngine::execute_profiled`]; every other width — in
-    /// particular a partially-filled group whose members sum to less than
-    /// the cap — runs the exact-width fused sweep on the largest-bucket plan
-    /// ([`SpmmPlan::execute_segments`]), so **no padding columns are
-    /// multiplied at all**. A group at 60% bucket fill would otherwise pay
-    /// more zero-column compute than its members would individually (each
-    /// member lands nearer its own bucket), eating the panel-sweep saving
-    /// coalescing exists for. Bit-identical to
-    /// [`ServingEngine::execute`] on the same operand (the fused sweep and
-    /// the padded path are property-tested equal); the modeled time is the
-    /// honest exact-width profile ([`ServingEngine::fused_modeled_us`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`ServingEngine::execute`].
-    pub fn execute_group_profiled(
-        &self,
-        layer: usize,
-        activations: &DenseMatrix,
-    ) -> Result<(DenseMatrix, f64), ServingError> {
-        let (entry, segments) = self.admit(layer, activations)?;
-        let n = activations.cols();
-        match segments.as_slice() {
-            [] => self.execute_profiled(layer, activations),
-            [single] if single.bucket == n => self.execute_profiled(layer, activations),
-            _ => {
-                let plan = self.bucket_plan(layer, &entry, entry.policy.max_bucket())?;
-                let modeled_us = self.fused_modeled_us(layer, &entry, n);
-                self.panel_traffic.add(plan.panel_sweep_bytes());
-                let output = plan
-                    .execute_segments(activations, &segments)
-                    .map_err(ServingError::Kernel)?
-                    .output;
-                {
-                    let mut stats = self.stats.lock().expect("serving stats poisoned");
-                    stats.requests += 1;
-                    stats.segments += segments.len() as u64;
-                    stats.columns += n as u64;
-                    stats.fused_sweeps += 1;
-                }
-                self.note_completed_execute(layer, entry.version);
-                Ok((output, modeled_us))
-            }
-        }
-    }
-
-    /// The historical per-segment execution: every bucket [`Segment`] is
-    /// zero-padded up to its bucket and executed on that bucket's plan — one
-    /// full sweep over the packed weight panels **per segment**. Kept as the
-    /// re-streaming baseline the benchmark and the property tests compare
-    /// the fused path against; bit-identical to [`ServingEngine::execute`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ServingEngine::execute`].
-    pub fn execute_unfused(
-        &self,
-        layer: usize,
-        activations: &DenseMatrix,
-    ) -> Result<DenseMatrix, ServingError> {
-        let (entry, segments) = self.admit(layer, activations)?;
-        let n = activations.cols();
-        let m = entry.weights.rows();
-        let mut output = DenseMatrix::zeros(m, n);
-        let mut padded_columns = 0u64;
-        for segment in &segments {
-            let plan = self.bucket_plan(layer, &entry, segment.bucket)?;
-            self.panel_traffic.add(plan.panel_sweep_bytes());
-            padded_columns += segment.padding() as u64;
-            let padded = activations.cols_padded(segment.start, segment.width, segment.bucket);
-            let bucket_out = plan.execute(&padded).map_err(ServingError::Kernel)?.output;
-            output.copy_cols_from(&bucket_out, segment.start, segment.width);
-        }
-        let mut stats = self.stats.lock().expect("serving stats poisoned");
-        stats.requests += 1;
-        stats.segments += segments.len() as u64;
-        stats.columns += n as u64;
-        stats.padded_columns += padded_columns;
-        Ok(output)
-    }
-
-    /// The un-bucketed baseline and oracle: builds a fresh plan for the
-    /// request's exact width (bypassing the cache entirely) and executes it —
-    /// what a serving layer without bucketing pays on every call.
+    /// The oracle: builds a fresh plan for the request's exact width
+    /// (bypassing the cache entirely) and executes it — what a serving layer
+    /// without a plan cache pays on every call.
     ///
     /// # Errors
     ///
@@ -826,14 +647,14 @@ impl ServingEngine {
     }
 
     /// Publishes `new_weights` as the layer's next version **without
-    /// stopping traffic**: the candidate is built and probe-validated off to
-    /// the side, then swapped into the layer's slot atomically. In-flight
-    /// executes finish bit-identically on their `Arc`-held old snapshot; new
-    /// arrivals observe the new version. A same-pattern magnitude update
-    /// carries every resident old-version plan over by **delta re-pack**
-    /// ([`SpmmPlan::repack_shfl_bw`]) — only panel payload bytes are
-    /// rewritten, measured against the full-rebuild bytes in the returned
-    /// [`UpdateReport`] and in [`ServingEngine::update_stats`].
+    /// stopping traffic**: the candidate plan is built and probe-validated
+    /// off to the side, then swapped into the layer's slot atomically.
+    /// In-flight executes finish bit-identically on their `Arc`-held old
+    /// snapshot; new arrivals observe the new version. A same-pattern
+    /// magnitude update carries the resident old-version plan over by
+    /// **delta re-pack** ([`SpmmPlan::repack_shfl_bw`]) — only panel payload
+    /// bytes are rewritten, measured against the full-rebuild bytes in the
+    /// returned [`UpdateReport`] and in [`ServingEngine::update_stats`].
     ///
     /// # Errors
     ///
@@ -916,67 +737,40 @@ impl ServingEngine {
             source,
         };
         let delta = cur.weights.same_pattern(&new_weights);
+        let probe_width = self.policy.max_bucket();
 
-        // Side-build every candidate plan. Delta path: carry each *resident*
+        // Side-build the candidate plan. Delta path: carry the *resident*
         // old-version plan over by rewriting only its panel payload bytes.
-        let mut candidates: Vec<(usize, SpmmPlan)> = Vec::new();
-        let mut repacked_plans = 0u64;
-        let mut rebuilt_plans = 0u64;
-        let mut repack_bytes = 0u64;
-        let mut rebuild_bytes = 0u64;
-        if delta {
-            for bucket in cur.policy.buckets() {
-                let old_key = PlanKey::new(layer, cur.version, bucket);
-                if !self.cache.contains(old_key) {
-                    continue;
-                }
-                let old_plan = self
-                    .cache
-                    .get_or_build(old_key, || {
-                        Ok(SpmmPlan::shfl_bw(&self.arch, &cur.weights, bucket))
-                    })
-                    .map_err(build_err)?;
-                let (plan, payload_bytes) =
-                    old_plan.repack_shfl_bw(&new_weights).map_err(build_err)?;
-                repack_bytes += payload_bytes as u64;
-                // What a full rebuild of the same plan would have moved.
-                rebuild_bytes += plan.packed_bytes() as u64;
-                repacked_plans += 1;
-                candidates.push((bucket, plan));
-            }
-        }
-        // The largest-bucket plan is the one every fused sweep runs on (and
-        // the probe-validation vehicle) — build it fresh if the delta path
-        // did not carry it over. A panicking build is contained into the
+        // Otherwise build it fresh; a panicking build is contained into the
         // typed error instead of unwinding through the update path.
-        let max_bucket = cur.policy.max_bucket();
-        if !candidates.iter().any(|(b, _)| *b == max_bucket) {
-            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                SpmmPlan::shfl_bw(&self.arch, &new_weights, max_bucket)
+        let mut repack_bytes = 0u64;
+        let repacked = delta && self.cache.contains(PlanKey::new(layer, cur.version));
+        let candidate = if repacked {
+            let old_plan = self.layer_plan(layer, &cur).map_err(build_err)?;
+            let (plan, payload_bytes) = old_plan.repack_shfl_bw(&new_weights).map_err(build_err)?;
+            repack_bytes = payload_bytes as u64;
+            plan
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                SpmmPlan::shfl_bw(&self.arch, &new_weights, probe_width)
             }))
             .map_err(|payload| {
                 build_err(KernelError::BuildPanicked {
                     context: panic_message(payload.as_ref()),
                 })
-            })?;
-            rebuild_bytes += built.packed_bytes() as u64;
-            rebuilt_plans += 1;
-            candidates.push((max_bucket, built));
-        }
+            })?
+        };
+        // What a full rebuild moves (for a repacked plan: would have moved).
+        let rebuild_bytes = candidate.packed_bytes() as u64;
 
         // Probe validation: smoke-execute the candidate against a held-out
         // deterministic activation and require bit-identity with a cold
         // oracle plan built directly from the new weights.
-        let probe = DenseMatrix::from_fn(got.1, max_bucket, |r, c| {
+        let probe = DenseMatrix::from_fn(got.1, probe_width, |r, c| {
             ((r * 31 + c * 17) % 13) as f32 * 0.25 - 1.5
         });
-        let candidate = candidates
-            .iter()
-            .find(|(b, _)| *b == max_bucket)
-            .map(|(_, p)| p)
-            .expect("max-bucket candidate is always built");
         let candidate_out = candidate.execute(&probe).map_err(build_err)?.output;
-        let oracle_out = SpmmPlan::shfl_bw(&self.arch, &new_weights, max_bucket)
+        let oracle_out = SpmmPlan::shfl_bw(&self.arch, &new_weights, probe_width)
             .execute(&probe)
             .map_err(build_err)?
             .output;
@@ -1001,7 +795,6 @@ impl ServingEngine {
             name: cur.name.clone(),
             version: new_version,
             weights: new_weights,
-            policy: cur.policy,
             prev: Some(Arc::clone(&cur)),
         });
         {
@@ -1016,14 +809,13 @@ impl ServingEngine {
             *guard = Arc::clone(&new_state);
         }
 
-        // Seed the cache with the validated candidates under the new
-        // version's keys (a racing new-version arrival shares these instead
-        // of rebuilding), then drop the stale versions' plans. In-flight
+        // Seed the cache with the validated candidate under the new
+        // version's key (a racing new-version arrival shares it instead of
+        // rebuilding), then drop the stale versions' plans. In-flight
         // executes holding old `Arc`s are unaffected.
-        for (bucket, plan) in &candidates {
-            let key = PlanKey::new(layer, new_version, *bucket);
-            let _ = self.cache.get_or_build(key, || Ok(plan.clone()));
-        }
+        let _ = self
+            .cache
+            .get_or_build(PlanKey::new(layer, new_version), || Ok(candidate.clone()));
         let invalidated = self.cache.invalidate_layer_below(layer, new_version);
         self.fused_profile_us
             .lock()
@@ -1032,6 +824,7 @@ impl ServingEngine {
 
         self.repack_traffic.add(repack_bytes);
         self.rebuild_traffic.add(rebuild_bytes);
+        let (repacked_plans, rebuilt_plans) = (u64::from(repacked), u64::from(!repacked));
         {
             let mut stats = self.update_stats.lock().expect("update stats poisoned");
             stats.swaps += 1;
@@ -1115,50 +908,38 @@ mod tests {
         let (engine, id) = test_engine(32);
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..4 {
-            for n in [3, 9, 17] {
+            for n in [3, 9, 17, 40] {
                 let acts = DenseMatrix::random(&mut rng, 24, n);
                 engine.execute(id, &acts).unwrap();
             }
         }
         let stats = engine.cache_stats();
-        // Three buckets (8, 16, 32) built once each, hit on every later call.
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.hits, 9);
+        // One plan serves every width: built once, hit on every later call.
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 15);
+        assert_eq!(engine.cache().len(), 1);
         let serving = engine.stats();
-        assert_eq!(serving.requests, 12);
-        assert!(serving.padded_columns > 0);
+        assert_eq!(serving.requests, 16);
+        assert_eq!(serving.columns, 4 * (3 + 9 + 17 + 40));
+        assert_eq!(serving.padded_columns, 0);
     }
 
     #[test]
     fn warm_prebuilds_the_buckets() {
         let (engine, id) = test_engine(16);
-        // 40 columns split into 16 + 16 + an 8-bucket tail, but the fused
-        // sweep serves them all on the largest-bucket (16) plan — warming
-        // builds exactly that one plan.
+        // Warming any width builds the layer's one plan; every other width
+        // then hits it.
         engine.warm(id, 40).unwrap();
+        engine.warm(id, 3).unwrap();
         let stats = engine.cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 0);
+        assert_eq!((stats.misses, stats.hits), (1, 1));
         let mut rng = StdRng::seed_from_u64(13);
         let acts = DenseMatrix::random(&mut rng, 24, 40);
         engine.execute(id, &acts).unwrap();
         assert_eq!(engine.cache_stats().misses, 1);
-        assert_eq!(engine.cache_stats().hits, 1);
+        assert_eq!(engine.cache_stats().hits, 2);
         assert_eq!(engine.stats().fused_sweeps, 1);
-    }
-
-    #[test]
-    fn fused_execution_matches_the_unfused_per_segment_baseline() {
-        let (engine, id) = test_engine(16);
-        let mut rng = StdRng::seed_from_u64(21);
-        for n in [1, 8, 17, 40, 70] {
-            let acts = DenseMatrix::random(&mut rng, 24, n);
-            let fused = engine.execute(id, &acts).unwrap();
-            let unfused = engine.execute_unfused(id, &acts).unwrap();
-            let cold = engine.execute_cold(id, &acts).unwrap();
-            assert_eq!(fused, unfused, "n={n}");
-            assert_eq!(fused, cold, "n={n}");
-        }
+        assert!(engine.warm(id + 1, 8).is_err());
     }
 
     #[test]
@@ -1168,84 +949,44 @@ mod tests {
         assert!(sweep > 0);
         let before = engine.panel_bytes_read();
         let mut rng = StdRng::seed_from_u64(23);
-        // 70 columns on the 8..16 policy: 16+16+16+16 + a 6-wide tail = 5
-        // segments. Fused: one sweep. Unfused: five.
-        let acts = DenseMatrix::random(&mut rng, 24, 70);
-        engine.execute(id, &acts).unwrap();
-        let after_fused = engine.panel_bytes_read();
-        assert_eq!(after_fused - before, sweep);
-        engine.execute_unfused(id, &acts).unwrap();
-        let after_unfused = engine.panel_bytes_read();
-        assert_eq!(after_unfused - after_fused, 5 * sweep);
-        assert_eq!(engine.stats().panel_bytes_read, after_unfused);
-    }
-
-    #[test]
-    fn per_layer_policies_override_the_engine_default() {
-        let dense = DenseMatrix::from_fn(16, 24, |r, c| {
-            if (c + r / 4) % 3 == 0 {
-                0.25 + (r * 24 + c) as f32 * 0.01
-            } else {
-                0.0
-            }
-        });
-        let weights = ShflBwMatrix::from_dense(&dense, 4).unwrap();
-        let mut engine = ServingEngine::new(GpuArch::v100(), BucketPolicy::new(8, 32).unwrap(), 8);
-        let narrow = engine.register_layer_with_policy(
-            "narrow",
-            weights.clone(),
-            BucketPolicy::new(8, 8).unwrap(),
-        );
-        let wide =
-            engine.register_layer_with_policy("wide", weights, BucketPolicy::new(8, 64).unwrap());
-        assert_eq!(engine.layer_policy(narrow).unwrap().max_bucket(), 8);
-        assert_eq!(engine.layer_policy(wide).unwrap().max_bucket(), 64);
-        assert!(engine.layer_policy(99).is_err());
-        let mut rng = StdRng::seed_from_u64(31);
-        let acts = DenseMatrix::random(&mut rng, 24, 40);
-        // Same operand, divergent segmentation: 5 segments at ceiling 8
-        // (fused), 1 padded segment at ceiling 64 — and identical outputs.
-        let out_narrow = engine.execute(narrow, &acts).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.segments, 5);
-        assert_eq!(stats.fused_sweeps, 1);
-        let out_wide = engine.execute(wide, &acts).unwrap();
-        assert_eq!(engine.stats().segments, 6);
-        assert_eq!(out_narrow, out_wide);
-        // The wide layer padded 40 up to 64; the narrow fused path padded
+        // Every execute is one sweep, whether it is narrower or four times
+        // wider than the policy's largest bucket; an empty one sweeps
         // nothing.
-        assert_eq!(engine.stats().padded_columns, 24);
+        for (i, n) in [70, 5, 16].into_iter().enumerate() {
+            let acts = DenseMatrix::random(&mut rng, 24, n);
+            engine.execute(id, &acts).unwrap();
+            assert_eq!(engine.panel_bytes_read() - before, (i as u64 + 1) * sweep);
+        }
+        engine.execute(id, &DenseMatrix::zeros(24, 0)).unwrap();
+        assert_eq!(engine.panel_bytes_read() - before, 3 * sweep);
+        let stats = engine.stats();
+        assert_eq!(stats.panel_bytes_read, engine.panel_bytes_read());
+        assert_eq!((stats.requests, stats.fused_sweeps), (4, 3));
     }
 
     #[test]
     fn group_execution_is_pad_free_and_bit_identical() {
         let (engine, id) = test_engine(32);
         let mut rng = StdRng::seed_from_u64(37);
-        // 20 columns: the regular path pads up to the 32-bucket, the group
-        // path sweeps exactly 20 columns on the largest-bucket plan.
-        let acts = DenseMatrix::random(&mut rng, 24, 20);
-        let before = engine.stats();
-        let (group_out, us) = engine.execute_group_profiled(id, &acts).unwrap();
-        let after_group = engine.stats();
-        assert!(us > 0.0);
-        assert_eq!(after_group.padded_columns, before.padded_columns);
-        assert_eq!(after_group.fused_sweeps, before.fused_sweeps + 1);
-        let padded_out = engine.execute(id, &acts).unwrap();
-        assert!(engine.stats().padded_columns > after_group.padded_columns);
-        assert_eq!(group_out, padded_out);
-        // A bucket-exact width keeps the zero-copy cached-plan fast path.
-        let exact = DenseMatrix::random(&mut rng, 24, 16);
-        let sweeps = engine.stats().fused_sweeps;
-        let (fast_out, _) = engine.execute_group_profiled(id, &exact).unwrap();
-        assert_eq!(engine.stats().fused_sweeps, sweeps);
-        assert_eq!(fast_out, engine.execute(id, &exact).unwrap());
+        // Narrower than, equal to and wider than the largest bucket: each
+        // is one pad-free sweep, bit-identical to the exact-width oracle.
+        for n in [20, 32, 45] {
+            let acts = DenseMatrix::random(&mut rng, 24, n);
+            let before = engine.stats();
+            let (out, us) = engine.execute_profiled(id, &acts).unwrap();
+            let after = engine.stats();
+            assert!(us > 0.0);
+            assert_eq!(after.padded_columns, 0);
+            assert_eq!(after.fused_sweeps, before.fused_sweeps + 1);
+            assert_eq!(out, engine.execute_cold(id, &acts).unwrap(), "n={n}");
+        }
     }
 
     #[test]
     fn fused_modeled_time_charges_the_weight_sweep_once() {
         let (engine, id) = test_engine(16);
         let mut rng = StdRng::seed_from_u64(29);
-        // 70 columns on the 8..16 policy: 5 segments, one fused sweep.
+        // 70 columns, over four times the policy's largest bucket.
         let n = 70;
         let acts = DenseMatrix::random(&mut rng, 24, n);
         let (_, fused_us) = engine.execute_profiled(id, &acts).unwrap();
@@ -1273,6 +1014,17 @@ mod tests {
         // Repeating the width hits the memo and reports the same time.
         let (_, again) = engine.execute_profiled(id, &acts).unwrap();
         assert_eq!(again, fused_us);
+        // A narrow width reports its own exact-width profile too, not the
+        // launch of a wider bucket.
+        let narrow = DenseMatrix::random(&mut rng, 24, 5);
+        let (_, narrow_us) = engine.execute_profiled(id, &narrow).unwrap();
+        let exact = shfl_kernels::spmm::shfl_bw_spmm_profile(
+            engine.arch(),
+            &engine.layer_weights(id).unwrap(),
+            5,
+        )
+        .time_us();
+        assert_eq!(narrow_us, exact);
     }
 
     #[test]
@@ -1306,8 +1058,8 @@ mod tests {
         let (engine, id) = test_engine(32);
         let mut rng = StdRng::seed_from_u64(41);
         let acts = DenseMatrix::random(&mut rng, 24, 20);
-        // Warm both the 32-bucket (padded single-segment) plan so the update
-        // has resident plans to carry over.
+        // Build the layer's plan so the update has a resident plan to carry
+        // over.
         let old_out = engine.execute(id, &acts).unwrap();
         assert_eq!(engine.layer_version(id).unwrap(), 0);
 
@@ -1315,11 +1067,11 @@ mod tests {
         let report = engine.update_layer(id, update.clone()).unwrap();
         assert_eq!(report.version, 1);
         assert!(report.delta_repacked);
-        assert!(report.repacked_plans >= 1);
+        assert_eq!((report.repacked_plans, report.rebuilt_plans), (1, 0));
         assert!(report.repack_bytes > 0);
         // Delta re-pack moves strictly fewer bytes than a full rebuild.
         assert!(report.repack_bytes < report.rebuild_bytes);
-        assert!(report.invalidated_plans >= 1);
+        assert_eq!(report.invalidated_plans, 1);
         assert!(report.swap_ms >= 0.0);
         assert_eq!(engine.layer_version(id).unwrap(), 1);
 
@@ -1409,19 +1161,19 @@ mod tests {
     fn in_flight_snapshots_survive_an_update_and_count_stale_executes() {
         let (engine, id) = test_engine(32);
         let mut rng = StdRng::seed_from_u64(53);
-        let acts = DenseMatrix::random(&mut rng, 24, 16);
+        let acts = DenseMatrix::random(&mut rng, 24, 32);
         engine.execute(id, &acts).unwrap();
 
         // Snapshot the old version the way an in-flight execute does, then
         // publish an update "under" it.
         let old_entry = engine.layer(id).unwrap();
-        let old_plan = engine.bucket_plan(id, &old_entry, 16).unwrap();
+        let old_plan = engine.layer_plan(id, &old_entry).unwrap();
         let update = scaled_update(&engine.layer_weights(id).unwrap(), 3.0);
         engine.update_layer(id, update).unwrap();
 
         // The Arc-held old plan still executes, bit-identical to the old
         // version's cold oracle, even though the cache invalidated it.
-        let old_oracle = SpmmPlan::shfl_bw(engine.arch(), &old_entry.weights, 16)
+        let old_oracle = SpmmPlan::shfl_bw(engine.arch(), &old_entry.weights, 32)
             .execute(&acts)
             .unwrap()
             .output;

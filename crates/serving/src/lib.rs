@@ -1,4 +1,4 @@
-//! # shfl-serving — the bucketed, multi-stream serving stack
+//! # shfl-serving — the multi-stream serving stack
 //!
 //! The paper's layout decisions pay off at *serving* time: its TileWise
 //! baseline shows per-stream launch overheads eating the sparse-format win,
@@ -7,15 +7,16 @@
 //! re-staging weights per call. This crate is that serving layer for the
 //! reproduction:
 //!
-//! * [`engine::ServingEngine`] — the layer registry and bucketed executor:
-//!   every registered layer's plans are built per power-of-two N-bucket
-//!   ([`shfl_core::bucket::BucketPolicy`]) and cached in an LRU
-//!   [`shfl_kernels::cache::PlanCache`] keyed by `(layer, n_bucket)`.
-//!   Incoming activations are zero-padded up to their bucket or split into
-//!   bucket-wide column segments — both **bit-identical** to the un-bucketed
-//!   execution (every output column depends only on its own activation
-//!   column; the property tests assert exact equality, including `N = 1` and
-//!   `N` one past a bucket boundary).
+//! * [`engine::ServingEngine`] — the layer registry and executor: each
+//!   registered layer has **one** plan per weight version, cached in an LRU
+//!   [`shfl_kernels::cache::PlanCache`] keyed by `(layer, version)`. Every
+//!   execute — at any activation width — is one pad-free sweep of that plan
+//!   over exactly its own columns, **bit-identical** to a cold plan built for
+//!   the exact width (every output column depends only on its own
+//!   activation column; the property tests assert exact equality at every
+//!   width from 0 to 300 and beyond). The engine-wide
+//!   [`shfl_core::bucket::BucketPolicy`] only sets the server's default
+//!   coalescing cap and the update probe width.
 //! * [`server::Server`] — the continuous-batching front-end: callers
 //!   [`server::Server::submit`] requests independently and get
 //!   [`server::Ticket`]s; a dispatcher holds a configurable admission window
@@ -58,13 +59,14 @@
 //! let mut engine = ServingEngine::new(GpuArch::a100(), BucketPolicy::new(8, 64).unwrap(), 16);
 //! let layer = engine.register_layer("ffn1", weights);
 //!
-//! // Requests of any width share the bucketed plans.
+//! // Requests of any width share the layer's one plan.
 //! for n in [1, 5, 8, 9, 64, 65] {
 //!     let acts = DenseMatrix::random(&mut rng, 32, n);
 //!     let out = engine.execute(layer, &acts).unwrap();
 //!     assert_eq!(out.shape(), (32, n));
 //! }
-//! assert!(engine.cache_stats().hits > 0);
+//! assert_eq!(engine.cache().len(), 1);
+//! assert_eq!(engine.cache_stats().hits, 5);
 //! ```
 
 #![deny(missing_docs)]

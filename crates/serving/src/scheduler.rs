@@ -14,9 +14,10 @@
 //!   engine execute, FIFO over the worker pool;
 //! * a coalescing scheduler ([`Scheduler::coalescing`]) merges same-layer
 //!   requests into width-capped shared fused executes (first-fit-decreasing
-//!   packing under the layer's `max_bucket`), queues groups heaviest-first
-//!   ([`crate::policy::Lpt`], the makespan heuristic the batch scheduler
-//!   always used), and scatters the outputs back **bit-identically** to
+//!   packing under the engine policy's `max_bucket`), queues groups
+//!   heaviest-first ([`crate::policy::Lpt`], the makespan heuristic the batch
+//!   scheduler always used), and scatters the outputs back
+//!   **bit-identically** to
 //!   individual service;
 //! * malformed requests surface their own typed [`ServingError`]s.
 //!
@@ -60,8 +61,8 @@ pub struct Response {
     /// Wall-clock service time of the request in milliseconds (queue wait
     /// excluded; this is the execute latency on the worker).
     pub service_ms: f64,
-    /// Modeled GPU time of the bucket launches the request mapped onto (µs);
-    /// zero when the request failed.
+    /// Modeled GPU time of the request's columns (µs): its share of its
+    /// execute's exact-width launch; zero when the request failed.
     pub modeled_us: f64,
 }
 
@@ -84,7 +85,7 @@ impl Scheduler {
     }
 
     /// Creates a **coalescing** scheduler: same-layer requests of a batch
-    /// are column-concatenated into one bucketed fused execute and the
+    /// are column-concatenated into one shared execute and the
     /// results scattered back per request — bit-identical to serving them
     /// individually, but the layer's packed weight panels stream once per
     /// group instead of once per request.
@@ -115,8 +116,8 @@ impl Scheduler {
     /// Implementation: a **zero-window scoped [`Server`]** over the borrowed
     /// engine. The batch is submitted atomically, so the server's dispatcher
     /// sees it in one admission round and forms exactly the groups the
-    /// historical scheduler formed (same FFD packing under the layer's
-    /// `max_bucket` cap); groups are ordered heaviest-first
+    /// historical scheduler formed (same FFD packing under the engine
+    /// policy's `max_bucket` cap); groups are ordered heaviest-first
     /// ([`Lpt`] — the batch scheduler's makespan heuristic) when coalescing
     /// and [`Fifo`] otherwise. Outputs are bit-identical to the historical
     /// implementation's: every output column of an SpMM depends only on its
@@ -284,7 +285,7 @@ mod tests {
         let responses = Scheduler::coalescing(4).serve(&engine, requests);
         // Same-layer requests collapse into width-capped shared executes:
         // far fewer engine calls than requests (the exact count depends on
-        // how the widths pack under the layer's max-bucket cap).
+        // how the widths pack under the policy's max-bucket cap).
         assert!(engine.stats().requests - before < 24);
         for (resp, expected) in responses.iter().zip(individual.iter()) {
             let got = resp.result.as_ref().unwrap();

@@ -119,10 +119,9 @@ pub struct ServerConfig {
     /// historical plain scheduler).
     pub coalesce: bool,
     /// Width cap of a coalesced group, in activation columns. `None` uses
-    /// each layer's `max_bucket` (the measured sweet spot on a small-cache
-    /// box); a larger override lets big-L3 hosts trade activation re-reads
-    /// for fewer panel sweeps — groups wider than the largest bucket are
-    /// served by one fused multi-segment sweep.
+    /// the engine policy's `max_bucket` (the measured sweet spot on a
+    /// small-cache box); a larger override lets big-L3 hosts trade activation
+    /// re-reads for fewer panel sweeps. A group of any width is one sweep.
     pub coalesce_cap: Option<usize>,
     /// Dispatch order of ready groups.
     pub policy: Arc<dyn QueuePolicy>,
@@ -158,7 +157,7 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The default configuration: 4 workers, zero window, depth 1024,
-    /// coalescing on at the per-layer `max_bucket` cap, FIFO order.
+    /// coalescing on at the engine policy's `max_bucket` cap, FIFO order.
     pub fn new() -> Self {
         Self::default()
     }
@@ -211,7 +210,7 @@ impl ServerConfig {
     }
 
     /// Overrides the coalesced-group width cap (columns). Without an
-    /// override the cap is each layer's largest bucket.
+    /// override the cap is the engine policy's largest bucket.
     pub fn with_coalesce_cap(mut self, cap: usize) -> Self {
         self.coalesce_cap = Some(cap.max(1));
         self
@@ -1092,8 +1091,7 @@ impl ServerCore {
     /// is off or a request is malformed (it surfaces its own typed error);
     /// otherwise same-layer, same-class requests packed first-fit-decreasing
     /// under the width cap ([`ServerConfig::coalesce_cap`], default the
-    /// layer's largest bucket — groups wider than the largest bucket are
-    /// legal and run as one fused multi-segment sweep).
+    /// engine policy's largest bucket).
     fn plan_groups(&self, engine: &ServingEngine, batch: Vec<Pending>) -> Vec<ReadyGroup> {
         if !self.cfg.coalesce {
             return batch
@@ -1117,18 +1115,13 @@ impl ServerCore {
                 None => by_key.push((key, vec![pending])),
             }
         }
+        let cap = self
+            .cfg
+            .coalesce_cap
+            .unwrap_or_else(|| engine.policy().max_bucket())
+            .max(1);
         let mut groups = Vec::new();
-        for ((layer, _), mut members) in by_key {
-            let cap = self
-                .cfg
-                .coalesce_cap
-                .unwrap_or_else(|| {
-                    engine
-                        .layer_policy(layer)
-                        .expect("validated layer")
-                        .max_bucket()
-                })
-                .max(1);
+        for (_, mut members) in by_key {
             // First-fit-decreasing: widest requests open chunks, narrower
             // ones fill the gaps up to the cap.
             members.sort_by_key(|p| std::cmp::Reverse(p.request.activations.cols()));
@@ -1364,9 +1357,7 @@ impl ServerCore {
             let combined = DenseMatrix::concat_cols(&parts)
                 .expect("coalesced group operands share the layer's k");
             let total_cols = combined.cols();
-            // Pad-free group execution: a partially-filled group runs the
-            // exact-width fused sweep instead of padding up to its bucket.
-            let executed = engine.execute_group_profiled(meta.layer, &combined);
+            let executed = engine.execute_profiled(meta.layer, &combined);
             let service_ms = exec_start.elapsed().as_secs_f64() * 1e3;
             match executed {
                 Ok((output, us)) => {

@@ -19,8 +19,8 @@
 //! * [`SessionManager`] — owns every live sequence's state and runs the
 //!   **iteration-level interleave loop**: each round, every live sequence
 //!   contributes one activation column; same-model sequences column-coalesce
-//!   into one width-N fused sweep per stage (riding the bucketed group
-//!   executes and the [`QueuePolicy`] ordering), and scatter-back routes each
+//!   into one width-N sweep per stage (the engine's one execute path, under
+//!   the [`QueuePolicy`] ordering), and scatter-back routes each
 //!   output column into its own session's state. Because every output column
 //!   depends only on its own activation column and the hooks touch only
 //!   their own state, the interleaved stream is **bit-identical** to running
@@ -807,11 +807,7 @@ impl SessionManager {
                         cols.push(col);
                     }
                     let combined = DenseMatrix::from_fn(k, width, |r, c| cols[c][r]);
-                    let (out, _) = if width > 1 {
-                        engine.execute_group_profiled(stage.layer, &combined)?
-                    } else {
-                        engine.execute_profiled(stage.layer, &combined)?
-                    };
+                    let (out, _) = engine.execute_profiled(stage.layer, &combined)?;
                     stats.sweeps += 1;
                     stats.sweep_columns += width as u64;
                     for (c, m) in members.iter_mut().enumerate() {

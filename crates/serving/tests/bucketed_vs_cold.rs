@@ -1,13 +1,17 @@
-//! Bucketed serving is bit-identical to the cold, un-bucketed execution.
+//! Served execution is bit-identical to the cold exact-width execution at
+//! every width.
 //!
-//! Every output column of an SpMM depends only on its own activation column,
-//! so zero-padding a request up to its N-bucket (and cropping afterwards) or
-//! splitting a wide request into bucket segments must reproduce the cold
-//! exact-width plan's output bit for bit. These property tests drive the
-//! whole serving stack — policy segmentation, plan cache, padding, cropping,
-//! reassembly, and the scheduler's concurrent path — against
+//! The engine keeps one plan per `(layer, version)` and sweeps every request
+//! on it as one exact-width segment, whatever its width. Every output column
+//! of an SpMM depends only on its own activation column and the packed
+//! panels do not depend on the width, so that sweep must reproduce a cold
+//! plan built for the exact width bit for bit. These tests drive the whole
+//! serving stack — plan cache, the one execute path, server coalescing and
+//! scatter-back, and the scheduler's concurrent path — against
 //! [`ServingEngine::execute_cold`], which the kernel crate's own property
-//! tests already chain to the naive reference oracles.
+//! tests already chain to the naive reference oracles. Every width from 0 to
+//! 300 is covered, so each SIMD tier's ragged remainder step runs at every
+//! lane count.
 
 use gpu_sim::GpuArch;
 use proptest::prelude::*;
@@ -19,6 +23,7 @@ use shfl_core::formats::{ShflBwMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_serving::engine::ServingEngine;
 use shfl_serving::scheduler::{Request, Scheduler};
+use shfl_serving::server::{Server, ServerConfig};
 
 /// Synthesises a Shfl-BW matrix directly in compressed form: each group of
 /// `v` rows keeps a random `density` fraction of columns, rows scattered by a
@@ -47,32 +52,103 @@ fn synth_shfl_bw(seed: u64, m: usize, k: usize, v: usize, density: f64) -> ShflB
     ShflBwMatrix::from_vector_wise(vw, rows).unwrap()
 }
 
+/// A same-pattern magnitude update of `weights` (the delta re-pack payload).
+fn scaled(weights: &ShflBwMatrix, factor: f32) -> ShflBwMatrix {
+    let vw = weights.vector_wise();
+    let values: Vec<f32> = vw.values().iter().map(|x| x * factor).collect();
+    let inner = VectorWiseMatrix::from_parts(
+        vw.rows(),
+        vw.cols(),
+        vw.vector_size(),
+        vw.group_ptr().to_vec(),
+        vw.col_idx().to_vec(),
+        values,
+    )
+    .unwrap();
+    ShflBwMatrix::from_vector_wise(inner, weights.row_indices().to_vec()).unwrap()
+}
+
 fn bits(m: &DenseMatrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Builds an engine + oracle pair and asserts the bucketed (fused) execution
-/// equals both the per-segment unfused baseline and the cold exact-width
-/// execution bit for bit for width `n`.
-fn assert_bucketed_matches_cold(engine: &ServingEngine, layer: usize, rng: &mut StdRng, n: usize) {
+/// Asserts the served execution equals the cold exact-width execution bit
+/// for bit for width `n`.
+fn assert_served_matches_cold(engine: &ServingEngine, layer: usize, rng: &mut StdRng, n: usize) {
     let k = engine.layer_k(layer).unwrap();
     let acts = DenseMatrix::random(rng, k, n);
-    let bucketed = engine.execute(layer, &acts).unwrap();
-    let unfused = engine.execute_unfused(layer, &acts).unwrap();
+    let served = engine.execute(layer, &acts).unwrap();
     let cold = engine.execute_cold(layer, &acts).unwrap();
-    assert_eq!(bucketed.shape(), cold.shape());
+    assert_eq!(served.shape(), cold.shape());
     assert_eq!(
-        bits(&bucketed),
-        bits(&unfused),
-        "fused vs per-segment mismatch at n={n} (policy {:?})",
-        engine.policy()
-    );
-    assert_eq!(
-        bits(&bucketed),
+        bits(&served),
         bits(&cold),
-        "bucketed vs cold mismatch at n={n} (policy {:?})",
-        engine.policy()
+        "served vs cold mismatch at n={n}"
     );
+}
+
+/// Every width 0..=300 (N = 0 and 1, every power-of-two boundary and one
+/// past it, every SIMD remainder lane count), plus widths past two and four
+/// 256-column sweep spans.
+fn every_width() -> impl Iterator<Item = usize> {
+    (0..=300).chain([513, 1000])
+}
+
+/// Two layers (V = 8 and V = 4) on an engine whose bucket policy caps at 64.
+fn two_layer_engine() -> (ServingEngine, [usize; 2]) {
+    let mut engine = ServingEngine::new(GpuArch::a100(), BucketPolicy::new(8, 64).unwrap(), 16);
+    let a = engine.register_layer("a", synth_shfl_bw(42, 48, 56, 8, 0.35));
+    let b = engine.register_layer("b", synth_shfl_bw(43, 32, 56, 4, 0.4));
+    (engine, [a, b])
+}
+
+/// Drives every width of [`every_width`] through both layers of `engine`:
+/// once per request through [`ServingEngine::execute`], then all of them as
+/// one admission batch through a coalescing [`Server`] (groups of mixed
+/// widths up to the 64-column cap, each one sweep, scattered back per
+/// request). Every output must equal the request's cold oracle bit for bit.
+fn serve_every_width(engine: &ServingEngine, layers: [usize; 2]) {
+    let mut rng = StdRng::seed_from_u64(99);
+    for n in every_width() {
+        for layer in layers {
+            assert_served_matches_cold(engine, layer, &mut rng, n);
+        }
+    }
+    let requests: Vec<Request> = every_width()
+        .flat_map(|n| layers.map(|layer| (layer, n)))
+        .enumerate()
+        .map(|(id, (layer, n))| Request {
+            id: id as u64,
+            layer,
+            activations: DenseMatrix::random(&mut rng, 56, n),
+        })
+        .collect();
+    let oracles: Vec<DenseMatrix> = requests
+        .iter()
+        .map(|r| engine.execute_cold(r.layer, &r.activations).unwrap())
+        .collect();
+    Server::scoped(engine, ServerConfig::new().with_workers(2), |server| {
+        let tickets = server.submit_batch(requests).unwrap();
+        for (ticket, oracle) in tickets.into_iter().zip(&oracles) {
+            let response = ticket.wait();
+            let out = response.result.unwrap();
+            assert_eq!(
+                bits(&out),
+                bits(oracle),
+                "server response {} (n={})",
+                response.id,
+                oracle.cols()
+            );
+        }
+        server.drain();
+        let stats = server.stats();
+        assert!(
+            stats.dispatched_groups < stats.completed,
+            "the server coalesced nothing: {} groups for {} requests",
+            stats.dispatched_groups,
+            stats.completed
+        );
+    });
 }
 
 proptest! {
@@ -80,7 +156,18 @@ proptest! {
 
     #[test]
     fn bucketed_execution_is_bit_identical_to_cold(
-        (groups, k, vexp, n, seed) in (1usize..5, 4usize..40, 0usize..3, 1usize..80, 0u64..1000)
+        (groups, k, vexp, n, seed) in (
+            1usize..5,
+            4usize..40,
+            0usize..3,
+            // 0..=300, then 513 and 1000.
+            (0usize..303).prop_map(|n| match n {
+                301 => 513,
+                302 => 1000,
+                n => n,
+            }),
+            0u64..1000,
+        )
     ) {
         let v = 1 << vexp; // 1, 2, 4
         let m = groups * v * 2;
@@ -92,23 +179,60 @@ proptest! {
         );
         let layer = engine.register_layer("prop", weights);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
-        assert_bucketed_matches_cold(&engine, layer, &mut rng, n);
+        assert_served_matches_cold(&engine, layer, &mut rng, n);
     }
 }
 
 #[test]
 fn boundary_widths_are_bit_identical_including_n1_and_bucket_plus_one() {
-    let weights = synth_shfl_bw(42, 48, 56, 8, 0.35);
-    let mut engine = ServingEngine::new(GpuArch::a100(), BucketPolicy::new(8, 64).unwrap(), 16);
-    let layer = engine.register_layer("boundary", weights);
-    let mut rng = StdRng::seed_from_u64(99);
-    // N = 1, every bucket boundary, one past each boundary (padding), one
-    // past the largest bucket (splitting), and a wide multi-segment width.
-    for n in [1, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65, 128, 129, 200] {
-        assert_bucketed_matches_cold(&engine, layer, &mut rng, n);
+    let (engine, layers) = two_layer_engine();
+    serve_every_width(&engine, layers);
+}
+
+#[test]
+fn one_plan_per_layer_version_serves_every_width() {
+    let (engine, [a, b]) = two_layer_engine();
+    serve_every_width(&engine, [a, b]);
+
+    // One plan per layer, and nothing else resident: the cache holds
+    // exactly those two plans' packed bytes.
+    assert_eq!(engine.cache().len(), 2);
+    let packed = |layer| {
+        let weights = engine.layer_weights(layer).unwrap();
+        shfl_kernels::plan::SpmmPlan::shfl_bw(engine.arch(), &weights, 1).packed_bytes()
+    };
+    assert_eq!(engine.cache().resident_bytes(), packed(a) + packed(b));
+    assert_eq!(engine.stats().padded_columns, 0);
+
+    // A magnitude update re-packs the one resident plan and drops the old
+    // version's; a structural update rebuilds it.
+    let magnitude = scaled(&engine.layer_weights(a).unwrap(), -0.5);
+    let report = engine.update_layer(a, magnitude).unwrap();
+    assert!(report.delta_repacked);
+    assert_eq!(
+        (
+            report.repacked_plans,
+            report.rebuilt_plans,
+            report.invalidated_plans
+        ),
+        (1, 0, 1)
+    );
+    let structural = synth_shfl_bw(7, 32, 56, 4, 0.4);
+    let report = engine.update_layer(b, structural).unwrap();
+    assert!(!report.delta_repacked);
+    assert_eq!((report.repacked_plans, report.rebuilt_plans), (0, 1));
+    assert_eq!(report.invalidated_plans, 1);
+    assert_eq!(engine.cache().len(), 2);
+    assert_eq!(engine.cache().resident_bytes(), packed(a) + packed(b));
+
+    // The new versions serve every width bit-identically too.
+    let mut rng = StdRng::seed_from_u64(5);
+    for n in [1, 7, 8, 33, 300] {
+        for layer in [a, b] {
+            assert_served_matches_cold(&engine, layer, &mut rng, n);
+        }
     }
-    // The cache never grew past the policy's bucket count for one layer.
-    assert!(engine.cache().len() <= engine.policy().num_buckets());
+    assert_eq!(engine.cache().len(), 2);
 }
 
 #[test]
@@ -117,38 +241,17 @@ fn fused_multi_segment_sweep_is_bit_identical_and_streams_panels_once() {
     let mut engine = ServingEngine::new(GpuArch::v100(), BucketPolicy::new(8, 16).unwrap(), 16);
     let layer = engine.register_layer("fused", weights);
     let mut rng = StdRng::seed_from_u64(1717);
-    // ≥4-segment widths (the re-streaming shapes), plus a boundary case one
-    // past a multiple of the ceiling.
+    // Widths four and more times the policy's largest bucket, plus one past
+    // a multiple of it.
     for n in [64, 65, 70, 100] {
-        assert_bucketed_matches_cold(&engine, layer, &mut rng, n);
+        assert_served_matches_cold(&engine, layer, &mut rng, n);
     }
-    // Counter check: a 5-segment width costs one sweep fused, five unfused.
+    // Counter check: a width over four buckets wide costs one sweep.
     let sweep = engine.layer_panel_sweep_bytes(layer).unwrap();
     let acts = DenseMatrix::random(&mut rng, 56, 70);
     let before = engine.panel_bytes_read();
     engine.execute(layer, &acts).unwrap();
     assert_eq!(engine.panel_bytes_read() - before, sweep);
-    let before = engine.panel_bytes_read();
-    engine.execute_unfused(layer, &acts).unwrap();
-    assert_eq!(engine.panel_bytes_read() - before, 5 * sweep);
-}
-
-#[test]
-fn per_layer_policy_overrides_stay_bit_identical() {
-    let weights = synth_shfl_bw(27, 32, 48, 4, 0.4);
-    let mut engine = ServingEngine::new(GpuArch::a100(), BucketPolicy::new(8, 256).unwrap(), 16);
-    let narrow = engine.register_layer_with_policy(
-        "narrow",
-        weights.clone(),
-        BucketPolicy::new(8, 16).unwrap(),
-    );
-    let wide =
-        engine.register_layer_with_policy("wide", weights, BucketPolicy::new(64, 512).unwrap());
-    let mut rng = StdRng::seed_from_u64(2727);
-    for n in [1, 15, 16, 17, 63, 64, 65, 130] {
-        assert_bucketed_matches_cold(&engine, narrow, &mut rng, n);
-        assert_bucketed_matches_cold(&engine, wide, &mut rng, n);
-    }
 }
 
 proptest! {
@@ -156,13 +259,13 @@ proptest! {
 
     /// Continuous batching: coalesced same-layer groups must reproduce each
     /// request's individual cold-oracle output bit for bit, across mixed
-    /// layers and widths (N = 1, bucket boundaries, multi-segment).
+    /// layers and widths (N = 1, bucket boundaries, wider than the cap).
     #[test]
     fn coalesced_scheduling_is_bit_identical_to_individual_requests(
         (seed, a, b, c, d) in (0u64..500, 1usize..90, 1usize..90, 1usize..90, 2usize..9)
     ) {
         // `d` requests with widths derived from (a, b): covers N = 1, bucket
-        // boundaries and multi-segment widths across two layers.
+        // boundaries and widths past the cap across two layers.
         let sizes: Vec<usize> = (0..d).map(|i| 1 + (a * (i + 1) + b * i * i + c) % 89).collect();
         let mut engine = ServingEngine::new(
             GpuArch::v100(),
@@ -218,18 +321,17 @@ fn scheduler_fanout_preserves_bit_identity_per_request() {
         let out = resp.result.as_ref().unwrap();
         assert_eq!(bits(out), bits(oracle), "request {}", resp.id);
     }
-    // Mixed widths over a handful of buckets: the trace must be hit-dominated.
-    // Each request makes one lookup, and the widths touch three plans
-    // (buckets 8, 16 and 32; a multi-segment request runs on the 32-wide
-    // plan). Each plan must be built exactly once, so the other 17 lookups
-    // are hits or join another worker's in-flight build (a shared build,
-    // which the stats also count as a miss). How they split between those
-    // two depends on the thread schedule; the number of builds does not.
+    // Mixed widths on one layer: the trace must be hit-dominated. Each
+    // request makes one lookup, and every width runs on the layer's one
+    // plan, which must be built exactly once, so the other 19 lookups are
+    // hits or join another worker's in-flight build (a shared build, which
+    // the stats also count as a miss). How they split between those two
+    // depends on the thread schedule; the number of builds does not.
     let stats = engine.cache_stats();
     assert_eq!(stats.hits + stats.misses, 20, "one lookup per request");
     assert_eq!(
         stats.misses - stats.shared_builds,
-        3,
+        1,
         "plans built: {stats:?}"
     );
 }

@@ -13,8 +13,8 @@
 //! * [`pruning`](shfl_pruning) — the pattern pruners and the Shfl-BW search,
 //! * [`models`](shfl_models) — Transformer / GNMT / ResNet-50 workloads and the
 //!   accuracy proxy,
-//! * [`serving`](shfl_serving) — the bucketed, multi-stream serving stack
-//!   (N-bucket plan cache, padding/splitting, request scheduler).
+//! * [`serving`](shfl_serving) — the multi-stream serving stack (one cached
+//!   plan per layer version, continuous-batching server, decode sessions).
 //!
 //! ```
 //! use shfl_bw_repro::prelude::*;
