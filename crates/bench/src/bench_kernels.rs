@@ -695,6 +695,10 @@ pub fn to_json(run: &BenchRun) -> String {
         "  \"threads\": {},\n",
         std::thread::available_parallelism().map_or(1, usize::from)
     ));
+    out.push_str(&format!(
+        "  \"simd\": \"{}\",\n",
+        gpu_sim::simd::active_tier().label()
+    ));
     out.push_str(&format!("  \"git_rev\": \"{}\",\n", esc(&git_rev())));
     out.push_str("  \"results\": [\n");
     for (i, r) in run.kernels.iter().enumerate() {

@@ -6,7 +6,9 @@
 //! the git revision, and the end-to-end model section. [`parse_report`]
 //! accepts both: v1 files surface with `plan_build_ms`/`prepared_ms` as
 //! `None` and an empty model list, so comparisons across the schema change
-//! stay possible.
+//! stay possible. A v2 document also names the SIMD tier its sweeps ran on
+//! (`simd`, next to `threads`); documents written before that field parse
+//! with it as `None`.
 //!
 //! The offline build has no serde, so this module carries a minimal
 //! recursive-descent JSON parser (objects, arrays, strings, numbers, bools,
@@ -380,6 +382,9 @@ pub struct BenchReport {
     pub schema_version: u32,
     /// Thread count recorded in the run.
     pub threads: usize,
+    /// SIMD tier the sweeps dispatched to (`"avx512"`, `"avx2"`, ...);
+    /// `None` for documents written before the tier was recorded.
+    pub simd: Option<String>,
     /// Git revision (v2 only).
     pub git_rev: Option<String>,
     /// Per-kernel rows.
@@ -399,6 +404,7 @@ pub fn parse_report(input: &str) -> Option<BenchReport> {
         _ => return None,
     };
     let threads = doc.get("threads")?.as_f64()? as usize;
+    let simd = doc.get("simd").and_then(Json::as_str).map(str::to_string);
     let git_rev = doc
         .get("git_rev")
         .and_then(Json::as_str)
@@ -487,6 +493,7 @@ pub fn parse_report(input: &str) -> Option<BenchReport> {
     Some(BenchReport {
         schema_version,
         threads,
+        simd,
         git_rev,
         kernels,
         models,
@@ -513,6 +520,7 @@ mod tests {
         let report = parse_report(V1_SAMPLE).unwrap();
         assert_eq!(report.schema_version, 1);
         assert_eq!(report.threads, 1);
+        assert_eq!(report.simd, None);
         assert_eq!(report.git_rev, None);
         assert_eq!(report.kernels.len(), 2);
         assert!(report.models.is_empty());
@@ -633,6 +641,10 @@ mod tests {
         let report = parse_report(&json).unwrap();
         assert_eq!(report.schema_version, 2);
         assert!(report.git_rev.is_some());
+        assert_eq!(
+            report.simd.as_deref(),
+            Some(gpu_sim::simd::active_tier().label())
+        );
         assert_eq!(report.kernels.len(), 1);
         let k = &report.kernels[0];
         assert_eq!(k.prepared_ms, Some(4.0));

@@ -21,13 +21,15 @@
 //!   implicit-GEMM convolution, `scale = 1`). It dispatches to the active
 //!   [`crate::simd`] tier. The vector tiers sweep **four output rows at once**,
 //!   the CPU analogue of an MMA fragment reusing each operand element across
-//!   its rows: a `4 × 16`-column register tile (AVX2; `4 × 8` at SSE2) loads
-//!   each operand vector once per reduction step and multiplies it by four
-//!   broadcast weights. A tile's last few columns (fewer than one vector) take
-//!   one more vector step that reads and writes only the live lanes, so a
-//!   ragged width costs about one extra vector, as a narrow MMA tile costs
-//!   one padded instruction ([`MmaShape::instructions_for`]). Rows past the
-//!   last multiple of four and the scalar tier sweep one row at a time.
+//!   its rows: a `4 × 32`-column register tile (AVX-512; `4 × 16` at AVX2,
+//!   `4 × 8` at SSE2) loads each operand vector once per reduction step and
+//!   multiplies it by four broadcast weights. A tile's last few columns (fewer
+//!   than one vector) take one more vector step that reads and writes only the
+//!   live lanes — at AVX-512 under a mask register, in a 256-bit step when at
+//!   most 8 columns are left — so a ragged width costs about one extra
+//!   vector, as a narrow MMA tile costs one padded instruction
+//!   ([`MmaShape::instructions_for`]). Rows past the last multiple of four and
+//!   the scalar tier sweep one row at a time.
 //!
 //! Both accumulate each output element in ascending-`k` order with a single `f32`
 //! accumulator, so any decomposition of a GEMM into these calls that visits `k` in
@@ -261,8 +263,16 @@ pub fn mma_sweep<const LOAD_C: bool>(
             // row; every operand row a tile column reads ends at
             // `offs[p]·scale + end <= b.len()`. Every step, the last one
             // included, touches only columns `start .. end`: the last step's
-            // `vmaskmovps` never accesses a masked-off lane past `end`. The
-            // tier is only returned when the CPU supports its feature.
+            // `__mmask16` / `__mmask8` masked loads and stores never access a
+            // masked-off lane past `end`. The tier is only returned when the
+            // CPU supports both AVX-512F and AVX-512VL.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => unsafe {
+                x86::span_avx512::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
+            },
+            // SAFETY: same bounds; the last step's `vmaskmovps` never
+            // accesses a masked-off lane past `end`. The tier is only
+            // returned when the CPU supports AVX2.
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => unsafe {
                 x86::span_avx2::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
@@ -842,10 +852,12 @@ mod tests {
     /// addressings (consecutive rows, gathered rows, base + taps at scale 1),
     /// both accumulate modes, row counts around the 4-row register tile
     /// (none, exactly one, one plus remainder rows, two), span widths on
-    /// every edge of the 16-, 8- and 4-column tiles and of the one-row
-    /// chunks, every remainder 1–7 the last (masked) step covers, span lists
-    /// whose edges fall off the 8- and 4-lane grid, and reduction depths 0,
-    /// 1, 3 and 17.
+    /// every edge of the 32-, 16-, 8- and 4-column tiles and of the one-row
+    /// chunks, every remainder 1–15 the last (masked) step covers — at
+    /// AVX-512 both sides of its 8/9-column switch from the `ymm` to the
+    /// `zmm` step, and an 8-column `ymm` step after a `zmm` tile — span lists
+    /// whose edges fall off the 16-, 8- and 4-lane grid, and reduction depths
+    /// 0, 1, 3 and 17.
     ///
     /// Every output column outside the spans holds NaN, and for the two
     /// row-addressed operands (`scale = stride`) every operand column outside
@@ -858,7 +870,7 @@ mod tests {
         let _guard = simd::tier_test_lock();
         let nan = f32::from_bits(0x7fc0_5a5a);
         let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-        let layouts: [(usize, &[(usize, usize)]); 10] = [
+        let layouts: [(usize, &[(usize, usize)]); 11] = [
             (45, &[(0, 45)]),
             (45, &[(3, 10), (13, 25)]),
             (45, &[(0, 1), (1, 5), (6, 38)]),
@@ -869,10 +881,17 @@ mod tests {
             (64, &[(1, 15), (16, 16), (32, 17)]),
             (100, &[(0, 31), (31, 32), (63, 33)]),
             (80, &[(1, 4), (5, 12), (17, 28), (46, 30)]),
+            (
+                310,
+                &[(0, 24), (24, 40), (64, 48), (112, 63), (175, 64), (239, 65)],
+            ),
         ];
         let row_counts = [1usize, 3, 4, 5, 8, 9];
         let mut checked = 0;
-        for tier in simd::available_tiers() {
+        let tiers = simd::available_tiers();
+        let labels: Vec<&str> = tiers.iter().map(|tier| tier.label()).collect();
+        println!("SIMD tiers swept: {}", labels.join(", "));
+        for &tier in &tiers {
             simd::force_tier(Some(tier));
             for &(stride, layout) in &layouts {
                 let spans: Vec<SegmentSpan> = layout
@@ -952,6 +971,6 @@ mod tests {
             }
         }
         simd::force_tier(None);
-        assert_eq!(checked, simd::available_tiers().len() * 10 * 6 * 4 * 3);
+        assert_eq!(checked, tiers.len() * 11 * 6 * 4 * 3);
     }
 }

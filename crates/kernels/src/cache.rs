@@ -345,7 +345,7 @@ impl PlanCache {
     pub fn get_or_build(
         &self,
         key: PlanKey,
-        build: impl Fn() -> KernelResult<SpmmPlan>,
+        build: impl FnOnce() -> KernelResult<SpmmPlan>,
     ) -> KernelResult<Arc<SpmmPlan>> {
         match self.get_or_build_any(key, || Ok(CachedPlan::Spmm(Arc::new(build()?))))? {
             CachedPlan::Spmm(plan) => Ok(plan),
@@ -372,7 +372,7 @@ impl PlanCache {
     pub fn get_or_build_conv(
         &self,
         key: PlanKey,
-        build: impl Fn() -> KernelResult<ImplicitConvPlan>,
+        build: impl FnOnce() -> KernelResult<ImplicitConvPlan>,
     ) -> KernelResult<Arc<ImplicitConvPlan>> {
         match self.get_or_build_any(key, || Ok(CachedPlan::Conv(Arc::new(build()?))))? {
             CachedPlan::Conv(plan) => Ok(plan),
@@ -388,7 +388,7 @@ impl PlanCache {
     fn get_or_build_any(
         &self,
         key: PlanKey,
-        build: impl Fn() -> KernelResult<CachedPlan>,
+        build: impl FnOnce() -> KernelResult<CachedPlan>,
     ) -> KernelResult<CachedPlan> {
         let waiting_on = {
             let mut inner = self.inner.lock().expect("plan cache poisoned");
@@ -422,7 +422,7 @@ impl PlanCache {
             // the waiters (with the typed `BuildPanicked` error) — otherwise
             // every current and future lookup of this key would block on the
             // dead slot forever.
-            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&build));
+            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
             let mut inner = self.inner.lock().expect("plan cache poisoned");
             let slot = inner
                 .building

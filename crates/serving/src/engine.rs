@@ -810,12 +810,12 @@ impl ServingEngine {
         }
 
         // Seed the cache with the validated candidate under the new
-        // version's key (a racing new-version arrival shares it instead of
-        // rebuilding), then drop the stale versions' plans. In-flight
-        // executes holding old `Arc`s are unaffected.
+        // version's key (moved in, not copied; a racing new-version arrival
+        // shares it instead of rebuilding), then drop the stale versions'
+        // plans. In-flight executes holding old `Arc`s are unaffected.
         let _ = self
             .cache
-            .get_or_build(PlanKey::new(layer, new_version), || Ok(candidate.clone()));
+            .get_or_build(PlanKey::new(layer, new_version), || Ok(candidate));
         let invalidated = self.cache.invalidate_layer_below(layer, new_version);
         self.fused_profile_us
             .lock()
