@@ -7,6 +7,7 @@
 //! batch size times the number of positions evaluated together; the encoder can batch
 //! a whole source sentence.
 
+use crate::activation::{sigmoid, tanh};
 use crate::workload::Layer;
 use shfl_serving::session::{DecodeModel, DecodeStage, DecodeState};
 
@@ -72,6 +73,10 @@ pub fn layers(batch: usize) -> Vec<Layer> {
 /// `HIDDEN` floats. All non-GEMM math (gate nonlinearities, the cell
 /// update) is pure per-sequence f32 arithmetic in [`DecodeModel::post`], so
 /// the interleaved session path stays bit-identical to the cold oracle.
+/// `post` is plain slice loops over [`crate::activation`]'s branch-free
+/// `tanh` and `sigmoid` (no libm call), which autovectorise: the cell
+/// update writes `c` and `h` in place, and the vocabulary fold adds the
+/// logits chunk by chunk.
 ///
 /// State layout ([`DecodeState::slots`]): slots `0..8` are the per-layer
 /// hidden vectors `h`, slots `8..16` the cell vectors `c`, slot `16` the
@@ -79,11 +84,6 @@ pub fn layers(batch: usize) -> Vec<Layer> {
 /// keeps every value bounded over arbitrarily long decodes.
 pub struct GnmtDecodeModel {
     stages: Vec<DecodeStage>,
-}
-
-/// Logistic sigmoid, the LSTM gate nonlinearity.
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 impl GnmtDecodeModel {
@@ -144,42 +144,40 @@ impl DecodeModel for GnmtDecodeModel {
     fn post(&self, stage: usize, gemm_out: &[f32], state: &mut DecodeState) -> Vec<f32> {
         if stage < DECODER_LAYERS {
             // The 4·HIDDEN gate pre-activations in [i, f, g, o] quarter
-            // order drive the classic cell update.
-            let (h, c): (Vec<f32>, Vec<f32>) = (0..HIDDEN)
-                .map(|j| {
-                    let i_gate = sigmoid(gemm_out[j]);
-                    let f_gate = sigmoid(gemm_out[HIDDEN + j]);
-                    let g = gemm_out[2 * HIDDEN + j].tanh();
-                    let o_gate = sigmoid(gemm_out[3 * HIDDEN + j]);
-                    let c_new = f_gate * state.slots[DECODER_LAYERS + stage][j] + i_gate * g;
-                    (o_gate * c_new.tanh(), c_new)
-                })
-                .unzip();
-            state.slots[stage] = h.clone();
-            state.slots[DECODER_LAYERS + stage] = c;
-            h
+            // order drive the classic cell update, which writes `c` and `h`
+            // in place.
+            let (i_pre, rest) = gemm_out.split_at(HIDDEN);
+            let (f_pre, rest) = rest.split_at(HIDDEN);
+            let (g_pre, o_pre) = rest.split_at(HIDDEN);
+            let (hs, cs) = state.slots.split_at_mut(DECODER_LAYERS);
+            let h = &mut hs[stage][..HIDDEN];
+            let c = &mut cs[stage][..HIDDEN];
+            for j in 0..HIDDEN {
+                c[j] = sigmoid(f_pre[j]) * c[j] + sigmoid(i_pre[j]) * tanh(g_pre[j]);
+                h[j] = sigmoid(o_pre[j]) * tanh(c[j]);
+            }
+            h.to_vec()
         } else if stage == DECODER_LAYERS {
             // Attention query with the stashed residual, tanh-bounded.
-            gemm_out
-                .iter()
-                .zip(&state.slots[2 * DECODER_LAYERS])
-                .map(|(y, r)| (y + r).tanh())
-                .collect()
+            let mut x = state.slots[2 * DECODER_LAYERS].clone();
+            for (x, y) in x.iter_mut().zip(gemm_out) {
+                *x = tanh(y + *x);
+            }
+            x
         } else {
-            // Fold the 32k-vocabulary logits back to HIDDEN width by strided
-            // sums so the streamed token stays compact and bounded.
-            let stride = HIDDEN;
-            (0..HIDDEN)
-                .map(|j| {
-                    let mut acc = 0.0f32;
-                    let mut idx = j;
-                    while idx < gemm_out.len() {
-                        acc += gemm_out[idx];
-                        idx += stride;
-                    }
-                    (acc / 32.0).tanh()
-                })
-                .collect()
+            // Fold the 32k-vocabulary logits back to HIDDEN width, chunk by
+            // chunk (`acc[j]` sums `y[i·HIDDEN + j]` in ascending `i`), so
+            // the streamed token stays compact and bounded.
+            let mut acc = vec![0.0f32; HIDDEN];
+            for chunk in gemm_out.chunks(HIDDEN) {
+                for (a, y) in acc.iter_mut().zip(chunk) {
+                    *a += y;
+                }
+            }
+            for a in &mut acc {
+                *a = tanh(*a / 32.0);
+            }
+            acc
         }
     }
 
@@ -252,18 +250,54 @@ mod tests {
             gates[2 * HIDDEN + j] = 1.0;
         }
         let h = model.post(0, &gates, &mut state);
-        let g = 1.0f32.tanh();
-        let c_expected = 0.5 * 0.5 + 0.5 * g; // f·c + i·g at element 0
+        let (i, f, o) = (sigmoid(0.0), sigmoid(0.0), sigmoid(0.0));
+        assert_eq!(i, 0.5);
+        let g = tanh(1.0);
+        let c_expected = f * 0.5 + i * g; // f·c + i·g at element 0
         assert_eq!(
             state.slots[DECODER_LAYERS][0].to_bits(),
             c_expected.to_bits()
         );
-        assert_eq!(h[0].to_bits(), (0.5 * c_expected.tanh()).to_bits());
+        assert_eq!(h[0].to_bits(), (o * tanh(c_expected)).to_bits());
+        // Element 1 starts from c = 0.
+        assert_eq!(
+            state.slots[DECODER_LAYERS][1].to_bits(),
+            (f * 0.0 + i * g).to_bits()
+        );
         assert_eq!(state.slots[0], h); // hidden state persisted
                                        // The vocabulary fold keeps the token at HIDDEN width, bounded.
         let logits = vec![0.75f32; 32_000];
         let token = model.post(DECODER_LAYERS + 1, &logits, &mut state);
         assert_eq!(token.len(), HIDDEN);
         assert!(token.iter().all(|v| v.abs() <= 1.0));
+    }
+
+    #[test]
+    fn chunked_vocabulary_fold_matches_the_strided_sum_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let model = GnmtDecodeModel::new(0, 1, 2);
+        let mut state = model.init_state();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        for trial in 0..4 {
+            let logits: Vec<f32> = (0..32_000)
+                .map(|_| rng.gen_range(-4.0f32..4.0) * (1 + trial) as f32)
+                .collect();
+            let token = model.post(DECODER_LAYERS + 1, &logits, &mut state);
+            for (j, got) in token.iter().enumerate() {
+                // The strided loop the fold replaced: element j adds
+                // logits[j], logits[j + HIDDEN], … in that order.
+                let mut acc = 0.0f32;
+                let mut idx = j;
+                while idx < logits.len() {
+                    acc += logits[idx];
+                    idx += HIDDEN;
+                }
+                assert_eq!(
+                    got.to_bits(),
+                    tanh(acc / 32.0).to_bits(),
+                    "trial {trial}, element {j}"
+                );
+            }
+        }
     }
 }

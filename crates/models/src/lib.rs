@@ -8,7 +8,10 @@
 //!   kernel-speedup experiments (Figures 1, 2, 6) iterate over,
 //! * [`engine`] — [`engine::ModelEngine`], the end-to-end inference engine: one
 //!   prepared kernel plan per weight-bearing layer (the plan/execute split of
-//!   `shfl-kernels`), repeated forward passes, tokens-or-images/s reporting, and
+//!   `shfl-kernels`), repeated forward passes, tokens-or-images/s reporting,
+//! * [`activation`] — the branch-free f32 `tanh` and `sigmoid` the GNMT and
+//!   Transformer decode hooks share (no libm; their slice loops autovectorise),
+//!   and
 //! * [`accuracy`] — the synthetic accuracy proxy described in `DESIGN.md`: pruned-model
 //!   quality is estimated by running the *real* pruning algorithms from `shfl-pruning`
 //!   on proxy importance matrices with hidden row-cluster structure, and mapping the
@@ -37,6 +40,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod accuracy;
+pub mod activation;
 pub mod engine;
 pub mod gnmt;
 pub mod resnet50;

@@ -6,6 +6,7 @@
 //! attention projections and the two feed-forward GEMMs; `N` is the number of token
 //! positions processed together (`batch × sequence length`).
 
+use crate::activation::tanh;
 use crate::workload::Layer;
 use shfl_serving::session::{DecodeModel, DecodeStage, DecodeState};
 
@@ -121,7 +122,9 @@ pub fn layers(batch: usize, seq_len: usize) -> Vec<Layer> {
 /// and tanh bounding keep activations finite over arbitrarily long decodes.
 /// Cross-attention needs encoder memory and is out of decode-session scope.
 /// All non-GEMM math is pure per-sequence f32 arithmetic, so the
-/// interleaved path stays bit-identical to the cold oracle.
+/// interleaved path stays bit-identical to the cold oracle. The bounding
+/// `tanh` is [`crate::activation::tanh`] (branch-free, no libm), applied in
+/// slice loops that autovectorise.
 ///
 /// State layout ([`DecodeState::slots`]): slots `2l` / `2l+1` are decoder
 /// layer `l`'s K / V slabs (`D_MODEL` floats per decoded step, appended in
@@ -132,6 +135,15 @@ pub struct TransformerDecodeModel {
 
 /// Stage kinds within one decoder layer, in execution order.
 const STAGES_PER_LAYER: usize = 4;
+
+/// `tanh` of every element, in one slice loop.
+fn bounded(ys: &[f32]) -> Vec<f32> {
+    let mut out = ys.to_vec();
+    for y in &mut out {
+        *y = tanh(*y);
+    }
+    out
+}
 
 impl TransformerDecodeModel {
     /// Builds the decode model over the serving-engine layer ids of the four
@@ -189,17 +201,11 @@ impl DecodeModel for TransformerDecodeModel {
             0 => {
                 // Split the fused projection, bound it, grow the KV slab,
                 // and attend over every cached step (this one included).
-                let q: Vec<f32> = gemm_out[..D_MODEL].iter().map(|y| y.tanh()).collect();
-                let k: Vec<f32> = gemm_out[D_MODEL..2 * D_MODEL]
-                    .iter()
-                    .map(|y| y.tanh())
-                    .collect();
-                let v: Vec<f32> = gemm_out[2 * D_MODEL..3 * D_MODEL]
-                    .iter()
-                    .map(|y| y.tanh())
-                    .collect();
-                state.slots[2 * layer].extend_from_slice(&k);
-                state.slots[2 * layer + 1].extend_from_slice(&v);
+                let qkv = bounded(&gemm_out[..3 * D_MODEL]);
+                let (q, kv) = qkv.split_at(D_MODEL);
+                let (k, v) = kv.split_at(D_MODEL);
+                state.slots[2 * layer].extend_from_slice(k);
+                state.slots[2 * layer + 1].extend_from_slice(v);
                 let k_slab = &state.slots[2 * layer];
                 let v_slab = &state.slots[2 * layer + 1];
                 let steps = k_slab.len() / D_MODEL;
@@ -230,20 +236,20 @@ impl DecodeModel for TransformerDecodeModel {
             1 => {
                 // Attention output projection + residual; restash for the
                 // FFN residual.
-                let x: Vec<f32> = gemm_out
-                    .iter()
-                    .zip(&state.slots[2 * DECODER_LAYERS])
-                    .map(|(y, r)| (y + r).tanh())
-                    .collect();
-                state.slots[2 * DECODER_LAYERS] = x.clone();
+                let residual = &mut state.slots[2 * DECODER_LAYERS];
+                for (r, y) in residual.iter_mut().zip(gemm_out) {
+                    *r = tanh(y + *r);
+                }
+                residual.clone()
+            }
+            2 => bounded(gemm_out),
+            _ => {
+                let mut x = state.slots[2 * DECODER_LAYERS].clone();
+                for (r, y) in x.iter_mut().zip(gemm_out) {
+                    *r = tanh(y + *r);
+                }
                 x
             }
-            2 => gemm_out.iter().map(|y| y.tanh()).collect(),
-            _ => gemm_out
-                .iter()
-                .zip(&state.slots[2 * DECODER_LAYERS])
-                .map(|(y, r)| (y + r).tanh())
-                .collect(),
         }
     }
 

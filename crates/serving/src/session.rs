@@ -25,7 +25,10 @@
 //!   depends only on its own activation column and the hooks touch only
 //!   their own state, the interleaved stream is **bit-identical** to running
 //!   each sequence's decode loop alone against the cold oracle
-//!   ([`decode_oracle`]).
+//!   ([`decode_oracle`]). The manager lock covers bookkeeping only: a round
+//!   moves its members' state out, runs the sweeps and hooks unlocked, and
+//!   writes the results back, so opening, evicting, resuming and reading
+//!   stats never wait behind a round.
 //! * [`SessionTicket`] — the streaming consumer half: tokens arrive as they
 //!   resolve (`next_token` / `try_next` / `wait_timeout`), each carrying its
 //!   per-token deadline verdict (the whole-sequence
@@ -396,6 +399,9 @@ struct LiveSession {
     /// Identity key for grouping (sessions of the same model instance
     /// coalesce into one sweep).
     model_key: usize,
+    /// The recurrent state and the next step's input. A round moves both
+    /// out (leaving them empty) and writes them back when it returns; the
+    /// session stays in the live set meanwhile.
     state: DecodeState,
     input: Vec<f32>,
     step: usize,
@@ -414,7 +420,23 @@ struct ParkedSession {
     max_steps: usize,
 }
 
+/// One session's working set for a round: moved out of its
+/// [`LiveSession`], so the round runs with the manager lock free.
+struct RoundMember {
+    id: u64,
+    model: Arc<dyn DecodeModel>,
+    state: DecodeState,
+    input: Vec<f32>,
+}
+
+/// What one group's step produced: each member's `(token, next input)`, or
+/// the typed error that failed the whole group.
+type GroupOutcome = Result<SweepOutputs, ServingError>;
+
 struct ManagerState {
+    /// Every session the manager steps, including those a round has taken
+    /// the working set of: they count against capacity, stay eligible as
+    /// eviction victims, and are written back when the round returns.
     live: Vec<LiveSession>,
     parked: HashMap<u64, ParkedSession>,
     stats: SessionStats,
@@ -563,7 +585,9 @@ impl SessionManager {
     }
 
     /// Requests eviction of a live session (any class — the deterministic
-    /// pressure lever benches and tests use). `true` when the id was live.
+    /// pressure lever benches and tests use). `true` when the id was live,
+    /// including a session a round is stepping right now: it is parked when
+    /// that round returns (unless that step was its last).
     pub(crate) fn evict(&self, id: u64) -> bool {
         let mut inner = self.inner.lock().expect("session manager poisoned");
         match inner.live.iter_mut().find(|s| s.id == id) {
@@ -661,11 +685,23 @@ impl SessionManager {
         state.stats.evicted += 1;
     }
 
-    /// One interleave round: reap abandoned sessions, apply evictions, poll
-    /// chaos step faults, group ready sequences by model, order the sweeps
-    /// by the queue policy, and execute each group stage-by-stage with
-    /// scatter-back.
+    /// One interleave round. Under the lock: reap abandoned sessions, apply
+    /// evictions, poll chaos step faults, move every remaining session's
+    /// working set out, group the members by model and order the sweeps by
+    /// the queue policy. Then, with the lock free, step each group
+    /// stage-by-stage, and retake the lock only to write its results back.
     fn run_round(&self, engine: &ServingEngine) {
+        for mut members in self.pick_round(engine) {
+            let mut sweeps = 0;
+            let start = Instant::now();
+            let outcome = Self::process_group(engine, &mut members, &mut sweeps);
+            self.write_back(members, outcome, start.elapsed(), sweeps);
+        }
+    }
+
+    /// The bookkeeping half of a round's start (see [`Self::run_round`]):
+    /// returns the round's groups in sweep order.
+    fn pick_round(&self, engine: &ServingEngine) -> Vec<Vec<RoundMember>> {
         let mut inner = self.inner.lock().expect("session manager poisoned");
 
         // Reap sessions whose every handle/ticket was dropped (only the
@@ -697,17 +733,20 @@ impl SessionManager {
         // Every remaining live session contributes this round. Step order is
         // session-id order — the determinism anchor the chaos step counter
         // scripts against.
-        let mut round: Vec<LiveSession> = inner.live.drain(..).collect();
-        round.sort_by_key(|s| s.id);
+        inner.live.sort_by_key(|s| s.id);
 
         #[cfg(feature = "chaos")]
         if let Some(plan) = &self.fault_plan {
-            let mut kept = Vec::with_capacity(round.len());
-            for s in round {
+            let mut i = 0;
+            while i < inner.live.len() {
                 match plan.poll_step() {
-                    StepFault::None => kept.push(s),
-                    StepFault::Evict => Self::park(&mut inner, s),
+                    StepFault::None => i += 1,
+                    StepFault::Evict => {
+                        let s = inner.live.remove(i);
+                        Self::park(&mut inner, s);
+                    }
                     StepFault::Panic => {
+                        let s = inner.live.remove(i);
                         s.shared.fail(ServingError::WorkerPanic {
                             context: "injected decode-step panic (chaos fault plan)".to_string(),
                         });
@@ -715,32 +754,39 @@ impl SessionManager {
                     }
                 }
             }
-            round = kept;
         }
 
         // Group by model identity; each group is one width-N sweep chain.
-        let mut groups: Vec<(usize, Vec<LiveSession>)> = Vec::new();
-        for s in round {
+        let mut groups: Vec<(usize, Vec<&mut LiveSession>)> = Vec::new();
+        for s in inner.live.iter_mut() {
             match groups.iter_mut().find(|(key, _)| *key == s.model_key) {
                 Some((_, members)) => members.push(s),
                 None => groups.push((s.model_key, vec![s])),
             }
         }
-        let mut ordered: Vec<(GroupMeta, Vec<LiveSession>)> = groups
+        let mut ordered: Vec<(GroupMeta, Vec<RoundMember>)> = groups
             .into_iter()
-            .map(|(_, members)| (Self::sweep_meta(engine, &members), members))
+            .map(|(_, sessions)| {
+                let meta = Self::sweep_meta(engine, &sessions);
+                let members = sessions
+                    .into_iter()
+                    .map(|s| RoundMember {
+                        id: s.id,
+                        model: Arc::clone(&s.model),
+                        state: std::mem::take(&mut s.state),
+                        input: std::mem::take(&mut s.input),
+                    })
+                    .collect();
+                (meta, members)
+            })
             .collect();
         ordered.sort_by(|a, b| self.policy.compare(&a.0, &b.0));
-
-        for (_, members) in ordered {
-            let survivors = Self::process_group(engine, members, &mut inner.stats);
-            inner.live.extend(survivors);
-        }
+        ordered.into_iter().map(|(_, members)| members).collect()
     }
 
     /// The sweep's scheduling meta: most urgent member's kind, earliest
     /// per-token deadline budget, summed GEMM work, lowest session id.
-    fn sweep_meta(engine: &ServingEngine, members: &[LiveSession]) -> GroupMeta {
+    fn sweep_meta(engine: &ServingEngine, members: &[&mut LiveSession]) -> GroupMeta {
         let kind = members
             .iter()
             .map(|m| m.class.kind())
@@ -773,101 +819,163 @@ impl SessionManager {
         )
     }
 
-    /// Steps one group: for each stage, every member contributes one column
-    /// (`pre`), the columns coalesce into one fused execute, and scatter-back
-    /// hands each output column to its own member (`post`). A panic or typed
-    /// execute error fails the whole group's tickets; success streams one
-    /// token per member. Returns the members still live after the step.
+    /// Steps one group with the manager lock free: for each stage, every
+    /// member contributes one column (`pre`), one tiled transpose gathers
+    /// the columns into the operand of one fused execute, one more scatters
+    /// the output back, and each member folds its own column (`post`). A
+    /// panic or typed execute error fails the whole group. `sweeps` counts
+    /// the executes that ran.
     fn process_group(
         engine: &ServingEngine,
-        mut members: Vec<LiveSession>,
-        stats: &mut SessionStats,
-    ) -> Vec<LiveSession> {
+        members: &mut [RoundMember],
+        sweeps: &mut u64,
+    ) -> GroupOutcome {
         let width = members.len();
-        if width == 0 {
-            return members;
+        let Some(first) = members.first() else {
+            return Ok(Vec::new());
+        };
+        let model = Arc::clone(&first.model);
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> GroupOutcome {
+            let mut xs: Vec<Vec<f32>> = members
+                .iter_mut()
+                .map(|m| std::mem::take(&mut m.input))
+                .collect();
+            let mut columns: Vec<f32> = Vec::new();
+            for (si, stage) in model.stages().iter().enumerate() {
+                let k = engine.layer_k(stage.layer)?;
+                let mut cols: Vec<Vec<f32>> = Vec::with_capacity(width);
+                for (m, x) in members.iter_mut().zip(&xs) {
+                    let col = m.model.pre(si, x, &mut m.state);
+                    if col.len() != k {
+                        return Err(ServingError::KMismatch {
+                            layer: stage.layer,
+                            expected: k,
+                            got: col.len(),
+                        });
+                    }
+                    cols.push(col);
+                }
+                let mut operand = DenseMatrix::zeros(k, width);
+                transpose_into(width, k, |c| &cols[c], operand.as_mut_slice(), width);
+                let (out, _) = engine.execute_profiled(stage.layer, &operand)?;
+                *sweeps += 1;
+                let rows = out.rows();
+                let stride = rows + COLUMN_PAD;
+                columns.resize(width * stride, 0.0);
+                transpose_into(rows, width, |r| out.row(r), &mut columns, stride);
+                for (c, (m, x)) in members.iter_mut().zip(xs.iter_mut()).enumerate() {
+                    let column = &columns[c * stride..c * stride + rows];
+                    *x = m.model.post(si, column, &mut m.state);
+                }
+            }
+            Ok(xs
+                .into_iter()
+                .zip(members.iter())
+                .map(|(x, m)| {
+                    let next = m.model.feedback(&x);
+                    (x, next)
+                })
+                .collect())
+        }));
+        outcome.unwrap_or_else(|payload| {
+            Err(ServingError::WorkerPanic {
+                context: crate::server::panic_message(payload.as_ref()),
+            })
+        })
+    }
+
+    /// The bookkeeping half of a group's step (see [`Self::run_round`]):
+    /// under the lock, restores each member's working set, streams its token
+    /// and retires it when its last step ran or an eviction was requested
+    /// while the round ran. A failed group fails every member's stream.
+    fn write_back(
+        &self,
+        members: Vec<RoundMember>,
+        outcome: GroupOutcome,
+        elapsed: Duration,
+        sweeps: u64,
+    ) {
+        let width = members.len();
+        let service_ms = elapsed.as_secs_f64() * 1e3;
+        let latency_us = elapsed.as_micros() as u64;
+        let mut inner = self.inner.lock().expect("session manager poisoned");
+        inner.stats.sweeps += sweeps;
+        inner.stats.sweep_columns += sweeps * width as u64;
+        let tokens = match outcome {
+            Ok(tokens) => tokens.into_iter().map(Ok).collect(),
+            Err(e) => vec![Err(e); width],
+        };
+        for (m, token) in members.into_iter().zip(tokens) {
+            let i = inner
+                .live
+                .iter()
+                .position(|s| s.id == m.id)
+                .expect("only the round's driver removes an in-round session");
+            let (values, next_input) = match token {
+                Ok(token) => token,
+                Err(e) => {
+                    let s = inner.live.remove(i);
+                    s.shared.fail(e);
+                    inner.stats.failed += 1;
+                    continue;
+                }
+            };
+            let s = &mut inner.live[i];
+            s.state = m.state;
+            s.input = next_input;
+            s.shared.push_token(DecodeToken {
+                step: s.step,
+                values,
+                service_ms,
+                deadline_met: s.per_token.token_met(latency_us),
+                width,
+            });
+            s.step += 1;
+            let (done, evict) = (s.step >= s.max_steps, s.evict_requested);
+            inner.stats.tokens += 1;
+            if done {
+                let s = inner.live.remove(i);
+                s.shared.finish();
+                inner.stats.completed += 1;
+            } else if evict {
+                let s = inner.live.remove(i);
+                Self::park(&mut inner, s);
+            }
         }
-        let stages: Vec<DecodeStage> = members[0].model.stages().to_vec();
-        let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(
-            || -> Result<SweepOutputs, ServingError> {
-                let mut xs: Vec<Vec<f32>> = members.iter().map(|m| m.input.clone()).collect();
-                for (si, stage) in stages.iter().enumerate() {
-                    let k = engine.layer_k(stage.layer)?;
-                    let mut cols: Vec<Vec<f32>> = Vec::with_capacity(width);
-                    for (m, x) in members.iter_mut().zip(xs.iter()) {
-                        let col = m.model.pre(si, x, &mut m.state);
-                        if col.len() != k {
-                            return Err(ServingError::KMismatch {
-                                layer: stage.layer,
-                                expected: k,
-                                got: col.len(),
-                            });
-                        }
-                        cols.push(col);
-                    }
-                    let combined = DenseMatrix::from_fn(k, width, |r, c| cols[c][r]);
-                    let (out, _) = engine.execute_profiled(stage.layer, &combined)?;
-                    stats.sweeps += 1;
-                    stats.sweep_columns += width as u64;
-                    for (c, m) in members.iter_mut().enumerate() {
-                        let col: Vec<f32> = (0..out.rows()).map(|r| out.get(r, c)).collect();
-                        xs[c] = m.model.post(si, &col, &mut m.state);
-                    }
+    }
+}
+
+/// Side of the square blocks [`transpose_into`] copies: a block's source
+/// rows and destination rows both stay in L1.
+const TRANSPOSE_TILE: usize = 32;
+
+/// Floats of padding after each scattered output column. Without it, the
+/// columns of a power-of-two-row layer (the GNMT gates have 4096) start a
+/// multiple of 4 KiB apart, so a block's destination rows all map to the
+/// same L1 sets and evict each other; the scatter then ran ~5× slower.
+const COLUMN_PAD: usize = 16;
+
+/// Writes the `rows × cols` matrix whose row `r` is `row(r)` into `dst`
+/// transposed, one square block at a time: source element `(r, c)` lands at
+/// `dst[c * dst_stride + r]`. It serves the decode round's gather (member
+/// columns into the operand) and scatter (output rows into member columns).
+/// A pure copy, so it cannot change a bit.
+fn transpose_into<'a>(
+    rows: usize,
+    cols: usize,
+    row: impl Fn(usize) -> &'a [f32],
+    dst: &mut [f32],
+    dst_stride: usize,
+) {
+    assert!(dst_stride >= rows && (cols == 0 || dst.len() >= (cols - 1) * dst_stride + rows));
+    for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+        let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+        for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+            let c1 = (c0 + TRANSPOSE_TILE).min(cols);
+            for r in r0..r1 {
+                for (c, &v) in (c0..c1).zip(&row(r)[c0..c1]) {
+                    dst[c * dst_stride + r] = v;
                 }
-                Ok(members
-                    .iter()
-                    .zip(xs)
-                    .map(|(m, x)| {
-                        let next = m.model.feedback(&x);
-                        (x, next)
-                    })
-                    .collect())
-            },
-        ));
-        match outcome {
-            Err(payload) => {
-                let context = crate::server::panic_message(payload.as_ref());
-                for m in members {
-                    m.shared.fail(ServingError::WorkerPanic {
-                        context: context.clone(),
-                    });
-                    stats.failed += 1;
-                }
-                Vec::new()
-            }
-            Ok(Err(e)) => {
-                for m in members {
-                    m.shared.fail(e.clone());
-                    stats.failed += 1;
-                }
-                Vec::new()
-            }
-            Ok(Ok(tokens)) => {
-                let elapsed = start.elapsed();
-                let service_ms = elapsed.as_secs_f64() * 1e3;
-                let latency_us = elapsed.as_micros() as u64;
-                let mut survivors = Vec::with_capacity(width);
-                for (mut m, (values, next_input)) in members.into_iter().zip(tokens) {
-                    let deadline_met = m.per_token.token_met(latency_us);
-                    m.shared.push_token(DecodeToken {
-                        step: m.step,
-                        values,
-                        service_ms,
-                        deadline_met,
-                        width,
-                    });
-                    stats.tokens += 1;
-                    m.step += 1;
-                    m.input = next_input;
-                    if m.step >= m.max_steps {
-                        m.shared.finish();
-                        stats.completed += 1;
-                    } else {
-                        survivors.push(m);
-                    }
-                }
-                survivors
             }
         }
     }
@@ -913,21 +1021,35 @@ mod tests {
     use gpu_sim::GpuArch;
     use shfl_core::bucket::BucketPolicy;
     use shfl_core::ShflBwMatrix;
+    use std::sync::mpsc;
 
     const N: usize = 16;
 
+    /// Rows and columns of the `toy.ragged` layer (layer 2): neither is a
+    /// multiple of the transpose tile.
+    const RAGGED_M: usize = 36;
+    const RAGGED_K: usize = 45;
+
     fn engine_with_toy_layers() -> ServingEngine {
         let mut engine = ServingEngine::new(GpuArch::a100(), BucketPolicy::new(8, 32).unwrap(), 16);
-        for l in 0..2 {
-            let dense = DenseMatrix::from_fn(N, N, |r, c| {
+        for (l, (m, k)) in [(N, N), (N, N), (RAGGED_M, RAGGED_K)]
+            .into_iter()
+            .enumerate()
+        {
+            let dense = DenseMatrix::from_fn(m, k, |r, c| {
                 if (c + r / 4 + l) % 3 == 0 {
-                    0.25 + 0.5 * ((r * N + c) % 7) as f32 / 7.0
+                    0.25 + 0.5 * ((r * k + c) % 7) as f32 / 7.0
                 } else {
                     0.0
                 }
             });
             let weights = ShflBwMatrix::from_dense(&dense, 4).unwrap();
-            engine.register_layer(&format!("toy.l{l}"), weights);
+            let name = if l < 2 {
+                format!("toy.l{l}")
+            } else {
+                "toy.ragged".into()
+            };
+            engine.register_layer(&name, weights);
         }
         engine
     }
@@ -996,6 +1118,93 @@ mod tests {
         }
     }
 
+    /// One-stage recurrent model on the `toy.ragged` layer: the state is
+    /// the last `RAGGED_M`-wide output, and feedback wraps the token back to
+    /// the `RAGGED_K`-wide input.
+    struct RaggedModel {
+        stages: Vec<DecodeStage>,
+    }
+
+    impl DecodeModel for RaggedModel {
+        fn name(&self) -> &str {
+            "ragged"
+        }
+
+        fn stages(&self) -> &[DecodeStage] {
+            &self.stages
+        }
+
+        fn init_state(&self) -> DecodeState {
+            DecodeState {
+                slots: vec![vec![0.0; RAGGED_M]],
+            }
+        }
+
+        fn pre(&self, _: usize, input: &[f32], state: &mut DecodeState) -> Vec<f32> {
+            (0..RAGGED_K)
+                .map(|i| input[i] + 0.5 * state.slots[0][i % RAGGED_M])
+                .collect()
+        }
+
+        fn post(&self, _: usize, gemm_out: &[f32], state: &mut DecodeState) -> Vec<f32> {
+            state.slots[0] = gemm_out.iter().map(|y| y.tanh()).collect();
+            state.slots[0].clone()
+        }
+
+        fn feedback(&self, token: &[f32]) -> Vec<f32> {
+            (0..RAGGED_K).map(|i| token[i % RAGGED_M]).collect()
+        }
+
+        fn prompt_len(&self) -> usize {
+            RAGGED_K
+        }
+    }
+
+    /// The toy model behind a one-shot gate: the first `post` call signals
+    /// `entered`, then waits for `release` (bounded, so a failing test
+    /// cannot leave the round thread blocked).
+    struct GatedModel {
+        inner: ToyModel,
+        entered: Mutex<Option<mpsc::Sender<()>>>,
+        release: Mutex<Option<mpsc::Receiver<()>>>,
+    }
+
+    impl DecodeModel for GatedModel {
+        fn name(&self) -> &str {
+            "gated"
+        }
+
+        fn stages(&self) -> &[DecodeStage] {
+            self.inner.stages()
+        }
+
+        fn init_state(&self) -> DecodeState {
+            self.inner.init_state()
+        }
+
+        fn pre(&self, stage: usize, input: &[f32], state: &mut DecodeState) -> Vec<f32> {
+            self.inner.pre(stage, input, state)
+        }
+
+        fn post(&self, stage: usize, gemm_out: &[f32], state: &mut DecodeState) -> Vec<f32> {
+            if let Some(entered) = self.entered.lock().unwrap().take() {
+                let release = self.release.lock().unwrap().take().unwrap();
+                entered.send(()).unwrap();
+                // Outlasts the test's own wait, so a test that gives up on
+                // the admin calls still finds the gate closed.
+                let _ = release.recv_timeout(2 * GUARD);
+            }
+            self.inner.post(stage, gemm_out, state)
+        }
+
+        fn prompt_len(&self) -> usize {
+            N
+        }
+    }
+
+    /// Bound on every wait of the concurrency tests.
+    const GUARD: Duration = Duration::from_secs(10);
+
     /// Model whose `post` panics once a scripted step is reached (the step
     /// count rides in the state).
     struct PanickyModel {
@@ -1039,7 +1248,11 @@ mod tests {
     }
 
     fn prompt(seed: u64) -> Vec<f32> {
-        (0..N)
+        prompt_of(N, seed)
+    }
+
+    fn prompt_of(len: usize, seed: u64) -> Vec<f32> {
+        (0..len)
             .map(|i| (((seed as usize * 31 + i * 7) % 13) as f32 - 6.0) / 6.0)
             .collect()
     }
@@ -1059,15 +1272,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interleaved_sessions_match_the_cold_oracle_bit_for_bit() {
+    /// Opens `width` sessions of `model`, runs `steps` rounds, and checks
+    /// that every token came from a `width`-wide sweep and matches the cold
+    /// oracle bit for bit.
+    fn check_interleave(model: &Arc<dyn DecodeModel>, width: usize, steps: usize) {
         let engine = engine_with_toy_layers();
-        let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
-        let mgr = SessionManager::new(8, Arc::new(Fifo));
-        let steps = 5;
-        let handles: Vec<SessionHandle> = (0..4)
+        let mgr = SessionManager::new(64, Arc::new(Fifo));
+        let prompt = |i: usize| prompt_of(model.prompt_len(), i as u64);
+        let handles: Vec<SessionHandle> = (0..width)
             .map(|i| {
-                mgr.open(Arc::clone(&model), prompt(i), SloClass::Standard, steps)
+                mgr.open(Arc::clone(model), prompt(i), SloClass::Standard, steps)
                     .unwrap()
             })
             .collect();
@@ -1079,16 +1293,139 @@ mod tests {
             let (toks, err) = drain(&h.ticket());
             assert!(err.is_none(), "session {i} failed: {err:?}");
             assert_eq!(toks.len(), steps);
-            let oracle = decode_oracle(&cold, model.as_ref(), &prompt(i as u64), steps).unwrap();
+            let oracle = decode_oracle(&cold, model.as_ref(), &prompt(i), steps).unwrap();
             for (t, o) in toks.iter().zip(&oracle) {
                 assert_eq!(bits(&t.values), bits(o), "session {i} diverged");
-                assert_eq!(t.width, 4, "session {i} did not interleave");
+                assert_eq!(t.width, width, "session {i} did not interleave");
             }
         }
         let stats = mgr.stats();
-        assert_eq!(stats.completed, 4);
-        assert_eq!(stats.tokens, 4 * steps as u64);
-        assert!(stats.mean_interleave_width() > 3.9);
+        assert_eq!(stats.completed, width as u64);
+        assert_eq!(stats.tokens, (width * steps) as u64);
+        assert_eq!(stats.mean_interleave_width(), width as f64);
+    }
+
+    #[test]
+    fn interleaved_sessions_match_the_cold_oracle_bit_for_bit() {
+        let toy: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
+        check_interleave(&toy, 4, 5);
+        // A layer whose m and k are not multiples of the transpose tile, at
+        // widths below it and one odd width above it.
+        assert_ne!(RAGGED_M % TRANSPOSE_TILE, 0);
+        assert_ne!(RAGGED_K % TRANSPOSE_TILE, 0);
+        let ragged: Arc<dyn DecodeModel> = Arc::new(RaggedModel {
+            stages: vec![DecodeStage {
+                name: "toy.ragged".into(),
+                layer: 2,
+            }],
+        });
+        for width in [1, 2, TRANSPOSE_TILE + 1] {
+            check_interleave(&ragged, width, 3);
+        }
+    }
+
+    #[test]
+    fn admin_calls_do_not_wait_behind_a_round_and_in_round_evictions_land_after_it() {
+        let engine = engine_with_toy_layers();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let gated: Arc<dyn DecodeModel> = Arc::new(GatedModel {
+            inner: ToyModel::new(),
+            entered: Mutex::new(Some(entered_tx)),
+            release: Mutex::new(Some(release_rx)),
+        });
+        let toy: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
+        let mgr = SessionManager::new(3, Arc::new(Fifo));
+        let steps = 4;
+        // Both ride the round that blocks in `post`.
+        let bulk = mgr
+            .open(Arc::clone(&gated), prompt(0), SloClass::Bulk, steps)
+            .unwrap();
+        let standard = mgr
+            .open(Arc::clone(&gated), prompt(1), SloClass::Standard, steps)
+            .unwrap();
+        let late = std::thread::scope(|scope| {
+            let round = scope.spawn(|| mgr.run_round(&engine));
+            entered_rx
+                .recv_timeout(GUARD)
+                .expect("the round reaches post");
+            let (done_tx, done_rx) = mpsc::channel();
+            let (mgr, toy, standard_id) = (&mgr, &toy, standard.id());
+            scope.spawn(move || {
+                let open =
+                    |seed| mgr.open(Arc::clone(toy), prompt(seed), SloClass::Standard, steps);
+                // The two in-round sessions count against capacity 3: the
+                // first opener fits, the second evicts the in-round Bulk
+                // session, and the third finds no victim left.
+                let opened = [open(2), open(3), open(4)];
+                let evicted = mgr.evict(standard_id);
+                let _ = done_tx.send((opened, evicted, mgr.stats()));
+            });
+            let admin = done_rx.recv_timeout(GUARD);
+            // The gate may have timed out already; release it either way.
+            let _ = release_tx.send(());
+            let (opened, evicted, stats) =
+                admin.expect("open, evict and stats returned while the round ran");
+            round.join().unwrap();
+            let [first, second, third] = opened;
+            assert_eq!(third.err(), Some(SubmitError::QueueFull { depth: 3 }));
+            assert!(evicted, "an in-round session is live");
+            assert_eq!(
+                stats.evicted, 0,
+                "in-round evictions land when the round returns"
+            );
+            assert_eq!(stats.tokens, 0);
+            [first.unwrap(), second.unwrap()]
+        });
+        // The round streamed one token to each in-round session, then
+        // parked both.
+        let stats = mgr.stats();
+        assert_eq!((stats.tokens, stats.evicted), (2, 2));
+        let (bulk_head, err) = drain(&bulk.ticket());
+        assert_eq!(err, Some(ServingError::Evicted { session: bulk.id() }));
+        let (standard_head, err) = drain(&standard.ticket());
+        assert_eq!(
+            err,
+            Some(ServingError::Evicted {
+                session: standard.id()
+            })
+        );
+        assert_eq!((bulk_head.len(), standard_head.len()), (1, 1));
+        // The late openers run to completion, then both parked streams
+        // resume and finish bit-identically to the oracle.
+        for _ in 0..steps {
+            mgr.run_round(&engine);
+        }
+        let resumed = [
+            mgr.resume(bulk.id()).unwrap(),
+            mgr.resume(standard.id()).unwrap(),
+        ];
+        for _ in 1..steps {
+            mgr.run_round(&engine);
+        }
+        let cold = engine_with_toy_layers();
+        let check = |toks: &[DecodeToken], seed: u64| {
+            let oracle = decode_oracle(&cold, toy.as_ref(), &prompt(seed), steps).unwrap();
+            assert_eq!(toks.len(), steps, "session {seed} lost tokens");
+            for (t, o) in toks.iter().zip(&oracle) {
+                assert_eq!(bits(&t.values), bits(o), "session {seed} diverged");
+            }
+        };
+        for (seed, (head, handle)) in [
+            (0, (bulk_head, &resumed[0])),
+            (1, (standard_head, &resumed[1])),
+        ] {
+            let (tail, err) = drain(&handle.ticket());
+            assert!(err.is_none(), "resumed session {seed} failed: {err:?}");
+            check(&[head, tail].concat(), seed);
+        }
+        for (seed, handle) in [(2, &late[0]), (3, &late[1])] {
+            let (toks, err) = drain(&handle.ticket());
+            assert!(err.is_none());
+            check(&toks, seed);
+        }
+        let stats = mgr.stats();
+        assert_eq!((stats.evicted, stats.resumed, stats.completed), (2, 2, 4));
     }
 
     #[test]
