@@ -1,34 +1,33 @@
-//! Wall-clock kernel benchmark: naive reference vs cold blocked call vs
-//! prepared plan, plus end-to-end model inference.
+//! Wall-clock kernel benchmark: naive reference vs cold call vs prepared plan,
+//! plus end-to-end model inference.
 //!
 //! `repro --bench-kernels` times every functional kernel three ways in the
 //! same run —
 //!
 //! * **naive**: the retained scalar reference path
 //!   (`shfl_kernels::reference`),
-//! * **blocked (cold)**: the public `*_execute` entry point, which builds a
-//!   kernel plan for the single call and executes it (weight re-packing paid
-//!   every call), and
+//! * **cold**: the public `*_execute` entry point, which builds a kernel plan
+//!   for the single call and executes it (weight re-packing paid every call),
+//!   and
 //! * **prepared**: a plan built once outside the timer, executing repeatedly
 //!   (the plan/execute split amortising the packing),
 //!
 //! — and runs the [`shfl_models::engine::ModelEngine`] end-to-end over
 //! Transformer, GNMT and ResNet-50. Everything is written to
-//! `BENCH_kernels.json` (schema **v2**, which adds the plan-build/prepared
-//! columns, the git revision and the model throughput section; see
-//! [`crate::report`] for the v1-compatible reader). The two headline entries
-//! (1024³ dense GEMM and Shfl-BW SpMM at 70 % sparsity) carry a ≥5× speedup
-//! target for naive-vs-blocked; the Shfl-BW headline additionally carries the
-//! ≥1.5× prepared-vs-cold target. Each entry records whether all three paths
-//! produced bit-identical outputs, so a perf regression and a correctness
-//! drift both show up in the same artifact.
+//! `BENCH_kernels.json` (schema **v2**: per-kernel naive/cold/plan-build/
+//! prepared columns, the git revision, the thread count and SIMD tier, and
+//! the model throughput section; [`crate::report::parse_json`] reads it back
+//! by key). The two headline entries (1024³ dense GEMM and Shfl-BW SpMM at
+//! 70 % sparsity) carry a ≥5× naive-over-cold target; the Shfl-BW headline
+//! additionally carries a ≥1.35× prepared-over-cold regression gate. Each
+//! entry records whether all three paths produced bit-identical outputs, so a
+//! perf regression and a correctness drift both show up in the same artifact.
 //!
 //! The ResNet-50 model record additionally carries a `conv_implicit` section
-//! comparing the implicit-GEMM conv plans against the retained
-//! materialised-im2col baseline: wall-clock and images/s of both paths, the
-//! transform bytes the implicit path reads, the im2col bytes it avoids, a
-//! bit-identity flag against the cold oracle, and the counter-verified im2col
-//! bytes charged during an implicit forward (gated to 0 by `repro`).
+//! on the implicit-GEMM conv plans: wall-clock and images/s of the implicit
+//! forward, the transform bytes it reads, the im2col bytes it avoids, a
+//! bit-identity flag against the cold im2col oracle, and the counter-verified
+//! im2col bytes charged during an implicit forward (gated to 0 by `repro`).
 
 use crate::synth;
 use gpu_sim::GpuArch;
@@ -36,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shfl_core::formats::{BlockSparseMatrix, CsrMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
-use shfl_kernels::plan::{ConvPlan, GemmPlan, SpmmPlan};
+use shfl_kernels::plan::{GemmPlan, SpmmPlan};
 use shfl_kernels::spmm::{
     balanced_spmm_execute, block_wise_spmm_execute, cuda_core_spmm_execute, shfl_bw_spmm_execute,
     vector_wise_spmm_execute,
@@ -57,9 +56,9 @@ pub struct BenchResult {
     /// [`REPEATS`] runs, same policy as the other paths so the ratios are
     /// comparable run-to-run).
     pub naive_ms: f64,
-    /// Wall-clock of the cold blocked call (plan built per call) in
-    /// milliseconds (best of [`REPEATS`] runs).
-    pub blocked_ms: f64,
+    /// Wall-clock of the cold call (plan built per call) in milliseconds
+    /// (best of [`REPEATS`] runs).
+    pub cold_ms: f64,
     /// Wall-clock of building the plan once, in milliseconds (best of
     /// [`REPEATS`] runs).
     pub plan_build_ms: f64,
@@ -68,29 +67,28 @@ pub struct BenchResult {
     pub prepared_ms: f64,
     /// Whether all three paths produced bit-identical outputs.
     pub bit_identical: bool,
-    /// Whether this entry carries the ≥5× naive-over-blocked acceptance
-    /// target.
+    /// Whether this entry carries the ≥5× naive-over-cold acceptance target.
     pub headline: bool,
 }
 
 impl BenchResult {
-    /// Naive-over-blocked wall-clock ratio (the v1 trajectory metric). The
+    /// Naive-over-cold wall-clock ratio (the trajectory metric). The
     /// denominator is floored at 1 ns so a sub-clock-tick measurement yields a
     /// large finite ratio instead of `inf`/`NaN` (which would corrupt the
     /// JSON artifact).
     pub fn speedup(&self) -> f64 {
-        self.naive_ms / self.blocked_ms.max(1e-6)
+        self.naive_ms / self.cold_ms.max(1e-6)
     }
 
     /// Cold-over-prepared wall-clock ratio: what one-time weight pre-packing
     /// buys per call (denominator floored like [`BenchResult::speedup`]).
     pub fn prepared_speedup(&self) -> f64 {
-        self.blocked_ms / self.prepared_ms.max(1e-6)
+        self.cold_ms / self.prepared_ms.max(1e-6)
     }
 }
 
-/// Implicit-GEMM vs materialised-im2col convolution numbers of one model
-/// (recorded for ResNet-50, the conv-dominated workload).
+/// Implicit-GEMM convolution numbers of one model (recorded for ResNet-50,
+/// the conv-dominated workload).
 #[derive(Debug, Clone)]
 pub struct ConvImplicitBench {
     /// Bytes of the in-place layout buffer one implicit forward reads,
@@ -102,12 +100,8 @@ pub struct ConvImplicitBench {
     pub im2col_bytes_avoided: u64,
     /// Best wall-clock of one implicit-conv forward pass, ms.
     pub implicit_ms: f64,
-    /// Best wall-clock of one materialised-im2col forward pass, ms.
-    pub im2col_ms: f64,
     /// Functional throughput of the implicit path (images/s).
     pub implicit_images_s: f64,
-    /// Functional throughput of the im2col baseline (images/s).
-    pub im2col_images_s: f64,
     /// Whether the implicit outputs were bit-identical to the cold
     /// materialised-im2col oracle.
     pub bit_identical: bool,
@@ -115,14 +109,6 @@ pub struct ConvImplicitBench {
     /// implicit forward — the counter-verified proof that the implicit path
     /// materialises nothing (must be 0).
     pub im2col_bytes_on_implicit: u64,
-}
-
-impl ConvImplicitBench {
-    /// Implicit-over-im2col wall-clock ratio (denominator floored like
-    /// [`BenchResult::speedup`]).
-    pub fn speedup(&self) -> f64 {
-        self.im2col_ms / self.implicit_ms.max(1e-6)
-    }
 }
 
 /// End-to-end numbers of one model on the prepared engine.
@@ -149,8 +135,8 @@ pub struct ModelBenchResult {
     /// Mixed-size serving-trace numbers ([`crate::bench_serving`]): hit rate,
     /// latency percentiles, cached-vs-cold throughput.
     pub serving: Option<crate::bench_serving::ServingBenchResult>,
-    /// Implicit-GEMM vs materialised-im2col convolution comparison (ResNet-50
-    /// only; `None` for models without convolutions).
+    /// Implicit-GEMM convolution numbers (ResNet-50 only; `None` for models
+    /// without convolutions).
     pub conv_implicit: Option<ConvImplicitBench>,
 }
 
@@ -181,24 +167,24 @@ fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// instead of skewing one side of a ratio. The returned outputs come from each
 /// path's best repetition.
 #[allow(clippy::type_complexity)] // one (output, ms) pair per timed path
-fn time_paths<N, B, P>(
+fn time_paths<N, C, P>(
     mut naive: impl FnMut() -> N,
-    mut blocked: impl FnMut() -> B,
+    mut cold: impl FnMut() -> C,
     mut build: impl FnMut(),
     mut prepared: impl FnMut() -> P,
-) -> ((N, f64), (B, f64), f64, (P, f64)) {
+) -> ((N, f64), (C, f64), f64, (P, f64)) {
     // Untimed warmup: fault in buffers, settle the allocator and branch
-    // predictors, and let the blocked/prepared pair see the same cache state
+    // predictors, and let the cold/prepared pair see the same cache state
     // their timed repetitions will.
-    let _ = blocked();
+    let _ = cold();
     let _ = prepared();
-    // Within a repetition the order is naive → build → blocked → prepared, so
+    // Within a repetition the order is naive → build → cold → prepared, so
     // the two sides of the cold/prepared ratio run back to back with the same
     // predecessor footprint (the naive pass thrashes the caches; the plan
     // build that follows touches the weight operand either way).
     let (mut n_out, mut n_ms) = time_once(&mut naive);
     let ((), mut build_ms) = time_once(&mut build);
-    let (mut b_out, mut b_ms) = time_once(&mut blocked);
+    let (mut c_out, mut c_ms) = time_once(&mut cold);
     let (mut p_out, mut p_ms) = time_once(&mut prepared);
     for _ in 1..REPEATS {
         let (out, ms) = time_once(&mut naive);
@@ -207,16 +193,16 @@ fn time_paths<N, B, P>(
         }
         let ((), ms) = time_once(&mut build);
         build_ms = build_ms.min(ms);
-        let (out, ms) = time_once(&mut blocked);
-        if ms < b_ms {
-            (b_out, b_ms) = (out, ms);
+        let (out, ms) = time_once(&mut cold);
+        if ms < c_ms {
+            (c_out, c_ms) = (out, ms);
         }
         let (out, ms) = time_once(&mut prepared);
         if ms < p_ms {
             (p_out, p_ms) = (out, ms);
         }
     }
-    ((n_out, n_ms), (b_out, b_ms), build_ms, (p_out, p_ms))
+    ((n_out, n_ms), (c_out, c_ms), build_ms, (p_out, p_ms))
 }
 
 fn bits_equal(a: &DenseMatrix, b: &DenseMatrix) -> bool {
@@ -256,30 +242,25 @@ pub fn run(quick: bool) -> BenchRun {
     let a = DenseMatrix::random(&mut rng, s, s);
     let b = DenseMatrix::random(&mut rng, s, s);
     let plan = GemmPlan::new(&arch, &a, s);
-    let (
-        (naive_out, naive_ms),
-        (blocked_out, blocked_ms),
-        plan_build_ms,
-        (prepared_out, prepared_ms),
-    ) = time_paths(
-        || reference::fragment_matmul_naive(shape, &a, &b),
-        || {
-            shfl_kernels::gemm::dense_gemm_execute(&arch, &a, &b)
-                .expect("shapes match")
-                .output
-        },
-        || drop(GemmPlan::new(&arch, &a, s)),
-        || plan.execute(&b).expect("bucket matches").output,
-    );
+    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
+        time_paths(
+            || reference::fragment_matmul_naive(shape, &a, &b),
+            || {
+                shfl_kernels::gemm::dense_gemm_execute(&arch, &a, &b)
+                    .expect("shapes match")
+                    .output
+            },
+            || drop(GemmPlan::new(&arch, &a, s)),
+            || plan.execute(&b).expect("bucket matches").output,
+        );
     kernels.push(BenchResult {
         kernel: "dense_gemm_execute".to_string(),
         shape: format!("{s}x{s}x{s}"),
         naive_ms,
-        blocked_ms,
+        cold_ms,
         plan_build_ms,
         prepared_ms,
-        bit_identical: bits_equal(&naive_out, &blocked_out)
-            && bits_equal(&naive_out, &prepared_out),
+        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
         headline: true,
     });
 
@@ -292,30 +273,25 @@ pub fn run(quick: bool) -> BenchRun {
     let shfl = synth::shfl_bw_matrix(7, m, k, v, 0.30);
     let b = DenseMatrix::random(&mut rng, k, n);
     let plan = SpmmPlan::shfl_bw(&arch, &shfl, n);
-    let (
-        (naive_out, naive_ms),
-        (blocked_out, blocked_ms),
-        plan_build_ms,
-        (prepared_out, prepared_ms),
-    ) = time_paths(
-        || reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b, shfl.row_indices()),
-        || {
-            shfl_bw_spmm_execute(&arch, &shfl, &b)
-                .expect("shapes match")
-                .output
-        },
-        || drop(SpmmPlan::shfl_bw(&arch, &shfl, n)),
-        || plan.execute(&b).expect("bucket matches").output,
-    );
+    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
+        time_paths(
+            || reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b, shfl.row_indices()),
+            || {
+                shfl_bw_spmm_execute(&arch, &shfl, &b)
+                    .expect("shapes match")
+                    .output
+            },
+            || drop(SpmmPlan::shfl_bw(&arch, &shfl, n)),
+            || plan.execute(&b).expect("bucket matches").output,
+        );
     kernels.push(BenchResult {
         kernel: "shfl_bw_spmm_execute".to_string(),
         shape: format!("{m}x{k}x{n} V={v} 70% sparse"),
         naive_ms,
-        blocked_ms,
+        cold_ms,
         plan_build_ms,
         prepared_ms,
-        bit_identical: bits_equal(&naive_out, &blocked_out)
-            && bits_equal(&naive_out, &prepared_out),
+        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
         headline: true,
     });
 
@@ -331,171 +307,99 @@ pub fn run(quick: bool) -> BenchRun {
     let vw = VectorWiseMatrix::from_dense(&vw_dense, v).expect("m divides v");
     let identity: Vec<u32> = (0..m as u32).collect();
     let plan = SpmmPlan::vector_wise(&arch, &vw, n);
-    let (
-        (naive_out, naive_ms),
-        (blocked_out, blocked_ms),
-        plan_build_ms,
-        (prepared_out, prepared_ms),
-    ) = time_paths(
-        || reference::stitched_spmm_naive(&arch, &vw, &b, &identity),
-        || {
-            vector_wise_spmm_execute(&arch, &vw, &b)
-                .expect("shapes match")
-                .output
-        },
-        || drop(SpmmPlan::vector_wise(&arch, &vw, n)),
-        || plan.execute(&b).expect("bucket matches").output,
-    );
+    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
+        time_paths(
+            || reference::stitched_spmm_naive(&arch, &vw, &b, &identity),
+            || {
+                vector_wise_spmm_execute(&arch, &vw, &b)
+                    .expect("shapes match")
+                    .output
+            },
+            || drop(SpmmPlan::vector_wise(&arch, &vw, n)),
+            || plan.execute(&b).expect("bucket matches").output,
+        );
     kernels.push(BenchResult {
         kernel: "vector_wise_spmm_execute".to_string(),
         shape: format!("{m}x{k}x{n} V={v}"),
         naive_ms,
-        blocked_ms,
+        cold_ms,
         plan_build_ms,
         prepared_ms,
-        bit_identical: bits_equal(&naive_out, &blocked_out)
-            && bits_equal(&naive_out, &prepared_out),
+        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
         headline: false,
     });
 
     let csr_dense = synth::unstructured_dense(13, m, k, 0.30);
     let csr = CsrMatrix::from_dense(&csr_dense);
     let plan = SpmmPlan::cuda_core(&arch, &csr, n);
-    let (
-        (naive_out, naive_ms),
-        (blocked_out, blocked_ms),
-        plan_build_ms,
-        (prepared_out, prepared_ms),
-    ) = time_paths(
-        || reference::csr_spmm_naive(&csr, &b),
-        || {
-            cuda_core_spmm_execute(&arch, &csr, &b)
-                .expect("shapes match")
-                .output
-        },
-        || drop(SpmmPlan::cuda_core(&arch, &csr, n)),
-        || plan.execute(&b).expect("bucket matches").output,
-    );
+    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
+        time_paths(
+            || reference::csr_spmm_naive(&csr, &b),
+            || {
+                cuda_core_spmm_execute(&arch, &csr, &b)
+                    .expect("shapes match")
+                    .output
+            },
+            || drop(SpmmPlan::cuda_core(&arch, &csr, n)),
+            || plan.execute(&b).expect("bucket matches").output,
+        );
     kernels.push(BenchResult {
         kernel: "cuda_core_spmm_execute".to_string(),
         shape: format!("{m}x{k}x{n}"),
         naive_ms,
-        blocked_ms,
+        cold_ms,
         plan_build_ms,
         prepared_ms,
-        bit_identical: bits_equal(&naive_out, &blocked_out)
-            && bits_equal(&naive_out, &prepared_out),
+        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
         headline: false,
     });
 
     let bsr: BlockSparseMatrix = synth::block_wise_matrix(17, m, k, v, 0.30);
     let plan = SpmmPlan::block_wise(&arch, &bsr, n);
-    let (
-        (naive_out, naive_ms),
-        (blocked_out, blocked_ms),
-        plan_build_ms,
-        (prepared_out, prepared_ms),
-    ) = time_paths(
-        || reference::block_spmm_naive(&arch, &bsr, &b),
-        || {
-            block_wise_spmm_execute(&arch, &bsr, &b)
-                .expect("shapes match")
-                .output
-        },
-        || drop(SpmmPlan::block_wise(&arch, &bsr, n)),
-        || plan.execute(&b).expect("bucket matches").output,
-    );
+    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
+        time_paths(
+            || reference::block_spmm_naive(&arch, &bsr, &b),
+            || {
+                block_wise_spmm_execute(&arch, &bsr, &b)
+                    .expect("shapes match")
+                    .output
+            },
+            || drop(SpmmPlan::block_wise(&arch, &bsr, n)),
+            || plan.execute(&b).expect("bucket matches").output,
+        );
     kernels.push(BenchResult {
         kernel: "block_wise_spmm_execute".to_string(),
         shape: format!("{m}x{k}x{n} V={v}"),
         naive_ms,
-        blocked_ms,
+        cold_ms,
         plan_build_ms,
         prepared_ms,
-        bit_identical: bits_equal(&naive_out, &blocked_out)
-            && bits_equal(&naive_out, &prepared_out),
+        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
         headline: false,
     });
 
     let a100 = GpuArch::a100();
     let bal = synth::balanced_matrix(19, m, k);
     let plan = SpmmPlan::balanced(&a100, &bal, n).expect("supported on A100");
-    let (
-        (naive_out, naive_ms),
-        (blocked_out, blocked_ms),
-        plan_build_ms,
-        (prepared_out, prepared_ms),
-    ) = time_paths(
-        || reference::balanced_spmm_naive(&a100, &bal, &b),
-        || {
-            balanced_spmm_execute(&a100, &bal, &b)
-                .expect("supported on A100")
-                .output
-        },
-        || drop(SpmmPlan::balanced(&a100, &bal, n).expect("supported on A100")),
-        || plan.execute(&b).expect("bucket matches").output,
-    );
+    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
+        time_paths(
+            || reference::balanced_spmm_naive(&a100, &bal, &b),
+            || {
+                balanced_spmm_execute(&a100, &bal, &b)
+                    .expect("supported on A100")
+                    .output
+            },
+            || drop(SpmmPlan::balanced(&a100, &bal, n).expect("supported on A100")),
+            || plan.execute(&b).expect("bucket matches").output,
+        );
     kernels.push(BenchResult {
         kernel: "balanced_spmm_execute".to_string(),
         shape: format!("{m}x{k}x{n} 2:4"),
         naive_ms,
-        blocked_ms,
+        cold_ms,
         plan_build_ms,
         prepared_ms,
-        bit_identical: bits_equal(&naive_out, &blocked_out)
-            && bits_equal(&naive_out, &prepared_out),
-        headline: false,
-    });
-
-    // Implicit-GEMM convolution (ResNet-like layer, shrunk in quick mode).
-    let params = conv::Conv2dParams {
-        batch: if quick { 1 } else { 4 },
-        in_channels: if quick { 8 } else { 64 },
-        out_channels: if quick { 8 } else { 64 },
-        input_h: 14,
-        input_w: 14,
-        kernel_h: 3,
-        kernel_w: 3,
-        stride: 1,
-        padding: 1,
-        dilation: 1,
-    };
-    let (cm, _, ck) = params.implicit_gemm_shape();
-    let weights = DenseMatrix::random(&mut rng, cm, ck);
-    let input = conv::Tensor4::random(
-        &mut rng,
-        params.batch,
-        params.in_channels,
-        params.input_h,
-        params.input_w,
-    );
-    let plan = ConvPlan::dense(&arch, &weights, &params).expect("geometry matches");
-    let (
-        (naive_out, naive_ms),
-        (blocked_out, blocked_ms),
-        plan_build_ms,
-        (prepared_out, prepared_ms),
-    ) = time_paths(
-        || reference::conv2d_dense_naive(&arch, &weights, &input, &params),
-        || {
-            conv::conv2d_dense_execute(&arch, &weights, &input, &params)
-                .expect("geometry matches")
-                .0
-        },
-        || drop(ConvPlan::dense(&arch, &weights, &params).expect("geometry matches")),
-        || plan.execute(&input).expect("geometry matches").0,
-    );
-    kernels.push(BenchResult {
-        kernel: "conv2d_dense_execute".to_string(),
-        shape: format!(
-            "b{} {}->{} {}x{}",
-            params.batch, params.in_channels, params.out_channels, params.input_h, params.input_w
-        ),
-        naive_ms,
-        blocked_ms,
-        plan_build_ms,
-        prepared_ms,
-        bit_identical: naive_out == blocked_out && naive_out == prepared_out,
+        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
         headline: false,
     });
 
@@ -540,11 +444,10 @@ pub fn run(quick: bool) -> BenchRun {
     BenchRun { kernels, models }
 }
 
-/// Times the implicit-GEMM conv path against the retained materialised-im2col
-/// baseline on one engine (best-of interleaved, like [`time_paths`]), checks
-/// bit-identity against the cold im2col oracle, and counter-verifies that the
-/// implicit forwards charge **zero** bytes to the global im2col traffic
-/// counter.
+/// Times the implicit-GEMM conv path on one engine (best-of, like
+/// [`time_paths`]), checks bit-identity against the cold im2col oracle, and
+/// counter-verifies that the implicit forwards charge **zero** bytes to the
+/// global im2col traffic counter.
 fn bench_conv_implicit(
     engine: &ModelEngine,
     batch: usize,
@@ -552,31 +455,19 @@ fn bench_conv_implicit(
     quick: bool,
 ) -> ConvImplicitBench {
     let reps = if quick { 1 } else { REPEATS };
-    // Warm both paths: fault in the conv plans and the unfold scratch so the
-    // timed repetitions compare steady-state serving, not first-touch costs.
+    // Warm up: fault in the conv plans so the timed repetitions measure
+    // steady-state serving, not first-touch costs.
     let _ = engine.forward(batch, seq_len).expect("implicit forward");
-    let _ = engine
-        .forward_im2col(batch, seq_len)
-        .expect("im2col forward");
 
     // Counter-verified proof that the implicit path materialises nothing: the
     // global im2col traffic counter must not move across an implicit forward.
     let before = conv::im2col_traffic_bytes();
     let mut implicit = engine.forward(batch, seq_len).expect("implicit forward");
     let im2col_bytes_on_implicit = conv::im2col_traffic_bytes() - before;
-    let mut im2col = engine
-        .forward_im2col(batch, seq_len)
-        .expect("im2col forward");
     for _ in 1..reps {
         let next = engine.forward(batch, seq_len).expect("implicit forward");
         if next.forward_ms < implicit.forward_ms {
             implicit = next;
-        }
-        let next = engine
-            .forward_im2col(batch, seq_len)
-            .expect("im2col forward");
-        if next.forward_ms < im2col.forward_ms {
-            im2col = next;
         }
     }
 
@@ -599,9 +490,7 @@ fn bench_conv_implicit(
         input_bytes_read,
         im2col_bytes_avoided,
         implicit_ms: implicit.forward_ms,
-        im2col_ms: im2col.forward_ms,
         implicit_images_s: implicit.throughput_per_s(),
-        im2col_images_s: im2col.throughput_per_s(),
         bit_identical,
         im2col_bytes_on_implicit,
     }
@@ -610,17 +499,17 @@ fn bench_conv_implicit(
 /// Renders the plain-text report table.
 pub fn to_table(run: &BenchRun) -> String {
     let mut out = String::from(
-        "Kernel wall-clock: naive reference vs cold blocked call vs prepared plan\n\
-         kernel                     | shape                      | naive ms | blocked ms | build ms | prepared ms | speedup | prep-speedup | bit-identical\n\
-         ---------------------------+----------------------------+----------+------------+----------+-------------+---------+--------------+--------------\n",
+        "Kernel wall-clock: naive reference vs cold call vs prepared plan\n\
+         kernel                     | shape                      | naive ms | cold ms  | build ms | prepared ms | speedup | prep-speedup | bit-identical\n\
+         ---------------------------+----------------------------+----------+----------+----------+-------------+---------+--------------+--------------\n",
     );
     for r in &run.kernels {
         out.push_str(&format!(
-            "{:26} | {:26} | {:8.2} | {:10.2} | {:8.2} | {:11.2} | {:6.1}x | {:11.2}x | {}{}\n",
+            "{:26} | {:26} | {:8.2} | {:8.2} | {:8.2} | {:11.2} | {:6.1}x | {:11.2}x | {}{}\n",
             r.kernel,
             r.shape,
             r.naive_ms,
-            r.blocked_ms,
+            r.cold_ms,
             r.plan_build_ms,
             r.prepared_ms,
             r.speedup(),
@@ -656,15 +545,12 @@ pub fn to_table(run: &BenchRun) -> String {
     for m in &run.models {
         let Some(c) = &m.conv_implicit else { continue };
         out.push_str(&format!(
-            "\nImplicit-GEMM convolution vs materialised im2col ({})\n\
-             implicit ms | im2col ms | speedup | implicit img/s | im2col img/s | transform bytes | im2col bytes avoided | im2col bytes on implicit | bit-identical\n\
-             {:11.2} | {:9.2} | {:6.2}x | {:14.1} | {:12.1} | {:15} | {:20} | {:24} | {}\n",
+            "\nImplicit-GEMM convolution ({})\n\
+             implicit ms | implicit img/s | transform bytes | im2col bytes avoided | im2col bytes on implicit | bit-identical\n\
+             {:11.2} | {:14.1} | {:15} | {:20} | {:24} | {}\n",
             m.model,
             c.implicit_ms,
-            c.im2col_ms,
-            c.speedup(),
             c.implicit_images_s,
-            c.im2col_images_s,
             c.input_bytes_read,
             c.im2col_bytes_avoided,
             c.im2col_bytes_on_implicit,
@@ -704,13 +590,13 @@ pub fn to_json(run: &BenchRun) -> String {
     for (i, r) in run.kernels.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"naive_ms\": {:.3}, \
-             \"blocked_ms\": {:.3}, \"plan_build_ms\": {:.3}, \"prepared_ms\": {:.3}, \
+             \"cold_ms\": {:.3}, \"plan_build_ms\": {:.3}, \"prepared_ms\": {:.3}, \
              \"speedup\": {:.2}, \"prepared_speedup\": {:.2}, \"bit_identical\": {}, \
              \"headline\": {}}}{}\n",
             esc(&r.kernel),
             esc(&r.shape),
             r.naive_ms,
-            r.blocked_ms,
+            r.cold_ms,
             r.plan_build_ms,
             r.prepared_ms,
             r.speedup(),
@@ -830,16 +716,12 @@ pub fn to_json(run: &BenchRun) -> String {
             Some(c) => format!(
                 ", \"conv_implicit\": {{\"input_bytes_read\": {}, \
                  \"im2col_bytes_avoided\": {}, \"implicit_ms\": {:.3}, \
-                 \"im2col_ms\": {:.3}, \"implicit_images_s\": {:.2}, \
-                 \"im2col_images_s\": {:.2}, \"speedup\": {:.2}, \
-                 \"bit_identical\": {}, \"im2col_bytes_on_implicit\": {}}}",
+                 \"implicit_images_s\": {:.2}, \"bit_identical\": {}, \
+                 \"im2col_bytes_on_implicit\": {}}}",
                 c.input_bytes_read,
                 c.im2col_bytes_avoided,
                 c.implicit_ms,
-                c.im2col_ms,
                 c.implicit_images_s,
-                c.im2col_images_s,
-                c.speedup(),
                 c.bit_identical,
                 c.im2col_bytes_on_implicit,
             ),
@@ -873,13 +755,14 @@ mod tests {
 
     #[test]
     fn quick_run_is_bit_identical_and_json_is_well_formed() {
+        use crate::report::{parse_json, Json};
         let run = run(true);
-        assert_eq!(run.kernels.len(), 7);
+        assert_eq!(run.kernels.len(), 6);
         assert!(run.kernels.iter().all(|r| r.bit_identical), "{run:?}");
         assert_eq!(run.kernels.iter().filter(|r| r.headline).count(), 2);
         assert_eq!(run.models.len(), 3);
         assert!(run.models.iter().all(|m| m.forward_ms > 0.0));
-        // The conv comparison rides on ResNet-50 only, and its implicit path
+        // The conv section rides on ResNet-50 only, and its implicit path
         // must be bit-identical to the cold materialised-im2col oracle.
         let conv: Vec<_> = run
             .models
@@ -890,15 +773,42 @@ mod tests {
         assert!(conv[0].bit_identical, "{:?}", conv[0]);
         assert!(conv[0].input_bytes_read > 0);
         assert!(conv[0].im2col_bytes_avoided > conv[0].input_bytes_read);
-        let json = to_json(&run);
-        assert!(json.contains("\"dense_gemm_execute\""));
-        assert!(json.contains("\"shfl_bw_spmm_execute\""));
-        assert!(json.contains("\"prepared_ms\""));
-        assert!(json.contains("\"git_rev\""));
-        assert!(json.contains("\"Transformer\""));
-        // Balanced braces / brackets as a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+
+        // The JSON parses, and every row and model reads back by key.
+        let doc = parse_json(&to_json(&run)).expect("well-formed JSON");
+        assert!(doc.get("git_rev").and_then(Json::as_str).is_some());
+        let rows = doc.get("results").and_then(Json::as_array).unwrap();
+        let names: Vec<_> = rows
+            .iter()
+            .map(|r| r.get("kernel").and_then(Json::as_str).unwrap())
+            .collect();
+        let want: Vec<_> = run.kernels.iter().map(|r| r.kernel.as_str()).collect();
+        assert_eq!(names, want);
+        assert!(names.contains(&"dense_gemm_execute") && names.contains(&"shfl_bw_spmm_execute"));
+        for row in rows {
+            for key in ["naive_ms", "cold_ms", "plan_build_ms", "prepared_ms"] {
+                assert!(row.get(key).and_then(Json::as_f64).is_some(), "{key}");
+            }
+            assert_eq!(row.get("bit_identical").and_then(Json::as_bool), Some(true));
+        }
+        let models = doc.get("models").and_then(Json::as_array).unwrap();
+        let model = |name| {
+            models
+                .iter()
+                .find(|m| m.get("model").and_then(Json::as_str) == Some(name))
+        };
+        assert!(model("Transformer").is_some() && model("GNMT").is_some());
+        let conv = model("ResNet50")
+            .and_then(|m| m.get("conv_implicit"))
+            .unwrap();
+        assert_eq!(
+            conv.get("bit_identical").and_then(Json::as_bool),
+            Some(true)
+        );
+        assert_eq!(
+            conv.get("im2col_bytes_on_implicit").and_then(Json::as_f64),
+            Some(0.0)
+        );
         let table = to_table(&run);
         assert!(table.contains("headline"));
         assert!(table.contains("ResNet50"));

@@ -23,11 +23,11 @@
 //!    served through [`Scheduler`] worker threads over the shared engine
 //!    (recorded, not gated: on a single-core host the fan-out cannot beat
 //!    sequential service),
-//! 6. **panel probe** — a request over four largest-bucket widths wide,
-//!    with the engine's packed-panel byte counter read around it: its one
-//!    sweep must stay within 1.5× of the single-sweep lower bound (it is
-//!    exactly 1.0×), gated deterministically in both smoke and full mode,
-//!    and
+//! 6. **panel probe** — a request over four largest-bucket widths wide (it
+//!    spans `n.div_ceil(max_bucket)` = 5 of them, gated ≥ 4), with the
+//!    engine's packed-panel byte counter read around it: its one sweep must
+//!    stay within 1.5× of the single-sweep lower bound (it is exactly 1.0×),
+//!    gated deterministically in both smoke and full mode, and
 //! 7. **cross-request coalescing** — the fan-out trace served again through
 //!    a coalescing scheduler (same-layer requests column-concatenated into
 //!    shared fused executes): outputs must be bit-identical to the
@@ -117,9 +117,9 @@ pub struct ServingBenchResult {
     pub mt_requests: usize,
     /// Wall-clock of the fanned sub-trace in ms (0 when no linear layers).
     pub mt_wall_ms: f64,
-    /// Segments the panel-probe width splits into under the engine's bucket
-    /// policy: how many largest-bucket widths the probe spans (≥ 4 by
-    /// construction). The engine serves them in one sweep.
+    /// Largest-bucket widths the panel-probe request spans, counting a
+    /// partial last one (≥ 4 by construction). The engine serves them all in
+    /// one sweep.
     pub panel_segments: usize,
     /// Packed-panel bytes of **one** sweep over the probe layer's weights —
     /// the lower bound any execution of that layer pays at least once.
@@ -527,8 +527,9 @@ fn run_model(
             serving.layer_m(l).unwrap_or(usize::MAX) * serving.layer_k(l).unwrap_or(usize::MAX)
         })
         .unwrap_or(0);
-    let probe_n = serving.policy().max_bucket() * 4 + 3;
-    let panel_segments = serving.policy().segments(probe_n).len();
+    let max_bucket = serving.policy().max_bucket();
+    let probe_n = max_bucket * 4 + 3;
+    let panel_segments = probe_n.div_ceil(max_bucket);
     let panel_sweep_bytes = serving
         .layer_panel_sweep_bytes(probe_layer)
         .expect("probe plan builds");

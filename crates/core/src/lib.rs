@@ -58,7 +58,7 @@ pub mod pattern;
 pub mod slo;
 pub mod tiling;
 
-pub use bucket::{BucketPolicy, Segment};
+pub use bucket::BucketPolicy;
 pub use error::{Error, Result};
 pub use formats::{BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix};
 pub use mask::BinaryMask;
@@ -71,7 +71,7 @@ pub use tiling::TileConfig;
 /// Commonly used items, re-exported for glob import in examples and tests.
 pub mod prelude {
     pub use crate::analysis::{compare_patterns, ln_candidate_structures, max_reuse};
-    pub use crate::bucket::{BucketPolicy, Segment};
+    pub use crate::bucket::BucketPolicy;
     pub use crate::error::{Error, Result};
     pub use crate::formats::{
         BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix,

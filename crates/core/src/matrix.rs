@@ -245,11 +245,10 @@ impl DenseMatrix {
     /// Copy of columns `start .. start + width`, zero-padded on the right to
     /// `padded_cols` columns.
     ///
-    /// This is the bucketing primitive of the serving layer: an activation
-    /// operand narrower than its plan's N-bucket is widened with zero columns
-    /// (which contribute nothing to the real output columns — every output
-    /// column depends only on its own activation column), and an operand wider
-    /// than the largest bucket is split into consecutive column segments.
+    /// The server slices each request's columns out of a coalesced group's
+    /// output with it (`padded_cols == width`). Zero padding contributes
+    /// nothing to the real output columns of a GEMM/SpMM: every output column
+    /// depends only on its own activation column.
     ///
     /// # Panics
     ///
@@ -274,8 +273,8 @@ impl DenseMatrix {
     }
 
     /// Writes the first `width` columns of `src` into `self` starting at
-    /// column `start` (the inverse of [`DenseMatrix::cols_padded`]: cropping a
-    /// padded bucket result back into the assembled output).
+    /// column `start` (the inverse of [`DenseMatrix::cols_padded`];
+    /// [`DenseMatrix::concat_cols`] assembles its parts with it).
     ///
     /// # Panics
     ///

@@ -7,16 +7,21 @@
 //!
 //! * [`Tensor4`] — a minimal NCHW activation tensor,
 //! * [`Conv2dParams`] — convolution geometry and its implicit-GEMM shape,
-//! * [`im2col`] — the unfolding used by the functional kernels and the reference,
-//! * dense and Shfl-BW convolution kernels (functional `_execute` and analytical
-//!   `_profile` faces), which delegate their cost model to the corresponding GEMM /
-//!   SpMM kernels on the implicit-GEMM shape. The im2col duplication is staged through
-//!   shared memory on a real GPU, so approximating its DRAM traffic with the GEMM
-//!   operand affects dense and sparse kernels alike and preserves the speedup ratios
-//!   the paper reports.
+//! * [`im2col`] and [`col2im_output`] — the materialised unfolding and its
+//!   fold-back, which with an exact-width [`crate::plan::SpmmPlan`] form the
+//!   independent oracle of the one functional conv path,
+//!   [`crate::conv_plan::ImplicitConvPlan`] (it walks the input in place and
+//!   never calls [`im2col`]),
+//! * [`conv2d_reference`] — a direct convolution for tolerance checks, and
+//! * the analytical `_profile` faces of the dense and Shfl-BW convolution
+//!   kernels, which delegate their cost model to the corresponding GEMM / SpMM
+//!   kernels on the implicit-GEMM shape. The im2col duplication is staged
+//!   through shared memory on a real GPU, so approximating its DRAM traffic
+//!   with the GEMM operand affects dense and sparse kernels alike and
+//!   preserves the speedup ratios the paper reports.
 
 use crate::gemm;
-use crate::profile::{KernelProfile, KernelResult};
+use crate::profile::KernelProfile;
 use crate::spmm::shfl_bw::shfl_bw_spmm_profile;
 use gpu_sim::stats::TrafficCounter;
 use gpu_sim::GpuArch;
@@ -39,8 +44,8 @@ pub fn im2col_traffic_bytes() -> u64 {
 }
 
 thread_local! {
-    /// Per-thread scratch backing for [`im2col`] so the retained oracle path
-    /// reuses one allocation per thread instead of allocating the full `K × N`
+    /// Per-thread scratch backing for [`im2col`] so the oracle path reuses one
+    /// allocation per thread instead of allocating the full `K × N`
     /// buffer on every call.
     static UNFOLD_POOL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -48,7 +53,7 @@ thread_local! {
 /// Returns an unfolded buffer produced by [`im2col`] to the thread-local
 /// scratch pool so the next [`im2col`] call on this thread reuses its
 /// allocation. Dropping the matrix instead is always correct — this is purely
-/// an allocation-traffic optimisation for the retained im2col oracle path.
+/// an allocation-traffic optimisation for the im2col oracle path.
 pub fn reclaim_unfolded(unfolded: DenseMatrix) {
     let buf = unfolded.into_vec();
     UNFOLD_POOL.with(|pool| {
@@ -308,8 +313,8 @@ pub fn im2col(input: &Tensor4, params: &Conv2dParams) -> DenseMatrix {
 
 /// Reshapes the `O × N` implicit-GEMM output back into an NCHW tensor, packing
 /// one `OW`-wide spatial row per `copy_from_slice`. Public counterpart of
-/// [`im2col`]: the serving stack unfolds conv inputs, serves the flattened
-/// operand through the bucketed SpMM path, and folds the result back here.
+/// [`im2col`]: the oracle unfolds a conv input, executes the flattened operand
+/// on an exact-width SpMM plan, and folds the result back here.
 pub fn col2im_output(output: &DenseMatrix, params: &Conv2dParams) -> Tensor4 {
     let (oh, ow) = (params.output_h(), params.output_w());
     let mut t = Tensor4::zeros(params.batch, params.out_channels, oh, ow);
@@ -360,43 +365,6 @@ pub fn conv2d_shfl_bw_profile(
     p
 }
 
-/// Functionally executes the dense implicit-GEMM convolution.
-///
-/// This is the cold path: a thin wrapper that builds a
-/// [`crate::plan::ConvPlan`] for this single call and executes it.
-///
-/// # Errors
-///
-/// Returns [`crate::KernelError::ShapeMismatch`] if the flattened filter matrix does not
-/// match the convolution geometry or the input does not match it.
-pub fn conv2d_dense_execute(
-    arch: &GpuArch,
-    weights: &DenseMatrix,
-    input: &Tensor4,
-    params: &Conv2dParams,
-) -> KernelResult<(Tensor4, KernelProfile)> {
-    crate::plan::ConvPlan::dense(arch, weights, params)?.execute(input)
-}
-
-/// Functionally executes the Shfl-BW implicit-GEMM convolution (stitched main loop +
-/// reordered write-back over the unfolded input).
-///
-/// This is the cold path: a thin wrapper that builds a
-/// [`crate::plan::ConvPlan`] for this single call and executes it.
-///
-/// # Errors
-///
-/// Returns [`crate::KernelError::ShapeMismatch`] if the pruned filter matrix does not match
-/// the convolution geometry or the input does not match it.
-pub fn conv2d_shfl_bw_execute(
-    arch: &GpuArch,
-    weights: &ShflBwMatrix,
-    input: &Tensor4,
-    params: &Conv2dParams,
-) -> KernelResult<(Tensor4, KernelProfile)> {
-    crate::plan::ConvPlan::shfl_bw(arch, weights, params)?.execute(input)
-}
-
 /// Keep the `ShflBwKernelConfig` re-export close to the conv API for discoverability
 /// in docs (the conv kernel shares the SpMM configuration).
 pub use crate::spmm::shfl_bw::ShflBwKernelConfig as ConvShflBwKernelConfig;
@@ -432,20 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_execute_matches_direct_convolution() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = small_params();
-        let (m, _, k) = p.implicit_gemm_shape();
-        let weights = DenseMatrix::random(&mut rng, m, k);
-        let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
-        let arch = GpuArch::v100();
-        let (out, profile) = conv2d_dense_execute(&arch, &weights, &input, &p).unwrap();
-        let reference = conv2d_reference(&input, &weights, &p);
-        assert!(out.max_abs_diff(&reference) < 5e-2);
-        assert_eq!(profile.name, "dense-conv2d");
-    }
-
-    #[test]
     fn shfl_bw_execute_matches_direct_convolution() {
         let mut rng = StdRng::seed_from_u64(5);
         let p = small_params();
@@ -466,19 +420,13 @@ mod tests {
         let weights = ShflBwMatrix::from_dense(&weights_dense, 4).unwrap();
         let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
         let arch = GpuArch::a100();
-        let (out, _) = conv2d_shfl_bw_execute(&arch, &weights, &input, &p).unwrap();
+        let (out, profile) = crate::conv_plan::ImplicitConvPlan::build(&arch, &weights, &p)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
         let reference = conv2d_reference(&input, &weights_dense, &p);
         assert!(out.max_abs_diff(&reference) < 5e-2);
-    }
-
-    #[test]
-    fn execute_rejects_mismatched_weights() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let p = small_params();
-        let arch = GpuArch::v100();
-        let weights = DenseMatrix::random(&mut rng, 3, 3);
-        let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
-        assert!(conv2d_dense_execute(&arch, &weights, &input, &p).is_err());
+        assert_eq!(profile.name, "shfl-bw-conv2d(V=4)");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Implicit-GEMM convolution plans: walk the input in place, never im2col.
 //!
-//! [`crate::plan::ConvPlan`] serves convolutions by materialising the full
-//! `K × N` im2col operand (`K = C·R·S`, `N = batch·OH·OW`) and riding the
-//! bucketed SpMM path — pure memory traffic that duplicates every input pixel
-//! `R·S` times and re-rounds it through fp16 on every call. [`ImplicitConvPlan`]
-//! removes that materialisation:
+//! Materialising the full `K × N` im2col operand (`K = C·R·S`,
+//! `N = batch·OH·OW`) is pure memory traffic: it duplicates every input pixel
+//! `R·S` times and re-rounds it through fp16 on every call. The paper keeps the
+//! unfolded input in on-chip buffers only (§4.1). [`ImplicitConvPlan`] is the
+//! engine's one conv execute path, and it never materialises the unfolding:
 //!
 //! 1. **One-time layout transform at execute, not `R·S`-fold duplication.**
 //!    Each call stages the NCHW input once into a zero-padded, fp16-pre-rounded
@@ -41,12 +41,14 @@
 //!    bit for bit on any thread count. A batch-1 execute stages its channel
 //!    planes in parallel but sweeps on one core.
 //!
-//! The retained im2col path stays as the **bit-identical oracle**: the plan
-//! mirrors the stitched [`crate::plan::SpmmPlan`] panel structure (same `V×tk`
-//! tiles, same ascending-panel partial-sum bracketing per output element), and
-//! `T` holds exactly the fp16-pre-rounded values im2col would gather, so
-//! outputs match the oracle bit for bit — the property tests assert exact
-//! equality across stride / padding / dilation / kernel geometries.
+//! The materialised chain — [`conv::im2col`], an exact-width stitched
+//! [`crate::plan::SpmmPlan`], [`conv::col2im_output`] — is the
+//! **bit-identical oracle**: the plan mirrors the stitched SpMM panel
+//! structure (same `V×tk` tiles, same ascending-panel partial-sum bracketing
+//! per output element), and `T` holds exactly the fp16-pre-rounded values
+//! im2col would gather, so outputs match the oracle bit for bit — the property
+//! tests assert exact equality across stride / padding / dilation / kernel
+//! geometries.
 
 use crate::conv::{self, Conv2dParams, Tensor4};
 use crate::profile::{KernelError, KernelProfile, KernelResult};
@@ -206,9 +208,9 @@ impl ImplicitConvPlan {
         })
     }
 
-    /// The analytical profile resolved at plan time (same cost model as the
-    /// im2col [`crate::plan::ConvPlan`] — the transform changes CPU wall
-    /// clock, not the modeled GPU kernel).
+    /// The analytical profile resolved at plan time: the Shfl-BW
+    /// implicit-GEMM cost model ([`conv::conv2d_shfl_bw_profile`]). The
+    /// in-place transform changes CPU wall clock, not the modeled GPU kernel.
     pub fn profile(&self) -> &KernelProfile {
         &self.profile
     }
@@ -327,8 +329,8 @@ impl ImplicitConvPlan {
 
     /// Executes into the flattened `M × N` implicit-GEMM output layout
     /// (`N = batch·OH·OW`, column `(b·OH + y)·OW + x`) — the shape the
-    /// bucketed im2col serving path produces, kept for bit-identity
-    /// comparisons and flattened-output consumers. It is [`Self::execute`]
+    /// im2col oracle produces, kept for bit-identity comparisons and
+    /// flattened-output consumers. It is [`Self::execute`]
     /// plus a relayout: image `b`'s output plane of channel `o` becomes
     /// columns `b·OH·OW ..` of row `o`.
     ///
@@ -468,7 +470,7 @@ impl ImplicitConvPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ConvPlan;
+    use crate::plan::SpmmPlan;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Barrier;
@@ -484,6 +486,21 @@ mod tests {
             }
         });
         ShflBwMatrix::from_dense(&dense, v).unwrap()
+    }
+
+    /// The oracle: the materialised unfolding on an exact-width stitched SpMM
+    /// plan, folded back to NCHW.
+    fn im2col_oracle(
+        arch: &GpuArch,
+        weights: &ShflBwMatrix,
+        p: &Conv2dParams,
+        input: &Tensor4,
+    ) -> Tensor4 {
+        let unfolded = conv::im2col(input, p);
+        let plan = SpmmPlan::shfl_bw(arch, weights, unfolded.cols());
+        let out = plan.execute(&unfolded).unwrap().output;
+        conv::reclaim_unfolded(unfolded);
+        conv::col2im_output(&out, p)
     }
 
     fn params() -> Conv2dParams {
@@ -510,13 +527,8 @@ mod tests {
         let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
         let arch = GpuArch::a100();
         let implicit = ImplicitConvPlan::build(&arch, &weights, &p).unwrap();
-        let oracle = ConvPlan::shfl_bw(&arch, &weights, &p).unwrap();
         let (got, _) = implicit.execute(&input).unwrap();
-        let (want, _) = oracle.execute(&input).unwrap();
-        assert_eq!(got.shape(), want.shape());
-        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_same_bits(&got, &im2col_oracle(&arch, &weights, &p, &input));
     }
 
     #[test]
@@ -574,10 +586,7 @@ mod tests {
         let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
         let arch = GpuArch::a100();
         let plan = ImplicitConvPlan::build(&arch, &weights, &p).unwrap();
-        let (want, _) = ConvPlan::shfl_bw(&arch, &weights, &p)
-            .unwrap()
-            .execute(&input)
-            .unwrap();
+        let want = im2col_oracle(&arch, &weights, &p, &input);
         (plan, input, want)
     }
 

@@ -24,12 +24,12 @@
 //! | Vector-wise SpMM (tensor cores) | the authors' own VW kernel, VectorSparse, TileWise | [`spmm::vector_wise`] |
 //! | Balanced 2:4 SpMM | cuSPARSELt on A100 | [`spmm::balanced`] |
 //! | **Shfl-BW SpMM** | the paper's contribution (Algorithm 1) | [`spmm::shfl_bw`] |
-//! | Implicit-GEMM 2-D convolution (dense and Shfl-BW) | cuDNN / the paper's conv kernel | [`conv`] |
+//! | Implicit-GEMM 2-D convolution (Shfl-BW functional; dense and Shfl-BW modeled) | cuDNN / the paper's conv kernel | [`conv_plan`], [`conv`] |
 //!
 //! ## One sweep kernel
 //!
 //! Every functional kernel — dense GEMM, block-wise, vector-wise / Shfl-BW,
-//! balanced 2:4, CSR and both convolution paths — executes through one panel
+//! balanced 2:4, CSR and the implicit-GEMM convolution — executes through one panel
 //! sweep, [`gpu_sim::mma::mma_sweep`], the way the paper runs linear and
 //! convolution layers through one stitched MMA loop:
 //!
@@ -60,7 +60,7 @@
 //! accumulator in both the sweep and the naive paths, so the
 //! [`reference`](mod@reference) module's kernels are **bit-identical**
 //! oracles: the property tests assert exact equality, and
-//! `repro --bench-kernels` times naive vs blocked in the same run to track the
+//! `repro --bench-kernels` times naive vs cold in the same run to track the
 //! speedup (`BENCH_kernels.json`).
 //!
 //! ## The plan/execute split
@@ -68,12 +68,13 @@
 //! Every `*_execute` entry point above is a *cold* call: it stages the static
 //! weight operand (fp16 rounding, tile transposition, launch selection,
 //! profiling) and then executes — all in one shot. The [`plan`] module splits
-//! those two phases: [`plan::GemmPlan`], [`plan::SpmmPlan`] and
-//! [`plan::ConvPlan`] are built **once** per `(weights, arch, N-bucket)` and
-//! then executed repeatedly against fresh activations, amortising the weight
-//! packing the way real inference engines do. Prepared execution is
-//! bit-identical to the cold path; `repro --bench-kernels` records the
-//! cold-vs-prepared per-call times.
+//! those two phases: [`plan::GemmPlan`] and [`plan::SpmmPlan`] are built
+//! **once** per `(weights, arch)` and then executed repeatedly against fresh
+//! activations of any width, amortising the weight packing the way real
+//! inference engines do; [`conv_plan::ImplicitConvPlan`] does the same for a
+//! convolution at one geometry. The width a plan is built for sets only its
+//! modeled profile. Prepared execution is bit-identical to the cold path;
+//! `repro --bench-kernels` records the cold-vs-prepared per-call times.
 //!
 //! ## Example
 //!
@@ -115,5 +116,5 @@ pub mod spmm;
 
 pub use cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use conv_plan::ImplicitConvPlan;
-pub use plan::{ConvPlan, GemmPlan, SpmmPlan};
+pub use plan::{GemmPlan, SpmmPlan};
 pub use profile::{KernelError, KernelOutput, KernelProfile, KernelResult};

@@ -1,6 +1,6 @@
 //! The plan/execute split: build a kernel plan **once** per
-//! `(weights, arch, N-bucket)`, execute it many times against fresh
-//! activations.
+//! `(weights, arch)`, execute it many times against fresh activations of any
+//! width.
 //!
 //! The cold `*_execute` entry points of this crate re-stage the static weight
 //! operand on every call: they re-round it through fp16, re-transpose the
@@ -18,26 +18,29 @@
 //!   rounded `V×V` block panels (block-wise), a rounded dense packing of the
 //!   decompressed operand (balanced 2:4), or the CSR operand itself
 //!   (CUDA-core scalar kernel — it has no fp16 staging to amortise).
-//! * [`ConvPlan`] — both implicit-GEMM convolution paths, wrapping a
-//!   [`GemmPlan`] or stitched [`SpmmPlan`] over the flattened filter matrix.
+//!
+//! Convolutions have their own plan, [`crate::conv_plan::ImplicitConvPlan`]:
+//! it packs the flattened filter matrix like a stitched [`SpmmPlan`] and walks
+//! the input feature map in place instead of unfolding it.
 //!
 //! Every plan owns the packed panels ([`shfl_core::packed::PackedPanels`]),
 //! the resolved launch/tile configuration, and the precomputed analytical
 //! [`KernelProfile`] (cloned into each [`KernelOutput`]). Every tensor-core
 //! plan and the CSR plan execute through the one panel sweep
-//! [`gpu_sim::mma::mma_sweep`], and each plan has one execute body: a
-//! single-width `execute` sweeps the whole width, a fused `execute_segments`
-//! sweeps the segments' spans. The packed panels do not depend on the width
-//! a plan was built for, so the serving stack caches one plan per
+//! [`gpu_sim::mma::mma_sweep`], and each plan has one execute body, which
+//! sweeps every column of its operand. The packed panels do not depend on the
+//! activation width (the stitched tile depth `tk` is fixed), so the width `n`
+//! a plan is built for sets only its modeled profile and launch: `execute`
+//! accepts any number of columns, and the serving stack caches one plan per
 //! `(layer, version)` ([`crate::cache::PlanCache`]) and sweeps every request
-//! on it as one exact-width segment. Activation-side
+//! on it at its exact width. Activation-side
 //! working buffers are deliberately *not* cached on the plan: freshly mapped
 //! pages measured consistently faster than long-lived reused buffers on this
 //! allocator (transparent-huge-page placement), and a buffer-free plan stays
 //! `Sync`. A prepared `execute` is **bit-identical** to the cold path and to
-//! the naive references in [`crate::reference`]: packing rounds element-wise
-//! exactly where the cold path rounds, and the per-output-element accumulation
-//! order is unchanged (the property tests assert exact equality).
+//! the naive references in [`crate::reference`], at any width: packing rounds
+//! element-wise exactly where the cold path rounds, and the per-output-element
+//! accumulation order is unchanged (the property tests assert exact equality).
 //!
 //! ## Example
 //!
@@ -57,17 +60,17 @@
 //!
 //! // Plan phase: pack panels, resolve the launch, profile — once.
 //! let plan = SpmmPlan::shfl_bw(&arch, &sparse, 32);
-//! // Execute phase: amortised across every batch of activations.
-//! for _ in 0..3 {
-//!     let activations = DenseMatrix::random(&mut rng, 64, 32);
+//! // Execute phase: amortised across every batch of activations, whatever
+//! // its width.
+//! for n in [32, 1, 75] {
+//!     let activations = DenseMatrix::random(&mut rng, 64, n);
 //!     let out = plan.execute(&activations)?;
-//!     assert_eq!(out.output.shape(), (64, 32));
+//!     assert_eq!(out.output.shape(), (64, n));
 //! }
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::conv::{self, Conv2dParams, Tensor4};
 use crate::gemm;
 use crate::launch::{self, LaunchConfig};
 use crate::profile::{KernelError, KernelOutput, KernelProfile, KernelResult};
@@ -75,7 +78,6 @@ use crate::spmm;
 use gpu_sim::mma::{mma_sweep, SegmentSpan};
 use gpu_sim::pipeline::PipelineConfig;
 use gpu_sim::GpuArch;
-use shfl_core::bucket::Segment;
 use shfl_core::formats::{
     BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix,
 };
@@ -84,89 +86,39 @@ use shfl_core::packed::PackedPanels;
 use shfl_core::parallel;
 use shfl_core::tiling::{self, TileConfig};
 
-/// Widest column span one sweep step processes at a time. A wider execute
-/// or segment is subdivided for the sweep (bit-identical — every output
-/// column depends only on its own activation column, and the panel order per
-/// column is unchanged): a `tk × span` pre-rounded activation tile of
+/// Widest column span one sweep step processes at a time. A wider execute is
+/// subdivided for the sweep (bit-identical — every output column depends only
+/// on its own activation column, and the panel order per column is
+/// unchanged): a `tk × span` pre-rounded activation tile of
 /// `16 × 256 × 4 = 16` KB stays L1-resident across all of a panel's output
 /// rows, where a 1024-wide tile's 64 KB would be re-streamed from L2 per row.
 const MAX_SWEEP_SPAN: usize = 256;
 
-/// Appends the sweep spans of columns `start .. end`: [`MAX_SWEEP_SPAN`]-wide
+/// The sweep spans of all `n` columns of an operand: [`MAX_SWEEP_SPAN`]-wide
 /// pieces, the last one narrower.
-fn push_spans(spans: &mut Vec<SegmentSpan>, start: usize, end: usize) {
-    for s in (start..end).step_by(MAX_SWEEP_SPAN) {
-        spans.push(SegmentSpan {
-            start: s,
-            width: MAX_SWEEP_SPAN.min(end - s),
-        });
-    }
-}
-
-/// The sweep spans of all `n` columns of a single-width operand.
 pub(crate) fn full_width_spans(n: usize) -> Vec<SegmentSpan> {
-    let mut spans = Vec::with_capacity(n.div_ceil(MAX_SWEEP_SPAN));
-    push_spans(&mut spans, 0, n);
-    spans
+    (0..n)
+        .step_by(MAX_SWEEP_SPAN)
+        .map(|start| SegmentSpan {
+            start,
+            width: MAX_SWEEP_SPAN.min(n - start),
+        })
+        .collect()
 }
 
-/// Validates an activation operand and returns the spans one execute sweeps.
-///
-/// A single-width execute (`segments = None`) must match the `(k, n)` bucket
-/// the plan was built for and sweeps all `n` columns. A fused execute's
-/// `segments` must tile the operand's columns exactly once, contiguously
-/// from column 0; each segment is swept on its own spans.
-fn sweep_spans(
-    what: &str,
-    b: &DenseMatrix,
-    k: usize,
-    n: usize,
-    segments: Option<&[Segment]>,
-) -> KernelResult<Vec<SegmentSpan>> {
-    let Some(segments) = segments else {
-        if b.shape() != (k, n) {
-            return Err(KernelError::ShapeMismatch {
-                context: format!(
-                    "{what} plan was built for {k}x{n} activations but got {:?}",
-                    b.shape()
-                ),
-            });
-        }
-        return Ok(full_width_spans(n));
-    };
+/// Validates an activation operand and returns the spans one execute sweeps:
+/// the operand must have the `k` rows the plan packs, and any number of
+/// columns is swept in full.
+fn sweep_spans(what: &str, b: &DenseMatrix, k: usize) -> KernelResult<Vec<SegmentSpan>> {
     if b.rows() != k {
         return Err(KernelError::ShapeMismatch {
             context: format!(
-                "{what} fused-segment operand has {} rows but the plan packs k={k}",
-                b.rows()
+                "{what} plan packs k={k} activation rows but got {:?}",
+                b.shape()
             ),
         });
     }
-    let mut expected_start = 0;
-    let mut spans = Vec::with_capacity(segments.len());
-    for s in segments {
-        if s.start != expected_start || s.width == 0 || s.width > s.bucket {
-            return Err(KernelError::ShapeMismatch {
-                context: format!(
-                    "{what} fused segments must tile the operand contiguously with \
-                     1 <= width <= bucket; segment {s:?} breaks the tiling at column \
-                     {expected_start}"
-                ),
-            });
-        }
-        push_spans(&mut spans, s.start, s.end());
-        expected_start += s.width;
-    }
-    if expected_start != b.cols() {
-        return Err(KernelError::ShapeMismatch {
-            context: format!(
-                "{what} fused segments cover {expected_start} columns but the operand \
-                 has {}",
-                b.cols()
-            ),
-        });
-    }
-    Ok(spans)
+    Ok(full_width_spans(b.cols()))
 }
 
 /// The operand row table of a dense or block packing: row `p` of the
@@ -222,7 +174,6 @@ fn sweep_dense(
 #[derive(Debug, Clone)]
 pub struct GemmPlan {
     m: usize,
-    n: usize,
     k: usize,
     packed: PackedPanels,
     rows: Vec<u32>,
@@ -232,15 +183,16 @@ pub struct GemmPlan {
 
 impl GemmPlan {
     /// Builds the plan: rounds and packs the weight matrix into `fm×fk`
-    /// row-panels (the architecture's MMA fragment shape), resolves the launch
-    /// configuration and the analytical profile for the `n` bucket.
+    /// row-panels (the architecture's MMA fragment shape), and resolves the
+    /// launch configuration and the analytical profile of an `n`-column
+    /// launch. `n` sets only that modeled profile: the packed panels do not
+    /// depend on it, and [`GemmPlan::execute`] accepts any width.
     pub fn new(arch: &GpuArch, weights: &DenseMatrix, n: usize) -> Self {
         let (m, k) = weights.shape();
         let shape = arch.mma_shape;
         let packed = PackedPanels::pack_dense_rows(weights, shape.m(), shape.k());
         GemmPlan {
             m,
-            n,
             k,
             packed,
             rows: ascending_rows(k),
@@ -264,70 +216,35 @@ impl GemmPlan {
         self.packed.packed_bytes()
     }
 
-    /// Packed-panel bytes **one full execute sweep reads**: every panel value
-    /// is streamed exactly once per call (per-chunk, each chunk walks its own
-    /// panels once), whether the call updates one output segment or many.
-    /// This is the unit the serving layer's panel-bytes-read counter
-    /// accumulates.
+    /// Packed-panel bytes **one execute sweep reads**: every panel value is
+    /// streamed exactly once per call (per chunk, each chunk walks its own
+    /// panels once), whatever the width. This is the unit the serving
+    /// layer's panel-bytes-read counter accumulates.
     pub fn panel_sweep_bytes(&self) -> u64 {
         (self.packed.packed_values() * std::mem::size_of::<f32>()) as u64
     }
 
-    /// Executes the prepared GEMM against a **multi-segment** activation
-    /// operand: `segments` tile the operand's columns
-    /// ([`shfl_core::bucket::BucketPolicy::segments`]), and one fused sweep
-    /// over the packed weight panels updates every segment — the panels are
-    /// read once instead of once per segment, which is the whole point of the
-    /// fused serving path. No padding columns are computed (the per-segment
-    /// path pads each segment up to its bucket; padding contributes nothing,
-    /// so skipping it is bit-identical).
+    /// Executes the prepared GEMM against a `k × n` activation matrix of any
+    /// width `n`, in one sweep over the packed panels.
     ///
-    /// The output is bit-identical to executing each segment separately on a
-    /// plan of its bucket width, and to one cold exact-width execution: the
-    /// packed panel layout does not depend on the plan's N-bucket, and each
-    /// output element accumulates its `k` contributions in ascending order
-    /// either way. The returned profile is this plan's bucket profile (the
-    /// caller scales modeled time to the fused width).
+    /// The output is bit-identical to a plan built for exactly `n` columns
+    /// and to the naive oracle: the packed panel layout does not depend on
+    /// the build width, and each output element accumulates its `k`
+    /// contributions in ascending order either way. The returned profile is
+    /// the one resolved at build time.
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::ShapeMismatch`] if the operand's row count does
-    /// not match the packed `k` or `segments` do not tile its columns.
-    pub fn execute_segments(
-        &self,
-        activations: &DenseMatrix,
-        segments: &[Segment],
-    ) -> KernelResult<KernelOutput> {
-        Ok(KernelOutput {
-            output: self.execute_output(activations, Some(segments))?,
-            profile: self.profile.clone(),
-        })
-    }
-
-    /// Executes the prepared GEMM against one activation matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if `activations` is not the
-    /// `k×n` operand the plan was built for.
+    /// Returns [`KernelError::ShapeMismatch`] if `activations` does not have
+    /// the `k` rows the plan packs.
     pub fn execute(&self, activations: &DenseMatrix) -> KernelResult<KernelOutput> {
+        let spans = sweep_spans("GEMM", activations, self.k)?;
+        let mut output = DenseMatrix::zeros(self.m, activations.cols());
+        sweep_dense(&self.packed, &self.rows, activations, &mut output, &spans);
         Ok(KernelOutput {
-            output: self.execute_output(activations, None)?,
+            output,
             profile: self.profile.clone(),
         })
-    }
-
-    /// The one execute body: validates the operand (see [`sweep_spans`]) and
-    /// sweeps the packed panels over its spans, without the profile clone.
-    pub(crate) fn execute_output(
-        &self,
-        activations: &DenseMatrix,
-        segments: Option<&[Segment]>,
-    ) -> KernelResult<DenseMatrix> {
-        let spans = sweep_spans("GEMM", activations, self.k, self.n, segments)?;
-        let mut c = DenseMatrix::zeros(self.m, activations.cols());
-        sweep_dense(&self.packed, &self.rows, activations, &mut c, &spans);
-        Ok(c)
     }
 }
 
@@ -533,13 +450,14 @@ impl SpmmPlan {
         self.tile
     }
 
-    /// The launch configuration resolved for this plan's N-bucket.
+    /// The launch configuration resolved for the plan's build width.
     pub fn launch_config(&self) -> &LaunchConfig {
         &self.launch
     }
 
-    /// The `(m, n, k)` bucket this plan was built for (`n` is the activation
-    /// bucket width, `k` the activation row count every operand must match).
+    /// The `(m, n, k)` the plan was built for: `n` is the width its profile
+    /// and launch were modeled at (executes accept any width), `k` the
+    /// activation row count every operand must match.
     pub fn bucket(&self) -> (usize, usize, usize) {
         (self.m, self.n, self.k)
     }
@@ -576,12 +494,11 @@ impl SpmmPlan {
         }
     }
 
-    /// Packed static-operand bytes **one full execute sweep reads**: every
-    /// stored weight value is streamed exactly once per call (per chunk, each
-    /// chunk walks its own panels once), whether the call updates one output
-    /// segment or many. This is the unit the serving layer's
-    /// panel-bytes-read counter accumulates; the per-segment serving path
-    /// pays it once per segment, the fused path once per request.
+    /// Packed static-operand bytes **one execute sweep reads**: every stored
+    /// weight value is streamed exactly once per call (per chunk, each chunk
+    /// walks its own panels once), whatever the width. This is the unit the
+    /// serving layer's panel-bytes-read counter accumulates: once per
+    /// execute.
     pub fn panel_sweep_bytes(&self) -> u64 {
         match &self.kind {
             SpmmPlanKind::Stitched { packed, .. }
@@ -651,53 +568,31 @@ impl SpmmPlan {
         Ok((plan, bytes))
     }
 
-    /// Executes the prepared SpMM against a **multi-segment** activation
-    /// operand: `segments` tile the operand's columns, and one fused sweep
-    /// over the packed panels updates every segment (see
-    /// [`GemmPlan::execute_segments`] — same contract, same bit-identity
-    /// argument). No padding columns are computed.
+    /// Executes the prepared SpMM against a `k × n` activation matrix of any
+    /// width `n`, in one sweep over the packed operand. Bit-identical to a
+    /// plan built for exactly `n` columns and to the naive oracles (see
+    /// [`GemmPlan::execute`] — same contract, same argument).
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::ShapeMismatch`] if the operand's row count does
-    /// not match the packed `k` or `segments` do not tile its columns.
-    pub fn execute_segments(
-        &self,
-        activations: &DenseMatrix,
-        segments: &[Segment],
-    ) -> KernelResult<KernelOutput> {
-        Ok(KernelOutput {
-            output: self.execute_output(activations, Some(segments))?,
-            profile: self.profile.clone(),
-        })
-    }
-
-    /// Executes the prepared SpMM against one activation matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if `activations` is not the
-    /// `k×n` operand the plan was built for.
+    /// Returns [`KernelError::ShapeMismatch`] if `activations` does not have
+    /// the `k` rows the plan packs.
     pub fn execute(&self, activations: &DenseMatrix) -> KernelResult<KernelOutput> {
+        let spans = sweep_spans("SpMM", activations, self.k)?;
+        let mut output = DenseMatrix::zeros(self.m, activations.cols());
+        if self.m > 0 && activations.cols() > 0 {
+            self.sweep(activations, &mut output, &spans);
+        }
         Ok(KernelOutput {
-            output: self.execute_output(activations, None)?,
+            output,
             profile: self.profile.clone(),
         })
     }
 
-    /// The one execute body: validates the operand (see [`sweep_spans`]) and
-    /// sweeps the packed operand over its spans, without the profile clone.
-    pub(crate) fn execute_output(
-        &self,
-        activations: &DenseMatrix,
-        segments: Option<&[Segment]>,
-    ) -> KernelResult<DenseMatrix> {
-        let spans = sweep_spans("SpMM", activations, self.k, self.n, segments)?;
+    /// Sweeps the packed operand over `spans` of a non-empty operand into
+    /// the zeroed `output`.
+    fn sweep(&self, activations: &DenseMatrix, output: &mut DenseMatrix, spans: &[SegmentSpan]) {
         let n = activations.cols();
-        let mut output = DenseMatrix::zeros(self.m, n);
-        if self.m == 0 || n == 0 {
-            return Ok(output);
-        }
         match &self.kind {
             SpmmPlanKind::Stitched {
                 v,
@@ -736,7 +631,7 @@ impl SpmmPlan {
                         let (values, rows, w) = packed.panel(panel);
                         debug_assert_eq!(rows, v);
                         let step_cols = &group_cols[step * tk..step * tk + w];
-                        mma_sweep::<false>(values, v, b16, step_cols, n, acc, n, &spans);
+                        mma_sweep::<false>(values, v, b16, step_cols, n, acc, n, spans);
                     }
                 });
                 if !*identity_rows {
@@ -767,173 +662,18 @@ impl SpmmPlan {
                             let (values, _, _) = packed.panel(panel);
                             let bc = block_cols[block_row_ptr[br] + i] as usize;
                             let block_rows = &rows[bc * v..(bc + 1) * v];
-                            mma_sweep::<false>(values, v, b16, block_rows, n, out_chunk, n, &spans);
+                            mma_sweep::<false>(values, v, b16, block_rows, n, out_chunk, n, spans);
                         }
                     },
                 );
             }
             SpmmPlanKind::Dense { packed, rows } => {
-                sweep_dense(packed, rows, activations, &mut output, &spans);
+                sweep_dense(packed, rows, activations, output, spans);
             }
             SpmmPlanKind::Csr { matrix } => {
-                spmm::cuda_core::csr_spmm_into(matrix, activations, &mut output, &spans);
+                spmm::cuda_core::csr_spmm_into(matrix, activations, output, spans);
             }
         }
-        Ok(output)
-    }
-}
-
-/// Static operand data of one prepared convolution path.
-#[derive(Debug, Clone)]
-enum ConvPlanKind {
-    Dense(GemmPlan),
-    ShflBw(SpmmPlan),
-}
-
-/// A prepared implicit-GEMM 2-D convolution (dense cuDNN-like or Shfl-BW).
-///
-/// The flattened filter matrix is packed once; each execute unfolds the input
-/// feature map ([`conv::im2col`] — the activation-side work a real kernel
-/// stages through shared memory per call) and runs the prepared GEMM/SpMM.
-#[derive(Debug, Clone)]
-pub struct ConvPlan {
-    params: Conv2dParams,
-    kind: ConvPlanKind,
-    profile: KernelProfile,
-}
-
-impl ConvPlan {
-    /// Prepares the dense implicit-GEMM convolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if the flattened filter matrix
-    /// does not match the convolution geometry.
-    pub fn dense(
-        arch: &GpuArch,
-        weights: &DenseMatrix,
-        params: &Conv2dParams,
-    ) -> KernelResult<Self> {
-        let (m, n, k) = params.implicit_gemm_shape();
-        if weights.shape() != (m, k) {
-            return Err(KernelError::ShapeMismatch {
-                context: format!(
-                    "conv weights are {:?} but the geometry implies {m}x{k}",
-                    weights.shape()
-                ),
-            });
-        }
-        Ok(ConvPlan {
-            params: *params,
-            kind: ConvPlanKind::Dense(GemmPlan::new(arch, weights, n)),
-            profile: conv::conv2d_dense_profile(arch, params),
-        })
-    }
-
-    /// Prepares the Shfl-BW implicit-GEMM convolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if the pruned filter matrix does
-    /// not match the convolution geometry.
-    pub fn shfl_bw(
-        arch: &GpuArch,
-        weights: &ShflBwMatrix,
-        params: &Conv2dParams,
-    ) -> KernelResult<Self> {
-        let (m, n, k) = params.implicit_gemm_shape();
-        if (weights.rows(), weights.cols()) != (m, k) {
-            return Err(KernelError::ShapeMismatch {
-                context: format!(
-                    "conv weights are {}x{} but the geometry implies {m}x{k}",
-                    weights.rows(),
-                    weights.cols()
-                ),
-            });
-        }
-        Ok(ConvPlan {
-            params: *params,
-            kind: ConvPlanKind::ShflBw(SpmmPlan::shfl_bw(arch, weights, n)),
-            profile: conv::conv2d_shfl_bw_profile(arch, weights, params),
-        })
-    }
-
-    /// The analytical profile resolved at plan time.
-    pub fn profile(&self) -> &KernelProfile {
-        &self.profile
-    }
-
-    /// The convolution geometry the plan was built for.
-    pub fn params(&self) -> &Conv2dParams {
-        &self.params
-    }
-
-    /// Packed filter-panel bytes one full execute sweep reads (see
-    /// [`GemmPlan::panel_sweep_bytes`]).
-    pub fn panel_sweep_bytes(&self) -> u64 {
-        match &self.kind {
-            ConvPlanKind::Dense(gemm) => gemm.panel_sweep_bytes(),
-            ConvPlanKind::ShflBw(spmm) => spmm.panel_sweep_bytes(),
-        }
-    }
-
-    /// Executes the prepared convolution with the unfolded operand served as
-    /// a **fused multi-segment** sweep: `segments` tile the implicit-GEMM
-    /// width (`params.implicit_gemm_shape().1`), and the packed filter panels
-    /// are read once for all segments instead of once per segment (see
-    /// [`GemmPlan::execute_segments`]). Bit-identical to
-    /// [`ConvPlan::execute`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
-    /// match the plan's geometry or `segments` do not tile the unfolded
-    /// width.
-    pub fn execute_segments(
-        &self,
-        input: &Tensor4,
-        segments: &[Segment],
-    ) -> KernelResult<(Tensor4, KernelProfile)> {
-        self.execute_inner(input, Some(segments))
-    }
-
-    /// Executes the prepared convolution against one input feature map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
-    /// match the geometry the plan was built for.
-    pub fn execute(&self, input: &Tensor4) -> KernelResult<(Tensor4, KernelProfile)> {
-        self.execute_inner(input, None)
-    }
-
-    /// The one execute body: validates the input, unfolds it and runs the
-    /// prepared GEMM/SpMM on the whole width or on `segments`.
-    fn execute_inner(
-        &self,
-        input: &Tensor4,
-        segments: Option<&[Segment]>,
-    ) -> KernelResult<(Tensor4, KernelProfile)> {
-        let p = &self.params;
-        if input.shape() != (p.batch, p.in_channels, p.input_h, p.input_w) {
-            return Err(KernelError::ShapeMismatch {
-                context: format!(
-                    "conv input is {:?} but the plan expects ({}, {}, {}, {})",
-                    input.shape(),
-                    p.batch,
-                    p.in_channels,
-                    p.input_h,
-                    p.input_w
-                ),
-            });
-        }
-        let unfolded = conv::im2col(input, p);
-        let out = match &self.kind {
-            ConvPlanKind::Dense(gemm) => gemm.execute_output(&unfolded, segments)?,
-            ConvPlanKind::ShflBw(spmm) => spmm.execute_output(&unfolded, segments)?,
-        };
-        conv::reclaim_unfolded(unfolded);
-        Ok((conv::col2im_output(&out, p), self.profile.clone()))
     }
 }
 
@@ -973,15 +713,6 @@ mod tests {
             let naive = crate::reference::fragment_matmul_naive(arch.mma_shape, &a, &b);
             assert_eq!(prepared.output, naive);
         }
-    }
-
-    #[test]
-    fn gemm_plan_rejects_wrong_bucket() {
-        let arch = GpuArch::t4();
-        let plan = GemmPlan::new(&arch, &DenseMatrix::zeros(8, 8), 16);
-        assert!(plan.execute(&DenseMatrix::zeros(8, 8)).is_err());
-        assert!(plan.execute(&DenseMatrix::zeros(16, 16)).is_err());
-        assert!(plan.execute(&DenseMatrix::zeros(8, 16)).is_ok());
     }
 
     #[test]
@@ -1054,149 +785,128 @@ mod tests {
         assert!(SpmmPlan::balanced(&GpuArch::a100(), &a, 16).is_ok());
     }
 
-    #[test]
-    fn conv_plan_validates_input_shape() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let params = Conv2dParams {
-            batch: 1,
-            in_channels: 2,
-            out_channels: 4,
-            input_h: 6,
-            input_w: 6,
-            kernel_h: 3,
-            kernel_w: 3,
-            stride: 1,
-            padding: 1,
-            dilation: 1,
-        };
-        let (m, _, k) = params.implicit_gemm_shape();
-        let weights = DenseMatrix::random(&mut rng, m, k);
-        let arch = GpuArch::v100();
-        let plan = ConvPlan::dense(&arch, &weights, &params).unwrap();
-        let bad = Tensor4::zeros(1, 2, 5, 6);
-        assert!(plan.execute(&bad).is_err());
-        let good = Tensor4::random(&mut rng, 1, 2, 6, 6);
-        let (out, profile) = plan.execute(&good).unwrap();
-        assert_eq!(out.shape(), (1, 4, 6, 6));
-        assert_eq!(profile.name, "dense-conv2d");
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Per-segment reference for the fused sweep: each segment padded up to
-    /// its bucket, executed on a plan built for that bucket, and cropped back
-    /// — exactly the serving engine's historical pad/split loop.
-    fn per_segment_reference(
-        plan_for_bucket: impl Fn(usize) -> SpmmPlan,
-        b: &DenseMatrix,
-        segments: &[Segment],
-        m: usize,
-    ) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(m, b.cols());
-        for s in segments {
-            let plan = plan_for_bucket(s.bucket);
-            let padded = b.cols_padded(s.start, s.width, s.bucket);
-            let seg_out = plan.execute(&padded).unwrap().output;
-            out.copy_cols_from(&seg_out, s.start, s.width);
+    /// Builds one plan with `build(16)` and executes it with `run` at widths
+    /// on both sides of 16: each output must match a plan built for exactly
+    /// that width and the naive `oracle` bit for bit, and an operand with the
+    /// wrong `k` must be a `ShapeMismatch`.
+    fn check_any_width<P>(
+        what: &str,
+        k: usize,
+        build: impl Fn(usize) -> P,
+        run: impl Fn(&P, &DenseMatrix) -> KernelResult<KernelOutput>,
+        oracle: impl Fn(&DenseMatrix) -> DenseMatrix,
+    ) {
+        let mut rng = StdRng::seed_from_u64(31);
+        let plan = build(16);
+        // 300 crosses one MAX_SWEEP_SPAN boundary.
+        for n in [0, 1, 15, 16, 17, 67, 300] {
+            let b = DenseMatrix::random(&mut rng, k, n);
+            let got = run(&plan, &b).unwrap().output;
+            let exact = run(&build(n), &b).unwrap().output;
+            assert_eq!(got.shape(), exact.shape(), "{what} n={n}");
+            assert_eq!(
+                bits(&got),
+                bits(&exact),
+                "{what} n={n}: vs exact-width plan"
+            );
+            assert_eq!(
+                bits(&got),
+                bits(&oracle(&b)),
+                "{what} n={n}: vs naive oracle"
+            );
         }
-        out
+        assert!(
+            matches!(
+                run(&plan, &DenseMatrix::zeros(k + 1, 16)),
+                Err(KernelError::ShapeMismatch { .. })
+            ),
+            "{what}: wrong k must be rejected"
+        );
     }
 
     #[test]
-    fn fused_segment_execution_matches_per_segment_plans() {
-        use shfl_core::bucket::BucketPolicy;
+    fn execute_accepts_any_width_bit_identically() {
+        use crate::reference;
         let mut rng = StdRng::seed_from_u64(23);
-        let arch = GpuArch::v100();
-        let policy = BucketPolicy::new(8, 16).unwrap();
-        let n = 59; // 16 + 16 + 16 + an 11-wide tail on the 16-bucket
-        let segments = policy.segments(n);
-        assert!(segments.len() >= 4);
-        let b = DenseMatrix::random(&mut rng, 40, n);
+        let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
+        let (m, k) = (32, 40);
+        let dense_a = vector_wise_dense(&mut rng, m, k, 8, 0.4);
 
-        // Shfl-BW (shuffled write-back rows).
-        let dense_a = vector_wise_dense(&mut rng, 32, 40, 8, 0.4);
-        let perm: Vec<usize> = (0..32).rev().collect();
-        let a = ShflBwMatrix::from_dense_with_permutation(&dense_a, &perm, 8).unwrap();
-        let fused = SpmmPlan::shfl_bw(&arch, &a, policy.max_bucket())
-            .execute_segments(&b, &segments)
-            .unwrap();
-        let reference =
-            per_segment_reference(|bkt| SpmmPlan::shfl_bw(&arch, &a, bkt), &b, &segments, 32);
-        assert_eq!(fused.output, reference);
-        // ... and to the cold exact-width execution.
-        let cold = SpmmPlan::shfl_bw(&arch, &a, n).execute(&b).unwrap();
-        assert_eq!(fused.output, cold.output);
+        let w = DenseMatrix::random(&mut rng, 24, k);
+        check_any_width(
+            "gemm",
+            k,
+            |n| GemmPlan::new(&v100, &w, n),
+            GemmPlan::execute,
+            |b| reference::fragment_matmul_naive(v100.mma_shape, &w, b),
+        );
 
-        // Block-wise (BSR).
-        let dense_blocks = DenseMatrix::from_fn(32, 40, |r, c| {
+        // A non-identity shuffle: stored rows scatter on write-back.
+        let perm: Vec<usize> = (0..m).map(|r| (r * 7) % m).collect();
+        let shfl = ShflBwMatrix::from_dense_with_permutation(&dense_a, &perm, 8).unwrap();
+        check_any_width(
+            "shfl-bw",
+            k,
+            |n| SpmmPlan::shfl_bw(&v100, &shfl, n),
+            SpmmPlan::execute,
+            |b| reference::stitched_spmm_naive(&v100, shfl.vector_wise(), b, shfl.row_indices()),
+        );
+
+        let vw = VectorWiseMatrix::from_dense(&dense_a, 8).unwrap();
+        let identity: Vec<u32> = (0..m as u32).collect();
+        check_any_width(
+            "vector-wise",
+            k,
+            |n| SpmmPlan::vector_wise(&v100, &vw, n),
+            SpmmPlan::execute,
+            |b| reference::stitched_spmm_naive(&v100, &vw, b, &identity),
+        );
+
+        let blocks = DenseMatrix::from_fn(m, k, |r, c| {
             if (r / 8 + c / 8) % 2 == 0 {
-                0.05 + (r * 40 + c) as f32 * 0.003
+                0.05 + (r * k + c) as f32 * 0.003
             } else {
                 0.0
             }
         });
-        let bsr = shfl_core::formats::BlockSparseMatrix::from_dense(&dense_blocks, 8).unwrap();
-        let fused = SpmmPlan::block_wise(&arch, &bsr, policy.max_bucket())
-            .execute_segments(&b, &segments)
-            .unwrap();
-        let reference = per_segment_reference(
-            |bkt| SpmmPlan::block_wise(&arch, &bsr, bkt),
-            &b,
-            &segments,
-            32,
+        let bsr = BlockSparseMatrix::from_dense(&blocks, 8).unwrap();
+        check_any_width(
+            "block-wise",
+            k,
+            |n| SpmmPlan::block_wise(&v100, &bsr, n),
+            SpmmPlan::execute,
+            |b| reference::block_spmm_naive(&v100, &bsr, b),
         );
-        assert_eq!(fused.output, reference);
 
-        // CUDA-core CSR (single-sweep by construction).
+        // Two kept values in every group of four columns.
+        let two_of_four = DenseMatrix::from_fn(m, k, |r, c| {
+            if (r + c) % 4 < 2 {
+                0.05 + ((r * 13 + c * 7) % 17) as f32 * 0.01
+            } else {
+                0.0
+            }
+        });
+        let bal = BalancedMatrix::from_dense(&two_of_four, 2, 4).unwrap();
+        check_any_width(
+            "balanced",
+            k,
+            |n| SpmmPlan::balanced(&a100, &bal, n).unwrap(),
+            SpmmPlan::execute,
+            |b| reference::balanced_spmm_naive(&a100, &bal, b),
+        );
+
         let csr = CsrMatrix::from_dense(&dense_a);
-        let fused = SpmmPlan::cuda_core(&arch, &csr, policy.max_bucket())
-            .execute_segments(&b, &segments)
-            .unwrap();
-        let cold = SpmmPlan::cuda_core(&arch, &csr, n).execute(&b).unwrap();
-        assert_eq!(fused.output, cold.output);
-
-        // Dense GEMM plan.
-        let w = DenseMatrix::random(&mut rng, 24, 40);
-        let fused = GemmPlan::new(&arch, &w, policy.max_bucket())
-            .execute_segments(&b, &segments)
-            .unwrap();
-        let mut reference = DenseMatrix::zeros(24, n);
-        for s in &segments {
-            let plan = GemmPlan::new(&arch, &w, s.bucket);
-            let padded = b.cols_padded(s.start, s.width, s.bucket);
-            let seg_out = plan.execute(&padded).unwrap().output;
-            reference.copy_cols_from(&seg_out, s.start, s.width);
-        }
-        assert_eq!(fused.output, reference);
-    }
-
-    #[test]
-    fn execute_segments_rejects_malformed_tilings() {
-        let arch = GpuArch::t4();
-        let plan = GemmPlan::new(&arch, &DenseMatrix::zeros(8, 8), 16);
-        let b = DenseMatrix::zeros(8, 20);
-        let seg = |start, width, bucket| Segment {
-            start,
-            width,
-            bucket,
-        };
-        // Gap, overlap, width over bucket, wrong coverage, wrong k.
-        assert!(plan
-            .execute_segments(&b, &[seg(0, 8, 8), seg(9, 11, 16)])
-            .is_err());
-        assert!(plan
-            .execute_segments(&b, &[seg(0, 16, 16), seg(15, 5, 8)])
-            .is_err());
-        assert!(plan.execute_segments(&b, &[seg(0, 20, 16)]).is_err());
-        assert!(plan.execute_segments(&b, &[seg(0, 16, 16)]).is_err());
-        assert!(plan
-            .execute_segments(&DenseMatrix::zeros(9, 20), &[seg(0, 16, 16), seg(16, 4, 8)])
-            .is_err());
-        assert!(plan
-            .execute_segments(&b, &[seg(0, 16, 16), seg(16, 4, 8)])
-            .is_ok());
-        // An empty operand is tiled by no segments.
-        assert!(plan
-            .execute_segments(&DenseMatrix::zeros(8, 0), &[])
-            .is_ok());
+        check_any_width(
+            "csr",
+            k,
+            |n| SpmmPlan::cuda_core(&v100, &csr, n),
+            SpmmPlan::execute,
+            |b| reference::csr_spmm_naive(&csr, b),
+        );
     }
 
     #[test]
@@ -1206,7 +916,7 @@ mod tests {
         let dense_a = vector_wise_dense(&mut rng, 32, 40, 8, 0.4);
         let vw = VectorWiseMatrix::from_dense(&dense_a, 8).unwrap();
         // The sweep bytes are the packed values (not the metadata), and do
-        // not depend on the plan's N-bucket.
+        // not depend on the plan's build width.
         let p16 = SpmmPlan::vector_wise(&arch, &vw, 16);
         let p64 = SpmmPlan::vector_wise(&arch, &vw, 64);
         assert_eq!(p16.panel_sweep_bytes(), p64.panel_sweep_bytes());

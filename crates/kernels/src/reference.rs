@@ -219,28 +219,3 @@ pub fn im2col_naive(input: &Tensor4, params: &Conv2dParams) -> DenseMatrix {
         }
     })
 }
-
-/// Naive dense implicit-GEMM convolution: naive im2col, naive fragment GEMM,
-/// element-wise output packing.
-pub fn conv2d_dense_naive(
-    arch: &GpuArch,
-    weights: &DenseMatrix,
-    input: &Tensor4,
-    params: &Conv2dParams,
-) -> Tensor4 {
-    let unfolded = im2col_naive(input, params);
-    let out = fragment_matmul_naive(arch.mma_shape, weights, &unfolded);
-    let (oh, ow) = (params.output_h(), params.output_w());
-    let mut t = Tensor4::zeros(params.batch, params.out_channels, oh, ow);
-    for o in 0..params.out_channels {
-        for b in 0..params.batch {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let col = (b * oh + y) * ow + x;
-                    t.set(b, o, y, x, out.get(o, col));
-                }
-            }
-        }
-    }
-    t
-}

@@ -1,13 +1,13 @@
-//! Bit-compatibility property tests: every blocked kernel — the cold
-//! `*_execute` entry points and the prepared [`GemmPlan`] — must produce
-//! *exactly* the same output as its retained naive reference.
+//! Bit-compatibility property tests: every cold kernel — the `*_execute`
+//! entry points, the prepared [`GemmPlan`] and the implicit-GEMM conv plan —
+//! must produce *exactly* the same output as its retained naive reference.
 //!
 //! Both paths round operands through fp16 identically and accumulate each
 //! output element in ascending-`k` order through a single `f32` accumulator,
 //! so the contract is exact equality (compared bit-for-bit), not a tolerance.
 //! Covered: non-multiple-of-fragment shapes (e.g. 17×13×9), empty matrices,
 //! fully-dense and fully-sparse inputs, and 1-row/1-column edge cases, for
-//! GEMM, conv, and all five SpMM kernels.
+//! GEMM, the Shfl-BW conv, and all five SpMM kernels.
 
 use gpu_sim::mma::MmaShape;
 use gpu_sim::GpuArch;
@@ -22,7 +22,7 @@ use shfl_kernels::spmm::{
     balanced_spmm_execute, block_wise_spmm_execute, cuda_core_spmm_execute, shfl_bw_spmm_execute,
     vector_wise_spmm_execute,
 };
-use shfl_kernels::{conv, reference, GemmPlan};
+use shfl_kernels::{conv, reference, GemmPlan, ImplicitConvPlan};
 
 /// Asserts two matrices are identical down to the bit pattern of every element.
 fn assert_bits_eq(blocked: &DenseMatrix, naive: &DenseMatrix, what: &str) {
@@ -197,21 +197,20 @@ proptest! {
         let input = conv::Tensor4::random(&mut rng, batch, cin, hw, hw);
         let arch = GpuArch::v100();
 
-        // Dense conv: blocked im2col + blocked fragment GEMM vs the all-naive chain.
-        let (out, _) = conv::conv2d_dense_execute(&arch, &weights, &input, &params).unwrap();
-        let naive = reference::conv2d_dense_naive(&arch, &weights, &input, &params);
-        assert_eq!(out, naive, "dense conv {params:?}");
-
-        // The blocked im2col itself must reproduce the naive gather bit-for-bit.
+        // The blocked im2col must reproduce the naive gather bit-for-bit.
         let unfolded = conv::im2col(&input, &params);
         let unfolded_naive = reference::im2col_naive(&input, &params);
         assert_bits_eq(&unfolded, &unfolded_naive, &format!("im2col {params:?}"));
 
-        // Shfl-BW conv: blocked stitched SpMM over the unfolded input vs naive.
+        // Shfl-BW conv: the implicit-GEMM plan (no unfolding) vs the naive
+        // stitched SpMM over the naive unfolded input.
         let v = 2;
         let perm: Vec<usize> = (0..m).rev().collect();
         let shfl = ShflBwMatrix::from_dense_with_permutation(&weights, &perm, v).unwrap();
-        let (out, _) = conv::conv2d_shfl_bw_execute(&arch, &shfl, &input, &params).unwrap();
+        let (out, _) = ImplicitConvPlan::build(&arch, &shfl, &params)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
         let spmm_naive = reference::stitched_spmm_naive(
             &arch,
             shfl.vector_wise(),

@@ -1,8 +1,8 @@
 //! Property tests: the implicit-GEMM conv plan is **bit-identical** to the
-//! retained im2col oracle across stride / padding / dilation / kernel
-//! geometries, including 1×1 (merged-row sweep), non-square inputs,
-//! non-square kernels, batches large enough to execute image-parallel, and
-//! non-finite inputs.
+//! im2col oracle — the materialised unfolding on an exact-width stitched SpMM
+//! plan — across stride / padding / dilation / kernel geometries, including
+//! 1×1 (merged-row sweep), non-square inputs, non-square kernels, batches
+//! large enough to execute image-parallel, and non-finite inputs.
 
 use gpu_sim::GpuArch;
 use rand::rngs::StdRng;
@@ -11,7 +11,7 @@ use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_kernels::conv::{self, Conv2dParams, Tensor4};
 use shfl_kernels::conv_plan::ImplicitConvPlan;
-use shfl_kernels::plan::{ConvPlan, SpmmPlan};
+use shfl_kernels::plan::SpmmPlan;
 
 fn shfl_weights(rng: &mut StdRng, m: usize, k: usize, v: usize, density: f64) -> ShflBwMatrix {
     let groups = m / v;
@@ -42,9 +42,13 @@ fn assert_bit_identical(p: &Conv2dParams, weights: &ShflBwMatrix, input: &Tensor
 
     let implicit = ImplicitConvPlan::build(&arch, weights, p)
         .unwrap_or_else(|e| panic!("build failed for {p:?}: {e}"));
-    let oracle = ConvPlan::shfl_bw(&arch, weights, p).unwrap();
+    let unfolded = conv::im2col(input, p);
+    let spmm = SpmmPlan::shfl_bw(&arch, weights, unfolded.cols());
+    let flat = spmm.execute(&unfolded).unwrap().output;
+    conv::reclaim_unfolded(unfolded);
+
     let (got, _) = implicit.execute(input).unwrap();
-    let (want, _) = oracle.execute(input).unwrap();
+    let want = conv::col2im_output(&flat, p);
     assert_eq!(got.shape(), want.shape(), "shape for {p:?}");
     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
         assert_eq!(
@@ -57,10 +61,6 @@ fn assert_bit_identical(p: &Conv2dParams, weights: &ShflBwMatrix, input: &Tensor
     // The flattened output matches the raw stitched-SpMM sweep over the
     // materialised im2col operand, element for element.
     let matrix = implicit.execute_matrix(input).unwrap();
-    let unfolded = conv::im2col(input, p);
-    let spmm = SpmmPlan::shfl_bw(&arch, weights, unfolded.cols());
-    let flat = spmm.execute(&unfolded).unwrap().output;
-    conv::reclaim_unfolded(unfolded);
     for row in 0..m {
         for (a, b) in matrix.row(row).iter().zip(flat.row(row)) {
             assert_eq!(

@@ -8,19 +8,19 @@
 //! contract is exact equality (compared bit-for-bit), not a tolerance.
 //! Covered per the plan design: empty matrices, 1-row/1-column operands, odd
 //! (non-multiple-of-fragment) shapes, fully-dense and fully-sparse inputs, for
-//! the GEMM, conv, and all five SpMM plans.
+//! the GEMM, implicit-GEMM conv, and all five SpMM plans.
 
 use gpu_sim::mma::MmaShape;
 use gpu_sim::GpuArch;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shfl_core::bucket::Segment;
 use shfl_core::formats::{
     BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix,
 };
 use shfl_core::matrix::DenseMatrix;
-use shfl_kernels::plan::{ConvPlan, GemmPlan, SpmmPlan};
+use shfl_kernels::conv_plan::ImplicitConvPlan;
+use shfl_kernels::plan::{GemmPlan, SpmmPlan};
 use shfl_kernels::{conv, reference};
 
 /// Asserts two matrices are identical down to the bit pattern of every element.
@@ -177,8 +177,9 @@ proptest! {
         }
     }
 
-    /// Conv plans (dense and Shfl-BW): prepared == naive implicit-GEMM chain,
-    /// across repeated executes with fresh inputs.
+    /// The implicit-GEMM Shfl-BW conv plan: prepared == the naive chain
+    /// (naive im2col, naive stitched SpMM), across repeated executes with
+    /// fresh inputs.
     #[test]
     fn conv_plans_match_naive(
         (batch, cin, cout_g, hw, khw, stride, padding, seed) in
@@ -202,17 +203,12 @@ proptest! {
         let weights = random_sparse(&mut rng, m, k, 0.6);
         let arch = GpuArch::v100();
 
-        let dense_plan = ConvPlan::dense(&arch, &weights, &params).unwrap();
         let perm: Vec<usize> = (0..m).rev().collect();
         let shfl = ShflBwMatrix::from_dense_with_permutation(&weights, &perm, 2).unwrap();
-        let shfl_plan = ConvPlan::shfl_bw(&arch, &shfl, &params).unwrap();
+        let shfl_plan = ImplicitConvPlan::build(&arch, &shfl, &params).unwrap();
 
         for round in 0..2 {
             let input = conv::Tensor4::random(&mut rng, batch, cin, hw, hw);
-            let (prepared, _) = dense_plan.execute(&input).unwrap();
-            let naive = reference::conv2d_dense_naive(&arch, &weights, &input, &params);
-            assert_eq!(prepared, naive, "dense conv {params:?} round {round}");
-
             let (prepared, _) = shfl_plan.execute(&input).unwrap();
             let unfolded = reference::im2col_naive(&input, &params);
             let spmm_naive = reference::stitched_spmm_naive(
@@ -386,7 +382,7 @@ fn repeated_executes_of_one_plan_are_stable() {
 /// tile (each 6-row group is one tile plus two single rows) matches the
 /// naive oracle at every execute width from 1 to 33, so at every remainder
 /// the sweep's last (masked) step covers after the 16-, 8- and 4-column
-/// tiles, and over ragged fused segments.
+/// tiles.
 #[test]
 fn shfl_bw_plan_with_remainder_rows_matches_naive_at_tile_edges() {
     let arch = GpuArch::t4();
@@ -406,29 +402,5 @@ fn shfl_bw_plan_with_remainder_rows_matches_naive_at_tile_edges() {
             .unwrap()
             .output;
         assert_bits_eq(&prepared, &oracle(&b), &format!("V={v} width {n}"));
-    }
-
-    let plan = SpmmPlan::shfl_bw(&arch, &shfl, 64);
-    for widths in [&[1usize, 7, 9][..], &[17, 8, 33], &[33, 1, 16, 15]] {
-        let mut start = 0;
-        let segments: Vec<Segment> = widths
-            .iter()
-            .map(|&width| {
-                let segment = Segment {
-                    start,
-                    width,
-                    bucket: width.next_power_of_two(),
-                };
-                start += width;
-                segment
-            })
-            .collect();
-        let b = DenseMatrix::random(&mut rng, k, start);
-        let prepared = plan.execute_segments(&b, &segments).unwrap().output;
-        assert_bits_eq(
-            &prepared,
-            &oracle(&b),
-            &format!("V={v} segments {widths:?}"),
-        );
     }
 }

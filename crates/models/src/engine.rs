@@ -14,11 +14,11 @@
 //! ([`shfl_kernels::conv_plan::ImplicitConvPlan`], cached per
 //! `(layer, version, batch)` in the same plan cache): the input feature map
 //! is walked in place through gather-style tap offsets — no im2col buffer is
-//! ever materialised. The retained im2col path
-//! ([`shfl_kernels::conv::im2col`] + the served SpMM +
-//! [`shfl_kernels::conv::col2im_output`], reachable via
-//! [`ModelEngine::forward_im2col`] and the cold oracle) stays as the
-//! bit-identical baseline the benchmark compares against.
+//! ever materialised. The im2col chain ([`shfl_kernels::conv::im2col`] + a
+//! fresh exact-width plan + [`shfl_kernels::conv::col2im_output`]) runs only
+//! in the cold oracle ([`ModelEngine::forward_cold`],
+//! [`ModelEngine::forward_outputs_cold`]), which the served outputs must
+//! match bit for bit.
 //!
 //! Two clocks are reported per forward pass:
 //!
@@ -90,11 +90,6 @@ pub struct EngineConfig {
     pub vector_size: usize,
     /// Seed for the deterministic weight/activation synthesis.
     pub seed: u64,
-    /// Largest activation N-bucket (rounded up to a power of two): the
-    /// server's default coalescing cap and the width updates are
-    /// probe-validated at. Every width executes as one sweep of the layer's
-    /// one plan, so it does not split or pad requests.
-    pub max_n_bucket: usize,
     /// Plan-cache capacity in plans (LRU beyond this).
     pub plan_cache_capacity: usize,
     /// Optional plan-cache byte budget: resident packed bytes beyond this
@@ -105,7 +100,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The benchmark configuration: 70% sparsity, `V = 64`, a small serving
-    /// batch, buckets 8…256.
+    /// batch.
     pub fn paper_default() -> Self {
         EngineConfig {
             batch: 4,
@@ -113,14 +108,12 @@ impl EngineConfig {
             density: 0.30,
             vector_size: 64,
             seed: 20220711,
-            max_n_bucket: 256,
             plan_cache_capacity: 96,
             plan_cache_bytes: None,
         }
     }
 
-    /// A tiny configuration for CI smoke runs and unit tests (the bucket
-    /// ceiling stays at the serving default).
+    /// A tiny configuration for CI smoke runs and unit tests.
     pub fn smoke() -> Self {
         EngineConfig {
             batch: 1,
@@ -128,17 +121,17 @@ impl EngineConfig {
             density: 0.30,
             vector_size: 8,
             seed: 7,
-            max_n_bucket: 256,
             plan_cache_capacity: 32,
             plan_cache_bytes: None,
         }
     }
 
-    /// The serving engine's bucket policy the config implies (smallest
-    /// bucket fixed at 8).
+    /// The serving engine's bucket policy, the same for every config:
+    /// buckets 8 … 256. Its largest bucket is the server's default coalescing
+    /// cap and the width updates are probe-validated at; every width executes
+    /// as one sweep of the layer's one plan.
     pub fn bucket_policy(&self) -> BucketPolicy {
-        BucketPolicy::new(8, self.max_n_bucket.next_power_of_two().max(8))
-            .expect("power-of-two bounds are always valid")
+        BucketPolicy::new(8, 256).expect("power-of-two bounds are always valid")
     }
 }
 
@@ -627,31 +620,6 @@ impl ModelEngine {
     ///
     /// Returns [`ServingError`] if an execution fails.
     pub fn forward(&self, batch: usize, seq_len: usize) -> Result<EngineReport, ServingError> {
-        self.forward_inner(batch, seq_len, true)
-    }
-
-    /// The retained im2col baseline of [`ModelEngine::forward`]:
-    /// convolutions materialise the full unfolded operand and ride the
-    /// served SpMM path. Kept for the benchmark's implicit-vs-im2col
-    /// speedup comparison; outputs are bit-identical to [`ModelEngine::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError`] if an execution fails.
-    pub fn forward_im2col(
-        &self,
-        batch: usize,
-        seq_len: usize,
-    ) -> Result<EngineReport, ServingError> {
-        self.forward_inner(batch, seq_len, false)
-    }
-
-    fn forward_inner(
-        &self,
-        batch: usize,
-        seq_len: usize,
-        implicit_conv: bool,
-    ) -> Result<EngineReport, ServingError> {
         let mut layers = Vec::with_capacity(self.layers.len());
         let mut forward_ms = 0.0;
         let mut modeled_us = 0.0;
@@ -682,18 +650,9 @@ impl ModelEngine {
                         params.input_w,
                     );
                     let start = Instant::now();
-                    if implicit_conv {
-                        let plan = self.implicit_conv_plan(layer.serving_id, &params)?;
-                        let (_, profile) = plan.execute(&input).map_err(ServingError::Kernel)?;
-                        (start.elapsed().as_secs_f64() * 1e3, profile.time_us())
-                    } else {
-                        let unfolded = conv::im2col(&input, &params);
-                        let (out, us) =
-                            self.serving.execute_profiled(layer.serving_id, &unfolded)?;
-                        conv::reclaim_unfolded(unfolded);
-                        let _ = conv::col2im_output(&out, &params);
-                        (start.elapsed().as_secs_f64() * 1e3, us)
-                    }
+                    let plan = self.implicit_conv_plan(layer.serving_id, &params)?;
+                    let (_, profile) = plan.execute(&input).map_err(ServingError::Kernel)?;
+                    (start.elapsed().as_secs_f64() * 1e3, profile.time_us())
                 }
                 _ => unreachable!("workload inventory shape is stable per model"),
             };

@@ -7,9 +7,9 @@
 //! 1. validate the layer id and the activation row count against the layer's
 //!    packed reduction dimension (typed [`ServingError`], no panics),
 //! 2. sweep the layer's plan over exactly the request's `n` columns
-//!    ([`SpmmPlan::execute_segments`] with the one segment `0..n`). A single
-//!    request, a coalesced group and a decode round are all one pad-free
-//!    sweep that reads each packed panel once.
+//!    ([`SpmmPlan::execute`] accepts any width). A single request, a
+//!    coalesced group and a decode round are all one pad-free sweep that
+//!    reads each packed panel once.
 //!
 //! One plan serves every width because Shfl-BW's packed panels fix the tile
 //! depth `tk`, not the activation width. The result is bit-identical to
@@ -54,7 +54,7 @@ use crate::server::panic_message;
 use crate::ServingError;
 use gpu_sim::stats::TrafficCounter;
 use gpu_sim::GpuArch;
-use shfl_core::bucket::{BucketPolicy, Segment};
+use shfl_core::bucket::BucketPolicy;
 use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_kernels::cache::{PlanCache, PlanCacheStats, PlanKey};
@@ -601,13 +601,8 @@ impl ServingEngine {
                 .layer_plan(layer, &entry)
                 .map_err(ServingError::Kernel)?;
             self.panel_traffic.add(plan.panel_sweep_bytes());
-            let whole = Segment {
-                start: 0,
-                width: n,
-                bucket: n,
-            };
             let output = plan
-                .execute_segments(activations, &[whole])
+                .execute(activations)
                 .map_err(ServingError::Kernel)?
                 .output;
             (output, self.fused_modeled_us(layer, &entry, n))

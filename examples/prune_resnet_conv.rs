@@ -1,15 +1,21 @@
 //! Prune a ResNet-50 convolution layer to Shfl-BW and run the sparse implicit-GEMM
-//! convolution kernel, verifying the output against a direct convolution and
+//! convolution plan, verifying the output against a direct convolution and
 //! reporting the estimated speedup over the dense (cuDNN-like) kernel.
+//!
+//! Exits non-zero when the plan's output differs from the direct convolution
+//! by more than the conv tests' tolerance.
 //!
 //! Run with: `cargo run --release --example prune_resnet_conv`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shfl_bw_repro::prelude::*;
-use shfl_kernels::conv::{
-    conv2d_dense_profile, conv2d_reference, conv2d_shfl_bw_execute, Conv2dParams, Tensor4,
-};
+use shfl_kernels::conv::{conv2d_dense_profile, conv2d_reference, Conv2dParams, Tensor4};
+
+/// Largest |difference| to the direct convolution the check accepts: the
+/// fp16 operand rounding of the plan against the f32 reference, the same
+/// tolerance the conv unit tests use.
+const TOLERANCE: f32 = 5e-2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The conv4.3x3 bottleneck layer of ResNet-50: 256 -> 256 channels, 14x14 maps.
@@ -47,17 +53,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.retained_score
     );
 
-    // 2. Compress and run the sparse convolution, verifying against the direct
-    //    convolution of the pruned filters.
+    // 2. Compress, build the implicit-GEMM plan, and run the sparse
+    //    convolution, verifying against the direct convolution of the pruned
+    //    filters.
     let weights = ShflBwMatrix::from_dense_with_permutation(&pruned, &result.permutation, v)?;
     let input = Tensor4::random(&mut rng, params.batch, params.in_channels, 14, 14);
-    let arch = GpuArch::a100();
-    let (output, sparse_profile) = conv2d_shfl_bw_execute(&arch, &weights, &input, &params)?;
+    let plan = ImplicitConvPlan::build(&GpuArch::a100(), &weights, &params)?;
+    let (output, _) = plan.execute(&input)?;
     let reference = conv2d_reference(&input, &pruned, &params);
-    println!(
-        "functional check: max |difference| vs direct convolution = {:.2e}",
-        output.max_abs_diff(&reference)
-    );
+    let diff = output.max_abs_diff(&reference);
+    println!("functional check: max |difference| vs direct convolution = {diff:.2e}");
+    if diff > TOLERANCE {
+        return Err(
+            format!("max |difference| {diff:.2e} exceeds the {TOLERANCE:.0e} tolerance").into(),
+        );
+    }
 
     // 3. Estimated speedup over the dense implicit-GEMM convolution on each GPU.
     println!("\nestimated conv kernel time:");
@@ -72,6 +82,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             dense.time_us() / sparse.time_us()
         );
     }
-    let _ = sparse_profile;
     Ok(())
 }
