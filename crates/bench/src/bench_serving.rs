@@ -20,7 +20,8 @@
 //! 4. **bit-identity** — served outputs equal the cold exact-width oracle
 //!    bit for bit on a subset of shapes, and
 //! 5. **multi-stream fan-out** — the timed trace's linear-layer requests
-//!    served through [`Scheduler`] worker threads over the shared engine
+//!    served as one batch through a zero-window uncoalesced
+//!    [`shfl_serving::server::Server`]'s worker threads over the shared engine
 //!    (recorded, not gated: on a single-core host the fan-out cannot beat
 //!    sequential service),
 //! 6. **panel probe** — a request over four largest-bucket widths wide (it
@@ -29,7 +30,7 @@
 //!    stay within 1.5× of the single-sweep lower bound (it is exactly 1.0×),
 //!    gated deterministically in both smoke and full mode, and
 //! 7. **cross-request coalescing** — the fan-out trace served again through
-//!    a coalescing scheduler (same-layer requests column-concatenated into
+//!    a coalescing server (same-layer requests column-concatenated into
 //!    shared fused executes): outputs must be bit-identical to the
 //!    uncoalesced fan-out, and the coalesced wall-clock must not lose to the
 //!    uncoalesced one (full mode; smoke allows 10% noise), and
@@ -69,9 +70,8 @@ use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
 use shfl_models::engine::{EngineConfig, ModelEngine};
 use shfl_models::DnnModel;
-use shfl_serving::policy::{Fifo, SloAware};
-use shfl_serving::scheduler::{Request, Scheduler};
-use shfl_serving::server::{ServerConfig, SubmitError};
+use shfl_serving::policy::{Fifo, Lpt, QueuePolicy, SloAware};
+use shfl_serving::server::{Request, Response, ServerConfig, SubmitError, Ticket};
 use shfl_serving::{decode_oracle, DecodeToken, ServingError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -128,7 +128,7 @@ pub struct ServingBenchResult {
     pub panel_bytes_fused: u64,
     /// Requests of the coalesced sub-trace (same requests as `mt_requests`).
     pub coalesced_requests: usize,
-    /// Wall-clock of the coalescing scheduler over the fan-out requests, ms.
+    /// Wall-clock of the coalescing server over the fan-out requests, ms.
     pub coalesced_wall_ms: f64,
     /// Whether the coalesced responses were bit-identical to the
     /// uncoalesced fan-out responses.
@@ -143,9 +143,9 @@ pub struct ServingBenchResult {
 }
 
 /// Numbers of the decode-session sub-trace: many concurrent autoregressive
-/// sequences decoded through [`shfl_serving::session::SessionManager`]'s
-/// iteration-level interleave loop (every live sequence contributes one
-/// column per round; same-stage columns coalesce into one fused sweep),
+/// sequences decoded in a [`shfl_serving::server::Server`]'s iteration-level
+/// interleave rounds (every live sequence contributes one column per round;
+/// same-stage columns coalesce into one fused sweep on the server's workers),
 /// with mid-trace eviction pressure and resumption, against a serial
 /// one-session-at-a-time baseline on the same engine.
 #[derive(Debug, Clone)]
@@ -171,6 +171,10 @@ pub struct DecodeBenchResult {
     pub mean_interleave_width: f64,
     /// Sessions evicted under the scripted mid-trace pressure.
     pub evictions: u64,
+    /// Scripted evictions refused because the victim had already finished
+    /// (`evict_session` returned `false`): the cause of an eviction
+    /// shortfall.
+    pub evictions_missed: u64,
     /// Evicted sessions resumed (must equal `evictions`).
     pub resumed: u64,
     /// Accepted tokens that never arrived (`sessions × steps − tokens`; the
@@ -438,7 +442,7 @@ fn run_model(
 
     // Multi-stream fan-out over the linear layers (plans are shared; on a
     // multi-core host the workers overlap, on a single core they interleave),
-    // then the same requests again through the coalescing scheduler:
+    // then the same requests again through a coalescing server:
     // same-layer requests collapse into shared fused executes, and the
     // scattered outputs must match the fan-out bit for bit.
     let gemm_layers = engine.gemm_layer_indices();
@@ -472,13 +476,12 @@ fn run_model(
         }
         mt_requests = requests.len();
         coalesced_requests = requests.len();
-        // Steady-state comparison: one untimed pass of the coalescing
-        // scheduler first, exactly like the trace warmup excludes compulsory
-        // work from the timed window.
-        let warm_responses =
-            Scheduler::coalescing(mt_workers).serve(engine.serving(), requests.clone());
+        // Steady-state comparison: one untimed coalescing pass first,
+        // exactly like the trace warmup excludes compulsory work from the
+        // timed window.
+        let warm_responses = serve_batch(&engine, requests.clone(), mt_workers, true);
         assert!(warm_responses.iter().all(|r| r.result.is_ok()));
-        // Interleaved best-of-2 for each scheduler: the walls are compared
+        // Interleaved best-of-2 for each configuration: the walls are compared
         // against each other and a shared single-core box drifts by tens of
         // percent between passes, so alternating the passes and keeping each
         // side's best cancels most of the drift.
@@ -488,14 +491,14 @@ fn run_model(
         let mut coalesced = Vec::new();
         for _ in 0..2 {
             let start = Instant::now();
-            responses = Scheduler::new(mt_workers).serve(engine.serving(), requests.clone());
+            responses = serve_batch(&engine, requests.clone(), mt_workers, false);
             uncoalesced_walls.push(start.elapsed().as_secs_f64() * 1e3);
             assert!(
                 responses.iter().all(|r| r.result.is_ok()),
                 "multi-stream trace requests are well-formed"
             );
             let start = Instant::now();
-            coalesced = Scheduler::coalescing(mt_workers).serve(engine.serving(), requests.clone());
+            coalesced = serve_batch(&engine, requests.clone(), mt_workers, true);
             coalesced_walls.push(start.elapsed().as_secs_f64() * 1e3);
         }
         mt_wall_ms = uncoalesced_walls.iter().copied().fold(f64::MAX, f64::min);
@@ -638,7 +641,9 @@ fn run_decode(engine: &ModelEngine, quick: bool) -> Option<DecodeBenchResult> {
     // Mid-trace eviction pressure: consume the victim's stream until it is
     // a third of the way through (blocking consumption keeps us in step
     // with production), then evict it. Resumption happens in the drain
-    // below when the typed error surfaces.
+    // below when the typed error surfaces. An eviction refused because the
+    // victim already finished is counted, so a shortfall names its cause.
+    let mut evictions_missed = 0;
     for v in 0..evict_count {
         let ticket = handles[v].ticket();
         while collected[v].len() < steps / 3 {
@@ -648,7 +653,9 @@ fn run_decode(engine: &ModelEngine, quick: bool) -> Option<DecodeBenchResult> {
                 Err(e) => panic!("decode trace failed before eviction: {e}"),
             }
         }
-        server.evict_session(handles[v].id());
+        if !server.evict_session(handles[v].id()) {
+            evictions_missed += 1;
+        }
     }
 
     // Drain every session to completion; an evicted stream resumes under
@@ -747,6 +754,7 @@ fn run_decode(engine: &ModelEngine, quick: bool) -> Option<DecodeBenchResult> {
         token_p99_ms: percentile(&token_ms, 0.99),
         mean_interleave_width: stats.mean_interleave_width(),
         evictions: stats.evicted,
+        evictions_missed,
         resumed: stats.resumed,
         lost_tokens,
         bit_identical,
@@ -758,6 +766,39 @@ fn run_decode(engine: &ModelEngine, quick: bool) -> Option<DecodeBenchResult> {
             0.0
         },
     })
+}
+
+/// Serves `requests` as one atomic batch on a zero-window server over the
+/// model's engine and returns the responses in request order: queue depth
+/// = batch, `workers.min(batch)` workers, FIFO order when plain and LPT when
+/// coalescing (heaviest group first, the batch makespan heuristic). The
+/// server's start and shutdown are part of the call.
+fn serve_batch(
+    engine: &ModelEngine,
+    requests: Vec<Request>,
+    workers: usize,
+    coalesce: bool,
+) -> Vec<Response> {
+    let total = requests.len();
+    let policy: Arc<dyn QueuePolicy> = if coalesce {
+        Arc::new(Lpt)
+    } else {
+        Arc::new(Fifo)
+    };
+    let server = engine.server(
+        ServerConfig::new()
+            .with_workers(workers.min(total))
+            .with_admission_window_us(0)
+            .with_queue_depth(total)
+            .with_coalesce(coalesce)
+            .with_policy(policy),
+    );
+    let tickets = server
+        .submit_batch(requests)
+        .expect("the queue is sized to the batch");
+    let responses = tickets.into_iter().map(Ticket::wait).collect();
+    server.shutdown();
+    responses
 }
 
 /// The SLO-class mix of the continuous trace: a quarter deadline-bound, a
@@ -781,9 +822,9 @@ fn continuous_class(index: usize) -> SloClass {
 ///
 /// * **windowed** — a nonzero admission window, SLO-aware dispatch,
 ///   cross-arrival coalescing at the layer-default cap, and
-/// * **zero-window** — dispatch-immediately, no coalescing: the shape of the
-///   old batch scheduler serving arrivals individually, i.e. what serving
-///   this arrival pattern cost before the server existed.
+/// * **zero-window** — dispatch-immediately, no coalescing: every arrival
+///   served on its own, i.e. what this arrival pattern costs without
+///   batching.
 ///
 /// Both runs measure first-submit→drained wall (identical submission gaps,
 /// so the wall ratio is the aggregate-throughput ratio) and the engine's
@@ -1446,6 +1487,7 @@ mod tests {
                 token_p99_ms: 9.0,
                 mean_interleave_width: 24.5,
                 evictions: 4,
+                evictions_missed: 0,
                 resumed: 4,
                 lost_tokens: 0,
                 bit_identical: true,

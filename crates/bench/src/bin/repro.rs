@@ -428,8 +428,9 @@ fn run_bench_serving(smoke: bool) -> ExitCode {
             if d.evictions < 2 {
                 eprintln!(
                     "error: {} decode trace recorded {} evictions; the \
-                     mid-trace pressure script demands at least 2",
-                    r.model, d.evictions
+                     mid-trace pressure script demands at least 2 ({} \
+                     refused because the victim had already finished)",
+                    r.model, d.evictions, d.evictions_missed
                 );
                 ok = false;
             }

@@ -337,6 +337,7 @@ mod tests {
                         token_p99_ms: 9.0,
                         mean_interleave_width: 24.5,
                         evictions: 4,
+                        evictions_missed: 0,
                         resumed: 4,
                         lost_tokens: 0,
                         bit_identical: true,

@@ -242,38 +242,31 @@ impl DenseMatrix {
         Ok(out)
     }
 
-    /// Copy of columns `start .. start + width`, zero-padded on the right to
-    /// `padded_cols` columns.
+    /// Copy of columns `start .. start + width`.
     ///
     /// The server slices each request's columns out of a coalesced group's
-    /// output with it (`padded_cols == width`). Zero padding contributes
-    /// nothing to the real output columns of a GEMM/SpMM: every output column
-    /// depends only on its own activation column.
+    /// output with it.
     ///
     /// # Panics
     ///
-    /// Panics if `start + width > cols` or `width > padded_cols`.
-    pub fn cols_padded(&self, start: usize, width: usize, padded_cols: usize) -> DenseMatrix {
+    /// Panics if `start + width > cols`.
+    pub fn cols_range(&self, start: usize, width: usize) -> DenseMatrix {
         assert!(
             start + width <= self.cols,
             "column slice {start}..{} out of bounds for {} columns",
             start + width,
             self.cols
         );
-        assert!(
-            width <= padded_cols,
-            "cannot pad {width} columns down to {padded_cols}"
-        );
-        let mut out = DenseMatrix::zeros(self.rows, padded_cols);
+        let mut out = DenseMatrix::zeros(self.rows, width);
         for r in 0..self.rows {
             let src = &self.data[r * self.cols + start..r * self.cols + start + width];
-            out.data[r * padded_cols..r * padded_cols + width].copy_from_slice(src);
+            out.data[r * width..(r + 1) * width].copy_from_slice(src);
         }
         out
     }
 
     /// Writes the first `width` columns of `src` into `self` starting at
-    /// column `start` (the inverse of [`DenseMatrix::cols_padded`];
+    /// column `start` (the inverse of [`DenseMatrix::cols_range`];
     /// [`DenseMatrix::concat_cols`] assembles its parts with it).
     ///
     /// # Panics
@@ -303,7 +296,7 @@ impl DenseMatrix {
     /// cross-request coalescing primitive of the serving scheduler: several
     /// same-layer activation operands become one wide operand served by a
     /// single fused execute, and the outputs are scattered back per part with
-    /// [`DenseMatrix::cols_padded`]). An empty `parts` yields a `0 × 0`
+    /// [`DenseMatrix::cols_range`]). An empty `parts` yields a `0 × 0`
     /// matrix; zero-column parts are permitted and contribute nothing.
     ///
     /// # Errors
@@ -626,16 +619,14 @@ mod tests {
     #[test]
     fn cols_padded_extracts_and_zero_pads() {
         let m = DenseMatrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32 + 1.0);
-        let s = m.cols_padded(1, 2, 4);
-        assert_eq!(s.shape(), (3, 4));
+        let s = m.cols_range(1, 2);
+        assert_eq!(s.shape(), (3, 2));
         for r in 0..3 {
             assert_eq!(s.get(r, 0), m.get(r, 1));
             assert_eq!(s.get(r, 1), m.get(r, 2));
-            assert_eq!(s.get(r, 2), 0.0);
-            assert_eq!(s.get(r, 3), 0.0);
         }
-        // Full-width, no padding: a plain copy.
-        assert_eq!(m.cols_padded(0, 5, 5), m);
+        // Full width: a plain copy.
+        assert_eq!(m.cols_range(0, 5), m);
     }
 
     #[test]
@@ -647,9 +638,9 @@ mod tests {
         assert_eq!(cat.shape(), (2, 3));
         assert_eq!(cat.row(0), &[0.0, 1.0, 10.0]);
         assert_eq!(cat.row(1), &[2.0, 3.0, 11.0]);
-        // Round-trip: each part comes back out via cols_padded.
-        assert_eq!(cat.cols_padded(0, 2, 2), a);
-        assert_eq!(cat.cols_padded(2, 1, 1), b);
+        // Round-trip: each part comes back out via cols_range.
+        assert_eq!(cat.cols_range(0, 2), a);
+        assert_eq!(cat.cols_range(2, 1), b);
         assert_eq!(DenseMatrix::concat_cols(&[]).unwrap().shape(), (0, 0));
         let bad = DenseMatrix::zeros(3, 1);
         assert!(DenseMatrix::concat_cols(&[&a, &bad]).is_err());
@@ -659,9 +650,9 @@ mod tests {
     fn copy_cols_from_roundtrips_with_cols_padded() {
         let m = DenseMatrix::from_fn(4, 7, |r, c| (r * 7 + c) as f32);
         let mut out = DenseMatrix::zeros(4, 7);
-        // Reassemble from segments of widths 3 / 2 / 2, each padded to 4.
+        // Reassemble from segments of widths 3 / 2 / 2.
         for (start, width) in [(0, 3), (3, 2), (5, 2)] {
-            let seg = m.cols_padded(start, width, 4);
+            let seg = m.cols_range(start, width);
             out.copy_cols_from(&seg, start, width);
         }
         assert_eq!(out, m);
@@ -670,7 +661,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn cols_padded_rejects_overflow() {
-        DenseMatrix::zeros(2, 3).cols_padded(2, 2, 4);
+        DenseMatrix::zeros(2, 3).cols_range(2, 2);
     }
 
     #[test]

@@ -261,7 +261,7 @@ pub struct UpdateStats {
 /// version) + the engine-wide bucket policy.
 ///
 /// `execute` takes `&self` and the engine is `Sync`, so one engine serves any
-/// number of scheduler worker threads concurrently. Layer *registration*
+/// number of server worker threads concurrently. Layer *registration*
 /// takes `&mut self` (deployment-time wiring); layer *updates* take `&self`
 /// and swap a versioned slot atomically, so weights change under live
 /// traffic without a stop-the-world (see the module docs).

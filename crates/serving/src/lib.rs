@@ -17,19 +17,18 @@
 //!   width from 0 to 300 and beyond). The engine-wide
 //!   [`shfl_core::bucket::BucketPolicy`] only sets the server's default
 //!   coalescing cap and the update probe width.
-//! * [`server::Server`] — the continuous-batching front-end: callers
-//!   [`server::Server::submit`] requests independently and get
+//! * [`server::Server`] — the one serving front-end: callers
+//!   [`server::Server::submit`] requests independently (or a whole batch at
+//!   once with [`server::Server::submit_batch`]) and get
 //!   [`server::Ticket`]s; a dispatcher holds a configurable admission window
-//!   and coalesces same-layer arrivals into shared fused executes, ordered by
-//!   a pluggable [`policy::QueuePolicy`] (FIFO / LPT / shortest-job-first /
-//!   deadline-class SLO scheduling), with typed
+//!   and coalesces same-layer arrivals into shared fused executes, with typed
 //!   [`server::SubmitError::QueueFull`] backpressure and per-class latency
-//!   percentiles in [`server::ServerStats`].
-//! * [`scheduler::Scheduler`] — the historical batch API, kept as a thin
-//!   compatibility shim over a zero-window scoped [`server::Server`]: plans
-//!   are `Sync`, so one prepared plan serves any number of concurrent
-//!   requests; a batch of [`scheduler::Request`]s fans across worker threads
-//!   over one shared engine, recording per-request latency.
+//!   percentiles in [`server::ServerStats`]. Decode sessions
+//!   ([`session`]) step in interleave rounds whose per-model groups share
+//!   the same ready queue, the same [`policy::QueuePolicy`] (FIFO / LPT /
+//!   shortest-job-first / deadline-class SLO scheduling) and the same
+//!   worker pool as request groups. Plans are `Sync`, so one prepared plan
+//!   serves every worker at once.
 //! * [`ServingError`] — typed rejection of malformed traffic (unknown layer,
 //!   reduction-dimension mismatch) instead of panics or debug-only asserts.
 //! * **Live weight updates** — every layer is a versioned slot:
@@ -76,14 +75,14 @@
 pub mod chaos;
 pub mod engine;
 pub mod policy;
-pub mod scheduler;
 pub mod server;
 pub mod session;
 
 pub use engine::{ServingEngine, ServingStats, UpdateError, UpdateReport, UpdateStats};
 pub use policy::{Fifo, GroupMeta, Lpt, QueuePolicy, ShortestJobFirst, SloAware};
-pub use scheduler::{Request, Response, Scheduler};
-pub use server::{Completion, Server, ServerConfig, ServerStats, SubmitError, Ticket};
+pub use server::{
+    Completion, Request, Response, Server, ServerConfig, ServerStats, SubmitError, Ticket,
+};
 pub use session::{
     decode_oracle, DecodeModel, DecodeStage, DecodeState, DecodeToken, SessionHandle, SessionStats,
     SessionTicket,

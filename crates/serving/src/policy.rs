@@ -2,8 +2,9 @@
 //!
 //! The continuous-batching [`Server`](crate::server::Server) turns arrivals
 //! into **ready groups** (same-layer, same-class requests coalesced into one
-//! fused execute) and asks a [`QueuePolicy`] in which order the worker pool
-//! should pick them up. The policy sees one [`GroupMeta`] per group — arrival
+//! fused execute, and each decode round's same-model session groups) and
+//! asks a [`QueuePolicy`] in which order the worker pool should pick them
+//! up. The policy sees one [`GroupMeta`] per group — arrival
 //! position, SLO class, tightest deadline, estimated cost — and returns a
 //! total order. Everything else (grouping, admission windows, execution) is
 //! policy-independent, so changing the scheduling discipline is a one-line
@@ -11,13 +12,11 @@
 //!
 //! Four disciplines ship with the crate:
 //!
-//! * [`Fifo`] — arrival order; what the historical batch scheduler's plain
-//!   queue did, and the zero-surprise default.
+//! * [`Fifo`] — arrival order; the zero-surprise default.
 //! * [`Lpt`] — longest processing time first. With a handful of coalesced
 //!   groups across a small worker pool, a heavy group picked up last
 //!   dominates the batch wall-clock; LPT is the classic makespan heuristic
-//!   the historical coalescing scheduler used, and the compatibility shim
-//!   keeps it.
+//!   for serving one submitted batch.
 //! * [`ShortestJobFirst`] — minimises mean latency under load (decode-style
 //!   traffic: many small requests should not queue behind one huge unfolded
 //!   convolution).
@@ -37,8 +36,9 @@ pub struct GroupMeta {
     pub layer: usize,
     /// The SLO class of the group (groups never mix classes).
     pub kind: SloKind,
-    /// Submission sequence number of the group's **earliest** member
-    /// (monotonic per server; the FIFO key).
+    /// Submission sequence number of the group's **earliest** member, or
+    /// for a decode group the number taken when its round was picked (one
+    /// counter per server; the FIFO key).
     pub arrival_seq: u64,
     /// Tightest absolute deadline among the members, in µs since the server
     /// started; `None` for non-deadline groups.
@@ -57,16 +57,16 @@ impl GroupMeta {
     /// Meta for one decode-session interleave sweep: `width` live sequences
     /// contributing one column each (`columns == requests == width`), the
     /// group's most urgent member's `kind`, and the earliest per-token due
-    /// time among the deadline-class members. `arrival_seq` is the lowest
-    /// session id in the sweep (decode sessions step in id order, so the id
-    /// doubles as the FIFO key) and `est_flops` is the sweep's summed GEMM
-    /// work across its stages (`2·m·k` per stage times `width`). This is the
-    /// meta the [`SessionManager`](crate::session::SessionManager) driver
-    /// hands the [`QueuePolicy`] to order same-round sweeps of different
-    /// models.
+    /// time among the deadline-class members. `arrival_seq` and `due_us` are
+    /// in the server's bases, the same as a request group's: a number of the
+    /// server's sequence counter taken when the round was picked, and µs
+    /// since the server started at pick time plus the per-token budget.
+    /// `est_flops` is the sweep's summed GEMM work across its stages
+    /// (`2·m·k` per stage times `width`). The one [`QueuePolicy`] orders
+    /// these metas beside request groups'.
     pub fn decode_sweep(
         kind: SloKind,
-        lowest_session: u64,
+        arrival_seq: u64,
         due_us: Option<u64>,
         est_flops: u128,
         width: usize,
@@ -74,7 +74,7 @@ impl GroupMeta {
         GroupMeta {
             layer: 0,
             kind,
-            arrival_seq: lowest_session,
+            arrival_seq,
             due_us,
             est_flops,
             columns: width,
@@ -109,8 +109,8 @@ impl QueuePolicy for Fifo {
     }
 }
 
-/// Longest processing time first (the makespan heuristic of the historical
-/// coalescing scheduler): heaviest estimated group dispatches first so no
+/// Longest processing time first (the classic makespan heuristic): the
+/// heaviest estimated group dispatches first so no
 /// straggler is picked up last by an otherwise-idle worker pool. Ties break
 /// by arrival.
 #[derive(Debug, Clone, Copy, Default)]
@@ -199,7 +199,7 @@ mod tests {
         assert_eq!(urgent.columns, 4);
         assert_eq!(urgent.requests, 4);
         assert_eq!(SloAware.compare(&urgent, &lazy), Ordering::Less);
-        // FIFO falls back to the lowest session id in the sweep.
+        // FIFO orders by the arrival sequence number.
         assert_eq!(Fifo.compare(&lazy, &urgent), Ordering::Less);
     }
 

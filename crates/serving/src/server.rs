@@ -1,11 +1,8 @@
 //! The continuous-batching serving front-end.
 //!
-//! The historical `Scheduler::serve(engine, Vec<Request>) -> Vec<Response>`
-//! API could only coalesce requests the *caller* had already batched: the
-//! cross-request column coalescing of the fused panel sweep stopped at the
-//! boundary of one synchronous call. [`Server`] removes that boundary the way
-//! Orca-style continuous-batching systems do — requests arrive independently
-//! and the **server** forms the batches:
+//! [`Server`] is the crate's one serving front-end and its workers are the
+//! only executors. Requests arrive independently and the **server** forms
+//! the batches, the way Orca-style continuous-batching systems do:
 //!
 //! * [`Server::submit`] hands in one request and returns a [`Ticket`]
 //!   immediately. Submission is non-blocking: a full bounded queue rejects
@@ -16,12 +13,17 @@
 //!   opens the window, later arrivals join it, and when it closes everything
 //!   queued is planned at once — same-layer, same-class requests are
 //!   column-concatenated ([`shfl_core::matrix::DenseMatrix::concat_cols`])
-//!   into shared fused executes exactly like the batch scheduler did, except
-//!   now **across arrivals**. A zero window dispatches whatever has
-//!   accumulated immediately (opportunistic batching only).
-//! * Ready groups are ordered by a pluggable [`QueuePolicy`] (FIFO, LPT,
-//!   shortest-job-first, deadline-class SLO scheduling) and executed by a
-//!   fixed worker pool over the shared [`ServingEngine`].
+//!   into shared fused executes, **across arrivals**. A zero window
+//!   dispatches whatever has accumulated immediately (opportunistic batching
+//!   only).
+//! * Decode sessions ([`Server::open_session`]) step in interleave rounds
+//!   whose per-model groups are ready groups too. Writing back a round's
+//!   last group, or admitting a session, marks the next round due; the next
+//!   worker to look at the ready queue picks it (usually the one that wrote
+//!   the last group back).
+//! * Ready groups of both kinds are ordered by one pluggable [`QueuePolicy`]
+//!   (FIFO, LPT, shortest-job-first, deadline-class SLO scheduling) and
+//!   executed by a fixed worker pool over the shared [`ServingEngine`].
 //! * [`Ticket::wait`] blocks on a condvar until the response lands — no
 //!   async runtime, consistent with the offline compatibility shims.
 //!   [`Ticket::cancel`] (or just dropping the ticket) withdraws a request
@@ -73,28 +75,59 @@
 //! still serving; a panic at the swap point is contained into the same typed
 //! error.
 //!
-//! The old API survives: [`crate::scheduler::Scheduler::serve`] is now a thin
-//! compatibility shim that runs one zero-window server scoped to the call
-//! (see [`Server::scoped`]).
+//! ## Serving a batch
+//!
+//! A caller that holds a whole batch submits it atomically with
+//! [`Server::submit_batch`] and waits on the tickets, which come back in
+//! request order. A zero admission window, a queue depth equal to the batch
+//! and [`Lpt`](crate::policy::Lpt) ordering when coalescing give the classic
+//! batch-scheduler shape: one admission round, heaviest group first.
 
 use crate::engine::{ServingEngine, UpdateError, UpdateReport};
 use crate::policy::{Fifo, GroupMeta, QueuePolicy};
-use crate::scheduler::{Request, Response};
-use crate::session::{DecodeModel, SessionHandle, SessionManager, SessionStats};
+use crate::session::{DecodeModel, RoundMember, SessionHandle, SessionManager, SessionStats};
 use crate::ServingError;
 use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// One serving request: a layer id and an activation operand of any width.
+#[derive(Debug, Clone)]
+pub struct Request {
+    /// Caller-chosen request id, echoed in the [`Response`].
+    pub id: u64,
+    /// The registered layer the request addresses.
+    pub layer: usize,
+    /// Activation operand (`k × n`, `n` arbitrary).
+    pub activations: DenseMatrix,
+}
+
+/// The outcome of one request.
+#[derive(Debug)]
+pub struct Response {
+    /// The id of the request this responds to.
+    pub id: u64,
+    /// The layer output (`m × n`), or a typed serving error.
+    pub result: Result<DenseMatrix, ServingError>,
+    /// Wall-clock service time of the request in milliseconds (queue wait
+    /// excluded; this is the execute latency on the worker).
+    pub service_ms: f64,
+    /// Modeled GPU time of the request's columns (µs): its share of its
+    /// execute's exact-width launch; zero when the request failed.
+    pub modeled_us: f64,
+}
 
 /// Configuration of a [`Server`] (the builder the roadmap's "make the cap a
 /// knob" item asked for). Fields are public; the `with_*` methods chain.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing ready groups (minimum 1).
+    /// Worker threads executing ready groups, request and decode-round
+    /// groups alike (minimum 1).
     pub workers: usize,
     /// Admission window in µs: how long the dispatcher holds the first
     /// undispatched arrival open for later arrivals to coalesce with. Zero
@@ -115,8 +148,7 @@ pub struct ServerConfig {
     /// other classes still have.
     pub class_queue_depth: [Option<usize>; SloKind::COUNT],
     /// Whether same-layer, same-class requests coalesce into shared fused
-    /// executes. Disabled, every request is its own dispatch unit (the
-    /// historical plain scheduler).
+    /// executes. Disabled, every request is its own dispatch unit.
     pub coalesce: bool,
     /// Width cap of a coalesced group, in activation columns. `None` uses
     /// the engine policy's `max_bucket` (the measured sweet spot on a
@@ -556,17 +588,24 @@ enum Gate {
 struct SubmitQueue {
     pending: VecDeque<Pending>,
     gate: Gate,
-    next_seq: u64,
     /// Queued requests per SLO kind, indexed by [`SloKind::rank`] — the
     /// per-class bound and shed decisions are O(1) per submit.
     class_counts: [usize; SloKind::COUNT],
 }
 
-/// A planned dispatch unit: one request, or a same-layer same-class group
-/// served by one coalesced execute.
+/// A planned dispatch unit: one request, a same-layer same-class group
+/// served by one coalesced execute, or one model's group of a decode round.
 struct ReadyGroup {
     meta: GroupMeta,
-    members: Vec<Pending>,
+    members: Members,
+}
+
+/// What a [`ReadyGroup`] carries.
+enum Members {
+    /// Admitted requests, in group order.
+    Requests(Vec<Pending>),
+    /// The working sets of one decode round's same-model sessions.
+    Round(Vec<RoundMember>),
 }
 
 struct ReadyQueue {
@@ -620,13 +659,21 @@ impl Recorder {
     }
 }
 
-/// The shared state of one server: submission queue, ready queue, stats.
-/// Owned (`Arc`) by [`Server`] and borrowed by the scoped variant — the
-/// dispatcher and worker loops take the engine as a parameter so one
-/// implementation serves both ownership modes.
+/// The shared state of one server: the engine it executes on, the decode
+/// sessions, the submission queue, the ready queue and the stats.
 struct ServerCore {
     cfg: ServerConfig,
+    engine: Arc<ServingEngine>,
+    sessions: SessionManager,
+    /// The time base of every group's `due_us`.
     started_at: Instant,
+    /// The sequence counter of every group's `arrival_seq`: one number per
+    /// admitted request and one per decode-round group.
+    next_seq: AtomicU64,
+    /// A decode round is due: set when a session is admitted and when a
+    /// round's last group is written back. The next worker to look at the
+    /// ready queue clears it and picks the round.
+    round_due: AtomicBool,
     queue: Mutex<SubmitQueue>,
     queue_cv: Condvar,
     ready: Mutex<ReadyQueue>,
@@ -636,20 +683,27 @@ struct ServerCore {
     ready_drained_cv: Condvar,
     /// Set by [`ServerCore::stop`] so waits that are not guarded by the
     /// queue's gate (the ready-drain wait) terminate.
-    stopping: std::sync::atomic::AtomicBool,
+    stopping: AtomicBool,
     recorder: Mutex<Recorder>,
     idle_cv: Condvar,
 }
 
 impl ServerCore {
-    fn new(cfg: ServerConfig) -> Self {
+    fn new(engine: Arc<ServingEngine>, cfg: ServerConfig) -> Self {
+        #[allow(unused_mut)]
+        let mut sessions = SessionManager::new(cfg.session_capacity);
+        #[cfg(feature = "chaos")]
+        sessions.set_fault_plan(cfg.fault_plan.clone());
         ServerCore {
             cfg,
+            engine,
+            sessions,
             started_at: Instant::now(),
+            next_seq: AtomicU64::new(0),
+            round_due: AtomicBool::new(false),
             queue: Mutex::new(SubmitQueue {
                 pending: VecDeque::new(),
                 gate: Gate::Open,
-                next_seq: 0,
                 class_counts: [0; SloKind::COUNT],
             }),
             queue_cv: Condvar::new(),
@@ -659,7 +713,7 @@ impl ServerCore {
             }),
             ready_cv: Condvar::new(),
             ready_drained_cv: Condvar::new(),
-            stopping: std::sync::atomic::AtomicBool::new(false),
+            stopping: AtomicBool::new(false),
             recorder: Mutex::new(Recorder::default()),
             idle_cv: Condvar::new(),
         }
@@ -769,12 +823,10 @@ impl ServerCore {
             }
         }
         let (ticket, slot) = Self::make_ticket(&request, class);
-        let seq = q.next_seq;
-        q.next_seq += 1;
         q.pending.push_back(Pending {
             request,
             class,
-            seq,
+            seq: self.next_seq.fetch_add(1, Ordering::SeqCst),
             submitted_at: Instant::now(),
             slot,
         });
@@ -816,12 +868,10 @@ impl ServerCore {
         let mut tickets = Vec::with_capacity(requests.len());
         for request in requests {
             let (ticket, slot) = Self::make_ticket(&request, class);
-            let seq = q.next_seq;
-            q.next_seq += 1;
             q.pending.push_back(Pending {
                 request,
                 class,
-                seq,
+                seq: self.next_seq.fetch_add(1, Ordering::SeqCst),
                 submitted_at: now,
                 slot,
             });
@@ -859,12 +909,14 @@ impl ServerCore {
         }
     }
 
-    /// Stops the server: admission closes, still-queued requests are failed
-    /// with [`ServingError::ShutDown`], dispatched work finishes, threads
-    /// exit. Call [`ServerCore::drain`] first for a graceful stop.
+    /// Stops the server: live decode sessions fail with
+    /// [`ServingError::ShutDown`] and no round starts again, admission
+    /// closes, still-queued requests are failed with
+    /// [`ServingError::ShutDown`], dispatched work finishes, threads exit.
+    /// Call [`ServerCore::drain`] first for a graceful stop.
     fn stop(&self) {
-        self.stopping
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.sessions.stop();
+        self.stopping.store(true, Ordering::SeqCst);
         {
             let mut q = self.queue.lock().expect("submit queue poisoned");
             q.gate = Gate::Stopped;
@@ -908,7 +960,7 @@ impl ServerCore {
     fn wait_ready_drained(&self) -> DrainWait {
         let mut ready = self.ready.lock().expect("ready queue poisoned");
         loop {
-            if self.stopping.load(std::sync::atomic::Ordering::SeqCst) {
+            if self.stopping.load(Ordering::SeqCst) {
                 return DrainWait::Stopped;
             }
             if ready.groups.is_empty() {
@@ -923,7 +975,7 @@ impl ServerCore {
 
     /// The dispatcher: waits for arrivals, holds the admission window,
     /// plans ready groups, and pushes them policy-ordered for the workers.
-    fn dispatch_loop(&self, engine: &ServingEngine) {
+    fn dispatch_loop(&self) {
         let window = self.cfg.admission_window();
         loop {
             // Phase 1: wait for an arrival and hold its admission window.
@@ -997,33 +1049,76 @@ impl ServerCore {
             if batch.is_empty() {
                 continue;
             }
-            let groups = self.plan_groups(engine, batch);
+            let groups = self.plan_groups(batch);
             {
                 let mut rec = self.recorder.lock().expect("recorder poisoned");
                 rec.dispatched_groups += groups.len() as u64;
                 for group in &groups {
-                    if group.members.len() > 1 {
+                    if group.meta.requests > 1 {
                         rec.coalesced_groups += 1;
-                        rec.coalesced_requests += group.members.len() as u64;
+                        rec.coalesced_requests += group.meta.requests as u64;
                     }
                 }
             }
-            {
-                let mut ready = self.ready.lock().expect("ready queue poisoned");
-                ready.groups.extend(groups);
-                let policy = Arc::clone(&self.cfg.policy);
-                ready
-                    .groups
-                    .make_contiguous()
-                    .sort_by(|a, b| policy.compare(&a.meta, &b.meta));
-            }
-            self.ready_cv.notify_all();
+            self.enqueue(groups, false);
         }
         {
             let mut ready = self.ready.lock().expect("ready queue poisoned");
             ready.done = true;
         }
         self.ready_cv.notify_all();
+    }
+
+    /// Adds ready groups of either kind to the ready queue and re-sorts it
+    /// by the configured [`QueuePolicy`]: the one place dispatch order is
+    /// decided. Idle workers are woken unless a worker enqueues a single
+    /// group, which it pops itself next.
+    fn enqueue(&self, groups: Vec<ReadyGroup>, from_worker: bool) {
+        let wake = groups.len() > usize::from(from_worker);
+        if groups.is_empty() {
+            return;
+        }
+        {
+            let mut ready = self.ready.lock().expect("ready queue poisoned");
+            ready.groups.extend(groups);
+            let policy = &self.cfg.policy;
+            ready
+                .groups
+                .make_contiguous()
+                .sort_by(|a, b| policy.compare(&a.meta, &b.meta));
+        }
+        if wake {
+            self.ready_cv.notify_all();
+        }
+    }
+
+    /// Picks the next decode round, its groups' metas stamped in this
+    /// server's bases: `due_us` on the clock since [`ServerCore::started_at`]
+    /// and `arrival_seq` from [`ServerCore::next_seq`]. Empty while a round
+    /// is outstanding, no session is live, or the server is stopping.
+    fn pick_round(&self) -> Vec<ReadyGroup> {
+        let now_us = self.started_at.elapsed().as_micros() as u64;
+        self.sessions
+            .pick_round(&self.engine, now_us, &self.next_seq)
+            .into_iter()
+            .map(|(meta, members)| ReadyGroup {
+                meta,
+                members: Members::Round(members),
+            })
+            .collect()
+    }
+
+    /// Marks a decode round due after a session's admission and wakes a
+    /// worker to pick it. The pick is empty while a round is outstanding:
+    /// that round's last write-back picks the new session up. It happens on
+    /// the worker, so sessions opened back to back while the worker wakes
+    /// start in the same round.
+    fn request_round(&self) {
+        self.round_due.store(true, Ordering::SeqCst);
+        // Lock the ready mutex so the flag store cannot race past a worker
+        // that checked it and is about to wait.
+        drop(self.ready.lock().expect("ready queue poisoned"));
+        self.ready_cv.notify_one();
     }
 
     /// Claims an admission round's requests for execution, discarding the
@@ -1092,17 +1187,18 @@ impl ServerCore {
     /// otherwise same-layer, same-class requests packed first-fit-decreasing
     /// under the width cap ([`ServerConfig::coalesce_cap`], default the
     /// engine policy's largest bucket).
-    fn plan_groups(&self, engine: &ServingEngine, batch: Vec<Pending>) -> Vec<ReadyGroup> {
+    fn plan_groups(&self, batch: Vec<Pending>) -> Vec<ReadyGroup> {
         if !self.cfg.coalesce {
             return batch
                 .into_iter()
-                .map(|p| self.make_group(engine, vec![p]))
+                .map(|p| self.make_group(vec![p]))
                 .collect();
         }
         let mut invalid = Vec::new();
         let mut by_key: Vec<((usize, SloKind), Vec<Pending>)> = Vec::new();
         for pending in batch {
-            let valid = engine
+            let valid = self
+                .engine
                 .layer_k(pending.request.layer)
                 .is_ok_and(|k| pending.request.activations.rows() == k);
             if !valid {
@@ -1118,7 +1214,7 @@ impl ServerCore {
         let cap = self
             .cfg
             .coalesce_cap
-            .unwrap_or_else(|| engine.policy().max_bucket())
+            .unwrap_or_else(|| self.engine.policy().max_bucket())
             .max(1);
         let mut groups = Vec::new();
         for (_, mut members) in by_key {
@@ -1136,23 +1232,15 @@ impl ServerCore {
                     None => chunks.push((width, vec![pending])),
                 }
             }
-            groups.extend(
-                chunks
-                    .into_iter()
-                    .map(|(_, chunk)| self.make_group(engine, chunk)),
-            );
+            groups.extend(chunks.into_iter().map(|(_, chunk)| self.make_group(chunk)));
         }
         // Malformed requests error out without compute; they ride along as
         // singles with zero estimated cost.
-        groups.extend(
-            invalid
-                .into_iter()
-                .map(|p| self.make_group(engine, vec![p])),
-        );
+        groups.extend(invalid.into_iter().map(|p| self.make_group(vec![p])));
         groups
     }
 
-    fn make_group(&self, engine: &ServingEngine, members: Vec<Pending>) -> ReadyGroup {
+    fn make_group(&self, members: Vec<Pending>) -> ReadyGroup {
         debug_assert!(!members.is_empty());
         let layer = members[0].request.layer;
         let kind = members[0].class.kind();
@@ -1167,8 +1255,8 @@ impl ServerCore {
             .min();
         let columns: usize = members.iter().map(|p| p.request.activations.cols()).sum();
         let per_column = 2u128
-            * engine.layer_m(layer).unwrap_or(0) as u128
-            * engine.layer_k(layer).unwrap_or(0) as u128;
+            * self.engine.layer_m(layer).unwrap_or(0) as u128
+            * self.engine.layer_k(layer).unwrap_or(0) as u128;
         let requests = members.len();
         ReadyGroup {
             meta: GroupMeta {
@@ -1180,17 +1268,25 @@ impl ServerCore {
                 columns,
                 requests,
             },
-            members,
+            members: Members::Requests(members),
         }
     }
 
     /// One worker: pops policy-ordered ready groups and executes them until
     /// the dispatcher has exited and the queue is dry.
-    fn worker_loop(&self, engine: &ServingEngine) {
+    fn worker_loop(&self) {
         loop {
             let group = {
                 let mut ready = self.ready.lock().expect("ready queue poisoned");
                 loop {
+                    if self.round_due.swap(false, Ordering::SeqCst) {
+                        // Empty while a round is outstanding or nothing is
+                        // live.
+                        drop(ready);
+                        self.enqueue(self.pick_round(), true);
+                        ready = self.ready.lock().expect("ready queue poisoned");
+                        continue;
+                    }
                     if let Some(group) = ready.groups.pop_front() {
                         if ready.groups.is_empty() {
                             // The round is drained: wake the dispatcher's
@@ -1205,11 +1301,25 @@ impl ServerCore {
                     ready = self.ready_cv.wait(ready).expect("ready queue poisoned");
                 }
             };
-            self.execute_group(engine, group);
+            match group.members {
+                Members::Requests(members) => self.serve_requests(group.meta, members),
+                Members::Round(members) => {
+                    // `step_group` contains a hook or execute panic itself
+                    // and fails only the group's sessions.
+                    if self.sessions.step_group(&self.engine, members) {
+                        // The round's last group: this worker picks the next
+                        // round on its next pass, after letting any thread
+                        // that shares its core (an opener, a token consumer)
+                        // run first.
+                        self.round_due.store(true, Ordering::SeqCst);
+                        std::thread::yield_now();
+                    }
+                }
+            }
         }
     }
 
-    /// Executes one ready group and fulfils its tickets. A singleton runs
+    /// Executes one request group and fulfils its tickets. A singleton runs
     /// straight through the engine; a coalesced group column-concatenates
     /// its operands, executes once, and scatters the output columns back —
     /// bit-identical to individual service because every output column of an
@@ -1221,11 +1331,10 @@ impl ServerCore {
     /// the worker supervisor ([`ServerCore::worker_entry`]) respawns the
     /// thread. No lock is held across the engine call, so the unwind cannot
     /// poison the server's mutexes.
-    fn execute_group(&self, engine: &ServingEngine, group: ReadyGroup) {
-        let ReadyGroup { meta, members } = group;
+    fn serve_requests(&self, meta: GroupMeta, members: Vec<Pending>) {
         let exec_start = Instant::now();
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.compute_responses(engine, &meta, &members, exec_start)
+            self.compute_responses(&meta, &members, exec_start)
         }));
         let responses = match computed {
             Ok(responses) => responses,
@@ -1302,10 +1411,9 @@ impl ServerCore {
     /// Computes one response per group member: the (possibly fused) engine
     /// execute plus the per-member scatter. May panic (an engine panic, or
     /// one the chaos layer injects here on purpose) —
-    /// [`ServerCore::execute_group`] contains the unwind.
+    /// [`ServerCore::serve_requests`] contains the unwind.
     fn compute_responses(
         &self,
-        engine: &ServingEngine,
         meta: &GroupMeta,
         members: &[Pending],
         exec_start: Instant,
@@ -1340,7 +1448,8 @@ impl ServerCore {
         }
         if members.len() == 1 {
             let pending = &members[0];
-            let (result, modeled_us) = match engine
+            let (result, modeled_us) = match self
+                .engine
                 .execute_profiled(pending.request.layer, &pending.request.activations)
             {
                 Ok((output, us)) => (Ok(output), us),
@@ -1357,7 +1466,7 @@ impl ServerCore {
             let combined = DenseMatrix::concat_cols(&parts)
                 .expect("coalesced group operands share the layer's k");
             let total_cols = combined.cols();
-            let executed = engine.execute_profiled(meta.layer, &combined);
+            let executed = self.engine.execute_profiled(meta.layer, &combined);
             let service_ms = exec_start.elapsed().as_secs_f64() * 1e3;
             match executed {
                 Ok((output, us)) => {
@@ -1366,7 +1475,7 @@ impl ServerCore {
                         .iter()
                         .map(|p| {
                             let width = p.request.activations.cols();
-                            let result = output.cols_padded(col, width, width);
+                            let result = output.cols_range(col, width);
                             col += width;
                             Response {
                                 id: p.request.id,
@@ -1402,14 +1511,14 @@ impl ServerCore {
     /// into the caller, with the old version still serving.
     fn guarded_update(
         &self,
-        engine: &ServingEngine,
         layer: usize,
         op: impl FnOnce() -> Result<UpdateReport, UpdateError>,
     ) -> Result<UpdateReport, UpdateError> {
         #[cfg(feature = "chaos")]
         let injected_panic = match self.cfg.fault_plan.as_ref().map(|p| p.poll_update()) {
             Some(crate::chaos::ExecFault::FailBuild) => {
-                let version = engine
+                let version = self
+                    .engine
                     .layer_version(layer)
                     .map_err(|_| UpdateError::UnknownLayer { layer })?
                     + 1;
@@ -1436,7 +1545,7 @@ impl ServerCore {
             Ok(result) => result,
             Err(payload) => Err(UpdateError::Build {
                 layer,
-                version: engine.layer_version(layer).map(|v| v + 1).unwrap_or(0),
+                version: self.engine.layer_version(layer).map(|v| v + 1).unwrap_or(0),
                 source: shfl_kernels::KernelError::BuildPanicked {
                     context: panic_message(payload.as_ref()),
                 },
@@ -1449,10 +1558,9 @@ impl ServerCore {
     /// pool therefore never shrinks below the configured size, and a
     /// panicking engine cannot wedge the dispatcher's pacing wait or
     /// `drain()`.
-    fn worker_entry(&self, engine: &ServingEngine) {
+    fn worker_entry(&self) {
         loop {
-            let run =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.worker_loop(engine)));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.worker_loop()));
             if run.is_ok() {
                 break;
             }
@@ -1466,7 +1574,7 @@ impl ServerCore {
 
 /// Best-effort extraction of a panic payload's message (the common `&str` /
 /// `String` payloads; anything else gets a placeholder). The crate's one
-/// panic-payload helper: the server, the session driver and the engine's
+/// panic-payload helper: request groups, decode-round groups and the
 /// update path all render contained panics through it.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
@@ -1474,18 +1582,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Stops the core when dropped — the panic-safety net of [`Server::scoped`]
-/// (threads must exit or the scope join would deadlock the unwind).
-struct StopOnDrop<'a> {
-    core: &'a ServerCore,
-}
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        self.core.stop();
-    }
 }
 
 /// The continuous-batching serving front-end: owns the [`ServingEngine`] and
@@ -1499,8 +1595,7 @@ impl Drop for StopOnDrop<'_> {
 /// use shfl_core::bucket::BucketPolicy;
 /// use shfl_core::{DenseMatrix, ShflBwMatrix};
 /// use shfl_serving::engine::ServingEngine;
-/// use shfl_serving::scheduler::Request;
-/// use shfl_serving::server::{Server, ServerConfig};
+/// use shfl_serving::server::{Request, Server, ServerConfig};
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let dense = DenseMatrix::from_fn(32, 32, |r, c| {
@@ -1524,80 +1619,31 @@ impl Drop for StopOnDrop<'_> {
 /// ```
 pub struct Server {
     core: Arc<ServerCore>,
-    engine: Arc<ServingEngine>,
-    sessions: Arc<SessionManager>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Starts a server over an engine (owned, or shared via
-    /// `Arc<ServingEngine>`): spawns the dispatcher,
-    /// [`ServerConfig::workers`] worker threads and the decode-session
-    /// driver, all executing on that one engine, and begins accepting
-    /// submissions immediately.
+    /// `Arc<ServingEngine>`): spawns the dispatcher and
+    /// [`ServerConfig::workers`] worker threads, which execute request
+    /// groups and decode-round groups alike on that one engine, and begins
+    /// accepting submissions immediately.
     pub fn start(engine: impl Into<Arc<ServingEngine>>, config: ServerConfig) -> Self {
-        let engine: Arc<ServingEngine> = engine.into();
-        let core = Arc::new(ServerCore::new(config));
-        #[allow(unused_mut)]
-        let mut sessions =
-            SessionManager::new(core.cfg.session_capacity, Arc::clone(&core.cfg.policy));
-        #[cfg(feature = "chaos")]
-        sessions.set_fault_plan(core.cfg.fault_plan.clone());
-        let sessions = Arc::new(sessions);
-        let mut threads = Vec::with_capacity(core.cfg.workers + 2);
-        for _ in 0..core.cfg.workers.max(1) {
-            let core = Arc::clone(&core);
-            let engine = Arc::clone(&engine);
-            threads.push(std::thread::spawn(move || core.worker_entry(&engine)));
-        }
-        {
-            let core = Arc::clone(&core);
-            let engine = Arc::clone(&engine);
-            threads.push(std::thread::spawn(move || core.dispatch_loop(&engine)));
-        }
-        {
-            let sessions = Arc::clone(&sessions);
-            let engine = Arc::clone(&engine);
-            threads.push(std::thread::spawn(move || sessions.drive(&engine)));
-        }
-        Server {
-            core,
-            engine,
-            sessions,
-            threads,
-        }
-    }
-
-    /// Runs a **scoped** server over a borrowed engine: the dispatcher and
-    /// workers run as scoped threads for the duration of `f`, then the
-    /// server drains and stops. This is how [`crate::Scheduler::serve`]
-    /// implements the historical batch API on top of the server, and a
-    /// convenient harness for tests that already own an engine on the stack.
-    pub fn scoped<R>(
-        engine: &ServingEngine,
-        config: ServerConfig,
-        f: impl FnOnce(&ScopedServer<'_>) -> R,
-    ) -> R {
-        let core = ServerCore::new(config);
-        std::thread::scope(|s| {
-            for _ in 0..core.cfg.workers.max(1) {
-                s.spawn(|| core.worker_entry(engine));
-            }
-            s.spawn(|| core.dispatch_loop(engine));
-            let guard = StopOnDrop { core: &core };
-            let out = f(&ScopedServer {
-                core: &core,
-                engine,
-            });
-            core.drain();
-            drop(guard); // graceful: drained above, now stop the threads
-            out
-        })
+        let core = Arc::new(ServerCore::new(engine.into(), config));
+        let mut threads: Vec<_> = (0..core.cfg.workers.max(1))
+            .map(|_| {
+                let core = Arc::clone(&core);
+                std::thread::spawn(move || core.worker_entry())
+            })
+            .collect();
+        let dispatcher = Arc::clone(&core);
+        threads.push(std::thread::spawn(move || dispatcher.dispatch_loop()));
+        Server { core, threads }
     }
 
     /// The engine this server executes on.
     pub fn engine(&self) -> &ServingEngine {
-        &self.engine
+        &self.core.engine
     }
 
     /// The configuration the server was started with.
@@ -1661,9 +1707,9 @@ impl Server {
         layer: usize,
         new_weights: ShflBwMatrix,
     ) -> Result<UpdateReport, UpdateError> {
-        self.core.guarded_update(&self.engine, layer, || {
-            self.engine.update_layer(layer, new_weights)
-        })
+        let engine = &self.core.engine;
+        self.core
+            .guarded_update(layer, || engine.update_layer(layer, new_weights))
     }
 
     /// Republishes the layer's previous weights under a fresh version —
@@ -1675,13 +1721,14 @@ impl Server {
     /// See [`Server::update_layer`]; additionally
     /// [`UpdateError::NoPreviousVersion`] for a never-updated layer.
     pub fn rollback_layer(&self, layer: usize) -> Result<UpdateReport, UpdateError> {
+        let engine = &self.core.engine;
         self.core
-            .guarded_update(&self.engine, layer, || self.engine.rollback_layer(layer))
+            .guarded_update(layer, || engine.rollback_layer(layer))
     }
 
-    /// Opens a stateful decode session: the session driver steps it every
+    /// Opens a stateful decode session: the server's workers step it every
     /// interleave round, coalescing its per-stage columns with every other
-    /// live session of the same model, and streams tokens to the returned
+    /// live session of the same model, and stream tokens to the returned
     /// handle's [`SessionTicket`](crate::session::SessionTicket)s. `class`
     /// is the **whole-sequence** SLO class; deadline-class budgets are split
     /// into per-token deadlines ([`SloClass::per_token`]) and every token
@@ -1700,7 +1747,9 @@ impl Server {
         class: SloClass,
         max_steps: usize,
     ) -> Result<SessionHandle, SubmitError> {
-        self.sessions.open(model, prompt, class, max_steps)
+        let handle = self.core.sessions.open(model, prompt, class, max_steps)?;
+        self.core.request_round();
+        Ok(handle)
     }
 
     /// Re-admits an evicted session from its parked snapshot, under the same
@@ -1714,7 +1763,9 @@ impl Server {
     /// with no evictable Bulk session; [`ServingError::ShutDown`] after
     /// shutdown began.
     pub fn resume_session(&self, id: u64) -> Result<SessionHandle, ServingError> {
-        self.sessions.resume(id)
+        let handle = self.core.sessions.resume(id)?;
+        self.core.request_round();
+        Ok(handle)
     }
 
     /// Requests eviction of a live decode session (any class): on the next
@@ -1724,14 +1775,14 @@ impl Server {
     /// the deterministic pressure lever the benches and chaos tests pull;
     /// organic capacity pressure evicts Bulk sessions on its own.
     pub fn evict_session(&self, id: u64) -> bool {
-        self.sessions.evict(id)
+        self.core.sessions.evict(id)
     }
 
     /// Counters of the decode-session tier: sessions
     /// opened/completed/evicted/resumed/cancelled, tokens streamed, sweep
     /// counts, and the mean interleave width.
     pub fn session_stats(&self) -> SessionStats {
-        self.sessions.stats()
+        self.core.sessions.stats()
     }
 
     /// Stops admission and blocks until every outstanding ticket has been
@@ -1747,8 +1798,14 @@ impl Server {
     /// decode sessions fail typed with [`ServingError::ShutDown`].
     pub fn shutdown(mut self) {
         self.core.drain();
+        self.stop_and_join();
+    }
+
+    /// Stops the core and joins its threads. On a non-drained stop,
+    /// still-queued requests fail with [`ServingError::ShutDown`] so no
+    /// ticket waits forever.
+    fn stop_and_join(&mut self) {
         self.core.stop();
-        self.sessions.stop();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -1757,91 +1814,127 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.threads.is_empty() {
-            return; // shutdown() already joined
-        }
-        // Non-drained drop: still-queued requests fail with
-        // `ServingError::ShutDown` so no ticket waits forever.
-        self.core.stop();
-        self.sessions.stop();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+        // A no-op after `shutdown`, which already joined the threads.
+        if !self.threads.is_empty() {
+            self.stop_and_join();
         }
     }
 }
 
-/// The submission handle [`Server::scoped`] passes to its closure — the same
-/// API surface as the owned [`Server`], over a borrowed engine.
-pub struct ScopedServer<'a> {
-    core: &'a ServerCore,
-    engine: &'a ServingEngine,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::SloAware;
+    use crate::session::{DecodeStage, DecodeState};
+    use gpu_sim::GpuArch;
+    use shfl_core::bucket::BucketPolicy;
+    use std::cmp::Ordering as CmpOrdering;
 
-impl ScopedServer<'_> {
-    /// See [`Server::submit`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit`].
-    pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        self.core.submit(request, SloClass::Standard)
+    const N: usize = 16;
+
+    /// One-stage decode model on a square layer: the GEMM output is the
+    /// token.
+    struct Echo {
+        stages: Vec<DecodeStage>,
     }
 
-    /// See [`Server::submit_classed`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit`].
-    pub fn submit_classed(&self, request: Request, class: SloClass) -> Result<Ticket, SubmitError> {
-        self.core.submit(request, class)
+    impl DecodeModel for Echo {
+        fn name(&self) -> &str {
+            "echo"
+        }
+
+        fn stages(&self) -> &[DecodeStage] {
+            &self.stages
+        }
+
+        fn init_state(&self) -> DecodeState {
+            DecodeState::default()
+        }
+
+        fn pre(&self, _: usize, input: &[f32], _: &mut DecodeState) -> Vec<f32> {
+            input.to_vec()
+        }
+
+        fn post(&self, _: usize, gemm_out: &[f32], _: &mut DecodeState) -> Vec<f32> {
+            gemm_out.to_vec()
+        }
+
+        fn prompt_len(&self) -> usize {
+            N
+        }
     }
 
-    /// See [`Server::submit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit`].
-    pub fn submit_batch(&self, requests: Vec<Request>) -> Result<Vec<Ticket>, SubmitError> {
-        self.core.submit_batch(requests, SloClass::Standard)
-    }
+    /// A request group and a decode group carry due times on one clock and
+    /// arrival numbers from one counter, so `SloAware` orders them by
+    /// absolute due time. The server has been up for ten seconds: a decode
+    /// meta holding its bare per-token budget would sort ahead of every
+    /// request deadline.
+    #[test]
+    fn decode_and_request_metas_share_the_time_base_and_sequence() {
+        let mut engine = ServingEngine::new(GpuArch::a100(), BucketPolicy::new(8, 32).unwrap(), 4);
+        let dense = DenseMatrix::from_fn(N, N, |r, c| if (c + r / 4) % 3 == 0 { 0.5 } else { 0.0 });
+        let layer = engine.register_layer("echo", ShflBwMatrix::from_dense(&dense, 4).unwrap());
+        let mut core = ServerCore::new(Arc::new(engine), ServerConfig::new());
+        core.started_at = Instant::now() - Duration::from_secs(10);
+        let model: Arc<dyn DecodeModel> = Arc::new(Echo {
+            stages: vec![DecodeStage {
+                name: "echo".into(),
+                layer,
+            }],
+        });
+        let request_group = |deadline_us| {
+            let request = Request {
+                id: 0,
+                layer,
+                activations: DenseMatrix::zeros(N, 1),
+            };
+            let ticket = core
+                .submit(request, SloClass::Deadline { deadline_us })
+                .unwrap();
+            let pending = core.queue.lock().unwrap().pending.drain(..).collect();
+            let group = core.plan_groups(pending).pop().unwrap();
+            drop(ticket);
+            group.meta
+        };
+        let decode_group = |deadline_us| {
+            // One step, so the session's per-token budget is `deadline_us`.
+            let session = core
+                .sessions
+                .open(
+                    Arc::clone(&model),
+                    vec![0.0; N],
+                    SloClass::Deadline { deadline_us },
+                    1,
+                )
+                .unwrap();
+            let mut round = core.pick_round();
+            assert_eq!(round.len(), 1);
+            let group = round.pop().unwrap();
+            let Members::Round(members) = group.members else {
+                panic!("a round carries round members");
+            };
+            assert!(core.sessions.step_group(&core.engine, members));
+            drop(session);
+            group.meta
+        };
+        let now_us = |core: &ServerCore| core.started_at.elapsed().as_micros() as u64;
 
-    /// See [`Server::stats`].
-    pub fn stats(&self) -> ServerStats {
-        self.core.stats()
-    }
+        // A request due in 5 ms against a decode token due in 1 s: the
+        // request goes first although the decode group arrived later.
+        let before = now_us(&core);
+        let request = request_group(5_000);
+        let decode = decode_group(1_000_000);
+        let after = now_us(&core);
+        assert!((before + 5_000..=after + 5_000).contains(&request.due_us.unwrap()));
+        assert!((before + 1_000_000..=after + 1_000_000).contains(&decode.due_us.unwrap()));
+        assert!(decode.arrival_seq > request.arrival_seq);
+        assert_eq!(SloAware.compare(&request, &decode), CmpOrdering::Less);
 
-    /// The engine this scoped server executes on.
-    pub fn engine(&self) -> &ServingEngine {
-        self.engine
-    }
-
-    /// See [`Server::update_layer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::update_layer`].
-    pub fn update_layer(
-        &self,
-        layer: usize,
-        new_weights: ShflBwMatrix,
-    ) -> Result<UpdateReport, UpdateError> {
-        self.core.guarded_update(self.engine, layer, || {
-            self.engine.update_layer(layer, new_weights)
-        })
-    }
-
-    /// See [`Server::rollback_layer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::rollback_layer`].
-    pub fn rollback_layer(&self, layer: usize) -> Result<UpdateReport, UpdateError> {
-        self.core
-            .guarded_update(self.engine, layer, || self.engine.rollback_layer(layer))
-    }
-
-    /// See [`Server::drain`].
-    pub fn drain(&self) {
-        self.core.drain();
+        // A decode token due in 1 ms against a request due in 1 s: the later
+        // decode group goes first.
+        let request = request_group(1_000_000);
+        let decode = decode_group(1_000);
+        assert!(decode.arrival_seq > request.arrival_seq);
+        assert_eq!(SloAware.compare(&decode, &request), CmpOrdering::Less);
     }
 }

@@ -16,19 +16,22 @@
 //!   [`DecodeStage`]s plus pure-per-sequence `pre`/`post` hooks that read and
 //!   mutate the sequence's own [`DecodeState`] (build the LSTM gate input,
 //!   apply the cell update, append to a KV slab, …).
-//! * [`SessionManager`] — owns every live sequence's state and runs the
-//!   **iteration-level interleave loop**: each round, every live sequence
+//! * [`SessionManager`] — owns every live sequence's state and plans the
+//!   **iteration-level interleave rounds**: each round, every live sequence
 //!   contributes one activation column; same-model sequences column-coalesce
-//!   into one width-N sweep per stage (the engine's one execute path, under
-//!   the [`QueuePolicy`] ordering), and scatter-back routes each
-//!   output column into its own session's state. Because every output column
-//!   depends only on its own activation column and the hooks touch only
-//!   their own state, the interleaved stream is **bit-identical** to running
-//!   each sequence's decode loop alone against the cold oracle
-//!   ([`decode_oracle`]). The manager lock covers bookkeeping only: a round
-//!   moves its members' state out, runs the sweeps and hooks unlocked, and
-//!   writes the results back, so opening, evicting, resuming and reading
-//!   stats never wait behind a round.
+//!   into one width-N sweep per stage (the engine's one execute path), and
+//!   scatter-back routes each output column into its own session's state.
+//!   A round's per-model groups run as ready groups on the server's worker
+//!   pool, ordered by the server's one [`QueuePolicy`](crate::policy::QueuePolicy)
+//!   beside request groups; the write-back of a round's last group makes
+//!   the next round due. Because every output column depends only on its own
+//!   activation column and the hooks touch only their own state, the
+//!   interleaved stream is **bit-identical** to running each sequence's
+//!   decode loop alone against the cold oracle ([`decode_oracle`]). The
+//!   manager lock covers bookkeeping only: a round moves its members' state
+//!   out, runs the sweeps and hooks unlocked, and writes the results back,
+//!   so opening, evicting, resuming and reading stats never wait behind a
+//!   round.
 //! * [`SessionTicket`] — the streaming consumer half: tokens arrive as they
 //!   resolve (`next_token` / `try_next` / `wait_timeout`), each carrying its
 //!   per-token deadline verdict (the whole-sequence
@@ -44,14 +47,14 @@
 //! `open_session`, `resume_session`, `evict_session`, `session_stats`.
 
 use crate::engine::ServingEngine;
-use crate::policy::{GroupMeta, QueuePolicy};
+use crate::policy::GroupMeta;
 use crate::server::SubmitError;
 use crate::ServingError;
 use shfl_core::slo::{SloClass, SloKind};
 use shfl_core::DenseMatrix;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -422,7 +425,7 @@ struct ParkedSession {
 
 /// One session's working set for a round: moved out of its
 /// [`LiveSession`], so the round runs with the manager lock free.
-struct RoundMember {
+pub(crate) struct RoundMember {
     id: u64,
     model: Arc<dyn DecodeModel>,
     state: DecodeState,
@@ -440,35 +443,36 @@ struct ManagerState {
     live: Vec<LiveSession>,
     parked: HashMap<u64, ParkedSession>,
     stats: SessionStats,
+    /// Groups of the current round not yet written back. A round is picked
+    /// only when this is zero, so rounds never overlap.
+    outstanding: usize,
+    /// Set by [`SessionManager::stop`]: no session opens, resumes or steps.
+    stopping: bool,
 }
 
-/// Owner of every decode session's state and driver of the iteration-level
-/// interleave loop (one driver thread per [`Server`](crate::server::Server),
-/// spawned at start). See the module docs for the execution model.
+/// Owner of every decode session's state and planner of the iteration-level
+/// interleave rounds, which a [`Server`](crate::server::Server)'s workers
+/// run. See the module docs for the execution model.
 pub struct SessionManager {
     inner: Mutex<ManagerState>,
-    wake: Condvar,
     capacity: usize,
     next_id: AtomicU64,
-    stopping: AtomicBool,
-    policy: Arc<dyn QueuePolicy>,
     #[cfg(feature = "chaos")]
     fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl SessionManager {
-    pub(crate) fn new(capacity: usize, policy: Arc<dyn QueuePolicy>) -> SessionManager {
+    pub(crate) fn new(capacity: usize) -> SessionManager {
         SessionManager {
             inner: Mutex::new(ManagerState {
                 live: Vec::new(),
                 parked: HashMap::new(),
                 stats: SessionStats::default(),
+                outstanding: 0,
+                stopping: false,
             }),
-            wake: Condvar::new(),
             capacity: capacity.max(1),
             next_id: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
-            policy,
             #[cfg(feature = "chaos")]
             fault_plan: None,
         }
@@ -479,7 +483,7 @@ impl SessionManager {
         self.fault_plan = plan;
     }
 
-    /// Opens a session; the driver starts stepping it on its next round.
+    /// Opens a session; the next round steps it.
     pub(crate) fn open(
         &self,
         model: Arc<dyn DecodeModel>,
@@ -487,10 +491,10 @@ impl SessionManager {
         class: SloClass,
         max_steps: usize,
     ) -> Result<SessionHandle, SubmitError> {
-        if self.stopping.load(Ordering::SeqCst) {
+        let mut inner = self.inner.lock().expect("session manager poisoned");
+        if inner.stopping {
             return Err(SubmitError::NotAccepting);
         }
-        let mut inner = self.inner.lock().expect("session manager poisoned");
         let shared = SessionShared::new();
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let handle = SessionHandle {
@@ -540,17 +544,16 @@ impl SessionManager {
             shared,
             evict_requested: false,
         });
-        self.wake.notify_all();
         Ok(handle)
     }
 
     /// Re-admits a parked session snapshot under the same id; continuation
     /// is bit-identical to the never-evicted stream.
     pub(crate) fn resume(&self, id: u64) -> Result<SessionHandle, ServingError> {
-        if self.stopping.load(Ordering::SeqCst) {
+        let mut inner = self.inner.lock().expect("session manager poisoned");
+        if inner.stopping {
             return Err(ServingError::ShutDown);
         }
-        let mut inner = self.inner.lock().expect("session manager poisoned");
         let parked = inner
             .parked
             .remove(&id)
@@ -580,7 +583,6 @@ impl SessionManager {
             shared,
             evict_requested: false,
         });
-        self.wake.notify_all();
         Ok(handle)
     }
 
@@ -593,7 +595,6 @@ impl SessionManager {
         match inner.live.iter_mut().find(|s| s.id == id) {
             Some(s) => {
                 s.evict_requested = true;
-                self.wake.notify_all();
                 true
             }
             None => false,
@@ -609,31 +610,15 @@ impl SessionManager {
             .clone()
     }
 
-    /// Stops the driver: live sessions fail typed with
-    /// [`ServingError::ShutDown`], no new sessions are accepted.
+    /// Stops the session tier: every live session fails typed with
+    /// [`ServingError::ShutDown`] now, members of a round in flight included
+    /// (their write-back finds them gone), and no session opens, resumes or
+    /// steps again.
     pub(crate) fn stop(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
-        self.wake.notify_all();
-    }
-
-    /// The driver loop (one dedicated thread): sleeps while no session is
-    /// live, otherwise runs interleave rounds until stopped.
-    pub(crate) fn drive(&self, engine: &ServingEngine) {
-        loop {
-            {
-                let mut inner = self.inner.lock().expect("session manager poisoned");
-                while inner.live.is_empty() && !self.stopping.load(Ordering::SeqCst) {
-                    inner = self.wake.wait(inner).expect("session manager poisoned");
-                }
-                if self.stopping.load(Ordering::SeqCst) {
-                    for s in inner.live.drain(..) {
-                        s.shared.fail(ServingError::ShutDown);
-                    }
-                    return;
-                }
-            }
-            self.run_round(engine);
-            std::thread::yield_now();
+        let mut inner = self.inner.lock().expect("session manager poisoned");
+        inner.stopping = true;
+        for s in inner.live.drain(..) {
+            s.shared.fail(ServingError::ShutDown);
         }
     }
 
@@ -685,24 +670,24 @@ impl SessionManager {
         state.stats.evicted += 1;
     }
 
-    /// One interleave round. Under the lock: reap abandoned sessions, apply
+    /// Starts the next interleave round unless one is still outstanding or
+    /// the tier is stopping. Under the lock: reap abandoned sessions, apply
     /// evictions, poll chaos step faults, move every remaining session's
-    /// working set out, group the members by model and order the sweeps by
-    /// the queue policy. Then, with the lock free, step each group
-    /// stage-by-stage, and retake the lock only to write its results back.
-    fn run_round(&self, engine: &ServingEngine) {
-        for mut members in self.pick_round(engine) {
-            let mut sweeps = 0;
-            let start = Instant::now();
-            let outcome = Self::process_group(engine, &mut members, &mut sweeps);
-            self.write_back(members, outcome, start.elapsed(), sweeps);
-        }
-    }
-
-    /// The bookkeeping half of a round's start (see [`Self::run_round`]):
-    /// returns the round's groups in sweep order.
-    fn pick_round(&self, engine: &ServingEngine) -> Vec<Vec<RoundMember>> {
+    /// working set out, and group the members by model, in session-id
+    /// order of each group's first member. Each group's meta is stamped in
+    /// the caller's bases: `now_us` on its deadline clock and one number of
+    /// `next_seq` as its arrival. The caller runs each group with
+    /// [`Self::step_group`].
+    pub(crate) fn pick_round(
+        &self,
+        engine: &ServingEngine,
+        now_us: u64,
+        next_seq: &AtomicU64,
+    ) -> Vec<(GroupMeta, Vec<RoundMember>)> {
         let mut inner = self.inner.lock().expect("session manager poisoned");
+        if inner.stopping || inner.outstanding > 0 {
+            return Vec::new();
+        }
 
         // Reap sessions whose every handle/ticket was dropped (only the
         // manager's own Arc remains) or that were explicitly cancelled.
@@ -764,10 +749,11 @@ impl SessionManager {
                 None => groups.push((s.model_key, vec![s])),
             }
         }
-        let mut ordered: Vec<(GroupMeta, Vec<RoundMember>)> = groups
+        let round: Vec<(GroupMeta, Vec<RoundMember>)> = groups
             .into_iter()
             .map(|(_, sessions)| {
-                let meta = Self::sweep_meta(engine, &sessions);
+                let seq = next_seq.fetch_add(1, Ordering::SeqCst);
+                let meta = Self::sweep_meta(engine, &sessions, now_us, seq);
                 let members = sessions
                     .into_iter()
                     .map(|s| RoundMember {
@@ -780,22 +766,27 @@ impl SessionManager {
                 (meta, members)
             })
             .collect();
-        ordered.sort_by(|a, b| self.policy.compare(&a.0, &b.0));
-        ordered.into_iter().map(|(_, members)| members).collect()
+        inner.outstanding = round.len();
+        round
     }
 
     /// The sweep's scheduling meta: most urgent member's kind, earliest
-    /// per-token deadline budget, summed GEMM work, lowest session id.
-    fn sweep_meta(engine: &ServingEngine, members: &[&mut LiveSession]) -> GroupMeta {
+    /// per-token due time (`now_us` plus the budget), summed GEMM work, and
+    /// `seq` as its arrival.
+    fn sweep_meta(
+        engine: &ServingEngine,
+        members: &[&mut LiveSession],
+        now_us: u64,
+        seq: u64,
+    ) -> GroupMeta {
         let kind = members
             .iter()
             .map(|m| m.class.kind())
             .min_by_key(|k| k.rank())
             .unwrap_or(SloKind::Standard);
-        let lowest = members.iter().map(|m| m.id).min().unwrap_or(0);
         let due_us = members
             .iter()
-            .filter_map(|m| m.per_token.deadline_us())
+            .filter_map(|m| m.per_token.token_due_us(now_us))
             .min();
         let per_column: u128 = members
             .first()
@@ -812,11 +803,30 @@ impl SessionManager {
             .unwrap_or(0);
         GroupMeta::decode_sweep(
             kind,
-            lowest,
+            seq,
             due_us,
             per_column * members.len() as u128,
             members.len(),
         )
+    }
+
+    /// Runs one group of a round and writes it back. Returns `true` when it
+    /// was the round's last group, so the next round is due.
+    pub(crate) fn step_group(&self, engine: &ServingEngine, mut members: Vec<RoundMember>) -> bool {
+        let mut sweeps = 0;
+        let start = Instant::now();
+        let outcome = Self::process_group(engine, &mut members, &mut sweeps);
+        self.write_back(members, outcome, start.elapsed(), sweeps)
+    }
+
+    /// Deterministic stepping for the unit tests: one whole round on the
+    /// calling thread, its groups in pick order.
+    #[cfg(test)]
+    fn run_round(&self, engine: &ServingEngine) {
+        let seq = AtomicU64::new(0);
+        for (_, members) in self.pick_round(engine, 0, &seq) {
+            self.step_group(engine, members);
+        }
     }
 
     /// Steps one group with the manager lock free: for each stage, every
@@ -884,21 +894,24 @@ impl SessionManager {
         })
     }
 
-    /// The bookkeeping half of a group's step (see [`Self::run_round`]):
-    /// under the lock, restores each member's working set, streams its token
-    /// and retires it when its last step ran or an eviction was requested
-    /// while the round ran. A failed group fails every member's stream.
+    /// The bookkeeping half of a group's step: under the lock, restores
+    /// each member's working set, streams its token and retires it when its
+    /// last step ran or an eviction was requested while the round ran. A
+    /// failed group fails every member's stream; a member that
+    /// [`Self::stop`] already failed is skipped. Returns `true` when this
+    /// was the round's last outstanding group.
     fn write_back(
         &self,
         members: Vec<RoundMember>,
         outcome: GroupOutcome,
         elapsed: Duration,
         sweeps: u64,
-    ) {
+    ) -> bool {
         let width = members.len();
         let service_ms = elapsed.as_secs_f64() * 1e3;
         let latency_us = elapsed.as_micros() as u64;
         let mut inner = self.inner.lock().expect("session manager poisoned");
+        inner.outstanding -= 1;
         inner.stats.sweeps += sweeps;
         inner.stats.sweep_columns += sweeps * width as u64;
         let tokens = match outcome {
@@ -906,11 +919,9 @@ impl SessionManager {
             Err(e) => vec![Err(e); width],
         };
         for (m, token) in members.into_iter().zip(tokens) {
-            let i = inner
-                .live
-                .iter()
-                .position(|s| s.id == m.id)
-                .expect("only the round's driver removes an in-round session");
+            let Some(i) = inner.live.iter().position(|s| s.id == m.id) else {
+                continue;
+            };
             let (values, next_input) = match token {
                 Ok(token) => token,
                 Err(e) => {
@@ -942,6 +953,7 @@ impl SessionManager {
                 Self::park(&mut inner, s);
             }
         }
+        inner.outstanding == 0
     }
 }
 
@@ -1017,7 +1029,6 @@ pub fn decode_oracle(
 mod tests {
     use super::*;
     use crate::engine::ServingEngine;
-    use crate::policy::Fifo;
     use gpu_sim::GpuArch;
     use shfl_core::bucket::BucketPolicy;
     use shfl_core::ShflBwMatrix;
@@ -1277,7 +1288,7 @@ mod tests {
     /// oracle bit for bit.
     fn check_interleave(model: &Arc<dyn DecodeModel>, width: usize, steps: usize) {
         let engine = engine_with_toy_layers();
-        let mgr = SessionManager::new(64, Arc::new(Fifo));
+        let mgr = SessionManager::new(64);
         let prompt = |i: usize| prompt_of(model.prompt_len(), i as u64);
         let handles: Vec<SessionHandle> = (0..width)
             .map(|i| {
@@ -1335,7 +1346,7 @@ mod tests {
             release: Mutex::new(Some(release_rx)),
         });
         let toy: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
-        let mgr = SessionManager::new(3, Arc::new(Fifo));
+        let mgr = SessionManager::new(3);
         let steps = 4;
         // Both ride the round that blocks in `post`.
         let bulk = mgr
@@ -1432,7 +1443,7 @@ mod tests {
     fn capacity_pressure_evicts_bulk_and_resume_continues_bit_identically() {
         let engine = engine_with_toy_layers();
         let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
-        let mgr = SessionManager::new(2, Arc::new(Fifo));
+        let mgr = SessionManager::new(2);
         let steps = 6;
         let bulk = mgr
             .open(Arc::clone(&model), prompt(0), SloClass::Bulk, steps)
@@ -1502,7 +1513,7 @@ mod tests {
             inner: ToyModel::new(),
             panic_step: 1,
         });
-        let mgr = SessionManager::new(8, Arc::new(Fifo));
+        let mgr = SessionManager::new(8);
         let steps = 3;
         let keep = mgr
             .open(Arc::clone(&toy), prompt(0), SloClass::Standard, steps)
@@ -1546,7 +1557,7 @@ mod tests {
     fn streaming_surface_polls_times_out_and_reports_finish() {
         let engine = engine_with_toy_layers();
         let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
-        let mgr = SessionManager::new(8, Arc::new(Fifo));
+        let mgr = SessionManager::new(8);
         let h = mgr
             .open(Arc::clone(&model), prompt(0), SloClass::Standard, 2)
             .unwrap();
@@ -1589,18 +1600,25 @@ mod tests {
     fn stop_fails_live_sessions_typed_and_refuses_new_ones() {
         let engine = engine_with_toy_layers();
         let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
-        let mgr = Arc::new(SessionManager::new(8, Arc::new(Fifo)));
+        let mgr = SessionManager::new(8);
         let h = mgr
             .open(Arc::clone(&model), prompt(0), SloClass::Standard, 64)
             .unwrap();
         mgr.run_round(&engine);
+        // A round in flight when the tier stops: its member fails now, and
+        // its write-back streams nothing and picks no further round.
+        let seq = AtomicU64::new(0);
+        let round = mgr.pick_round(&engine, 0, &seq);
+        assert_eq!(round.len(), 1);
         mgr.stop();
-        let mgr2 = Arc::clone(&mgr);
-        let driver = std::thread::spawn(move || mgr2.drive(&engine));
-        driver.join().unwrap();
         let (toks, err) = drain(&h.ticket());
         assert_eq!(toks.len(), 1);
         assert_eq!(err, Some(ServingError::ShutDown));
+        for (_, members) in round {
+            assert!(mgr.step_group(&engine, members), "the round's last group");
+        }
+        assert!(mgr.pick_round(&engine, 0, &seq).is_empty());
+        assert_eq!(mgr.stats().tokens, 1);
         assert!(matches!(
             mgr.open(Arc::clone(&model), prompt(1), SloClass::Standard, 4),
             Err(SubmitError::NotAccepting)

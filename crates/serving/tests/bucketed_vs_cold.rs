@@ -7,7 +7,7 @@
 //! panels do not depend on the width, so that sweep must reproduce a cold
 //! plan built for the exact width bit for bit. These tests drive the whole
 //! serving stack — plan cache, the one execute path, server coalescing and
-//! scatter-back, and the scheduler's concurrent path — against
+//! scatter-back, and the server's uncoalesced worker fan-out — against
 //! [`ServingEngine::execute_cold`], which the kernel crate's own property
 //! tests already chain to the naive reference oracles. Every width from 0 to
 //! 300 is covered, so each SIMD tier's ragged remainder step runs at every
@@ -22,8 +22,8 @@ use shfl_core::bucket::BucketPolicy;
 use shfl_core::formats::{ShflBwMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_serving::engine::ServingEngine;
-use shfl_serving::scheduler::{Request, Scheduler};
-use shfl_serving::server::{Server, ServerConfig};
+use shfl_serving::server::{Request, Server, ServerConfig};
+use std::sync::Arc;
 
 /// Synthesises a Shfl-BW matrix directly in compressed form: each group of
 /// `v` rows keeps a random `density` fraction of columns, rows scattered by a
@@ -107,7 +107,7 @@ fn two_layer_engine() -> (ServingEngine, [usize; 2]) {
 /// one admission batch through a coalescing [`Server`] (groups of mixed
 /// widths up to the 64-column cap, each one sweep, scattered back per
 /// request). Every output must equal the request's cold oracle bit for bit.
-fn serve_every_width(engine: &ServingEngine, layers: [usize; 2]) {
+fn serve_every_width(engine: &Arc<ServingEngine>, layers: [usize; 2]) {
     let mut rng = StdRng::seed_from_u64(99);
     for n in every_width() {
         for layer in layers {
@@ -127,28 +127,28 @@ fn serve_every_width(engine: &ServingEngine, layers: [usize; 2]) {
         .iter()
         .map(|r| engine.execute_cold(r.layer, &r.activations).unwrap())
         .collect();
-    Server::scoped(engine, ServerConfig::new().with_workers(2), |server| {
-        let tickets = server.submit_batch(requests).unwrap();
-        for (ticket, oracle) in tickets.into_iter().zip(&oracles) {
-            let response = ticket.wait();
-            let out = response.result.unwrap();
-            assert_eq!(
-                bits(&out),
-                bits(oracle),
-                "server response {} (n={})",
-                response.id,
-                oracle.cols()
-            );
-        }
-        server.drain();
-        let stats = server.stats();
-        assert!(
-            stats.dispatched_groups < stats.completed,
-            "the server coalesced nothing: {} groups for {} requests",
-            stats.dispatched_groups,
-            stats.completed
+    let server = Server::start(Arc::clone(engine), ServerConfig::new().with_workers(2));
+    let tickets = server.submit_batch(requests).unwrap();
+    for (ticket, oracle) in tickets.into_iter().zip(&oracles) {
+        let response = ticket.wait();
+        let out = response.result.unwrap();
+        assert_eq!(
+            bits(&out),
+            bits(oracle),
+            "server response {} (n={})",
+            response.id,
+            oracle.cols()
         );
-    });
+    }
+    server.drain();
+    let stats = server.stats();
+    assert!(
+        stats.dispatched_groups < stats.completed,
+        "the server coalesced nothing: {} groups for {} requests",
+        stats.dispatched_groups,
+        stats.completed
+    );
+    server.shutdown();
 }
 
 proptest! {
@@ -186,12 +186,13 @@ proptest! {
 #[test]
 fn boundary_widths_are_bit_identical_including_n1_and_bucket_plus_one() {
     let (engine, layers) = two_layer_engine();
-    serve_every_width(&engine, layers);
+    serve_every_width(&Arc::new(engine), layers);
 }
 
 #[test]
 fn one_plan_per_layer_version_serves_every_width() {
     let (engine, [a, b]) = two_layer_engine();
+    let engine = Arc::new(engine);
     serve_every_width(&engine, [a, b]);
 
     // One plan per layer, and nothing else resident: the cache holds
@@ -288,11 +289,14 @@ proptest! {
             .iter()
             .map(|r| engine.execute_cold(r.layer, &r.activations).unwrap())
             .collect();
-        let responses = Scheduler::coalescing(3).serve(&engine, requests);
-        for (resp, oracle) in responses.iter().zip(oracles.iter()) {
+        let server = Server::start(engine, ServerConfig::new().with_workers(3));
+        let tickets = server.submit_batch(requests).unwrap();
+        for (ticket, oracle) in tickets.into_iter().zip(oracles.iter()) {
+            let resp = ticket.wait();
             let out = resp.result.as_ref().unwrap();
             prop_assert_eq!(bits(out), bits(oracle), "request {}", resp.id);
         }
+        server.shutdown();
     }
 }
 
@@ -316,8 +320,13 @@ fn scheduler_fanout_preserves_bit_identity_per_request() {
         .iter()
         .map(|r| engine.execute_cold(r.layer, &r.activations).unwrap())
         .collect();
-    let responses = Scheduler::new(4).serve(&engine, requests);
-    for (resp, oracle) in responses.iter().zip(oracles.iter()) {
+    let server = Server::start(
+        engine,
+        ServerConfig::new().with_workers(4).with_coalesce(false),
+    );
+    let tickets = server.submit_batch(requests).unwrap();
+    for (ticket, oracle) in tickets.into_iter().zip(oracles.iter()) {
+        let resp = ticket.wait();
         let out = resp.result.as_ref().unwrap();
         assert_eq!(bits(out), bits(oracle), "request {}", resp.id);
     }
@@ -327,11 +336,12 @@ fn scheduler_fanout_preserves_bit_identity_per_request() {
     // hits or join another worker's in-flight build (a shared build, which
     // the stats also count as a miss). How they split between those two
     // depends on the thread schedule; the number of builds does not.
-    let stats = engine.cache_stats();
+    let stats = server.engine().cache_stats();
     assert_eq!(stats.hits + stats.misses, 20, "one lookup per request");
     assert_eq!(
         stats.misses - stats.shared_builds,
         1,
         "plans built: {stats:?}"
     );
+    server.shutdown();
 }

@@ -15,7 +15,7 @@ use shfl_core::formats::VectorWiseMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::SloClass;
 use shfl_serving::chaos::FaultPlan;
-use shfl_serving::scheduler::Request;
+use shfl_serving::server::Request;
 use shfl_serving::server::{Server, ServerConfig, ServerStats, SubmitError};
 use shfl_serving::{ServingEngine, ServingError, UpdateError};
 use std::sync::Arc;

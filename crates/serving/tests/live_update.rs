@@ -19,7 +19,7 @@ use shfl_pruning::grow_prune::{grow_and_prune, GrowPruneConfig};
 use shfl_pruning::ShflBwPruner;
 #[cfg(feature = "chaos")]
 use shfl_serving::chaos::FaultPlan;
-use shfl_serving::scheduler::Request;
+use shfl_serving::server::Request;
 use shfl_serving::server::{Server, ServerConfig};
 use shfl_serving::{ServingEngine, UpdateError};
 #[cfg(feature = "chaos")]

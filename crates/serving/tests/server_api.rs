@@ -1,9 +1,10 @@
 //! Behavioural tests of the continuous-batching [`Server`] API: staggered
-//! submissions stay bit-identical to direct engine execution, backpressure
-//! is typed and non-blocking, drain delivers every outstanding ticket, the
-//! pluggable queue policies order dispatch deterministically, and two
-//! concurrent updates of one layer resolve to one published version each or
-//! a typed conflict.
+//! submissions stay bit-identical to direct engine execution, a submitted
+//! batch comes back in request order (coalesced or not, malformed and
+//! zero-width members included), backpressure is typed and non-blocking,
+//! drain delivers every outstanding ticket, the pluggable queue policies
+//! order dispatch deterministically, and two concurrent updates of one layer
+//! resolve to one published version each or a typed conflict.
 
 use gpu_sim::GpuArch;
 use rand::rngs::StdRng;
@@ -13,9 +14,10 @@ use shfl_core::formats::{ShflBwMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
 use shfl_kernels::plan::SpmmPlan;
-use shfl_serving::policy::{ShortestJobFirst, SloAware};
-use shfl_serving::scheduler::Request;
-use shfl_serving::server::{Completion, Server, ServerConfig, ServerStats, SubmitError};
+use shfl_serving::policy::{Lpt, ShortestJobFirst, SloAware};
+use shfl_serving::server::{
+    Completion, Request, Response, Server, ServerConfig, ServerStats, SubmitError, Ticket,
+};
 use shfl_serving::{ServingEngine, ServingError, UpdateError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -155,6 +157,172 @@ fn malformed_submissions_surface_typed_errors() {
             ..
         }
     ));
+    server.shutdown();
+}
+
+/// Serves `requests` as one atomic batch on a zero-window server with
+/// `workers` workers, heaviest group first when coalescing, and returns the
+/// responses in request order together with the server, drained.
+fn serve_batch(
+    engine: ServingEngine,
+    requests: Vec<Request>,
+    workers: usize,
+    coalesce: bool,
+) -> (Vec<Response>, Server) {
+    let server = Server::start(
+        engine,
+        ServerConfig::new()
+            .with_workers(workers)
+            .with_queue_depth(requests.len())
+            .with_coalesce(coalesce)
+            .with_policy(Arc::new(Lpt)),
+    );
+    let tickets = server.submit_batch(requests).unwrap();
+    let responses = tickets.into_iter().map(Ticket::wait).collect();
+    server.drain();
+    (responses, server)
+}
+
+/// A mixed-layer, mixed-width batch comes back in request order, each
+/// response shaped like its request and carrying its service and modeled
+/// time; every request is its own engine call when coalescing is off.
+#[test]
+fn submitted_batch_responses_arrive_in_request_order() {
+    let engine = engine_with_layers(2);
+    let mut rng = StdRng::seed_from_u64(3);
+    let requests: Vec<Request> = (0..16)
+        .map(|i| {
+            let n = rng.gen_range(1..40);
+            Request {
+                id: 100 + i,
+                layer: (i % 2) as usize,
+                activations: DenseMatrix::random(&mut rng, 16, n),
+            }
+        })
+        .collect();
+    let widths: Vec<usize> = requests.iter().map(|r| r.activations.cols()).collect();
+    let (responses, server) = serve_batch(engine, requests, 4, false);
+    assert_eq!(responses.len(), 16);
+    for (i, resp) in responses.iter().enumerate() {
+        assert_eq!(resp.id, 100 + i as u64);
+        let out = resp.result.as_ref().expect("request is well-formed");
+        assert_eq!(out.shape(), (16, widths[i]));
+        assert!(resp.service_ms >= 0.0);
+        assert!(resp.modeled_us > 0.0);
+    }
+    assert_eq!(server.engine().stats().requests, 16);
+    server.shutdown();
+    // An empty batch is admitted whole and answers nothing.
+    let (responses, server) = serve_batch(engine_with_layers(1), Vec::new(), 4, false);
+    assert!(responses.is_empty());
+    server.shutdown();
+}
+
+/// Coalesced batch service is bit-identical to serving each request on its
+/// own, with far fewer engine calls than requests (same-layer requests
+/// share width-capped executes).
+#[test]
+fn coalesced_batch_is_bit_identical_to_individual_service() {
+    let engine = engine_with_layers(3);
+    let mut rng = StdRng::seed_from_u64(41);
+    let requests: Vec<Request> = (0..24)
+        .map(|i| Request {
+            id: i,
+            layer: (i % 3) as usize,
+            activations: DenseMatrix::random(&mut rng, 16, 1 + (i as usize * 11) % 45),
+        })
+        .collect();
+    let individual: Vec<DenseMatrix> = requests
+        .iter()
+        .map(|r| engine.execute(r.layer, &r.activations).unwrap())
+        .collect();
+    let before = engine.stats().requests;
+    let (responses, server) = serve_batch(engine, requests, 4, true);
+    // How many executes the widths pack into under the policy's 32-column
+    // cap is the packer's business; far fewer than one per request is the
+    // point.
+    assert!(server.engine().stats().requests - before < 24);
+    for (resp, expected) in responses.iter().zip(individual.iter()) {
+        let got = resp.result.as_ref().unwrap();
+        assert_eq!(got.shape(), expected.shape());
+        assert_eq!(bits(got), bits(expected), "request {}", resp.id);
+        assert!(resp.service_ms >= 0.0);
+        assert!(resp.modeled_us > 0.0);
+    }
+    assert!(server.stats().coalesced_groups > 0);
+    server.shutdown();
+}
+
+/// Malformed members of a coalesced batch stay out of the groups and fail
+/// with their own typed errors; their well-formed neighbours are served.
+#[test]
+fn coalesced_batch_fails_malformed_members_typed() {
+    let engine = engine_with_layers(1);
+    let mut rng = StdRng::seed_from_u64(43);
+    let requests = vec![
+        Request {
+            id: 0,
+            layer: 0,
+            activations: DenseMatrix::random(&mut rng, 16, 4),
+        },
+        Request {
+            id: 1,
+            layer: 9, // unknown layer
+            activations: DenseMatrix::zeros(16, 4),
+        },
+        Request {
+            id: 2,
+            layer: 0,
+            activations: DenseMatrix::zeros(15, 4), // k mismatch
+        },
+        Request {
+            id: 3,
+            layer: 0,
+            activations: DenseMatrix::random(&mut rng, 16, 7),
+        },
+    ];
+    let (responses, server) = serve_batch(engine, requests, 2, true);
+    assert!(responses[0].result.is_ok());
+    assert_eq!(
+        responses[1].result.as_ref().unwrap_err(),
+        &ServingError::UnknownLayer { layer: 9 }
+    );
+    assert!(matches!(
+        responses[2].result.as_ref().unwrap_err(),
+        ServingError::KMismatch {
+            expected: 16,
+            got: 15,
+            ..
+        }
+    ));
+    assert!(responses[3].result.is_ok());
+    // The two good requests shared one execute.
+    assert_eq!(server.stats().coalesced_requests, 2);
+    server.shutdown();
+}
+
+/// A zero-width request coalesces with a real one: each gets back exactly
+/// its own columns.
+#[test]
+fn coalesced_batch_serves_a_zero_width_member() {
+    let engine = engine_with_layers(1);
+    let mut rng = StdRng::seed_from_u64(47);
+    let requests = vec![
+        Request {
+            id: 0,
+            layer: 0,
+            activations: DenseMatrix::zeros(16, 0),
+        },
+        Request {
+            id: 1,
+            layer: 0,
+            activations: DenseMatrix::random(&mut rng, 16, 5),
+        },
+    ];
+    let (responses, server) = serve_batch(engine, requests, 2, true);
+    assert_eq!(responses[0].result.as_ref().unwrap().shape(), (16, 0));
+    assert_eq!(responses[1].result.as_ref().unwrap().shape(), (16, 5));
+    assert_eq!(server.stats().coalesced_groups, 1);
     server.shutdown();
 }
 

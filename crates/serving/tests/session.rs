@@ -1,7 +1,9 @@
 //! Decode-session property tests: random interleavings of
 //! open/consume/evict/resume/cancel across many concurrent sessions stay
 //! bit-identical, per sequence, to the single-session cold-oracle decode
-//! loop — the core correctness claim of the session subsystem.
+//! loop — the core correctness claim of the session subsystem. Decode
+//! rounds share the server's worker pool with request traffic, and a
+//! stopping server fails every live session typed.
 
 use gpu_sim::GpuArch;
 use proptest::prelude::*;
@@ -9,12 +11,12 @@ use shfl_core::bucket::BucketPolicy;
 use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::SloClass;
-use shfl_serving::server::{Server, ServerConfig};
+use shfl_serving::server::{Request, Server, ServerConfig};
 use shfl_serving::{
     decode_oracle, DecodeModel, DecodeStage, DecodeState, DecodeToken, ServingEngine, ServingError,
     SessionHandle,
 };
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const N: usize = 16;
@@ -252,6 +254,169 @@ fn eight_concurrent_sessions_interleave_and_match_the_oracle() {
         stats.mean_interleave_width()
     );
     server.shutdown();
+}
+
+/// One worker serves decode rounds and request groups alike: with three
+/// sessions decoding without end, every request still resolves
+/// bit-identically, and tokens keep streaming between the requests, each
+/// stream bit-identical to its cold-oracle decode.
+#[test]
+fn one_worker_decodes_sessions_while_serving_requests() {
+    let server = Server::start(engine(), ServerConfig::new().with_workers(1));
+    let model = Arc::new(ToyModel::new());
+    // Far more steps than the test reads: the sessions are live throughout.
+    let steps = 1 << 20;
+    let handles: Vec<SessionHandle> = (0..3)
+        .map(|i| {
+            server
+                .open_session(
+                    Arc::clone(&model) as Arc<dyn DecodeModel>,
+                    prompt(300 + i),
+                    SloClass::Standard,
+                    steps,
+                )
+                .unwrap()
+        })
+        .collect();
+    let direct = engine();
+    let mut tokens: Vec<Vec<DecodeToken>> = vec![Vec::new(); handles.len()];
+    let requests = 24;
+    for i in 0..requests {
+        let acts = DenseMatrix::from_fn(N, 1 + i % 8, |r, c| ((r + 3 * c + i) % 11) as f32 - 5.0);
+        let layer = i % 2;
+        let want = direct.execute(layer, &acts).unwrap();
+        let ticket = server
+            .submit(Request {
+                id: i as u64,
+                layer,
+                activations: acts,
+            })
+            .unwrap();
+        let got = ticket
+            .wait_timeout(DRAIN_TIMEOUT)
+            .expect("a request resolves while sessions decode")
+            .result
+            .unwrap();
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "request {i}");
+        for (handle, toks) in handles.iter().zip(&mut tokens) {
+            let tok = handle
+                .ticket()
+                .wait_timeout(DRAIN_TIMEOUT)
+                .expect("tokens stream between requests")
+                .expect("the session is still live");
+            toks.push(tok);
+        }
+    }
+    // `completed` advances after a ticket resolves; drain waits for it.
+    server.drain();
+    let stats = server.stats();
+    assert_eq!((stats.submitted, stats.completed), (24, 24));
+    let oracle_model = ToyModel::new();
+    for (i, toks) in tokens.iter().enumerate() {
+        let oracle = decode_oracle(&direct, &oracle_model, &prompt(300 + i as u64), requests)
+            .expect("oracle decode");
+        for (step, (tok, want)) in toks.iter().zip(&oracle).enumerate() {
+            assert_eq!(tok.step, step);
+            let got: Vec<u32> = tok.values.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "session {i} step {step}");
+        }
+    }
+    server.shutdown();
+}
+
+/// The toy model behind a one-shot gate: its first `post` signals
+/// `entered`, then waits for `release`, holding its round in flight.
+struct GatedModel {
+    inner: ToyModel,
+    entered: Mutex<Option<mpsc::Sender<()>>>,
+    release: Mutex<Option<mpsc::Receiver<()>>>,
+}
+
+impl DecodeModel for GatedModel {
+    fn name(&self) -> &str {
+        "gated"
+    }
+
+    fn stages(&self) -> &[DecodeStage] {
+        self.inner.stages()
+    }
+
+    fn init_state(&self) -> DecodeState {
+        self.inner.init_state()
+    }
+
+    fn pre(&self, stage: usize, input: &[f32], state: &mut DecodeState) -> Vec<f32> {
+        self.inner.pre(stage, input, state)
+    }
+
+    fn post(&self, stage: usize, gemm_out: &[f32], state: &mut DecodeState) -> Vec<f32> {
+        if let Some(entered) = self.entered.lock().unwrap().take() {
+            let release = self.release.lock().unwrap().take().unwrap();
+            entered.send(()).unwrap();
+            // Bounded, so a failing test cannot leave the worker blocked.
+            let _ = release.recv_timeout(2 * DRAIN_TIMEOUT);
+        }
+        self.inner.post(stage, gemm_out, state)
+    }
+
+    fn prompt_len(&self) -> usize {
+        N
+    }
+}
+
+/// Shutdown and drop both fail every live session with `ShutDown` at once:
+/// the member of a round still in flight, and a session waiting for the
+/// next round. The in-flight round streams nothing when it returns.
+#[test]
+fn shutdown_and_drop_fail_live_sessions_typed_including_a_round_in_flight() {
+    for graceful in [true, false] {
+        let server = Server::start(engine(), ServerConfig::new().with_workers(2));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let gated: Arc<dyn DecodeModel> = Arc::new(GatedModel {
+            inner: ToyModel::new(),
+            entered: Mutex::new(Some(entered_tx)),
+            release: Mutex::new(Some(release_rx)),
+        });
+        let in_round = server
+            .open_session(gated, prompt(1), SloClass::Standard, 8)
+            .unwrap();
+        entered_rx
+            .recv_timeout(DRAIN_TIMEOUT)
+            .expect("the first round reaches post");
+        let waiting = server
+            .open_session(
+                Arc::new(ToyModel::new()) as Arc<dyn DecodeModel>,
+                prompt(2),
+                SloClass::Standard,
+                8,
+            )
+            .unwrap();
+        let stopper = std::thread::spawn(move || {
+            if graceful {
+                server.shutdown();
+            } else {
+                drop(server);
+            }
+        });
+        // Both fail while the gated round is still blocked in its hook.
+        for handle in [&in_round, &waiting] {
+            assert_eq!(
+                handle.ticket().wait_timeout(DRAIN_TIMEOUT),
+                Err(ServingError::ShutDown),
+                "graceful: {graceful}"
+            );
+        }
+        release_tx.send(()).unwrap();
+        stopper.join().unwrap();
+        for handle in [&in_round, &waiting] {
+            let ticket = handle.ticket();
+            assert_eq!(ticket.try_next(), Ok(None));
+            assert!(ticket.finished());
+        }
+    }
 }
 
 proptest! {

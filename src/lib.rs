@@ -46,5 +46,5 @@ pub mod prelude {
     };
     pub use shfl_models::{AccuracyModel, DnnModel, EngineConfig, ModelEngine};
     pub use shfl_pruning::{Pruner, ShflBwPruner};
-    pub use shfl_serving::{Scheduler, ServingEngine, ServingError};
+    pub use shfl_serving::{Server, ServingEngine, ServingError};
 }
