@@ -1,11 +1,15 @@
 //! Offline, API-compatible subset of `rayon`.
 //!
 //! The workspace builds without a crates.io mirror, so this vendored shim
-//! provides the fork-join surface the kernels use — [`scope`] with
-//! [`Scope::spawn`], [`join`], and [`current_num_threads`] — implemented on
-//! `std::thread::scope`. There is no work-stealing pool: each `spawn` is an OS
-//! thread, so callers should spawn roughly one task per core (which is exactly
-//! what the kernels' row-tile partitioning does).
+//! provides a fork-join surface — [`scope`] with [`Scope::spawn`], [`join`],
+//! and [`current_num_threads`] — implemented on `std::thread::scope`. There is
+//! no work-stealing pool: each `spawn` is an OS thread.
+//!
+//! Nothing in the workspace calls it: the kernels fan out over
+//! `shfl_core::parallel`'s persistent pool, which starts no thread per
+//! parallel region. The crate stays an optional dependency of the `parallel`
+//! features only because `perfbench/Cargo.lock` lists it, and deleting it
+//! rewrites that lock.
 
 #![deny(missing_docs)]
 

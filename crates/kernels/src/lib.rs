@@ -53,8 +53,11 @@
 //! 3. **Parallel chunks.** Row-tiles, SpMM row groups, block rows, CSR rows
 //!    and convolution images own disjoint output slices, so they are fanned
 //!    out across cores by [`shfl_core::parallel::par_chunks_mut_weighted`]
-//!    behind the default `parallel` feature. Each output element is written by
-//!    exactly one task, so results do not depend on the schedule.
+//!    behind the default `parallel` feature: one persistent pool of
+//!    `available_parallelism − 1` helpers, with the calling thread running
+//!    every run of chunks no idle helper claims, so an execute starts no
+//!    thread. Each output element is written by exactly one task, so results
+//!    do not depend on the schedule.
 //!
 //! Accumulation per output element is ascending-`k` through a single `f32`
 //! accumulator in both the sweep and the naive paths, so the

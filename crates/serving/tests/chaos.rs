@@ -639,11 +639,64 @@ fn assert_oracle_match(tokens: &[DecodeToken], seed: u64, steps: usize, full: bo
     }
 }
 
+/// Drains every session and returns its final outcome and whether it was
+/// evicted on the way. A session evicted by the script is resumed once and
+/// drained again; whichever session the scripted step panic hits — the
+/// resumed one included — keeps an exact oracle prefix behind its typed
+/// error, and every other session's tokens match the cold oracle in full.
+fn drain_sessions(
+    server: &Server,
+    handles: &[shfl_serving::SessionHandle],
+    seed0: u64,
+    steps: usize,
+) -> Vec<(SessionOutcome, bool)> {
+    let mut outcomes = Vec::new();
+    for (i, handle) in handles.iter().enumerate() {
+        let mut tokens = Vec::new();
+        let mut outcome = drain_session(&handle.ticket(), &mut tokens);
+        let evicted = outcome == SessionOutcome::Evicted;
+        if evicted {
+            // The scripted eviction parks a snapshot; resume must continue
+            // the very same stream bit-identically.
+            let resumed = server.resume_session(handle.id()).unwrap();
+            outcome = drain_session(&resumed.ticket(), &mut tokens);
+        }
+        assert_ne!(outcome, SessionOutcome::Evicted, "evicted twice: {i}");
+        assert_oracle_match(
+            &tokens,
+            seed0 + i as u64,
+            steps,
+            outcome == SessionOutcome::Done,
+        );
+        outcomes.push((outcome, evicted));
+    }
+    outcomes
+}
+
+/// The compound schedules' property, whichever session each fault hits:
+/// exactly one session was evicted (and resumed), exactly one ends in the
+/// scripted step panic, and every other session finishes.
+fn assert_one_eviction_one_panic(outcomes: &[(SessionOutcome, bool)]) {
+    let count = |o: SessionOutcome| outcomes.iter().filter(|(x, _)| *x == o).count();
+    let evicted = outcomes.iter().filter(|(_, e)| *e).count();
+    assert_eq!(evicted, 1, "exactly one scripted eviction: {outcomes:?}");
+    assert_eq!(
+        count(SessionOutcome::Panicked),
+        1,
+        "exactly one scripted step panic: {outcomes:?}"
+    );
+    assert_eq!(
+        count(SessionOutcome::Done),
+        outcomes.len() - 1,
+        "every other session completes: {outcomes:?}"
+    );
+}
+
 /// Compound decode-only schedule: a scripted mid-flight eviction plus a
 /// scripted step panic against four interleaved sessions. Every accepted
 /// token resolves — completed sessions bit-identical to the cold oracle, the
-/// evicted session resumes and completes bit-identically, the panicked
-/// session keeps an exact oracle prefix behind its typed error.
+/// evicted session resumes bit-identically, the panicked session (which may
+/// be the resumed one) keeps an exact oracle prefix behind its typed error.
 #[test]
 fn compound_session_schedule_resolves_every_accepted_token() {
     let plan = Arc::new(FaultPlan::new().evict_session_at(5).panic_step_at(11));
@@ -676,43 +729,40 @@ fn compound_session_schedule_resolves_every_accepted_token() {
         })
         .collect();
 
-    let mut outcomes = Vec::new();
-    for (i, handle) in handles.iter().enumerate() {
-        let mut tokens = Vec::new();
-        let mut outcome = drain_session(&handle.ticket(), &mut tokens);
-        if outcome == SessionOutcome::Evicted {
-            // The scripted eviction parks a snapshot; resume must continue
-            // the very same stream bit-identically.
-            let resumed = server.resume_session(handle.id()).unwrap();
-            outcome = drain_session(&resumed.ticket(), &mut tokens);
-            assert_eq!(outcome, SessionOutcome::Done, "resumed session must finish");
-        }
-        assert_oracle_match(
-            &tokens,
-            900 + i as u64,
-            steps,
-            outcome == SessionOutcome::Done,
-        );
-        outcomes.push(outcome);
-    }
-
-    let done = outcomes
-        .iter()
-        .filter(|o| **o == SessionOutcome::Done)
-        .count();
-    let panicked = outcomes
-        .iter()
-        .filter(|o| **o == SessionOutcome::Panicked)
-        .count();
-    assert_eq!(panicked, 1, "exactly one scripted step panic: {outcomes:?}");
-    assert_eq!(
-        done, 3,
-        "every non-panicked session completes: {outcomes:?}"
-    );
+    let outcomes = drain_sessions(&server, &handles, 900, steps);
+    assert_one_eviction_one_panic(&outcomes);
     let stats = server.session_stats();
     assert_eq!(stats.evicted, 1, "exactly one scripted eviction");
     assert_eq!(stats.resumed, 1);
     assert!(plan.steps_seen() > 11, "both step faults must have fired");
+    server.shutdown();
+}
+
+/// The property above when both faults hit one session: with a single
+/// session, the scripted step panic must land on it after its resume, and
+/// only that resumed stream fails, behind an exact oracle prefix.
+#[test]
+fn step_panic_after_a_resume_fails_only_the_resumed_stream() {
+    let plan = Arc::new(FaultPlan::new().evict_session_at(2).panic_step_at(5));
+    let server = Server::start(
+        engine_with_layers(2),
+        ServerConfig::new()
+            .with_workers(2)
+            .with_fault_plan(Arc::clone(&plan)),
+    );
+    let handle = server
+        .open_session(
+            Arc::new(ToyDecode::new()) as Arc<dyn DecodeModel>,
+            session_prompt(500),
+            SloClass::Standard,
+            8,
+        )
+        .unwrap();
+    let outcomes = drain_sessions(&server, &[handle], 500, 8);
+    assert_eq!(outcomes, [(SessionOutcome::Panicked, true)]);
+    assert_one_eviction_one_panic(&outcomes);
+    let stats = server.session_stats();
+    assert_eq!((stats.evicted, stats.resumed), (1, 1));
     server.shutdown();
 }
 
@@ -796,28 +846,8 @@ fn compound_schedule_mixes_session_and_request_faults_under_traffic() {
         }
     }
 
-    let mut outcomes = Vec::new();
-    for (i, handle) in handles.iter().enumerate() {
-        let mut tokens = Vec::new();
-        let mut outcome = drain_session(&handle.ticket(), &mut tokens);
-        if outcome == SessionOutcome::Evicted {
-            let resumed = server.resume_session(handle.id()).unwrap();
-            outcome = drain_session(&resumed.ticket(), &mut tokens);
-            assert_eq!(outcome, SessionOutcome::Done);
-        }
-        assert_oracle_match(
-            &tokens,
-            700 + i as u64,
-            steps,
-            outcome == SessionOutcome::Done,
-        );
-        outcomes.push(outcome);
-    }
-    let panicked = outcomes
-        .iter()
-        .filter(|o| **o == SessionOutcome::Panicked)
-        .count();
-    assert_eq!(panicked, 1, "exactly one scripted step panic: {outcomes:?}");
+    let outcomes = drain_sessions(&server, &handles, 700, steps);
+    assert_one_eviction_one_panic(&outcomes);
     let stats = server.session_stats();
     assert_eq!(stats.evicted, 1);
     assert_eq!(stats.resumed, 1);
