@@ -6,9 +6,8 @@
 //!
 //! * **naive**: the retained scalar reference path
 //!   (`shfl_kernels::reference`),
-//! * **cold**: the public `*_execute` entry point, which builds a kernel plan
-//!   for the single call and executes it (weight re-packing paid every call),
-//!   and
+//! * **cold**: a kernel plan built for the single call and executed once
+//!   (weight packing paid every call), and
 //! * **prepared**: a plan built once outside the timer, executing repeatedly
 //!   (the plan/execute split amortising the packing),
 //!
@@ -33,13 +32,9 @@ use crate::synth;
 use gpu_sim::GpuArch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use shfl_core::formats::{BlockSparseMatrix, CsrMatrix, VectorWiseMatrix};
+use shfl_core::formats::{BlockSparseMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_kernels::plan::{GemmPlan, SpmmPlan};
-use shfl_kernels::spmm::{
-    balanced_spmm_execute, block_wise_spmm_execute, cuda_core_spmm_execute, shfl_bw_spmm_execute,
-    vector_wise_spmm_execute,
-};
 use shfl_kernels::{conv, reference};
 use shfl_models::engine::{EngineConfig, ModelEngine};
 use shfl_models::DnnModel;
@@ -48,7 +43,7 @@ use std::time::Instant;
 /// One benchmarked kernel: wall-clock of the naive, cold and prepared paths.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Kernel name (matches the functional kernel it exercises).
+    /// Row label: the kernel it exercises, e.g. `"shfl_bw_spmm"`.
     pub kernel: String,
     /// Problem shape, e.g. `"1024x1024x1024"`.
     pub shape: String,
@@ -205,6 +200,38 @@ fn time_paths<N, C, P>(
     ((n_out, n_ms), (c_out, c_ms), build_ms, (p_out, p_ms))
 }
 
+/// Times one kernel row with [`time_paths`]: the naive oracle, a cold call
+/// (`build` then one execute, the plan dropped inside the timer), `build`
+/// alone, and `execute` on a plan built outside the timer. The row is
+/// bit-identical when the cold and prepared outputs equal the naive one.
+fn bench_row<P>(
+    kernel: &str,
+    shape: String,
+    headline: bool,
+    naive: impl FnMut() -> DenseMatrix,
+    build: impl Fn() -> P,
+    execute: impl Fn(&P) -> DenseMatrix,
+) -> BenchResult {
+    let plan = build();
+    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
+        time_paths(
+            naive,
+            || execute(&build()),
+            || drop(build()),
+            || execute(&plan),
+        );
+    BenchResult {
+        kernel: kernel.to_string(),
+        shape,
+        naive_ms,
+        cold_ms,
+        plan_build_ms,
+        prepared_ms,
+        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
+        headline,
+    }
+}
+
 fn bits_equal(a: &DenseMatrix, b: &DenseMatrix) -> bool {
     a.shape() == b.shape()
         && a.as_slice()
@@ -241,28 +268,14 @@ pub fn run(quick: bool) -> BenchRun {
     let s = if quick { 96 } else { 1024 };
     let a = DenseMatrix::random(&mut rng, s, s);
     let b = DenseMatrix::random(&mut rng, s, s);
-    let plan = GemmPlan::new(&arch, &a, s);
-    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
-        time_paths(
-            || reference::fragment_matmul_naive(shape, &a, &b),
-            || {
-                shfl_kernels::gemm::dense_gemm_execute(&arch, &a, &b)
-                    .expect("shapes match")
-                    .output
-            },
-            || drop(GemmPlan::new(&arch, &a, s)),
-            || plan.execute(&b).expect("bucket matches").output,
-        );
-    kernels.push(BenchResult {
-        kernel: "dense_gemm_execute".to_string(),
-        shape: format!("{s}x{s}x{s}"),
-        naive_ms,
-        cold_ms,
-        plan_build_ms,
-        prepared_ms,
-        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
-        headline: true,
-    });
+    kernels.push(bench_row(
+        "dense_gemm",
+        format!("{s}x{s}x{s}"),
+        true,
+        || reference::fragment_matmul_naive(shape, &a, &b),
+        || GemmPlan::new(&arch, &a, s),
+        |plan| plan.execute(&b).expect("k matches").output,
+    ));
 
     // Headline 2: Shfl-BW SpMM at 70 % sparsity (density 0.30).
     let (m, k, n, v) = if quick {
@@ -272,28 +285,14 @@ pub fn run(quick: bool) -> BenchRun {
     };
     let shfl = synth::shfl_bw_matrix(7, m, k, v, 0.30);
     let b = DenseMatrix::random(&mut rng, k, n);
-    let plan = SpmmPlan::shfl_bw(&arch, &shfl, n);
-    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
-        time_paths(
-            || reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b, shfl.row_indices()),
-            || {
-                shfl_bw_spmm_execute(&arch, &shfl, &b)
-                    .expect("shapes match")
-                    .output
-            },
-            || drop(SpmmPlan::shfl_bw(&arch, &shfl, n)),
-            || plan.execute(&b).expect("bucket matches").output,
-        );
-    kernels.push(BenchResult {
-        kernel: "shfl_bw_spmm_execute".to_string(),
-        shape: format!("{m}x{k}x{n} V={v} 70% sparse"),
-        naive_ms,
-        cold_ms,
-        plan_build_ms,
-        prepared_ms,
-        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
-        headline: true,
-    });
+    kernels.push(bench_row(
+        "shfl_bw_spmm",
+        format!("{m}x{k}x{n} V={v} 70% sparse"),
+        true,
+        || reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b, shfl.row_indices()),
+        || SpmmPlan::shfl_bw(&arch, &shfl, n),
+        |plan| plan.execute(&b).expect("k matches").output,
+    ));
 
     // Trajectory entries: the remaining kernels on moderate shapes.
     let (m, k, n, v) = if quick {
@@ -302,106 +301,50 @@ pub fn run(quick: bool) -> BenchRun {
         (512, 512, 128, 32)
     };
     let b = DenseMatrix::random(&mut rng, k, n);
+    let execute = |plan: &SpmmPlan| plan.execute(&b).expect("k matches").output;
 
     let vw_dense = synth::vector_wise_dense(11, m, k, v, 0.30);
     let vw = VectorWiseMatrix::from_dense(&vw_dense, v).expect("m divides v");
     let identity: Vec<u32> = (0..m as u32).collect();
-    let plan = SpmmPlan::vector_wise(&arch, &vw, n);
-    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
-        time_paths(
-            || reference::stitched_spmm_naive(&arch, &vw, &b, &identity),
-            || {
-                vector_wise_spmm_execute(&arch, &vw, &b)
-                    .expect("shapes match")
-                    .output
-            },
-            || drop(SpmmPlan::vector_wise(&arch, &vw, n)),
-            || plan.execute(&b).expect("bucket matches").output,
-        );
-    kernels.push(BenchResult {
-        kernel: "vector_wise_spmm_execute".to_string(),
-        shape: format!("{m}x{k}x{n} V={v}"),
-        naive_ms,
-        cold_ms,
-        plan_build_ms,
-        prepared_ms,
-        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
-        headline: false,
-    });
+    kernels.push(bench_row(
+        "vector_wise_spmm",
+        format!("{m}x{k}x{n} V={v}"),
+        false,
+        || reference::stitched_spmm_naive(&arch, &vw, &b, &identity),
+        || SpmmPlan::vector_wise(&arch, &vw, n),
+        execute,
+    ));
 
-    let csr_dense = synth::unstructured_dense(13, m, k, 0.30);
-    let csr = CsrMatrix::from_dense(&csr_dense);
-    let plan = SpmmPlan::cuda_core(&arch, &csr, n);
-    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
-        time_paths(
-            || reference::csr_spmm_naive(&csr, &b),
-            || {
-                cuda_core_spmm_execute(&arch, &csr, &b)
-                    .expect("shapes match")
-                    .output
-            },
-            || drop(SpmmPlan::cuda_core(&arch, &csr, n)),
-            || plan.execute(&b).expect("bucket matches").output,
-        );
-    kernels.push(BenchResult {
-        kernel: "cuda_core_spmm_execute".to_string(),
-        shape: format!("{m}x{k}x{n}"),
-        naive_ms,
-        cold_ms,
-        plan_build_ms,
-        prepared_ms,
-        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
-        headline: false,
-    });
+    let csr = synth::unstructured_csr(13, m, k, 0.30);
+    kernels.push(bench_row(
+        "cuda_core_spmm",
+        format!("{m}x{k}x{n}"),
+        false,
+        || reference::csr_spmm_naive(&csr, &b),
+        || SpmmPlan::cuda_core(&arch, &csr, n),
+        execute,
+    ));
 
     let bsr: BlockSparseMatrix = synth::block_wise_matrix(17, m, k, v, 0.30);
-    let plan = SpmmPlan::block_wise(&arch, &bsr, n);
-    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
-        time_paths(
-            || reference::block_spmm_naive(&arch, &bsr, &b),
-            || {
-                block_wise_spmm_execute(&arch, &bsr, &b)
-                    .expect("shapes match")
-                    .output
-            },
-            || drop(SpmmPlan::block_wise(&arch, &bsr, n)),
-            || plan.execute(&b).expect("bucket matches").output,
-        );
-    kernels.push(BenchResult {
-        kernel: "block_wise_spmm_execute".to_string(),
-        shape: format!("{m}x{k}x{n} V={v}"),
-        naive_ms,
-        cold_ms,
-        plan_build_ms,
-        prepared_ms,
-        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
-        headline: false,
-    });
+    kernels.push(bench_row(
+        "block_wise_spmm",
+        format!("{m}x{k}x{n} V={v}"),
+        false,
+        || reference::block_spmm_naive(&arch, &bsr, &b),
+        || SpmmPlan::block_wise(&arch, &bsr, n),
+        execute,
+    ));
 
     let a100 = GpuArch::a100();
     let bal = synth::balanced_matrix(19, m, k);
-    let plan = SpmmPlan::balanced(&a100, &bal, n).expect("supported on A100");
-    let ((naive_out, naive_ms), (cold_out, cold_ms), plan_build_ms, (prepared_out, prepared_ms)) =
-        time_paths(
-            || reference::balanced_spmm_naive(&a100, &bal, &b),
-            || {
-                balanced_spmm_execute(&a100, &bal, &b)
-                    .expect("supported on A100")
-                    .output
-            },
-            || drop(SpmmPlan::balanced(&a100, &bal, n).expect("supported on A100")),
-            || plan.execute(&b).expect("bucket matches").output,
-        );
-    kernels.push(BenchResult {
-        kernel: "balanced_spmm_execute".to_string(),
-        shape: format!("{m}x{k}x{n} 2:4"),
-        naive_ms,
-        cold_ms,
-        plan_build_ms,
-        prepared_ms,
-        bit_identical: bits_equal(&naive_out, &cold_out) && bits_equal(&naive_out, &prepared_out),
-        headline: false,
-    });
+    kernels.push(bench_row(
+        "balanced_spmm",
+        format!("{m}x{k}x{n} 2:4"),
+        false,
+        || reference::balanced_spmm_naive(&a100, &bal, &b),
+        || SpmmPlan::balanced(&a100, &bal, n).expect("supported on A100"),
+        execute,
+    ));
 
     // End-to-end: one prepared engine per model, repeated forward passes.
     let cfg = if quick {
@@ -784,7 +727,7 @@ mod tests {
             .collect();
         let want: Vec<_> = run.kernels.iter().map(|r| r.kernel.as_str()).collect();
         assert_eq!(names, want);
-        assert!(names.contains(&"dense_gemm_execute") && names.contains(&"shfl_bw_spmm_execute"));
+        assert!(names.contains(&"dense_gemm") && names.contains(&"shfl_bw_spmm"));
         for row in rows {
             for key in ["naive_ms", "cold_ms", "plan_build_ms", "prepared_ms"] {
                 assert!(row.get(key).and_then(Json::as_f64).is_some(), "{key}");

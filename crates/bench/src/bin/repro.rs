@@ -175,11 +175,7 @@ fn run_bench_kernels(output_path: &str, smoke: bool) -> ExitCode {
                 ok = false;
             }
         }
-        if let Some(shfl) = run
-            .kernels
-            .iter()
-            .find(|r| r.kernel == "shfl_bw_spmm_execute")
-        {
+        if let Some(shfl) = run.kernels.iter().find(|r| r.kernel == "shfl_bw_spmm") {
             // Steady-state prepared-vs-cold is 1.5–1.7x on the headline shape;
             // the regression gate sits below the shared-machine noise band
             // (±0.15x run-to-run) so only a real regression trips it.
@@ -191,11 +187,7 @@ fn run_bench_kernels(output_path: &str, smoke: bool) -> ExitCode {
                 ok = false;
             }
         }
-        if let Some(csr) = run
-            .kernels
-            .iter()
-            .find(|r| r.kernel == "cuda_core_spmm_execute")
-        {
+        if let Some(csr) = run.kernels.iter().find(|r| r.kernel == "cuda_core_spmm") {
             if csr.speedup() < 1.0 {
                 eprintln!(
                     "error: cuda_core cold path slower than naive: {:.2}x",

@@ -12,18 +12,16 @@
 //! | §6.2 ablations | [`experiments::ablation`] | Shuffle overhead, metadata prefetch, vector-size sweep |
 //! | §3.2 analysis | [`experiments::analysis`] | Flexibility and operation-intensity comparison |
 //!
-//! The `repro` binary runs any subset (`repro --experiment fig6`), and one Criterion
-//! bench per experiment wraps the same runners so `cargo bench` regenerates every
-//! figure and table.
+//! The `repro` binary runs any subset (`repro --experiment fig6`) or every
+//! figure and table at once (`repro --experiment all`).
 //!
 //! Beyond the paper's figures, [`bench_kernels`] times the functional kernels
-//! three ways — naive reference, cold blocked call, prepared plan — runs the
-//! end-to-end model engines, and emits the `BENCH_kernels.json` v2 performance
-//! trajectory (`repro --bench-kernels`); [`bench_serving`] drives the
-//! serving stack through mixed-size request traces
-//! (`repro --bench-serving`, plan-cache hit rate + latency percentiles);
-//! [`report`] reads the JSON back in both the v1 and v2 schemas so the
-//! trajectory stays comparable across PRs.
+//! three ways — naive reference, cold call (a plan built for the one call),
+//! prepared plan — runs the end-to-end model engines, and emits the
+//! `BENCH_kernels.json` v2 performance trajectory (`repro --bench-kernels`);
+//! [`bench_serving`] drives the serving stack through mixed-size request
+//! traces (`repro --bench-serving`, plan-cache hit rate + latency
+//! percentiles); [`report`] parses the JSON back so its fields read by key.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -259,7 +259,7 @@ mod tests {
         // cost of actually benchmarking.
         let run = crate::bench_kernels::BenchRun {
             kernels: vec![crate::bench_kernels::BenchResult {
-                kernel: "shfl_bw_spmm_execute".into(),
+                kernel: "shfl_bw_spmm".into(),
                 shape: "1024x1024x256 V=64 70% sparse".into(),
                 naive_ms: 100.0,
                 cold_ms: 8.0,
@@ -373,10 +373,7 @@ mod tests {
         let kernels = at(&doc, &["results"]).and_then(Json::as_array).unwrap();
         assert_eq!(kernels.len(), 1);
         let k = &kernels[0];
-        assert_eq!(
-            k.get("kernel").and_then(Json::as_str),
-            Some("shfl_bw_spmm_execute")
-        );
+        assert_eq!(k.get("kernel").and_then(Json::as_str), Some("shfl_bw_spmm"));
         for (key, want) in [
             ("naive_ms", 100.0),
             ("cold_ms", 8.0),

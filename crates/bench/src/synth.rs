@@ -7,6 +7,7 @@
 //! pattern) combination.
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use shfl_core::formats::{
     BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix,
@@ -71,13 +72,16 @@ pub fn vector_wise_matrix(
         .expect("padded dimensions divide v")
 }
 
-/// A Shfl-BW matrix with the given structure parameters (identity grouping — the
+/// A Shfl-BW matrix with the given structure parameters: the vector-wise
+/// matrix of [`vector_wise_matrix`] with its rows scattered by a seeded random
+/// permutation, so a plan of it runs the shuffled write-back. The modeled
 /// kernel cost does not depend on which rows form a group, only on the group
-/// structure and the row-index metadata, both of which are identical).
+/// structure and the row-index metadata.
 pub fn shfl_bw_matrix(seed: u64, m: usize, k: usize, v: usize, density: f64) -> ShflBwMatrix {
-    let dense = vector_wise_dense(seed, m, k, v, density);
-    let perm: Vec<usize> = (0..dense.rows()).collect();
-    ShflBwMatrix::from_dense_with_permutation(&dense, &perm, v).expect("padded dimensions divide v")
+    let vw = vector_wise_matrix(seed, m, k, v, density);
+    let mut row_indices: Vec<u32> = (0..vw.rows() as u32).collect();
+    row_indices.shuffle(&mut StdRng::seed_from_u64(seed));
+    ShflBwMatrix::from_vector_wise(vw, row_indices).expect("a permutation of the rows")
 }
 
 /// A block-sparse matrix with random `v×v` blocks kept at the given density.
@@ -149,5 +153,11 @@ mod tests {
         let shfl = shfl_bw_matrix(5, 128, 128, 32, 0.25);
         assert_eq!(shfl.row_indices().len(), 128);
         assert_eq!(shfl.vector_size(), 32);
+        // The rows are shuffled, so a plan of it runs the scattered write-back.
+        assert!(shfl
+            .row_indices()
+            .iter()
+            .enumerate()
+            .any(|(i, &r)| r as usize != i));
     }
 }

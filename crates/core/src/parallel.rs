@@ -1,4 +1,4 @@
-//! Fork-join helpers shared by the blocked kernels.
+//! Fork-join helpers shared by the kernel plans.
 //!
 //! The functional kernels partition their output into disjoint row-tiles and
 //! process the tiles independently, so the natural parallel primitive is "run

@@ -420,13 +420,11 @@ mod tests {
         let weights = ShflBwMatrix::from_dense(&weights_dense, 4).unwrap();
         let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
         let arch = GpuArch::a100();
-        let (out, profile) = crate::conv_plan::ImplicitConvPlan::build(&arch, &weights, &p)
-            .unwrap()
-            .execute(&input)
-            .unwrap();
+        let plan = crate::conv_plan::ImplicitConvPlan::build(&arch, &weights, &p).unwrap();
+        let out = plan.execute(&input).unwrap();
         let reference = conv2d_reference(&input, &weights_dense, &p);
         assert!(out.max_abs_diff(&reference) < 5e-2);
-        assert_eq!(profile.name, "shfl-bw-conv2d(V=4)");
+        assert_eq!(plan.profile().name, "shfl-bw-conv2d(V=4)");
     }
 
     #[test]

@@ -264,7 +264,7 @@ impl ImplicitConvPlan {
     ///
     /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
     /// match the geometry the plan was built for.
-    pub fn execute(&self, input: &Tensor4) -> KernelResult<(Tensor4, KernelProfile)> {
+    pub fn execute(&self, input: &Tensor4) -> KernelResult<Tensor4> {
         let p = &self.params;
         if input.shape() != (p.batch, p.in_channels, p.input_h, p.input_w) {
             return Err(KernelError::ShapeMismatch {
@@ -281,7 +281,7 @@ impl ImplicitConvPlan {
         let (oh, ow) = (p.output_h(), p.output_w());
         let mut out = Tensor4::zeros(p.batch, p.out_channels, oh, ow);
         if self.m == 0 || self.n == 0 || self.k == 0 {
-            return Ok((out, self.profile.clone()));
+            return Ok(out);
         }
         let mut local = Vec::new();
         let mut guard = match self.scratch.try_lock() {
@@ -324,7 +324,7 @@ impl ImplicitConvPlan {
                 self.sweep_image(t, planes, tile);
             });
         }
-        Ok((out, self.profile.clone()))
+        Ok(out)
     }
 
     /// Executes into the flattened `M × N` implicit-GEMM output layout
@@ -339,7 +339,7 @@ impl ImplicitConvPlan {
     /// Returns [`KernelError::ShapeMismatch`] if the input tensor does not
     /// match the geometry the plan was built for.
     pub fn execute_matrix(&self, input: &Tensor4) -> KernelResult<DenseMatrix> {
-        let (tensor, _) = self.execute(input)?;
+        let tensor = self.execute(input)?;
         let mut out = DenseMatrix::zeros(self.m, self.n);
         let plane = self.params.output_h() * self.params.output_w();
         for b in 0..self.params.batch {
@@ -527,7 +527,7 @@ mod tests {
         let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
         let arch = GpuArch::a100();
         let implicit = ImplicitConvPlan::build(&arch, &weights, &p).unwrap();
-        let (got, _) = implicit.execute(&input).unwrap();
+        let got = implicit.execute(&input).unwrap();
         assert_same_bits(&got, &im2col_oracle(&arch, &weights, &p, &input));
     }
 
@@ -539,7 +539,7 @@ mod tests {
         let weights = shfl_weights(&mut rng, m, k, 4, 0.5);
         let input = Tensor4::random(&mut rng, p.batch, p.in_channels, p.input_h, p.input_w);
         let plan = ImplicitConvPlan::build(&GpuArch::v100(), &weights, &p).unwrap();
-        let (tensor, _) = plan.execute(&input).unwrap();
+        let tensor = plan.execute(&input).unwrap();
         let matrix = plan.execute_matrix(&input).unwrap();
         let (oh, ow) = (p.output_h(), p.output_w());
         for o in 0..p.out_channels {
@@ -612,7 +612,7 @@ mod tests {
             .join()
         });
         assert!(poisoner.is_err() && plan.scratch.is_poisoned());
-        let (got, _) = plan.execute(&input).unwrap();
+        let got = plan.execute(&input).unwrap();
         assert_same_bits(&got, &want);
         let t = plan.scratch.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!scratch_is_untouched(&t), "execute must reuse the scratch");
@@ -635,12 +635,12 @@ mod tests {
                     "contended execute used the scratch"
                 );
                 drop(guard);
-                plan.execute(&input).unwrap().0
+                plan.execute(&input).unwrap()
             });
             held.wait();
             let fallback = plan.execute(&input);
             fallback_done.wait();
-            assert_same_bits(&fallback.unwrap().0, &want);
+            assert_same_bits(&fallback.unwrap(), &want);
             assert_same_bits(&holder.join().unwrap(), &want);
         });
         let t = plan.scratch.lock().unwrap();

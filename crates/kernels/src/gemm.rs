@@ -5,22 +5,11 @@
 //! reports speedups over the tensor-core dense GEMM (cuBLAS) / cuDNN.
 
 use crate::launch::{self, LaunchConfig, FP16_BYTES, OUTPUT_BYTES};
-use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
+use crate::profile::{build_profile, KernelProfile};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, KernelStats};
-use shfl_core::matrix::DenseMatrix;
 
 /// Compute-throughput fraction a CUDA-core GEMM achieves (well-tuned SGEMM/HGEMM).
 const CUDA_CORE_GEMM_EFFICIENCY: f64 = 0.85;
-
-/// Validates GEMM operand shapes and returns `(m, n, k)`.
-fn gemm_shape(a: &DenseMatrix, b: &DenseMatrix) -> KernelResult<(usize, usize, usize)> {
-    if a.cols() != b.rows() {
-        return Err(KernelError::ShapeMismatch {
-            context: format!("GEMM A is {:?} but B is {:?}", a.shape(), b.shape()),
-        });
-    }
-    Ok((a.rows(), b.cols(), a.cols()))
-}
 
 /// Builds the analytical stats of a dense GEMM of shape `m×n×k` for the given compute
 /// unit and launch configuration.
@@ -95,32 +84,12 @@ pub fn dense_gemm_cuda_core_profile(arch: &GpuArch, m: usize, n: usize, k: usize
     )
 }
 
-/// Functionally executes the dense tensor-core GEMM: the output is computed by
-/// iterating warp-level MMA fragments over the operands (operands rounded through
-/// fp16, fp32 accumulation), exactly the way the tensor-core kernel issues work.
-///
-/// This is the cold path: a thin wrapper that builds a
-/// [`crate::plan::GemmPlan`] for this single call and executes it. Serving
-/// workloads build the plan once and call `execute` repeatedly, amortising the
-/// weight rounding and panel staging.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn dense_gemm_execute(
-    arch: &GpuArch,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-) -> KernelResult<KernelOutput> {
-    gemm_shape(a, b)?;
-    crate::plan::GemmPlan::new(arch, a, b.cols()).execute(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use shfl_core::matrix::DenseMatrix;
 
     #[test]
     fn execute_matches_reference() {
@@ -128,7 +97,9 @@ mod tests {
         let a = DenseMatrix::random(&mut rng, 48, 40);
         let b = DenseMatrix::random(&mut rng, 40, 24);
         let arch = GpuArch::v100();
-        let out = dense_gemm_execute(&arch, &a, &b).unwrap();
+        let out = crate::plan::GemmPlan::new(&arch, &a, b.cols())
+            .execute(&b)
+            .unwrap();
         let reference = a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 2e-2).unwrap());
     }
@@ -139,8 +110,8 @@ mod tests {
         let a = DenseMatrix::zeros(4, 5);
         let b = DenseMatrix::zeros(4, 5);
         assert!(matches!(
-            dense_gemm_execute(&arch, &a, &b),
-            Err(KernelError::ShapeMismatch { .. })
+            crate::plan::GemmPlan::new(&arch, &a, b.cols()).execute(&b),
+            Err(crate::profile::KernelError::ShapeMismatch { .. })
         ));
     }
 
@@ -182,7 +153,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = DenseMatrix::random(&mut rng, 17, 13);
         let b = DenseMatrix::random(&mut rng, 13, 9);
-        let out = dense_gemm_execute(&GpuArch::v100(), &a, &b).unwrap();
+        let out = crate::plan::GemmPlan::new(&GpuArch::v100(), &a, 9)
+            .execute(&b)
+            .unwrap();
         let reference = a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 2e-2).unwrap());
     }

@@ -2,16 +2,18 @@
 //!
 //! The paper's artifact is a set of CUDA tensor-core kernels. With no GPU available,
 //! this crate re-implements every kernel the evaluation compares as a *simulated*
-//! kernel with two faces:
+//! kernel:
 //!
-//! * a **functional** face (`*_execute`) that stages data exactly the way the CUDA
-//!   kernel would (offline re-ordering, in-buffer column stitching, warp-level MMA
-//!   fragments, reordered write-back) and produces the actual output matrix, verified
-//!   against a reference GEMM, and
-//! * an **analytical** face (`*_profile`) that derives the kernel's FLOP count, DRAM /
+//! * a **plan** ([`plan`], [`conv_plan`]) stages the weights once, exactly the way
+//!   the CUDA kernel's offline preparation does (re-ordering, stitched `V×tk` tiles,
+//!   warp-level MMA fragments), and its `execute` produces the actual output matrix
+//!   (reordered write-back included), bit-identical to a naive oracle in
+//!   [`reference`](mod@reference), and
+//! * an **analytical profile** (`*_profile`) derives the kernel's FLOP count, DRAM /
 //!   L2 traffic, MMA utilisation, pipeline stalls and threadblock grid from the sparse
 //!   format, and converts them into an estimated execution time through
-//!   [`gpu_sim::timing::CostModel`].
+//!   [`gpu_sim::timing::CostModel`]. Each plan carries the profile of the width it
+//!   was built for.
 //!
 //! Kernels provided (matching the paper's §6.1 baselines):
 //!
@@ -68,23 +70,23 @@
 //!
 //! ## The plan/execute split
 //!
-//! Every `*_execute` entry point above is a *cold* call: it stages the static
-//! weight operand (fp16 rounding, tile transposition, launch selection,
-//! profiling) and then executes — all in one shot. The [`plan`] module splits
-//! those two phases: [`plan::GemmPlan`] and [`plan::SpmmPlan`] are built
-//! **once** per `(weights, arch)` and then executed repeatedly against fresh
-//! activations of any width, amortising the weight packing the way real
-//! inference engines do; [`conv_plan::ImplicitConvPlan`] does the same for a
+//! A plan is each kernel's one functional API. [`plan::GemmPlan`] and
+//! [`plan::SpmmPlan`] stage the static weight operand (fp16 rounding, tile
+//! transposition, launch selection, profiling) **once** per
+//! `(weights, arch)` and then execute repeatedly against fresh activations
+//! of any width, amortising the weight packing the way real inference
+//! engines do; [`conv_plan::ImplicitConvPlan`] does the same for a
 //! convolution at one geometry. The width a plan is built for sets only its
-//! modeled profile. Prepared execution is bit-identical to the cold path;
-//! `repro --bench-kernels` records the cold-vs-prepared per-call times.
+//! modeled profile, which `profile()` returns. A one-off call builds a plan
+//! and executes it once; `repro --bench-kernels` records that cold call
+//! beside a prepared plan's execute.
 //!
 //! ## Example
 //!
 //! ```
 //! use gpu_sim::GpuArch;
 //! use shfl_core::{DenseMatrix, ShflBwMatrix};
-//! use shfl_kernels::{gemm, spmm};
+//! use shfl_kernels::{GemmPlan, SpmmPlan};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), shfl_kernels::KernelError> {
@@ -96,10 +98,12 @@
 //! let activations = DenseMatrix::random(&mut rng, 64, 32);
 //!
 //! let arch = GpuArch::v100();
-//! let dense = gemm::dense_gemm_execute(&arch, &weights, &activations)?;
+//! let dense = GemmPlan::new(&arch, &weights, 32).execute(&activations)?;
 //! let sparse_weights = ShflBwMatrix::from_dense(&weights, 8)?;
-//! let sparse = spmm::shfl_bw::shfl_bw_spmm_execute(&arch, &sparse_weights, &activations)?;
+//! let sparse_plan = SpmmPlan::shfl_bw(&arch, &sparse_weights, 32);
+//! let sparse = sparse_plan.execute(&activations)?;
 //! assert!(sparse.output.approx_eq(&dense.output, 1e-3)?);
+//! assert!(sparse_plan.profile().time_us() > 0.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -2,14 +2,16 @@
 //! `(weights, arch)`, execute it many times against fresh activations of any
 //! width.
 //!
-//! The cold `*_execute` entry points of this crate re-stage the static weight
-//! operand on every call: they re-round it through fp16, re-transpose the
-//! stored vectors into the `V×tk` stitched tiles, and re-resolve the launch
-//! configuration and analytical profile. For a serving workload that runs the
-//! same layer thousands of times, all of that work is amortisable — which is
-//! exactly what real sparse inference engines do (EIE's compressed weight
-//! layout, NVIDIA's pre-transformed 2:4 metadata). The plan objects here do
-//! that one-time work up front:
+//! A plan is the one functional form of every kernel in this crate. Building
+//! it stages the static weight operand: it rounds the weights through fp16,
+//! transposes the stored vectors into the `V×tk` stitched tiles, and resolves
+//! the launch configuration and analytical profile. `execute` then only
+//! sweeps. For a serving workload that runs the same layer thousands of
+//! times, that one-time work is amortised — which is exactly what real
+//! sparse inference engines do (EIE's compressed weight layout, NVIDIA's
+//! pre-transformed 2:4 metadata). A one-off call builds a plan and executes
+//! it once; `repro --bench-kernels` times that as its "cold" column. The
+//! plans:
 //!
 //! * [`GemmPlan`] — dense tensor-core GEMM: fp16-rounded row-panels of the
 //!   weight matrix in execution order.
@@ -25,22 +27,23 @@
 //!
 //! Every plan owns the packed panels ([`shfl_core::packed::PackedPanels`]),
 //! the resolved launch/tile configuration, and the precomputed analytical
-//! [`KernelProfile`] (cloned into each [`KernelOutput`]). Every tensor-core
-//! plan and the CSR plan execute through the one panel sweep
-//! [`gpu_sim::mma::mma_sweep`], and each plan has one execute body, which
-//! sweeps every column of its operand. The packed panels do not depend on the
-//! activation width (the stitched tile depth `tk` is fixed), so the width `n`
-//! a plan is built for sets only its modeled profile and launch: `execute`
-//! accepts any number of columns, and the serving stack caches one plan per
-//! `(layer, version)` ([`crate::cache::PlanCache`]) and sweeps every request
-//! on it at its exact width. Activation-side
-//! working buffers are deliberately *not* cached on the plan: freshly mapped
-//! pages measured consistently faster than long-lived reused buffers on this
+//! [`KernelProfile`], which `profile()` returns; `execute` returns only the
+//! output. Every tensor-core plan and the CSR plan execute through the one
+//! panel sweep [`gpu_sim::mma::mma_sweep`], and each plan has one execute
+//! body, which sweeps every column of its operand. The packed panels do not
+//! depend on the activation width (the stitched tile depth `tk` is fixed),
+//! so the width `n` a plan is built for sets only its modeled profile and
+//! launch: `execute` accepts any number of columns, and the serving stack
+//! caches one plan per `(layer, version)` ([`crate::cache::PlanCache`]) and
+//! sweeps every request on it at its exact width. Activation-side working
+//! buffers are deliberately *not* cached on the plan: freshly mapped pages
+//! measured consistently faster than long-lived reused buffers on this
 //! allocator (transparent-huge-page placement), and a buffer-free plan stays
-//! `Sync`. A prepared `execute` is **bit-identical** to the cold path and to
-//! the naive references in [`crate::reference`], at any width: packing rounds
-//! element-wise exactly where the cold path rounds, and the per-output-element
-//! accumulation order is unchanged (the property tests assert exact equality).
+//! `Sync`. An `execute` is **bit-identical** to the naive references in
+//! [`crate::reference`], at any width and whatever width the plan was built
+//! for: packing rounds element-wise exactly where the oracles round, and the
+//! per-output-element accumulation order is the oracles' (the property tests
+//! assert exact equality).
 //!
 //! ## Example
 //!
@@ -94,21 +97,9 @@ use shfl_core::tiling::{self, TileConfig};
 /// rows, where a 1024-wide tile's 64 KB would be re-streamed from L2 per row.
 const MAX_SWEEP_SPAN: usize = 256;
 
-/// The sweep spans of all `n` columns of an operand: [`MAX_SWEEP_SPAN`]-wide
-/// pieces, the last one narrower.
-pub(crate) fn full_width_spans(n: usize) -> Vec<SegmentSpan> {
-    (0..n)
-        .step_by(MAX_SWEEP_SPAN)
-        .map(|start| SegmentSpan {
-            start,
-            width: MAX_SWEEP_SPAN.min(n - start),
-        })
-        .collect()
-}
-
 /// Validates an activation operand and returns the spans one execute sweeps:
-/// the operand must have the `k` rows the plan packs, and any number of
-/// columns is swept in full.
+/// the operand must have the `k` rows the plan packs, and all of its columns
+/// are swept in [`MAX_SWEEP_SPAN`]-wide pieces, the last one narrower.
 fn sweep_spans(what: &str, b: &DenseMatrix, k: usize) -> KernelResult<Vec<SegmentSpan>> {
     if b.rows() != k {
         return Err(KernelError::ShapeMismatch {
@@ -118,7 +109,14 @@ fn sweep_spans(what: &str, b: &DenseMatrix, k: usize) -> KernelResult<Vec<Segmen
             ),
         });
     }
-    Ok(full_width_spans(b.cols()))
+    let n = b.cols();
+    Ok((0..n)
+        .step_by(MAX_SWEEP_SPAN)
+        .map(|start| SegmentSpan {
+            start,
+            width: MAX_SWEEP_SPAN.min(n - start),
+        })
+        .collect())
 }
 
 /// The operand row table of a dense or block packing: row `p` of the
@@ -230,8 +228,8 @@ impl GemmPlan {
     /// The output is bit-identical to a plan built for exactly `n` columns
     /// and to the naive oracle: the packed panel layout does not depend on
     /// the build width, and each output element accumulates its `k`
-    /// contributions in ascending order either way. The returned profile is
-    /// the one resolved at build time.
+    /// contributions in ascending order either way. The modeled profile stays
+    /// on the plan ([`GemmPlan::profile`]).
     ///
     /// # Errors
     ///
@@ -241,10 +239,7 @@ impl GemmPlan {
         let spans = sweep_spans("GEMM", activations, self.k)?;
         let mut output = DenseMatrix::zeros(self.m, activations.cols());
         sweep_dense(&self.packed, &self.rows, activations, &mut output, &spans);
-        Ok(KernelOutput {
-            output,
-            profile: self.profile.clone(),
-        })
+        Ok(KernelOutput { output })
     }
 }
 
@@ -583,10 +578,7 @@ impl SpmmPlan {
         if self.m > 0 && activations.cols() > 0 {
             self.sweep(activations, &mut output, &spans);
         }
-        Ok(KernelOutput {
-            output,
-            profile: self.profile.clone(),
-        })
+        Ok(KernelOutput { output })
     }
 
     /// Sweeps the packed operand over `spans` of a non-empty operand into
@@ -725,10 +717,13 @@ mod tests {
         let plan = SpmmPlan::shfl_bw(&arch, &a, 24);
         for _ in 0..3 {
             let b = DenseMatrix::random(&mut rng, 40, 24);
-            let prepared = plan.execute(&b).unwrap();
-            let cold = spmm::shfl_bw::shfl_bw_spmm_execute(&arch, &a, &b).unwrap();
-            assert_eq!(prepared.output, cold.output);
-            assert_eq!(prepared.profile.name, cold.profile.name);
+            // A cold call: a plan built for this one execute.
+            let cold = SpmmPlan::shfl_bw(&arch, &a, 24);
+            assert_eq!(
+                plan.execute(&b).unwrap().output,
+                cold.execute(&b).unwrap().output
+            );
+            assert_eq!(plan.profile().name, cold.profile().name);
         }
     }
 

@@ -118,20 +118,12 @@ impl fmt::Display for KernelProfile {
     }
 }
 
-/// The result of a functional kernel execution: the computed output plus the profile.
+/// The result of a plan execute. The analytical profile stays on the plan
+/// ([`crate::plan::GemmPlan::profile`], [`crate::plan::SpmmPlan::profile`]).
 #[derive(Debug, Clone)]
 pub struct KernelOutput {
     /// The computed output matrix `C = A · B` (original row order).
     pub output: DenseMatrix,
-    /// The analytical profile of the launch that produced it.
-    pub profile: KernelProfile,
-}
-
-impl KernelOutput {
-    /// Convenience accessor mirroring [`KernelProfile::time_us`].
-    pub fn time_us(&self) -> f64 {
-        self.profile.time_us()
-    }
 }
 
 /// Helper: builds a [`KernelProfile`] from raw parts (used by the kernel modules).

@@ -5,18 +5,18 @@
 //! [`DenseMatrix::get`]/[`DenseMatrix::set`], activations gathered per element,
 //! no pre-rounding, no threading. They are retained verbatim for two reasons:
 //!
-//! * **correctness** — the property tests assert the plans and the cold
-//!   `*_execute` kernels built on them are *bit-identical* to these
-//!   references on every shape (both sides accumulate each output element in
-//!   ascending-`k` order through the same fp16-rounded operands, so exact
-//!   equality is the contract, not a tolerance), and
+//! * **correctness** — the property tests assert the plans are
+//!   *bit-identical* to these references on every shape (both sides
+//!   accumulate each output element in ascending-`k` order through the same
+//!   fp16-rounded operands, so exact equality is the contract, not a
+//!   tolerance), and
 //! * **performance tracking** — `repro --bench-kernels` times each reference
 //!   against its cold and prepared counterparts in the same run and records
 //!   the speedup in `BENCH_kernels.json`, giving every future PR a
 //!   wall-clock trajectory.
 //!
-//! Nothing here should be called from production paths; use the `*_execute`
-//! kernels instead.
+//! Nothing here should be called from production paths; use the plans
+//! ([`crate::plan`], [`crate::conv_plan`]) instead.
 
 // The loops below are kept verbatim from the original kernels (including their
 // index-based style) so the references stay word-for-word the code they were.

@@ -7,10 +7,9 @@
 //! selected — which is why the measured speedups are only 1.07–1.16× over dense.
 
 use crate::launch::{self, FP16_BYTES, OUTPUT_BYTES};
-use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
+use crate::profile::{build_profile, KernelError, KernelProfile, KernelResult};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, KernelStats};
 use shfl_core::formats::BalancedMatrix;
-use shfl_core::matrix::DenseMatrix;
 
 /// Fraction of peak *sparse* tensor-core throughput the library kernel achieves.
 /// Real cuSPARSELt 2:4 GEMMs deliver nowhere near the nominal 2x of the sparse tensor
@@ -85,41 +84,13 @@ pub fn balanced_spmm_profile(
     ))
 }
 
-/// Functionally executes the balanced SpMM by decompressing the weights and running
-/// the tensor-core fragment GEMM (numerically identical to what the sparse tensor
-/// cores produce, since they skip only zero-valued MACs).
-///
-/// This is the cold path: a thin wrapper that builds a
-/// [`crate::plan::SpmmPlan`] for this single call and executes it.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `a.cols() != b.rows()` and
-/// [`KernelError::UnsupportedOnArch`] on GPUs without sparse tensor cores.
-pub fn balanced_spmm_execute(
-    arch: &GpuArch,
-    a: &BalancedMatrix,
-    b: &DenseMatrix,
-) -> KernelResult<KernelOutput> {
-    if a.cols() != b.rows() {
-        return Err(KernelError::ShapeMismatch {
-            context: format!(
-                "balanced SpMM A is {}x{} but B is {:?}",
-                a.rows(),
-                a.cols(),
-                b.shape()
-            ),
-        });
-    }
-    crate::plan::SpmmPlan::balanced(arch, a, b.cols())?.execute(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::dense_gemm_profile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use shfl_core::matrix::DenseMatrix;
 
     /// Prunes a random matrix to 2:4 by keeping the two largest magnitudes per group.
     fn two_in_four(rng: &mut StdRng, m: usize, k: usize) -> DenseMatrix {
@@ -150,7 +121,10 @@ mod tests {
         let b = DenseMatrix::random(&mut rng, 64, 16);
         let a = BalancedMatrix::from_dense(&dense_a, 2, 4).unwrap();
         let arch = GpuArch::a100();
-        let out = balanced_spmm_execute(&arch, &a, &b).unwrap();
+        let out = crate::plan::SpmmPlan::balanced(&arch, &a, b.cols())
+            .unwrap()
+            .execute(&b)
+            .unwrap();
         let reference = dense_a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 2e-2).unwrap());
     }
@@ -192,6 +166,7 @@ mod tests {
         let dense_a = two_in_four(&mut rng, 16, 16);
         let a = BalancedMatrix::from_dense(&dense_a, 2, 4).unwrap();
         let b = DenseMatrix::zeros(8, 8);
-        assert!(balanced_spmm_execute(&GpuArch::a100(), &a, &b).is_err());
+        let plan = crate::plan::SpmmPlan::balanced(&GpuArch::a100(), &a, b.cols()).unwrap();
+        assert!(plan.execute(&b).is_err());
     }
 }

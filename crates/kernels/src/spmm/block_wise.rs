@@ -9,10 +9,9 @@
 //! calibration constants documented in `DESIGN.md`.
 
 use crate::launch::{self, FP16_BYTES, OUTPUT_BYTES};
-use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
+use crate::profile::{build_profile, KernelProfile};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, GpuGeneration, KernelStats};
 use shfl_core::formats::BlockSparseMatrix;
-use shfl_core::matrix::DenseMatrix;
 use shfl_core::tiling::TileConfig;
 
 /// Library (cuSPARSE) compute efficiency per architecture: the source of the
@@ -90,38 +89,12 @@ pub fn block_wise_spmm_profile(arch: &GpuArch, a: &BlockSparseMatrix, n: usize) 
     )
 }
 
-/// Functionally executes the block-wise SpMM: every stored block multiplies the
-/// corresponding `V×n` slice of `B` through tensor-core fragments.
-///
-/// This is the cold path: a thin wrapper that builds a
-/// [`crate::plan::SpmmPlan`] for this single call and executes it.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn block_wise_spmm_execute(
-    arch: &GpuArch,
-    a: &BlockSparseMatrix,
-    b: &DenseMatrix,
-) -> KernelResult<KernelOutput> {
-    if a.cols() != b.rows() {
-        return Err(KernelError::ShapeMismatch {
-            context: format!(
-                "block SpMM A is {}x{} but B is {:?}",
-                a.rows(),
-                a.cols(),
-                b.shape()
-            ),
-        });
-    }
-    crate::plan::SpmmPlan::block_wise(arch, a, b.cols()).execute(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use shfl_core::matrix::DenseMatrix;
 
     fn block_sparse_dense(
         rng: &mut StdRng,
@@ -151,7 +124,9 @@ mod tests {
         let b = DenseMatrix::random(&mut rng, 48, 24);
         let a = BlockSparseMatrix::from_dense(&dense_a, 16).unwrap();
         let arch = GpuArch::v100();
-        let out = block_wise_spmm_execute(&arch, &a, &b).unwrap();
+        let out = crate::plan::SpmmPlan::block_wise(&arch, &a, b.cols())
+            .execute(&b)
+            .unwrap();
         let reference = dense_a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 2e-2).unwrap());
     }
@@ -161,7 +136,8 @@ mod tests {
         let arch = GpuArch::v100();
         let a = BlockSparseMatrix::from_dense(&DenseMatrix::zeros(32, 32), 16).unwrap();
         let b = DenseMatrix::zeros(16, 8);
-        assert!(block_wise_spmm_execute(&arch, &a, &b).is_err());
+        let plan = crate::plan::SpmmPlan::block_wise(&arch, &a, b.cols());
+        assert!(plan.execute(&b).is_err());
     }
 
     #[test]

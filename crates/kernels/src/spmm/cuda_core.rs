@@ -8,7 +8,7 @@
 //! ≈ 65–70 % sparsity and never reaches the tensor-core dense baseline until ≈ 95 %.
 
 use crate::launch::{self, FP16_BYTES, OUTPUT_BYTES};
-use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
+use crate::profile::{build_profile, KernelProfile};
 use gpu_sim::mma::{mma_sweep, SegmentSpan};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, KernelStats};
 use shfl_core::formats::CsrMatrix;
@@ -101,8 +101,8 @@ pub fn cusparse_csr_spmm_profile(arch: &GpuArch, a: &CsrMatrix, n: usize) -> Ker
     csr_profile(arch, a, n, &CUSPARSE)
 }
 
-/// The CSR main loop shared by the cold execute and the prepared
-/// [`crate::plan::SpmmPlan`]: output rows are independent, so they are
+/// The CSR main loop of [`crate::plan::SpmmPlan::cuda_core`] plans: output
+/// rows are independent, so they are
 /// distributed across cores, and each row is one direct-accumulation
 /// [`mma_sweep`] call — its stored values form a `1 × nnz` panel whose
 /// operand rows are the activation rows its column indices name, read
@@ -129,36 +129,6 @@ pub(crate) fn csr_spmm_into(
     );
 }
 
-/// Functionally executes the CUDA-core CSR SpMM (scalar FMA per non-zero, exactly the
-/// arithmetic the CUDA kernel performs) and returns the output with its profile.
-///
-/// This is the cold path: it resolves the profile and runs [`csr_spmm_into`]
-/// directly. The scalar kernel has no fp16 staging for a plan to pre-pack, so
-/// unlike the tensor-core kernels it does not route through an ad-hoc
-/// [`crate::plan::SpmmPlan`] (which would clone the operand per call); a plan
-/// built once with [`crate::plan::SpmmPlan::cuda_core`] shares this exact main
-/// loop and amortises the profile resolution.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn cuda_core_spmm_execute(
-    arch: &GpuArch,
-    a: &CsrMatrix,
-    b: &DenseMatrix,
-) -> KernelResult<KernelOutput> {
-    if a.cols() != b.rows() {
-        return Err(KernelError::ShapeMismatch {
-            context: format!("SpMM A is {:?} but B is {:?}", a.shape(), b.shape()),
-        });
-    }
-    let n = b.cols();
-    let profile = cuda_core_spmm_profile(arch, a, n);
-    let mut output = DenseMatrix::zeros(a.rows(), n);
-    csr_spmm_into(a, b, &mut output, &crate::plan::full_width_spans(n));
-    Ok(KernelOutput { output, profile })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +152,9 @@ mod tests {
         let b = DenseMatrix::random(&mut rng, 56, 24);
         let a = CsrMatrix::from_dense(&dense_a);
         let arch = GpuArch::v100();
-        let out = cuda_core_spmm_execute(&arch, &a, &b).unwrap();
+        let out = crate::plan::SpmmPlan::cuda_core(&arch, &a, b.cols())
+            .execute(&b)
+            .unwrap();
         let reference = dense_a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 1e-3).unwrap());
     }
@@ -192,7 +164,8 @@ mod tests {
         let arch = GpuArch::v100();
         let a = CsrMatrix::from_dense(&DenseMatrix::zeros(4, 8));
         let b = DenseMatrix::zeros(4, 8);
-        assert!(cuda_core_spmm_execute(&arch, &a, &b).is_err());
+        let plan = crate::plan::SpmmPlan::cuda_core(&arch, &a, b.cols());
+        assert!(plan.execute(&b).is_err());
     }
 
     #[test]

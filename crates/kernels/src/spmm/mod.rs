@@ -10,10 +10,8 @@ pub mod cuda_core;
 pub mod shfl_bw;
 pub mod vector_wise;
 
-pub use balanced::{balanced_spmm_execute, balanced_spmm_profile};
-pub use block_wise::{block_wise_spmm_execute, block_wise_spmm_profile};
-pub use cuda_core::{cuda_core_spmm_execute, cuda_core_spmm_profile, cusparse_csr_spmm_profile};
-pub use shfl_bw::{
-    shfl_bw_spmm_execute, shfl_bw_spmm_profile, shfl_bw_spmm_profile_with, ShflBwKernelConfig,
-};
-pub use vector_wise::{vector_wise_spmm_execute, vector_wise_spmm_profile, VectorWiseKernelConfig};
+pub use balanced::balanced_spmm_profile;
+pub use block_wise::block_wise_spmm_profile;
+pub use cuda_core::{cuda_core_spmm_profile, cusparse_csr_spmm_profile};
+pub use shfl_bw::{shfl_bw_spmm_profile, shfl_bw_spmm_profile_with, ShflBwKernelConfig};
+pub use vector_wise::{vector_wise_spmm_profile, VectorWiseKernelConfig};

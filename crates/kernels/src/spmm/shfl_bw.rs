@@ -13,12 +13,11 @@
 //! only the row-index metadata, a small amount of extra shared memory, and a slight
 //! write-coalescing overhead.
 
-use crate::profile::{KernelError, KernelOutput, KernelProfile, KernelResult};
+use crate::profile::KernelProfile;
 use crate::spmm::vector_wise::{vw_family_profile, VectorWiseKernelConfig};
 use gpu_sim::pipeline::PipelineConfig;
 use gpu_sim::GpuArch;
 use shfl_core::formats::ShflBwMatrix;
-use shfl_core::matrix::DenseMatrix;
 
 /// Tuning knobs of the Shfl-BW SpMM kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,36 +88,6 @@ pub fn shfl_bw_spmm_profile_with(
     )
 }
 
-/// Functionally executes the Shfl-BW SpMM: stitched tensor-core main loop on the
-/// vector-wise storage followed by the reordered write-back to the original row
-/// positions.
-///
-/// This is the cold path: a thin wrapper that builds a
-/// [`crate::plan::SpmmPlan`] for this single call and executes it. Serving
-/// workloads build the plan once ([`crate::plan::SpmmPlan::shfl_bw`]) and call
-/// `execute` repeatedly, amortising the weight packing.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn shfl_bw_spmm_execute(
-    arch: &GpuArch,
-    a: &ShflBwMatrix,
-    b: &DenseMatrix,
-) -> KernelResult<KernelOutput> {
-    if a.cols() != b.rows() {
-        return Err(KernelError::ShapeMismatch {
-            context: format!(
-                "Shfl-BW SpMM A is {}x{} but B is {:?}",
-                a.rows(),
-                a.cols(),
-                b.shape()
-            ),
-        });
-    }
-    crate::plan::SpmmPlan::shfl_bw(arch, a, b.cols()).execute(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +97,7 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use shfl_core::formats::VectorWiseMatrix;
+    use shfl_core::matrix::DenseMatrix;
 
     /// Builds a dense matrix with a Shfl-BW structure: `m/v` distinct column patterns,
     /// each assigned to `v` rows scattered through the matrix by a random permutation.
@@ -154,7 +124,9 @@ mod tests {
         let b = DenseMatrix::random(&mut rng, 48, 24);
         let a = ShflBwMatrix::from_dense(&dense_a, 8).unwrap();
         let arch = GpuArch::v100();
-        let out = shfl_bw_spmm_execute(&arch, &a, &b).unwrap();
+        let out = crate::plan::SpmmPlan::shfl_bw(&arch, &a, b.cols())
+            .execute(&b)
+            .unwrap();
         let reference = dense_a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 2e-2).unwrap());
     }
@@ -166,7 +138,8 @@ mod tests {
         let dense_a = shfl_bw_dense(&mut rng, 16, 16, 8, 0.3);
         let a = ShflBwMatrix::from_dense(&dense_a, 8).unwrap();
         let b = DenseMatrix::zeros(8, 8);
-        assert!(shfl_bw_spmm_execute(&arch, &a, &b).is_err());
+        let plan = crate::plan::SpmmPlan::shfl_bw(&arch, &a, b.cols());
+        assert!(plan.execute(&b).is_err());
     }
 
     #[test]

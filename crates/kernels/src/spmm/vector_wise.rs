@@ -13,11 +13,10 @@
 //!   with the stream count (`VectorWiseKernelConfig::tile_wise`).
 
 use crate::launch::{self, FP16_BYTES, OUTPUT_BYTES};
-use crate::profile::{build_profile, KernelError, KernelOutput, KernelProfile, KernelResult};
+use crate::profile::{build_profile, KernelProfile};
 use gpu_sim::pipeline::{PipelineConfig, PipelineModel};
 use gpu_sim::{ComputeUnit, CostModel, GpuArch, KernelStats};
 use shfl_core::formats::VectorWiseMatrix;
-use shfl_core::matrix::DenseMatrix;
 
 /// Tuning knobs of a vector-wise-family SpMM kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,41 +193,12 @@ pub fn vector_wise_spmm_profile(
     vw_family_profile(arch, a, n, config, name, 0, 0.0, 0)
 }
 
-/// Functionally executes the vector-wise SpMM with the in-buffer stitching algorithm:
-/// for every row group, vectors are stitched `T_K` at a time together with the
-/// corresponding activation rows, multiplied with tensor-core fragments, and the
-/// `V×T_N` accumulator is written to the output rows of the group.
-///
-/// This is the cold path: a thin wrapper that builds a
-/// [`crate::plan::SpmmPlan`] for this single call and executes it. Serving
-/// workloads build the plan once and call `execute` repeatedly.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] if `a.cols() != b.rows()`.
-pub fn vector_wise_spmm_execute(
-    arch: &GpuArch,
-    a: &VectorWiseMatrix,
-    b: &DenseMatrix,
-) -> KernelResult<KernelOutput> {
-    if a.cols() != b.rows() {
-        return Err(KernelError::ShapeMismatch {
-            context: format!(
-                "vector-wise SpMM A is {}x{} but B is {:?}",
-                a.rows(),
-                a.cols(),
-                b.shape()
-            ),
-        });
-    }
-    crate::plan::SpmmPlan::vector_wise(arch, a, b.cols()).execute(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use shfl_core::matrix::DenseMatrix;
 
     fn vector_wise_dense(
         rng: &mut StdRng,
@@ -255,7 +225,9 @@ mod tests {
         let b = DenseMatrix::random(&mut rng, 48, 24);
         let a = VectorWiseMatrix::from_dense(&dense_a, 8).unwrap();
         let arch = GpuArch::v100();
-        let out = vector_wise_spmm_execute(&arch, &a, &b).unwrap();
+        let out = crate::plan::SpmmPlan::vector_wise(&arch, &a, b.cols())
+            .execute(&b)
+            .unwrap();
         let reference = dense_a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 2e-2).unwrap());
     }
@@ -265,7 +237,8 @@ mod tests {
         let arch = GpuArch::v100();
         let a = VectorWiseMatrix::from_dense(&DenseMatrix::zeros(16, 16), 8).unwrap();
         let b = DenseMatrix::zeros(8, 8);
-        assert!(vector_wise_spmm_execute(&arch, &a, &b).is_err());
+        let plan = crate::plan::SpmmPlan::vector_wise(&arch, &a, b.cols());
+        assert!(plan.execute(&b).is_err());
     }
 
     #[test]
@@ -332,7 +305,9 @@ mod tests {
         dense_a.set(9, 3, 2.0);
         let a = VectorWiseMatrix::from_dense(&dense_a, 8).unwrap();
         let b = DenseMatrix::from_fn(16, 4, |r, c| (r + c) as f32);
-        let out = vector_wise_spmm_execute(&arch, &a, &b).unwrap();
+        let out = crate::plan::SpmmPlan::vector_wise(&arch, &a, 4)
+            .execute(&b)
+            .unwrap();
         let reference = dense_a.matmul(&b).unwrap();
         assert!(out.output.approx_eq(&reference, 1e-3).unwrap());
     }

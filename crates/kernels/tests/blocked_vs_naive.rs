@@ -1,55 +1,33 @@
-//! Bit-compatibility property tests: every cold kernel — the `*_execute`
-//! entry points, the prepared [`GemmPlan`] and the implicit-GEMM conv plan —
-//! must produce *exactly* the same output as its retained naive reference.
+//! Bit-compatibility property tests of the cold call: a plan built for one
+//! call at the activations' width and executed once — the [`GemmPlan`], every
+//! [`SpmmPlan`] and the implicit-GEMM conv plan — must produce *exactly* the
+//! same output as its retained naive reference, and the blocked `im2col`
+//! must reproduce `im2col_naive`. Repeated executes of one plan are
+//! `plan_prepared.rs`'s subject.
 //!
 //! Both paths round operands through fp16 identically and accumulate each
 //! output element in ascending-`k` order through a single `f32` accumulator,
 //! so the contract is exact equality (compared bit-for-bit), not a tolerance.
-//! Covered: non-multiple-of-fragment shapes (e.g. 17×13×9), empty matrices,
-//! fully-dense and fully-sparse inputs, and 1-row/1-column edge cases, for
-//! GEMM, the Shfl-BW conv, and all five SpMM kernels.
+//! Covered: all three MMA fragment shapes, non-multiple-of-fragment shapes
+//! (e.g. 17×13×9), empty matrices, zero-width activations, fully-dense and
+//! fully-sparse inputs, 1-row/1-column edge cases and seeded random row
+//! permutations, for GEMM, the Shfl-BW conv, and all five SpMM kernels.
 
+mod common;
+
+use common::{
+    assert_bits_eq, prune_two_in_four, random_permutation, random_sparse, shfl_conv_naive,
+};
 use gpu_sim::mma::MmaShape;
 use gpu_sim::GpuArch;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use shfl_core::formats::{
     BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix,
 };
 use shfl_core::matrix::DenseMatrix;
-use shfl_kernels::spmm::{
-    balanced_spmm_execute, block_wise_spmm_execute, cuda_core_spmm_execute, shfl_bw_spmm_execute,
-    vector_wise_spmm_execute,
-};
-use shfl_kernels::{conv, reference, GemmPlan, ImplicitConvPlan};
-
-/// Asserts two matrices are identical down to the bit pattern of every element.
-fn assert_bits_eq(blocked: &DenseMatrix, naive: &DenseMatrix, what: &str) {
-    assert_eq!(blocked.shape(), naive.shape(), "{what}: shape mismatch");
-    for (idx, (x, y)) in blocked
-        .as_slice()
-        .iter()
-        .zip(naive.as_slice().iter())
-        .enumerate()
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: element {idx} differs: blocked {x} vs naive {y}"
-        );
-    }
-}
-
-fn random_sparse(rng: &mut StdRng, m: usize, k: usize, density: f64) -> DenseMatrix {
-    DenseMatrix::from_fn(m, k, |_, _| {
-        if rng.gen_bool(density) {
-            rng.gen_range(-1.0f32..1.0)
-        } else {
-            0.0
-        }
-    })
-}
+use shfl_kernels::{conv, reference, GemmPlan, ImplicitConvPlan, SpmmPlan};
 
 const ALL_SHAPES: [MmaShape; 3] = [MmaShape::M16N8K16, MmaShape::M16N8K8, MmaShape::M16N16K16];
 
@@ -92,7 +70,7 @@ proptest! {
         let dense_a = random_sparse(&mut rng, m, k, density);
         let b = DenseMatrix::random(&mut rng, k, n);
         let a = CsrMatrix::from_dense(&dense_a);
-        let out = cuda_core_spmm_execute(&GpuArch::v100(), &a, &b).unwrap();
+        let out = SpmmPlan::cuda_core(&GpuArch::v100(), &a, n).execute(&b).unwrap();
         let naive = reference::csr_spmm_naive(&a, &b);
         assert_bits_eq(&out.output, &naive, &format!("csr {m}x{k}x{n}"));
     }
@@ -111,17 +89,17 @@ proptest! {
 
         let vw = VectorWiseMatrix::from_dense(&dense_a, v).unwrap();
         let identity: Vec<u32> = (0..m as u32).collect();
-        let out = vector_wise_spmm_execute(&arch, &vw, &b).unwrap();
+        let out = SpmmPlan::vector_wise(&arch, &vw, n).execute(&b).unwrap();
         let naive = reference::stitched_spmm_naive(&arch, &vw, &b, &identity);
         assert_bits_eq(&out.output, &naive, &format!("vector-wise {m}x{k}x{n} V={v}"));
 
-        // Shfl-BW with a non-trivial (reversed) permutation.
-        let perm: Vec<usize> = (0..m).rev().collect();
+        // Shfl-BW with rows scattered by a permutation drawn from the case seed.
+        let perm = random_permutation(&mut rng, m);
         let shfl = ShflBwMatrix::from_dense_with_permutation(&dense_a, &perm, v).unwrap();
-        let out = shfl_bw_spmm_execute(&arch, &shfl, &b).unwrap();
+        let out = SpmmPlan::shfl_bw(&arch, &shfl, n).execute(&b).unwrap();
         let naive =
             reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b, shfl.row_indices());
-        assert_bits_eq(&out.output, &naive, &format!("shfl-bw {m}x{k}x{n} V={v}"));
+        assert_bits_eq(&out.output, &naive, &format!("shfl-bw {m}x{k}x{n} V={v} perm {perm:?}"));
     }
 
     #[test]
@@ -136,7 +114,7 @@ proptest! {
         let b = DenseMatrix::random(&mut rng, k, n);
         let a = BlockSparseMatrix::from_dense(&dense_a, v).unwrap();
         let arch = GpuArch::a100();
-        let out = block_wise_spmm_execute(&arch, &a, &b).unwrap();
+        let out = SpmmPlan::block_wise(&arch, &a, n).execute(&b).unwrap();
         let naive = reference::block_spmm_naive(&arch, &a, &b);
         assert_bits_eq(&out.output, &naive, &format!("block {m}x{k}x{n} V={v}"));
     }
@@ -147,28 +125,11 @@ proptest! {
     ) {
         let k = kg * 4;
         let mut rng = StdRng::seed_from_u64(seed);
-        // Keep the two largest magnitudes per group of four.
-        let dense = DenseMatrix::random(&mut rng, m, k);
-        let mut pruned = dense.clone();
-        for r in 0..m {
-            for g in 0..k / 4 {
-                let mut idx: Vec<usize> = (0..4).collect();
-                idx.sort_by(|&x, &y| {
-                    dense
-                        .get(r, g * 4 + y)
-                        .abs()
-                        .partial_cmp(&dense.get(r, g * 4 + x).abs())
-                        .unwrap()
-                });
-                for &i in &idx[2..] {
-                    pruned.set(r, g * 4 + i, 0.0);
-                }
-            }
-        }
+        let pruned = prune_two_in_four(&mut rng, m, k);
         let a = BalancedMatrix::from_dense(&pruned, 2, 4).unwrap();
         let b = DenseMatrix::random(&mut rng, k, n);
         let arch = GpuArch::a100();
-        let out = balanced_spmm_execute(&arch, &a, &b).unwrap();
+        let out = SpmmPlan::balanced(&arch, &a, n).unwrap().execute(&b).unwrap();
         let naive = reference::balanced_spmm_naive(&arch, &a, &b);
         assert_bits_eq(&out.output, &naive, &format!("balanced {m}x{k}x{n}"));
     }
@@ -198,37 +159,22 @@ proptest! {
         let arch = GpuArch::v100();
 
         // The blocked im2col must reproduce the naive gather bit-for-bit.
-        let unfolded = conv::im2col(&input, &params);
-        let unfolded_naive = reference::im2col_naive(&input, &params);
-        assert_bits_eq(&unfolded, &unfolded_naive, &format!("im2col {params:?}"));
+        assert_bits_eq(
+            &conv::im2col(&input, &params),
+            &reference::im2col_naive(&input, &params),
+            &format!("im2col {params:?}"),
+        );
 
-        // Shfl-BW conv: the implicit-GEMM plan (no unfolding) vs the naive
-        // stitched SpMM over the naive unfolded input.
-        let v = 2;
-        let perm: Vec<usize> = (0..m).rev().collect();
-        let shfl = ShflBwMatrix::from_dense_with_permutation(&weights, &perm, v).unwrap();
-        let (out, _) = ImplicitConvPlan::build(&arch, &shfl, &params)
+        // Shfl-BW conv (rows scattered by a permutation drawn from the case
+        // seed): the implicit-GEMM plan (no unfolding) vs the naive chain.
+        let perm = random_permutation(&mut rng, m);
+        let shfl = ShflBwMatrix::from_dense_with_permutation(&weights, &perm, 2).unwrap();
+        let out = ImplicitConvPlan::build(&arch, &shfl, &params)
             .unwrap()
             .execute(&input)
             .unwrap();
-        let spmm_naive = reference::stitched_spmm_naive(
-            &arch,
-            shfl.vector_wise(),
-            &unfolded_naive,
-            shfl.row_indices(),
-        );
-        let (oh, ow) = (params.output_h(), params.output_w());
-        let mut packed = conv::Tensor4::zeros(batch, params.out_channels, oh, ow);
-        for o in 0..params.out_channels {
-            for b in 0..batch {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        packed.set(b, o, y, x, spmm_naive.get(o, (b * oh + y) * ow + x));
-                    }
-                }
-            }
-        }
-        assert_eq!(out, packed, "shfl-bw conv {params:?}");
+        let naive = shfl_conv_naive(&arch, &shfl, &input, &params);
+        assert_eq!(out, naive, "shfl-bw conv {params:?} perm {perm:?}");
     }
 }
 
@@ -247,12 +193,9 @@ fn gemm_empty_dimensions_are_bit_compatible() {
     for (m, k, n) in [(0usize, 5usize, 3usize), (4, 0, 3), (4, 5, 0), (0, 0, 0)] {
         let a = DenseMatrix::zeros(m, k);
         let b = DenseMatrix::zeros(k, n);
-        assert_gemm_matches_naive(
-            MmaShape::M16N8K16,
-            &a,
-            &b,
-            &format!("gemm empty {m}x{k}x{n}"),
-        );
+        for shape in ALL_SHAPES {
+            assert_gemm_matches_naive(shape, &a, &b, &format!("gemm empty {m}x{k}x{n}"));
+        }
     }
 }
 
@@ -267,7 +210,9 @@ fn gemm_single_row_and_column_are_bit_compatible() {
     ] {
         let a = DenseMatrix::random(&mut rng, m, k);
         let b = DenseMatrix::random(&mut rng, k, n);
-        assert_gemm_matches_naive(MmaShape::M16N8K16, &a, &b, &format!("gemm {m}x{k}x{n}"));
+        for shape in ALL_SHAPES {
+            assert_gemm_matches_naive(shape, &a, &b, &format!("gemm {m}x{k}x{n}"));
+        }
     }
 }
 
@@ -278,7 +223,9 @@ fn gemm_fully_dense_and_fully_sparse_are_bit_compatible() {
     let sparse = DenseMatrix::zeros(19, 21);
     let b = DenseMatrix::random(&mut rng, 21, 11);
     for a in [&dense, &sparse] {
-        assert_gemm_matches_naive(MmaShape::M16N8K16, a, &b, "gemm density extremes");
+        for shape in ALL_SHAPES {
+            assert_gemm_matches_naive(shape, a, &b, "gemm density extremes");
+        }
     }
 }
 
@@ -291,7 +238,7 @@ fn spmm_kernels_handle_fully_sparse_and_single_row_inputs() {
     let identity: Vec<u32> = (0..8).collect();
 
     let csr = CsrMatrix::from_dense(&zeros);
-    let out = cuda_core_spmm_execute(&arch, &csr, &b).unwrap();
+    let out = SpmmPlan::cuda_core(&arch, &csr, 3).execute(&b).unwrap();
     assert_bits_eq(
         &out.output,
         &reference::csr_spmm_naive(&csr, &b),
@@ -299,7 +246,7 @@ fn spmm_kernels_handle_fully_sparse_and_single_row_inputs() {
     );
 
     let vw = VectorWiseMatrix::from_dense(&zeros, 4).unwrap();
-    let out = vector_wise_spmm_execute(&arch, &vw, &b).unwrap();
+    let out = SpmmPlan::vector_wise(&arch, &vw, 3).execute(&b).unwrap();
     assert_bits_eq(
         &out.output,
         &reference::stitched_spmm_naive(&arch, &vw, &b, &identity),
@@ -307,7 +254,7 @@ fn spmm_kernels_handle_fully_sparse_and_single_row_inputs() {
     );
 
     let bsr = BlockSparseMatrix::from_dense(&zeros, 4).unwrap();
-    let out = block_wise_spmm_execute(&arch, &bsr, &b).unwrap();
+    let out = SpmmPlan::block_wise(&arch, &bsr, 3).execute(&b).unwrap();
     assert_bits_eq(
         &out.output,
         &reference::block_spmm_naive(&arch, &bsr, &b),
@@ -319,14 +266,14 @@ fn spmm_kernels_handle_fully_sparse_and_single_row_inputs() {
     let row = DenseMatrix::random(&mut rng, 1, 9);
     let b1 = DenseMatrix::random(&mut rng, 9, 1);
     let vw = VectorWiseMatrix::from_dense(&row, 1).unwrap();
-    let out = vector_wise_spmm_execute(&arch, &vw, &b1).unwrap();
+    let out = SpmmPlan::vector_wise(&arch, &vw, 1).execute(&b1).unwrap();
     assert_bits_eq(
         &out.output,
         &reference::stitched_spmm_naive(&arch, &vw, &b1, &[0]),
         "vw 1x9x1",
     );
     let shfl = ShflBwMatrix::from_dense_with_permutation(&row, &[0], 1).unwrap();
-    let out = shfl_bw_spmm_execute(&arch, &shfl, &b1).unwrap();
+    let out = SpmmPlan::shfl_bw(&arch, &shfl, 1).execute(&b1).unwrap();
     assert_bits_eq(
         &out.output,
         &reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b1, shfl.row_indices()),
@@ -342,14 +289,17 @@ fn spmm_kernels_handle_zero_width_activations() {
     let b = DenseMatrix::zeros(8, 0);
 
     let csr = CsrMatrix::from_dense(&dense_a);
-    let out = cuda_core_spmm_execute(&arch, &csr, &b).unwrap();
-    assert_eq!(out.output.shape(), (8, 0));
-
     let vw = VectorWiseMatrix::from_dense(&dense_a, 4).unwrap();
-    let out = vector_wise_spmm_execute(&arch, &vw, &b).unwrap();
-    assert_eq!(out.output.shape(), (8, 0));
-
+    let perm = random_permutation(&mut rng, 8);
+    let shfl = ShflBwMatrix::from_dense_with_permutation(&dense_a, &perm, 4).unwrap();
     let bsr = BlockSparseMatrix::from_dense(&dense_a, 4).unwrap();
-    let out = block_wise_spmm_execute(&arch, &bsr, &b).unwrap();
-    assert_eq!(out.output.shape(), (8, 0));
+    for (what, plan) in [
+        ("csr", SpmmPlan::cuda_core(&arch, &csr, 0)),
+        ("vector-wise", SpmmPlan::vector_wise(&arch, &vw, 0)),
+        ("shfl-bw", SpmmPlan::shfl_bw(&arch, &shfl, 0)),
+        ("block", SpmmPlan::block_wise(&arch, &bsr, 0)),
+    ] {
+        let out = plan.execute(&b).unwrap();
+        assert_eq!(out.output.shape(), (8, 0), "{what} zero-width");
+    }
 }

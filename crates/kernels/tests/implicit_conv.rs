@@ -47,7 +47,7 @@ fn assert_bit_identical(p: &Conv2dParams, weights: &ShflBwMatrix, input: &Tensor
     let flat = spmm.execute(&unfolded).unwrap().output;
     conv::reclaim_unfolded(unfolded);
 
-    let (got, _) = implicit.execute(input).unwrap();
+    let got = implicit.execute(input).unwrap();
     let want = conv::col2im_output(&flat, p);
     assert_eq!(got.shape(), want.shape(), "shape for {p:?}");
     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -211,7 +211,7 @@ fn implicit_conv_keeps_non_finite_inputs_out_of_groups_that_skip_them() {
     input.set(0, 0, 0, 0, f32::INFINITY);
     input.set(1, 0, 2, 3, f32::NAN);
     assert_bit_identical(&p, &weights, &input);
-    let (out, _) = ImplicitConvPlan::build(&GpuArch::a100(), &weights, &p)
+    let out = ImplicitConvPlan::build(&GpuArch::a100(), &weights, &p)
         .unwrap()
         .execute(&input)
         .unwrap();

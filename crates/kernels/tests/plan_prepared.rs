@@ -1,16 +1,22 @@
-//! Bit-compatibility property tests for the plan/execute split: a prepared
-//! plan's execute must produce *exactly* the same output as the naive
-//! reference oracles, on every shape, and must stay bit-identical across
-//! repeated executes of the same plan with different activations.
+//! Bit-compatibility property tests for prepared plans: one plan, built once,
+//! must produce *exactly* the same output as the naive reference oracles on
+//! every execute, and must stay bit-identical across repeated executes of
+//! the same plan with different activations. A plan built for a single call
+//! and executed once is `blocked_vs_naive.rs`'s subject.
 //!
 //! The packing rounds element-wise exactly where the oracles round, and the
 //! panel sweep preserves the per-output-element accumulation order, so the
 //! contract is exact equality (compared bit-for-bit), not a tolerance.
 //! Covered per the plan design: empty matrices, 1-row/1-column operands, odd
-//! (non-multiple-of-fragment) shapes, fully-dense and fully-sparse inputs, for
-//! the GEMM, implicit-GEMM conv, and all five SpMM plans.
+//! (non-multiple-of-fragment) shapes, fully-dense and fully-sparse inputs,
+//! seeded random row permutations and an all-zero group under a non-identity
+//! permutation, for the GEMM, implicit-GEMM conv, and all five SpMM plans.
 
-use gpu_sim::mma::MmaShape;
+mod common;
+
+use common::{
+    assert_bits_eq, prune_two_in_four, random_permutation, random_sparse, shfl_conv_naive,
+};
 use gpu_sim::GpuArch;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,31 +29,24 @@ use shfl_kernels::conv_plan::ImplicitConvPlan;
 use shfl_kernels::plan::{GemmPlan, SpmmPlan};
 use shfl_kernels::{conv, reference};
 
-/// Asserts two matrices are identical down to the bit pattern of every element.
-fn assert_bits_eq(prepared: &DenseMatrix, oracle: &DenseMatrix, what: &str) {
-    assert_eq!(prepared.shape(), oracle.shape(), "{what}: shape mismatch");
-    for (idx, (x, y)) in prepared
-        .as_slice()
-        .iter()
-        .zip(oracle.as_slice().iter())
-        .enumerate()
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: element {idx} differs: prepared {x} vs oracle {y}"
+/// One [`GemmPlan`] built for `a` at width `n` and executed with two fresh
+/// activations of that width, each against the naive fragment oracle.
+fn assert_gemm_plan_matches_naive(
+    arch: &GpuArch,
+    a: &DenseMatrix,
+    n: usize,
+    rng: &mut StdRng,
+    what: &str,
+) {
+    let plan = GemmPlan::new(arch, a, n);
+    for round in 0..2 {
+        let b = DenseMatrix::random(rng, a.cols(), n);
+        assert_bits_eq(
+            &plan.execute(&b).unwrap().output,
+            &reference::fragment_matmul_naive(arch.mma_shape, a, &b),
+            &format!("{what} round {round}"),
         );
     }
-}
-
-fn random_sparse(rng: &mut StdRng, m: usize, k: usize, density: f64) -> DenseMatrix {
-    DenseMatrix::from_fn(m, k, |_, _| {
-        if rng.gen_bool(density) {
-            rng.gen_range(-1.0f32..1.0)
-        } else {
-            0.0
-        }
-    })
 }
 
 proptest! {
@@ -72,8 +71,9 @@ proptest! {
         }
     }
 
-    /// Vector-wise and Shfl-BW: prepared == naive stitched oracle, across
-    /// repeated executes.
+    /// Vector-wise and Shfl-BW (rows scattered by a permutation drawn from
+    /// the case seed): prepared == naive stitched oracle, across repeated
+    /// executes.
     #[test]
     fn stitched_plans_match_blocked_and_naive(
         (groups, vi, k, n, density, seed) in
@@ -89,7 +89,7 @@ proptest! {
         let identity: Vec<u32> = (0..m as u32).collect();
         let vw_plan = SpmmPlan::vector_wise(&arch, &vw, n);
 
-        let perm: Vec<usize> = (0..m).rev().collect();
+        let perm = random_permutation(&mut rng, m);
         let shfl = ShflBwMatrix::from_dense_with_permutation(&dense_a, &perm, v).unwrap();
         let shfl_plan = SpmmPlan::shfl_bw(&arch, &shfl, n);
 
@@ -108,7 +108,7 @@ proptest! {
             assert_bits_eq(
                 &prepared,
                 &reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b, shfl.row_indices()),
-                &format!("shfl-naive {what}"),
+                &format!("shfl-naive {what} perm {perm:?}"),
             );
         }
     }
@@ -134,27 +134,15 @@ proptest! {
         }
     }
 
-    /// Balanced 2:4 and CSR: prepared == cold engines == naive oracles.
+    /// Balanced 2:4 and CSR on the same 2:4-pruned operand: prepared == naive
+    /// oracles, across repeated executes.
     #[test]
     fn balanced_and_csr_plans_match_naive(
         (m, kg, n, seed) in (1usize..24, 1usize..8, 1usize..24, any::<u64>())
     ) {
         let k = kg * 4;
         let mut rng = StdRng::seed_from_u64(seed);
-        // 2:4 prune: keep the two largest magnitudes per group of four.
-        let dense = DenseMatrix::random(&mut rng, m, k);
-        let mut pruned = dense.clone();
-        for r in 0..m {
-            for g in 0..k / 4 {
-                let mut idx: Vec<usize> = (0..4).collect();
-                idx.sort_by(|&x, &y| {
-                    dense.get(r, g * 4 + y).abs().partial_cmp(&dense.get(r, g * 4 + x).abs()).unwrap()
-                });
-                for &i in &idx[2..] {
-                    pruned.set(r, g * 4 + i, 0.0);
-                }
-            }
-        }
+        let pruned = prune_two_in_four(&mut rng, m, k);
         let arch = GpuArch::a100();
         let bal = BalancedMatrix::from_dense(&pruned, 2, 4).unwrap();
         let bal_plan = SpmmPlan::balanced(&arch, &bal, n).unwrap();
@@ -177,9 +165,9 @@ proptest! {
         }
     }
 
-    /// The implicit-GEMM Shfl-BW conv plan: prepared == the naive chain
-    /// (naive im2col, naive stitched SpMM), across repeated executes with
-    /// fresh inputs.
+    /// The implicit-GEMM Shfl-BW conv plan (rows scattered by a permutation
+    /// drawn from the case seed): prepared == the naive chain (naive im2col,
+    /// naive stitched SpMM), across repeated executes with fresh inputs.
     #[test]
     fn conv_plans_match_naive(
         (batch, cin, cout_g, hw, khw, stride, padding, seed) in
@@ -203,32 +191,15 @@ proptest! {
         let weights = random_sparse(&mut rng, m, k, 0.6);
         let arch = GpuArch::v100();
 
-        let perm: Vec<usize> = (0..m).rev().collect();
+        let perm = random_permutation(&mut rng, m);
         let shfl = ShflBwMatrix::from_dense_with_permutation(&weights, &perm, 2).unwrap();
         let shfl_plan = ImplicitConvPlan::build(&arch, &shfl, &params).unwrap();
 
         for round in 0..2 {
             let input = conv::Tensor4::random(&mut rng, batch, cin, hw, hw);
-            let (prepared, _) = shfl_plan.execute(&input).unwrap();
-            let unfolded = reference::im2col_naive(&input, &params);
-            let spmm_naive = reference::stitched_spmm_naive(
-                &arch,
-                shfl.vector_wise(),
-                &unfolded,
-                shfl.row_indices(),
-            );
-            let (oh, ow) = (params.output_h(), params.output_w());
-            let mut packed = conv::Tensor4::zeros(batch, params.out_channels, oh, ow);
-            for o in 0..params.out_channels {
-                for bb in 0..batch {
-                    for y in 0..oh {
-                        for x in 0..ow {
-                            packed.set(bb, o, y, x, spmm_naive.get(o, (bb * oh + y) * ow + x));
-                        }
-                    }
-                }
-            }
-            assert_eq!(prepared, packed, "shfl-bw conv {params:?} round {round}");
+            let prepared = shfl_plan.execute(&input).unwrap();
+            let naive = shfl_conv_naive(&arch, &shfl, &input, &params);
+            assert_eq!(prepared, naive, "shfl-bw conv {params:?} perm {perm:?} round {round}");
         }
     }
 }
@@ -247,22 +218,17 @@ fn gemm_plan_edge_shapes_are_bit_compatible() {
         (16, 16, 8),
     ] {
         let a = DenseMatrix::random(&mut rng, m, k);
-        let b = DenseMatrix::random(&mut rng, k, n);
-        let prepared = GemmPlan::new(&arch, &a, n).execute(&b).unwrap().output;
-        let naive = reference::fragment_matmul_naive(arch.mma_shape, &a, &b);
-        assert_bits_eq(&prepared, &naive, &format!("gemm {m}x{k}x{n}"));
+        assert_gemm_plan_matches_naive(&arch, &a, n, &mut rng, &format!("gemm {m}x{k}x{n}"));
     }
 }
 
 #[test]
 fn gemm_plan_empty_dimensions_are_bit_compatible() {
     let arch = GpuArch::t4();
+    let mut rng = StdRng::seed_from_u64(19);
     for (m, k, n) in [(0usize, 5usize, 3usize), (4, 0, 3), (4, 5, 0), (0, 0, 0)] {
         let a = DenseMatrix::zeros(m, k);
-        let b = DenseMatrix::zeros(k, n);
-        let prepared = GemmPlan::new(&arch, &a, n).execute(&b).unwrap().output;
-        let naive = reference::fragment_matmul_naive(MmaShape::M16N8K16, &a, &b);
-        assert_bits_eq(&prepared, &naive, &format!("gemm empty {m}x{k}x{n}"));
+        assert_gemm_plan_matches_naive(&arch, &a, n, &mut rng, &format!("gemm empty {m}x{k}x{n}"));
     }
 }
 
@@ -272,11 +238,8 @@ fn gemm_plan_density_extremes_are_bit_compatible() {
     let mut rng = StdRng::seed_from_u64(29);
     let dense = DenseMatrix::random(&mut rng, 19, 21);
     let sparse = DenseMatrix::zeros(19, 21);
-    let b = DenseMatrix::random(&mut rng, 21, 11);
     for a in [&dense, &sparse] {
-        let prepared = GemmPlan::new(&arch, a, 11).execute(&b).unwrap().output;
-        let naive = reference::fragment_matmul_naive(arch.mma_shape, a, &b);
-        assert_bits_eq(&prepared, &naive, "gemm density extremes");
+        assert_gemm_plan_matches_naive(&arch, a, 11, &mut rng, "gemm density extremes");
     }
 }
 
@@ -321,8 +284,40 @@ fn spmm_plans_handle_fully_sparse_and_degenerate_inputs() {
         "csr all-sparse",
     );
 
-    // Single-row operand against a single-column activation (V = 1).
+    // One all-zero group under a non-identity permutation: its stored rows
+    // scatter to output rows `perm[4..8]`, which must stay exactly zero.
     let mut rng = StdRng::seed_from_u64(31);
+    let (m, k, v) = (16, 12, 4);
+    let perm = random_permutation(&mut rng, m);
+    assert!(perm.iter().enumerate().any(|(i, &p)| i != p));
+    let zero_rows = &perm[v..2 * v];
+    let dense_a = DenseMatrix::from_fn(m, k, |r, c| {
+        if zero_rows.contains(&r) {
+            0.0
+        } else {
+            0.05 + ((r * 13 + c * 7) % 17) as f32 * 0.1
+        }
+    });
+    let shfl = ShflBwMatrix::from_dense_with_permutation(&dense_a, &perm, v).unwrap();
+    let b4 = DenseMatrix::random(&mut rng, k, 5);
+    let prepared = SpmmPlan::shfl_bw(&arch, &shfl, 5)
+        .execute(&b4)
+        .unwrap()
+        .output;
+    assert_bits_eq(
+        &prepared,
+        &reference::stitched_spmm_naive(&arch, shfl.vector_wise(), &b4, shfl.row_indices()),
+        "shfl-bw all-zero group",
+    );
+    for &r in zero_rows {
+        assert!(
+            prepared.row(r).iter().all(|x| x.to_bits() == 0),
+            "output row {r} of the all-zero group is {:?}",
+            prepared.row(r)
+        );
+    }
+
+    // Single-row operand against a single-column activation (V = 1).
     let row = DenseMatrix::random(&mut rng, 1, 9);
     let b1 = DenseMatrix::random(&mut rng, 9, 1);
     let shfl = ShflBwMatrix::from_dense_with_permutation(&row, &[0], 1).unwrap();

@@ -595,8 +595,7 @@ impl ModelEngine {
         }
         let params = Conv2dParams { batch, ..*params };
         let plan = self.implicit_conv_plan(layer.serving_id, &params)?;
-        let (out, _) = plan.execute(input).map_err(ServingError::Kernel)?;
-        Ok(out)
+        plan.execute(input).map_err(ServingError::Kernel)
     }
 
     /// One forward pass at the engine's build configuration (the benchmark
@@ -651,8 +650,11 @@ impl ModelEngine {
                     );
                     let start = Instant::now();
                     let plan = self.implicit_conv_plan(layer.serving_id, &params)?;
-                    let (_, profile) = plan.execute(&input).map_err(ServingError::Kernel)?;
-                    (start.elapsed().as_secs_f64() * 1e3, profile.time_us())
+                    plan.execute(&input).map_err(ServingError::Kernel)?;
+                    (
+                        start.elapsed().as_secs_f64() * 1e3,
+                        plan.profile().time_us(),
+                    )
                 }
                 _ => unreachable!("workload inventory shape is stable per model"),
             };
@@ -703,8 +705,11 @@ impl ModelEngine {
                     let activations = DenseMatrix::random(&mut rng, weights.cols(), *n);
                     let start = Instant::now();
                     let plan = SpmmPlan::shfl_bw(self.serving.arch(), &weights, *n);
-                    let out = plan.execute(&activations).map_err(ServingError::Kernel)?;
-                    (start.elapsed().as_secs_f64() * 1e3, out.profile.time_us())
+                    plan.execute(&activations).map_err(ServingError::Kernel)?;
+                    (
+                        start.elapsed().as_secs_f64() * 1e3,
+                        plan.profile().time_us(),
+                    )
                 }
                 (EngineLayerKind::Conv { params }, _) => {
                     let params = Conv2dParams { batch, ..*params };
@@ -721,7 +726,10 @@ impl ModelEngine {
                     let out = plan.execute(&unfolded).map_err(ServingError::Kernel)?;
                     conv::reclaim_unfolded(unfolded);
                     let _ = conv::col2im_output(&out.output, &params);
-                    (start.elapsed().as_secs_f64() * 1e3, out.profile.time_us())
+                    (
+                        start.elapsed().as_secs_f64() * 1e3,
+                        plan.profile().time_us(),
+                    )
                 }
                 _ => unreachable!("workload inventory shape is stable per model"),
             };

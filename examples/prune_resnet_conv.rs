@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let weights = ShflBwMatrix::from_dense_with_permutation(&pruned, &result.permutation, v)?;
     let input = Tensor4::random(&mut rng, params.batch, params.in_channels, 14, 14);
     let plan = ImplicitConvPlan::build(&GpuArch::a100(), &weights, &params)?;
-    let (output, _) = plan.execute(&input)?;
+    let output = plan.execute(&input)?;
     let reference = conv2d_reference(&input, &pruned, &params);
     let diff = output.max_abs_diff(&reference);
     println!("functional check: max |difference| vs direct convolution = {diff:.2e}");

@@ -1,14 +1,14 @@
-//! Quickstart: prune a weight matrix into the Shfl-BW pattern, compress it, run the
-//! simulated Shfl-BW SpMM kernel, and compare its estimated time against the dense
-//! tensor-core baseline on all three GPUs the paper evaluates.
+//! Quickstart: prune a weight matrix into the Shfl-BW pattern, compress it, build
+//! and run a simulated Shfl-BW SpMM plan, and compare its estimated time against the
+//! dense tensor-core baseline on all three GPUs the paper evaluates.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shfl_bw_repro::prelude::*;
-use shfl_kernels::gemm::{dense_gemm_execute, dense_gemm_profile};
-use shfl_kernels::spmm::shfl_bw::{shfl_bw_spmm_execute, shfl_bw_spmm_profile};
+use shfl_kernels::gemm::dense_gemm_profile;
+use shfl_kernels::spmm::shfl_bw::shfl_bw_spmm_profile;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A linear layer: 1024 output features, 1024 input features, 256 tokens.
@@ -41,11 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sparse.metadata_bytes()
     );
 
-    // 3. Functional check on one GPU: the sparse kernel output matches the dense GEMM
-    //    applied to the pruned weights.
+    // 3. Functional check on one GPU: plan each kernel once, then execute it. The
+    //    sparse output matches the dense GEMM applied to the pruned weights.
     let v100 = GpuArch::v100();
-    let dense_out = dense_gemm_execute(&v100, &pruned_weights, &activations)?;
-    let sparse_out = shfl_bw_spmm_execute(&v100, &sparse, &activations)?;
+    let dense_out = GemmPlan::new(&v100, &pruned_weights, n).execute(&activations)?;
+    let sparse_out = SpmmPlan::shfl_bw(&v100, &sparse, n).execute(&activations)?;
     let max_diff = sparse_out.output.max_abs_diff(&dense_out.output)?;
     println!("functional check: max |difference| vs dense reference = {max_diff:.2e}");
 

@@ -6,9 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shfl_bw_repro::prelude::*;
 use shfl_core::pattern::{is_shfl_bw, is_vector_wise};
-use shfl_kernels::gemm::dense_gemm_execute;
 use shfl_kernels::gemm::dense_gemm_profile;
-use shfl_kernels::spmm::shfl_bw::{shfl_bw_spmm_execute, shfl_bw_spmm_profile};
+use shfl_kernels::spmm::shfl_bw::shfl_bw_spmm_profile;
 use shfl_pruning::trainer::{finetune_pruned_model, TrainerConfig};
 use shfl_pruning::VectorWisePruner;
 
@@ -40,8 +39,11 @@ fn prune_compress_execute_roundtrip() {
 
     // Kernel execution on every architecture, verified against the dense reference.
     for arch in GpuArch::all() {
-        let dense_out = dense_gemm_execute(&arch, &pruned, &activations).unwrap();
-        let sparse_out = shfl_bw_spmm_execute(&arch, &sparse, &activations).unwrap();
+        let dense_out = GemmPlan::new(&arch, &pruned, n)
+            .execute(&activations)
+            .unwrap();
+        let sparse_plan = SpmmPlan::shfl_bw(&arch, &sparse, n);
+        let sparse_out = sparse_plan.execute(&activations).unwrap();
         assert!(
             sparse_out
                 .output
@@ -53,7 +55,7 @@ fn prune_compress_execute_roundtrip() {
         // The sparse kernel moves less DRAM traffic than the dense kernel would for
         // the same layer.
         let dense_profile = dense_gemm_profile(&arch, m, n, k);
-        assert!(sparse_out.profile.stats.dram_bytes() < dense_profile.stats.dram_bytes());
+        assert!(sparse_plan.profile().stats.dram_bytes() < dense_profile.stats.dram_bytes());
     }
 }
 

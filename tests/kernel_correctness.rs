@@ -6,9 +6,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shfl_bw_repro::prelude::*;
 use shfl_core::formats::{BlockSparseMatrix, CsrMatrix, VectorWiseMatrix};
-use shfl_kernels::spmm::{
-    block_wise_spmm_execute, cuda_core_spmm_execute, shfl_bw_spmm_execute, vector_wise_spmm_execute,
-};
 
 /// Generates a random vector-wise-structured weight matrix, activation matrix and the
 /// vector size, from a compact parameter tuple.
@@ -47,29 +44,28 @@ proptest! {
             _ => GpuArch::a100(),
         };
         let n = activations.cols();
-        let _ = n;
 
         // CUDA-core CSR kernel.
         let csr = CsrMatrix::from_dense(&weights);
-        let out = cuda_core_spmm_execute(&arch, &csr, &activations).unwrap();
+        let out = SpmmPlan::cuda_core(&arch, &csr, n).execute(&activations).unwrap();
         prop_assert!(out.output.approx_eq(&reference, 1e-2).unwrap());
 
         // Vector-wise tensor-core kernel.
         let vw = VectorWiseMatrix::from_dense(&weights, v).unwrap();
-        let out = vector_wise_spmm_execute(&arch, &vw, &activations).unwrap();
+        let out = SpmmPlan::vector_wise(&arch, &vw, n).execute(&activations).unwrap();
         prop_assert!(out.output.approx_eq(&reference, 3e-2).unwrap());
 
         // Shfl-BW kernel with a non-trivial permutation (reverse order).
         let perm: Vec<usize> = (0..weights.rows()).rev().collect();
         let shfl = ShflBwMatrix::from_dense_with_permutation(&weights, &perm, v).unwrap();
-        let out = shfl_bw_spmm_execute(&arch, &shfl, &activations).unwrap();
+        let out = SpmmPlan::shfl_bw(&arch, &shfl, n).execute(&activations).unwrap();
         prop_assert!(out.output.approx_eq(&reference, 3e-2).unwrap());
 
         // Block-wise kernel (pad columns to a multiple of the block size by
         // constructing over the same matrix when possible).
         if weights.cols() % v == 0 {
             let bsr = BlockSparseMatrix::from_dense(&weights, v).unwrap();
-            let out = block_wise_spmm_execute(&arch, &bsr, &activations).unwrap();
+            let out = SpmmPlan::block_wise(&arch, &bsr, n).execute(&activations).unwrap();
             prop_assert!(out.output.approx_eq(&reference, 3e-2).unwrap());
         }
     }
@@ -80,9 +76,9 @@ proptest! {
     ) {
         let arch = GpuArch::v100();
         let vw = VectorWiseMatrix::from_dense(&weights, v).unwrap();
-        let out = vector_wise_spmm_execute(&arch, &vw, &activations).unwrap();
+        let plan = SpmmPlan::vector_wise(&arch, &vw, activations.cols());
         let dense_flops =
             2 * (weights.rows() * weights.cols() * activations.cols()) as u64;
-        prop_assert!(out.profile.stats.flops() <= dense_flops);
+        prop_assert!(plan.profile().stats.flops() <= dense_flops);
     }
 }
