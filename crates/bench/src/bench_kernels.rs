@@ -48,17 +48,17 @@ pub struct BenchResult {
     /// Problem shape, e.g. `"1024x1024x1024"`.
     pub shape: String,
     /// Wall-clock of the naive reference path in milliseconds (best of
-    /// [`REPEATS`] runs, same policy as the other paths so the ratios are
+    /// `REPEATS` runs, same policy as the other paths so the ratios are
     /// comparable run-to-run).
     pub naive_ms: f64,
     /// Wall-clock of the cold call (plan built per call) in milliseconds
-    /// (best of [`REPEATS`] runs).
+    /// (best of `REPEATS` runs).
     pub cold_ms: f64,
     /// Wall-clock of building the plan once, in milliseconds (best of
-    /// [`REPEATS`] runs).
+    /// `REPEATS` runs).
     pub plan_build_ms: f64,
     /// Wall-clock of one prepared execute in milliseconds (best of
-    /// [`REPEATS`] runs on a plan built outside the timer).
+    /// `REPEATS` runs on a plan built outside the timer).
     pub prepared_ms: f64,
     /// Whether all three paths produced bit-identical outputs.
     pub bit_identical: bool,

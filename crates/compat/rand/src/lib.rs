@@ -224,7 +224,7 @@ pub mod rngs {
     }
 }
 
-/// Distribution objects (subset: [`Uniform`]).
+/// Distribution objects (subset: [`Uniform`](distributions::Uniform)).
 pub mod distributions {
     use super::{Rng, SampleRange};
     use std::ops::Range;
@@ -260,7 +260,7 @@ pub mod distributions {
     }
 }
 
-/// Sequence helpers (subset: [`SliceRandom::shuffle`]).
+/// Sequence helpers (subset: [`SliceRandom::shuffle`](seq::SliceRandom::shuffle)).
 pub mod seq {
     use super::Rng;
 

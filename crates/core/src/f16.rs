@@ -19,7 +19,7 @@ pub fn round_to_f16(value: f32) -> f32 {
 }
 
 /// Rounds every element of `values` through fp16 in place, using the
-/// branchless conversion ([`f16_bits_branchless`] / [`f32_bits_branchless`]).
+/// branchless conversion (`f16_bits_branchless` / `f32_bits_branchless`).
 ///
 /// This is the whole-operand hot path behind
 /// [`crate::matrix::DenseMatrix::as_f16_rounded`]: the straight-line,

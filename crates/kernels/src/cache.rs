@@ -47,7 +47,7 @@
 //! The failed slot is removed before the waiters wake, so a *later* lookup
 //! (a genuinely new attempt, e.g. after the caller fixed the operands)
 //! starts a fresh build. A build that panics resolves the slot with the
-//! typed [`KernelError::BuildPanicked`](crate::KernelError::BuildPanicked)
+//! typed [`KernelError::BuildPanicked`]
 //! for the waiters and re-raises the panic on the builder's own thread.
 //! Serving traffic is hit-dominated by design (one plan per layer version),
 //! so the lock is held for nanoseconds on the common path.

@@ -38,7 +38,7 @@ use std::cell::RefCell;
 static IM2COL_TRAFFIC: TrafficCounter = TrafficCounter::new();
 
 /// Cumulative bytes written into materialised im2col buffers (see
-/// [`IM2COL_TRAFFIC`]). Monotonically increasing; callers diff two readings.
+/// `IM2COL_TRAFFIC`). Monotonically increasing; callers diff two readings.
 pub fn im2col_traffic_bytes() -> u64 {
     IM2COL_TRAFFIC.bytes()
 }

@@ -20,7 +20,7 @@
 //!   surfacing to every member of the group.
 //! * **worker panics** ([`FaultPlan::panic_at`]) — the N-th group execute
 //!   panics mid-service; the server must fail the group's tickets with a
-//!   typed error, respawn the worker, and keep the dispatcher and `drain()`
+//!   typed error, respawn the worker, and keep admission and `drain()`
 //!   healthy.
 //! * **slow executes** ([`FaultPlan::slow_at`]) — the N-th group execute
 //!   stalls for a scripted duration first, creating backlog windows that

@@ -20,10 +20,10 @@
 //! * [`server::Server`] — the one serving front-end: callers
 //!   [`server::Server::submit`] requests independently (or a whole batch at
 //!   once with [`server::Server::submit_batch`]) and get
-//!   [`server::Ticket`]s; a dispatcher holds a configurable admission window
-//!   and coalesces same-layer arrivals into shared fused executes, with typed
-//!   [`server::SubmitError::QueueFull`] backpressure and per-class latency
-//!   percentiles in [`server::ServerStats`]. Decode sessions
+//!   [`server::Ticket`]s; an idle worker holds a configurable admission
+//!   window and coalesces same-layer arrivals into shared fused executes,
+//!   with typed [`server::SubmitError::QueueFull`] backpressure and
+//!   per-class latency percentiles in [`server::ServerStats`]. Decode sessions
 //!   ([`session`]) step in interleave rounds whose per-model groups share
 //!   the same ready queue, the same [`policy::QueuePolicy`] (FIFO / LPT /
 //!   shortest-job-first / deadline-class SLO scheduling) and the same

@@ -8,30 +8,35 @@
 //!   immediately. Submission is non-blocking: a full bounded queue rejects
 //!   with the typed [`SubmitError::QueueFull`] backpressure signal instead of
 //!   blocking or buffering without bound.
-//! * A **dispatcher thread** holds an *admission window*
-//!   ([`ServerConfig::admission_window_us`]): the first undispatched arrival
-//!   opens the window, later arrivals join it, and when it closes everything
-//!   queued is planned at once — same-layer, same-class requests are
-//!   column-concatenated ([`shfl_core::matrix::DenseMatrix::concat_cols`])
-//!   into shared fused executes, **across arrivals**. A zero window
-//!   dispatches whatever has accumulated immediately (opportunistic batching
-//!   only).
+//! * The server's threads are its workers, one role each: a worker that
+//!   finds no ready group and no due decode round holds the *admission
+//!   window* ([`ServerConfig::admission_window_us`]). The oldest queued
+//!   arrival opens the window, later arrivals join it, and when it closes
+//!   the worker plans everything queued at once — same-layer, same-class
+//!   requests are column-concatenated
+//!   ([`shfl_core::matrix::DenseMatrix::concat_cols`]) into shared fused
+//!   executes, **across arrivals**. A zero window plans whatever has
+//!   accumulated immediately (opportunistic batching only). A worker plans
+//!   only on an empty ready queue, so work that arrives while every worker
+//!   is busy accumulates and batches together: the busier the server, the
+//!   wider the groups.
 //! * Decode sessions ([`Server::open_session`]) step in interleave rounds
 //!   whose per-model groups are ready groups too. Writing back a round's
 //!   last group, or admitting a session, marks the next round due; the next
 //!   worker to look at the ready queue picks it (usually the one that wrote
-//!   the last group back).
+//!   the last group back). A due round does not wait for a held window.
 //! * Ready groups of both kinds are ordered by one pluggable [`QueuePolicy`]
 //!   (FIFO, LPT, shortest-job-first, deadline-class SLO scheduling) and
-//!   executed by a fixed worker pool over the shared [`ServingEngine`].
+//!   executed by the fixed worker pool over the shared [`ServingEngine`].
 //! * [`Ticket::wait`] blocks on a condvar until the response lands — no
 //!   async runtime, consistent with the offline compatibility shims.
 //!   [`Ticket::cancel`] (or just dropping the ticket) withdraws a request
-//!   that has not been claimed for dispatch yet; the race against the
-//!   dispatcher is resolved deterministically by the ticket slot's state
-//!   machine: `cancel` returns `true` *iff* the request will never execute.
+//!   that has not been claimed for execution yet; the race against the
+//!   claiming worker is resolved deterministically by the ticket slot's
+//!   state machine: `cancel` returns `true` *iff* the request will never
+//!   execute.
 //! * [`Server::drain`] stops admission and waits until every outstanding
-//!   ticket is delivered; [`Server::shutdown`] drains and joins the threads.
+//!   ticket is delivered; [`Server::shutdown`] drains and joins the workers.
 //!
 //! ## Overload behavior
 //!
@@ -92,7 +97,7 @@ use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -122,17 +127,17 @@ pub struct Response {
     pub modeled_us: f64,
 }
 
-/// Configuration of a [`Server`] (the builder the roadmap's "make the cap a
-/// knob" item asked for). Fields are public; the `with_*` methods chain.
+/// Configuration of a [`Server`]. Fields are public; the `with_*` methods
+/// chain.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing ready groups, request and decode-round
     /// groups alike (minimum 1).
     pub workers: usize,
-    /// Admission window in µs: how long the dispatcher holds the first
-    /// undispatched arrival open for later arrivals to coalesce with. Zero
-    /// dispatches immediately (whatever has already accumulated in the queue
-    /// still batches together).
+    /// Admission window in µs: how long an idle worker holds the oldest
+    /// queued arrival open for later arrivals to coalesce with. Zero plans
+    /// immediately (whatever has already accumulated in the queue still
+    /// batches together).
     pub admission_window_us: u64,
     /// Bound of the submission queue; a submit beyond it is rejected with
     /// [`SubmitError::QueueFull`] (the backpressure contract: the caller
@@ -335,7 +340,7 @@ pub struct ServerStats {
     pub shed_submissions: u64,
     /// Queued bulk requests evicted (oldest first) to admit
     /// latency-sensitive work into a full queue; their tickets resolved with
-    /// [`ServingError::Shed`](crate::ServingError::Shed).
+    /// [`ServingError::Shed`].
     pub shed_queued: u64,
     /// Admitted requests withdrawn before dispatch — [`Ticket::cancel`] or a
     /// dropped ticket. They count toward [`ServerStats::completed`] (the
@@ -346,7 +351,7 @@ pub struct ServerStats {
     pub deadline_bypasses: u64,
     /// Group executes that panicked mid-service; each failed only its own
     /// group's tickets with
-    /// [`ServingError::WorkerPanic`](crate::ServingError::WorkerPanic).
+    /// [`ServingError::WorkerPanic`].
     pub worker_panics: u64,
     /// Worker threads respawned after a panic unwound them (the pool never
     /// shrinks below the configured size).
@@ -405,16 +410,17 @@ impl ServerStats {
 }
 
 /// The lifecycle of one ticket slot — the state machine that makes the
-/// cancel-versus-dispatch race deterministic: the slot's mutex serialises
+/// cancel-versus-claim race deterministic: the slot's mutex serialises
 /// the transitions, so exactly one of [`Ticket::cancel`] (`Queued →
-/// Cancelled`) and the dispatcher's claim (`Queued → Claimed`) wins.
+/// Cancelled`) and a worker's claim pass (`Queued → Claimed`) wins.
 #[derive(Debug, Default)]
 enum SlotState {
-    /// Admitted, not yet claimed for dispatch; cancellable.
+    /// Admitted, not yet claimed for execution; cancellable.
     #[default]
     Queued,
-    /// Claimed by the dispatcher: the request will execute (or be failed
-    /// with a typed error); cancellation now returns `false`.
+    /// Claimed by a worker planning its admission round: the request will
+    /// execute (or be failed with a typed error); cancellation now returns
+    /// `false`.
     Claimed,
     /// The response has been delivered and awaits the ticket.
     Done(Response),
@@ -443,7 +449,7 @@ impl TicketSlot {
         self.done.notify_all();
     }
 
-    /// Dispatcher-side claim: `Queued → Claimed` commits the request to
+    /// Claim-pass transition: `Queued → Claimed` commits the request to
     /// execution. Returns `false` when the ticket was cancelled first — the
     /// pending entry must be discarded without executing.
     fn claim(&self) -> bool {
@@ -462,7 +468,7 @@ impl TicketSlot {
 /// The caller's handle to one submitted request. Obtained from
 /// [`Server::submit`]; redeemed with [`Ticket::wait`], or withdrawn with
 /// [`Ticket::cancel`] (dropping the ticket cancels implicitly — the
-/// dispatcher discards abandoned requests at claim time).
+/// claiming worker discards abandoned requests).
 #[derive(Debug)]
 pub struct Ticket {
     id: u64,
@@ -548,13 +554,13 @@ impl Ticket {
         }
     }
 
-    /// Withdraws the request if it has not been claimed for dispatch yet.
+    /// Withdraws the request if it has not been claimed for execution yet.
     ///
     /// Returns `true` *iff* the request will never execute: the queued entry
-    /// is discarded at the dispatcher's next claim pass and no response is
-    /// delivered. Returns `false` when the dispatcher claimed the request
-    /// first (it will execute — or already has — and its response is simply
-    /// dropped with this ticket). The race against dispatch is resolved
+    /// is discarded at the next claim pass and no response is delivered.
+    /// Returns `false` when a worker claimed the request first (it will
+    /// execute — or already has — and its response is simply dropped with
+    /// this ticket). The race against the claim is resolved
     /// deterministically by the slot's internal state machine; there is no
     /// window where `cancel` returns `true` but the request still runs.
     pub fn cancel(self) -> bool {
@@ -585,12 +591,28 @@ enum Gate {
     Stopped,
 }
 
-struct SubmitQueue {
+/// The server's one queue, under one mutex: admitted requests waiting for
+/// an admission round, and planned groups waiting for a worker.
+struct WorkQueue {
     pending: VecDeque<Pending>,
     gate: Gate,
     /// Queued requests per SLO kind, indexed by [`SloKind::rank`] — the
     /// per-class bound and shed decisions are O(1) per submit.
     class_counts: [usize; SloKind::COUNT],
+    /// Kept sorted by the configured [`QueuePolicy`]; workers pop the front.
+    ready: VecDeque<ReadyGroup>,
+    /// A decode round is due: set when a session is admitted and when a
+    /// round's last group is written back. The next worker to look at the
+    /// queue clears it and picks the round.
+    round_due: bool,
+}
+
+impl WorkQueue {
+    /// Takes every queued request as one admission round.
+    fn take_pending(&mut self) -> Vec<Pending> {
+        self.class_counts = [0; SloKind::COUNT];
+        self.pending.drain(..).collect()
+    }
 }
 
 /// A planned dispatch unit: one request, a same-layer same-class group
@@ -608,19 +630,14 @@ enum Members {
     Round(Vec<RoundMember>),
 }
 
-struct ReadyQueue {
-    /// Kept sorted by the configured [`QueuePolicy`]; workers pop the front.
-    groups: VecDeque<ReadyGroup>,
-    /// The dispatcher has exited; workers drain the queue and stop.
-    done: bool,
-}
-
-/// Whether the dispatcher should keep waiting before planning the next
-/// admission round (see [`ServerCore::dispatch_loop`]'s ready-drain wait).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DrainWait {
-    Proceed,
-    Stopped,
+/// What a worker takes from the queue next.
+enum Work {
+    /// An admission round whose window closed: claim, plan and enqueue it.
+    Admit(Vec<Pending>),
+    /// A decode round is due: pick and enqueue it.
+    Round,
+    /// The front ready group: execute it.
+    Group(ReadyGroup),
 }
 
 /// Upper bound of the retained completion log. The counters stay exact for
@@ -660,7 +677,7 @@ impl Recorder {
 }
 
 /// The shared state of one server: the engine it executes on, the decode
-/// sessions, the submission queue, the ready queue and the stats.
+/// sessions, the work queue and the stats.
 struct ServerCore {
     cfg: ServerConfig,
     engine: Arc<ServingEngine>,
@@ -670,20 +687,10 @@ struct ServerCore {
     /// The sequence counter of every group's `arrival_seq`: one number per
     /// admitted request and one per decode-round group.
     next_seq: AtomicU64,
-    /// A decode round is due: set when a session is admitted and when a
-    /// round's last group is written back. The next worker to look at the
-    /// ready queue clears it and picks the round.
-    round_due: AtomicBool,
-    queue: Mutex<SubmitQueue>,
-    queue_cv: Condvar,
-    ready: Mutex<ReadyQueue>,
-    ready_cv: Condvar,
-    /// Signalled by workers when the ready queue runs dry (and by `stop`):
-    /// the dispatcher's iteration-level pacing waits on it.
-    ready_drained_cv: Condvar,
-    /// Set by [`ServerCore::stop`] so waits that are not guarded by the
-    /// queue's gate (the ready-drain wait) terminate.
-    stopping: AtomicBool,
+    queue: Mutex<WorkQueue>,
+    /// Idle workers wait here: woken by an arrival, a due round, enqueued
+    /// groups, and the gate closing.
+    work_cv: Condvar,
     recorder: Mutex<Recorder>,
     idle_cv: Condvar,
 }
@@ -700,20 +707,14 @@ impl ServerCore {
             sessions,
             started_at: Instant::now(),
             next_seq: AtomicU64::new(0),
-            round_due: AtomicBool::new(false),
-            queue: Mutex::new(SubmitQueue {
+            queue: Mutex::new(WorkQueue {
                 pending: VecDeque::new(),
                 gate: Gate::Open,
                 class_counts: [0; SloKind::COUNT],
+                ready: VecDeque::new(),
+                round_due: false,
             }),
-            queue_cv: Condvar::new(),
-            ready: Mutex::new(ReadyQueue {
-                groups: VecDeque::new(),
-                done: false,
-            }),
-            ready_cv: Condvar::new(),
-            ready_drained_cv: Condvar::new(),
-            stopping: AtomicBool::new(false),
+            work_cv: Condvar::new(),
             recorder: Mutex::new(Recorder::default()),
             idle_cv: Condvar::new(),
         }
@@ -734,7 +735,7 @@ impl ServerCore {
     /// Sheds the oldest queued bulk-class request to make room in a full
     /// queue for a latency-sensitive submission. Called with the queue lock
     /// held; returns whether a victim was found and evicted.
-    fn shed_oldest_bulk(&self, q: &mut SubmitQueue) -> bool {
+    fn shed_oldest_bulk(&self, q: &mut WorkQueue) -> bool {
         let Some(pos) = q
             .pending
             .iter()
@@ -781,7 +782,7 @@ impl ServerCore {
         }
         let kind = class.kind();
         let rank = kind.rank() as usize;
-        let mut q = self.queue.lock().expect("submit queue poisoned");
+        let mut q = self.queue.lock().expect("work queue poisoned");
         if q.gate != Gate::Open {
             drop(q);
             self.recorder.lock().expect("recorder poisoned").rejected += 1;
@@ -835,12 +836,12 @@ impl ServerCore {
         // `completed` can never race ahead of it (drain's idle condition).
         self.recorder.lock().expect("recorder poisoned").submitted += 1;
         drop(q);
-        self.queue_cv.notify_all();
+        self.work_cv.notify_one();
         Ok(ticket)
     }
 
-    /// Admits a whole batch atomically: either every request is queued (the
-    /// dispatcher cannot observe a partial batch) or none is. Batches never
+    /// Admits a whole batch atomically: either every request is queued (no
+    /// admission round can observe a partial batch) or none is. Batches never
     /// shed queued work to make room — a batch that does not fit (total
     /// bound or its class's bound) is rejected whole.
     fn submit_batch(
@@ -849,7 +850,7 @@ impl ServerCore {
         class: SloClass,
     ) -> Result<Vec<Ticket>, SubmitError> {
         let rank = class.kind().rank() as usize;
-        let mut q = self.queue.lock().expect("submit queue poisoned");
+        let mut q = self.queue.lock().expect("work queue poisoned");
         if q.gate != Gate::Open {
             drop(q);
             self.recorder.lock().expect("recorder poisoned").rejected += requests.len() as u64;
@@ -880,7 +881,7 @@ impl ServerCore {
         }
         self.recorder.lock().expect("recorder poisoned").submitted += tickets.len() as u64;
         drop(q);
-        self.queue_cv.notify_all();
+        self.work_cv.notify_one();
         Ok(tickets)
     }
 
@@ -896,14 +897,15 @@ impl ServerCore {
     /// ticket is accepted but the drain returns without it being delivered.
     fn drain(&self) {
         let mut rec = {
-            let mut q = self.queue.lock().expect("submit queue poisoned");
+            let mut q = self.queue.lock().expect("work queue poisoned");
             if q.gate == Gate::Open {
                 q.gate = Gate::Draining;
             }
             self.recorder.lock().expect("recorder poisoned")
             // queue lock released here, after the recorder is held
         };
-        self.queue_cv.notify_all();
+        // A held admission window closes at once while draining.
+        self.work_cv.notify_all();
         while rec.completed < rec.submitted {
             rec = self.idle_cv.wait(rec).expect("recorder poisoned");
         }
@@ -912,20 +914,17 @@ impl ServerCore {
     /// Stops the server: live decode sessions fail with
     /// [`ServingError::ShutDown`] and no round starts again, admission
     /// closes, still-queued requests are failed with
-    /// [`ServingError::ShutDown`], dispatched work finishes, threads exit.
+    /// [`ServingError::ShutDown`], planned groups finish, workers exit.
     /// Call [`ServerCore::drain`] first for a graceful stop.
     fn stop(&self) {
         self.sessions.stop();
-        self.stopping.store(true, Ordering::SeqCst);
-        {
-            let mut q = self.queue.lock().expect("submit queue poisoned");
+        let pending = {
+            let mut q = self.queue.lock().expect("work queue poisoned");
             q.gate = Gate::Stopped;
-        }
-        self.queue_cv.notify_all();
-        // Wake a dispatcher parked in the ready-drain wait (lock the ready
-        // mutex first so the flag store cannot race past a sleeping waiter).
-        drop(self.ready.lock().expect("ready queue poisoned"));
-        self.ready_drained_cv.notify_all();
+            q.take_pending()
+        };
+        self.work_cv.notify_all();
+        self.fail_pending(pending);
     }
 
     fn stats(&self) -> ServerStats {
@@ -947,148 +946,25 @@ impl ServerCore {
         }
     }
 
-    /// Iteration-level pacing: before planning an admission round, wait
-    /// until the workers have drained the previous round's ready groups (or
-    /// the server is stopping). Without this, a dispatcher that is faster
-    /// than the worker pool — always, since planning is µs and executes are
-    /// ms — would plan each arrival into its own group the moment its window
-    /// expired, and a saturated server would never coalesce; with it, work
-    /// admitted while the workers are busy accumulates in the submission
-    /// queue and the next round batches it together, which is exactly the
-    /// continuous-batching behaviour (the busier the server, the wider the
-    /// groups).
-    fn wait_ready_drained(&self) -> DrainWait {
-        let mut ready = self.ready.lock().expect("ready queue poisoned");
-        loop {
-            if self.stopping.load(Ordering::SeqCst) {
-                return DrainWait::Stopped;
-            }
-            if ready.groups.is_empty() {
-                return DrainWait::Proceed;
-            }
-            ready = self
-                .ready_drained_cv
-                .wait(ready)
-                .expect("ready queue poisoned");
-        }
-    }
-
-    /// The dispatcher: waits for arrivals, holds the admission window,
-    /// plans ready groups, and pushes them policy-ordered for the workers.
-    fn dispatch_loop(&self) {
-        let window = self.cfg.admission_window();
-        loop {
-            // Phase 1: wait for an arrival and hold its admission window.
-            let mut stopped = {
-                let mut q = self.queue.lock().expect("submit queue poisoned");
-                loop {
-                    if q.gate == Gate::Stopped {
-                        break true;
-                    }
-                    if q.pending.is_empty() {
-                        q = self.queue_cv.wait(q).expect("submit queue poisoned");
-                        continue;
-                    }
-                    // The oldest undispatched arrival opened the admission
-                    // window; dispatch when it closes (or immediately while
-                    // draining — latency is all that matters then).
-                    if q.gate == Gate::Open && !window.is_zero() {
-                        let opened = q.pending.front().expect("non-empty").submitted_at;
-                        let close_at = opened + window;
-                        // Deadline admission bypass: a queued deadline-class
-                        // request whose absolute deadline falls before the
-                        // scheduled close cannot afford the rest of the
-                        // window — close it now. Checked on every wake, so a
-                        // tight-deadline arrival joining a held window
-                        // triggers the bypass immediately.
-                        let urgent = q.pending.iter().any(|p| {
-                            p.class.deadline_us().is_some_and(|budget| {
-                                p.submitted_at + Duration::from_micros(budget) < close_at
-                            })
-                        });
-                        if urgent {
-                            self.recorder
-                                .lock()
-                                .expect("recorder poisoned")
-                                .deadline_bypasses += 1;
-                            break false;
-                        }
-                        let now = Instant::now();
-                        if now < close_at {
-                            let (guard, _) = self
-                                .queue_cv
-                                .wait_timeout(q, close_at - now)
-                                .expect("submit queue poisoned");
-                            q = guard;
-                            continue;
-                        }
-                    }
-                    break false;
-                }
-            };
-            // Phase 2: iteration-level pacing — let the workers drain the
-            // previous round first, so everything that arrives meanwhile
-            // joins this round's groups.
-            stopped = stopped || self.wait_ready_drained() == DrainWait::Stopped;
-            // Phase 3: take everything queued by now as one admission round.
-            let (batch, stopped_late) = {
-                let mut q = self.queue.lock().expect("submit queue poisoned");
-                let batch: Vec<Pending> = q.pending.drain(..).collect();
-                q.class_counts = [0; SloKind::COUNT];
-                (batch, q.gate == Gate::Stopped)
-            };
-            if stopped || stopped_late {
-                self.fail_pending(batch);
-                break;
-            }
-            // Claim pass: commit each pending request to execution, or
-            // discard it if its ticket was cancelled or dropped. This is
-            // the deterministic resolution point of the cancel-vs-dispatch
-            // race — from here on `Ticket::cancel` returns `false`.
-            let batch = self.claim_batch(batch);
-            if batch.is_empty() {
-                continue;
-            }
-            let groups = self.plan_groups(batch);
-            {
-                let mut rec = self.recorder.lock().expect("recorder poisoned");
-                rec.dispatched_groups += groups.len() as u64;
-                for group in &groups {
-                    if group.meta.requests > 1 {
-                        rec.coalesced_groups += 1;
-                        rec.coalesced_requests += group.meta.requests as u64;
-                    }
-                }
-            }
-            self.enqueue(groups, false);
-        }
-        {
-            let mut ready = self.ready.lock().expect("ready queue poisoned");
-            ready.done = true;
-        }
-        self.ready_cv.notify_all();
-    }
-
     /// Adds ready groups of either kind to the ready queue and re-sorts it
     /// by the configured [`QueuePolicy`]: the one place dispatch order is
-    /// decided. Idle workers are woken unless a worker enqueues a single
-    /// group, which it pops itself next.
-    fn enqueue(&self, groups: Vec<ReadyGroup>, from_worker: bool) {
-        let wake = groups.len() > usize::from(from_worker);
+    /// decided. The calling worker pops the front group itself next, so
+    /// idle workers are woken only when more than one group is ready.
+    fn enqueue(&self, groups: Vec<ReadyGroup>) {
         if groups.is_empty() {
             return;
         }
-        {
-            let mut ready = self.ready.lock().expect("ready queue poisoned");
-            ready.groups.extend(groups);
+        let wake = {
+            let mut q = self.queue.lock().expect("work queue poisoned");
+            q.ready.extend(groups);
             let policy = &self.cfg.policy;
-            ready
-                .groups
+            q.ready
                 .make_contiguous()
                 .sort_by(|a, b| policy.compare(&a.meta, &b.meta));
-        }
+            q.ready.len() > 1
+        };
         if wake {
-            self.ready_cv.notify_all();
+            self.work_cv.notify_all();
         }
     }
 
@@ -1114,11 +990,8 @@ impl ServerCore {
     /// the worker, so sessions opened back to back while the worker wakes
     /// start in the same round.
     fn request_round(&self) {
-        self.round_due.store(true, Ordering::SeqCst);
-        // Lock the ready mutex so the flag store cannot race past a worker
-        // that checked it and is about to wait.
-        drop(self.ready.lock().expect("ready queue poisoned"));
-        self.ready_cv.notify_one();
+        self.queue.lock().expect("work queue poisoned").round_due = true;
+        self.work_cv.notify_one();
     }
 
     /// Claims an admission round's requests for execution, discarding the
@@ -1272,51 +1145,120 @@ impl ServerCore {
         }
     }
 
-    /// One worker: pops policy-ordered ready groups and executes them until
-    /// the dispatcher has exited and the queue is dry.
+    /// One worker: does the next [`Work`] until the server has stopped and
+    /// the ready queue is dry.
     fn worker_loop(&self) {
-        loop {
-            let group = {
-                let mut ready = self.ready.lock().expect("ready queue poisoned");
-                loop {
-                    if self.round_due.swap(false, Ordering::SeqCst) {
-                        // Empty while a round is outstanding or nothing is
-                        // live.
-                        drop(ready);
-                        self.enqueue(self.pick_round(), true);
-                        ready = self.ready.lock().expect("ready queue poisoned");
-                        continue;
-                    }
-                    if let Some(group) = ready.groups.pop_front() {
-                        if ready.groups.is_empty() {
-                            // The round is drained: wake the dispatcher's
-                            // iteration-level pacing wait.
-                            self.ready_drained_cv.notify_all();
+        while let Some(work) = self.next_work() {
+            match work {
+                Work::Admit(batch) => self.admit(batch),
+                // Empty while a round is outstanding or nothing is live.
+                Work::Round => self.enqueue(self.pick_round()),
+                Work::Group(group) => match group.members {
+                    Members::Requests(members) => self.serve_requests(group.meta, members),
+                    Members::Round(members) => {
+                        // `step_group` contains a hook or execute panic
+                        // itself and fails only the group's sessions.
+                        if self.sessions.step_group(&self.engine, members) {
+                            // The round's last group: this worker picks the
+                            // next round on its next pass, after letting any
+                            // thread that shares its core (an opener, a token
+                            // consumer) run first.
+                            self.queue.lock().expect("work queue poisoned").round_due = true;
+                            std::thread::yield_now();
                         }
-                        break group;
                     }
-                    if ready.done {
-                        return;
-                    }
-                    ready = self.ready_cv.wait(ready).expect("ready queue poisoned");
+                },
+            }
+        }
+    }
+
+    /// Waits under the queue lock for a worker's next [`Work`]; `None` once
+    /// the server has stopped and no ready group is left.
+    ///
+    /// Admission rounds are planned only on an empty ready queue: that is
+    /// the iteration-level pacing of continuous batching. Planning takes µs
+    /// and executes take ms, so planning each arrival the moment its window
+    /// closed would leave a saturated server serving singles; instead, work
+    /// admitted while every worker is busy accumulates, and the next round
+    /// batches it together. A held window never holds back a due decode
+    /// round or a ready group.
+    fn next_work(&self) -> Option<Work> {
+        let mut q = self.queue.lock().expect("work queue poisoned");
+        loop {
+            let mut held_until = None;
+            if q.ready.is_empty() && !q.pending.is_empty() {
+                held_until = self.window_held_until(&q);
+                if held_until.is_none() {
+                    return Some(Work::Admit(q.take_pending()));
                 }
+            }
+            if std::mem::take(&mut q.round_due) {
+                return Some(Work::Round);
+            }
+            if let Some(group) = q.ready.pop_front() {
+                return Some(Work::Group(group));
+            }
+            if q.gate == Gate::Stopped {
+                return None;
+            }
+            q = match held_until {
+                Some(close_at) => {
+                    let wait = close_at.saturating_duration_since(Instant::now());
+                    self.work_cv
+                        .wait_timeout(q, wait)
+                        .expect("work queue poisoned")
+                        .0
+                }
+                None => self.work_cv.wait(q).expect("work queue poisoned"),
             };
-            match group.members {
-                Members::Requests(members) => self.serve_requests(group.meta, members),
-                Members::Round(members) => {
-                    // `step_group` contains a hook or execute panic itself
-                    // and fails only the group's sessions.
-                    if self.sessions.step_group(&self.engine, members) {
-                        // The round's last group: this worker picks the next
-                        // round on its next pass, after letting any thread
-                        // that shares its core (an opener, a token consumer)
-                        // run first.
-                        self.round_due.store(true, Ordering::SeqCst);
-                        std::thread::yield_now();
-                    }
+        }
+    }
+
+    /// When the admission window opened by the oldest queued arrival
+    /// closes, or `None` if it closes now: it is zero or has expired, the
+    /// server is draining, or a queued deadline-class request's absolute
+    /// deadline falls before the close — the deadline bypass, counted in
+    /// [`ServerStats::deadline_bypasses`]. Called with the queue lock held
+    /// on every wake, so a tight-deadline arrival joining a held window
+    /// closes it at once.
+    fn window_held_until(&self, q: &WorkQueue) -> Option<Instant> {
+        let oldest = q.pending.front().expect("a window needs an arrival");
+        let close_at = oldest.submitted_at + self.cfg.admission_window();
+        if q.gate != Gate::Open || Instant::now() >= close_at {
+            return None;
+        }
+        let urgent = q.pending.iter().any(|p| {
+            p.class
+                .deadline_us()
+                .is_some_and(|budget| p.submitted_at + Duration::from_micros(budget) < close_at)
+        });
+        if urgent {
+            self.recorder
+                .lock()
+                .expect("recorder poisoned")
+                .deadline_bypasses += 1;
+            return None;
+        }
+        Some(close_at)
+    }
+
+    /// Claims an admission round, plans its groups and enqueues them
+    /// policy-ordered. The claim pass is the deterministic resolution point
+    /// of the cancel-versus-claim race: from here on [`Ticket::cancel`]
+    /// returns `false`.
+    fn admit(&self, batch: Vec<Pending>) {
+        let groups = self.plan_groups(self.claim_batch(batch));
+        {
+            let mut rec = self.recorder.lock().expect("recorder poisoned");
+            rec.dispatched_groups += groups.len() as u64;
+            for group in &groups {
+                if group.meta.requests > 1 {
+                    rec.coalesced_groups += 1;
+                    rec.coalesced_requests += group.meta.requests as u64;
                 }
             }
         }
+        self.enqueue(groups);
     }
 
     /// Executes one request group and fulfils its tickets. A singleton runs
@@ -1556,8 +1498,7 @@ impl ServerCore {
     /// Worker thread entry point: runs the worker loop and respawns it (in
     /// place, on the same thread) whenever a group execute unwinds it. The
     /// pool therefore never shrinks below the configured size, and a
-    /// panicking engine cannot wedge the dispatcher's pacing wait or
-    /// `drain()`.
+    /// panicking engine cannot wedge admission or `drain()`.
     fn worker_entry(&self) {
         loop {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.worker_loop()));
@@ -1585,7 +1526,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The continuous-batching serving front-end: owns the [`ServingEngine`] and
-/// the dispatcher/worker threads. See the [module docs](self) for the model.
+/// the worker threads. See the [module docs](self) for the model.
 ///
 /// ## Example
 ///
@@ -1624,20 +1565,18 @@ pub struct Server {
 
 impl Server {
     /// Starts a server over an engine (owned, or shared via
-    /// `Arc<ServingEngine>`): spawns the dispatcher and
-    /// [`ServerConfig::workers`] worker threads, which execute request
-    /// groups and decode-round groups alike on that one engine, and begins
-    /// accepting submissions immediately.
+    /// `Arc<ServingEngine>`): spawns [`ServerConfig::workers`] worker
+    /// threads, which hold admission windows and execute request groups and
+    /// decode-round groups alike on that one engine, and begins accepting
+    /// submissions immediately.
     pub fn start(engine: impl Into<Arc<ServingEngine>>, config: ServerConfig) -> Self {
         let core = Arc::new(ServerCore::new(engine.into(), config));
-        let mut threads: Vec<_> = (0..core.cfg.workers.max(1))
+        let threads = (0..core.cfg.workers.max(1))
             .map(|_| {
                 let core = Arc::clone(&core);
                 std::thread::spawn(move || core.worker_entry())
             })
             .collect();
-        let dispatcher = Arc::clone(&core);
-        threads.push(std::thread::spawn(move || dispatcher.dispatch_loop()));
         Server { core, threads }
     }
 
@@ -1673,7 +1612,7 @@ impl Server {
     }
 
     /// Submits a whole batch atomically (all-or-nothing against the queue
-    /// bound; the dispatcher cannot observe a partial batch).
+    /// bound; no admission round can observe a partial batch).
     ///
     /// # Errors
     ///
@@ -1794,7 +1733,7 @@ impl Server {
         self.core.drain();
     }
 
-    /// Graceful shutdown: drains, stops the threads, and joins them. Live
+    /// Graceful shutdown: drains, stops the workers, and joins them. Live
     /// decode sessions fail typed with [`ServingError::ShutDown`].
     pub fn shutdown(mut self) {
         self.core.drain();

@@ -38,7 +38,8 @@
 //!   [`SloClass`] split by [`SloClass::per_token`]).
 //! * **Eviction** — under capacity pressure the manager parks Bulk-class
 //!   sessions (exact state snapshot + typed
-//!   [`ServingError::Evicted`]); [`SessionManager::resume`]
+//!   [`ServingError::Evicted`]);
+//!   [`Server::resume_session`](crate::server::Server::resume_session)
 //!   re-admits the snapshot and the continuation is bit-identical. Dropping
 //!   every handle/ticket cancels the session (the same refcount-claim idea
 //!   the server's tickets use).

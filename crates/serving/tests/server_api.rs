@@ -679,8 +679,8 @@ fn cancel_after_delivery_returns_false() {
     server.shutdown();
 }
 
-/// Dropping a ticket abandons the request: the dispatcher discards it at
-/// claim time instead of executing work nobody will observe.
+/// Dropping a ticket abandons the request: the claim pass discards it
+/// instead of executing work nobody will observe.
 #[test]
 fn dropped_tickets_are_discarded_without_execution() {
     let engine = engine_with_layers(1);

@@ -326,6 +326,58 @@ fn one_worker_decodes_sessions_while_serving_requests() {
     server.shutdown();
 }
 
+/// A worker holding an admission window still runs due decode rounds. With
+/// one worker and a window far longer than the test, a queued request holds
+/// the window open while a session decodes to its end, each token
+/// bit-identical to its cold-oracle decode; draining then closes the window
+/// and serves the request bit-identically to direct execution.
+#[test]
+fn a_held_admission_window_does_not_hold_back_decode_rounds() {
+    let server = Server::start(
+        engine(),
+        ServerConfig::new()
+            .with_workers(1)
+            .with_admission_window_us(60_000_000),
+    );
+    let direct = engine();
+    let acts = DenseMatrix::from_fn(N, 3, |r, c| ((r + 5 * c) % 9) as f32 - 4.0);
+    let want = direct.execute(0, &acts).unwrap();
+    let request = server
+        .submit(Request {
+            id: 0,
+            layer: 0,
+            activations: acts,
+        })
+        .unwrap();
+    let steps = 6;
+    let handle = server
+        .open_session(
+            Arc::new(ToyModel::new()) as Arc<dyn DecodeModel>,
+            prompt(500),
+            SloClass::Standard,
+            steps,
+        )
+        .unwrap();
+    let oracle = decode_oracle(&direct, &ToyModel::new(), &prompt(500), steps).expect("oracle");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let ticket = handle.ticket();
+    for (step, want) in oracle.iter().enumerate() {
+        let tok = ticket
+            .wait_timeout(DRAIN_TIMEOUT)
+            .expect("rounds run while the window is held")
+            .expect("the session is still live");
+        assert_eq!(tok.step, step);
+        assert_eq!(bits(&tok.values), bits(want), "step {step}");
+        assert!(request.try_take().is_none(), "the window is still held");
+    }
+    assert_eq!(ticket.wait_timeout(DRAIN_TIMEOUT), Ok(None));
+    assert!(request.try_take().is_none(), "the window is still held");
+    server.drain();
+    let got = request.try_take().expect("drained").result.unwrap();
+    assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+    server.shutdown();
+}
+
 /// The toy model behind a one-shot gate: its first `post` signals
 /// `entered`, then waits for `release`, holding its round in flight.
 struct GatedModel {

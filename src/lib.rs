@@ -5,15 +5,15 @@
 //! (`tests/`), and re-exports the member crates so downstream users can depend on a
 //! single package:
 //!
-//! * [`core`](shfl_core) — matrices, masks, sparsity patterns, sparse formats,
+//! * [`core`] — matrices, masks, sparsity patterns, sparse formats,
 //!   flexibility / reuse analysis,
 //! * [`gpu`](gpu_sim) — the GPU substrate simulator (architecture presets, MMA model,
 //!   cost model),
-//! * [`kernels`](shfl_kernels) — simulated dense and sparse GPU kernels,
-//! * [`pruning`](shfl_pruning) — the pattern pruners and the Shfl-BW search,
-//! * [`models`](shfl_models) — Transformer / GNMT / ResNet-50 workloads and the
+//! * [`kernels`] — simulated dense and sparse GPU kernels,
+//! * [`pruning`] — the pattern pruners and the Shfl-BW search,
+//! * [`models`] — Transformer / GNMT / ResNet-50 workloads and the
 //!   accuracy proxy,
-//! * [`serving`](shfl_serving) — the multi-stream serving stack (one cached
+//! * [`serving`] — the multi-stream serving stack (one cached
 //!   plan per layer version, continuous-batching server, decode sessions).
 //!
 //! ```
