@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shfl_core::formats::{BlockSparseMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
-use shfl_kernels::plan::{GemmPlan, SpmmPlan};
+use shfl_kernels::plan::SpmmPlan;
 use shfl_kernels::{conv, reference};
 use shfl_models::engine::{EngineConfig, ModelEngine};
 use shfl_models::DnnModel;
@@ -273,7 +273,7 @@ pub fn run(quick: bool) -> BenchRun {
         format!("{s}x{s}x{s}"),
         true,
         || reference::fragment_matmul_naive(shape, &a, &b),
-        || GemmPlan::new(&arch, &a, s),
+        || SpmmPlan::dense(&arch, &a, s),
         |plan| plan.execute(&b).expect("k matches").output,
     ));
 

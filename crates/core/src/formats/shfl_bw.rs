@@ -151,17 +151,6 @@ impl ShflBwMatrix {
         &self.row_indices
     }
 
-    /// Original row indices covered by one shuffled group, in storage order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group >= num_groups`.
-    pub fn group_row_indices(&self, group: usize) -> &[u32] {
-        assert!(group < self.num_groups(), "group index out of bounds");
-        let v = self.vector_size();
-        &self.row_indices[group * v..(group + 1) * v]
-    }
-
     /// Whether `other` is a *same-pattern magnitude update* of this matrix:
     /// identical vector size, shape, group boundaries, kept columns, and row
     /// permutation — only the stored values may differ.
@@ -169,7 +158,7 @@ impl ShflBwMatrix {
     /// This is the gate for the delta re-pack path of live weight updates:
     /// when the pattern is unchanged, a prepared plan's panel layout is still
     /// valid and only the payload bytes need rewriting
-    /// ([`crate::packed::PackedPanels::repack_vector_wise_values`]).
+    /// ([`crate::packed::PackedPanels::repack`]).
     pub fn same_pattern(&self, other: &ShflBwMatrix) -> bool {
         self.vector_size() == other.vector_size()
             && self.rows() == other.rows()
@@ -279,10 +268,10 @@ mod tests {
     fn group_row_indices_expose_the_shuffle() {
         let dense = scattered_dense();
         let shfl = ShflBwMatrix::from_dense(&dense, 2).unwrap();
-        let g0: Vec<u32> = shfl.group_row_indices(0).to_vec();
-        let g1: Vec<u32> = shfl.group_row_indices(1).to_vec();
+        // Stored rows 0..2 are group 0 and 2..4 group 1.
+        let (g0, g1) = shfl.row_indices().split_at(2);
         // Groups must contain {0, 2} and {1, 3} in some order.
-        let mut all: Vec<u32> = g0.iter().chain(g1.iter()).copied().collect();
+        let mut all: Vec<u32> = g0.iter().chain(g1).copied().collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);
         assert_eq!(g0[0] % 2, g0[1] % 2, "group 0 mixes the two patterns");

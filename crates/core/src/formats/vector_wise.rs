@@ -231,18 +231,6 @@ impl VectorWiseMatrix {
         &self.values[offset..offset + self.v]
     }
 
-    /// All values stored for one group, vector-major (`group_nnz_cols × V`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group >= num_groups`.
-    pub fn group_values(&self, group: usize) -> &[f32] {
-        assert!(group < self.num_groups(), "group index out of bounds");
-        let start = self.group_ptr[group] * self.v;
-        let end = self.group_ptr[group + 1] * self.v;
-        &self.values[start..end]
-    }
-
     /// Bytes of sparse metadata: group pointers and per-vector column indices as
     /// `u32`. The metadata per stored value is `V` times smaller than CSR's.
     pub fn metadata_bytes(&self) -> u64 {
@@ -345,7 +333,6 @@ mod tests {
         assert_eq!(vw.group_cols(0), &[1]);
         assert_eq!(vw.group_cols(1), &[1, 3]);
         assert_eq!(vw.vector_values(1, 1), &[12.0, 16.0]);
-        assert_eq!(vw.group_values(0).len(), 2);
     }
 
     #[test]

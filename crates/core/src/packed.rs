@@ -9,34 +9,36 @@
 //! kernel plan then walks the panels with zero per-call gathering,
 //! transposition or rounding of the static operand.
 //!
-//! Three packings cover every kernel family:
+//! One packing covers every tensor-core kernel, as the paper's block-wise,
+//! vector-wise and Shfl-BW kernels run one MMA tile with different metadata.
+//! [`PackedPanels::pack`] cuts the weight rows into groups and each group's
+//! kept columns into steps; a panel is one group's `rows × kk` tile of one
+//! step. The kinds differ only in what they pass:
 //!
-//! * [`PackedPanels::pack_dense_rows`] — dense row-panels for the tensor-core
-//!   GEMM (and conv im2col weights): per output row-tile, per reduction slice,
-//!   the `rows × kk` A-fragment of one MMA step.
-//! * [`PackedPanels::pack_vector_wise`] — pre-stitched `V × tk` group panels
-//!   for the vector-wise / Shfl-BW / balanced-style stitched kernels: the
-//!   transposed weight tile of every `T_K` step of every row group.
-//! * [`PackedPanels::pack_blocks`] — the rounded `V × V` tiles of a block-wise
-//!   (BSR) matrix in block-row order.
+//! * dense and 2:4 weights: `fm`-row groups keeping all `k` columns,
+//!   `fk`-deep steps — the A-fragments of the MMA steps;
+//! * block-wise (BSR) weights: `V`-row groups keeping their blocks' columns,
+//!   `V`-deep steps, so every panel is one `V × V` block;
+//! * vector-wise / Shfl-BW weights: `V`-row groups keeping their stored
+//!   vectors, `tk`-deep steps — the stitched tiles.
+//!
+//! [`PackedPanels::repack`] replays the same traversal into an existing
+//! packing, the delta re-pack of a same-pattern weight update.
 //!
 //! Rounding is element-wise ([`crate::f16::round_to_f16`]), so packing ahead of
 //! time is bit-identical to rounding each element at stage time — the contract
 //! the property tests in `shfl-kernels` assert.
 
-use crate::f16::round_to_f16;
-use crate::formats::{BlockSparseMatrix, VectorWiseMatrix};
-use crate::matrix::DenseMatrix;
+use crate::f16::{round_to_f16_into, round_to_f16_slice};
 
 /// Weight panels packed contiguously in execution order.
 ///
 /// A *panel* is one staged operand fragment (`rows × kk`, row-major,
-/// fp16-rounded). Panels are grouped into *chunks* — the outer unit of work a
-/// kernel distributes across cores (an output row-tile for GEMM, a row group
-/// for the stitched SpMM kernels, a block row for BSR).
+/// fp16-rounded). Panels are grouped into *chunks*, one per row group: the
+/// outer unit of work a kernel distributes across cores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedPanels {
-    /// Nominal tile height (`fm` for dense packings, `V` for group packings).
+    /// Nominal group height (the last group may be shorter).
     panel_rows: usize,
     /// All panel values, fp16-rounded, concatenated in execution order.
     data: Vec<f32>,
@@ -48,85 +50,89 @@ pub struct PackedPanels {
     chunk_ptr: Vec<usize>,
 }
 
+/// The row groups of a `rows`-row operand cut every `group_rows` rows:
+/// `(group, height)`, the last group shorter.
+fn groups(rows: usize, group_rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..rows)
+        .step_by(group_rows)
+        .enumerate()
+        .map(move |(g, r0)| (g, group_rows.min(rows - r0)))
+}
+
+/// The steps over `kept` columns `depth` at a time: `(first column, width)`,
+/// the last step narrower.
+fn steps(kept: usize, depth: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..kept)
+        .step_by(depth)
+        .map(move |start| (start, depth.min(kept - start)))
+}
+
 impl PackedPanels {
-    /// Packs a dense weight matrix into row-panels: per row-tile of
-    /// `tile_rows` rows, per reduction slice of `tile_k` columns, one
-    /// `rows × kk` fragment (shortened at the boundary).
+    /// Packs a weight operand of `rows` stored rows: per group of
+    /// `group_rows` rows (the last one shorter), per `depth`-wide step over the
+    /// group's `kept(group)` columns (the last one narrower), one
+    /// `height × w` panel holding the fp16-rounded values.
+    ///
+    /// `step_values(group, first)` is the value source: the stored values of
+    /// the step that starts at the group's kept column `first`, as
+    /// `(values, row_stride, col_stride)`, with row `r` and column `j` of the
+    /// step at `values[r * row_stride + j * col_stride]`. It is called once
+    /// per step, so every stored value is read once; a row-major source
+    /// (`col_stride == 1`) is rounded row by row and a column-major one
+    /// (stored vectors) is transposed column by column. Every buffer is sized
+    /// exactly before the values are written. A group that keeps no column
+    /// still forms an (empty) chunk, so chunk indices line up with row
+    /// groups.
     ///
     /// # Panics
     ///
-    /// Panics if `tile_rows` or `tile_k` is zero.
-    pub fn pack_dense_rows(weights: &DenseMatrix, tile_rows: usize, tile_k: usize) -> Self {
+    /// Panics if `group_rows` or `depth` is zero, or if a step reaches past
+    /// its source's values.
+    pub fn pack<'a>(
+        rows: usize,
+        group_rows: usize,
+        depth: usize,
+        kept: impl Fn(usize) -> usize,
+        step_values: impl Fn(usize, usize) -> (&'a [f32], usize, usize),
+    ) -> Self {
         assert!(
-            tile_rows > 0 && tile_k > 0,
-            "tile dimensions must be non-zero"
+            group_rows > 0 && depth > 0,
+            "group height and step depth must be non-zero"
         );
-        let (m, k) = weights.shape();
-        let mut packed = PackedPanels::with_panel_rows(tile_rows);
-        packed.data.reserve(m * k);
-        for i0 in (0..m).step_by(tile_rows) {
-            let rows = tile_rows.min(m - i0);
-            // A row-tile with k == 0 still forms an (empty) chunk so chunk
-            // indices line up with output row-tiles.
-            for p0 in (0..k).step_by(tile_k) {
-                let kk = tile_k.min(k - p0);
-                for i in 0..rows {
-                    let row = weights.row(i0 + i);
-                    packed
-                        .data
-                        .extend(row[p0..p0 + kk].iter().map(|v| round_to_f16(*v)));
-                }
-                packed.push_panel(rows, kk);
+        let num_groups = rows.div_ceil(group_rows);
+        let num_panels = (0..num_groups).map(|g| kept(g).div_ceil(depth)).sum();
+        let mut panel_ptr = Vec::with_capacity(num_panels + 1);
+        let mut panel_dims = Vec::with_capacity(num_panels);
+        let mut chunk_ptr = Vec::with_capacity(num_groups + 1);
+        let mut end = 0;
+        panel_ptr.push(end);
+        chunk_ptr.push(0);
+        for (g, height) in groups(rows, group_rows) {
+            for (_, w) in steps(kept(g), depth) {
+                end += height * w;
+                panel_ptr.push(end);
+                panel_dims.push((height as u32, w as u32));
             }
-            packed.chunk_ptr.push(packed.panel_ptr.len() - 1);
+            chunk_ptr.push(panel_dims.len());
         }
+        let mut packed = PackedPanels {
+            panel_rows: group_rows,
+            data: vec![0.0; end],
+            panel_ptr,
+            panel_dims,
+            chunk_ptr,
+        };
+        packed.repack(rows, group_rows, depth, kept, step_values);
         packed
     }
 
-    /// Packs a vector-wise matrix into pre-stitched group panels: per row
-    /// group, per `tk`-wide step over the group's kept columns, the transposed
-    /// `V × w` weight tile the stitched kernel builds in shared memory —
-    /// resolved here once instead of on every call.
+    /// Rewrites the panel values in place from a same-pattern update of the
+    /// operand this packing was built from — the delta re-pack path for live
+    /// weight updates.
     ///
-    /// # Panics
-    ///
-    /// Panics if `tk` is zero.
-    pub fn pack_vector_wise(weights: &VectorWiseMatrix, tk: usize) -> Self {
-        assert!(tk > 0, "tk must be non-zero");
-        let v = weights.vector_size();
-        let mut packed = PackedPanels::with_panel_rows(v);
-        packed.data.reserve(weights.stored_values());
-        for g in 0..weights.num_groups() {
-            let cols = weights.group_cols(g);
-            for step_start in (0..cols.len()).step_by(tk) {
-                let w = tk.min(cols.len() - step_start);
-                let base = packed.data.len();
-                packed.data.resize(base + v * w, 0.0);
-                // Transpose the w stored vectors into the dense V×w tile.
-                for j in 0..w {
-                    let vals = weights.vector_values(g, step_start + j);
-                    for (r, &val) in vals.iter().enumerate() {
-                        packed.data[base + r * w + j] = round_to_f16(val);
-                    }
-                }
-                packed.push_panel(v, w);
-            }
-            packed.chunk_ptr.push(packed.panel_ptr.len() - 1);
-        }
-        packed
-    }
-
-    /// Rewrites the panel payload in place from a same-pattern magnitude
-    /// update of the matrix this packing was built from — the delta re-pack
-    /// path for live weight updates.
-    ///
-    /// The Shfl-BW group/block structure (vector size, group boundaries, kept
-    /// columns) is stable under a magnitude-only update, so every panel keeps
-    /// its offset and dimensions and only the fp16-rounded values change.
-    /// Replays the exact [`PackedPanels::pack_vector_wise`] traversal with the
-    /// same `tk`, writing into the existing buffer: the result is bit-identical
-    /// to a fresh pack, but no metadata (panel pointers, dims, chunk pointers)
-    /// is rebuilt or moved.
+    /// The arguments are [`PackedPanels::pack`]'s, and the traversal is the
+    /// same: the result is bit-identical to a fresh pack, but no metadata
+    /// (panel pointers, dims, chunk pointers) is rebuilt or moved.
     ///
     /// Returns the number of payload bytes rewritten (the full value buffer),
     /// which callers charge against a `TrafficCounter` to compare with the
@@ -134,37 +140,56 @@ impl PackedPanels {
     ///
     /// # Panics
     ///
-    /// Panics if `tk` is zero or if the update's structure does not match this
-    /// packing (different vector size, group count, or step layout) — callers
-    /// must gate on a same-pattern check first.
-    pub fn repack_vector_wise_values(&mut self, weights: &VectorWiseMatrix, tk: usize) -> usize {
-        assert!(tk > 0, "tk must be non-zero");
-        let v = weights.vector_size();
+    /// Panics if `depth` is zero, if the update's structure does not match
+    /// this packing (a different group height, group count, panel or chunk
+    /// layout) — callers must gate on a same-pattern check first — or if a
+    /// step reaches past its source's values.
+    pub fn repack<'a>(
+        &mut self,
+        rows: usize,
+        group_rows: usize,
+        depth: usize,
+        kept: impl Fn(usize) -> usize,
+        step_values: impl Fn(usize, usize) -> (&'a [f32], usize, usize),
+    ) -> usize {
         assert_eq!(
-            self.panel_rows, v,
-            "delta re-pack requires the original vector size"
+            self.panel_rows, group_rows,
+            "delta re-pack requires the original group height"
         );
         assert_eq!(
             self.num_chunks(),
-            weights.num_groups(),
+            rows.div_ceil(group_rows),
             "delta re-pack requires the original group structure"
         );
         let mut panel = 0;
-        for g in 0..weights.num_groups() {
-            let cols = weights.group_cols(g);
-            for step_start in (0..cols.len()).step_by(tk) {
-                let w = tk.min(cols.len() - step_start);
+        for (g, height) in groups(rows, group_rows) {
+            for (start, w) in steps(kept(g), depth) {
                 assert_eq!(
-                    self.panel_dims[panel],
-                    (v as u32, w as u32),
+                    self.panel_dims.get(panel),
+                    Some(&(height as u32, w as u32)),
                     "delta re-pack requires the original panel layout"
                 );
-                let base = self.panel_ptr[panel];
-                for j in 0..w {
-                    let vals = weights.vector_values(g, step_start + j);
-                    for (r, &val) in vals.iter().enumerate() {
-                        self.data[base + r * w + j] = round_to_f16(val);
+                let tile = &mut self.data[self.panel_ptr[panel]..self.panel_ptr[panel + 1]];
+                let (values, row_stride, col_stride) = step_values(g, start);
+                assert!(
+                    values.len() > (height - 1) * row_stride + (w - 1) * col_stride,
+                    "step at column {start} of group {g} reaches past its values"
+                );
+                if col_stride == 1 {
+                    // Row-major source (dense rows, blocks): round row by row.
+                    for (r, dst) in tile.chunks_exact_mut(w).enumerate() {
+                        round_to_f16_into(dst, &values[r * row_stride..][..w]);
                     }
+                } else {
+                    // Column-major source (stored vectors): transpose each
+                    // column into the row-major tile, then round the tile.
+                    for j in 0..w {
+                        let src = values[j * col_stride..].iter().step_by(row_stride);
+                        for (dst, src) in tile[j..].iter_mut().step_by(w).zip(src) {
+                            *dst = *src;
+                        }
+                    }
+                    round_to_f16_slice(tile);
                 }
                 panel += 1;
             }
@@ -178,45 +203,12 @@ impl PackedPanels {
         self.data.len() * std::mem::size_of::<f32>()
     }
 
-    /// Packs a block-sparse (BSR) matrix: one rounded `V × V` panel per stored
-    /// block, chunked by block row.
-    pub fn pack_blocks(weights: &BlockSparseMatrix) -> Self {
-        let v = weights.block_size();
-        let mut packed = PackedPanels::with_panel_rows(v);
-        packed.data.reserve(weights.stored_values());
-        for br in 0..weights.block_rows() {
-            for i in 0..weights.blocks_in_row(br).len() {
-                packed
-                    .data
-                    .extend(weights.block_values(br, i).iter().map(|v| round_to_f16(*v)));
-                packed.push_panel(v, v);
-            }
-            packed.chunk_ptr.push(packed.panel_ptr.len() - 1);
-        }
-        packed
-    }
-
-    fn with_panel_rows(panel_rows: usize) -> Self {
-        PackedPanels {
-            panel_rows,
-            data: Vec::new(),
-            panel_ptr: vec![0],
-            panel_dims: Vec::new(),
-            chunk_ptr: vec![0],
-        }
-    }
-
-    fn push_panel(&mut self, rows: usize, kk: usize) {
-        self.panel_ptr.push(self.data.len());
-        self.panel_dims.push((rows as u32, kk as u32));
-    }
-
-    /// Nominal tile height the panels were packed for.
+    /// Nominal group height the panels were packed for.
     pub fn panel_rows(&self) -> usize {
         self.panel_rows
     }
 
-    /// Number of outer chunks (row-tiles / groups / block rows).
+    /// Number of chunks (row groups).
     pub fn num_chunks(&self) -> usize {
         self.chunk_ptr.len() - 1
     }
@@ -275,8 +267,42 @@ impl PackedPanels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::f16::round_to_f16;
+    use crate::formats::{BlockSparseMatrix, VectorWiseMatrix};
+    use crate::matrix::DenseMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Dense row-panels: `fm`-row groups over all `k` columns, `fk` deep.
+    fn dense_panels(a: &DenseMatrix, fm: usize, fk: usize) -> PackedPanels {
+        let (m, k) = a.shape();
+        let values = a.as_slice();
+        PackedPanels::pack(m, fm, fk, |_| k, |g, j| (&values[g * fm * k + j..], k, 1))
+    }
+
+    /// Vector-wise group panels: `V`-row groups over their stored vectors,
+    /// `tk` deep.
+    fn vector_wise_panels(vw: &VectorWiseMatrix, tk: usize) -> PackedPanels {
+        let v = vw.vector_size();
+        PackedPanels::pack(
+            vw.rows(),
+            v,
+            tk,
+            |g| vw.group_cols(g).len(),
+            |g, j| (&vw.values()[(vw.group_ptr()[g] + j) * v..], 1, v),
+        )
+    }
+
+    fn vector_wise_repack(packed: &mut PackedPanels, vw: &VectorWiseMatrix, tk: usize) -> usize {
+        let v = vw.vector_size();
+        packed.repack(
+            vw.rows(),
+            v,
+            tk,
+            |g| vw.group_cols(g).len(),
+            |g, j| (&vw.values()[(vw.group_ptr()[g] + j) * v..], 1, v),
+        )
+    }
 
     #[test]
     fn dense_rows_match_staged_fragments() {
@@ -284,7 +310,7 @@ mod tests {
         let a = DenseMatrix::random(&mut rng, 37, 29);
         let a16 = a.as_f16_rounded();
         let (fm, fk) = (16, 16);
-        let packed = PackedPanels::pack_dense_rows(&a, fm, fk);
+        let packed = dense_panels(&a, fm, fk);
         assert_eq!(packed.num_chunks(), 37usize.div_ceil(fm));
         let mut panel_idx = 0;
         for (tile, i0) in (0..37).step_by(fm).enumerate() {
@@ -320,7 +346,7 @@ mod tests {
         });
         let vw = VectorWiseMatrix::from_dense(&dense, 4).unwrap();
         let tk = 3;
-        let packed = PackedPanels::pack_vector_wise(&vw, tk);
+        let packed = vector_wise_panels(&vw, tk);
         assert_eq!(packed.num_chunks(), vw.num_groups());
         for g in 0..vw.num_groups() {
             let cols = vw.group_cols(g);
@@ -357,7 +383,7 @@ mod tests {
         });
         let vw = VectorWiseMatrix::from_dense(&dense, 4).unwrap();
         let tk = 3;
-        let mut packed = PackedPanels::pack_vector_wise(&vw, tk);
+        let mut packed = vector_wise_panels(&vw, tk);
         // Same pattern, new magnitudes: scale the stored values only.
         let scaled = VectorWiseMatrix::from_parts(
             vw.rows(),
@@ -368,9 +394,9 @@ mod tests {
             vw.values().iter().map(|v| v * 1.25).collect(),
         )
         .unwrap();
-        let bytes = packed.repack_vector_wise_values(&scaled, tk);
+        let bytes = vector_wise_repack(&mut packed, &scaled, tk);
         assert_eq!(bytes, packed.packed_values() * 4);
-        let fresh = PackedPanels::pack_vector_wise(&scaled, tk);
+        let fresh = vector_wise_panels(&scaled, tk);
         assert_eq!(packed, fresh, "delta re-pack must equal a fresh pack");
         // Payload-only bytes are strictly below a full rebuild's footprint.
         assert!(bytes < fresh.packed_bytes());
@@ -381,10 +407,10 @@ mod tests {
     fn delta_repack_rejects_a_different_pattern() {
         let dense = DenseMatrix::from_fn(8, 8, |_, c| if c % 2 == 0 { 1.0 } else { 0.0 });
         let vw = VectorWiseMatrix::from_dense(&dense, 4).unwrap();
-        let mut packed = PackedPanels::pack_vector_wise(&vw, 2);
+        let mut packed = vector_wise_panels(&vw, 2);
         let other = DenseMatrix::from_fn(8, 8, |_, c| if c % 4 == 0 { 1.0 } else { 0.0 });
         let other = VectorWiseMatrix::from_dense(&other, 4).unwrap();
-        packed.repack_vector_wise_values(&other, 2);
+        vector_wise_repack(&mut packed, &other, 2);
     }
 
     #[test]
@@ -397,7 +423,14 @@ mod tests {
             }
         });
         let bsr = BlockSparseMatrix::from_dense(&dense, 4).unwrap();
-        let packed = PackedPanels::pack_blocks(&bsr);
+        let v = bsr.block_size();
+        let packed = PackedPanels::pack(
+            bsr.rows(),
+            v,
+            v,
+            |br| bsr.blocks_in_row(br).len() * v,
+            |br, j| (bsr.block_values(br, j / v), v, 1),
+        );
         assert_eq!(packed.num_chunks(), bsr.block_rows());
         assert_eq!(packed.num_panels(), bsr.stored_blocks());
         for br in 0..bsr.block_rows() {
@@ -413,15 +446,15 @@ mod tests {
 
     #[test]
     fn empty_matrices_pack_to_empty_chunks() {
-        let packed = PackedPanels::pack_dense_rows(&DenseMatrix::zeros(0, 8), 16, 16);
+        let packed = dense_panels(&DenseMatrix::zeros(0, 8), 16, 16);
         assert_eq!(packed.num_chunks(), 0);
         assert!(packed.is_empty());
         // Zero columns: chunks exist (one per row-tile) but hold no panels.
-        let packed = PackedPanels::pack_dense_rows(&DenseMatrix::zeros(8, 0), 4, 4);
+        let packed = dense_panels(&DenseMatrix::zeros(8, 0), 4, 4);
         assert_eq!(packed.num_chunks(), 2);
         assert_eq!(packed.num_panels(), 0);
         let vw = VectorWiseMatrix::from_dense(&DenseMatrix::zeros(8, 8), 4).unwrap();
-        let packed = PackedPanels::pack_vector_wise(&vw, 16);
+        let packed = vector_wise_panels(&vw, 16);
         assert_eq!(packed.num_chunks(), 2);
         assert_eq!(packed.num_panels(), 0);
         assert_eq!(packed.chunk_panels(0), 0..0);
@@ -431,7 +464,7 @@ mod tests {
     fn packed_bytes_accounts_for_values_and_metadata() {
         let mut rng = StdRng::seed_from_u64(3);
         let a = DenseMatrix::random(&mut rng, 32, 32);
-        let packed = PackedPanels::pack_dense_rows(&a, 16, 16);
+        let packed = dense_panels(&a, 16, 16);
         assert!(packed.packed_bytes() >= 32 * 32 * 4);
         assert_eq!(packed.panel_rows(), 16);
     }

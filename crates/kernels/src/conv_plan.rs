@@ -51,13 +51,13 @@
 //! geometries.
 
 use crate::conv::{self, Conv2dParams, Tensor4};
+use crate::plan::PanelOperand;
 use crate::profile::{KernelError, KernelProfile, KernelResult};
 use gpu_sim::mma::{mma_sweep, SegmentSpan};
 use gpu_sim::GpuArch;
 use shfl_core::f16::{round_to_f16_into, round_to_f16_slice};
 use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
-use shfl_core::packed::PackedPanels;
 use shfl_core::parallel;
 use shfl_core::tiling;
 use std::sync::{Mutex, TryLockError};
@@ -72,15 +72,10 @@ pub struct ImplicitConvPlan {
     m: usize,
     n: usize,
     k: usize,
-    v: usize,
-    tk: usize,
-    packed: PackedPanels,
-    /// Operand offset into `T` of every kept filter tap, group-major in the
-    /// weights' kept-column order (so panel by panel).
-    tap_offs: Vec<u32>,
-    /// `group_ptr[g]..group_ptr[g+1]` bounds group `g` in `tap_offs`.
-    group_ptr: Vec<usize>,
-    row_indices: Vec<u32>,
+    /// The stitched panels of the pruned filter matrix, with the operand
+    /// offset into `T` of every kept filter tap as the operand-row table and
+    /// the shuffle as the output-row table.
+    operand: PanelOperand,
     // Phase-split transform geometry.
     hpad: usize,
     wrow: usize,
@@ -161,11 +156,13 @@ impl ImplicitConvPlan {
         }
 
         let vw = weights.vector_wise();
-        let v = vw.vector_size();
-        let tile = tiling::select_vector_wise_tile(v, n);
-        let tk = tile.tk;
-        let packed = PackedPanels::pack_vector_wise(vw, tk);
-        let tap_offs = vw.col_idx().iter().map(|&c| tap[c as usize]).collect();
+        let tk = tiling::select_vector_wise_tile(vw.vector_size(), n).tk;
+        let operand = PanelOperand::stitched(
+            vw,
+            tk,
+            vw.col_idx().iter().map(|&c| tap[c as usize]).collect(),
+            weights.row_indices().to_vec(),
+        );
 
         // Row merging: within one image, output row `y` starts `stride·Wrow`
         // elements after row `y−1` for every tap, so an image's `OH` row
@@ -190,12 +187,7 @@ impl ImplicitConvPlan {
             m,
             n,
             k,
-            v,
-            tk,
-            packed,
-            tap_offs,
-            group_ptr: vw.group_ptr().to_vec(),
-            row_indices: weights.row_indices().to_vec(),
+            operand,
             hpad,
             wrow,
             lphi,
@@ -229,11 +221,7 @@ impl ImplicitConvPlan {
     /// row indices, **and** the pre-sized transform scratch — so byte-budget
     /// eviction in [`crate::cache::PlanCache`] sees conv plans at true size.
     pub fn packed_bytes(&self) -> usize {
-        self.packed.packed_bytes()
-            + self.tap_offs.len() * std::mem::size_of::<u32>()
-            + self.group_ptr.len() * std::mem::size_of::<usize>()
-            + self.row_indices.len() * std::mem::size_of::<u32>()
-            + self.t_alloc() * std::mem::size_of::<f32>()
+        self.operand.packed_bytes() + self.t_alloc() * std::mem::size_of::<f32>()
     }
 
     /// Allocated transform length: one phase-split slab per image.
@@ -302,7 +290,8 @@ impl ImplicitConvPlan {
         // The group accumulator is allocated here, once per call, and split
         // per image: allocating it inside the workers grows peak RSS through
         // per-thread malloc arenas.
-        let tile_len = self.blocks_per_image * self.v * self.block_width;
+        let v = self.operand.packed.panel_rows();
+        let tile_len = self.blocks_per_image * v * self.block_width;
         let mut tile = vec![0.0f32; p.batch * tile_len];
         let mut jobs: Vec<_> = t
             .chunks_exact_mut(self.image_len)
@@ -317,7 +306,8 @@ impl ImplicitConvPlan {
         } else {
             // One image's sweep MACs: every packed tap times `V` rows times
             // the columns its blocks sweep.
-            let work = self.tap_offs.len() * self.v * self.block_width * self.blocks_per_image;
+            let taps = self.operand.operand_rows.len();
+            let work = taps * v * self.block_width * self.blocks_per_image;
             parallel::par_chunks_mut_weighted(&mut jobs, 1, work, |b, job| {
                 let ((t, planes), tile) = &mut job[0];
                 self.fill_image(input, b, t, false);
@@ -361,36 +351,36 @@ impl ImplicitConvPlan {
     fn sweep_image(&self, t: &[f32], out: &mut [f32], tile: &mut [f32]) {
         let p = &self.params;
         let (oh, ow) = (p.output_h(), p.output_w());
+        let op = &self.operand;
+        let v = op.packed.panel_rows();
         let bw = self.block_width;
-        let slab = self.v * bw;
+        let slab = v * bw;
         // Operand distance between consecutive output rows of one image.
         let row_step = p.stride * self.wrow;
-        let num_groups = self.group_ptr.len() - 1;
         let span = [SegmentSpan {
             start: 0,
             width: bw,
         }];
-        for g in 0..num_groups {
-            let panels = self.packed.chunk_panels(g);
+        for (g, &start) in op.group_start.iter().enumerate() {
+            let panels = op.packed.chunk_panels(g);
             if panels.is_empty() {
                 continue; // all-zero group: output rows stay zero
             }
             tile.fill(0.0);
-            let taps = &self.tap_offs[self.group_ptr[g]..self.group_ptr[g + 1]];
-            let mut toff = 0;
+            let mut taps = &op.operand_rows[start..];
             for panel in panels {
-                let (values, rows, kk) = self.packed.panel(panel);
-                debug_assert_eq!(rows, self.v);
-                debug_assert!(kk <= self.tk);
-                let step_taps = &taps[toff..toff + kk];
-                toff += kk;
+                let (values, rows, kk) = op.packed.panel(panel);
+                debug_assert_eq!(rows, v);
+                debug_assert!(kk <= op.depth);
+                let (step_taps, rest) = taps.split_at(kk);
+                taps = rest;
                 for (blk, acc) in tile.chunks_exact_mut(slab).enumerate() {
                     let block = &t[blk * self.rows_per_block * row_step..];
-                    mma_sweep::<false>(values, self.v, block, step_taps, 1, acc, bw, &span);
+                    mma_sweep::<false>(values, v, block, step_taps, 1, acc, bw, &span);
                 }
             }
-            for sr in 0..self.v {
-                let orow = self.row_indices[g * self.v + sr] as usize;
+            for sr in 0..v {
+                let orow = op.output_rows[g * v + sr] as usize;
                 let plane = &mut out[orow * oh * ow..][..oh * ow];
                 for (blk, acc) in tile.chunks_exact(slab).enumerate() {
                     let row = &acc[sr * bw..][..bw];
@@ -657,7 +647,7 @@ mod tests {
         let (m, _, k) = p.implicit_gemm_shape();
         let weights = shfl_weights(&mut rng, m, k, 4, 0.5);
         let plan = ImplicitConvPlan::build(&GpuArch::v100(), &weights, &p).unwrap();
-        assert!(plan.packed_bytes() > plan.packed.packed_bytes());
+        assert!(plan.packed_bytes() > plan.operand.packed_bytes());
         assert!(plan.packed_bytes() >= plan.input_bytes_read() as usize);
         assert!(plan.im2col_bytes_avoided() > plan.input_bytes_read());
     }

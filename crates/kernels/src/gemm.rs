@@ -97,7 +97,7 @@ mod tests {
         let a = DenseMatrix::random(&mut rng, 48, 40);
         let b = DenseMatrix::random(&mut rng, 40, 24);
         let arch = GpuArch::v100();
-        let out = crate::plan::GemmPlan::new(&arch, &a, b.cols())
+        let out = crate::plan::SpmmPlan::dense(&arch, &a, b.cols())
             .execute(&b)
             .unwrap();
         let reference = a.matmul(&b).unwrap();
@@ -110,7 +110,7 @@ mod tests {
         let a = DenseMatrix::zeros(4, 5);
         let b = DenseMatrix::zeros(4, 5);
         assert!(matches!(
-            crate::plan::GemmPlan::new(&arch, &a, b.cols()).execute(&b),
+            crate::plan::SpmmPlan::dense(&arch, &a, b.cols()).execute(&b),
             Err(crate::profile::KernelError::ShapeMismatch { .. })
         ));
     }
@@ -153,7 +153,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let a = DenseMatrix::random(&mut rng, 17, 13);
         let b = DenseMatrix::random(&mut rng, 13, 9);
-        let out = crate::plan::GemmPlan::new(&GpuArch::v100(), &a, 9)
+        let out = crate::plan::SpmmPlan::dense(&GpuArch::v100(), &a, 9)
             .execute(&b)
             .unwrap();
         let reference = a.matmul(&b).unwrap();

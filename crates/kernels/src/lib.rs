@@ -39,12 +39,14 @@
 //!    once per call ([`shfl_core::matrix::DenseMatrix::as_f16_rounded`]) and
 //!    the weights once per plan, instead of per element inside the innermost
 //!    `m·n·k` loop. Rounding is element-wise, so this is bit-identical.
-//! 2. **Packed panels times addressed operand rows.** A plan packs its weights
-//!    into `rows × kk` panels ([`shfl_core::packed::PackedPanels`]). The sweep
-//!    multiplies a panel by the `kk` activation rows its metadata names —
-//!    consecutive rows for dense and block panels, the kept columns for
-//!    stitched panels and CSR rows, per-tap offsets into the padded input for
-//!    the implicit-GEMM convolution — in place, with no staging copy, holding
+//! 2. **Packed panels times addressed operand rows.** Every tensor-core plan
+//!    packs its weights in one format: row groups of `rows × kk` panels
+//!    ([`shfl_core::packed::PackedPanels::pack`]), one packer for every
+//!    kind. The sweep multiplies a panel by the `kk` activation rows its
+//!    operand-row table names — consecutive rows for dense and block panels,
+//!    the kept columns for stitched panels, per-tap offsets into the padded
+//!    input for the implicit-GEMM convolution; CSR rows name their kept
+//!    columns the same way — in place, with no staging copy, holding
 //!    output tiles in registers across the whole panel. The AVX-512, AVX2
 //!    and SSE2 tiers tile four output rows at once (`4 × 32` columns at
 //!    AVX-512), so each activation vector loaded at a reduction step feeds
@@ -52,9 +54,9 @@
 //!    rows; leftover rows, CSR's one-row panels and the scalar tier sweep row
 //!    by row. It dispatches at run time to AVX-512, AVX2, SSE2 or scalar
 //!    code ([`gpu_sim::simd`]); every tier is bit-identical.
-//! 3. **Parallel chunks.** Row-tiles, SpMM row groups, block rows, CSR rows
-//!    and convolution images own disjoint output slices, so they are fanned
-//!    out across cores by [`shfl_core::parallel::par_chunks_mut_weighted`]
+//! 3. **Parallel chunks.** Row groups, CSR rows and convolution images own
+//!    disjoint output slices, so they are fanned out across cores by
+//!    [`shfl_core::parallel::par_chunks_mut_weighted`]
 //!    behind the default `parallel` feature: one persistent pool of
 //!    `available_parallelism − 1` helpers, with the calling thread running
 //!    every run of chunks no idle helper claims, so an execute starts no
@@ -70,23 +72,24 @@
 //!
 //! ## The plan/execute split
 //!
-//! A plan is each kernel's one functional API. [`plan::GemmPlan`] and
-//! [`plan::SpmmPlan`] stage the static weight operand (fp16 rounding, tile
-//! transposition, launch selection, profiling) **once** per
-//! `(weights, arch)` and then execute repeatedly against fresh activations
-//! of any width, amortising the weight packing the way real inference
-//! engines do; [`conv_plan::ImplicitConvPlan`] does the same for a
-//! convolution at one geometry. The width a plan is built for sets only its
-//! modeled profile, which `profile()` returns. A one-off call builds a plan
-//! and executes it once; `repro --bench-kernels` records that cold call
-//! beside a prepared plan's execute.
+//! A plan is each kernel's one functional API. [`plan::SpmmPlan`] — the
+//! dense GEMM ([`plan::SpmmPlan::dense`]) and every SpMM variant — stages
+//! the static weight operand (fp16 rounding, tile transposition, launch
+//! selection, profiling) **once** per `(weights, arch)` and then executes
+//! repeatedly against fresh activations of any width, amortising the weight
+//! packing the way real inference engines do;
+//! [`conv_plan::ImplicitConvPlan`] does the same for a convolution at one
+//! geometry. The width a plan is built for sets only its modeled profile,
+//! which `profile()` returns. A one-off call builds a plan and executes it
+//! once; `repro --bench-kernels` records that cold call beside a prepared
+//! plan's execute.
 //!
 //! ## Example
 //!
 //! ```
 //! use gpu_sim::GpuArch;
 //! use shfl_core::{DenseMatrix, ShflBwMatrix};
-//! use shfl_kernels::{GemmPlan, SpmmPlan};
+//! use shfl_kernels::SpmmPlan;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), shfl_kernels::KernelError> {
@@ -98,7 +101,7 @@
 //! let activations = DenseMatrix::random(&mut rng, 64, 32);
 //!
 //! let arch = GpuArch::v100();
-//! let dense = GemmPlan::new(&arch, &weights, 32).execute(&activations)?;
+//! let dense = SpmmPlan::dense(&arch, &weights, 32).execute(&activations)?;
 //! let sparse_weights = ShflBwMatrix::from_dense(&weights, 8)?;
 //! let sparse_plan = SpmmPlan::shfl_bw(&arch, &sparse_weights, 32);
 //! let sparse = sparse_plan.execute(&activations)?;
@@ -123,5 +126,5 @@ pub mod spmm;
 
 pub use cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use conv_plan::ImplicitConvPlan;
-pub use plan::{GemmPlan, SpmmPlan};
+pub use plan::SpmmPlan;
 pub use profile::{KernelError, KernelOutput, KernelProfile, KernelResult};

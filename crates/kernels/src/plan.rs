@@ -4,34 +4,42 @@
 //!
 //! A plan is the one functional form of every kernel in this crate. Building
 //! it stages the static weight operand: it rounds the weights through fp16,
-//! transposes the stored vectors into the `V×tk` stitched tiles, and resolves
-//! the launch configuration and analytical profile. `execute` then only
+//! transposes them into the panels the sweep reads, and resolves the launch
+//! configuration and analytical profile. `execute` then only
 //! sweeps. For a serving workload that runs the same layer thousands of
 //! times, that one-time work is amortised — which is exactly what real
 //! sparse inference engines do (EIE's compressed weight layout, NVIDIA's
 //! pre-transformed 2:4 metadata). A one-off call builds a plan and executes
-//! it once; `repro --bench-kernels` times that as its "cold" column. The
-//! plans:
+//! it once; `repro --bench-kernels` times that as its "cold" column.
 //!
-//! * [`GemmPlan`] — dense tensor-core GEMM: fp16-rounded row-panels of the
-//!   weight matrix in execution order.
-//! * [`SpmmPlan`] — all five SpMM variants: pre-stitched `V×tk` group panels
-//!   with shuffle row-indices resolved at pack time (vector-wise / Shfl-BW),
-//!   rounded `V×V` block panels (block-wise), a rounded dense packing of the
-//!   decompressed operand (balanced 2:4), or the CSR operand itself
-//!   (CUDA-core scalar kernel — it has no fp16 staging to amortise).
+//! [`SpmmPlan`] is the plan of every GEMM-shaped kernel: the dense
+//! tensor-core GEMM ([`SpmmPlan::dense`]) and the five SpMM variants. Every
+//! tensor-core plan — dense, balanced 2:4 (the decompressed operand packed
+//! like a dense GEMM), block-wise, vector-wise and Shfl-BW — holds its
+//! weights in one panel format: row groups of packed panels
+//! ([`shfl_core::packed::PackedPanels`]), each panel naming the activation
+//! rows it multiplies, plus the output row of every stored row and one
+//! accumulate mode. The kinds differ only in those tables:
 //!
-//! Convolutions have their own plan, [`crate::conv_plan::ImplicitConvPlan`]:
-//! it packs the flattened filter matrix like a stitched [`SpmmPlan`] and walks
-//! the input feature map in place instead of unfolding it.
+//! | plan | group height | step depth | operand rows | output rows | accumulate |
+//! |---|---|---|---|---|---|
+//! | dense, balanced 2:4 | `fm` | `fk` | `0..k`, shared by every group | identity | one running sum |
+//! | block-wise | `V` | `V` | each kept block's `V` columns | identity | a partial per block |
+//! | vector-wise, Shfl-BW | `V` | `tk` | the group's kept columns | the shuffle | a partial per step |
 //!
-//! Every plan owns the packed panels ([`shfl_core::packed::PackedPanels`]),
-//! the resolved launch/tile configuration, and the precomputed analytical
+//! The CUDA-core CSR plan owns the CSR operand itself: the scalar kernel has
+//! no fp16 staging to amortise. Convolutions have their own plan,
+//! [`crate::conv_plan::ImplicitConvPlan`]: it holds the same panel format,
+//! with per-tap offsets into the input as its operand rows, and walks the
+//! input feature map in place instead of unfolding it.
+//!
+//! Every plan owns its packed operand, the resolved launch/tile
+//! configuration, and the precomputed analytical
 //! [`KernelProfile`], which `profile()` returns; `execute` returns only the
 //! output. Every tensor-core plan and the CSR plan execute through the one
 //! panel sweep [`gpu_sim::mma::mma_sweep`], and each plan has one execute
 //! body, which sweeps every column of its operand. The packed panels do not
-//! depend on the activation width (the stitched tile depth `tk` is fixed),
+//! depend on the activation width (the step depth is fixed),
 //! so the width `n` a plan is built for sets only its modeled profile and
 //! launch: `execute` accepts any number of columns, and the serving stack
 //! caches one plan per `(layer, version)` ([`crate::cache::PlanCache`]) and
@@ -78,7 +86,7 @@ use crate::gemm;
 use crate::launch::{self, LaunchConfig};
 use crate::profile::{KernelError, KernelOutput, KernelProfile, KernelResult};
 use crate::spmm;
-use gpu_sim::mma::{mma_sweep, SegmentSpan};
+use gpu_sim::mma::{mma_sweep, MmaShape, SegmentSpan};
 use gpu_sim::pipeline::PipelineConfig;
 use gpu_sim::GpuArch;
 use shfl_core::formats::{
@@ -100,13 +108,10 @@ const MAX_SWEEP_SPAN: usize = 256;
 /// Validates an activation operand and returns the spans one execute sweeps:
 /// the operand must have the `k` rows the plan packs, and all of its columns
 /// are swept in [`MAX_SWEEP_SPAN`]-wide pieces, the last one narrower.
-fn sweep_spans(what: &str, b: &DenseMatrix, k: usize) -> KernelResult<Vec<SegmentSpan>> {
+fn sweep_spans(b: &DenseMatrix, k: usize) -> KernelResult<Vec<SegmentSpan>> {
     if b.rows() != k {
         return Err(KernelError::ShapeMismatch {
-            context: format!(
-                "{what} plan packs k={k} activation rows but got {:?}",
-                b.shape()
-            ),
+            context: format!("plan packs k={k} activation rows but got {:?}", b.shape()),
         });
     }
     let n = b.cols();
@@ -119,175 +124,210 @@ fn sweep_spans(what: &str, b: &DenseMatrix, k: usize) -> KernelResult<Vec<Segmen
         .collect())
 }
 
-/// The operand row table of a dense or block packing: row `p` of the
-/// activations is reduction step `p`, so every panel reads a slice of
-/// `0..k`.
-fn ascending_rows(k: usize) -> Vec<u32> {
-    (0..k as u32).collect()
+/// [`PackedPanels::pack`]'s value source for a vector-wise matrix: a group's
+/// stored vectors from its kept column `first` on, column-major.
+fn stored_vectors<'a>(
+    vw: &'a VectorWiseMatrix,
+) -> impl Fn(usize, usize) -> (&'a [f32], usize, usize) + 'a {
+    let v = vw.vector_size();
+    move |g, first| (&vw.values()[(vw.group_ptr()[g] + first) * v..], 1, v)
 }
 
-/// The dense main loop shared by [`GemmPlan`] and the balanced [`SpmmPlan`]:
-/// packed row-panels times the fp16-rounded `k × n` activations,
-/// accumulated tile-parallel into `c`. The panel covering reduction steps
-/// `p0 .. p0 + kk` reads activation rows `rows[p0 .. p0 + kk]`.
-fn sweep_dense(
-    packed: &PackedPanels,
-    rows: &[u32],
-    activations: &DenseMatrix,
-    c: &mut DenseMatrix,
-    spans: &[SegmentSpan],
-) {
-    let (m, n) = c.shape();
-    if m == 0 || n == 0 || rows.is_empty() {
-        return;
-    }
-    // Working buffers are allocated per call: freshly mapped pages measured
-    // consistently faster than reusing a long-lived scratch buffer on this
-    // allocator (transparent-huge-page placement), and a scratch-free plan
-    // stays `Sync`.
-    let b16_matrix = activations.as_f16_rounded();
-    let b16 = b16_matrix.as_slice();
-    let fm = packed.panel_rows();
-    parallel::par_chunks_mut_weighted(c.as_mut_slice(), fm * n, rows.len(), |tile, c_chunk| {
-        let mut p0 = 0;
-        for panel in packed.chunk_panels(tile) {
-            let (values, tile_rows, kk) = packed.panel(panel);
-            mma_sweep::<true>(
-                values,
-                tile_rows,
-                b16,
-                &rows[p0..p0 + kk],
-                n,
-                c_chunk,
-                n,
-                spans,
-            );
-            p0 += kk;
-        }
-    });
-}
-
-/// A prepared dense tensor-core GEMM: `C[m×n] = W[m×k] · B[k×n]` with the
-/// weight operand packed once.
+/// The static operand of every tensor-core plan, in one format (see the
+/// module docs): group `g` of the weights is chunk `g` of `packed`, and its
+/// panels read, in order, the operand rows listed from
+/// `operand_rows[group_start[g]]` on, one per panel column.
 #[derive(Debug, Clone)]
-pub struct GemmPlan {
-    m: usize,
-    k: usize,
-    packed: PackedPanels,
-    rows: Vec<u32>,
-    launch: LaunchConfig,
-    profile: KernelProfile,
+pub(crate) struct PanelOperand {
+    pub(crate) packed: PackedPanels,
+    /// Operand row (or, for the implicit conv, element offset) of every
+    /// packed column, group-major. Groups over the same columns share their
+    /// entries.
+    pub(crate) operand_rows: Vec<u32>,
+    /// Where each group's entries start in `operand_rows`.
+    pub(crate) group_start: Vec<usize>,
+    /// Output row of every stored row.
+    pub(crate) output_rows: Vec<u32>,
+    /// Whether `output_rows` is the identity, resolved at pack time: the
+    /// sweep then accumulates straight into the output and skips the
+    /// shuffled write-back copy.
+    in_place: bool,
+    /// Step depth the panels were packed at; a delta re-pack replays it.
+    pub(crate) depth: usize,
+    /// [`mma_sweep`]'s accumulate mode: `true` keeps one running sum per
+    /// output element, `false` sums a fresh partial per panel.
+    load_c: bool,
 }
 
-impl GemmPlan {
-    /// Builds the plan: rounds and packs the weight matrix into `fm×fk`
-    /// row-panels (the architecture's MMA fragment shape), and resolves the
-    /// launch configuration and the analytical profile of an `n`-column
-    /// launch. `n` sets only that modeled profile: the packed panels do not
-    /// depend on it, and [`GemmPlan::execute`] accepts any width.
-    pub fn new(arch: &GpuArch, weights: &DenseMatrix, n: usize) -> Self {
-        let (m, k) = weights.shape();
-        let shape = arch.mma_shape;
-        let packed = PackedPanels::pack_dense_rows(weights, shape.m(), shape.k());
-        GemmPlan {
-            m,
-            k,
+impl PanelOperand {
+    fn new(
+        packed: PackedPanels,
+        operand_rows: Vec<u32>,
+        group_start: Vec<usize>,
+        output_rows: Vec<u32>,
+        depth: usize,
+        load_c: bool,
+    ) -> Self {
+        let in_place = output_rows
+            .iter()
+            .enumerate()
+            .all(|(i, r)| *r as usize == i);
+        PanelOperand {
             packed,
-            rows: ascending_rows(k),
-            launch: launch::dense_launch(arch, m, n, k),
-            profile: gemm::dense_gemm_profile(arch, m, n, k),
+            operand_rows,
+            group_start,
+            output_rows,
+            in_place,
+            depth,
+            load_c,
         }
     }
 
-    /// The analytical profile resolved at plan time.
-    pub fn profile(&self) -> &KernelProfile {
-        &self.profile
+    /// Dense weights (GEMM, 2:4): `fm`-row groups over all `k` columns in
+    /// `fk`-deep steps, one running sum per element.
+    fn dense(weights: &DenseMatrix, shape: MmaShape) -> Self {
+        let (m, k) = weights.shape();
+        let (fm, fk) = (shape.m(), shape.k());
+        let values = weights.as_slice();
+        let packed = PackedPanels::pack(m, fm, fk, |_| k, |g, j| (&values[g * fm * k + j..], k, 1));
+        let groups = packed.num_chunks();
+        PanelOperand::new(
+            packed,
+            (0..k as u32).collect(),
+            vec![0; groups],
+            (0..m as u32).collect(),
+            fk,
+            true,
+        )
     }
 
-    /// The launch configuration resolved at plan time.
-    pub fn launch_config(&self) -> &LaunchConfig {
-        &self.launch
+    /// Block-wise (BSR) weights: one group per block row, keeping its blocks'
+    /// columns in `V`-deep steps, so every panel is one block with a fresh
+    /// partial.
+    fn blocks(weights: &BlockSparseMatrix) -> Self {
+        let v = weights.block_size();
+        let packed = PackedPanels::pack(
+            weights.rows(),
+            v,
+            v,
+            |br| weights.blocks_in_row(br).len() * v,
+            |br, j| (weights.block_values(br, j / v), v, 1),
+        );
+        let v32 = v as u32;
+        PanelOperand::new(
+            packed,
+            weights
+                .block_col_idx()
+                .iter()
+                .flat_map(|&bc| bc * v32..(bc + 1) * v32)
+                .collect(),
+            weights.block_row_ptr()[..weights.block_rows()]
+                .iter()
+                .map(|&start| start * v)
+                .collect(),
+            (0..weights.rows() as u32).collect(),
+            v,
+            false,
+        )
     }
 
-    /// Size of the packed weight panels in bytes.
-    pub fn packed_bytes(&self) -> usize {
+    /// Vector-wise weights (vector-wise, Shfl-BW, the implicit conv): `V`-row
+    /// groups over their stored vectors in `tk`-deep steps, a fresh partial
+    /// per step. `operand_rows` holds one entry per stored vector.
+    pub(crate) fn stitched(
+        vw: &VectorWiseMatrix,
+        tk: usize,
+        operand_rows: Vec<u32>,
+        output_rows: Vec<u32>,
+    ) -> Self {
+        let packed = PackedPanels::pack(
+            vw.rows(),
+            vw.vector_size(),
+            tk,
+            |g| vw.group_cols(g).len(),
+            stored_vectors(vw),
+        );
+        let group_start = vw.group_ptr()[..vw.num_groups()].to_vec();
+        PanelOperand::new(packed, operand_rows, group_start, output_rows, tk, false)
+    }
+
+    /// Bytes of the packed panels and every table.
+    pub(crate) fn packed_bytes(&self) -> usize {
         self.packed.packed_bytes()
+            + (self.operand_rows.len() + self.output_rows.len()) * std::mem::size_of::<u32>()
+            + self.group_start.len() * std::mem::size_of::<usize>()
     }
 
-    /// Packed-panel bytes **one execute sweep reads**: every panel value is
-    /// streamed exactly once per call (per chunk, each chunk walks its own
-    /// panels once), whatever the width. This is the unit the serving
-    /// layer's panel-bytes-read counter accumulates.
-    pub fn panel_sweep_bytes(&self) -> u64 {
-        (self.packed.packed_values() * std::mem::size_of::<f32>()) as u64
+    /// Sweeps the panels over `spans` of the non-empty `activations` into
+    /// the zeroed `output`, in the operand's accumulate mode.
+    fn sweep(&self, activations: &DenseMatrix, output: &mut DenseMatrix, spans: &[SegmentSpan]) {
+        let b16 = activations.as_f16_rounded();
+        if self.load_c {
+            self.sweep_groups::<true>(b16.as_slice(), output, spans);
+        } else {
+            self.sweep_groups::<false>(b16.as_slice(), output, spans);
+        }
     }
 
-    /// Executes the prepared GEMM against a `k × n` activation matrix of any
-    /// width `n`, in one sweep over the packed panels.
-    ///
-    /// The output is bit-identical to a plan built for exactly `n` columns
-    /// and to the naive oracle: the packed panel layout does not depend on
-    /// the build width, and each output element accumulates its `k`
-    /// contributions in ascending order either way. The modeled profile stays
-    /// on the plan ([`GemmPlan::profile`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::ShapeMismatch`] if `activations` does not have
-    /// the `k` rows the plan packs.
-    pub fn execute(&self, activations: &DenseMatrix) -> KernelResult<KernelOutput> {
-        let spans = sweep_spans("GEMM", activations, self.k)?;
-        let mut output = DenseMatrix::zeros(self.m, activations.cols());
-        sweep_dense(&self.packed, &self.rows, activations, &mut output, &spans);
-        Ok(KernelOutput { output })
+    fn sweep_groups<const LOAD_C: bool>(
+        &self,
+        b16: &[f32],
+        output: &mut DenseMatrix,
+        spans: &[SegmentSpan],
+    ) {
+        let (m, n) = output.shape();
+        // Group-ordered accumulators. With the identity table group g's
+        // accumulator rows *are* its output rows, so the output is
+        // accumulated in place; a shuffled plan accumulates into a fresh
+        // buffer and resolves the output rows afterwards.
+        let mut grouped = if self.in_place {
+            Vec::new()
+        } else {
+            vec![0.0f32; m * n]
+        };
+        let acc: &mut [f32] = if self.in_place {
+            output.as_mut_slice()
+        } else {
+            &mut grouped
+        };
+        let macs_per_element = (self.packed.packed_values() / m).max(1);
+        let group_len = self.packed.panel_rows() * n;
+        parallel::par_chunks_mut_weighted(acc, group_len, macs_per_element, |g, acc| {
+            let mut rows = &self.operand_rows[self.group_start[g]..];
+            for panel in self.packed.chunk_panels(g) {
+                let (values, height, w) = self.packed.panel(panel);
+                let (step_rows, rest) = rows.split_at(w);
+                mma_sweep::<LOAD_C>(values, height, b16, step_rows, n, acc, n, spans);
+                rows = rest;
+            }
+        });
+        if !self.in_place {
+            for (stored_row, acc_row) in grouped.chunks_exact(n).enumerate() {
+                output
+                    .row_mut(self.output_rows[stored_row] as usize)
+                    .copy_from_slice(acc_row);
+            }
+        }
     }
 }
 
-/// Static operand data of one prepared SpMM variant.
+/// Static operand data of one prepared plan.
 #[derive(Debug, Clone)]
 enum SpmmPlanKind {
-    /// Vector-wise / Shfl-BW: pre-stitched `V×tk` group panels plus the
-    /// write-back row indices resolved at pack time.
-    Stitched {
-        v: usize,
-        tk: usize,
-        packed: PackedPanels,
-        /// Kept column indices, group-major (copied from the format).
-        cols: Vec<u32>,
-        /// `group_ptr[g]..group_ptr[g+1]` bounds group `g` inside `cols`.
-        group_ptr: Vec<usize>,
-        /// `row_indices[stored_row]` = output row (identity for vector-wise).
-        row_indices: Vec<u32>,
-        /// Whether `row_indices` is the identity permutation, resolved at pack
-        /// time: the identity case accumulates straight into the output and
-        /// skips the shuffled write-back copy.
-        identity_rows: bool,
-        macs_per_element: usize,
-    },
-    /// Block-wise (BSR): rounded `V×V` block panels in block-row order.
-    Blocks {
-        v: usize,
-        packed: PackedPanels,
-        block_cols: Vec<u32>,
-        block_row_ptr: Vec<usize>,
-        /// Ascending activation row table; block column `bc` reads
-        /// `rows[bc·V .. (bc+1)·V]`.
-        rows: Vec<u32>,
-        macs_per_element: usize,
-    },
-    /// Balanced 2:4: the decompressed operand packed like a dense GEMM.
-    Dense {
-        packed: PackedPanels,
-        /// Ascending activation row table (see [`sweep_dense`]).
-        rows: Vec<u32>,
+    /// Every tensor-core plan. `stitched` marks panels packed from a
+    /// vector-wise matrix (vector-wise / Shfl-BW): the only plans a
+    /// same-pattern Shfl-BW update may re-pack, whatever their tables.
+    Panels {
+        operand: PanelOperand,
+        stitched: bool,
     },
     /// CUDA-core CSR: the kernel performs no fp16 staging, so the compressed
     /// operand itself is the packed form.
     Csr { matrix: CsrMatrix },
 }
 
-/// A prepared SpMM: `C[m×n] = A[m×k] · B[k×n]` with the sparse operand packed
-/// once in its kernel-specific execution layout.
+/// A prepared GEMM-shaped kernel: `C[m×n] = A[m×k] · B[k×n]` with the
+/// weight operand `A` packed once in its kernel's execution layout.
 #[derive(Debug, Clone)]
 pub struct SpmmPlan {
     m: usize,
@@ -333,10 +373,6 @@ impl SpmmPlan {
         let tile = tiling::select_vector_wise_tile(v, n);
         let avg_cols_per_group =
             (vw.stored_vectors() as f64 / vw.num_groups().max(1) as f64).ceil() as usize;
-        let identity_rows = row_indices
-            .iter()
-            .enumerate()
-            .all(|(i, r)| *r as usize == i);
         SpmmPlan {
             m: vw.rows(),
             n,
@@ -350,15 +386,9 @@ impl SpmmPlan {
                 v,
                 PipelineConfig::shfl_bw_default().pipe_stages,
             ),
-            kind: SpmmPlanKind::Stitched {
-                v,
-                tk: tile.tk,
-                packed: PackedPanels::pack_vector_wise(vw, tile.tk),
-                cols: vw.col_idx().to_vec(),
-                group_ptr: vw.group_ptr().to_vec(),
-                row_indices,
-                identity_rows,
-                macs_per_element: (vw.stored_vectors() / vw.num_groups().max(1)).max(1),
+            kind: SpmmPlanKind::Panels {
+                operand: PanelOperand::stitched(vw, tile.tk, vw.col_idx().to_vec(), row_indices),
+                stitched: true,
             },
             profile,
         }
@@ -375,17 +405,21 @@ impl SpmmPlan {
             k: weights.cols(),
             tile: profile.tile,
             launch: launch::vector_wise_launch(arch, weights.rows(), n, avg_cols_per_row, v, 2),
-            kind: SpmmPlanKind::Blocks {
-                v,
-                packed: PackedPanels::pack_blocks(weights),
-                block_cols: weights.block_col_idx().to_vec(),
-                block_row_ptr: weights.block_row_ptr().to_vec(),
-                rows: ascending_rows(weights.cols()),
-                macs_per_element: (weights.stored_blocks() * v / weights.block_rows().max(1))
-                    .max(1),
+            kind: SpmmPlanKind::Panels {
+                operand: PanelOperand::blocks(weights),
+                stitched: false,
             },
             profile,
         }
+    }
+
+    /// Prepares the dense tensor-core GEMM: rounds and packs the weight
+    /// matrix into `fm×fk` row-panels (the architecture's MMA fragment
+    /// shape), and resolves the launch configuration and the analytical
+    /// profile of an `n`-column launch.
+    pub fn dense(arch: &GpuArch, weights: &DenseMatrix, n: usize) -> Self {
+        let (m, k) = weights.shape();
+        Self::dense_panels(arch, weights, n, gemm::dense_gemm_profile(arch, m, n, k))
     }
 
     /// Prepares the balanced 2:4 SpMM (sparse tensor cores): the operand is
@@ -398,20 +432,28 @@ impl SpmmPlan {
     /// tensor cores.
     pub fn balanced(arch: &GpuArch, weights: &BalancedMatrix, n: usize) -> KernelResult<Self> {
         let profile = spmm::balanced::balanced_spmm_profile(arch, weights, n)?;
-        let dense = weights.to_dense();
-        let shape = arch.mma_shape;
-        Ok(SpmmPlan {
-            m: weights.rows(),
+        Ok(Self::dense_panels(arch, &weights.to_dense(), n, profile))
+    }
+
+    fn dense_panels(
+        arch: &GpuArch,
+        weights: &DenseMatrix,
+        n: usize,
+        profile: KernelProfile,
+    ) -> Self {
+        let (m, k) = weights.shape();
+        SpmmPlan {
+            m,
             n,
-            k: weights.cols(),
+            k,
             tile: profile.tile,
-            launch: launch::dense_launch(arch, weights.rows(), n, weights.cols()),
-            kind: SpmmPlanKind::Dense {
-                packed: PackedPanels::pack_dense_rows(&dense, shape.m(), shape.k()),
-                rows: ascending_rows(weights.cols()),
+            launch: launch::dense_launch(arch, m, n, k),
+            kind: SpmmPlanKind::Panels {
+                operand: PanelOperand::dense(weights, arch.mma_shape),
+                stitched: false,
             },
             profile,
-        })
+        }
     }
 
     /// Prepares the CUDA-core CSR SpMM. The scalar kernel stages no fp16
@@ -457,33 +499,12 @@ impl SpmmPlan {
         (self.m, self.n, self.k)
     }
 
-    /// Size of the packed static operand in bytes.
+    /// Size of the packed static operand in bytes: the panels and every
+    /// table a tensor-core plan holds, or the CSR operand.
     pub fn packed_bytes(&self) -> usize {
         match &self.kind {
-            SpmmPlanKind::Stitched {
-                packed,
-                cols,
-                group_ptr,
-                row_indices,
-                ..
-            } => {
-                packed.packed_bytes()
-                    + cols.len() * std::mem::size_of::<u32>()
-                    + group_ptr.len() * std::mem::size_of::<usize>()
-                    + row_indices.len() * std::mem::size_of::<u32>()
-            }
-            SpmmPlanKind::Blocks {
-                packed,
-                block_cols,
-                block_row_ptr,
-                ..
-            } => {
-                packed.packed_bytes()
-                    + block_cols.len() * std::mem::size_of::<u32>()
-                    + block_row_ptr.len() * std::mem::size_of::<usize>()
-            }
-            SpmmPlanKind::Dense { packed, .. } => packed.packed_bytes(),
-            SpmmPlanKind::Csr { matrix, .. } => {
+            SpmmPlanKind::Panels { operand, .. } => operand.packed_bytes(),
+            SpmmPlanKind::Csr { matrix } => {
                 (matrix.metadata_bytes() + matrix.nnz() as u64 * 4) as usize
             }
         }
@@ -496,10 +517,8 @@ impl SpmmPlan {
     /// execute.
     pub fn panel_sweep_bytes(&self) -> u64 {
         match &self.kind {
-            SpmmPlanKind::Stitched { packed, .. }
-            | SpmmPlanKind::Blocks { packed, .. }
-            | SpmmPlanKind::Dense { packed, .. } => {
-                (packed.packed_values() * std::mem::size_of::<f32>()) as u64
+            SpmmPlanKind::Panels { operand, .. } => {
+                (operand.packed.packed_values() * std::mem::size_of::<f32>()) as u64
             }
             SpmmPlanKind::Csr { matrix } => matrix.metadata_bytes() + matrix.nnz() as u64 * 4,
         }
@@ -507,11 +526,10 @@ impl SpmmPlan {
 
     /// Builds a plan for a *same-pattern magnitude update* of the Shfl-BW
     /// weights this plan was prepared from, by delta re-packing: the clone
-    /// keeps every resolved artefact (tile, launch, column/group
-    /// metadata, write-back indices, analytical profile — all functions of
-    /// the unchanged sparsity structure) and only the panel payload bytes are
-    /// rewritten with the plan's own `tk`
-    /// ([`PackedPanels::repack_vector_wise_values`]). The result is
+    /// keeps every resolved artefact (tile, launch, operand and output row
+    /// tables, analytical profile — all functions of the unchanged sparsity
+    /// structure) and only the panel payload bytes are rewritten at the
+    /// plan's own step depth ([`PackedPanels::repack`]). The result is
     /// bit-identical to [`SpmmPlan::shfl_bw`] on the new weights.
     ///
     /// Returns the new plan plus the payload bytes rewritten, so the caller
@@ -529,19 +547,16 @@ impl SpmmPlan {
     pub fn repack_shfl_bw(&self, weights: &ShflBwMatrix) -> KernelResult<(SpmmPlan, usize)> {
         let vw = weights.vector_wise();
         let same_pattern = match &self.kind {
-            SpmmPlanKind::Stitched {
-                v,
-                cols,
-                group_ptr,
-                row_indices,
-                ..
+            SpmmPlanKind::Panels {
+                operand,
+                stitched: true,
             } => {
-                *v == vw.vector_size()
+                operand.packed.panel_rows() == vw.vector_size()
                     && self.m == weights.rows()
                     && self.k == weights.cols()
-                    && cols.as_slice() == vw.col_idx()
-                    && group_ptr.as_slice() == vw.group_ptr()
-                    && row_indices.as_slice() == weights.row_indices()
+                    && operand.operand_rows == vw.col_idx()
+                    && operand.group_start == vw.group_ptr()[..vw.num_groups()]
+                    && operand.output_rows == weights.row_indices()
             }
             _ => false,
         };
@@ -556,116 +571,46 @@ impl SpmmPlan {
             });
         }
         let mut plan = self.clone();
-        let SpmmPlanKind::Stitched { tk, packed, .. } = &mut plan.kind else {
+        let SpmmPlanKind::Panels { operand, .. } = &mut plan.kind else {
             unreachable!("pattern check above admits only stitched plans");
         };
-        let bytes = packed.repack_vector_wise_values(vw, *tk);
+        let bytes = operand.packed.repack(
+            vw.rows(),
+            vw.vector_size(),
+            operand.depth,
+            |g| vw.group_cols(g).len(),
+            stored_vectors(vw),
+        );
         Ok((plan, bytes))
     }
 
-    /// Executes the prepared SpMM against a `k × n` activation matrix of any
-    /// width `n`, in one sweep over the packed operand. Bit-identical to a
-    /// plan built for exactly `n` columns and to the naive oracles (see
-    /// [`GemmPlan::execute`] — same contract, same argument).
+    /// Executes the prepared kernel against a `k × n` activation matrix of
+    /// any width `n`, in one sweep over the packed operand.
+    ///
+    /// The output is bit-identical to a plan built for exactly `n` columns
+    /// and to the naive oracle: the packed layout does not depend on the
+    /// build width, and each output element accumulates its contributions in
+    /// the oracle's order either way. The modeled profile stays on the plan
+    /// ([`SpmmPlan::profile`]).
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::ShapeMismatch`] if `activations` does not have
     /// the `k` rows the plan packs.
     pub fn execute(&self, activations: &DenseMatrix) -> KernelResult<KernelOutput> {
-        let spans = sweep_spans("SpMM", activations, self.k)?;
+        let spans = sweep_spans(activations, self.k)?;
         let mut output = DenseMatrix::zeros(self.m, activations.cols());
         if self.m > 0 && activations.cols() > 0 {
-            self.sweep(activations, &mut output, &spans);
-        }
-        Ok(KernelOutput { output })
-    }
-
-    /// Sweeps the packed operand over `spans` of a non-empty operand into
-    /// the zeroed `output`.
-    fn sweep(&self, activations: &DenseMatrix, output: &mut DenseMatrix, spans: &[SegmentSpan]) {
-        let n = activations.cols();
-        match &self.kind {
-            SpmmPlanKind::Stitched {
-                v,
-                tk,
-                packed,
-                cols,
-                group_ptr,
-                row_indices,
-                identity_rows,
-                macs_per_element,
-            } => {
-                let (v, tk) = (*v, *tk);
-                let b16_matrix = activations.as_f16_rounded();
-                let b16 = b16_matrix.as_slice();
-                // Group-ordered accumulators. With the identity permutation
-                // (vector-wise plans) group g's accumulator rows *are* output
-                // rows g·V..(g+1)·V, so the output is accumulated in place; a
-                // shuffled plan accumulates into a fresh buffer and resolves
-                // the write-back row indices afterwards.
-                let mut grouped = if *identity_rows {
-                    Vec::new()
-                } else {
-                    vec![0.0f32; self.m * n]
-                };
-                let acc_slice: &mut [f32] = if *identity_rows {
-                    output.as_mut_slice()
-                } else {
-                    &mut grouped
-                };
-                parallel::par_chunks_mut_weighted(acc_slice, v * n, *macs_per_element, |g, acc| {
-                    let group_cols = &cols[group_ptr[g]..group_ptr[g + 1]];
-                    for (step, panel) in packed.chunk_panels(g).enumerate() {
-                        // The packed panel is the stitched weight tile; the
-                        // activation rows its kept columns name are read in
-                        // place.
-                        let (values, rows, w) = packed.panel(panel);
-                        debug_assert_eq!(rows, v);
-                        let step_cols = &group_cols[step * tk..step * tk + w];
-                        mma_sweep::<false>(values, v, b16, step_cols, n, acc, n, spans);
-                    }
-                });
-                if !*identity_rows {
-                    for (stored_row, acc_row) in grouped.chunks_exact(n).enumerate() {
-                        output
-                            .row_mut(row_indices[stored_row] as usize)
-                            .copy_from_slice(acc_row);
-                    }
+            match &self.kind {
+                SpmmPlanKind::Panels { operand, .. } => {
+                    operand.sweep(activations, &mut output, &spans)
+                }
+                SpmmPlanKind::Csr { matrix } => {
+                    spmm::cuda_core::csr_spmm_into(matrix, activations, &mut output, &spans)
                 }
             }
-            SpmmPlanKind::Blocks {
-                v,
-                packed,
-                block_cols,
-                block_row_ptr,
-                rows,
-                macs_per_element,
-            } => {
-                let v = *v;
-                let b16_matrix = activations.as_f16_rounded();
-                let b16 = b16_matrix.as_slice();
-                parallel::par_chunks_mut_weighted(
-                    output.as_mut_slice(),
-                    v * n,
-                    *macs_per_element,
-                    |br, out_chunk| {
-                        for (i, panel) in packed.chunk_panels(br).enumerate() {
-                            let (values, _, _) = packed.panel(panel);
-                            let bc = block_cols[block_row_ptr[br] + i] as usize;
-                            let block_rows = &rows[bc * v..(bc + 1) * v];
-                            mma_sweep::<false>(values, v, b16, block_rows, n, out_chunk, n, spans);
-                        }
-                    },
-                );
-            }
-            SpmmPlanKind::Dense { packed, rows } => {
-                sweep_dense(packed, rows, activations, output, spans);
-            }
-            SpmmPlanKind::Csr { matrix } => {
-                spmm::cuda_core::csr_spmm_into(matrix, activations, output, spans);
-            }
         }
+        Ok(KernelOutput { output })
     }
 }
 
@@ -698,7 +643,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let arch = GpuArch::v100();
         let a = DenseMatrix::random(&mut rng, 33, 29);
-        let plan = GemmPlan::new(&arch, &a, 21);
+        let plan = SpmmPlan::dense(&arch, &a, 21);
         for _ in 0..3 {
             let b = DenseMatrix::random(&mut rng, 29, 21);
             let prepared = plan.execute(&b).unwrap();
@@ -759,10 +704,50 @@ mod tests {
             DenseMatrix::from_fn(32, 40, |r, c| if (r / 8 + c) % 2 == 0 { 1.0 } else { 0.0 });
         let other = ShflBwMatrix::from_dense_with_permutation(&structural, &perm, 8).unwrap();
         assert!(!a.same_pattern(&other));
-        assert!(matches!(
-            plan.repack_shfl_bw(&other),
-            Err(KernelError::ShapeMismatch { .. })
-        ));
+        let rejects = |plan: &SpmmPlan, update: &ShflBwMatrix| {
+            matches!(
+                plan.repack_shfl_bw(update),
+                Err(KernelError::ShapeMismatch { .. })
+            )
+        };
+        assert!(rejects(&plan, &other));
+        // Only stitched plans take a delta re-pack: the block-wise, balanced,
+        // CSR and dense plans of the same weights reject it.
+        let bsr = BlockSparseMatrix::from_dense(&scaled, 8).unwrap();
+        assert!(rejects(&SpmmPlan::block_wise(&arch, &bsr, 24), &update));
+        let two_of_four =
+            DenseMatrix::from_fn(32, 40, |r, c| if (r + c) % 4 < 2 { 0.5 } else { 0.0 });
+        let bal = BalancedMatrix::from_dense(&two_of_four, 2, 4).unwrap();
+        let bal_plan = SpmmPlan::balanced(&GpuArch::a100(), &bal, 24).unwrap();
+        assert!(rejects(&bal_plan, &update));
+        let csr = CsrMatrix::from_dense(&scaled);
+        assert!(rejects(&SpmmPlan::cuda_core(&arch, &csr, 24), &update));
+        assert!(rejects(&SpmmPlan::dense(&arch, &scaled, 24), &update));
+
+        // Not even when every table matches: a 16×32 block row at V = 16
+        // keeps both blocks, so the block-wise plan sweeps operand rows 0..32
+        // from group start 0, 16 deep, into output rows 0..16, exactly like
+        // the Shfl-BW plan of the same weights under the identity
+        // permutation.
+        let w = DenseMatrix::random(&mut rng, 16, 32);
+        let block =
+            SpmmPlan::block_wise(&arch, &BlockSparseMatrix::from_dense(&w, 16).unwrap(), 24);
+        let identity: Vec<usize> = (0..16).collect();
+        let shfl = ShflBwMatrix::from_dense_with_permutation(&w, &identity, 16).unwrap();
+        let stitched = SpmmPlan::shfl_bw(&arch, &shfl, 24);
+        let (SpmmPlanKind::Panels { operand: ob, .. }, SpmmPlanKind::Panels { operand: os, .. }) =
+            (&block.kind, &stitched.kind)
+        else {
+            panic!("block-wise and Shfl-BW plans hold panels");
+        };
+        assert_eq!(ob.operand_rows, (0..32).collect::<Vec<u32>>());
+        assert_eq!(
+            (&ob.operand_rows, &ob.group_start, ob.depth, &ob.output_rows),
+            (&os.operand_rows, &os.group_start, os.depth, &os.output_rows)
+        );
+        assert_eq!((os.depth, stitched.tile().tk), (16, 16));
+        assert!(rejects(&block, &shfl));
+        assert!(stitched.repack_shfl_bw(&shfl).is_ok());
     }
 
     #[test]
@@ -835,8 +820,8 @@ mod tests {
         check_any_width(
             "gemm",
             k,
-            |n| GemmPlan::new(&v100, &w, n),
-            GemmPlan::execute,
+            |n| SpmmPlan::dense(&v100, &w, n),
+            SpmmPlan::execute,
             |b| reference::fragment_matmul_naive(v100.mma_shape, &w, b),
         );
 
@@ -916,7 +901,7 @@ mod tests {
         let p64 = SpmmPlan::vector_wise(&arch, &vw, 64);
         assert_eq!(p16.panel_sweep_bytes(), p64.panel_sweep_bytes());
         assert_eq!(p16.panel_sweep_bytes(), (vw.stored_values() * 4) as u64);
-        let gemm = GemmPlan::new(&arch, &dense_a, 16);
+        let gemm = SpmmPlan::dense(&arch, &dense_a, 16);
         assert_eq!(gemm.panel_sweep_bytes(), (32 * 40 * 4) as u64);
     }
 
@@ -929,7 +914,7 @@ mod tests {
         let plan = SpmmPlan::vector_wise(&arch, &vw, 32);
         assert!(plan.packed_bytes() > 0);
         assert_eq!(plan.tile().tm, 16);
-        let gemm_plan = GemmPlan::new(&arch, &dense_a, 32);
+        let gemm_plan = SpmmPlan::dense(&arch, &dense_a, 32);
         assert!(gemm_plan.packed_bytes() >= 64 * 64 * 4);
         assert_eq!(gemm_plan.launch_config().tile.tk, 32);
     }

@@ -119,7 +119,7 @@ impl fmt::Display for KernelProfile {
 }
 
 /// The result of a plan execute. The analytical profile stays on the plan
-/// ([`crate::plan::GemmPlan::profile`], [`crate::plan::SpmmPlan::profile`]).
+/// ([`crate::plan::SpmmPlan::profile`]).
 #[derive(Debug, Clone)]
 pub struct KernelOutput {
     /// The computed output matrix `C = A · B` (original row order).

@@ -31,7 +31,7 @@ use shfl_core::tiling;
 
 /// Naive fragment GEMM: sweeps MMA fragments over the operands, staging each
 /// fragment element by element (zero-padded at the boundary) and rounding
-/// operands inside [`warp_mma`]. The oracle of [`crate::plan::GemmPlan`].
+/// operands inside [`warp_mma`]. The oracle of [`crate::plan::SpmmPlan::dense`].
 pub fn fragment_matmul_naive(shape: MmaShape, a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (m, k) = a.shape();
     let n = b.cols();

@@ -1,9 +1,9 @@
 //! Bit-compatibility property tests of the cold call: a plan built for one
-//! call at the activations' width and executed once — the [`GemmPlan`], every
-//! [`SpmmPlan`] and the implicit-GEMM conv plan — must produce *exactly* the
-//! same output as its retained naive reference, and the blocked `im2col`
-//! must reproduce `im2col_naive`. Repeated executes of one plan are
-//! `plan_prepared.rs`'s subject.
+//! call at the activations' width and executed once — every [`SpmmPlan`],
+//! the dense GEMM's included, and the implicit-GEMM conv plan — must produce
+//! *exactly* the same output as its retained naive reference, and the
+//! blocked `im2col` must reproduce `im2col_naive`. Repeated executes of one
+//! plan are `plan_prepared.rs`'s subject.
 //!
 //! Both paths round operands through fp16 identically and accumulate each
 //! output element in ascending-`k` order through a single `f32` accumulator,
@@ -27,16 +27,19 @@ use shfl_core::formats::{
     BalancedMatrix, BlockSparseMatrix, CsrMatrix, ShflBwMatrix, VectorWiseMatrix,
 };
 use shfl_core::matrix::DenseMatrix;
-use shfl_kernels::{conv, reference, GemmPlan, ImplicitConvPlan, SpmmPlan};
+use shfl_kernels::{conv, reference, ImplicitConvPlan, SpmmPlan};
 
 const ALL_SHAPES: [MmaShape; 3] = [MmaShape::M16N8K16, MmaShape::M16N8K8, MmaShape::M16N16K16];
 
-/// A [`GemmPlan`] packed for `shape`'s fragments vs the naive fragment oracle
-/// of the same shape.
+/// A dense [`SpmmPlan`] packed for `shape`'s fragments vs the naive fragment
+/// oracle of the same shape.
 fn assert_gemm_matches_naive(shape: MmaShape, a: &DenseMatrix, b: &DenseMatrix, what: &str) {
     let mut arch = GpuArch::v100();
     arch.mma_shape = shape;
-    let plan = GemmPlan::new(&arch, a, b.cols()).execute(b).unwrap().output;
+    let plan = SpmmPlan::dense(&arch, a, b.cols())
+        .execute(b)
+        .unwrap()
+        .output;
     let naive = reference::fragment_matmul_naive(shape, a, b);
     assert_bits_eq(&plan, &naive, &format!("{what} {shape:?}"));
 }

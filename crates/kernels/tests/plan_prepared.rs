@@ -26,11 +26,11 @@ use shfl_core::formats::{
 };
 use shfl_core::matrix::DenseMatrix;
 use shfl_kernels::conv_plan::ImplicitConvPlan;
-use shfl_kernels::plan::{GemmPlan, SpmmPlan};
+use shfl_kernels::plan::SpmmPlan;
 use shfl_kernels::{conv, reference};
 
-/// One [`GemmPlan`] built for `a` at width `n` and executed with two fresh
-/// activations of that width, each against the naive fragment oracle.
+/// One dense [`SpmmPlan`] built for `a` at width `n` and executed with two
+/// fresh activations of that width, each against the naive fragment oracle.
 fn assert_gemm_plan_matches_naive(
     arch: &GpuArch,
     a: &DenseMatrix,
@@ -38,7 +38,7 @@ fn assert_gemm_plan_matches_naive(
     rng: &mut StdRng,
     what: &str,
 ) {
-    let plan = GemmPlan::new(arch, a, n);
+    let plan = SpmmPlan::dense(arch, a, n);
     for round in 0..2 {
         let b = DenseMatrix::random(rng, a.cols(), n);
         assert_bits_eq(
@@ -62,7 +62,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_sparse(&mut rng, m, k, density);
         let arch = GpuArch::v100();
-        let plan = GemmPlan::new(&arch, &a, n);
+        let plan = SpmmPlan::dense(&arch, &a, n);
         for round in 0..3 {
             let b = DenseMatrix::random(&mut rng, k, n);
             let prepared = plan.execute(&b).unwrap().output;

@@ -350,15 +350,6 @@ impl ServingEngine {
         &self.arch
     }
 
-    /// Display name of a registered layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError::UnknownLayer`] for an unregistered id.
-    pub fn layer_name(&self, layer: usize) -> Result<String, ServingError> {
-        self.layer(layer).map(|l| l.name.clone())
-    }
-
     /// The id of the first registered layer with display name `name`, or
     /// `None` when no layer was registered under it. Decode models address
     /// their GEMM stages by registration name; this is the name→id lookup

@@ -399,14 +399,6 @@ impl ServerStats {
     pub fn completion_ids(&self) -> Vec<u64> {
         self.completions.iter().map(|c| c.id).collect()
     }
-
-    /// Deadline-class completions that missed their submitted budget.
-    pub fn deadline_misses(&self) -> u64 {
-        self.completions
-            .iter()
-            .filter(|c| c.deadline_met == Some(false))
-            .count() as u64
-    }
 }
 
 /// The lifecycle of one ticket slot — the state machine that makes the

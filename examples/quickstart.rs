@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Functional check on one GPU: plan each kernel once, then execute it. The
     //    sparse output matches the dense GEMM applied to the pruned weights.
     let v100 = GpuArch::v100();
-    let dense_out = GemmPlan::new(&v100, &pruned_weights, n).execute(&activations)?;
+    let dense_out = SpmmPlan::dense(&v100, &pruned_weights, n).execute(&activations)?;
     let sparse_out = SpmmPlan::shfl_bw(&v100, &sparse, n).execute(&activations)?;
     let max_diff = sparse_out.output.max_abs_diff(&dense_out.output)?;
     println!("functional check: max |difference| vs dense reference = {max_diff:.2e}");

@@ -41,9 +41,7 @@ pub mod prelude {
         BinaryMask, BucketPolicy, DenseMatrix, PackedPanels, ShflBwMatrix, SparsePattern,
         VectorWiseMatrix,
     };
-    pub use shfl_kernels::{
-        GemmPlan, ImplicitConvPlan, KernelOutput, KernelProfile, PlanCache, SpmmPlan,
-    };
+    pub use shfl_kernels::{ImplicitConvPlan, KernelOutput, KernelProfile, PlanCache, SpmmPlan};
     pub use shfl_models::{AccuracyModel, DnnModel, EngineConfig, ModelEngine};
     pub use shfl_pruning::{Pruner, ShflBwPruner};
     pub use shfl_serving::{Server, ServingEngine, ServingError};

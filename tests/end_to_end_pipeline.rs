@@ -39,7 +39,7 @@ fn prune_compress_execute_roundtrip() {
 
     // Kernel execution on every architecture, verified against the dense reference.
     for arch in GpuArch::all() {
-        let dense_out = GemmPlan::new(&arch, &pruned, n)
+        let dense_out = SpmmPlan::dense(&arch, &pruned, n)
             .execute(&activations)
             .unwrap();
         let sparse_plan = SpmmPlan::shfl_bw(&arch, &sparse, n);
