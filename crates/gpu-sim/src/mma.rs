@@ -36,8 +36,8 @@
 //! ascending order produces bit-identical results. A register tile only decides
 //! which register lane holds an element while its products arrive: whatever
 //! the tile's shape, the element still takes its `kk` products one by one, in
-//! ascending `p`, through its own lane with a separate multiply and add, so
-//! tile shapes can never change a bit of the output.
+//! ascending `p`, through its own lane, each rounded as the scalar tier rounds
+//! it, so tile shapes can never change a bit of the output.
 
 pub use shfl_core::f16::round_to_f16;
 
@@ -199,12 +199,22 @@ impl SegmentSpan {
 /// `LOAD_C = false` the products are summed from `+0.0` and the finished
 /// partial is added to `c` once (the stitched kernels' per-step partial tile).
 /// The two round differently. Either way an element's `kk` products arrive in
-/// ascending `p` order through one `f32` with a separate multiply and add, so
-/// every SIMD tier, register tile, chunk width and span split gives the same
-/// bits. Spans are swept one after another, so each span's operand columns
-/// stay cache-resident across all `rows` output rows; within a span the
-/// vector tiers sweep four rows per register tile. A call with `kk = 0`
-/// leaves `c` untouched.
+/// ascending `p` order through one `f32`, so every SIMD tier, register tile,
+/// chunk width and span split gives the same bits. Spans are swept one after
+/// another, so each span's operand columns stay cache-resident across all
+/// `rows` output rows; within a span the vector tiers sweep four rows per
+/// register tile. A call with `kk = 0` leaves `c` untouched.
+///
+/// `FUSED` lets the AVX-512 and AVX2 tiers take each product with one fused
+/// multiply-add instead of a separately rounded multiply and add. Set it only
+/// when every value of `a` and every operand value the spans read from `b` is
+/// fp16-exact (a rounded panel against a rounded operand): a product of two
+/// binary16 values is exact in `f32`, so the FMA rounds exactly where the
+/// scalar tier's `c + a·b` does, and the bits do not change. On any other
+/// operand an FMA skips the product's rounding and moves the last bit, so a
+/// sweep of unrounded values (the CSR kernel's) leaves it off. SSE2 and the
+/// scalar tier never fuse. Where two NaNs meet in one element, which payload
+/// survives may differ between tiers; only its NaN-ness is fixed.
 ///
 /// # Panics
 ///
@@ -212,7 +222,7 @@ impl SegmentSpan {
 /// reaches past `stride`, or if an operand row a span reads reaches past `b`.
 /// These checks are what make the vector tiers' unchecked reads sound.
 #[allow(clippy::too_many_arguments)] // a panel, its operand rows and its output spans
-pub fn mma_sweep<const LOAD_C: bool>(
+pub fn mma_sweep<const LOAD_C: bool, const FUSED: bool>(
     a: &[f32],
     rows: usize,
     b: &[f32],
@@ -265,23 +275,23 @@ pub fn mma_sweep<const LOAD_C: bool>(
             // included, touches only columns `start .. end`: the last step's
             // `__mmask16` / `__mmask8` masked loads and stores never access a
             // masked-off lane past `end`. The tier is only returned when the
-            // CPU supports both AVX-512F and AVX-512VL.
+            // CPU supports AVX-512F, AVX-512VL and FMA.
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx512 => unsafe {
-                x86::span_avx512::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
+                x86::span_avx512::<LOAD_C, FUSED>(a, b, offs, scale, c, stride, start, end)
             },
             // SAFETY: same bounds; the last step's `vmaskmovps` never
             // accesses a masked-off lane past `end`. The tier is only
-            // returned when the CPU supports AVX2.
+            // returned when the CPU supports AVX2 and FMA.
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => unsafe {
-                x86::span_avx2::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
+                x86::span_avx2::<LOAD_C, FUSED>(a, b, offs, scale, c, stride, start, end)
             },
             // SAFETY: same bounds; the last step loads and stores only the
             // live lanes before `end`. SSE2 is baseline on x86-64.
             #[cfg(target_arch = "x86_64")]
             SimdTier::Sse2 => unsafe {
-                x86::span_sse2::<LOAD_C>(a, b, offs, scale, c, stride, start, end)
+                x86::span_sse2::<LOAD_C, FUSED>(a, b, offs, scale, c, stride, start, end)
             },
             _ => {
                 for (a_row, c_row) in a.chunks_exact(kk).zip(c.chunks_exact_mut(stride)) {
@@ -527,11 +537,39 @@ mod tests {
         [SegmentSpan { start: 0, width }]
     }
 
-    /// Deterministic fp16-exact values, about half of them negative.
+    /// Deterministic full-precision values, about half of them negative.
+    fn raw_values(len: usize, phase: f32) -> Vec<f32> {
+        (0..len).map(|i| (i as f32 * 0.31 + phase).sin()).collect()
+    }
+
+    /// [`raw_values`] rounded through fp16.
     fn values(len: usize, phase: f32) -> Vec<f32> {
-        (0..len)
-            .map(|i| round_to_f16((i as f32 * 0.31 + phase).sin()))
+        raw_values(len, phase)
+            .into_iter()
+            .map(round_to_f16)
             .collect()
+    }
+
+    /// [`mma_sweep`] with its accumulate mode and fusing chosen at run time.
+    #[allow(clippy::too_many_arguments)] // mirrors `mma_sweep`
+    fn sweep(
+        load_c: bool,
+        fused: bool,
+        a: &[f32],
+        rows: usize,
+        b: &[f32],
+        offs: &[u32],
+        scale: usize,
+        c: &mut [f32],
+        stride: usize,
+        spans: &[SegmentSpan],
+    ) {
+        match (load_c, fused) {
+            (true, true) => mma_sweep::<true, true>(a, rows, b, offs, scale, c, stride, spans),
+            (true, false) => mma_sweep::<true, false>(a, rows, b, offs, scale, c, stride, spans),
+            (false, true) => mma_sweep::<false, true>(a, rows, b, offs, scale, c, stride, spans),
+            (false, false) => mma_sweep::<false, false>(a, rows, b, offs, scale, c, stride, spans),
+        }
     }
 
     /// A `rows × kk` panel, `kk` consecutive `width`-wide operand rows and a
@@ -563,7 +601,7 @@ mod tests {
         let b = values(k * n, 2.0);
 
         let mut fast = vec![0.0f32; m * n];
-        mma_sweep::<true>(&a, m, &b, &ascending(k), n, &mut fast, n, &full(n));
+        mma_sweep::<true, true>(&a, m, &b, &ascending(k), n, &mut fast, n, &full(n));
 
         let fn_ = shape.n();
         let mut reference = vec![0.0f32; m * n];
@@ -595,7 +633,7 @@ mod tests {
             let offs = ascending(kk);
             // Cold sequence: zero a partial, accumulate into it, add into acc.
             let mut partial = vec![0.0f32; rows * width];
-            mma_sweep::<true>(
+            mma_sweep::<true, true>(
                 &a,
                 rows,
                 &b,
@@ -610,7 +648,7 @@ mod tests {
                 *o += p;
             }
             let mut fused = acc_init.clone();
-            mma_sweep::<false>(&a, rows, &b, &offs, width, &mut fused, width, &full(width));
+            mma_sweep::<false, true>(&a, rows, &b, &offs, width, &mut fused, width, &full(width));
             assert_eq!(bits(&cold), bits(&fused), "{rows}x{kk}x{width}");
         }
     }
@@ -623,7 +661,7 @@ mod tests {
             let b_rows: Vec<u32> = (0..kk).map(|p| ((p * 5 + 2) % b_height) as u32).collect();
             let tile = staged(&b, &b_rows, width, width);
             let mut staged_acc = acc_init.clone();
-            mma_sweep::<false>(
+            mma_sweep::<false, true>(
                 &a,
                 rows,
                 &tile,
@@ -634,7 +672,7 @@ mod tests {
                 &full(width),
             );
             let mut gathered = acc_init.clone();
-            mma_sweep::<false>(
+            mma_sweep::<false, true>(
                 &a,
                 rows,
                 &b,
@@ -659,7 +697,7 @@ mod tests {
                 .collect();
             let tile = staged(&b[base..], &taps, 1, width);
             let mut staged_acc = acc_init.clone();
-            mma_sweep::<false>(
+            mma_sweep::<false, true>(
                 &a,
                 rows,
                 &tile,
@@ -670,7 +708,7 @@ mod tests {
                 &full(width),
             );
             let mut offset = acc_init.clone();
-            mma_sweep::<false>(
+            mma_sweep::<false, true>(
                 &a,
                 rows,
                 &b[base..],
@@ -728,19 +766,19 @@ mod tests {
             };
             // One call over every segment vs one call per extracted segment.
             let mut fused = c_init.clone();
-            mma_sweep::<true>(&a, rows, &b, &b_rows, total, &mut fused, total, &segs);
+            mma_sweep::<true, true>(&a, rows, &b, &b_rows, total, &mut fused, total, &segs);
             let mut fused_acc = c_init.clone();
-            mma_sweep::<false>(&a, rows, &b, &b_rows, total, &mut fused_acc, total, &segs);
+            mma_sweep::<false, true>(&a, rows, &b, &b_rows, total, &mut fused_acc, total, &segs);
             let (mut reference, mut reference_acc) = (c_init.clone(), c_init.clone());
             for s in &segs {
                 let b_seg = extract(&b, b_height, total, s.start, s.width);
                 let mut c_seg = extract(&c_init, rows, total, s.start, s.width);
                 let mut acc_seg = c_seg.clone();
                 let one = full(s.width);
-                mma_sweep::<true>(
+                mma_sweep::<true, true>(
                     &a, rows, &b_seg, &b_rows, s.width, &mut c_seg, s.width, &one,
                 );
-                mma_sweep::<false>(
+                mma_sweep::<false, true>(
                     &a,
                     rows,
                     &b_seg,
@@ -764,22 +802,22 @@ mod tests {
     #[test]
     fn multi_segment_kernels_handle_empty_segment_lists_and_degenerate_dims() {
         let mut c = vec![1.0f32; 6];
-        mma_sweep::<true>(&[0.0; 6], 3, &[0.0; 4], &[0, 1], 2, &mut c, 2, &[]);
-        mma_sweep::<false>(&[0.0; 6], 3, &[0.0; 4], &[0, 1], 2, &mut c, 2, &[]);
-        mma_sweep::<false>(&[], 3, &[], &[], 2, &mut c, 2, &full(2));
+        mma_sweep::<true, true>(&[0.0; 6], 3, &[0.0; 4], &[0, 1], 2, &mut c, 2, &[]);
+        mma_sweep::<false, true>(&[0.0; 6], 3, &[0.0; 4], &[0, 1], 2, &mut c, 2, &[]);
+        mma_sweep::<false, true>(&[], 3, &[], &[], 2, &mut c, 2, &full(2));
         assert_eq!(c, vec![1.0f32; 6]);
     }
 
     #[test]
     fn row_block_handles_degenerate_dimensions() {
         let mut c = vec![1.0f32; 0];
-        mma_sweep::<true>(&[], 0, &[0.0; 8], &[0, 1], 2, &mut c, 2, &full(2));
+        mma_sweep::<true, true>(&[], 0, &[0.0; 8], &[0, 1], 2, &mut c, 2, &full(2));
         let mut c = vec![-0.0f32; 6];
         // No reduction steps: even `-0.0` survives the fused-partial mode.
-        mma_sweep::<false>(&[], 3, &[], &[], 2, &mut c, 2, &full(2));
+        mma_sweep::<false, true>(&[], 3, &[], &[], 2, &mut c, 2, &full(2));
         assert_eq!(bits(&c), bits(&[-0.0f32; 6]));
         let mut empty: Vec<f32> = vec![];
-        mma_sweep::<true>(&[0.0; 4], 2, &[], &[0, 1], 0, &mut empty, 0, &[]);
+        mma_sweep::<true, true>(&[0.0; 4], 2, &[], &[0, 1], 0, &mut empty, 0, &[]);
     }
 
     #[test]
@@ -787,7 +825,7 @@ mod tests {
     fn multi_segment_kernels_reject_out_of_range_segments() {
         let mut c = [0.0f32; 4];
         let seg = SegmentSpan { start: 1, width: 2 };
-        mma_sweep::<true>(&[0.0; 2], 2, &[0.0; 2], &[0], 2, &mut c, 2, &[seg]);
+        mma_sweep::<true, true>(&[0.0; 2], 2, &[0.0; 2], &[0], 2, &mut c, 2, &[seg]);
     }
 
     #[test]
@@ -796,7 +834,7 @@ mod tests {
         let b = [0.5f32; 16];
         let mut acc = [0.0f32; 2 * 8];
         // Base 4, taps 0 and 8: 4 + 8 + 8 > 16.
-        mma_sweep::<false>(&[1.0; 4], 2, &b[4..], &[0, 8], 1, &mut acc, 8, &full(8));
+        mma_sweep::<false, true>(&[1.0; 4], 2, &b[4..], &[0, 8], 1, &mut acc, 8, &full(8));
     }
 
     #[test]
@@ -805,14 +843,14 @@ mod tests {
         let b = [0.5f32; 16];
         let mut acc = [0.0f32; 2 * 8];
         // Row 2 of an 8-wide operand starts at element 16 of 16.
-        mma_sweep::<false>(&[1.0; 4], 2, &b, &[0, 2], 8, &mut acc, 8, &full(8));
+        mma_sweep::<false, true>(&[1.0; 4], 2, &b, &[0, 2], 8, &mut acc, 8, &full(8));
     }
 
     #[test]
     #[should_panic(expected = "A panel must be rows*kk elements")]
     fn sweep_rejects_a_mis_sized_panel() {
         let mut c = vec![0.0f32; 2 * 8];
-        mma_sweep::<true>(&[1.0; 3], 2, &[0.5; 16], &[0, 1], 8, &mut c, 8, &full(8));
+        mma_sweep::<true, true>(&[1.0; 3], 2, &[0.5; 16], &[0, 1], 8, &mut c, 8, &full(8));
     }
 
     /// The sweep as a plain scalar loop: every span column of every row takes
@@ -853,11 +891,16 @@ mod tests {
     /// both accumulate modes, row counts around the 4-row register tile
     /// (none, exactly one, one plus remainder rows, two), span widths on
     /// every edge of the 32-, 16-, 8- and 4-column tiles and of the one-row
-    /// chunks, every remainder 1–15 the last (masked) step covers — at
-    /// AVX-512 both sides of its 8/9-column switch from the `ymm` to the
-    /// `zmm` step, and an 8-column `ymm` step after a `zmm` tile — span lists
-    /// whose edges fall off the 16-, 8- and 4-lane grid, and reduction depths
-    /// 0, 1, 3 and 17.
+    /// chunks (up to 128 columns), every remainder 1–15 the last (masked)
+    /// step covers — at AVX-512 both sides of its 8/9-column switch from the
+    /// `ymm` to the `zmm` step, and an 8-column `ymm` step after a `zmm`
+    /// tile — span lists whose edges fall off the 16-, 8- and 4-lane grid,
+    /// and reduction depths 0, 1, 3 and 17.
+    ///
+    /// The fused sweep runs on fp16-exact weights and operands, as the plans
+    /// run it. The unfused sweep runs on full-precision values, on which a
+    /// fused product would move the last bit, so it fails if the unfused
+    /// sweep ever fuses.
     ///
     /// Every output column outside the spans holds NaN, and for the two
     /// row-addressed operands (`scale = stride`) every operand column outside
@@ -913,64 +956,304 @@ mod tests {
                 };
                 for rows in row_counts {
                     for kk in [0usize, 1, 3, 17] {
-                        let a = values(rows * kk, 0.2);
-                        let height = 2 * kk + 3;
-                        let base = 37;
-                        // (operand, first element, step offsets, scale) per addressing.
-                        let addressings = [
-                            (poisoned(values(kk * stride, 1.1)), 0, ascending(kk), stride),
-                            (
-                                poisoned(values(height * stride, 2.3)),
-                                0,
-                                (0..kk).map(|p| ((p * 5 + 2) % height) as u32).collect(),
-                                stride,
-                            ),
-                            (
-                                values(base + 97 + stride, 3.7),
-                                base,
-                                (0..kk).map(|p| ((p * 53 + 11) % 97) as u32).collect(),
-                                1,
-                            ),
-                        ];
-                        for (b, start, offs, scale) in &addressings {
-                            let b = &b[*start..];
-                            let mut c_init: Vec<f32> = values(rows * stride, 4.9);
-                            for (i, x) in c_init.iter_mut().enumerate() {
-                                if !live[i % stride] {
-                                    *x = nan;
+                        for fused in [true, false] {
+                            let values = if fused { values } else { raw_values };
+                            let a = values(rows * kk, 0.2);
+                            let height = 2 * kk + 3;
+                            let base = 37;
+                            // (operand, first element, step offsets, scale) per addressing.
+                            let addressings = [
+                                (poisoned(values(kk * stride, 1.1)), 0, ascending(kk), stride),
+                                (
+                                    poisoned(values(height * stride, 2.3)),
+                                    0,
+                                    (0..kk).map(|p| ((p * 5 + 2) % height) as u32).collect(),
+                                    stride,
+                                ),
+                                (
+                                    values(base + 97 + stride, 3.7),
+                                    base,
+                                    (0..kk).map(|p| ((p * 53 + 11) % 97) as u32).collect(),
+                                    1,
+                                ),
+                            ];
+                            for (b, start, offs, scale) in &addressings {
+                                let b = &b[*start..];
+                                let mut c_init: Vec<f32> = values(rows * stride, 4.9);
+                                for (i, x) in c_init.iter_mut().enumerate() {
+                                    if !live[i % stride] {
+                                        *x = nan;
+                                    }
                                 }
+                                let outside_kept = |got: &[f32]| {
+                                    got.iter().enumerate().all(|(i, x)| {
+                                        live[i % stride] || x.to_bits() == nan.to_bits()
+                                    })
+                                };
+                                for load_c in [true, false] {
+                                    let what = format!(
+                                        "tier {} fused {fused} LOAD_C {load_c} rows {rows} \
+                                         stride {stride} spans {layout:?} kk {kk} scale {scale}",
+                                        tier.label()
+                                    );
+                                    let mut got = c_init.clone();
+                                    sweep(
+                                        load_c, fused, &a, rows, b, offs, *scale, &mut got, stride,
+                                        &spans,
+                                    );
+                                    let mut want = c_init.clone();
+                                    scalar_loop(
+                                        load_c, &a, rows, b, offs, *scale, &mut want, stride,
+                                        &spans,
+                                    );
+                                    assert_eq!(bits(&got), bits(&want), "{what}");
+                                    assert!(outside_kept(&got), "outside the spans: {what}");
+                                }
+                                checked += 1;
                             }
-                            let what = format!(
-                                "tier {} rows {rows} stride {stride} spans {layout:?} kk {kk} \
-                                 scale {scale}",
-                                tier.label()
-                            );
-                            let outside_kept = |got: &[f32]| {
-                                got.iter()
-                                    .enumerate()
-                                    .all(|(i, x)| live[i % stride] || x.to_bits() == nan.to_bits())
-                            };
-                            let mut got = c_init.clone();
-                            mma_sweep::<true>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
-                            let mut want = c_init.clone();
-                            scalar_loop(true, &a, rows, b, offs, *scale, &mut want, stride, &spans);
-                            assert_eq!(bits(&got), bits(&want), "LOAD_C {what}");
-                            assert!(outside_kept(&got), "LOAD_C outside the spans {what}");
-                            let mut got = c_init.clone();
-                            mma_sweep::<false>(&a, rows, b, offs, *scale, &mut got, stride, &spans);
-                            let mut want = c_init;
-                            scalar_loop(
-                                false, &a, rows, b, offs, *scale, &mut want, stride, &spans,
-                            );
-                            assert_eq!(bits(&got), bits(&want), "fused partial {what}");
-                            assert!(outside_kept(&got), "fused partial outside the spans {what}");
-                            checked += 1;
                         }
                     }
                 }
             }
         }
         simd::force_tier(None);
-        assert_eq!(checked, tiers.len() * 11 * 6 * 4 * 3);
+        assert_eq!(checked, tiers.len() * 11 * 6 * 4 * 2 * 3);
+    }
+
+    /// Every finite binary16 value, widened to `f32`, in bit-pattern order:
+    /// 63,488 values (the 2,048 infinities and NaNs left out).
+    fn binary16_values() -> Vec<f32> {
+        let least = f32::from_bits((127 - 24) << 23); // 2⁻²⁴, the least subnormal
+        let all: Vec<f32> = (0u32..1 << 16)
+            .filter(|h| h >> 10 & 0x1f != 0x1f)
+            .map(|h| {
+                let (exp, mant) = (h >> 10 & 0x1f, h & 0x3ff);
+                let magnitude = if exp == 0 {
+                    mant as f32 * least
+                } else {
+                    f32::from_bits((exp + 127 - 15) << 23 | mant << 13)
+                };
+                if h >> 15 == 1 {
+                    -magnitude
+                } else {
+                    magnitude
+                }
+            })
+            .collect();
+        assert_eq!(all.len(), 63_488);
+        assert_eq!((all[1], all[0x7bff]), (least, 65504.0));
+        assert!(all.iter().all(|&x| round_to_f16(x) == x));
+        all
+    }
+
+    /// `x·y` is exact in `f32` for `x` in every `stride`-th finite binary16
+    /// value and `y` in all of them: the exact product rule that lets a
+    /// fused sweep keep the scalar tier's bits.
+    fn check_exact_products(stride: usize) {
+        let all = binary16_values();
+        for &x in all.iter().step_by(stride) {
+            for &y in &all {
+                let exact = f64::from(x) * f64::from(y);
+                assert_eq!(
+                    f64::from(x * y).to_bits(),
+                    exact.to_bits(),
+                    "{x:e} · {y:e} is not exact in f32"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn binary16_products_are_exact_in_f32_on_a_strided_sweep() {
+        check_exact_products(251);
+    }
+
+    /// Every product of two finite binary16 values (about 4.03 billion).
+    /// Run it in release mode: `cargo test --release -p gpu-sim -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive: about 4 billion products, run in release mode"]
+    fn every_binary16_product_is_exact_in_f32() {
+        check_exact_products(1);
+    }
+
+    /// Runs `check(load_c, reference, tier, got)` for both accumulate modes on
+    /// every available tier, where `reference` is the fused sweep of `c` on
+    /// the scalar tier and `got` the fused sweep of `c` on `tier`.
+    #[allow(clippy::too_many_arguments)] // mirrors `mma_sweep`
+    fn fused_against_scalar(
+        a: &[f32],
+        rows: usize,
+        b: &[f32],
+        offs: &[u32],
+        scale: usize,
+        c: &[f32],
+        stride: usize,
+        spans: &[SegmentSpan],
+        mut check: impl FnMut(bool, &[f32], crate::simd::SimdTier, &[f32]),
+    ) {
+        use crate::simd::{self, SimdTier};
+        for load_c in [true, false] {
+            let run = |tier| {
+                simd::force_tier(Some(tier));
+                let mut out = c.to_vec();
+                sweep(
+                    load_c, true, a, rows, b, offs, scale, &mut out, stride, spans,
+                );
+                out
+            };
+            let reference = run(SimdTier::Scalar);
+            for tier in simd::available_tiers() {
+                check(load_c, &reference, tier, &run(tier));
+            }
+        }
+        simd::force_tier(None);
+    }
+
+    /// The fused sweep keeps the scalar tier's bits on every weight it can
+    /// meet: a panel of every finite binary16 value against operand rows of
+    /// ±0, ±2⁻²⁴, ±2⁻¹⁴, ±1, ±65504 and ±∞ (each row holds all twelve, so
+    /// every weight meets every one) and accumulators of ±0, ±`f32::MAX` and
+    /// f32 subnormals. The 63,488 weights run as a `3968 × 16` panel (four-row
+    /// tiles) and as a `31 × 2048` one (three one-row rows, deep chains),
+    /// over two spans whose widths reach every tile, chunk and masked step.
+    #[test]
+    fn fused_sweep_is_bit_identical_to_the_scalar_tier_on_every_binary16_weight() {
+        let _guard = crate::simd::tier_test_lock();
+        let weights = binary16_values();
+        let finite = [
+            0.0,
+            -0.0,
+            f32::from_bits((127 - 24) << 23),
+            -f32::from_bits((127 - 24) << 23),
+            f32::from_bits((127 - 14) << 23),
+            -f32::from_bits((127 - 14) << 23),
+            1.0,
+            -1.0,
+            65504.0,
+            -65504.0,
+        ];
+        let accumulators = [
+            0.0,
+            -0.0,
+            f32::MAX,
+            -f32::MAX,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x8040_0000),
+        ];
+        let stride = 150;
+        let spans = [
+            SegmentSpan {
+                start: 0,
+                width: 137,
+            },
+            SegmentSpan {
+                start: 137,
+                width: 13,
+            },
+        ];
+        for (rows, kk) in [(3968, 16), (31, 2048)] {
+            // Columns 10 and 11 of every 12 hold +∞ and −∞ at every step;
+            // the others rotate through the finite values.
+            let b: Vec<f32> = (0..kk * stride)
+                .map(|i| match (i % stride) % 12 {
+                    10 => f32::INFINITY,
+                    11 => f32::NEG_INFINITY,
+                    col => finite[(col + i / stride) % finite.len()],
+                })
+                .collect();
+            let c: Vec<f32> = (0..rows * stride)
+                .map(|i| accumulators[(i / stride + i) % accumulators.len()])
+                .collect();
+            let offs = ascending(kk);
+            fused_against_scalar(
+                &weights,
+                rows,
+                &b,
+                &offs,
+                stride,
+                &c,
+                stride,
+                &spans,
+                |load_c, reference, tier, got| {
+                    assert_eq!(
+                        bits(got),
+                        bits(reference),
+                        "{rows}x{kk} LOAD_C {load_c} on tier {}",
+                        tier.label()
+                    );
+                },
+            );
+        }
+    }
+
+    /// The fused sweep with one NaN operand in each element: a weight (a
+    /// third of the rows carry one), an operand value (a third of the
+    /// columns) or the accumulator (the rest). Each NaN has its own payload,
+    /// quiet or signalling, and must reach its element as the scalar tier
+    /// delivers it. Where a NaN row meets a NaN column, two NaNs meet in one
+    /// element, and x86 picks the surviving payload by operand position, so
+    /// only the NaN-ness is compared there.
+    #[test]
+    fn fused_sweep_propagates_each_nan_as_the_scalar_tier_does() {
+        let _guard = crate::simd::tier_test_lock();
+        let (rows, kk, stride) = (3968, 16, 150);
+        let spans = [SegmentSpan {
+            start: 0,
+            width: stride,
+        }];
+        // A NaN whose payload, sign and quiet bit depend on `id`.
+        let nan = |id: usize| {
+            let id = id as u32;
+            f32::from_bits(id << 31 | 0x7f80_0000 | (id.wrapping_mul(0x9e37_79b9) >> 9) | 1)
+        };
+        let nan_row = |r: usize| r.is_multiple_of(3);
+        let nan_col = |j: usize| j % 3 == 1;
+        let mut a = binary16_values();
+        for r in (0..rows).filter(|&r| nan_row(r)) {
+            a[r * kk + r % kk] = nan(r);
+        }
+        let finite = [0.0, -0.0, 2e-7, -6.1e-5, 1.0, -1.0, 65504.0, -0.5];
+        let mut b: Vec<f32> = (0..kk * stride)
+            .map(|i| round_to_f16(finite[(i % stride + i / stride) % finite.len()]))
+            .collect();
+        for j in (0..stride).filter(|&j| nan_col(j)) {
+            b[(j % kk) * stride + j] = nan(rows + j);
+        }
+        let c: Vec<f32> = (0..rows * stride)
+            .map(|i| {
+                let (r, j) = (i / stride, i % stride);
+                if nan_row(r) || nan_col(j) {
+                    (i % 7) as f32 - 3.0
+                } else {
+                    nan(rows + stride + i)
+                }
+            })
+            .collect();
+        let mut both = 0;
+        fused_against_scalar(
+            &a,
+            rows,
+            &b,
+            &ascending(kk),
+            stride,
+            &c,
+            stride,
+            &spans,
+            |load_c, reference, tier, got| {
+                for (i, (x, y)) in got.iter().zip(reference).enumerate() {
+                    let what = format!("element {i} LOAD_C {load_c} on tier {}", tier.label());
+                    assert!(y.is_nan(), "{what}: every element holds one NaN");
+                    if nan_row(i / stride) && nan_col(i % stride) {
+                        assert!(x.is_nan(), "{what}");
+                        both += 1;
+                    } else {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+                    }
+                }
+            },
+        );
+        assert!(both > 0);
     }
 }

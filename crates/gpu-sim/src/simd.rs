@@ -9,9 +9,9 @@
 //! supports:
 //!
 //! * [`SimdTier::Avx512`] — 512-bit `__m512` chunks (16 lanes), selected when
-//!   both `avx512f` and `avx512vl` are detected at runtime,
+//!   `avx512f`, `avx512vl` and `fma` are detected at runtime,
 //! * [`SimdTier::Avx2`] — 256-bit `__m256` chunks (8 lanes), selected when
-//!   `avx2` is detected at runtime,
+//!   both `avx2` and `fma` are detected at runtime,
 //! * [`SimdTier::Sse2`] — 128-bit `__m128` chunks (4 lanes), the x86-64
 //!   baseline (always available there). It serves x86-64 CPUs without AVX2,
 //!   and it stays because it beats the autovectorised scalar tier there at
@@ -42,20 +42,29 @@
 //!   (`movss`, `movsd`).
 //!
 //! The dead lanes hold zero and are never stored. Rows past the last
-//! multiple of four run one row at a time (64- down to 16-column chunks at
+//! multiple of four run one row at a time (128- down to 16-column chunks at
 //! AVX-512, 64 down to 8 at AVX2, 32 down to 4 at SSE2), then the same last
 //! step at one row.
 //!
 //! **Every tier is bit-identical.** The vector tiers widen the sweep across
 //! *independent output elements* only: each output element still accumulates
-//! its `k` contributions in ascending order through one `f32` lane, using a
-//! separate IEEE-754 multiply and add per step (deliberately **no FMA** — a
-//! fused multiply-add skips the intermediate rounding and would diverge from
-//! the scalar oracle in the last bit). A tile's shape decides which register
-//! lane holds an element, never the order or the rounding of its products, so
-//! how rows and columns are grouped into tiles and chunks never changes a
-//! result, and the dispatch decision — even one racing a concurrent
-//! [`force_tier`] — can never change an output.
+//! its `k` contributions in ascending order through one `f32` lane, rounding
+//! each product and each sum once, as the scalar tier does. A *fused* sweep
+//! (`mma_sweep`'s `FUSED`) issues one fused multiply-add per product instead
+//! on the AVX-512 and AVX2 tiers, and gives the same bits by the **exact
+//! product rule**: a product of two binary16 values has at most 22
+//! significant bits and a magnitude in [2⁻⁴⁸, 65504²], so it is exact in
+//! `f32`, and `fma(a, b, c)` then rounds exactly where `c + a·b` does. A
+//! caller fuses only when every weight and operand value it sweeps is
+//! fp16-exact; on any other value the FMA skips the product's rounding and
+//! moves the last bit. SSE2 has no FMA and the scalar tier never fuses, so
+//! both keep the separate multiply and add either way. A tile's shape
+//! decides which register lane holds an element, never the order or the
+//! rounding of its products, so how rows and columns are grouped into tiles
+//! and chunks never changes a result, and the dispatch decision — even one
+//! racing a concurrent [`force_tier`] — can never change an output. (Where
+//! two NaNs meet in one element, which payload survives follows x86's
+//! operand-position rule, so only the NaN-ness is tier-independent there.)
 //!
 //! The active tier is resolved once from CPUID (overridable with the
 //! `SHFL_SIMD` environment variable: `scalar`, `sse2`, `avx2` or `avx512`,
@@ -72,10 +81,10 @@ pub enum SimdTier {
     Scalar,
     /// 128-bit `__m128` sweeps; baseline on every x86-64 CPU.
     Sse2,
-    /// 256-bit `__m256` sweeps; requires runtime-detected AVX2.
+    /// 256-bit `__m256` sweeps; requires runtime-detected AVX2 and FMA.
     Avx2,
     /// 512-bit `__m512` sweeps with mask-register tails; requires
-    /// runtime-detected AVX-512F and AVX-512VL.
+    /// runtime-detected AVX-512F, AVX-512VL and FMA.
     Avx512,
 }
 
@@ -164,9 +173,12 @@ static ACTIVE: AtomicU8 = AtomicU8::new(UNRESOLVED);
 pub fn best_available() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+        // Both wide tiers fuse on exact products (`_mm256_fmadd_ps` in the
+        // AVX-512 tier's `ymm` step too), so both need FMA.
+        let fma = is_x86_feature_detected!("fma");
+        if fma && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
             SimdTier::Avx512
-        } else if is_x86_feature_detected!("avx2") {
+        } else if fma && is_x86_feature_detected!("avx2") {
             SimdTier::Avx2
         } else {
             SimdTier::Sse2
@@ -253,15 +265,18 @@ pub(crate) mod x86 {
     const TILE_ROWS: usize = 4;
 
     /// One `f32` vector register and the arithmetic a register tile runs on
-    /// it. `mul` and `add` are separate IEEE-754 operations, each rounded: an
-    /// FMA would skip the intermediate rounding and break bit-identity with
-    /// the scalar tier.
+    /// it. `mul` and `add` are separate IEEE-754 operations, each rounded.
+    /// `mul_add` rounds `self·b + c` once where the register has an FMA
+    /// (`__m256`, `__m512`) and is `mul` then `add` where it has none
+    /// (`__m128`): only a fused sweep calls it, whose products are exact
+    /// (the module's exact product rule), so both round alike.
     ///
     /// # Safety
     ///
     /// Every method requires a CPU that supports the register's instruction
-    /// set; `load` and `store` require `src` / `dst` to be valid for
-    /// [`Vector::LANES`] consecutive `f32` reads / writes.
+    /// set (and FMA for `mul_add` on `__m256`); `load` and `store` require
+    /// `src` / `dst` to be valid for [`Vector::LANES`] consecutive `f32`
+    /// reads / writes.
     trait Vector: Copy {
         /// `f32` lanes in one register.
         const LANES: usize;
@@ -270,13 +285,15 @@ pub(crate) mod x86 {
         unsafe fn store(self, dst: *mut f32);
         unsafe fn add(self, other: Self) -> Self;
         unsafe fn mul(self, other: Self) -> Self;
+        unsafe fn mul_add(self, b: Self, c: Self) -> Self;
     }
 
     /// Implements [`Vector`] for one register type from its lane count and
-    /// its broadcast, unaligned load and store, add and multiply intrinsics.
+    /// its broadcast, unaligned load and store, add, multiply and
+    /// multiply-add intrinsics.
     macro_rules! vector {
         ($reg:ty, $lanes:literal:
-         $splat:ident, $load:ident, $store:ident, $add:ident, $mul:ident) => {
+         $splat:ident, $load:ident, $store:ident, $add:ident, $mul:ident, $mul_add:ident) => {
             impl Vector for $reg {
                 const LANES: usize = $lanes;
                 #[inline(always)]
@@ -299,16 +316,32 @@ pub(crate) mod x86 {
                 unsafe fn mul(self, other: Self) -> Self {
                     $mul(self, other)
                 }
+                #[inline(always)]
+                unsafe fn mul_add(self, b: Self, c: Self) -> Self {
+                    $mul_add(self, b, c)
+                }
             }
         };
     }
 
-    vector! { __m128, 4: _mm_set1_ps, _mm_loadu_ps, _mm_storeu_ps, _mm_add_ps, _mm_mul_ps }
+    /// SSE2's `mul_add`: it has no FMA, so a separate multiply and add.
+    #[inline(always)]
+    unsafe fn sse2_mul_add(a: __m128, b: __m128, c: __m128) -> __m128 {
+        _mm_add_ps(c, _mm_mul_ps(a, b))
+    }
+
     vector! {
-        __m256, 8: _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps, _mm256_mul_ps
+        __m128, 4: _mm_set1_ps, _mm_loadu_ps, _mm_storeu_ps, _mm_add_ps, _mm_mul_ps, sse2_mul_add
     }
     vector! {
-        __m512, 16: _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps, _mm512_mul_ps
+        __m256, 8:
+        _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps, _mm256_mul_ps,
+        _mm256_fmadd_ps
+    }
+    vector! {
+        __m512, 16:
+        _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps, _mm512_mul_ps,
+        _mm512_fmadd_ps
     }
 
     /// Which lanes of a register a tile reads and writes: all of them
@@ -433,6 +466,9 @@ pub(crate) mod x86 {
     /// so each live column takes exactly the products a full tile would give
     /// it. `LOAD_C` selects the accumulate mode of `mma_sweep`: start the
     /// tile from `c`, or from `+0.0` with one add into `c` at the end.
+    /// `FUSED` takes each product with one `mul_add` in place of `mul` then
+    /// `add`: the same bits when the products are exact, as they are in a
+    /// fused sweep.
     ///
     /// # Safety
     ///
@@ -443,7 +479,13 @@ pub(crate) mod x86 {
     /// support `A`'s instructions.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
-    unsafe fn tile<A: Access, const NR: usize, const NV: usize, const LOAD_C: bool>(
+    unsafe fn tile<
+        A: Access,
+        const NR: usize,
+        const NV: usize,
+        const LOAD_C: bool,
+        const FUSED: bool,
+    >(
         access: A,
         a: *const f32,
         b: *const f32,
@@ -471,9 +513,13 @@ pub(crate) mod x86 {
             for (r, row) in part.iter_mut().enumerate() {
                 let avv = A::V::splat(*a.add(r * kk + p));
                 for (acc, &x) in row.iter_mut().zip(&bv) {
-                    // Separate mul + add: an FMA would skip the intermediate
-                    // rounding and break bit-identity with the scalar tier.
-                    *acc = A::V::add(*acc, A::V::mul(avv, x));
+                    // Fused only on exact products: on any other an FMA
+                    // skips the product's rounding and moves the last bit.
+                    *acc = if FUSED {
+                        avv.mul_add(x, *acc)
+                    } else {
+                        A::V::add(*acc, A::V::mul(avv, x))
+                    };
                 }
             }
         }
@@ -503,7 +549,13 @@ pub(crate) mod x86 {
     /// instructions.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
-    unsafe fn chunks<V: Vector, const NR: usize, const NV: usize, const LOAD_C: bool>(
+    unsafe fn chunks<
+        V: Vector,
+        const NR: usize,
+        const NV: usize,
+        const LOAD_C: bool,
+        const FUSED: bool,
+    >(
         a: *const f32,
         b: *const f32,
         offs: &[u32],
@@ -515,7 +567,8 @@ pub(crate) mod x86 {
     ) -> usize {
         let blk = NV * V::LANES;
         while j0 + blk <= end {
-            tile::<Full<V>, NR, NV, LOAD_C>(Full(PhantomData), a, b, offs, scale, c, stride, j0);
+            let full = Full::<V>(PhantomData);
+            tile::<_, NR, NV, LOAD_C, FUSED>(full, a, b, offs, scale, c, stride, j0);
             j0 += blk;
         }
         j0
@@ -531,10 +584,10 @@ pub(crate) mod x86 {
     /// # Safety
     ///
     /// Same bounds contract as [`chunks`], with `end − j0 < 16`. The CPU
-    /// must support AVX-512F and AVX-512VL.
+    /// must support AVX-512F, AVX-512VL and FMA.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
-    unsafe fn last_avx512<const NR: usize, const LOAD_C: bool>(
+    unsafe fn last_avx512<const NR: usize, const LOAD_C: bool, const FUSED: bool>(
         a: *const f32,
         b: *const f32,
         offs: &[u32],
@@ -552,11 +605,11 @@ pub(crate) mod x86 {
             0 => {}
             1..=8 => {
                 let mask = KMask256(bits as __mmask8);
-                tile::<_, NR, 1, LOAD_C>(mask, a, b, offs, scale, c, stride, j0);
+                tile::<_, NR, 1, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
             }
             _ => {
                 let mask = KMask512(bits as __mmask16);
-                tile::<_, NR, 1, LOAD_C>(mask, a, b, offs, scale, c, stride, j0);
+                tile::<_, NR, 1, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
             }
         }
     }
@@ -569,10 +622,10 @@ pub(crate) mod x86 {
     /// # Safety
     ///
     /// Same bounds contract as [`chunks`], with `end − j0 < 8`. The CPU must
-    /// support AVX2.
+    /// support AVX2 and FMA.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
-    unsafe fn last_avx2<const NR: usize, const LOAD_C: bool>(
+    unsafe fn last_avx2<const NR: usize, const LOAD_C: bool, const FUSED: bool>(
         a: *const f32,
         b: *const f32,
         offs: &[u32],
@@ -587,7 +640,7 @@ pub(crate) mod x86 {
         if live > 0 {
             let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
             let mask = VMask256(_mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lanes));
-            tile::<_, NR, 1, LOAD_C>(mask, a, b, offs, scale, c, stride, j0);
+            tile::<_, NR, 1, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
         }
     }
 
@@ -601,7 +654,7 @@ pub(crate) mod x86 {
     /// baseline on x86-64.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
-    unsafe fn last_sse2<const NR: usize, const LOAD_C: bool>(
+    unsafe fn last_sse2<const NR: usize, const LOAD_C: bool, const FUSED: bool>(
         a: *const f32,
         b: *const f32,
         offs: &[u32],
@@ -614,7 +667,7 @@ pub(crate) mod x86 {
         let live = end - j0;
         debug_assert!(live < 4);
         if live > 0 {
-            tile::<_, NR, 1, LOAD_C>(Live128(live), a, b, offs, scale, c, stride, j0);
+            tile::<_, NR, 1, LOAD_C, FUSED>(Live128(live), a, b, offs, scale, c, stride, j0);
         }
     }
 
@@ -622,18 +675,21 @@ pub(crate) mod x86 {
     /// `rows × kk` panel. Each full group of [`TILE_ROWS`] rows sweeps
     /// `4 × 32`, then `4 × 16` `__m512` tiles, then its last columns (fewer
     /// than 16) in one masked step ([`last_avx512`]). Rows past the last full
-    /// group take the one-row path: 64/32/16-wide `__m512` chunks, then the
-    /// same masked step at one row.
+    /// group take the one-row path: 128/64/32/16-wide `__m512` chunks, then
+    /// the same masked step at one row. The 128-wide chunk's eight
+    /// accumulators give the one-row sweep (every row of a CSR plan) eight
+    /// independent chains, as the AVX2 tier's 64-wide chunk does.
     ///
     /// # Safety
     ///
     /// With `kk = offs.len()`: caller guarantees `kk > 0`,
     /// `a.len() == rows·kk` and `c.len() == rows·stride` for the same
     /// `rows`, `end <= stride`, `offs[p] as usize * scale + end <= b.len()`
-    /// for every `p`, and that the CPU supports AVX-512F and AVX-512VL.
+    /// for every `p`, and that the CPU supports AVX-512F, AVX-512VL and FMA
+    /// (which `avx512f` implies as a target feature).
     #[target_feature(enable = "avx512f,avx512vl")]
     #[allow(clippy::too_many_arguments)] // a panel, its operand rows and one span
-    pub(crate) unsafe fn span_avx512<const LOAD_C: bool>(
+    pub(crate) unsafe fn span_avx512<const LOAD_C: bool, const FUSED: bool>(
         a: &[f32],
         b: &[f32],
         offs: &[u32],
@@ -656,17 +712,22 @@ pub(crate) mod x86 {
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
             let mut j0 = start;
-            j0 = chunks::<__m512, TILE_ROWS, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m512, TILE_ROWS, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            last_avx512::<TILE_ROWS, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m512, TILE_ROWS, 2, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, j0,
+            );
+            j0 = chunks::<__m512, TILE_ROWS, 1, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, j0,
+            );
+            last_avx512::<TILE_ROWS, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
         for r in tiled..rows {
             let (a, c) = (a.add(r * kk), c.add(r * stride));
             let mut j0 = start;
-            j0 = chunks::<__m512, 1, 4, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m512, 1, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m512, 1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            last_avx512::<1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m512, 1, 8, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m512, 1, 4, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m512, 1, 2, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m512, 1, 1, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            last_avx512::<1, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
     }
 
@@ -678,10 +739,11 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     ///
-    /// Same contract as [`span_avx512`], with a CPU that supports AVX2.
-    #[target_feature(enable = "avx2")]
+    /// Same contract as [`span_avx512`], with a CPU that supports AVX2 and
+    /// FMA.
+    #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)] // a panel, its operand rows and one span
-    pub(crate) unsafe fn span_avx2<const LOAD_C: bool>(
+    pub(crate) unsafe fn span_avx2<const LOAD_C: bool, const FUSED: bool>(
         a: &[f32],
         b: &[f32],
         offs: &[u32],
@@ -700,18 +762,22 @@ pub(crate) mod x86 {
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
             let mut j0 = start;
-            j0 = chunks::<__m256, TILE_ROWS, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m256, TILE_ROWS, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            last_avx2::<TILE_ROWS, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m256, TILE_ROWS, 2, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, j0,
+            );
+            j0 = chunks::<__m256, TILE_ROWS, 1, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, j0,
+            );
+            last_avx2::<TILE_ROWS, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
         for r in tiled..rows {
             let (a, c) = (a.add(r * kk), c.add(r * stride));
             let mut j0 = start;
-            j0 = chunks::<__m256, 1, 8, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m256, 1, 4, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m256, 1, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m256, 1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            last_avx2::<1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m256, 1, 8, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m256, 1, 4, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m256, 1, 2, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m256, 1, 1, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            last_avx2::<1, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
     }
 
@@ -727,7 +793,7 @@ pub(crate) mod x86 {
     /// Same contract as [`span_avx512`]; SSE2 is baseline on x86-64.
     #[target_feature(enable = "sse2")]
     #[allow(clippy::too_many_arguments)] // a panel, its operand rows and one span
-    pub(crate) unsafe fn span_sse2<const LOAD_C: bool>(
+    pub(crate) unsafe fn span_sse2<const LOAD_C: bool, const FUSED: bool>(
         a: &[f32],
         b: &[f32],
         offs: &[u32],
@@ -746,18 +812,22 @@ pub(crate) mod x86 {
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
             let mut j0 = start;
-            j0 = chunks::<__m128, TILE_ROWS, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m128, TILE_ROWS, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            last_sse2::<TILE_ROWS, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m128, TILE_ROWS, 2, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, j0,
+            );
+            j0 = chunks::<__m128, TILE_ROWS, 1, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, j0,
+            );
+            last_sse2::<TILE_ROWS, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
         for r in tiled..rows {
             let (a, c) = (a.add(r * kk), c.add(r * stride));
             let mut j0 = start;
-            j0 = chunks::<__m128, 1, 8, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m128, 1, 4, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m128, 1, 2, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            j0 = chunks::<__m128, 1, 1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
-            last_sse2::<1, LOAD_C>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m128, 1, 8, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m128, 1, 4, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m128, 1, 2, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            j0 = chunks::<__m128, 1, 1, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
+            last_sse2::<1, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
     }
 }

@@ -376,7 +376,8 @@ impl ImplicitConvPlan {
                 taps = rest;
                 for (blk, acc) in tile.chunks_exact_mut(slab).enumerate() {
                     let block = &t[blk * self.rows_per_block * row_step..];
-                    mma_sweep::<false>(values, v, block, step_taps, 1, acc, bw, &span);
+                    // Rounded panels against the rounded slab: fused.
+                    mma_sweep::<false, true>(values, v, block, step_taps, 1, acc, bw, &span);
                 }
             }
             for sr in 0..v {

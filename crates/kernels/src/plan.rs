@@ -297,7 +297,8 @@ impl PanelOperand {
             for panel in self.packed.chunk_panels(g) {
                 let (values, height, w) = self.packed.panel(panel);
                 let (step_rows, rest) = rows.split_at(w);
-                mma_sweep::<LOAD_C>(values, height, b16, step_rows, n, acc, n, spans);
+                // Rounded panels against the rounded operand: fused.
+                mma_sweep::<LOAD_C, true>(values, height, b16, step_rows, n, acc, n, spans);
                 rows = rest;
             }
         });
@@ -314,12 +315,14 @@ impl PanelOperand {
 /// Static operand data of one prepared plan.
 #[derive(Debug, Clone)]
 enum SpmmPlanKind {
-    /// Every tensor-core plan. `stitched` marks panels packed from a
-    /// vector-wise matrix (vector-wise / Shfl-BW): the only plans a
-    /// same-pattern Shfl-BW update may re-pack, whatever their tables.
+    /// Every tensor-core plan. `shfl_bw` marks plans built by
+    /// [`SpmmPlan::shfl_bw`]: the only plans a same-pattern Shfl-BW update
+    /// may re-pack, whatever their tables (a vector-wise plan of the same
+    /// weights under the identity permutation has the same tables, but its
+    /// own profile).
     Panels {
         operand: PanelOperand,
-        stitched: bool,
+        shfl_bw: bool,
     },
     /// CUDA-core CSR: the kernel performs no fp16 staging, so the compressed
     /// operand itself is the packed form.
@@ -345,7 +348,7 @@ impl SpmmPlan {
         let config = spmm::vector_wise::VectorWiseKernelConfig::ours();
         let profile = spmm::vector_wise::vector_wise_spmm_profile(arch, weights, n, &config);
         let identity: Vec<u32> = (0..weights.rows() as u32).collect();
-        Self::stitched(arch, weights, identity, n, profile)
+        Self::stitched(arch, weights, identity, n, profile, false)
     }
 
     /// Prepares the Shfl-BW tensor-core SpMM: the shuffle row indices are
@@ -359,6 +362,7 @@ impl SpmmPlan {
             weights.row_indices().to_vec(),
             n,
             profile,
+            true,
         )
     }
 
@@ -368,6 +372,7 @@ impl SpmmPlan {
         row_indices: Vec<u32>,
         n: usize,
         profile: KernelProfile,
+        shfl_bw: bool,
     ) -> Self {
         let v = vw.vector_size();
         let tile = tiling::select_vector_wise_tile(v, n);
@@ -388,7 +393,7 @@ impl SpmmPlan {
             ),
             kind: SpmmPlanKind::Panels {
                 operand: PanelOperand::stitched(vw, tile.tk, vw.col_idx().to_vec(), row_indices),
-                stitched: true,
+                shfl_bw,
             },
             profile,
         }
@@ -407,7 +412,7 @@ impl SpmmPlan {
             launch: launch::vector_wise_launch(arch, weights.rows(), n, avg_cols_per_row, v, 2),
             kind: SpmmPlanKind::Panels {
                 operand: PanelOperand::blocks(weights),
-                stitched: false,
+                shfl_bw: false,
             },
             profile,
         }
@@ -450,7 +455,7 @@ impl SpmmPlan {
             launch: launch::dense_launch(arch, m, n, k),
             kind: SpmmPlanKind::Panels {
                 operand: PanelOperand::dense(weights, arch.mma_shape),
-                stitched: false,
+                shfl_bw: false,
             },
             profile,
         }
@@ -540,8 +545,8 @@ impl SpmmPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::ShapeMismatch`] if this plan is not a stitched
-    /// (vector-wise / Shfl-BW) plan, or if `weights` changes the sparsity
+    /// Returns [`KernelError::ShapeMismatch`] if this plan was not built by
+    /// [`SpmmPlan::shfl_bw`], or if `weights` changes the sparsity
     /// structure (vector size, shape, group boundaries, kept columns, or row
     /// permutation) — structural updates need a full rebuild.
     pub fn repack_shfl_bw(&self, weights: &ShflBwMatrix) -> KernelResult<(SpmmPlan, usize)> {
@@ -549,7 +554,7 @@ impl SpmmPlan {
         let same_pattern = match &self.kind {
             SpmmPlanKind::Panels {
                 operand,
-                stitched: true,
+                shfl_bw: true,
             } => {
                 operand.packed.panel_rows() == vw.vector_size()
                     && self.m == weights.rows()
@@ -563,7 +568,7 @@ impl SpmmPlan {
         if !same_pattern {
             return Err(KernelError::ShapeMismatch {
                 context: format!(
-                    "delta re-pack requires a same-pattern stitched plan: \
+                    "delta re-pack requires a same-pattern Shfl-BW plan: \
                      plan bucket {:?} cannot absorb update {}",
                     self.bucket(),
                     weights
@@ -572,7 +577,7 @@ impl SpmmPlan {
         }
         let mut plan = self.clone();
         let SpmmPlanKind::Panels { operand, .. } = &mut plan.kind else {
-            unreachable!("pattern check above admits only stitched plans");
+            unreachable!("pattern check above admits only Shfl-BW plans");
         };
         let bytes = operand.packed.repack(
             vw.rows(),
@@ -711,7 +716,7 @@ mod tests {
             )
         };
         assert!(rejects(&plan, &other));
-        // Only stitched plans take a delta re-pack: the block-wise, balanced,
+        // Only Shfl-BW plans take a delta re-pack: the block-wise, balanced,
         // CSR and dense plans of the same weights reject it.
         let bsr = BlockSparseMatrix::from_dense(&scaled, 8).unwrap();
         assert!(rejects(&SpmmPlan::block_wise(&arch, &bsr, 24), &update));
@@ -728,7 +733,8 @@ mod tests {
         // keeps both blocks, so the block-wise plan sweeps operand rows 0..32
         // from group start 0, 16 deep, into output rows 0..16, exactly like
         // the Shfl-BW plan of the same weights under the identity
-        // permutation.
+        // permutation. So does the vector-wise plan of those weights, whose
+        // re-pack would keep its vector-wise profile.
         let w = DenseMatrix::random(&mut rng, 16, 32);
         let block =
             SpmmPlan::block_wise(&arch, &BlockSparseMatrix::from_dense(&w, 16).unwrap(), 24);
@@ -747,6 +753,16 @@ mod tests {
         );
         assert_eq!((os.depth, stitched.tile().tk), (16, 16));
         assert!(rejects(&block, &shfl));
+        let vector_wise = SpmmPlan::vector_wise(&arch, shfl.vector_wise(), 24);
+        let SpmmPlanKind::Panels { operand: ov, .. } = &vector_wise.kind else {
+            panic!("vector-wise plans hold panels");
+        };
+        assert_eq!(
+            (&ov.operand_rows, &ov.group_start, ov.depth, &ov.output_rows),
+            (&os.operand_rows, &os.group_start, os.depth, &os.output_rows)
+        );
+        assert_ne!(vector_wise.profile().name, stitched.profile().name);
+        assert!(rejects(&vector_wise, &shfl));
         assert!(stitched.repack_shfl_bw(&shfl).is_ok());
     }
 

@@ -124,7 +124,8 @@ pub(crate) fn csr_spmm_into(
         macs_per_element,
         |row, out_row| {
             let (cols, vals) = a.row_entries(row);
-            mma_sweep::<true>(vals, 1, b.as_slice(), cols, n, out_row, n, spans);
+            // Unrounded values: a fused product would move the last bit.
+            mma_sweep::<true, false>(vals, 1, b.as_slice(), cols, n, out_row, n, spans);
         },
     );
 }
