@@ -891,11 +891,12 @@ mod tests {
     /// both accumulate modes, row counts around the 4-row register tile
     /// (none, exactly one, one plus remainder rows, two), span widths on
     /// every edge of the 32-, 16-, 8- and 4-column tiles and of the one-row
-    /// chunks (up to 128 columns), every remainder 1–15 the last (masked)
-    /// step covers — at AVX-512 both sides of its 8/9-column switch from the
-    /// `ymm` to the `zmm` step, and an 8-column `ymm` step after a `zmm`
-    /// tile — span lists whose edges fall off the 16-, 8- and 4-lane grid,
-    /// and reduction depths 0, 1, 3 and 17.
+    /// chunks (up to 128 columns), every width 1–64 side by side, so every
+    /// remainder each tier's last step takes (at AVX-512 both sides of its
+    /// 8/9-column switch from the `ymm` to the `zmm` step, and the 17–31
+    /// columns of its two-register tile with a masked second register), span
+    /// lists whose edges fall off the 16-, 8- and 4-lane grid, and reduction
+    /// depths 0, 1, 3 and 17.
     ///
     /// The fused sweep runs on fp16-exact weights and operands, as the plans
     /// run it. The unfused sweep runs on full-precision values, on which a
@@ -913,7 +914,8 @@ mod tests {
         let _guard = simd::tier_test_lock();
         let nan = f32::from_bits(0x7fc0_5a5a);
         let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-        let layouts: [(usize, &[(usize, usize)]); 11] = [
+        let every_width: Vec<(usize, usize)> = (1..=64).map(|w| (w * (w - 1) / 2, w)).collect();
+        let layouts: [(usize, &[(usize, usize)]); 12] = [
             (45, &[(0, 45)]),
             (45, &[(3, 10), (13, 25)]),
             (45, &[(0, 1), (1, 5), (6, 38)]),
@@ -928,6 +930,7 @@ mod tests {
                 310,
                 &[(0, 24), (24, 40), (64, 48), (112, 63), (175, 64), (239, 65)],
             ),
+            (64 * 65 / 2, &every_width),
         ];
         let row_counts = [1usize, 3, 4, 5, 8, 9];
         let mut checked = 0;
@@ -1017,7 +1020,7 @@ mod tests {
             }
         }
         simd::force_tier(None);
-        assert_eq!(checked, tiers.len() * 11 * 6 * 4 * 2 * 3);
+        assert_eq!(checked, tiers.len() * 12 * 6 * 4 * 2 * 3);
     }
 
     /// Every finite binary16 value, widened to `f32`, in bit-pattern order:
@@ -1115,7 +1118,7 @@ mod tests {
     /// every weight meets every one) and accumulators of ±0, ±`f32::MAX` and
     /// f32 subnormals. The 63,488 weights run as a `3968 × 16` panel (four-row
     /// tiles) and as a `31 × 2048` one (three one-row rows, deep chains),
-    /// over two spans whose widths reach every tile, chunk and masked step.
+    /// over three spans whose widths reach every tile, chunk and last step.
     #[test]
     fn fused_sweep_is_bit_identical_to_the_scalar_tier_on_every_binary16_weight() {
         let _guard = crate::simd::tier_test_lock();
@@ -1142,17 +1145,9 @@ mod tests {
             f32::from_bits(0x007f_ffff),
             f32::from_bits(0x8040_0000),
         ];
-        let stride = 150;
-        let spans = [
-            SegmentSpan {
-                start: 0,
-                width: 137,
-            },
-            SegmentSpan {
-                start: 137,
-                width: 13,
-            },
-        ];
+        let stride = 170;
+        let spans =
+            [(0, 137), (137, 29), (166, 4)].map(|(start, width)| SegmentSpan { start, width });
         for (rows, kk) in [(3968, 16), (31, 2048)] {
             // Columns 10 and 11 of every 12 hold +∞ and −∞ at every step;
             // the others rotate through the finite values.

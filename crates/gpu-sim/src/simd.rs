@@ -26,10 +26,14 @@
 //! reduction step the tile loads its operand vectors once and multiplies each
 //! by the four rows' broadcast weights, so one load feeds four rows' worth of
 //! multiply-adds. AVX-512 tiles `4 × 32` columns in eight `__m512`
-//! accumulators, then `4 × 16`; AVX2 tiles `4 × 16` in eight `__m256`, then
-//! `4 × 8`; SSE2 tiles `4 × 8`, then `4 × 4` in `__m128`. One tile body
-//! serves all three widths. The tile's last columns (fewer than one full
-//! register) take one more step that reads and writes only the live lanes:
+//! accumulators, AVX2 `4 × 16` in eight `__m256` and SSE2 `4 × 8` in eight
+//! `__m128`. One tile body serves all three widths. The tile's last columns
+//! (fewer than two registers) take one more step. Past one full register it
+//! is the same two-register tile, whose second register reads and writes
+//! only the live lanes, so the operand and weight loads of a ragged width
+//! feed eight accumulators, as a full tile's do. One full register takes a
+//! one-register tile. Fewer take a one-register step that reads and writes
+//! only the live lanes:
 //!
 //! * AVX-512 masks with a mask register. Nine to fifteen columns take one
 //!   `zmm` step under a `__mmask16`; one to eight, so every width up to 8,
@@ -45,6 +49,13 @@
 //! multiple of four run one row at a time (128- down to 16-column chunks at
 //! AVX-512, 64 down to 8 at AVX2, 32 down to 4 at SSE2), then the same last
 //! step at one row.
+//!
+//! A masked store's dead lanes overlap the next row's first columns, and a
+//! load that overlaps a masked store waits for the store to retire rather
+//! than take its value. So a masked step that adds its sums into `c` loads
+//! all of `c` before it stores any. Stored row by row, each next row's load
+//! stalled, and the two-register step ran slower than a full tile followed
+//! by a separate masked step.
 //!
 //! **Every tier is bit-identical.** The vector tiers widen the sweep across
 //! *independent output elements* only: each output element still accumulates
@@ -356,6 +367,8 @@ pub(crate) mod x86 {
     trait Access: Copy {
         /// The register the tile accumulates in.
         type V: Vector;
+        /// Whether some lanes lie outside the access.
+        const MASKED: bool = true;
         unsafe fn load(self, src: *const f32) -> Self::V;
         unsafe fn store(self, dst: *mut f32, v: Self::V);
     }
@@ -366,6 +379,7 @@ pub(crate) mod x86 {
 
     impl<V: Vector> Access for Full<V> {
         type V = V;
+        const MASKED: bool = false;
         #[inline(always)]
         unsafe fn load(self, src: *const f32) -> V {
             V::load(src)
@@ -460,23 +474,25 @@ pub(crate) mod x86 {
     /// consecutive output rows whose weights start at `a` and whose outputs
     /// start at `c`, held in `NR·NV` accumulators across the whole reduction:
     /// at step `p` each of the `NV` operand vectors is loaded once and
-    /// multiplied by all `NR` rows' broadcast weights. `access` decides which
-    /// lanes of each vector are read and written (a masked access runs with
-    /// `NV = 1`). Dead lanes load as zero and only ever feed other dead lanes,
-    /// so each live column takes exactly the products a full tile would give
-    /// it. `LOAD_C` selects the accumulate mode of `mma_sweep`: start the
-    /// tile from `c`, or from `+0.0` with one add into `c` at the end.
-    /// `FUSED` takes each product with one `mul_add` in place of `mul` then
-    /// `add`: the same bits when the products are exact, as they are in a
-    /// fused sweep.
+    /// multiplied by all `NR` rows' broadcast weights. Every vector of a row
+    /// but the last reads and writes all its lanes; `access` decides which
+    /// lanes of the last one are read and written, so a masked access ends
+    /// the tile with a ragged vector. Dead lanes load as zero and only ever
+    /// feed other dead lanes, so each live column takes exactly the products
+    /// a full tile would give it. `LOAD_C` selects the accumulate mode of
+    /// `mma_sweep`: start the tile from `c`, or from `+0.0` with one add into
+    /// `c` at the end. `FUSED` takes each product with one `mul_add` in place
+    /// of `mul` then `add`: the same bits when the products are exact, as
+    /// they are in a fused sweep.
     ///
     /// # Safety
     ///
     /// With `kk = offs.len()`: `a` must be valid for `NR·kk` reads, and for
-    /// every `r < NR`, `v < NV` and step `p`, the lanes `access` touches at
-    /// `c + r·stride + j0 + v·LANES` must be valid for reads and writes and
-    /// those at `b + offs[p]·scale + j0 + v·LANES` for reads. The CPU must
-    /// support `A`'s instructions.
+    /// every `r < NR`, `v < NV` and step `p`, the lanes vector `v` touches
+    /// (all `LANES` of them for `v < NV − 1`, those `access` covers for the
+    /// last) at `c + r·stride + j0 + v·LANES` must be valid for reads and
+    /// writes and those at `b + offs[p]·scale + j0 + v·LANES` for reads. The
+    /// CPU must support `A`'s instructions.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
     unsafe fn tile<
@@ -496,11 +512,19 @@ pub(crate) mod x86 {
         j0: usize,
     ) {
         let (kk, lanes) = (offs.len(), A::V::LANES);
+        // Vector `v` of a row: all lanes but for the last, which `access` reads.
+        let load = |v: usize, src: *const f32| {
+            if v + 1 < NV {
+                A::V::load(src)
+            } else {
+                access.load(src)
+            }
+        };
         let mut part = [[A::V::splat(0.0); NV]; NR];
         if LOAD_C {
             for (r, row) in part.iter_mut().enumerate() {
                 for (v, acc) in row.iter_mut().enumerate() {
-                    *acc = access.load(c.add(r * stride + j0 + v * lanes));
+                    *acc = load(v, c.add(r * stride + j0 + v * lanes));
                 }
             }
         }
@@ -508,7 +532,7 @@ pub(crate) mod x86 {
             let src = b.add(off as usize * scale + j0);
             let mut bv = [A::V::splat(0.0); NV];
             for (v, x) in bv.iter_mut().enumerate() {
-                *x = access.load(src.add(v * lanes));
+                *x = load(v, src.add(v * lanes));
             }
             for (r, row) in part.iter_mut().enumerate() {
                 let avv = A::V::splat(*a.add(r * kk + p));
@@ -523,15 +547,30 @@ pub(crate) mod x86 {
                 }
             }
         }
+        // A masked store's dead lanes overlap the next row's first columns,
+        // and a load that overlaps a masked store waits for the store to
+        // retire instead of taking its value. So a masked tile loads all the
+        // `c` it adds to before it stores any; a full one goes row by row.
+        if !LOAD_C && A::MASKED {
+            for (r, row) in part.iter_mut().enumerate() {
+                for (v, acc) in row.iter_mut().enumerate() {
+                    *acc = A::V::add(load(v, c.add(r * stride + j0 + v * lanes)), *acc);
+                }
+            }
+        }
         for (r, row) in part.iter().enumerate() {
             for (v, &acc) in row.iter().enumerate() {
                 let dst = c.add(r * stride + j0 + v * lanes);
-                let out = if LOAD_C {
+                let out = if LOAD_C || A::MASKED {
                     acc
                 } else {
-                    A::V::add(access.load(dst), acc)
+                    A::V::add(load(v, dst), acc)
                 };
-                access.store(dst, out);
+                if v + 1 < NV {
+                    out.store(dst)
+                } else {
+                    access.store(dst, out)
+                }
             }
         }
     }
@@ -575,15 +614,18 @@ pub(crate) mod x86 {
     }
 
     /// The AVX-512 tier's last step: the last `end − j0` columns (fewer than
-    /// 16, possibly none) of the `NR` rows in one [`tile`] under a mask
-    /// register. Nine to fifteen columns take one `NR × 16` `zmm` step under
-    /// a `__mmask16`; one to eight take one `NR × 8` `ymm` step under an
-    /// AVX-512VL `__mmask8`, which at narrow widths costs less than a `zmm`
-    /// step with eight or more dead lanes.
+    /// 32, possibly none) of the `NR` rows in one [`tile`]. Seventeen to
+    /// thirty-one columns take one `NR × 32` tile whose second `zmm` is
+    /// masked by a `__mmask16`, so they keep the eight accumulators of a full
+    /// `4 × 32` tile where a `4 × 16` tile and a masked step would each hold
+    /// four. Sixteen take one full `zmm` step; nine to fifteen one `zmm` step
+    /// under a `__mmask16`; one to eight one `ymm` step under an AVX-512VL
+    /// `__mmask8`, which at narrow widths costs less than a `zmm` step with
+    /// eight or more dead lanes.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`chunks`], with `end − j0 < 16`. The CPU
+    /// Same bounds contract as [`chunks`], with `end − j0 < 32`. The CPU
     /// must support AVX-512F, AVX-512VL and FMA.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
@@ -598,30 +640,40 @@ pub(crate) mod x86 {
         j0: usize,
     ) {
         let live = end - j0;
-        debug_assert!(live < 16);
-        // The low `live` bits: lane `l` is live when `l < live`.
-        let bits = (1u32 << live) - 1;
+        debug_assert!(live < 32);
+        // The low `n` bits: lane `l` is live when `l < n`.
+        let low = |n: usize| (1u32 << n) - 1;
         match live {
             0 => {}
             1..=8 => {
-                let mask = KMask256(bits as __mmask8);
+                let mask = KMask256(low(live) as __mmask8);
                 tile::<_, NR, 1, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
             }
-            _ => {
-                let mask = KMask512(bits as __mmask16);
+            9..=15 => {
+                let mask = KMask512(low(live) as __mmask16);
                 tile::<_, NR, 1, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
+            }
+            16 => {
+                let full = Full::<__m512>(PhantomData);
+                tile::<_, NR, 1, LOAD_C, FUSED>(full, a, b, offs, scale, c, stride, j0);
+            }
+            _ => {
+                let mask = KMask512(low(live - 16) as __mmask16);
+                tile::<_, NR, 2, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
             }
         }
     }
 
-    /// The AVX2 tier's last step: the last `end − j0` columns (fewer than 8,
-    /// possibly none) of the `NR` rows in one `NR × 8` [`tile`] whose
-    /// operand rows and outputs are read and written with `vmaskmovps` under
-    /// the lane mask `lane < end − j0`.
+    /// The AVX2 tier's last step: the last `end − j0` columns (fewer than
+    /// 16, possibly none) of the `NR` rows in one [`tile`], as
+    /// [`last_avx512`] takes them at half the width. Nine to fifteen columns
+    /// take one `NR × 16` tile whose second `ymm` is read and written with
+    /// `vmaskmovps` under a lane mask; eight take one full `ymm` step; one to
+    /// seven one `vmaskmovps` step.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`chunks`], with `end − j0 < 8`. The CPU must
+    /// Same bounds contract as [`chunks`], with `end − j0 < 16`. The CPU must
     /// support AVX2 and FMA.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
@@ -636,21 +688,32 @@ pub(crate) mod x86 {
         j0: usize,
     ) {
         let live = end - j0;
-        debug_assert!(live < 8);
-        if live > 0 {
+        debug_assert!(live < 16);
+        // The lane mask `lane < n`.
+        let mask = |n: usize| {
             let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            let mask = VMask256(_mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lanes));
-            tile::<_, NR, 1, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
+            VMask256(_mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lanes))
+        };
+        match live {
+            0 => {}
+            1..=7 => tile::<_, NR, 1, LOAD_C, FUSED>(mask(live), a, b, offs, scale, c, stride, j0),
+            8 => {
+                let full = Full::<__m256>(PhantomData);
+                tile::<_, NR, 1, LOAD_C, FUSED>(full, a, b, offs, scale, c, stride, j0);
+            }
+            _ => tile::<_, NR, 2, LOAD_C, FUSED>(mask(live - 8), a, b, offs, scale, c, stride, j0),
         }
     }
 
-    /// The SSE2 tier's last step: the last `end − j0` columns (fewer than 4,
-    /// possibly none) of the `NR` rows in one `NR × 4` [`tile`] that loads
-    /// and stores only the live lanes.
+    /// The SSE2 tier's last step: the last `end − j0` columns (fewer than 8,
+    /// possibly none) of the `NR` rows in one [`tile`], as [`last_avx512`]
+    /// takes them at a quarter of the width. Five to seven columns take one
+    /// `NR × 8` tile whose second `xmm` loads and stores only its live lanes;
+    /// four take one full `xmm` step; one to three one live-lanes step.
     ///
     /// # Safety
     ///
-    /// Same bounds contract as [`chunks`], with `end − j0 < 4`; SSE2 is
+    /// Same bounds contract as [`chunks`], with `end − j0 < 8`; SSE2 is
     /// baseline on x86-64.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)] // a row tile, its operand rows and its columns
@@ -665,18 +728,29 @@ pub(crate) mod x86 {
         j0: usize,
     ) {
         let live = end - j0;
-        debug_assert!(live < 4);
-        if live > 0 {
-            tile::<_, NR, 1, LOAD_C, FUSED>(Live128(live), a, b, offs, scale, c, stride, j0);
+        debug_assert!(live < 8);
+        match live {
+            0 => {}
+            1..=3 => {
+                tile::<_, NR, 1, LOAD_C, FUSED>(Live128(live), a, b, offs, scale, c, stride, j0)
+            }
+            4 => {
+                let full = Full::<__m128>(PhantomData);
+                tile::<_, NR, 1, LOAD_C, FUSED>(full, a, b, offs, scale, c, stride, j0);
+            }
+            _ => {
+                let mask = Live128(live - 4);
+                tile::<_, NR, 2, LOAD_C, FUSED>(mask, a, b, offs, scale, c, stride, j0);
+            }
         }
     }
 
     /// The AVX-512 tier over columns `start .. end` of every row of a
     /// `rows × kk` panel. Each full group of [`TILE_ROWS`] rows sweeps
-    /// `4 × 32`, then `4 × 16` `__m512` tiles, then its last columns (fewer
-    /// than 16) in one masked step ([`last_avx512`]). Rows past the last full
-    /// group take the one-row path: 128/64/32/16-wide `__m512` chunks, then
-    /// the same masked step at one row. The 128-wide chunk's eight
+    /// `4 × 32` `__m512` tiles, then its last columns (fewer than 32) in one
+    /// step ([`last_avx512`]). Rows past the last full group take the one-row
+    /// path: 128/64/32/16-wide `__m512` chunks, then the same last step at
+    /// one row (fewer than 16 columns there). The 128-wide chunk's eight
     /// accumulators give the one-row sweep (every row of a CSR plan) eight
     /// independent chains, as the AVX2 tier's 64-wide chunk does.
     ///
@@ -711,12 +785,8 @@ pub(crate) mod x86 {
         // lanes are never accessed.
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
-            let mut j0 = start;
-            j0 = chunks::<__m512, TILE_ROWS, 2, LOAD_C, FUSED>(
-                a, b, offs, scale, c, stride, end, j0,
-            );
-            j0 = chunks::<__m512, TILE_ROWS, 1, LOAD_C, FUSED>(
-                a, b, offs, scale, c, stride, end, j0,
+            let j0 = chunks::<__m512, TILE_ROWS, 2, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, start,
             );
             last_avx512::<TILE_ROWS, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
@@ -732,10 +802,10 @@ pub(crate) mod x86 {
     }
 
     /// The AVX2 tier: [`span_avx512`]'s row tiling at 256-bit width. Each
-    /// full group of [`TILE_ROWS`] rows sweeps `4 × 16`, then `4 × 8`
-    /// `__m256` tiles, then its last columns (fewer than 8) in one masked
-    /// `4 × 8` step ([`last_avx2`]); the remaining rows take 64/32/16/8-wide
-    /// `__m256` chunks, then the same masked step at one row.
+    /// full group of [`TILE_ROWS`] rows sweeps `4 × 16` `__m256` tiles, then
+    /// its last columns (fewer than 16) in one step ([`last_avx2`]); the
+    /// remaining rows take 64/32/16/8-wide `__m256` chunks, then the same
+    /// last step at one row.
     ///
     /// # Safety
     ///
@@ -761,12 +831,8 @@ pub(crate) mod x86 {
         // masked step touches only the live columns `j0 .. end`.
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
-            let mut j0 = start;
-            j0 = chunks::<__m256, TILE_ROWS, 2, LOAD_C, FUSED>(
-                a, b, offs, scale, c, stride, end, j0,
-            );
-            j0 = chunks::<__m256, TILE_ROWS, 1, LOAD_C, FUSED>(
-                a, b, offs, scale, c, stride, end, j0,
+            let j0 = chunks::<__m256, TILE_ROWS, 2, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, start,
             );
             last_avx2::<TILE_ROWS, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
@@ -782,11 +848,10 @@ pub(crate) mod x86 {
     }
 
     /// The SSE2 tier: [`span_avx512`]'s row tiling at 128-bit width. Each
-    /// full group of [`TILE_ROWS`] rows sweeps `4 × 8`, then `4 × 4`
-    /// `__m128` tiles, then its last columns (fewer than 4) in one `4 × 4`
-    /// step that loads and stores only the live lanes ([`last_sse2`]); the
-    /// remaining rows take 32/16/8/4-wide `__m128` chunks, then the same step
-    /// at one row.
+    /// full group of [`TILE_ROWS`] rows sweeps `4 × 8` `__m128` tiles, then
+    /// its last columns (fewer than 8) in one step ([`last_sse2`]); the
+    /// remaining rows take 32/16/8/4-wide `__m128` chunks, then the same last
+    /// step at one row.
     ///
     /// # Safety
     ///
@@ -811,12 +876,8 @@ pub(crate) mod x86 {
         // last step touches only the live columns `j0 .. end`.
         for r0 in (0..tiled).step_by(TILE_ROWS) {
             let (a, c) = (a.add(r0 * kk), c.add(r0 * stride));
-            let mut j0 = start;
-            j0 = chunks::<__m128, TILE_ROWS, 2, LOAD_C, FUSED>(
-                a, b, offs, scale, c, stride, end, j0,
-            );
-            j0 = chunks::<__m128, TILE_ROWS, 1, LOAD_C, FUSED>(
-                a, b, offs, scale, c, stride, end, j0,
+            let j0 = chunks::<__m128, TILE_ROWS, 2, LOAD_C, FUSED>(
+                a, b, offs, scale, c, stride, end, start,
             );
             last_sse2::<TILE_ROWS, LOAD_C, FUSED>(a, b, offs, scale, c, stride, end, j0);
         }
